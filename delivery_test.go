@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"reef"
+	"reef/internal/durable"
 	"reef/internal/durable/durabletest"
 	"reef/internal/simclock"
 	"reef/reefclient"
@@ -26,23 +27,19 @@ func feedItemAttrs(feedURL string, n int) map[string]string {
 	}
 }
 
-// waitRetained polls the deployment's stats until the reliable queues
-// retain want events — the frontend pump is asynchronous, so published
-// events land in the delivery queue a moment after PublishEvent returns.
-func waitRetained(t *testing.T, ctx context.Context, stats func(context.Context) (reef.Stats, error), want float64) {
+// wantRetained checks that the reliable queues retain want events right
+// now: retention happens on the publisher's goroutine, so a publish that
+// returned is already in every matching queue and there is nothing to
+// wait for.
+func wantRetained(t *testing.T, ctx context.Context, stats func(context.Context) (reef.Stats, error), want float64) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		st, err := stats(ctx)
-		if err != nil {
-			t.Fatalf("Stats: %v", err)
-		}
-		if st["delivery_retained"] >= want {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
+	st, err := stats(ctx)
+	if err != nil {
+		t.Fatalf("Stats: %v", err)
 	}
-	t.Fatalf("delivery_retained never reached %v", want)
+	if got := st["delivery_retained"]; got != want {
+		t.Fatalf("delivery_retained = %v as the publish returned, want %v", got, want)
+	}
 }
 
 // TestSubscribeConfigValidation pins the typed config errors on the
@@ -123,7 +120,7 @@ func TestReliableConsumerE2E(t *testing.T) {
 			t.Fatalf("PublishEvent %d: %v", i, err)
 		}
 	}
-	waitRetained(t, ctx, cli.Stats, total)
+	wantRetained(t, ctx, cli.Stats, total)
 
 	// Consumer one: lease four, ack through seq 3, then die. The lease on
 	// seq 4 dies with it — only the cursor survives a consumer.
@@ -180,7 +177,7 @@ func TestReliableConsumerE2E(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitRetained(t, ctx, cli.Stats, 2)
+	wantRetained(t, ctx, cli.Stats, 2)
 	for round := 0; round < 4; round++ {
 		vt.Advance(35 * time.Second)
 		if _, err := cli2.FetchEvents(ctx, user, feed, 0); err != nil {
@@ -255,7 +252,7 @@ func TestReliableDeliveryCrashRecovery(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			waitRetained(t, ctx, dep.Stats, 6)
+			wantRetained(t, ctx, dep.Stats, 6)
 			if evs, err := dep.FetchEvents(ctx, "alice", feeds[0], 4); err != nil || len(evs) != 4 {
 				t.Fatalf("FetchEvents = (%+v, %v), want 4 events", evs, err)
 			}
@@ -306,7 +303,7 @@ func TestReliableDeliveryCrashRecovery(t *testing.T) {
 			if _, err := dep2.PublishEvent(ctx, reef.Event{Attrs: feedItemAttrs(feeds[0], 7)}); err != nil {
 				t.Fatal(err)
 			}
-			waitRetained(t, ctx, dep2.Stats, 1)
+			wantRetained(t, ctx, dep2.Stats, 1)
 			evs, err := dep2.FetchEvents(ctx, "alice", feeds[0], 0)
 			if err != nil || len(evs) != 1 || evs[0].Seq != 5 {
 				t.Fatalf("post-recovery FetchEvents = (%+v, %v), want one event at seq 5", evs, err)
@@ -346,7 +343,7 @@ func TestReliableCursorSurvivesShardMigration(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitRetained(t, ctx, dep.Stats, 3)
+	wantRetained(t, ctx, dep.Stats, 3)
 	if _, err := dep.FetchEvents(ctx, "carol", feed, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -368,5 +365,120 @@ func TestReliableCursorSurvivesShardMigration(t *testing.T) {
 	}
 	if len(subs) != 1 || subs[0].Acked != 2 || subs[0].Guarantee != "at_least_once" {
 		t.Fatalf("migrated subscription = %+v, want at_least_once with acked_seq 2", subs)
+	}
+}
+
+// TestReliableSurvivesBestEffortOverflow pins that the at-least-once tier
+// does not ride the best-effort queue: with a sidebar queue of one, a
+// 512-event batch overflows that queue hundreds of times, and the reliable
+// consumer must still see every event once, in order, first attempt.
+func TestReliableSurvivesBestEffortOverflow(t *testing.T) {
+	ctx := context.Background()
+	web := testWeb(24)
+	dep, err := reef.NewCentralized(reef.WithFetcher(web), reef.WithQueueSize(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = dep.Close() }()
+	feed := feedURLs(web)[0]
+	const user, total = "alice", 512
+	if _, err := dep.Subscribe(ctx, user, feed, reef.WithGuarantee(reef.AtLeastOnce)); err != nil {
+		t.Fatal(err)
+	}
+	evs := make([]reef.Event, total)
+	for i := range evs {
+		evs[i] = reef.Event{Attrs: feedItemAttrs(feed, i+1)}
+	}
+	if _, err := dep.PublishBatch(ctx, evs); err != nil {
+		t.Fatal(err)
+	}
+	next := int64(1)
+	for next <= total {
+		got, err := dep.FetchEvents(ctx, user, feed, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) == 0 {
+			t.Fatalf("reliable queue ran dry at seq %d of %d: events were lost with the best-effort queue", next, total)
+		}
+		for _, ev := range got {
+			if ev.Seq != next || ev.Attempts != 1 || ev.Event.Attrs["n"] != strconv.FormatInt(next, 10) {
+				t.Fatalf("got seq %d attempts %d n=%s, want seq %d on its first attempt",
+					ev.Seq, ev.Attempts, ev.Event.Attrs["n"], next)
+			}
+			next++
+		}
+		if err := dep.Ack(ctx, user, feed, next-1, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if dls, err := dep.DeadLetters(ctx, user, ""); err != nil || len(dls) != 0 {
+		t.Fatalf("DeadLetters = (%+v, %v), want none", dls, err)
+	}
+}
+
+// TestBestEffortUpgradeStartsRetaining pins the upgrade path: a
+// best-effort subscription re-subscribed at-least-once is a duplicate to
+// the frontend, and must retain from the next publish all the same — on
+// the node that took the calls, after that node crashed and replayed its
+// WAL, and on a replica that applied the shipped records.
+func TestBestEffortUpgradeStartsRetaining(t *testing.T) {
+	for _, where := range []string{"live", "recovered", "replica"} {
+		t.Run(where, func(t *testing.T) {
+			ctx := context.Background()
+			web := testWeb(25)
+			feed := feedURLs(web)[0]
+			const user = "alice"
+			open := func(dir string) *reef.Centralized {
+				dep, err := reef.NewCentralized(reef.WithFetcher(web), reef.WithDataDir(dir),
+					reef.WithSyncPolicy(reef.SyncAlways), reef.WithSnapshotEvery(-1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return dep
+			}
+			dir := t.TempDir()
+			dep := open(dir)
+			defer func() { _ = dep.Close() }()
+			var shipped []durable.Record
+			dep.SetReplicationTap(func(r durable.Record) { shipped = append(shipped, r) })
+
+			if _, err := dep.Subscribe(ctx, user, feed); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := dep.PublishEvent(ctx, reef.Event{Attrs: feedItemAttrs(feed, 0)}); err != nil {
+				t.Fatal(err)
+			}
+			var cfgErr *reef.ConfigError
+			if _, err := dep.FetchEvents(ctx, user, feed, 0); !errors.As(err, &cfgErr) {
+				t.Fatalf("FetchEvents on a best-effort subscription = %v, want a config error", err)
+			}
+			sub, err := dep.Subscribe(ctx, user, feed, reef.WithGuarantee(reef.AtLeastOnce))
+			if err != nil || sub.Guarantee != "at_least_once" {
+				t.Fatalf("upgrade = (%+v, %v), want at_least_once", sub, err)
+			}
+
+			switch where {
+			case "recovered":
+				if err := durabletest.Crash(dep); err != nil {
+					t.Fatal(err)
+				}
+				dep = open(dir)
+				defer func() { _ = dep.Close() }()
+			case "replica":
+				dep = open(t.TempDir())
+				defer func() { _ = dep.Close() }()
+				if err := dep.ApplyReplicated(shipped); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := dep.PublishEvent(ctx, reef.Event{Attrs: feedItemAttrs(feed, 1)}); err != nil {
+				t.Fatal(err)
+			}
+			got, err := dep.FetchEvents(ctx, user, feed, 0)
+			if err != nil || len(got) != 1 || got[0].Seq != 1 || got[0].Attempts != 1 || got[0].Event.Attrs["n"] != "1" {
+				t.Fatalf("FetchEvents after the upgrade = (%+v, %v), want exactly the event published after it", got, err)
+			}
+		})
 	}
 }

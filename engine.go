@@ -87,13 +87,7 @@ func newEngine(cfg config, idx int, journal *durable.Journal) *engine {
 // clicks re-enter core ingestion so derived state rebuilds exactly as
 // live ingestion built it, and pending ops land in the shard's ledger.
 func (e *engine) replay() durableReplay {
-	apply := func(rec recommend.Recommendation) error {
-		fe, err := e.front(rec.User)
-		if err != nil {
-			return err
-		}
-		return fe.Apply(rec)
-	}
+	apply := func(rec recommend.Recommendation) error { return e.apply(rec.User, rec) }
 	return durableReplay{
 		applyClicks: e.server.ReceiveClicks,
 		setFlag:     func(host string, f int) { e.server.Store().SetFlag(host, store.Flag(f)) },
@@ -216,17 +210,27 @@ func (e *engine) frontLocked(user string) *frontend.Frontend {
 		sub = tunedSubscriber{broker: e.broker, opts: e.cfg.subOptions()}
 	}
 	fe := frontend.NewFrontend(user, sub, e.proxy, bar, e.clock.Now)
-	// Tee every pumped event into the user's reliable queues (a no-op
-	// lookup for best-effort subscriptions). Set before the frontend
-	// escapes this critical section, so pumps never race the hook write.
-	fe.SetEventHook(func(rec recommend.Recommendation, ev pubsub.Event, now time.Time) {
-		if q, ok := e.deliveries.Get(user, subscriptionID(rec)); ok {
-			q.Append(ev, now)
-		}
-	})
 	e.fronts[user] = fe
 	e.bars[user] = bar
 	return fe
+}
+
+// apply executes a recommendation through the user's hosted frontend.
+// When the subscription has a reliable queue (registered before this call,
+// live and on replay alike), the queue's Append rides along as the broker
+// subscription's tap: the publisher retains the event itself, before the
+// best-effort queue is tried, so a publish that returned is in the queue.
+// A duplicate of a best-effort subscription gets the tap attached here.
+func (e *engine) apply(user string, rec recommend.Recommendation) error {
+	fe, err := e.front(user)
+	if err != nil {
+		return err
+	}
+	q, ok := e.deliveries.Get(user, subscriptionID(rec))
+	if !ok {
+		return fe.Apply(rec)
+	}
+	return fe.ApplyTapped(rec, func(ev pubsub.Event) { q.Append(ev, e.clock.Now()) })
 }
 
 func (e *engine) front(user string) (*frontend.Frontend, error) {
@@ -270,7 +274,7 @@ func (e *engine) subscriptions(user string) []Subscription {
 // subscribe places a feed subscription immediately, bypassing the
 // recommendation queue. An AtLeastOnce config additionally registers the
 // subscription's reliable queue — before the frontend applies the
-// subscription, so no event pumped by the new subscription can slip past
+// subscription, so no event the new subscription matches can slip past
 // the queue.
 func (e *engine) subscribe(user, feedURL string, sc SubscribeConfig) (Subscription, error) {
 	rec := recommend.Recommendation{
@@ -281,10 +285,6 @@ func (e *engine) subscribe(user, feedURL string, sc SubscribeConfig) (Subscripti
 		Reason:  "direct API subscription",
 		At:      e.clock.Now(),
 	}
-	fe, err := e.front(user)
-	if err != nil {
-		return Subscription{}, err
-	}
 	if err := e.journal.Record(
 		func() error {
 			reliable := sc.Guarantee == AtLeastOnce
@@ -294,7 +294,7 @@ func (e *engine) subscribe(user, feedURL string, sc SubscribeConfig) (Subscripti
 				e.deliveries.Register(user, feedURL, toDeliveryConfig(sc, e.cfg))
 				created = !existed
 			}
-			if err := fe.Apply(rec); err != nil {
+			if err := e.apply(user, rec); err != nil {
 				if created {
 					e.deliveries.Remove(user, feedURL)
 				}

@@ -5,11 +5,12 @@
 //
 // The broker itself stays best-effort (bounded per-subscriber channels
 // with a drop policy, exactly as the paper's prototype ships events to
-// the sidebar). Reliability is layered on top: every event a hosted
-// frontend pumps for an at-least-once subscription is also appended to
-// that subscription's Queue, where it stays until the consumer acks past
-// it or it exhausts its delivery attempts and moves to the dead-letter
-// queue. Only the cumulative cursor is durable (the engine journals it
+// the sidebar). Reliability is layered on top: every event the broker
+// matches to an at-least-once subscription is appended to that
+// subscription's Queue by the publisher itself (a pubsub tap, ahead of
+// the bounded channel and whatever its drop policy does), where it stays
+// until the consumer acks past it or it exhausts its delivery attempts
+// and moves to the dead-letter queue. Only the cumulative cursor is durable (the engine journals it
 // as a WAL record); the retained window and the DLQ are in-memory, so a
 // server crash truncates them while the cursor — and therefore the
 // consumer's resume point — survives byte-exactly.

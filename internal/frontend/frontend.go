@@ -237,10 +237,6 @@ type Frontend struct {
 	proxy   FeedProxy
 	sidebar *Sidebar
 	nowFn   func() time.Time
-	// onEvent, when set, observes every pumped event alongside the
-	// sidebar (the reliable-delivery tier tees retained copies here). Set
-	// once via SetEventHook before the first Apply.
-	onEvent func(rec recommend.Recommendation, ev pubsub.Event, now time.Time)
 
 	mu     sync.Mutex
 	closed bool
@@ -268,16 +264,6 @@ func NewFrontend(user string, sub Subscriber, proxy FeedProxy, sidebar *Sidebar,
 // Sidebar returns the frontend's sidebar.
 func (f *Frontend) Sidebar() *Sidebar { return f.sidebar }
 
-// SetEventHook registers the per-event observer. It must be called
-// before the first Apply: the pump goroutines read the hook without
-// locking, relying on the happens-before edge the caller's construction
-// path provides.
-func (f *Frontend) SetEventHook(fn func(rec recommend.Recommendation, ev pubsub.Event, now time.Time)) {
-	f.mu.Lock()
-	f.onEvent = fn
-	f.mu.Unlock()
-}
-
 // key derives the active-table key for a recommendation.
 func key(rec recommend.Recommendation) string {
 	if rec.FeedURL != "" {
@@ -289,6 +275,15 @@ func key(rec recommend.Recommendation) string {
 // Apply executes one recommendation. Duplicate subscribes and unknown
 // unsubscribes are no-ops (the server may re-send).
 func (f *Frontend) Apply(rec recommend.Recommendation) error {
+	return f.ApplyTapped(rec, nil)
+}
+
+// ApplyTapped is Apply for a subscription whose events must also reach tap
+// (pubsub.WithTap: synchronously, on the publisher's goroutine, whatever
+// becomes of the sidebar's bounded queue). A duplicate subscribe attaches
+// the tap to the subscription already placed, which is how a best-effort
+// subscription is upgraded in place. A nil tap is plain Apply.
+func (f *Frontend) ApplyTapped(rec recommend.Recommendation, tap func(pubsub.Event)) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
@@ -297,10 +292,13 @@ func (f *Frontend) Apply(rec recommend.Recommendation) error {
 	switch rec.Kind {
 	case recommend.KindSubscribeFeed, recommend.KindContentQuery:
 		k := key(rec)
-		if _, dup := f.active[k]; dup {
+		if as, dup := f.active[k]; dup {
+			if tap != nil {
+				as.sub.SetTap(tap)
+			}
 			return nil
 		}
-		sub, err := f.sub.Subscribe(rec.Filter)
+		sub, err := f.sub.Subscribe(rec.Filter, pubsub.WithTap(tap))
 		if err != nil {
 			return fmt.Errorf("frontend: subscribing for %s: %w", f.user, err)
 		}
@@ -343,11 +341,7 @@ func (f *Frontend) pump(as *activeSub) {
 	defer f.wg.Done()
 	defer close(as.done)
 	for ev := range as.sub.Events() {
-		now := f.nowFn()
-		if f.onEvent != nil {
-			f.onEvent(as.rec, ev, now)
-		}
-		f.sidebar.Add(ev, now)
+		f.sidebar.Add(ev, f.nowFn())
 	}
 }
 

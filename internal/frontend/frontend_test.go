@@ -195,6 +195,44 @@ func TestFrontendDuplicateSubscribe(t *testing.T) {
 	}
 }
 
+// TestFrontendApplyTapped: the tap rides on the broker subscription, so it
+// has every matched event when Publish returns; a duplicate subscribe
+// carrying a tap upgrades the subscription already placed instead of
+// placing a second one.
+func TestFrontendApplyTapped(t *testing.T) {
+	fe, broker, _ := newTestFrontend(t)
+	tapped, plain := "http://h.test/tapped.xml", "http://h.test/plain.xml"
+	seen := map[string]int{}
+	tap := func(ev pubsub.Event) { seen[ev.Attrs["feed"].Str()]++ }
+	if err := fe.ApplyTapped(feedRec(tapped), tap); err != nil {
+		t.Fatal(err)
+	}
+	if err := fe.Apply(feedRec(plain)); err != nil {
+		t.Fatal(err)
+	}
+	publish := func() {
+		for _, url := range []string{tapped, plain} {
+			if _, err := broker.Publish(context.Background(), feedEvent(url, "story")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	publish()
+	if seen[tapped] != 1 || seen[plain] != 0 {
+		t.Fatalf("tap saw %v, want only the tapped feed's event", seen)
+	}
+	if err := fe.ApplyTapped(feedRec(plain), tap); err != nil {
+		t.Fatal(err)
+	}
+	if got := broker.NumSubscriptions(); got != 2 {
+		t.Fatalf("broker holds %d subscriptions after the duplicate, want 2", got)
+	}
+	publish()
+	if seen[tapped] != 2 || seen[plain] != 1 {
+		t.Fatalf("after the upgrade the tap saw %v, want 2 and 1", seen)
+	}
+}
+
 func TestFrontendUnsubscribe(t *testing.T) {
 	fe, broker, proxy := newTestFrontend(t)
 	url := "http://h.test/f.xml"

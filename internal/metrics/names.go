@@ -71,6 +71,7 @@ var (
 	UsersWithFrontends     = Def{"users_with_frontends", "reef_engine_users_with_frontends", KindGauge, "Users with a registered frontend."}
 	ProxyStat              = Def{"", "reef_engine_proxy_stat", KindUntyped, "Proxy component registry stat, labeled by stat name."}
 	BrokerStat             = Def{"", "reef_engine_broker_stat", KindUntyped, "Broker component registry stat, labeled by stat name."}
+	BrokerCanceled         = Def{"broker_canceled", "reef_engine_broker_canceled_total", KindCounter, "Deliveries skipped because the subscription was canceled after the match (broker_dropped counts only queue overflow)."}
 	Shards                 = Def{"shards", "reef_shards", KindGauge, "Shard count of the deployment."}
 )
 
@@ -147,7 +148,7 @@ var UnknownStat = Def{"", "reef_stat", KindUntyped, "Stats() key with no table e
 // Defs lists every Def above; exposition and the naming check walk it.
 var Defs = []Def{
 	ClicksStored, DistinctServers, FeedsDiscovered, UploadBytes, ProxyFeeds,
-	PendingRecommendations, UsersWithFrontends, ProxyStat, BrokerStat, Shards,
+	PendingRecommendations, UsersWithFrontends, ProxyStat, BrokerStat, BrokerCanceled, Shards,
 	DistributedPeers, DistributedSubs, DistributedKnownFeeds, DistributedApplied,
 	DeliveryReliableSubs, DeliveryRetained, DeliveryAcked, DeliveryRedeliveries,
 	DeliveryDeadLetters, DeliveryLeaseExpiries,

@@ -104,6 +104,7 @@ func TestResolveStatKey(t *testing.T) {
 		{"node_a_b_shards", Shards.Name, KindGauge, []Label{{"node", "a_b"}}},
 		{"replication_lag_p99_micros.max", ReplicationLagP99Micros.Name + "_max", KindUntyped, nil},
 		{"broker_published.mean", BrokerStat.Name + "_mean", KindUntyped, []Label{{"stat", "published"}}},
+		{"shard1_broker_canceled", BrokerCanceled.Name, KindCounter, []Label{{"shard", "1"}}},
 		{"proxy_fetches", ProxyStat.Name, KindUntyped, []Label{{"stat", "fetches"}}},
 		{"what_is_this", UnknownStat.Name, KindUntyped, []Label{{"key", "what_is_this"}}},
 		// "shardX_" with a non-numeric index is not a shard prefix.

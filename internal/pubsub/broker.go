@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"reef/internal/eventalg"
 	"reef/internal/metrics"
@@ -42,6 +43,7 @@ type SubOption func(*subConfig)
 type subConfig struct {
 	queueSize int
 	policy    DeliveryPolicy
+	tap       func(Event)
 }
 
 // WithQueueSize sets the delivery queue length (minimum 1).
@@ -58,6 +60,14 @@ func WithPolicy(p DeliveryPolicy) SubOption {
 	return func(c *subConfig) { c.policy = p }
 }
 
+// WithTap gives the subscription a synchronous tap: every matched event is
+// handed to fn on the publisher's goroutine before the bounded queue is
+// tried, so the tap sees the event whatever the queue's overflow policy
+// then does with it. fn must not block or publish. A nil fn is no tap.
+func WithTap(fn func(Event)) SubOption {
+	return func(c *subConfig) { c.tap = fn }
+}
+
 // Subscription is a local content-based subscription: a filter plus a
 // bounded delivery queue.
 type Subscription struct {
@@ -66,6 +76,10 @@ type Subscription struct {
 	ch     chan Event
 	policy DeliveryPolicy
 	broker *Broker
+
+	// tap, when set, receives every matched event ahead of the queue (see
+	// WithTap). Publishers read it without the subscription's lock.
+	tap atomic.Pointer[func(Event)]
 
 	// onCancel, when set, runs after the subscription is removed from the
 	// broker. The overlay uses it to withdraw propagated subscriptions.
@@ -104,23 +118,50 @@ func (s *Subscription) Cancel() {
 	s.broker.unsubscribe(s)
 }
 
-// deliver enqueues one event under the subscription's overflow policy.
-// Returns false if the event was dropped.
-func (s *Subscription) deliver(ctx context.Context, ev Event) bool {
+// SetTap attaches (or, with nil, detaches) the tap of a live subscription;
+// publishes that match it from now on reach fn. See WithTap.
+func (s *Subscription) SetTap(fn func(Event)) {
+	if fn == nil {
+		s.tap.Store(nil)
+		return
+	}
+	s.tap.Store(&fn)
+}
+
+// outcome is what became of one matched event at one subscription.
+type outcome int
+
+const (
+	// sent: the event is in the subscription's queue.
+	sent outcome = iota
+	// overflowed: the queue was full (or a Block send's context ended) and
+	// an event was lost to the overflow policy.
+	overflowed
+	// canceled: the subscription was canceled between match and delivery;
+	// nobody is left to miss the event.
+	canceled
+)
+
+// deliver hands one event to the tap, then enqueues it under the
+// subscription's overflow policy.
+func (s *Subscription) deliver(ctx context.Context, ev Event) outcome {
+	if tap := s.tap.Load(); tap != nil {
+		(*tap)(ev)
+	}
 	if s.policy == Block {
 		return s.deliverBlocking(ctx, ev)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.canceled {
-		return false
+		return canceled
 	}
 	switch s.policy {
 	case DropOldest:
 		for {
 			select {
 			case s.ch <- ev:
-				return true
+				return sent
 			default:
 				select {
 				case <-s.ch:
@@ -132,10 +173,10 @@ func (s *Subscription) deliver(ctx context.Context, ev Event) bool {
 	default: // DropNewest
 		select {
 		case s.ch <- ev:
-			return true
+			return sent
 		default:
 			s.dropped++
-			return false
+			return overflowed
 		}
 	}
 }
@@ -145,12 +186,12 @@ func (s *Subscription) deliver(ctx context.Context, ev Event) bool {
 // sendMu keeps close from racing a blocked send (closing s.ch mid-send
 // would panic). As before, Cancel waits for an in-flight blocked send to
 // finish or be canceled.
-func (s *Subscription) deliverBlocking(ctx context.Context, ev Event) bool {
-	drop := func() bool {
+func (s *Subscription) deliverBlocking(ctx context.Context, ev Event) outcome {
+	drop := func() outcome {
 		s.mu.Lock()
 		s.dropped++
 		s.mu.Unlock()
-		return false
+		return overflowed
 	}
 	select {
 	case s.sendMu <- struct{}{}:
@@ -159,14 +200,14 @@ func (s *Subscription) deliverBlocking(ctx context.Context, ev Event) bool {
 	}
 	defer func() { <-s.sendMu }()
 	s.mu.Lock()
-	canceled := s.canceled
+	gone := s.canceled
 	s.mu.Unlock()
-	if canceled {
-		return false
+	if gone {
+		return canceled
 	}
 	select {
 	case s.ch <- ev:
-		return true
+		return sent
 	case <-ctx.Done():
 		return drop()
 	}
@@ -243,13 +284,22 @@ type Broker struct {
 	seqs   map[int64]*SequenceSubscription
 	reg    *metrics.Registry
 
-	// Hot-path counters, resolved once at construction so each delivery
-	// skips the registry's locked map lookup.
-	published    *metrics.Counter
-	delivered    *metrics.Counter
-	dropped      *metrics.Counter
-	seqDelivered *metrics.Counter
-	seqDropped   *metrics.Counter
+	// Counters and the gauge, resolved once at construction so neither a
+	// delivery nor a subscribe under the write lock pays the registry's
+	// locked map lookup. dropped counts events lost to a full queue;
+	// canceled counts deliveries skipped because the subscription was
+	// canceled after the match.
+	published       *metrics.Counter
+	delivered       *metrics.Counter
+	dropped         *metrics.Counter
+	canceled        *metrics.Counter
+	seqDelivered    *metrics.Counter
+	seqDropped      *metrics.Counter
+	subscribes      *metrics.Counter
+	unsubscribes    *metrics.Counter
+	seqSubscribes   *metrics.Counter
+	seqUnsubscribes *metrics.Counter
+	subscriptions   *metrics.Gauge
 }
 
 // NewBroker creates a broker. A nil clock defaults to the real clock.
@@ -268,8 +318,14 @@ func NewBroker(name string, clock simclock.Clock) *Broker {
 	b.published = b.reg.Counter("published")
 	b.delivered = b.reg.Counter("delivered")
 	b.dropped = b.reg.Counter("dropped")
+	b.canceled = b.reg.Counter("canceled")
 	b.seqDelivered = b.reg.Counter("seq_delivered")
 	b.seqDropped = b.reg.Counter("seq_dropped")
+	b.subscribes = b.reg.Counter("subscribes")
+	b.unsubscribes = b.reg.Counter("unsubscribes")
+	b.seqSubscribes = b.reg.Counter("seq_subscribes")
+	b.seqUnsubscribes = b.reg.Counter("seq_unsubscribes")
+	b.subscriptions = b.reg.Gauge("subscriptions")
 	return b
 }
 
@@ -323,9 +379,10 @@ func (b *Broker) Subscribe(f eventalg.Filter, opts ...SubOption) (*Subscription,
 		broker: b,
 		sendMu: make(chan struct{}, 1),
 	}
+	sub.SetTap(cfg.tap)
 	b.subs[id] = sub
-	b.reg.Counter("subscribes").Inc()
-	b.reg.Gauge("subscriptions").Set(int64(len(b.subs)))
+	b.subscribes.Inc()
+	b.subscriptions.Set(int64(len(b.subs)))
 	return sub, nil
 }
 
@@ -351,7 +408,7 @@ func (b *Broker) SubscribeSequence(seq eventalg.Sequence, opts ...SubOption) (*S
 		broker:  b,
 	}
 	b.seqs[id] = sub
-	b.reg.Counter("seq_subscribes").Inc()
+	b.seqSubscribes.Inc()
 	return sub, nil
 }
 
@@ -361,8 +418,8 @@ func (b *Broker) unsubscribe(s *Subscription) {
 	if present {
 		delete(b.subs, s.id)
 		b.index.Remove(s.id)
-		b.reg.Counter("unsubscribes").Inc()
-		b.reg.Gauge("subscriptions").Set(int64(len(b.subs)))
+		b.unsubscribes.Inc()
+		b.subscriptions.Set(int64(len(b.subs)))
 	}
 	b.mu.Unlock()
 	s.close()
@@ -392,7 +449,7 @@ func (b *Broker) unsubscribeSequence(s *SequenceSubscription) {
 	b.mu.Lock()
 	if _, ok := b.seqs[s.id]; ok {
 		delete(b.seqs, s.id)
-		b.reg.Counter("seq_unsubscribes").Inc()
+		b.seqUnsubscribes.Inc()
 	}
 	b.mu.Unlock()
 	s.close()
@@ -439,11 +496,8 @@ func (b *Broker) Publish(ctx context.Context, ev Event) (int, error) {
 
 	delivered := 0
 	for _, s := range ps.targets {
-		if s.deliver(ctx, ev) {
+		if b.deliver(ctx, s, ev) {
 			delivered++
-			b.delivered.Inc()
-		} else {
-			b.dropped.Inc()
 		}
 		if err := ctx.Err(); err != nil {
 			ps.release()
@@ -515,14 +569,11 @@ func (b *Broker) PublishBatchCounts(ctx context.Context, evs []Event, counts []i
 	delivered := 0
 	for i := range evs {
 		for _, s := range ps.targets[ps.off[i]:ps.off[i+1]] {
-			if s.deliver(ctx, evs[i]) {
+			if b.deliver(ctx, s, evs[i]) {
 				delivered++
 				if counts != nil {
 					counts[i]++
 				}
-				b.delivered.Inc()
-			} else {
-				b.dropped.Inc()
 			}
 			if err := ctx.Err(); err != nil {
 				ps.release()
@@ -535,6 +586,21 @@ func (b *Broker) PublishBatchCounts(ctx context.Context, evs []Event, counts []i
 	}
 	ps.release()
 	return delivered, nil
+}
+
+// deliver hands one matched event to one subscription and counts what
+// became of it; it reports whether the event reached the queue.
+func (b *Broker) deliver(ctx context.Context, s *Subscription, ev Event) bool {
+	switch s.deliver(ctx, ev) {
+	case sent:
+		b.delivered.Inc()
+		return true
+	case overflowed:
+		b.dropped.Inc()
+	case canceled:
+		b.canceled.Inc()
+	}
+	return false
 }
 
 // feedSequence advances one sequence matcher with the event. Matcher state

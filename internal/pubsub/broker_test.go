@@ -3,6 +3,7 @@ package pubsub
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -100,6 +101,113 @@ func TestBrokerDropNewest(t *testing.T) {
 	// The two oldest events survive.
 	if len(sub.Events()) != 2 {
 		t.Errorf("queued = %d, want 2", len(sub.Events()))
+	}
+}
+
+// TestBrokerTap pins the tap contract: it runs on the publisher's
+// goroutine, so every matched event has reached it when Publish returns —
+// the ones the full queue then drops included — and a tap attached to a
+// live subscription sees the publishes that follow. Delivery counts keep
+// meaning queue sends.
+func TestBrokerTap(t *testing.T) {
+	b := NewBroker("b1", nil)
+	defer b.Close()
+	var tapped []uint64
+	tap := func(ev Event) { tapped = append(tapped, ev.ID) }
+	sub, _ := b.Subscribe(TopicFilter("t"), WithQueueSize(1), WithTap(tap))
+	late, _ := b.Subscribe(TopicFilter("t"), WithQueueSize(1))
+	evs := make([]Event, 8)
+	for i := range evs {
+		evs[i] = testEvent("t")
+	}
+	if n, err := b.PublishBatch(context.Background(), evs); err != nil || n != 2 {
+		t.Fatalf("PublishBatch = (%d, %v), want one queue send per subscription", n, err)
+	}
+	if len(tapped) != len(evs) {
+		t.Fatalf("tap saw %d of %d events", len(tapped), len(evs))
+	}
+	for i, id := range tapped {
+		if id != evs[i].ID {
+			t.Fatalf("tap order %v, want publish order", tapped)
+		}
+	}
+	if got := sub.Dropped(); got != 7 {
+		t.Errorf("Dropped = %d, want 7", got)
+	}
+	var lateTapped int
+	late.SetTap(func(Event) { lateTapped++ })
+	b.Publish(context.Background(), testEvent("t"))
+	b.Publish(context.Background(), testEvent("other"))
+	if lateTapped != 1 || len(tapped) != len(evs)+1 {
+		t.Errorf("after SetTap: late tap saw %d, first tap %d; want 1 and %d", lateTapped, len(tapped), len(evs)+1)
+	}
+}
+
+// TestBrokerTapConcurrentPublishers: taps run on whichever goroutine
+// publishes, concurrently with each other, with SetTap and with Cancel.
+func TestBrokerTapConcurrentPublishers(t *testing.T) {
+	b := NewBroker("b1", nil)
+	defer b.Close()
+	var tapped, upgraded atomic.Int64
+	if _, err := b.Subscribe(TopicFilter("t"), WithQueueSize(1), WithTap(func(Event) { tapped.Add(1) })); err != nil {
+		t.Fatal(err)
+	}
+	const publishers, each = 4, 500
+	var wg sync.WaitGroup
+	for p := 0; p < publishers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if _, err := b.Publish(context.Background(), testEvent("t")); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 100; i++ {
+		s, err := b.Subscribe(TopicFilter("t"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetTap(func(Event) { upgraded.Add(1) })
+		s.Cancel()
+	}
+	wg.Wait()
+	if got := tapped.Load(); got != publishers*each {
+		t.Errorf("tap saw %d events, want %d", got, publishers*each)
+	}
+}
+
+// TestBrokerCanceledIsNotDropped pins the split of the two reasons a
+// matched event does not reach a queue: dropped is an event lost to a full
+// queue, canceled a delivery to a subscription that went away after the
+// match and that nobody misses.
+func TestBrokerCanceledIsNotDropped(t *testing.T) {
+	b := NewBroker("b1", nil)
+	defer b.Close()
+	ctx := context.Background()
+	full, _ := b.Subscribe(TopicFilter("t"), WithQueueSize(1))
+	gone, _ := b.Subscribe(TopicFilter("t"))
+	blocked, _ := b.Subscribe(TopicFilter("t"), WithPolicy(Block))
+	b.Publish(ctx, testEvent("t"))
+	b.Publish(ctx, testEvent("t")) // overflows full
+	// A publisher that matched before the cancel delivers after it.
+	gone.Cancel()
+	blocked.Cancel()
+	for _, s := range []*Subscription{gone, blocked} {
+		if b.deliver(ctx, s, testEvent("t")) {
+			t.Fatal("delivered to a canceled subscription")
+		}
+	}
+	snap := b.Metrics().Snapshot()
+	if snap["dropped"] != 1 || snap["canceled"] != 2 || snap["delivered"] != 5 {
+		t.Errorf("dropped = %v, canceled = %v, delivered = %v; want 1, 2, 5",
+			snap["dropped"], snap["canceled"], snap["delivered"])
+	}
+	if full.Dropped() != 1 || gone.Dropped() != 0 {
+		t.Errorf("Dropped: full %d, gone %d; want 1, 0", full.Dropped(), gone.Dropped())
 	}
 }
 
@@ -329,10 +437,17 @@ func TestBrokerMetrics(t *testing.T) {
 	if snap["subscriptions"] != 1 {
 		t.Errorf("subscriptions gauge = %v", snap["subscriptions"])
 	}
+	seq, _ := b.SubscribeSequence(eventalg.Sequence{})
+	seq.Cancel()
 	sub.Cancel()
 	snap = b.Metrics().Snapshot()
 	if snap["subscriptions"] != 0 {
 		t.Errorf("subscriptions gauge after cancel = %v", snap["subscriptions"])
+	}
+	for _, name := range []string{"subscribes", "unsubscribes", "seq_subscribes", "seq_unsubscribes"} {
+		if snap[name] != 1 {
+			t.Errorf("%s = %v, want 1", name, snap[name])
+		}
 	}
 }
 

@@ -2,9 +2,9 @@
 // that Reef generates subscriptions for. It provides:
 //
 //   - Event: a typed name-value tuple with payload and provenance.
-//   - Index: a counting-algorithm matcher (Gryphon/Siena style) that
-//     evaluates many conjunctive filters against one event in time
-//     proportional to the constraints on the event's attributes.
+//   - Index: an access-predicate matcher that files each conjunctive
+//     filter under its most selective equality and evaluates an event
+//     against only the filters filed under its own attribute values.
 //   - Broker: a single matching engine with local subscribers, bounded
 //     delivery queues and sequence (multi-event) subscriptions.
 //   - Overlay: a network of broker nodes connected by links, with

@@ -1,89 +1,80 @@
 package pubsub
 
-import (
-	"sync"
+import "reef/internal/eventalg"
 
-	"reef/internal/eventalg"
-)
-
-// Index is a counting-algorithm matcher for conjunctive filters: each
-// registered filter matches an event when every one of its constraints is
-// satisfied. Matching cost is proportional to the constraints registered on
-// the attributes that actually appear in the event, with a hash fast path
-// for string/bool equality constraints (the common case for topic and feed
-// subscriptions).
+// Index is an access-predicate matcher for conjunctive filters (Fabret et
+// al., SIGMOD 2001): each registered filter is filed under exactly one of
+// its constraints, and an event only meets the filters filed under its own
+// attribute values; their remaining constraints are verified on the hit.
+// A filter with a string/bool equality is filed in the (attribute, value)
+// hash bucket of its most selective one, so matching costs the sizes of
+// the buckets the event names, not the size of the table. Filters with no
+// such equality wait on a per-attribute scan list.
 //
-// Concurrency: Match and MatchAppend are safe to call from any number of
-// goroutines at once. Add, Remove and ReserveID mutate the index and must
-// be writer-exclusive — callers (Broker) hold a write lock around them and
-// a read lock around matching.
+// Concurrency: Match and MatchAppend only read the index and are safe to
+// call from any number of goroutines at once. Add, Remove and ReserveID
+// mutate it and must be writer-exclusive — callers (Broker) hold a write
+// lock around them and a read lock around matching.
 type Index struct {
 	nextID int64
-	// entries maps entry ID to its filter metadata.
+	// entries maps entry ID to where the entry is filed.
 	entries map[int64]*indexEntry
-	// eq maps attribute -> value -> refs, for string/bool equality
-	// constraints (hash fast path).
-	eq map[string]map[eventalg.Value][]constraintRef
-	// scan maps attribute -> refs for all other constraints.
-	scan map[string][]constraintRef
-	// matchAll holds entries whose filter has no constraints.
-	matchAll map[int64]struct{}
-	// slots holds entries at dense positions (nil = free) so the match
-	// hot path counts in a flat slice instead of hashing entry IDs;
-	// freeSlots recycles positions vacated by Remove.
-	slots     []*indexEntry
-	freeSlots []int
-	// scratch pools per-call counting state so concurrent Match calls
-	// neither race on shared state nor allocate in steady state.
-	scratch sync.Pool
+	// eq maps attribute -> value -> the bucket of that string/bool
+	// equality. A bucket lives as long as any filter asks for the equality,
+	// filed there or not.
+	eq map[string]map[eventalg.Value]*eqBucket
+	// scan maps attribute -> the entries with no hashable equality, filed
+	// under their first constraint's attribute (every operator needs the
+	// attribute present, so an event without it cannot match).
+	scan map[string][]*indexEntry
+	// matchAll holds the entries whose filter has no constraints.
+	matchAll []*indexEntry
 }
 
-// matchScratch is the per-call counting state of one Match: a
-// slot-indexed hit counter plus the list of slots touched, so only
-// those reset afterward.
-type matchScratch struct {
-	counts  []int32
-	touched []int
+// eqBucket is one hashable equality: the entries filed under it, and how
+// many constraints of live filters ask for it. The second number is what
+// Add ranks selectivity by — an equality every filter shares is one every
+// event satisfies.
+type eqBucket struct {
+	filed  []*indexEntry
+	wanted int
 }
 
+// indexEntry is one registered filter. cs is the entry's own copy of the
+// filter's constraints with the one it is filed under moved to cs[0]; a
+// hashed entry's cs[0] is implied by the bucket it sits in, so a hit only
+// verifies cs[1:]. pos is the entry's position in its bucket, which makes
+// Remove a swap-delete.
 type indexEntry struct {
 	id     int64
-	slot   int
 	filter eventalg.Filter
-	need   int32
-}
-
-type constraintRef struct {
-	entry *indexEntry
-	c     eventalg.Constraint
+	cs     []eventalg.Constraint
+	hashed bool
+	pos    int
 }
 
 // NewIndex returns an empty matcher index.
 func NewIndex() *Index {
-	ix := &Index{
-		entries:  make(map[int64]*indexEntry),
-		eq:       make(map[string]map[eventalg.Value][]constraintRef),
-		scan:     make(map[string][]constraintRef),
-		matchAll: make(map[int64]struct{}),
+	return &Index{
+		entries: make(map[int64]*indexEntry),
+		eq:      make(map[string]map[eventalg.Value]*eqBucket),
+		scan:    make(map[string][]*indexEntry),
 	}
-	ix.scratch.New = func() any {
-		return &matchScratch{}
-	}
-	return ix
 }
 
 // Len returns the number of registered filters.
 func (ix *Index) Len() int { return len(ix.entries) }
 
-// hashable reports whether an equality constraint can use the hash fast
-// path. Numeric equality stays on the scan path because Int(3) and Float(3)
-// compare equal but hash differently.
-func hashable(c eventalg.Constraint) bool {
-	if c.Op != eventalg.OpEq {
-		return false
-	}
-	k := c.Val.Kind()
-	return k == eventalg.KindString || k == eventalg.KindBool
+// hashable reports whether a value can key a hash bucket. Numeric equality
+// stays on the scan path because Int(3) and Float(3) compare equal but hash
+// differently.
+func hashable(v eventalg.Value) bool {
+	return v.Kind() == eventalg.KindString || v.Kind() == eventalg.KindBool
+}
+
+// hashedEq reports whether the constraint is an equality a bucket can hold.
+func hashedEq(c eventalg.Constraint) bool {
+	return c.Op == eventalg.OpEq && hashable(c.Val)
 }
 
 // ReserveID allocates an ID from the index's monotonic counter without
@@ -96,77 +87,100 @@ func (ix *Index) ReserveID() int64 {
 
 // Add registers a filter and returns its entry ID for later removal.
 // Writer-exclusive.
+//
+// The access predicate is the filter's most selective hashable equality:
+// the one the fewest live filters ask for, ties going to the later
+// constraint. In a table of "type = feed-item and feed = X" filters that
+// is always the feed, from the first subscriber on, so the bucket every
+// event probes (type) stays empty and an event verifies its own feed's
+// subscribers and nothing else.
 func (ix *Index) Add(f eventalg.Filter) int64 {
-	id := ix.ReserveID()
-	cs := f.Constraints()
-	e := &indexEntry{id: id, filter: f, need: int32(len(cs))}
-	if n := len(ix.freeSlots); n > 0 {
-		e.slot = ix.freeSlots[n-1]
-		ix.freeSlots = ix.freeSlots[:n-1]
-		ix.slots[e.slot] = e
-	} else {
-		e.slot = len(ix.slots)
-		ix.slots = append(ix.slots, e)
+	e := &indexEntry{id: ix.ReserveID(), filter: f, cs: f.Constraints()}
+	ix.entries[e.id] = e
+	if len(e.cs) == 0 {
+		e.pos = len(ix.matchAll)
+		ix.matchAll = append(ix.matchAll, e)
+		return e.id
 	}
-	ix.entries[id] = e
-	if len(cs) == 0 {
-		ix.matchAll[id] = struct{}{}
-		return id
-	}
-	for _, c := range cs {
-		ref := constraintRef{entry: e, c: c}
-		if hashable(c) {
-			m := ix.eq[c.Attr]
-			if m == nil {
-				m = make(map[eventalg.Value][]constraintRef)
-				ix.eq[c.Attr] = m
-			}
-			m[c.Val] = append(m[c.Val], ref)
-		} else {
-			ix.scan[c.Attr] = append(ix.scan[c.Attr], ref)
+	var home *eqBucket
+	access, fewest := 0, 0
+	for i, c := range e.cs {
+		if !hashedEq(c) {
+			continue
 		}
+		m := ix.eq[c.Attr]
+		if m == nil {
+			m = make(map[eventalg.Value]*eqBucket)
+			ix.eq[c.Attr] = m
+		}
+		b := m[c.Val]
+		if b == nil {
+			b = &eqBucket{}
+			m[c.Val] = b
+		}
+		if home == nil || b.wanted <= fewest {
+			home, access, fewest = b, i, b.wanted
+		}
+		b.wanted++
 	}
-	return id
+	if home == nil {
+		attr := e.cs[0].Attr
+		e.pos = len(ix.scan[attr])
+		ix.scan[attr] = append(ix.scan[attr], e)
+		return e.id
+	}
+	e.hashed = true
+	e.cs[0], e.cs[access] = e.cs[access], e.cs[0]
+	e.pos = len(home.filed)
+	home.filed = append(home.filed, e)
+	return e.id
 }
 
-// Remove unregisters the entry. Removing an unknown ID is a no-op.
-// Writer-exclusive.
+// Remove unregisters the entry in time proportional to its own
+// constraints, whatever the size of the table. Removing an unknown ID is a
+// no-op. Writer-exclusive.
 func (ix *Index) Remove(id int64) {
 	e, ok := ix.entries[id]
 	if !ok {
 		return
 	}
 	delete(ix.entries, id)
-	delete(ix.matchAll, id)
-	ix.slots[e.slot] = nil
-	ix.freeSlots = append(ix.freeSlots, e.slot)
-	for _, c := range e.filter.Constraints() {
-		if hashable(c) {
-			m := ix.eq[c.Attr]
-			m[c.Val] = dropRefs(m[c.Val], id)
-			if len(m[c.Val]) == 0 {
-				delete(m, c.Val)
+	switch {
+	case len(e.cs) == 0:
+		ix.matchAll = swapDelete(ix.matchAll, e.pos)
+	case e.hashed:
+		home := ix.eq[e.cs[0].Attr][e.cs[0].Val]
+		home.filed = swapDelete(home.filed, e.pos)
+		for _, c := range e.cs {
+			if !hashedEq(c) {
+				continue
 			}
-			if len(m) == 0 {
+			m := ix.eq[c.Attr]
+			if b := m[c.Val]; b.wanted > 1 {
+				b.wanted--
+			} else if len(m) > 1 {
+				delete(m, c.Val)
+			} else {
 				delete(ix.eq, c.Attr)
 			}
+		}
+	default:
+		attr := e.cs[0].Attr
+		if b := swapDelete(ix.scan[attr], e.pos); len(b) > 0 {
+			ix.scan[attr] = b
 		} else {
-			ix.scan[c.Attr] = dropRefs(ix.scan[c.Attr], id)
-			if len(ix.scan[c.Attr]) == 0 {
-				delete(ix.scan, c.Attr)
-			}
+			delete(ix.scan, attr)
 		}
 	}
 }
 
-func dropRefs(refs []constraintRef, id int64) []constraintRef {
-	out := refs[:0]
-	for _, r := range refs {
-		if r.entry.id != id {
-			out = append(out, r)
-		}
-	}
-	return out
+// swapDelete removes bucket[pos] by moving the last entry into its place.
+func swapDelete(bucket []*indexEntry, pos int) []*indexEntry {
+	last := len(bucket) - 1
+	bucket[pos] = bucket[last]
+	bucket[pos].pos = pos
+	bucket[last] = nil
+	return bucket[:last]
 }
 
 // Match returns the IDs of all filters the tuple satisfies. The returned
@@ -177,45 +191,36 @@ func (ix *Index) Match(t eventalg.Tuple) []int64 {
 }
 
 // MatchAppend appends the IDs of all filters the tuple satisfies to dst
-// and returns the extended slice. Passing a reused buffer (dst[:0]) makes
-// the steady-state match path allocation-free: the counting state comes
-// from a pool whose maps keep their buckets across calls. Safe for
-// concurrent use with other Match/MatchAppend calls.
+// and returns the extended slice; with a reused buffer (dst[:0]) it does
+// not allocate. Every entry is filed in one place, so no ID appears twice.
+// Safe for concurrent use with other Match/MatchAppend calls.
 func (ix *Index) MatchAppend(t eventalg.Tuple, dst []int64) []int64 {
-	ms := ix.scratch.Get().(*matchScratch)
-	if len(ms.counts) < len(ix.slots) {
-		ms.counts = make([]int32, len(ix.slots))
+	for _, e := range ix.matchAll {
+		dst = append(dst, e.id)
 	}
-	counts, touched := ms.counts, ms.touched[:0]
 	for attr, v := range t {
-		if m, ok := ix.eq[attr]; ok {
-			for _, ref := range m[v] {
-				if counts[ref.entry.slot] == 0 {
-					touched = append(touched, ref.entry.slot)
-				}
-				counts[ref.entry.slot]++
+		if m := ix.eq[attr]; m != nil && hashable(v) {
+			if b := m[v]; b != nil {
+				dst = appendVerified(dst, b.filed, 1, t)
 			}
 		}
-		for _, ref := range ix.scan[attr] {
-			if ref.c.Match(t) {
-				if counts[ref.entry.slot] == 0 {
-					touched = append(touched, ref.entry.slot)
-				}
-				counts[ref.entry.slot]++
+		dst = appendVerified(dst, ix.scan[attr], 0, t)
+	}
+	return dst
+}
+
+// appendVerified appends the IDs of the bucket's entries whose constraints
+// from cs[skip:] on all hold for the tuple.
+func appendVerified(dst []int64, bucket []*indexEntry, skip int, t eventalg.Tuple) []int64 {
+next:
+	for _, e := range bucket {
+		for _, c := range e.cs[skip:] {
+			if !c.Match(t) {
+				continue next
 			}
 		}
+		dst = append(dst, e.id)
 	}
-	for id := range ix.matchAll {
-		dst = append(dst, id)
-	}
-	for _, slot := range touched {
-		if e := ix.slots[slot]; counts[slot] == e.need {
-			dst = append(dst, e.id)
-		}
-		counts[slot] = 0
-	}
-	ms.touched = touched
-	ix.scratch.Put(ms)
 	return dst
 }
 

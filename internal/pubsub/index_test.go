@@ -1,8 +1,10 @@
 package pubsub
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"reef/internal/eventalg"
 )
@@ -115,29 +117,35 @@ func TestIndexFilterLookup(t *testing.T) {
 	}
 }
 
-// TestIndexAgainstBruteForce cross-checks the counting index against direct
-// filter evaluation on randomized filters and tuples.
+// TestIndexAgainstBruteForce drives the index with a seeded random history
+// of Add, Remove and Match and cross-checks every match against direct
+// filter evaluation. The filters mix hashable equalities (string, bool),
+// numeric equality across kinds (Int(3) vs Float(3)), range and string
+// operators, Exists, the empty filter and two constraints on one
+// attribute; once everything is removed no bucket may be left behind.
 func TestIndexAgainstBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	attrs := []string{"a", "b", "c", "d"}
 	words := []string{"x", "y", "z", "http://a", "http://b"}
 	genVal := func() eventalg.Value {
-		switch r.Intn(3) {
+		switch r.Intn(4) {
 		case 0:
 			return eventalg.Int(int64(r.Intn(5)))
 		case 1:
+			return eventalg.Float(float64(r.Intn(10)) / 2)
+		case 2:
 			return eventalg.String(words[r.Intn(len(words))])
 		default:
 			return eventalg.Bool(r.Intn(2) == 0)
 		}
 	}
 	ops := []eventalg.Op{
-		eventalg.OpEq, eventalg.OpNe, eventalg.OpLt, eventalg.OpGt,
+		eventalg.OpEq, eventalg.OpEq, eventalg.OpEq, eventalg.OpNe, eventalg.OpLt, eventalg.OpGe,
 		eventalg.OpPrefix, eventalg.OpContains, eventalg.OpExists,
 	}
 	genFilter := func() eventalg.Filter {
 		n := r.Intn(4)
-		cs := make([]eventalg.Constraint, 0, n)
+		cs := make([]eventalg.Constraint, 0, n+1)
 		for i := 0; i < n; i++ {
 			cs = append(cs, eventalg.Constraint{
 				Attr: attrs[r.Intn(len(attrs))],
@@ -145,42 +153,180 @@ func TestIndexAgainstBruteForce(t *testing.T) {
 				Val:  genVal(),
 			})
 		}
+		if n > 0 && r.Intn(4) == 0 { // a second constraint on an attribute already used
+			cs = append(cs, eventalg.C(cs[0].Attr, eventalg.OpEq, genVal()))
+		}
 		return eventalg.NewFilter(cs...)
 	}
 
 	ix := NewIndex()
 	filters := make(map[int64]eventalg.Filter)
-	for i := 0; i < 200; i++ {
-		f := genFilter()
-		filters[ix.Add(f)] = f
-	}
-	// Remove a random third to exercise Remove bookkeeping.
-	for id := range filters {
-		if r.Intn(3) == 0 {
-			ix.Remove(id)
-			delete(filters, id)
-		}
-	}
-
-	for trial := 0; trial < 500; trial++ {
+	var live []int64
+	check := func() {
 		tu := eventalg.Tuple{}
 		for _, a := range attrs {
 			if r.Intn(3) > 0 {
 				tu[a] = genVal()
 			}
 		}
-		got := ix.Match(tu)
-		gotSet := make(map[int64]bool, len(got))
-		for _, id := range got {
-			gotSet[id] = true
+		got := make(map[int64]int)
+		for _, id := range ix.Match(tu) {
+			got[id]++
 		}
 		for id, f := range filters {
-			want := f.Match(tu)
-			if gotSet[id] != want {
-				t.Fatalf("index disagrees with brute force: filter %s, tuple %v: index=%v want=%v",
-					f, tu, gotSet[id], want)
+			want := 0
+			if f.Match(tu) {
+				want = 1
+			}
+			if got[id] != want {
+				t.Fatalf("filter %s, tuple %v: index reported it %d times, brute force says %d",
+					f, tu, got[id], want)
 			}
 		}
+		if len(got) > len(filters) {
+			t.Fatalf("index matched a removed entry: %v", got)
+		}
+	}
+	for step := 0; step < 4000; step++ {
+		switch op := r.Intn(10); {
+		case op < 4:
+			f := genFilter()
+			id := ix.Add(f)
+			filters[id] = f
+			live = append(live, id)
+		case op < 6 && len(live) > 0:
+			i := r.Intn(len(live))
+			ix.Remove(live[i])
+			delete(filters, live[i])
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+		default:
+			check()
+		}
+	}
+	if ix.Len() != len(filters) {
+		t.Fatalf("Len = %d, want %d", ix.Len(), len(filters))
+	}
+	for _, id := range live {
+		ix.Remove(id)
+	}
+	if len(ix.entries)+len(ix.eq)+len(ix.scan)+len(ix.matchAll) != 0 {
+		t.Fatalf("index not empty after removing everything: %d entries, eq %v, scan %v, %d match-all",
+			len(ix.entries), ix.eq, ix.scan, len(ix.matchAll))
+	}
+}
+
+// TestIndexBucketsDieWithTheirLastFilter: a bucket is kept for every
+// equality some live filter asks for, filed there or not, and for no other.
+func TestIndexBucketsDieWithTheirLastFilter(t *testing.T) {
+	ix := NewIndex()
+	a, b := ix.Add(itemFilter("http://a.test/feed.xml")), ix.Add(itemFilter("http://b.test/feed.xml"))
+	if len(ix.eq["feed"]) != 2 || ix.eq["type"][eventalg.String("feed-item")].wanted != 2 {
+		t.Fatalf("after two adds: eq = %v", ix.eq)
+	}
+	ix.Remove(a)
+	if len(ix.eq["feed"]) != 1 || ix.eq["type"][eventalg.String("feed-item")].wanted != 1 {
+		t.Fatalf("after one remove: eq = %v", ix.eq)
+	}
+	ix.Remove(b)
+	if len(ix.eq) != 0 {
+		t.Fatalf("after both removes: eq = %v", ix.eq)
+	}
+}
+
+// itemFilter is waif.ItemFilter, which this package cannot import.
+func itemFilter(feed string) eventalg.Filter {
+	return eventalg.NewFilter(
+		eventalg.C("type", eventalg.OpEq, eventalg.String("feed-item")),
+		eventalg.C("feed", eventalg.OpEq, eventalg.String(feed)),
+	)
+}
+
+// filed reports how many entries sit in the bucket of attr = val.
+func (ix *Index) filed(attr, val string) int {
+	if b := ix.eq[attr][eventalg.String(val)]; b != nil {
+		return len(b.filed)
+	}
+	return 0
+}
+
+// TestIndexSkewBoundsBuckets pins what the access predicate buys on the
+// table reef actually holds: 10 000 feed-item filters over Zipf-popular
+// feeds. The bucket every event probes (type = feed-item) takes none of
+// them, from the first subscriber on, so an event on any feed, hot or
+// cold, verifies exactly its own fan-out.
+func TestIndexSkewBoundsBuckets(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	zipf := rand.NewZipf(r, 1.05, 50, 1999)
+	ix := NewIndex()
+	fanout := make(map[string]int)
+	for i := 0; i < 10000; i++ {
+		f := fmt.Sprintf("http://h%04d.test/feed.xml", zipf.Uint64())
+		ix.Add(itemFilter(f))
+		fanout[f]++
+		if shared := ix.filed("type", "feed-item"); shared != 0 {
+			t.Fatalf("after %d adds the type bucket holds %d entries, want none", i+1, shared)
+		}
+	}
+	if len(ix.scan) != 0 || len(ix.matchAll) != 0 {
+		t.Fatalf("feed-item filters left the hash path: scan %d, match-all %d", len(ix.scan), len(ix.matchAll))
+	}
+	hottest := 0
+	for f, n := range fanout {
+		hottest = max(hottest, n)
+		if own := ix.filed("feed", f); own != n {
+			t.Fatalf("bucket of %s holds %d entries, its fan-out is %d", f, own, n)
+		}
+		tu := eventalg.Tuple{"type": eventalg.String("feed-item"), "feed": eventalg.String(f), "title": eventalg.String("t")}
+		if got := len(ix.Match(tu)); got != n {
+			t.Fatalf("event on %s matched %d filters, want %d", f, got, n)
+		}
+	}
+	t.Logf("%d feeds, hottest fan-out %d", len(fanout), hottest)
+}
+
+// TestIndexFilesUnderMostSelectiveEquality: the access predicate is the
+// equality the fewest filters ask for, not the attribute with the most
+// values — nine filters in ten want lang = en, so lang = en must not become
+// the bucket that holds them.
+func TestIndexFilesUnderMostSelectiveEquality(t *testing.T) {
+	ix := NewIndex()
+	for i := 0; i < 1000; i++ {
+		lang := "en"
+		if i%10 == 0 {
+			lang = fmt.Sprintf("l%02d", i%70) // more distinct langs than topics
+		}
+		ix.Add(eventalg.NewFilter(
+			eventalg.C("topic", eventalg.OpEq, eventalg.String(fmt.Sprintf("t%d", i%5))),
+			eventalg.C("lang", eventalg.OpEq, eventalg.String(lang)),
+		))
+	}
+	if n := ix.filed("lang", "en"); n > 5 {
+		t.Errorf("lang = en holds %d entries; the 900 filters that want it belong under their topic", n)
+	}
+	tu := eventalg.Tuple{"topic": eventalg.String("t1"), "lang": eventalg.String("en")}
+	if got := len(ix.Match(tu)); got != 200 {
+		t.Errorf("matched %d, want the 200 English t1 filters", got)
+	}
+}
+
+// TestIndexAddRemoveIsConstantTime closes 30 000 subscriptions on one
+// table; with a linear Remove this took seconds.
+func TestIndexAddRemoveIsConstantTime(t *testing.T) {
+	ix := NewIndex()
+	start := time.Now()
+	ids := make([]int64, 30000)
+	for i := range ids {
+		ids[i] = ix.Add(itemFilter(fmt.Sprintf("http://h%03d.test/feed.xml", i%500)))
+	}
+	for _, id := range ids {
+		ix.Remove(id)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("30000 Add + 30000 Remove took %v, want < 1s", d)
+	}
+	if ix.Len() != 0 || len(ix.eq) != 0 {
+		t.Errorf("index not empty: Len %d, eq %v", ix.Len(), ix.eq)
 	}
 }
 

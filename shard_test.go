@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"reef"
+	"reef/internal/metrics"
 	"reef/internal/pubsub"
 	"reef/internal/waif"
 )
@@ -153,6 +154,17 @@ func TestShardedRoutingAndAggregation(t *testing.T) {
 	}
 	if perShard != float64(len(users)) {
 		t.Errorf("per-shard user breakdown sums to %v, want %d", perShard, len(users))
+	}
+
+	// The brokers' counters sum across shards; no event was lost to a full
+	// queue and no delivery raced a cancel here.
+	if got := stats["broker_delivered"]; got != float64(want) {
+		t.Errorf("broker_delivered = %v, want %d", got, want)
+	}
+	for _, key := range []string{"broker_dropped", metrics.BrokerCanceled.Key} {
+		if got, ok := stats[key]; !ok || got != 0 {
+			t.Errorf("stats[%s] = %v (present %v), want 0", key, got, ok)
+		}
 	}
 
 	info, err := dep.StorageInfo(ctx)
