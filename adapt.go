@@ -207,7 +207,7 @@ func toPublicDeadLetters(ds []delivery.DeadLetter) []DeadLetter {
 }
 
 // toSidebarItems converts frontend sidebar items.
-func toSidebarItems(items []*frontend.SidebarItem) []SidebarItem {
+func toSidebarItems(items []frontend.SidebarItem) []SidebarItem {
 	out := make([]SidebarItem, len(items))
 	for i, it := range items {
 		out[i] = SidebarItem{
@@ -219,20 +219,6 @@ func toSidebarItems(items []*frontend.SidebarItem) []SidebarItem {
 		}
 	}
 	return out
-}
-
-// tunedSubscriber injects the deployment's queue tuning into every
-// subscription the hosted frontends place.
-type tunedSubscriber struct {
-	broker *pubsub.Broker
-	opts   []pubsub.SubOption
-}
-
-func (t tunedSubscriber) Subscribe(f eventalg.Filter, opts ...pubsub.SubOption) (*pubsub.Subscription, error) {
-	merged := make([]pubsub.SubOption, 0, len(t.opts)+len(opts))
-	merged = append(merged, t.opts...)
-	merged = append(merged, opts...)
-	return t.broker.Subscribe(f, merged...)
 }
 
 // brokerPublisher adapts the deployment's broker to waif.Publisher.
@@ -479,8 +465,8 @@ type durableReplay struct {
 	// rejectFeedback re-drives a reject's negative feedback.
 	rejectFeedback func(user, feedURL string, at time.Time)
 	// registerDelivery restores one reliable subscription's delivery
-	// queue. Called before applySub so no event pumped during replay can
-	// slip past the queue. Nil rejects recovered delivery configs (the
+	// queue. Called before applySub so no event published during replay
+	// can slip past the queue. Nil rejects recovered delivery configs (the
 	// distributed deployment never writes them).
 	registerDelivery func(user, id string, ds durable.DeliveryState)
 	// removeDelivery drops a reliable queue on a replayed unsubscribe.

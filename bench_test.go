@@ -2,8 +2,11 @@ package reef_test
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"testing"
 
+	"reef"
 	"reef/internal/eventalg"
 	"reef/internal/experiments"
 	"reef/internal/ir"
@@ -147,6 +150,44 @@ func BenchmarkBrokerPublishParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkHostedDelivery measures what the publisher pays per hosted
+// subscription now that it displays the event itself: one event to 1 000
+// users' frontends whose sidebars are full, so every delivery also evicts
+// the oldest item and feeds that back to the recommender.
+func BenchmarkHostedDelivery(b *testing.B) {
+	const subs, feed = 1000, "http://f.test/feed.xml"
+	ctx := context.Background()
+	dep, err := reef.NewCentralized(reef.WithFetcher(testWeb(32)), reef.WithSidebar(4, 0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = dep.Close() }()
+	for i := 0; i < subs; i++ {
+		if _, err := dep.Subscribe(ctx, fmt.Sprintf("user-%04d", i), feed); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ev := reef.Event{Attrs: feedItemAttrs(feed, 1)}
+	for i := 0; i < 4; i++ {
+		if n, err := dep.PublishEvent(ctx, ev); err != nil || n != subs {
+			b.Fatalf("PublishEvent = (%d, %v), want %d deliveries", n, err, subs)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dep.PublishEvent(ctx, ev); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	deliveries := float64(b.N) * subs
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/deliveries, "ns/delivery")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/deliveries, "allocs/delivery")
 }
 
 // benchIndex builds a matcher with hash-path and scan-path constraints.

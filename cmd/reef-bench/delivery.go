@@ -157,10 +157,9 @@ func benchDelivery(opt BenchDeliveryOptions) experiments.Result {
 	// endpoint; the stream rows sit on the pushed data plane.
 	values := map[string]float64{}
 	{
-		// The broker queue must absorb a full publish wave: the reliable
-		// queue is fed by the frontend pump, and a DropNewest overflow
-		// there would silently starve the at-least-once consumer.
-		node, cfg := startBenchNode("n0", reef.WithQueueSize(2*consumeWave))
+		// The publisher appends to the reliable queue itself, so no broker
+		// queue stands between a publish wave and the consumer.
+		node, cfg := startBenchNode("n0")
 		feed := "http://bench.test/reliable"
 		user := "consumer-0"
 		ctx := context.Background()
@@ -228,8 +227,8 @@ func benchDelivery(opt BenchDeliveryOptions) experiments.Result {
 }
 
 // consumeThroughputRow measures the acked consume cycle against a live
-// node: the publisher appends a wave in process and waits for the
-// frontend pump to retain all of it, then the timer covers only the
+// node: the publisher appends a wave in process and checks that all of
+// it is retained, then the timer covers only the
 // consumer working the plane under test — fetch a batch, ack its last
 // seq cumulatively, repeat until the wave is drained. Excluding the
 // shared ingest pipeline from the timed region is what makes the row a
@@ -295,8 +294,7 @@ func consumeThroughputRow(name string, dep *reef.Centralized, cp consumePlane, u
 }
 
 // waitRetained blocks until the node's one reliable subscription has n
-// retained (unacked) events — the published wave has cleared the
-// frontend pump and is consumable.
+// retained (unacked) events — the published wave is consumable.
 func waitRetained(dep *reef.Centralized, n int) {
 	ctx := context.Background()
 	for {

@@ -11,9 +11,9 @@ import (
 type DeliveryGuarantee int
 
 const (
-	// BestEffort (default) delivers through the broker's bounded
-	// per-subscriber queues; a slow or crashed consumer loses events per
-	// the deployment's DeliveryPolicy.
+	// BestEffort (default) displays each matched event in the user's
+	// bounded sidebar, which evicts its oldest item when full; nothing is
+	// retained for a consumer that is not looking.
 	BestEffort DeliveryGuarantee = iota + 1
 	// AtLeastOnce retains every matched event until the consumer acks
 	// past it, with a durable cumulative cursor, lease-based redelivery

@@ -369,13 +369,13 @@ func TestReliableCursorSurvivesShardMigration(t *testing.T) {
 }
 
 // TestReliableSurvivesBestEffortOverflow pins that the at-least-once tier
-// does not ride the best-effort queue: with a sidebar queue of one, a
-// 512-event batch overflows that queue hundreds of times, and the reliable
-// consumer must still see every event once, in order, first attempt.
+// does not ride the best-effort display: with a sidebar of one item, a
+// 512-event batch evicts from it 511 times, and the reliable consumer must
+// still see every event once, in order, first attempt.
 func TestReliableSurvivesBestEffortOverflow(t *testing.T) {
 	ctx := context.Background()
 	web := testWeb(24)
-	dep, err := reef.NewCentralized(reef.WithFetcher(web), reef.WithQueueSize(1))
+	dep, err := reef.NewCentralized(reef.WithFetcher(web), reef.WithSidebar(1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestReliableSurvivesBestEffortOverflow(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(got) == 0 {
-			t.Fatalf("reliable queue ran dry at seq %d of %d: events were lost with the best-effort queue", next, total)
+			t.Fatalf("reliable queue ran dry at seq %d of %d: events were lost with the sidebar's evictions", next, total)
 		}
 		for _, ev := range got {
 			if ev.Seq != next || ev.Attempts != 1 || ev.Event.Attrs["n"] != strconv.FormatInt(next, 10) {

@@ -3,6 +3,8 @@ package reef_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -158,5 +160,38 @@ func TestConstructorsRequireFetcher(t *testing.T) {
 	}
 	if _, err := reef.NewDistributed(); !errors.Is(err, reef.ErrInvalidArgument) {
 		t.Errorf("NewDistributed() = %v", err)
+	}
+}
+
+// TestHostedSubscriptionsOwnNoGoroutineOrQueue guards the two resources a
+// hosted subscription used to own: a pump goroutine and a channel sized by
+// WithQueueSize (8192 slots of 80-byte events is 655 KB each). Placing 500
+// of them must start no goroutine and grow the live heap by well under
+// what a single such queue weighed per subscription.
+func TestHostedSubscriptionsOwnNoGoroutineOrQueue(t *testing.T) {
+	ctx := context.Background()
+	dep, err := reef.NewCentralized(reef.WithFetcher(testWeb(31)), reef.WithQueueSize(8192))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = dep.Close() }()
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	goroutines, heap := runtime.NumGoroutine(), liveHeap()
+	for i := 0; i < 500; i++ {
+		user, feed := fmt.Sprintf("user-%03d", i%100), fmt.Sprintf("http://f%03d.test/feed.xml", i)
+		if _, err := dep.Subscribe(ctx, user, feed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := runtime.NumGoroutine(); got > goroutines {
+		t.Errorf("500 hosted subscriptions started %d goroutines, want none", got-goroutines)
+	}
+	if grew := int64(liveHeap()) - int64(heap); grew >= 4<<20 {
+		t.Errorf("500 hosted subscriptions grew the live heap by %.1f MB, want < 4 MB", float64(grew)/(1<<20))
 	}
 }

@@ -293,11 +293,9 @@ func (s *peerShard) peerLocked(user string) *core.Peer {
 	if p, ok := s.peers[user]; ok {
 		return p
 	}
-	var sub frontend.Subscriber
+	var sub frontend.Subscriber = s.broker
 	if s.cfg.subscriberFor != nil {
 		sub = s.cfg.subscriberFor(user)
-	} else {
-		sub = tunedSubscriber{broker: s.broker, opts: s.cfg.subOptions()}
 	}
 	p := core.NewPeer(core.PeerConfig{
 		User:       user,

@@ -42,9 +42,10 @@
 // primary rejoins as a replica and resyncs from its peers' streams.
 //
 // Subscriptions choose a delivery guarantee at Subscribe time:
-// BestEffort (the default — bounded broker queues, drops under
-// pressure) or AtLeastOnce via WithGuarantee, which retains every
-// matched event until the consumer acks past it. The reliable tier is
+// BestEffort (the default — shown in the user's bounded sidebar, which
+// evicts its oldest item under pressure) or AtLeastOnce via
+// WithGuarantee, which retains every matched event until the consumer
+// acks past it. The reliable tier is
 // the optional ReliableDeliverer interface — FetchEvents leases a
 // contiguous, sequence-ordered batch, Ack advances a durable
 // cumulative cursor (journaled alongside the rest of the WAL, so it

@@ -203,11 +203,9 @@ func (e *engine) frontLocked(user string) *frontend.Frontend {
 			e.server.ObserveEventFeedback(user, feedURL, d == frontend.DispositionClicked, at)
 		},
 	})
-	var sub frontend.Subscriber
+	var sub frontend.Subscriber = e.broker
 	if e.cfg.subscriberFor != nil {
 		sub = e.cfg.subscriberFor(user)
-	} else {
-		sub = tunedSubscriber{broker: e.broker, opts: e.cfg.subOptions()}
 	}
 	fe := frontend.NewFrontend(user, sub, e.proxy, bar, e.clock.Now)
 	e.fronts[user] = fe
@@ -217,10 +215,10 @@ func (e *engine) frontLocked(user string) *frontend.Frontend {
 
 // apply executes a recommendation through the user's hosted frontend.
 // When the subscription has a reliable queue (registered before this call,
-// live and on replay alike), the queue's Append rides along as the broker
-// subscription's tap: the publisher retains the event itself, before the
-// best-effort queue is tried, so a publish that returned is in the queue.
-// A duplicate of a best-effort subscription gets the tap attached here.
+// live and on replay alike), the queue's Append rides along as the
+// frontend's tap: the publisher retains the event itself, ahead of the
+// sidebar, so a publish that returned is in the queue. A duplicate of a
+// best-effort subscription gets the tap attached here.
 func (e *engine) apply(user string, rec recommend.Recommendation) error {
 	fe, err := e.front(user)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"testing"
 	"time"
 
@@ -107,15 +108,32 @@ func TestPeerCommunityExchange(t *testing.T) {
 	p2 := NewPeer(PeerConfig{User: "p2", Subscriber: broker})
 	defer p2.Close()
 
-	shared := web.Servers(websim.KindContent)[0]
+	// Pick both servers by sorted host, not map order, and never the same
+	// one: were the shared server the feed host, p2 would already know
+	// every feed p1 has and there would be nothing to exchange.
+	servers := web.Servers(websim.KindContent)
+	sort.Slice(servers, func(i, j int) bool { return servers[i].Host < servers[j].Host })
+	var shared, feedHost *websim.Server
+	for _, s := range servers {
+		switch {
+		case feedHost == nil && len(s.Feeds) > 0 && len(s.Pages) > 0:
+			feedHost = s
+		case shared == nil:
+			shared = s
+		}
+	}
+	if shared == nil || feedHost == nil {
+		t.Fatal("need a feed-hosting content server and another one")
+	}
 	for _, pg := range shared.Pages {
 		url := shared.URL(pg.Path)
 		browsePage(t, web, p1, url, ct0)
 		browsePage(t, web, p2, url, ct0)
 	}
 	// p1 additionally browses a feed host p2 never visits.
-	feedPage, _ := feedHostPage(t, web)
-	browsePage(t, web, p1, feedPage, ct0)
+	feedPages := feedHost.PageURLs()
+	sort.Strings(feedPages)
+	browsePage(t, web, p1, feedPages[0], ct0)
 
 	before := len(p2.KnownFeeds())
 	comms, exchanged := ExchangeCommunities([]*Peer{p1, p2}, 0.2, ct0.Add(time.Hour))

@@ -3,12 +3,12 @@
 // cumulative ack cursors, lease-based redelivery with bounded jittered
 // backoff, a max-attempts cap and a per-subscription dead-letter queue.
 //
-// The broker itself stays best-effort (bounded per-subscriber channels
-// with a drop policy, exactly as the paper's prototype ships events to
-// the sidebar). Reliability is layered on top: every event the broker
+// The broker itself stays best-effort (a hosted frontend's bounded
+// sidebar evicts its oldest item, as the paper's prototype lets ignored
+// events expire). Reliability is layered on top: every event the broker
 // matches to an at-least-once subscription is appended to that
-// subscription's Queue by the publisher itself (a pubsub tap, ahead of
-// the bounded channel and whatever its drop policy does), where it stays
+// subscription's Queue by the publisher itself (the frontend's tap, run
+// by the subscription's handler ahead of the sidebar), where it stays
 // until the consumer acks past it or it exhausts its delivery attempts
 // and moves to the dead-letter queue. Only the cumulative cursor is durable (the engine journals it
 // as a WAL record); the retained window and the DLQ are in-memory, so a

@@ -4,6 +4,12 @@
 // receives arriving events, and displays them in a sidebar where the user
 // may click an event (producing closed-loop attention), delete it, or
 // ignore it until it expires.
+//
+// Display is synchronous: the frontend subscribes with a handler
+// (pubsub.WithHandler), so a matched event is in the sidebar — and, for a
+// reliable subscription, in its queue — when Publish returns. There is no
+// goroutine and no queue per subscription; the sidebar, a ring that evicts
+// its oldest item, is the only buffer.
 package frontend
 
 import (
@@ -11,6 +17,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"reef/internal/eventalg"
@@ -63,13 +70,35 @@ type Config struct {
 	Feedback FeedbackFunc
 }
 
-// Sidebar is the event display panel. Safe for concurrent use.
+// slot is one displayed event as the ring stores it; what a SidebarItem
+// adds is derived from the event's attributes when somebody asks.
+type slot struct {
+	id    int64
+	shown time.Time
+	ev    pubsub.Event
+}
+
+func (sl *slot) item() SidebarItem {
+	return SidebarItem{
+		ID:      sl.id,
+		Title:   attrStr(sl.ev, "title"),
+		Link:    attrStr(sl.ev, "link"),
+		FeedURL: attrStr(sl.ev, "feed"),
+		Shown:   sl.shown,
+		Event:   sl.ev,
+	}
+}
+
+// Sidebar is the event display panel. Safe for concurrent use. Add runs on
+// the publisher's goroutine, so the items live by value in a ring of
+// Capacity slots (allocated at the first Add) and adding allocates nothing.
 type Sidebar struct {
 	cfg Config
 
 	mu      sync.Mutex
 	nextID  int64
-	items   []*SidebarItem
+	ring    []slot
+	head, n int // the n displayed items, oldest first, start at ring[head]
 	shown   int64
 	clicked int64
 	deleted int64
@@ -87,31 +116,34 @@ func NewSidebar(cfg Config) *Sidebar {
 	return &Sidebar{cfg: cfg}
 }
 
-// Add displays an event and returns the item.
-func (s *Sidebar) Add(ev pubsub.Event, now time.Time) *SidebarItem {
+// at returns the i-th oldest displayed item.
+func (s *Sidebar) at(i int) *slot { return &s.ring[(s.head+i)%len(s.ring)] }
+
+// Add displays an event and returns the item's ID. A full sidebar expires
+// its oldest item to make room.
+func (s *Sidebar) Add(ev pubsub.Event, now time.Time) int64 {
 	s.mu.Lock()
-	s.nextID++
-	it := &SidebarItem{
-		ID:      s.nextID,
-		Title:   attrStr(ev, "title"),
-		Link:    attrStr(ev, "link"),
-		FeedURL: attrStr(ev, "feed"),
-		Shown:   now,
-		Event:   ev,
+	if s.ring == nil {
+		s.ring = make([]slot, s.cfg.Capacity)
 	}
-	s.items = append(s.items, it)
-	s.shown++
-	var evicted []*SidebarItem
-	for len(s.items) > s.cfg.Capacity {
-		evicted = append(evicted, s.items[0])
-		s.items = s.items[1:]
+	full := s.n == len(s.ring)
+	var evictedFeed string
+	if full {
+		evictedFeed = attrStr(s.ring[s.head].ev, "feed")
+		s.head = (s.head + 1) % len(s.ring)
+		s.n--
 		s.expired++
 	}
+	s.nextID++
+	id := s.nextID
+	*s.at(s.n) = slot{id: id, shown: now, ev: ev}
+	s.n++
+	s.shown++
 	s.mu.Unlock()
-	for _, e := range evicted {
-		s.feedback(e, DispositionExpired, now)
+	if full {
+		s.feedback(evictedFeed, DispositionExpired, now)
 	}
-	return it
+	return id
 }
 
 func attrStr(ev pubsub.Event, name string) string {
@@ -122,79 +154,81 @@ func attrStr(ev pubsub.Event, name string) string {
 }
 
 // Items returns the displayed items, oldest first.
-func (s *Sidebar) Items() []*SidebarItem {
+func (s *Sidebar) Items() []SidebarItem {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*SidebarItem, len(s.items))
-	copy(out, s.items)
+	out := make([]SidebarItem, s.n)
+	for i := range out {
+		out[i] = s.at(i).item()
+	}
 	return out
 }
 
-// take removes an item by ID.
-func (s *Sidebar) take(id int64) (*SidebarItem, bool) {
-	for i, it := range s.items {
-		if it.ID == id {
-			s.items = append(s.items[:i], s.items[i+1:]...)
-			return it, true
+// removeIf takes every displayed item gone selects out of the ring,
+// preserving the order of the rest, and returns them oldest first. Caller
+// holds s.mu.
+func (s *Sidebar) removeIf(gone func(*slot) bool) []SidebarItem {
+	var out []SidebarItem
+	w := 0
+	for i := 0; i < s.n; i++ {
+		sl := s.at(i)
+		if gone(sl) {
+			out = append(out, sl.item())
+			continue
 		}
+		if w != i {
+			*s.at(w) = *sl
+		}
+		w++
 	}
-	return nil, false
+	for i := w; i < s.n; i++ {
+		*s.at(i) = slot{} // release the event
+	}
+	s.n = w
+	return out
+}
+
+// take removes an item by ID, counting it in *counter, and fires feedback.
+func (s *Sidebar) take(id int64, counter *int64, d Disposition, now time.Time) (SidebarItem, bool) {
+	s.mu.Lock()
+	gone := s.removeIf(func(sl *slot) bool { return sl.id == id })
+	*counter += int64(len(gone))
+	s.mu.Unlock()
+	if len(gone) == 0 {
+		return SidebarItem{}, false
+	}
+	s.feedback(gone[0].FeedURL, d, now)
+	return gone[0], true
 }
 
 // Click opens an item: it leaves the sidebar, the click URL is returned,
 // and positive feedback fires.
 func (s *Sidebar) Click(id int64, now time.Time) (string, bool) {
-	s.mu.Lock()
-	it, ok := s.take(id)
-	if ok {
-		s.clicked++
-	}
-	s.mu.Unlock()
-	if !ok {
-		return "", false
-	}
-	s.feedback(it, DispositionClicked, now)
-	return it.Link, true
+	it, ok := s.take(id, &s.clicked, DispositionClicked, now)
+	return it.Link, ok
 }
 
 // Delete dismisses an item.
 func (s *Sidebar) Delete(id int64, now time.Time) bool {
-	s.mu.Lock()
-	it, ok := s.take(id)
-	if ok {
-		s.deleted++
-	}
-	s.mu.Unlock()
-	if !ok {
-		return false
-	}
-	s.feedback(it, DispositionDeleted, now)
-	return true
+	_, ok := s.take(id, &s.deleted, DispositionDeleted, now)
+	return ok
 }
 
 // Expire removes items older than TTL, firing negative feedback.
 func (s *Sidebar) Expire(now time.Time) int {
 	s.mu.Lock()
-	var kept, gone []*SidebarItem
-	for _, it := range s.items {
-		if now.Sub(it.Shown) >= s.cfg.TTL {
-			gone = append(gone, it)
-		} else {
-			kept = append(kept, it)
-		}
-	}
-	s.items = kept
+	gone := s.removeIf(func(sl *slot) bool { return now.Sub(sl.shown) >= s.cfg.TTL })
 	s.expired += int64(len(gone))
 	s.mu.Unlock()
 	for _, it := range gone {
-		s.feedback(it, DispositionExpired, now)
+		s.feedback(it.FeedURL, DispositionExpired, now)
 	}
 	return len(gone)
 }
 
-func (s *Sidebar) feedback(it *SidebarItem, d Disposition, now time.Time) {
+func (s *Sidebar) feedback(feedURL string, d Disposition, now time.Time) {
 	if s.cfg.Feedback != nil {
-		s.cfg.Feedback(it.FeedURL, d, now)
+		s.cfg.Feedback(feedURL, d, now)
 	}
 }
 
@@ -220,17 +254,19 @@ type FeedProxy interface {
 // ErrFrontendClosed is returned by Apply after Close.
 var ErrFrontendClosed = errors.New("frontend: closed")
 
-// activeSub is one placed subscription with its delivery pump.
+// activeSub is one placed subscription.
 type activeSub struct {
-	rec  recommend.Recommendation
-	sub  *pubsub.Subscription
-	done chan struct{}
+	rec recommend.Recommendation
+	sub *pubsub.Subscription
+	// tap, when set, is handed every matched event ahead of the sidebar
+	// (see ApplyTapped). The handler reads it on the publisher's goroutine.
+	tap atomic.Pointer[func(pubsub.Event)]
 }
 
 // Frontend executes recommendations: subscribe kinds place a pub-sub
-// subscription (and register feeds with the WAIF proxy) and pump arriving
-// events into the sidebar; unsubscribe kinds tear down. Safe for
-// concurrent use.
+// subscription (and register feeds with the WAIF proxy) whose handler
+// displays arriving events in the sidebar; unsubscribe kinds tear down.
+// Safe for concurrent use.
 type Frontend struct {
 	user    string
 	sub     Subscriber
@@ -241,7 +277,6 @@ type Frontend struct {
 	mu     sync.Mutex
 	closed bool
 	active map[string]*activeSub // key: feed URL or filter canonical
-	wg     sync.WaitGroup
 }
 
 // NewFrontend wires a frontend. nowFn supplies display timestamps
@@ -278,11 +313,12 @@ func (f *Frontend) Apply(rec recommend.Recommendation) error {
 	return f.ApplyTapped(rec, nil)
 }
 
-// ApplyTapped is Apply for a subscription whose events must also reach tap
-// (pubsub.WithTap: synchronously, on the publisher's goroutine, whatever
-// becomes of the sidebar's bounded queue). A duplicate subscribe attaches
-// the tap to the subscription already placed, which is how a best-effort
-// subscription is upgraded in place. A nil tap is plain Apply.
+// ApplyTapped is Apply for a subscription whose events must also reach tap:
+// the subscription's handler calls it first, then displays the event, both
+// on the publisher's goroutine — so tap is bound by pubsub.WithHandler's
+// rules. A duplicate subscribe attaches the tap to the subscription already
+// placed, which is how a best-effort subscription is upgraded in place. A
+// nil tap is plain Apply.
 func (f *Frontend) ApplyTapped(rec recommend.Recommendation, tap func(pubsub.Event)) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -292,13 +328,22 @@ func (f *Frontend) ApplyTapped(rec recommend.Recommendation, tap func(pubsub.Eve
 	switch rec.Kind {
 	case recommend.KindSubscribeFeed, recommend.KindContentQuery:
 		k := key(rec)
-		if as, dup := f.active[k]; dup {
-			if tap != nil {
-				as.sub.SetTap(tap)
-			}
+		as, dup := f.active[k]
+		if !dup {
+			as = &activeSub{rec: rec}
+		}
+		if tap != nil {
+			as.tap.Store(&tap)
+		}
+		if dup {
 			return nil
 		}
-		sub, err := f.sub.Subscribe(rec.Filter, pubsub.WithTap(tap))
+		sub, err := f.sub.Subscribe(rec.Filter, pubsub.WithHandler(func(ev pubsub.Event) {
+			if tap := as.tap.Load(); tap != nil {
+				(*tap)(ev)
+			}
+			f.sidebar.Add(ev, f.nowFn())
+		}))
 		if err != nil {
 			return fmt.Errorf("frontend: subscribing for %s: %w", f.user, err)
 		}
@@ -308,10 +353,8 @@ func (f *Frontend) ApplyTapped(rec recommend.Recommendation, tap func(pubsub.Eve
 				return fmt.Errorf("frontend: proxy subscribe %s: %w", rec.FeedURL, err)
 			}
 		}
-		as := &activeSub{rec: rec, sub: sub, done: make(chan struct{})}
+		as.sub = sub
 		f.active[k] = as
-		f.wg.Add(1)
-		go f.pump(as)
 		return nil
 	case recommend.KindUnsubscribeFeed:
 		k := key(rec)
@@ -332,16 +375,6 @@ func (f *Frontend) teardownLocked(as *activeSub) {
 	as.sub.Cancel()
 	if as.rec.FeedURL != "" && f.proxy != nil {
 		f.proxy.Unsubscribe(as.rec.FeedURL)
-	}
-}
-
-// pump moves delivered events into the sidebar until the subscription
-// channel closes.
-func (f *Frontend) pump(as *activeSub) {
-	defer f.wg.Done()
-	defer close(as.done)
-	for ev := range as.sub.Events() {
-		f.sidebar.Add(ev, f.nowFn())
 	}
 }
 
@@ -375,11 +408,12 @@ func (f *Frontend) ActiveSubscriptions() []string {
 	return out
 }
 
-// Close tears down every subscription and waits for pumps to drain.
+// Close tears down every subscription; when it returns no event reaches the
+// sidebar any more.
 func (f *Frontend) Close() {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.closed {
-		f.mu.Unlock()
 		return
 	}
 	f.closed = true
@@ -387,6 +421,4 @@ func (f *Frontend) Close() {
 		delete(f.active, k)
 		f.teardownLocked(as)
 	}
-	f.mu.Unlock()
-	f.wg.Wait()
 }

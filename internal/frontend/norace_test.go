@@ -1,0 +1,5 @@
+//go:build !race
+
+package frontend
+
+const raceEnabled = false

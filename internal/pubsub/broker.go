@@ -5,7 +5,6 @@ import (
 	"errors"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"reef/internal/eventalg"
 	"reef/internal/metrics"
@@ -43,7 +42,7 @@ type SubOption func(*subConfig)
 type subConfig struct {
 	queueSize int
 	policy    DeliveryPolicy
-	tap       func(Event)
+	handler   func(Event)
 }
 
 // WithQueueSize sets the delivery queue length (minimum 1).
@@ -60,26 +59,27 @@ func WithPolicy(p DeliveryPolicy) SubOption {
 	return func(c *subConfig) { c.policy = p }
 }
 
-// WithTap gives the subscription a synchronous tap: every matched event is
-// handed to fn on the publisher's goroutine before the bounded queue is
-// tried, so the tap sees the event whatever the queue's overflow policy
-// then does with it. fn must not block or publish. A nil fn is no tap.
-func WithTap(fn func(Event)) SubOption {
-	return func(c *subConfig) { c.tap = fn }
+// WithHandler makes the subscription deliver by calling fn instead of
+// queueing: every matched event is handed to fn at match time, on the
+// publisher's goroutine, and counts as delivered when fn returns. Such a
+// subscription has no channel (Events returns nil), no queue size and no
+// overflow policy. Calls to fn are serialized, and once Cancel has
+// returned fn is never entered again — Cancel waits out a call in flight —
+// so fn must not block, publish or cancel its own subscription. A nil fn
+// leaves the subscription a queue.
+func WithHandler(fn func(Event)) SubOption {
+	return func(c *subConfig) { c.handler = fn }
 }
 
-// Subscription is a local content-based subscription: a filter plus a
-// bounded delivery queue.
+// Subscription is a local content-based subscription: a filter plus
+// either a bounded delivery queue or a handler (see WithHandler).
 type Subscription struct {
-	id     int64
-	filter eventalg.Filter
-	ch     chan Event
-	policy DeliveryPolicy
-	broker *Broker
-
-	// tap, when set, receives every matched event ahead of the queue (see
-	// WithTap). Publishers read it without the subscription's lock.
-	tap atomic.Pointer[func(Event)]
+	id      int64
+	filter  eventalg.Filter
+	ch      chan Event
+	policy  DeliveryPolicy
+	handler func(Event)
+	broker  *Broker
 
 	// onCancel, when set, runs after the subscription is removed from the
 	// broker. The overlay uses it to withdraw propagated subscriptions.
@@ -102,7 +102,8 @@ func (s *Subscription) ID() int64 { return s.id }
 func (s *Subscription) Filter() eventalg.Filter { return s.filter }
 
 // Events returns the delivery channel. It is closed when the subscription
-// is canceled or the broker shuts down.
+// is canceled or the broker shuts down, and nil for a handler
+// subscription.
 func (s *Subscription) Events() <-chan Event { return s.ch }
 
 // Dropped reports how many events were discarded due to queue overflow.
@@ -118,21 +119,12 @@ func (s *Subscription) Cancel() {
 	s.broker.unsubscribe(s)
 }
 
-// SetTap attaches (or, with nil, detaches) the tap of a live subscription;
-// publishes that match it from now on reach fn. See WithTap.
-func (s *Subscription) SetTap(fn func(Event)) {
-	if fn == nil {
-		s.tap.Store(nil)
-		return
-	}
-	s.tap.Store(&fn)
-}
-
 // outcome is what became of one matched event at one subscription.
 type outcome int
 
 const (
-	// sent: the event is in the subscription's queue.
+	// sent: the event is in the subscription's queue, or its handler
+	// returned.
 	sent outcome = iota
 	// overflowed: the queue was full (or a Block send's context ended) and
 	// an event was lost to the overflow policy.
@@ -142,12 +134,10 @@ const (
 	canceled
 )
 
-// deliver hands one event to the tap, then enqueues it under the
-// subscription's overflow policy.
+// deliver hands one event to the handler, or enqueues it under the
+// subscription's overflow policy. The handler runs under mu, which is what
+// makes the canceled check and the call atomic with respect to close.
 func (s *Subscription) deliver(ctx context.Context, ev Event) outcome {
-	if tap := s.tap.Load(); tap != nil {
-		(*tap)(ev)
-	}
 	if s.policy == Block {
 		return s.deliverBlocking(ctx, ev)
 	}
@@ -155,6 +145,10 @@ func (s *Subscription) deliver(ctx context.Context, ev Event) outcome {
 	defer s.mu.Unlock()
 	if s.canceled {
 		return canceled
+	}
+	if s.handler != nil {
+		s.handler(ev)
+		return sent
 	}
 	switch s.policy {
 	case DropOldest:
@@ -227,7 +221,9 @@ func (s *Subscription) close() {
 		s.sendMu <- struct{}{}
 		defer func() { <-s.sendMu }()
 	}
-	close(s.ch)
+	if s.ch != nil {
+		close(s.ch)
+	}
 }
 
 // SequenceSubscription is a stateful multi-event subscription (paper §5.3,
@@ -371,15 +367,12 @@ func (b *Broker) Subscribe(f eventalg.Filter, opts ...SubOption) (*Subscription,
 		return nil, ErrClosed
 	}
 	id := b.index.Add(f)
-	sub := &Subscription{
-		id:     id,
-		filter: f,
-		ch:     make(chan Event, cfg.queueSize),
-		policy: cfg.policy,
-		broker: b,
-		sendMu: make(chan struct{}, 1),
+	sub := &Subscription{id: id, filter: f, broker: b, handler: cfg.handler}
+	if sub.handler == nil {
+		sub.ch = make(chan Event, cfg.queueSize)
+		sub.policy = cfg.policy
+		sub.sendMu = make(chan struct{}, 1)
 	}
-	sub.SetTap(cfg.tap)
 	b.subs[id] = sub
 	b.subscribes.Inc()
 	b.subscriptions.Set(int64(len(b.subs)))
@@ -589,7 +582,7 @@ func (b *Broker) PublishBatchCounts(ctx context.Context, evs []Event, counts []i
 }
 
 // deliver hands one matched event to one subscription and counts what
-// became of it; it reports whether the event reached the queue.
+// became of it; it reports whether the event reached the queue or handler.
 func (b *Broker) deliver(ctx context.Context, s *Subscription, ev Event) bool {
 	switch s.deliver(ctx, ev) {
 	case sent:

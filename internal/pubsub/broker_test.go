@@ -2,6 +2,7 @@ package pubsub
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -104,52 +105,57 @@ func TestBrokerDropNewest(t *testing.T) {
 	}
 }
 
-// TestBrokerTap pins the tap contract: it runs on the publisher's
-// goroutine, so every matched event has reached it when Publish returns —
-// the ones the full queue then drops included — and a tap attached to a
-// live subscription sees the publishes that follow. Delivery counts keep
-// meaning queue sends.
-func TestBrokerTap(t *testing.T) {
+// TestBrokerHandler pins the handler contract: it runs on the publisher's
+// goroutine, so every matched event has reached it, in publish order, when
+// Publish returns; each call counts as a delivery; and the subscription
+// has no channel and nothing to overflow.
+func TestBrokerHandler(t *testing.T) {
 	b := NewBroker("b1", nil)
 	defer b.Close()
-	var tapped []uint64
-	tap := func(ev Event) { tapped = append(tapped, ev.ID) }
-	sub, _ := b.Subscribe(TopicFilter("t"), WithQueueSize(1), WithTap(tap))
-	late, _ := b.Subscribe(TopicFilter("t"), WithQueueSize(1))
+	var handled []uint64
+	sub, _ := b.Subscribe(TopicFilter("t"), WithQueueSize(1), WithPolicy(Block),
+		WithHandler(func(ev Event) { handled = append(handled, ev.ID) }))
+	queued, _ := b.Subscribe(TopicFilter("t"), WithQueueSize(1))
+	if sub.Events() != nil {
+		t.Error("a handler subscription has a channel")
+	}
 	evs := make([]Event, 8)
 	for i := range evs {
 		evs[i] = testEvent("t")
 	}
-	if n, err := b.PublishBatch(context.Background(), evs); err != nil || n != 2 {
-		t.Fatalf("PublishBatch = (%d, %v), want one queue send per subscription", n, err)
+	counts := make([]int, len(evs))
+	if n, err := b.PublishBatchCounts(context.Background(), evs, counts); err != nil || n != len(evs)+1 {
+		t.Fatalf("PublishBatchCounts = (%d, %v), want %d handler calls and one queue send", n, err, len(evs))
 	}
-	if len(tapped) != len(evs) {
-		t.Fatalf("tap saw %d of %d events", len(tapped), len(evs))
+	if counts[0] != 2 || counts[1] != 1 {
+		t.Errorf("counts = %v, want the handler counted for every event", counts)
 	}
-	for i, id := range tapped {
+	if len(handled) != len(evs) {
+		t.Fatalf("handler saw %d of %d events", len(handled), len(evs))
+	}
+	for i, id := range handled {
 		if id != evs[i].ID {
-			t.Fatalf("tap order %v, want publish order", tapped)
+			t.Fatalf("handler order %v, want publish order", handled)
 		}
 	}
-	if got := sub.Dropped(); got != 7 {
-		t.Errorf("Dropped = %d, want 7", got)
+	if sub.Dropped() != 0 || queued.Dropped() != 7 {
+		t.Errorf("Dropped: handler %d, queue %d; want 0, 7", sub.Dropped(), queued.Dropped())
 	}
-	var lateTapped int
-	late.SetTap(func(Event) { lateTapped++ })
-	b.Publish(context.Background(), testEvent("t"))
 	b.Publish(context.Background(), testEvent("other"))
-	if lateTapped != 1 || len(tapped) != len(evs)+1 {
-		t.Errorf("after SetTap: late tap saw %d, first tap %d; want 1 and %d", lateTapped, len(tapped), len(evs)+1)
+	sub.Cancel()
+	if n, _ := b.Publish(context.Background(), testEvent("t")); n != 0 || len(handled) != len(evs) {
+		t.Errorf("after Cancel: %d deliveries, handler saw %d; want 0, %d", n, len(handled), len(evs))
 	}
 }
 
-// TestBrokerTapConcurrentPublishers: taps run on whichever goroutine
-// publishes, concurrently with each other, with SetTap and with Cancel.
-func TestBrokerTapConcurrentPublishers(t *testing.T) {
+// TestBrokerHandlerConcurrentPublishers: handlers run on whichever
+// goroutine publishes, one call at a time per subscription, concurrently
+// with other subscriptions' handlers, Subscribe and Cancel.
+func TestBrokerHandlerConcurrentPublishers(t *testing.T) {
 	b := NewBroker("b1", nil)
 	defer b.Close()
-	var tapped, upgraded atomic.Int64
-	if _, err := b.Subscribe(TopicFilter("t"), WithQueueSize(1), WithTap(func(Event) { tapped.Add(1) })); err != nil {
+	handled := 0 // unsynchronized on purpose: the broker serializes the calls
+	if _, err := b.Subscribe(TopicFilter("t"), WithHandler(func(Event) { handled++ })); err != nil {
 		t.Fatal(err)
 	}
 	const publishers, each = 4, 500
@@ -167,16 +173,68 @@ func TestBrokerTapConcurrentPublishers(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 100; i++ {
-		s, err := b.Subscribe(TopicFilter("t"))
+		s, err := b.Subscribe(TopicFilter("t"), WithHandler(func(Event) {}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.SetTap(func(Event) { upgraded.Add(1) })
 		s.Cancel()
 	}
 	wg.Wait()
-	if got := tapped.Load(); got != publishers*each {
-		t.Errorf("tap saw %d events, want %d", got, publishers*each)
+	if handled != publishers*each {
+		t.Errorf("handler saw %d events, want %d", handled, publishers*each)
+	}
+}
+
+// TestBrokerHandlerNotEnteredAfterCancel: the canceled check and the
+// handler call are atomic with respect to Cancel, so with publishers in
+// full flight the handler is never entered once Cancel has returned.
+// Publishers send batches: a batch is matched whole before any of it is
+// delivered, so a Cancel usually lands between the two.
+func TestBrokerHandlerNotEnteredAfterCancel(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		b := NewBroker("b1", nil)
+		var gone atomic.Bool
+		var late, calls atomic.Int64
+		sub, err := b.Subscribe(TopicFilter("t"), WithHandler(func(Event) {
+			calls.Add(1)
+			if gone.Load() {
+				late.Add(1)
+			}
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for p := 0; p < 4; p++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				batch := make([]Event, 256)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					for i := range batch {
+						batch[i] = testEvent("t")
+					}
+					b.PublishBatch(context.Background(), batch)
+				}
+			}()
+		}
+		for calls.Load() == 0 {
+			runtime.Gosched()
+		}
+		sub.Cancel()
+		gone.Store(true)
+		close(stop)
+		wg.Wait()
+		b.Close()
+		if n := late.Load(); n != 0 {
+			t.Fatalf("round %d: handler entered %d times after Cancel returned", round, n)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"reef/internal/frontend"
-	"reef/internal/pubsub"
 	"reef/internal/simclock"
 	"reef/internal/store"
 	"reef/internal/waif"
@@ -37,8 +36,6 @@ type config struct {
 	crawlWorkers    int
 	topic           TopicTuning
 	content         ContentTuning
-	queueSize       int
-	policy          DeliveryPolicy
 	sidebarCapacity int
 	sidebarTTL      time.Duration
 	pollEvery       time.Duration
@@ -102,15 +99,13 @@ func WithContentTuning(t ContentTuning) Option {
 	return func(c *config) { c.content = t }
 }
 
-// WithQueueSize sets the per-subscription event delivery queue length.
-func WithQueueSize(n int) Option {
-	return func(c *config) { c.queueSize = n }
-}
-
-// WithDeliveryPolicy sets the queue-overflow policy for subscriptions the
-// deployment places.
-func WithDeliveryPolicy(p DeliveryPolicy) Option {
-	return func(c *config) { c.policy = p }
+// WithQueueSize has no effect: a hosted frontend displays each event on
+// the publisher's goroutine and has no delivery queue to size (WithSidebar
+// bounds what it shows).
+//
+// Deprecated: kept only for callers that still pass it.
+func WithQueueSize(int) Option {
+	return func(*config) {}
 }
 
 // WithSidebar tunes each user's sidebar: capacity bounds displayed items,
@@ -196,21 +191,4 @@ func WithDeliveryDefaults(ackTimeout time.Duration, maxAttempts int) Option {
 		c.ackTimeout = ackTimeout
 		c.maxAttempts = maxAttempts
 	}
-}
-
-// subOptions translates the public queue tuning into broker options.
-func (c config) subOptions() []pubsub.SubOption {
-	var opts []pubsub.SubOption
-	if c.queueSize > 0 {
-		opts = append(opts, pubsub.WithQueueSize(c.queueSize))
-	}
-	switch c.policy {
-	case DropNewest:
-		opts = append(opts, pubsub.WithPolicy(pubsub.DropNewest))
-	case DropOldest:
-		opts = append(opts, pubsub.WithPolicy(pubsub.DropOldest))
-	case Block:
-		opts = append(opts, pubsub.WithPolicy(pubsub.Block))
-	}
-	return opts
 }

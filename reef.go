@@ -202,21 +202,6 @@ type Sharder interface {
 	ShardCount() int
 }
 
-// DeliveryPolicy selects what the deployment's broker does when a
-// subscriber's delivery queue is full.
-type DeliveryPolicy int
-
-// Delivery policies. The zero value is invalid so defaults stay explicit.
-const (
-	// DropNewest discards the incoming event (default).
-	DropNewest DeliveryPolicy = iota + 1
-	// DropOldest evicts the oldest queued event to admit the new one.
-	DropOldest
-	// Block makes publishes wait until the subscriber drains or the
-	// publish context is canceled.
-	Block
-)
-
 // Deployment is the single surface both Reef deployments — the
 // centralized "LAMP-style" server (Figure 1) and the distributed
 // WAIF-peer pipeline (Figure 2) — expose to callers: binaries, examples,

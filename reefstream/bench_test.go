@@ -37,7 +37,7 @@ func BenchmarkStreamPublishEvent(b *testing.B) {
 
 func newBenchDep(b *testing.B, feed string) *reef.Centralized {
 	b.Helper()
-	dep, err := reef.NewCentralized(reef.WithFetcher(nopFetcher{}), reef.WithQueueSize(1))
+	dep, err := reef.NewCentralized(reef.WithFetcher(nopFetcher{}))
 	if err != nil {
 		b.Fatal(err)
 	}

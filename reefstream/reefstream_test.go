@@ -23,9 +23,9 @@ func (nopFetcher) Fetch(url string) (*websim.Resource, error) {
 
 // newDep builds a deployment with n subscribers of feed, so a matching
 // publish delivers exactly n times.
-func newDep(t *testing.T, feed string, n int, opts ...reef.Option) *reef.Centralized {
+func newDep(t *testing.T, feed string, n int) *reef.Centralized {
 	t.Helper()
-	dep, err := reef.NewCentralized(append([]reef.Option{reef.WithFetcher(nopFetcher{})}, opts...)...)
+	dep, err := reef.NewCentralized(reef.WithFetcher(nopFetcher{}))
 	if err != nil {
 		t.Fatalf("NewCentralized: %v", err)
 	}
@@ -119,7 +119,7 @@ func TestStreamEventRoundTrip(t *testing.T) {
 func TestStreamConcurrentPipelining(t *testing.T) {
 	const feed = "http://h.test/f"
 	const subs = 3
-	dep := newDep(t, feed, subs, reef.WithQueueSize(4096))
+	dep := newDep(t, feed, subs)
 	srv, err := reefstream.Listen("127.0.0.1:0", dep)
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
@@ -265,7 +265,7 @@ func TestStreamClientClosed(t *testing.T) {
 func TestStreamServerDrainMidStream(t *testing.T) {
 	const feed = "http://h.test/f"
 	const batchSize = 7
-	dep := newDep(t, feed, 1, reef.WithQueueSize(65536))
+	dep := newDep(t, feed, 1)
 	srv, err := reefstream.Listen("127.0.0.1:0", dep)
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
