@@ -15,7 +15,7 @@ import (
 
 // One bench per reproduced table/figure (DESIGN.md §4). Benches run the
 // experiment harnesses at reduced scale so `go test -bench=.` stays brisk;
-// cmd/reef-bench runs the paper-scale versions.
+// `reef-sim tables` runs the paper-scale versions.
 
 // BenchmarkE1TopicDiscovery regenerates the §3.2 crawl-statistics table.
 func BenchmarkE1TopicDiscovery(b *testing.B) {
@@ -109,48 +109,8 @@ func BenchmarkA3AdFilter(b *testing.B) {
 	}
 }
 
-// Micro-benchmarks for the substrate hot paths.
-
-func BenchmarkBrokerPublish(b *testing.B) {
-	broker := pubsub.NewBroker("bench", nil)
-	defer broker.Close()
-	for i := 0; i < 100; i++ {
-		if _, err := broker.Subscribe(pubsub.TopicFilter("t")); err != nil {
-			b.Fatal(err)
-		}
-	}
-	ev := pubsub.NewEvent("src", eventalg.Tuple{"topic": eventalg.String("t")}, nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := broker.Publish(context.Background(), ev); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBrokerPublishParallel measures the publish fast path with the
-// read-mostly lock shared among GOMAXPROCS publishers; compare against
-// BenchmarkBrokerPublish (the single-publisher baseline).
-func BenchmarkBrokerPublishParallel(b *testing.B) {
-	broker := pubsub.NewBroker("bench", nil)
-	defer broker.Close()
-	for i := 0; i < 100; i++ {
-		if _, err := broker.Subscribe(pubsub.TopicFilter("t"), pubsub.WithQueueSize(1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	ev := pubsub.NewEvent("src", eventalg.Tuple{"topic": eventalg.String("t")}, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := broker.Publish(context.Background(), ev); err != nil {
-				b.Error(err) // Fatal must not run on a RunParallel worker
-				return
-			}
-		}
-	})
-}
+// Micro-benchmarks for what the canonical harness (bench/probes.go) does
+// not already replay from a workload's own inputs.
 
 // BenchmarkHostedDelivery measures what the publisher pays per hosted
 // subscription now that it displays the event itself: one event to 1 000
@@ -188,36 +148,6 @@ func BenchmarkHostedDelivery(b *testing.B) {
 	deliveries := float64(b.N) * subs
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/deliveries, "ns/delivery")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/deliveries, "allocs/delivery")
-}
-
-// benchIndex builds a matcher with hash-path and scan-path constraints.
-func benchIndex(b *testing.B) (*pubsub.Index, eventalg.Tuple) {
-	b.Helper()
-	ix := pubsub.NewIndex()
-	for i := 0; i < 100; i++ {
-		f, err := eventalg.Parse(`topic = "sports" and hits > 3`)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ix.Add(f)
-	}
-	for i := 0; i < 100; i++ {
-		ix.Add(pubsub.TopicFilter("other"))
-	}
-	return ix, eventalg.Tuple{"topic": eventalg.String("sports"), "hits": eventalg.Int(10)}
-}
-
-func BenchmarkIndexMatch(b *testing.B) {
-	ix, tu := benchIndex(b)
-	var buf []int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = ix.MatchAppend(tu, buf[:0])
-	}
-	if len(buf) != 100 {
-		b.Fatalf("matched %d, want 100", len(buf))
-	}
 }
 
 // TestIndexMatchSteadyStateAllocs pins the allocation discipline of the
@@ -276,19 +206,5 @@ func BenchmarkPorterStem(b *testing.B) {
 	words := []string{"generalizations", "oscillators", "relational", "connected", "happiness"}
 	for i := 0; i < b.N; i++ {
 		ir.Stem(words[i%len(words)])
-	}
-}
-
-func BenchmarkBM25Rank(b *testing.B) {
-	c := ir.NewCorpus()
-	for i := 0; i < 500; i++ {
-		c.AddText(string(rune('a'+i%26))+string(rune('a'+(i/26)%26))+string(rune('a'+i/676)),
-			"alpha beta gamma delta epsilon zeta eta theta")
-	}
-	s := ir.NewBM25(c, ir.DefaultBM25)
-	q := map[string]float64{"alpha": 1, "gamma": 0.5}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Rank(q)
 	}
 }

@@ -6,6 +6,14 @@
 // final summary.
 //
 //	reef-sim -users 5 -days 21 -seed 2006
+//
+// The tables verb regenerates the paper's evaluation instead: every
+// table and figure of DESIGN.md §4 (e1 e2 e3 f1 f2 a1 a2 a3) at paper
+// scale, or the ones named; -quick runs them at reduced scale.
+//
+//	reef-sim tables                 # every table, paper scale
+//	reef-sim tables e1 e3           # just E1 and E3
+//	reef-sim tables -quick e1       # fast scaled-down E1
 package main
 
 import (
@@ -24,6 +32,9 @@ import (
 )
 
 func main() {
+	if len(os.Args) > 1 && os.Args[1] == "tables" {
+		os.Exit(runTables(os.Args[2:], os.Stdout, os.Stderr))
+	}
 	users := flag.Int("users", 5, "number of simulated users")
 	days := flag.Int("days", 21, "observation window in days")
 	seed := flag.Int64("seed", 2006, "random seed")

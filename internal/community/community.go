@@ -1,8 +1,8 @@
-// Package cluster groups users into interest communities for Distributed
+// Package community groups users into interest communities for Distributed
 // Reef (paper §4, §5.2): peers with similar attention profiles exchange
 // recommendations collaboratively, in the manner of I-SPY's group profiles,
 // without shipping raw attention data to a central server.
-package cluster
+package community
 
 import (
 	"math"

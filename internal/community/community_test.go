@@ -1,4 +1,4 @@
-package cluster
+package community
 
 import (
 	"math"

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"reef/internal/attention"
-	"reef/internal/cluster"
+	"reef/internal/community"
 	"reef/internal/crawler"
 	"reef/internal/feed"
 	"reef/internal/frontend"
@@ -192,11 +192,11 @@ func (p *Peer) KnownFeeds() map[string]struct{} {
 // ProfileVector returns the peer's term profile for community clustering.
 // Only the top terms travel (a privacy-preserving sketch, not the raw
 // attention log).
-func (p *Peer) ProfileVector() cluster.Vector {
+func (p *Peer) ProfileVector() community.Vector {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	terms := ir.SelectTerms(p.profile, nil, maxInt(1, p.contentRec.ProfileSize(p.cfg.User)), p.corpus, 50, ir.SelectRawTF)
-	v := make(cluster.Vector, len(terms))
+	v := make(community.Vector, len(terms))
 	for _, t := range terms {
 		v[t.Term] = t.Score
 	}
@@ -256,16 +256,16 @@ func (p *Peer) Close() {
 // collaborative feed recommendations within each community. It returns
 // the number of communities and the total recommendations exchanged.
 func ExchangeCommunities(peers []*Peer, threshold float64, now time.Time) (int, int) {
-	members := make([]cluster.Member, 0, len(peers))
+	members := make([]community.Member, 0, len(peers))
 	byID := make(map[string]*Peer, len(peers))
 	known := make(map[string]map[string]struct{}, len(peers))
 	for _, p := range peers {
-		members = append(members, cluster.Member{ID: p.User(), Profile: p.ProfileVector()})
+		members = append(members, community.Member{ID: p.User(), Profile: p.ProfileVector()})
 		byID[p.User()] = p
 		known[p.User()] = p.KnownFeeds()
 	}
-	comms := cluster.BuildCommunities(members, threshold)
-	shared := cluster.Exchange(comms, known)
+	comms := community.BuildCommunities(members, threshold)
+	shared := community.Exchange(comms, known)
 	total := 0
 	for id, feeds := range shared {
 		if peer, ok := byID[id]; ok && len(feeds) > 0 {

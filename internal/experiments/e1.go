@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (see DESIGN.md §4 for the index). Each experiment is a pure
 // function of its options, returns both a rendered report table and the raw
-// measured values, and is shared by cmd/reef-bench and the root bench
-// suite.
+// measured values, and is shared by cmd/reef-sim (the tables verb) and the
+// root bench suite.
 package experiments
 
 import (

@@ -412,8 +412,17 @@ func (c *Cluster) owner(user string) (int, error) {
 // or started draining between probe rounds, a 502/504 from a proxy
 // whose backend died, a 500. 501 is the one 5xx that is deterministic
 // (reef.ErrUnsupported: every retry and every node answers the same),
-// and every 4xx is the request's own fault.
-func nodeFault(err error) bool {
+// and every 4xx is the request's own fault. So is a call whose caller
+// gave up: once the caller's ctx is cancelled or past its deadline the
+// error says nothing about the node. The test is the caller's context,
+// not errors.Is(err, context.DeadlineExceeded): the router's own
+// CallTimeout wraps the same sentinel and must keep indicting the node,
+// and a node that stalls past a caller's deadline is the prober's to
+// find.
+func nodeFault(ctx context.Context, err error) bool {
+	if ctx.Err() != nil {
+		return false
+	}
 	var se *reefstream.StatusError
 	if errors.As(err, &se) {
 		// A stream ack is the node's own verdict: invalid_argument and
@@ -435,13 +444,14 @@ func nodeFault(err error) bool {
 // forwardErr post-processes a forwarded call's error. Node faults (see
 // nodeFault) demote the node to Down immediately — the prober
 // re-admits it when it comes back — and wrap in the typed failover
-// error. Every other API error passes through untouched, so sentinel
+// error. Every other error — an API error, or whatever a call returned
+// after its caller's ctx ended — passes through untouched, so sentinel
 // mapping keeps working end to end.
-func (c *Cluster) forwardErr(i int, err error) error {
+func (c *Cluster) forwardErr(ctx context.Context, i int, err error) error {
 	if err == nil {
 		return nil
 	}
-	if !nodeFault(err) {
+	if !nodeFault(ctx, err) {
 		return err
 	}
 	c.mForwardErrors.Add(1)
@@ -502,7 +512,7 @@ func (c *Cluster) IngestClicks(ctx context.Context, clicks []reef.Click) (int, e
 			defer mu.Unlock()
 			if err != nil {
 				if first == nil {
-					first = c.forwardErr(i, err)
+					first = c.forwardErr(ctx, i, err)
 				}
 				return
 			}
@@ -520,7 +530,7 @@ func (c *Cluster) Subscriptions(ctx context.Context, user string) ([]reef.Subscr
 		return nil, err
 	}
 	subs, err := c.clients[i].Subscriptions(ctx, user)
-	return subs, c.forwardErr(i, err)
+	return subs, c.forwardErr(ctx, i, err)
 }
 
 // Subscribe implements reef.Deployment by forwarding to the owner;
@@ -532,7 +542,7 @@ func (c *Cluster) Subscribe(ctx context.Context, user, feedURL string, opts ...r
 		return reef.Subscription{}, err
 	}
 	sub, err := c.clients[i].Subscribe(ctx, user, feedURL, opts...)
-	return sub, c.forwardErr(i, err)
+	return sub, c.forwardErr(ctx, i, err)
 }
 
 // FetchEvents implements reef.ReliableDeliverer by forwarding to the
@@ -552,13 +562,13 @@ func (c *Cluster) FetchEvents(ctx context.Context, user, subID string, max int) 
 			return sc.FetchEvents(ctx, user, subID, max)
 		})
 		if ok {
-			return evs, c.forwardErr(i, serr)
+			return evs, c.forwardErr(ctx, i, serr)
 		}
 		// Stream transport failure or a node predating the consume
 		// plane: REST serves the same call.
 	}
 	evs, err := c.clients[i].FetchEvents(ctx, user, subID, max)
-	return evs, c.forwardErr(i, err)
+	return evs, c.forwardErr(ctx, i, err)
 }
 
 // Ack implements reef.ReliableDeliverer by forwarding to the owner,
@@ -575,10 +585,10 @@ func (c *Cluster) Ack(ctx context.Context, user, subID string, seq int64, nack b
 			return nil, sc.Ack(ctx, user, subID, seq, nack)
 		})
 		if ok {
-			return c.forwardErr(i, serr)
+			return c.forwardErr(ctx, i, serr)
 		}
 	}
-	return c.forwardErr(i, c.clients[i].Ack(ctx, user, subID, seq, nack))
+	return c.forwardErr(ctx, i, c.clients[i].Ack(ctx, user, subID, seq, nack))
 }
 
 // streamConsume runs one consume call against a node's stream with the
@@ -610,7 +620,7 @@ func (c *Cluster) DeadLetters(ctx context.Context, user, subID string) ([]reef.D
 		return nil, err
 	}
 	dls, err := c.clients[i].DeadLetters(ctx, user, subID)
-	return dls, c.forwardErr(i, err)
+	return dls, c.forwardErr(ctx, i, err)
 }
 
 // DrainDeadLetters implements reef.ReliableDeliverer by forwarding to
@@ -621,7 +631,7 @@ func (c *Cluster) DrainDeadLetters(ctx context.Context, user, subID string) ([]r
 		return nil, err
 	}
 	dls, err := c.clients[i].DrainDeadLetters(ctx, user, subID)
-	return dls, c.forwardErr(i, err)
+	return dls, c.forwardErr(ctx, i, err)
 }
 
 // Unsubscribe implements reef.Deployment by forwarding to the owner.
@@ -630,7 +640,7 @@ func (c *Cluster) Unsubscribe(ctx context.Context, user, feedURL string) error {
 	if err != nil {
 		return err
 	}
-	return c.forwardErr(i, c.clients[i].Unsubscribe(ctx, user, feedURL))
+	return c.forwardErr(ctx, i, c.clients[i].Unsubscribe(ctx, user, feedURL))
 }
 
 // Recommendations implements reef.Deployment by forwarding to the owner.
@@ -640,7 +650,7 @@ func (c *Cluster) Recommendations(ctx context.Context, user string) ([]reef.Reco
 		return nil, err
 	}
 	recs, err := c.clients[i].Recommendations(ctx, user)
-	return recs, c.forwardErr(i, err)
+	return recs, c.forwardErr(ctx, i, err)
 }
 
 // AcceptRecommendation implements reef.Deployment by forwarding to the
@@ -650,7 +660,7 @@ func (c *Cluster) AcceptRecommendation(ctx context.Context, user, id string) err
 	if err != nil {
 		return err
 	}
-	return c.forwardErr(i, c.clients[i].AcceptRecommendation(ctx, user, id))
+	return c.forwardErr(ctx, i, c.clients[i].AcceptRecommendation(ctx, user, id))
 }
 
 // RejectRecommendation implements reef.Deployment by forwarding to the
@@ -660,7 +670,7 @@ func (c *Cluster) RejectRecommendation(ctx context.Context, user, id string) err
 	if err != nil {
 		return err
 	}
-	return c.forwardErr(i, c.clients[i].RejectRecommendation(ctx, user, id))
+	return c.forwardErr(ctx, i, c.clients[i].RejectRecommendation(ctx, user, id))
 }
 
 // userCall is the shared preamble of every forwarded user call.
@@ -815,16 +825,17 @@ func (c *Cluster) fanOut(ctx context.Context, fn func(i int) (int, error)) (int,
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
-				if !nodeFault(err) {
-					// Deterministic (validation) failure: identical on every
-					// node, so it is the publish's answer, not a node's.
+				if !nodeFault(ctx, err) {
+					// Deterministic (validation) failure, identical on every
+					// node, or the caller gave up: the publish's answer, not a
+					// node's.
 					if firstAPI == nil {
 						firstAPI = err
 					}
 					return
 				}
 				c.mPublishSkips.Add(1)
-				_ = c.forwardErr(i, err) // demote; publish itself continues
+				_ = c.forwardErr(ctx, i, err) // demote; publish itself continues
 				return
 			}
 			landed++
@@ -879,7 +890,7 @@ func (c *Cluster) Stats(ctx context.Context) (reef.Stats, error) {
 			defer wg.Done()
 			st, err := c.clients[i].Stats(ctx)
 			if err != nil {
-				_ = c.forwardErr(i, err)
+				_ = c.forwardErr(ctx, i, err)
 				return
 			}
 			mu.Lock()
@@ -939,7 +950,7 @@ func (c *Cluster) StorageInfo(ctx context.Context) (reef.StorageInfo, error) {
 				if errors.Is(err, reef.ErrUnsupported) {
 					infos[i] = reef.StorageInfo{Node: id, Backend: "memory"}
 				} else {
-					_ = c.forwardErr(i, err)
+					_ = c.forwardErr(ctx, i, err)
 					infos[i] = reef.StorageInfo{Node: id, Backend: "unreachable"}
 				}
 				return
@@ -991,7 +1002,7 @@ func (c *Cluster) Snapshot(ctx context.Context) (reef.StorageInfo, error) {
 			if _, err := c.clients[i].Snapshot(ctx); err != nil {
 				mu.Lock()
 				if first == nil {
-					first = c.forwardErr(i, err)
+					first = c.forwardErr(ctx, i, err)
 				}
 				mu.Unlock()
 			}
