@@ -440,9 +440,10 @@ func fromDurableSub(st durable.SubscriptionState) (recommend.Recommendation, err
 }
 
 // durableReplay replays a recovery source — snapshot baseline, then the
-// intact WAL tail in append order — through deployment-specific hooks.
-// Hooks left nil reject their op (the distributed deployment journals no
-// clicks or flags, so meeting one in its WAL is corruption, not data).
+// intact WAL tail in append order — through a shard's hooks. The click
+// policy's hooks (applyClicks, setFlag) may be nil and then reject their
+// op: the distributed deployment journals no clicks or flags, so meeting
+// one in its WAL is corruption, not data.
 type durableReplay struct {
 	// applyClicks re-drives a recovered click batch (rebuilding derived
 	// state exactly as live ingestion does).
@@ -466,11 +467,8 @@ type durableReplay struct {
 	rejectFeedback func(user, feedURL string, at time.Time)
 	// registerDelivery restores one reliable subscription's delivery
 	// queue. Called before applySub so no event published during replay
-	// can slip past the queue. Nil rejects recovered delivery configs (the
-	// distributed deployment never writes them).
+	// can slip past the queue.
 	registerDelivery func(user, id string, ds durable.DeliveryState)
-	// removeDelivery drops a reliable queue on a replayed unsubscribe.
-	removeDelivery func(user, id string)
 	// ackCursor restores one subscription's cumulative cursor (the
 	// OpCursorAck record family and the snapshot's cursor table).
 	ackCursor func(user, id string, seq int64)
@@ -513,17 +511,11 @@ func (dr durableReplay) applyState(st *durable.State) error {
 			return err
 		}
 		if sub.Delivery != nil {
-			if dr.registerDelivery == nil {
-				return fmt.Errorf("snapshot carries a delivery config this deployment does not persist")
-			}
 			dr.registerDelivery(sub.User, subscriptionID(rec), *sub.Delivery)
 		}
 		if err := dr.applySub(rec); err != nil {
 			return err
 		}
-	}
-	if len(st.Cursors) > 0 && dr.ackCursor == nil {
-		return fmt.Errorf("snapshot carries delivery cursors this deployment does not persist")
 	}
 	for _, cu := range st.Cursors {
 		dr.ackCursor(cu.User, cu.ID, cu.Acked)
@@ -572,25 +564,11 @@ func (dr durableReplay) applyRecord(rec durable.Record) error {
 		}
 		if rec.Op == durable.OpUnsubscribe {
 			r.Kind = recommend.KindUnsubscribeFeed
-			if err := dr.applySub(r); err != nil {
-				return err
-			}
-			if dr.removeDelivery != nil {
-				dr.removeDelivery(p.User, subscriptionID(r))
-			}
-			return nil
-		}
-		if p.Delivery != nil {
-			if dr.registerDelivery == nil {
-				return fmt.Errorf("record carries a delivery config this deployment does not persist")
-			}
+		} else if p.Delivery != nil {
 			dr.registerDelivery(p.User, subscriptionID(r), *p.Delivery)
 		}
 		return dr.applySub(r)
 	case durable.OpCursorAck:
-		if dr.ackCursor == nil {
-			return fmt.Errorf("unexpected op %v", rec.Op)
-		}
 		var p durable.CursorAckPayload
 		if err := json.Unmarshal(rec.Payload, &p); err != nil {
 			return err

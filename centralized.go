@@ -3,14 +3,14 @@ package reef
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
-	"reef/internal/attention"
+	"reef/internal/core"
 	"reef/internal/durable"
+	"reef/internal/frontend"
 	"reef/internal/metrics"
-	"reef/internal/pubsub"
-	"reef/internal/simclock"
+	"reef/internal/recommend"
+	"reef/internal/store"
 )
 
 // Centralized is the public face of the paper's Figure 1 deployment: a
@@ -19,27 +19,20 @@ import (
 // recommendation lifecycle — ingest, recommend, accept, deliver — is
 // drivable through the Deployment interface (and therefore over REST).
 //
-// Internally it is a router over WithShards(n) independent engine
-// shards. Users partition across shards by a stable hash, so every
-// user-addressed call (clicks, subscriptions, recommendations, sidebar)
-// touches exactly one shard's lock domains, while publishes fan out to
-// all shards concurrently. Each shard journals to its own directory and
-// recovers in parallel with its siblings; the default single shard
-// behaves — in memory and on disk — exactly like the pre-sharding
-// deployment.
+// Internally it is the shared router over WithShards(n) engine shards,
+// each with a server click policy: one core.Server per shard analyzes
+// its users' clicks.
 type Centralized struct {
-	cfg    config
-	clock  simclock.Clock
-	shards []*engine
-
-	mu     sync.Mutex
-	closed bool
+	*router
 }
 
 var (
-	_ Deployment = (*Centralized)(nil)
-	_ Persister  = (*Centralized)(nil)
-	_ Sharder    = (*Centralized)(nil)
+	_ Deployment          = (*Centralized)(nil)
+	_ Persister           = (*Centralized)(nil)
+	_ Sharder             = (*Centralized)(nil)
+	_ ReliableDeliverer   = (*Centralized)(nil)
+	_ StreamDeliverer     = (*Centralized)(nil)
+	_ BatchCountPublisher = (*Centralized)(nil)
 )
 
 // NewCentralized builds the centralized deployment. WithFetcher is
@@ -56,274 +49,121 @@ func NewCentralized(opts ...Option) (*Centralized, error) {
 	if cfg.fetcher == nil {
 		return nil, fmt.Errorf("%w: NewCentralized requires WithFetcher", ErrInvalidArgument)
 	}
-	n, err := resolveShards(cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Option-compatibility checks run on the explicit count BEFORE
-	// planShards may touch the data directory (fresh-dir meta write,
-	// migration cleanup), and again on an adopted count — the adopt path
-	// makes no writes, so a rejected constructor leaves no trace.
-	checkCombos := func(n int) error {
-		if n <= 1 {
-			return nil
-		}
-		if cfg.clickStore != nil {
+	r, err := openRouter(cfg, newServerPolicy, func(n int) error {
+		if n > 1 && cfg.clickStore != nil {
 			return fmt.Errorf("%w: WithStore cannot back more than one shard; drop it or use WithShards(1)", ErrInvalidArgument)
 		}
-		if cfg.feedPublisher != nil {
-			// Every shard's WAIF proxy would poll the feeds its users track
-			// and publish each new item to the one caller-owned publisher —
-			// duplicate deliveries for any feed followed from two shards.
-			return fmt.Errorf("%w: WithFeedPublisher cannot fan in from more than one shard; use WithShards(1)", ErrInvalidArgument)
-		}
-		return nil
-	}
-	if err := checkCombos(n); err != nil {
-		return nil, err
-	}
-	plan, err := planShards(cfg.dataDir, n)
+		return oneFeedPublisher(cfg, n)
+	})
 	if err != nil {
 		return nil, err
 	}
-	n = plan.n
-	if err := checkCombos(n); err != nil {
-		return nil, err
-	}
-	c := &Centralized{cfg: cfg, clock: cfg.clock, shards: make([]*engine, n)}
-	for i := range c.shards {
-		dir := ""
-		if plan.dirs != nil {
-			dir = plan.dirs[i]
-		}
-		journal, err := openShardJournal(cfg, dir)
-		if err != nil {
-			c.teardownPartial(i)
-			return nil, err
-		}
-		c.shards[i] = newEngine(cfg, i, journal)
-	}
-	fail := func(err error) (*Centralized, error) {
-		c.teardownPartial(n)
-		return nil, fmt.Errorf("reef: recovering %s: %w", cfg.dataDir, err)
-	}
-	if plan.migrate {
-		if err := c.migrateFrom(plan); err != nil {
-			return fail(err)
-		}
-	} else {
-		// Parallel recovery: every shard replays its own journal
-		// concurrently, so cold-start time scales with the largest shard,
-		// not the sum.
-		if _, err := fanOut(n, func(i int) (struct{}, error) {
-			return struct{}{}, c.shards[i].recover()
-		}); err != nil {
-			return fail(err)
-		}
-		for _, e := range c.shards {
-			e.arm()
-		}
-		if err := ensureShardLayout(cfg.dataDir, n); err != nil {
-			return fail(err)
-		}
-	}
-	return c, nil
+	return &Centralized{r}, nil
 }
 
-// teardownPartial closes the first k constructed shards (constructor
-// error paths).
-func (c *Centralized) teardownPartial(k int) {
-	for i := 0; i < k; i++ {
-		if c.shards[i] != nil {
-			c.shards[i].teardown()
-			_ = c.shards[i].journal.Close()
-		}
-	}
+// serverPolicy is the Figure 1 click policy: clicks upload to a
+// core.Server, which stores them (journaled as click batches, with the
+// crawler's server flags), crawls the pages in its pipeline rounds and
+// queues recommendations in per-user outboxes.
+type serverPolicy struct {
+	cfg    config
+	server *core.Server
 }
 
-// migrateFrom replays an old shard layout's journals through the new
-// engines — every operation routed to the shard its user now hashes to,
-// server flags broadcast to all shards — then snapshots each shard so
-// the new layout is durable before the old one is retired.
-func (c *Centralized) migrateFrom(plan shardPlan) error {
-	rep := c.routedReplay()
-	for _, dir := range plan.oldDirs {
-		st, tail, err := loadShardSource(dir)
-		if err != nil {
-			return fmt.Errorf("migrating %s: %w", dir, err)
-		}
-		if err := rep.run(st, tail); err != nil {
-			return fmt.Errorf("migrating %s: %w", dir, err)
-		}
-	}
-	for _, e := range c.shards {
-		e.arm()
-	}
-	if _, err := fanOut(len(c.shards), func(i int) (struct{}, error) {
-		return struct{}{}, c.shards[i].journal.Snapshot()
-	}); err != nil {
-		return fmt.Errorf("snapshotting migrated shards: %w", err)
-	}
-	return finishMigration(c.cfg.dataDir, plan)
+func newServerPolicy(cfg config, journal *durable.Journal) clickPolicy {
+	return &serverPolicy{cfg: cfg, server: core.NewServer(core.ServerConfig{
+		Fetcher:      cfg.fetcher,
+		Store:        cfg.clickStore,
+		CrawlWorkers: cfg.crawlWorkers,
+		Topic: recommend.TopicConfig{
+			MinHostVisits: cfg.topic.MinHostVisits,
+			InactiveAfter: cfg.topic.InactiveAfter,
+			MinScore:      cfg.topic.MinScore,
+		},
+		Content: recommend.ContentConfig{NumTerms: cfg.content.NumTerms},
+		Journal: journal,
+	})}
 }
 
-// routedReplay builds replay hooks that dispatch each recovered
-// operation to the engine its user hashes to (the user-addressed hooks
-// come from the shared router). Classification flags are global
-// knowledge (an ad server is an ad server for every user), so they
-// broadcast to every shard's store; click batches split per user.
-func (c *Centralized) routedReplay() durableReplay {
-	n := len(c.shards)
-	reps := make([]durableReplay, n)
-	for i, e := range c.shards {
-		reps[i] = e.replay()
-	}
-	dr := routedReplay(reps)
-	dr.applyClicks = func(batch []attention.Click) error {
-		if n == 1 {
-			return reps[0].applyClicks(batch)
-		}
-		groups := make([][]attention.Click, n)
-		for _, cl := range batch {
-			i := shardFor(cl.User, n)
-			groups[i] = append(groups[i], cl)
-		}
-		for i, g := range groups {
-			if len(g) == 0 {
-				continue
-			}
-			if err := reps[i].applyClicks(g); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	dr.setFlag = func(host string, f int) {
-		for i := range reps {
-			reps[i].setFlag(host, f)
-		}
-	}
-	return dr
-}
+// serverOf returns a centralized shard's core server.
+func serverOf(e *engine) *core.Server { return e.policy.(*serverPolicy).server }
 
-// shard returns the engine serving a user.
-func (c *Centralized) shard(user string) *engine {
-	return c.shards[shardFor(user, len(c.shards))]
-}
-
-// ShardCount implements Sharder.
-func (c *Centralized) ShardCount() int { return len(c.shards) }
-
-func (c *Centralized) checkOpen(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return ErrClosed
-	}
-	return nil
-}
-
-// IngestClicks implements Deployment: the whole batch is validated up
-// front, then each click lands in its user's shard — the click store
-// and the crawl queue for the next pipeline round. Multi-shard batches
-// ingest their per-shard groups concurrently.
-func (c *Centralized) IngestClicks(ctx context.Context, clicks []Click) (int, error) {
-	if err := c.checkOpen(ctx); err != nil {
-		return 0, err
-	}
-	for _, cl := range clicks {
-		if err := validateUser(cl.User); err != nil {
-			return 0, err
-		}
-		if cl.URL == "" {
-			return 0, fmt.Errorf("%w: click with empty URL", ErrInvalidArgument)
-		}
-	}
-	n := len(c.shards)
-	if n == 1 {
-		if err := c.shards[0].ingestClicks(clicks); err != nil {
-			return 0, err
-		}
-		return len(clicks), nil
-	}
-	groups := make([][]Click, n)
-	for _, cl := range clicks {
-		i := shardFor(cl.User, n)
-		groups[i] = append(groups[i], cl)
-	}
-	if _, err := fanOut(n, func(i int) (struct{}, error) {
-		if len(groups[i]) == 0 {
-			return struct{}{}, nil
-		}
-		return struct{}{}, c.shards[i].ingestClicks(groups[i])
-	}); err != nil {
+// ingest lands the batch in the shard's click store and queues page URLs
+// for the next pipeline round.
+func (sp *serverPolicy) ingest(_ context.Context, _ *engine, clicks []Click) (int, error) {
+	if err := sp.server.ReceiveClicks(toAttentionClicks(clicks)); err != nil {
 		return 0, err
 	}
 	return len(clicks), nil
 }
 
-// PublishEvent implements Deployment: the event is stamped once and
-// fanned out to every shard's broker concurrently; the result is the
-// total of local deliveries. With WithFeedPublisher the event goes to
-// the caller-owned publisher, whose delivery count is not observable
-// from here: a successful publish then reports 0 deliveries.
-func (c *Centralized) PublishEvent(ctx context.Context, ev Event) (int, error) {
-	if err := c.checkOpen(ctx); err != nil {
-		return 0, err
-	}
-	pev, err := toPubsubEvent(ev)
-	if err != nil {
-		return 0, err
-	}
-	if c.cfg.feedPublisher != nil {
-		if err := c.cfg.feedPublisher.Publish(ctx, pev); err != nil {
-			return 0, err
-		}
-		return 0, nil
-	}
-	n := len(c.shards)
-	if n == 1 {
-		return c.shards[0].broker.Publish(ctx, pev)
-	}
-	one := [1]pubsub.Event{pev}
-	stampEvents(one[:], c.clock.Now)
-	return sumFanOut(n, func(i int) (int, error) {
-		return c.shards[i].broker.Publish(ctx, one[0])
+// newFrontend builds a user's frontend over a sidebar whose clicks and
+// expiries feed back to the server's recommender.
+func (sp *serverPolicy) newFrontend(user string, sub frontend.Subscriber, proxy frontend.FeedProxy) *frontend.Frontend {
+	bar := frontend.NewSidebar(frontend.Config{
+		Capacity: sp.cfg.sidebarCapacity,
+		TTL:      sp.cfg.sidebarTTL,
+		Feedback: func(feedURL string, d frontend.Disposition, at time.Time) {
+			if feedURL == "" {
+				return
+			}
+			sp.server.ObserveEventFeedback(user, feedURL, d == frontend.DispositionClicked, at)
+		},
 	})
+	return frontend.NewFrontend(user, sub, proxy, bar, sp.cfg.clock.Now)
 }
 
-// PublishBatch implements Deployment: the whole batch is validated up
-// front, stamped once, then fanned out to every shard's batched fast
-// path (one lock acquisition and match pass per shard for all events).
-// With WithFeedPublisher the events go one by one to the caller-owned
-// publisher.
-func (c *Centralized) PublishBatch(ctx context.Context, evs []Event) (int, error) {
-	if err := c.checkOpen(ctx); err != nil {
-		return 0, err
-	}
-	pevs, err := toPubsubEvents(evs)
-	if err != nil {
-		return 0, err
-	}
-	if c.cfg.feedPublisher != nil {
-		for _, pev := range pevs {
-			if err := c.cfg.feedPublisher.Publish(ctx, pev); err != nil {
-				return 0, err
-			}
+func (sp *serverPolicy) applied(string, recommend.Recommendation) {}
+
+func (sp *serverPolicy) reject(user, feedURL string, at time.Time) {
+	sp.server.ObserveEventFeedback(user, feedURL, false, at)
+}
+
+func (sp *serverPolicy) ready(user string) []recommend.Recommendation {
+	return sp.server.Recommendations(user)
+}
+
+func (sp *serverPolicy) capture(st *durable.State) {
+	clicks, flags := sp.server.Store().Dump()
+	st.Clicks = clicks
+	if len(flags) > 0 {
+		st.Flags = make(map[string]int, len(flags))
+		for h, f := range flags {
+			st.Flags[h] = int(f)
 		}
-		return 0, nil
 	}
-	n := len(c.shards)
-	if n == 1 {
-		return c.shards[0].broker.PublishBatch(ctx, pevs)
+}
+
+// replay re-drives recovered clicks through core ingestion, so derived
+// state rebuilds exactly as live ingestion built it, and restores flags.
+func (sp *serverPolicy) replay(dr *durableReplay) {
+	dr.applyClicks = sp.server.ReceiveClicks
+	dr.setFlag = func(host string, f int) { sp.server.Store().SetFlag(host, store.Flag(f)) }
+}
+
+// stats adds the server's counters and the shard's delivery and frontend
+// gauges, in the key set the unsharded deployment has always reported.
+func (sp *serverPolicy) stats(e *engine, out Stats) {
+	for k, v := range sp.server.Metrics().Snapshot() {
+		out[k] = v
 	}
-	stampEvents(pevs, c.clock.Now)
-	return sumFanOut(n, func(i int) (int, error) {
-		return c.shards[i].broker.PublishBatch(ctx, pevs)
-	})
+	out[metrics.ClicksStored.Key] = float64(sp.server.Store().Len())
+	out[metrics.DistinctServers.Key] = float64(sp.server.Store().DistinctServers())
+	out[metrics.FeedsDiscovered.Key] = float64(sp.server.DistinctFeedsFound())
+	out[metrics.UploadBytes.Key] = float64(sp.server.UploadBytes())
+	for name, v := range e.proxy.Metrics().Snapshot() {
+		out["proxy_"+name] = v
+	}
+	dt := e.deliveries.Totals()
+	out[metrics.DeliveryReliableSubs.Key] = float64(dt.Queues)
+	out[metrics.DeliveryRetained.Key] = float64(dt.Retained)
+	out[metrics.DeliveryAcked.Key] = float64(dt.Acked)
+	out[metrics.DeliveryRedeliveries.Key] = float64(dt.Redeliveries)
+	out[metrics.DeliveryDeadLetters.Key] = float64(dt.DeadLetters)
+	out[metrics.DeliveryLeaseExpiries.Key] = float64(dt.LeaseExpiries)
+	e.mu.Lock()
+	out[metrics.UsersWithFrontends.Key] = float64(len(e.fronts))
+	e.mu.Unlock()
 }
 
 // PublishBatchCounts implements BatchCountPublisher: like PublishBatch,
@@ -358,7 +198,7 @@ func (c *Centralized) PublishBatchCounts(ctx context.Context, evs []Event, count
 	if n == 1 {
 		return c.shards[0].broker.PublishBatchCounts(ctx, pevs, counts)
 	}
-	stampEvents(pevs, c.clock.Now)
+	stampEvents(pevs, c.cfg.clock.Now)
 	perShard := make([][]int, n)
 	total, ferr := sumFanOut(n, func(i int) (int, error) {
 		perShard[i] = make([]int, len(pevs))
@@ -372,30 +212,10 @@ func (c *Centralized) PublishBatchCounts(ctx context.Context, evs []Event, count
 	return total, ferr
 }
 
-// Subscriptions implements Deployment.
-func (c *Centralized) Subscriptions(ctx context.Context, user string) ([]Subscription, error) {
-	if err := c.checkOpen(ctx); err != nil {
-		return nil, err
-	}
-	if err := validateUser(user); err != nil {
-		return nil, err
-	}
-	return c.shard(user).subscriptions(user), nil
-}
-
 // Subscribe implements Deployment: it places a feed subscription
 // immediately on the user's shard, bypassing the recommendation queue.
 func (c *Centralized) Subscribe(ctx context.Context, user, feedURL string, opts ...SubscribeOption) (Subscription, error) {
-	if err := c.checkOpen(ctx); err != nil {
-		return Subscription{}, err
-	}
-	if err := validateUser(user); err != nil {
-		return Subscription{}, err
-	}
-	if err := validateFeedURL(feedURL); err != nil {
-		return Subscription{}, err
-	}
-	sc, err := NewSubscribeConfig(opts...)
+	sc, err := c.subscribeArgs(ctx, user, feedURL, opts)
 	if err != nil {
 		return Subscription{}, err
 	}
@@ -415,9 +235,6 @@ func (c *Centralized) FetchEvents(ctx context.Context, user, subID string, max i
 	return c.shard(user).fetchEvents(user, subID, max)
 }
 
-var _ ReliableDeliverer = (*Centralized)(nil)
-var _ StreamDeliverer = (*Centralized)(nil)
-
 // FetchEventsInto implements StreamDeliverer: FetchEvents appending into
 // a caller-reused buffer, for the streaming push path.
 func (c *Centralized) FetchEventsInto(ctx context.Context, user, subID string, dst []DeliveredEvent, max int) ([]DeliveredEvent, error) {
@@ -435,10 +252,7 @@ func (c *Centralized) FetchEventsInto(ctx context.Context, user, subID string, d
 // the moment an event is retained, with the same resolution errors as
 // FetchEvents.
 func (c *Centralized) NotifyEvents(user, subID string, ch chan<- struct{}) (func(), error) {
-	if err := c.checkOpen(context.Background()); err != nil {
-		return nil, err
-	}
-	if err := validateUser(user); err != nil {
+	if err := c.reliableArgs(context.Background(), user); err != nil {
 		return nil, err
 	}
 	if err := validateSubID(subID); err != nil {
@@ -487,57 +301,6 @@ func (c *Centralized) reliableArgs(ctx context.Context, user string) error {
 	return validateUser(user)
 }
 
-// Unsubscribe implements Deployment.
-func (c *Centralized) Unsubscribe(ctx context.Context, user, feedURL string) error {
-	if err := c.checkOpen(ctx); err != nil {
-		return err
-	}
-	if err := validateUser(user); err != nil {
-		return err
-	}
-	if err := validateFeedURL(feedURL); err != nil {
-		return err
-	}
-	return c.shard(user).unsubscribe(user, feedURL)
-}
-
-// Recommendations implements Deployment: freshly generated
-// recommendations move from the user's shard's outbox into that shard's
-// pending ledger, where they keep their ID until accepted or rejected.
-func (c *Centralized) Recommendations(ctx context.Context, user string) ([]Recommendation, error) {
-	if err := c.checkOpen(ctx); err != nil {
-		return nil, err
-	}
-	if err := validateUser(user); err != nil {
-		return nil, err
-	}
-	return c.shard(user).recommendations(user)
-}
-
-// AcceptRecommendation implements Deployment.
-func (c *Centralized) AcceptRecommendation(ctx context.Context, user, id string) error {
-	if err := c.checkOpen(ctx); err != nil {
-		return err
-	}
-	if err := validateUser(user); err != nil {
-		return err
-	}
-	return c.shard(user).acceptRecommendation(user, id)
-}
-
-// RejectRecommendation implements Deployment: the recommendation is
-// dropped and, for feed recommendations, negative feedback reaches the
-// shard's topic recommender.
-func (c *Centralized) RejectRecommendation(ctx context.Context, user, id string) error {
-	if err := c.checkOpen(ctx); err != nil {
-		return err
-	}
-	if err := validateUser(user); err != nil {
-		return err
-	}
-	return c.shard(user).rejectRecommendation(user, id)
-}
-
 // Stats implements Deployment: counters and gauges sum across shards
 // (one shard reports its counters unchanged), histogram means and
 // maxima keep their meaning (see mergeStats), distinct_servers counts
@@ -548,20 +311,16 @@ func (c *Centralized) Stats(ctx context.Context) (Stats, error) {
 	if err := c.checkOpen(ctx); err != nil {
 		return nil, err
 	}
-	n := len(c.shards)
+	perShard := c.shardStats()
+	n := len(perShard)
 	if n == 1 {
-		out := c.shards[0].stats()
-		out[metrics.Shards.Key] = 1
-		return out, nil
-	}
-	perShard := make([]Stats, n)
-	for i, e := range c.shards {
-		perShard[i] = e.stats()
+		perShard[0][metrics.Shards.Key] = 1
+		return perShard[0], nil
 	}
 	out := mergeStats(perShard)
 	hosts := make(map[string]struct{})
 	for i, e := range c.shards {
-		for _, h := range e.server.Store().Hosts() {
+		for _, h := range serverOf(e).Store().Hosts() {
 			hosts[h] = struct{}{}
 		}
 		out[fmt.Sprintf("shard%d_%s", i, metrics.ClicksStored.Key)] = perShard[i][metrics.ClicksStored.Key]
@@ -573,97 +332,13 @@ func (c *Centralized) Stats(ctx context.Context) (Stats, error) {
 	return out, nil
 }
 
-// Close implements Deployment. Idempotent. Buffered WAL appends are
-// flushed on every shard; no final snapshot is taken (reopening replays
-// the WALs, which exercises the same recovery path a crash would).
-func (c *Centralized) Close() error {
-	if !c.markClosed() {
-		return nil
-	}
-	var firstErr error
-	for _, e := range c.shards {
-		e.teardown()
-		if err := e.journal.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// Crash closes the deployment WITHOUT flushing buffered WAL appends — the
-// fault-injection hook behind the crash-recovery tests: everything since
-// the last sync is lost on every shard, exactly as if the process had
-// died.
-func (c *Centralized) Crash() error {
-	if !c.markClosed() {
-		return nil
-	}
-	var firstErr error
-	for _, e := range c.shards {
-		e.teardown()
-		if err := e.journal.Crash(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// markClosed flips the closed flag; it reports false if the deployment
-// was already closed.
-func (c *Centralized) markClosed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return false
-	}
-	c.closed = true
-	return true
-}
-
-// StorageInfo implements Persister: per-shard backend states merge into
-// one summary with a per-shard breakdown (see StorageInfo.Shards).
-func (c *Centralized) StorageInfo(ctx context.Context) (StorageInfo, error) {
-	if err := c.checkOpen(ctx); err != nil {
-		return StorageInfo{}, err
-	}
-	infos := make([]durable.Info, len(c.shards))
-	for i, e := range c.shards {
-		infos[i] = e.journal.Info()
-	}
-	return mergeStorageInfo(c.cfg.dataDir, infos), nil
-}
-
-// Snapshot implements Persister: every shard captures its full state as
-// its new recovery baseline and restarts its WAL, all shards in
-// parallel. Each shard's snapshot is a consistent cut of that shard's
-// operation stream — users never span shards, so no cross-shard
-// operation can straddle the handoff.
-func (c *Centralized) Snapshot(ctx context.Context) (StorageInfo, error) {
-	if err := c.checkOpen(ctx); err != nil {
-		return StorageInfo{}, err
-	}
-	if _, err := fanOut(len(c.shards), func(i int) (struct{}, error) {
-		return struct{}{}, c.shards[i].journal.Snapshot()
-	}); err != nil {
-		return StorageInfo{}, err
-	}
-	return c.StorageInfo(ctx)
-}
-
 // RunPipeline performs one periodic crawl/analysis round (the paper's
 // nightly batch) on every shard concurrently: crawl queued URLs, flag
 // ad/spam/multimedia servers, grow the corpus, and queue new
 // recommendations. The returned stats sum across shards.
 func (c *Centralized) RunPipeline(now time.Time) PipelineStats {
-	results, _ := fanOut(len(c.shards), func(i int) (PipelineStats, error) {
-		s := c.shards[i].runPipeline(now)
-		return PipelineStats{
-			Crawled:         s.Crawled,
-			CrawlErrors:     s.CrawlErrors,
-			FeedsDiscovered: s.FeedsDiscovered,
-			Recommendations: s.Recommendations,
-			FlaggedServers:  s.FlaggedServers,
-		}, nil
+	results, _ := fanOut(len(c.shards), func(i int) (core.PipelineStats, error) {
+		return serverOf(c.shards[i]).RunPipeline(now), nil
 	})
 	var total PipelineStats
 	for _, s := range results {
@@ -674,31 +349,6 @@ func (c *Centralized) RunPipeline(now time.Time) PipelineStats {
 		total.FlaggedServers += s.FlaggedServers
 	}
 	return total
-}
-
-// PollFeeds polls every due feed through each shard's WAIF proxy,
-// pushing new items to that shard's subscribers. It returns feeds
-// polled and items published, summed across shards.
-func (c *Centralized) PollFeeds(ctx context.Context, now time.Time) (polled, published int) {
-	type counts struct{ polled, published int }
-	results, _ := fanOut(len(c.shards), func(i int) (counts, error) {
-		p, pub := c.shards[i].proxy.PollDue(ctx, now)
-		return counts{p, pub}, nil
-	})
-	for _, r := range results {
-		polled += r.polled
-		published += r.published
-	}
-	return polled, published
-}
-
-// Sidebar returns the user's displayed events, oldest first.
-func (c *Centralized) Sidebar(user string) []SidebarItem {
-	bar, ok := c.shard(user).sidebar(user)
-	if !ok {
-		return nil
-	}
-	return toSidebarItems(bar.Items())
 }
 
 // ClickItem simulates the user opening a sidebar item: positive feedback
@@ -743,11 +393,11 @@ func (c *Centralized) SidebarStats(user string) (shown, clicked, deleted, expire
 func (c *Centralized) FlaggedServers(flag string) int {
 	f := storeFlag(flag)
 	if len(c.shards) == 1 {
-		return c.shards[0].server.Store().CountFlagged(f)
+		return serverOf(c.shards[0]).Store().CountFlagged(f)
 	}
 	hosts := make(map[string]struct{})
 	for _, e := range c.shards {
-		for _, h := range e.server.Store().FlaggedHosts(f) {
+		for _, h := range serverOf(e).Store().FlaggedHosts(f) {
 			hosts[h] = struct{}{}
 		}
 	}

@@ -163,6 +163,43 @@ func TestConstructorsRequireFetcher(t *testing.T) {
 	}
 }
 
+// TestDeploymentCapabilities pins which optional interfaces each built-in
+// deployment satisfies. Transports decide by type assertion: reefhttp
+// answers 501 for reliable delivery a deployment lacks, and reefstream
+// falls back to polling or per-frame publishes, so a method the
+// distributed deployment picked up from shared code would silently open
+// those paths.
+func TestDeploymentCapabilities(t *testing.T) {
+	for _, tc := range []struct {
+		name                                              string
+		dep                                               reef.Deployment
+		reliable, stream, batchCounts, persister, sharder bool
+	}{
+		{"Centralized", (*reef.Centralized)(nil), true, true, true, true, true},
+		{"Distributed", (*reef.Distributed)(nil), false, false, false, true, true},
+	} {
+		_, reliable := tc.dep.(reef.ReliableDeliverer)
+		_, stream := tc.dep.(reef.StreamDeliverer)
+		_, batchCounts := tc.dep.(reef.BatchCountPublisher)
+		_, persister := tc.dep.(reef.Persister)
+		_, sharder := tc.dep.(reef.Sharder)
+		for _, c := range []struct {
+			iface     string
+			got, want bool
+		}{
+			{"ReliableDeliverer", reliable, tc.reliable},
+			{"StreamDeliverer", stream, tc.stream},
+			{"BatchCountPublisher", batchCounts, tc.batchCounts},
+			{"Persister", persister, tc.persister},
+			{"Sharder", sharder, tc.sharder},
+		} {
+			if c.got != c.want {
+				t.Errorf("*%s implements %s = %v, want %v", tc.name, c.iface, c.got, c.want)
+			}
+		}
+	}
+}
+
 // TestHostedSubscriptionsOwnNoGoroutineOrQueue guards the two resources a
 // hosted subscription used to own: a pump goroutine and a channel sized by
 // WithQueueSize (8192 slots of 80-byte events is 655 KB each). Placing 500

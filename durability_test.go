@@ -449,71 +449,6 @@ func TestCentralizedCrashLosesUnsyncedTail(t *testing.T) {
 	}
 }
 
-// TestDistributedCrashRecovery checks the distributed deployment's
-// durable slice — subscriptions and the pending ledger — survives an
-// unclean close. Attention data intentionally does not persist there.
-func TestDistributedCrashRecovery(t *testing.T) {
-	ctx := context.Background()
-	web := testWeb(13)
-	dir := t.TempDir()
-	open := func() *reef.Distributed {
-		dep, err := reef.NewDistributed(
-			reef.WithFetcher(web),
-			reef.WithDataDir(dir),
-			reef.WithSyncPolicy(reef.SyncAlways),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dep
-	}
-	dep := open()
-	// Local analysis queues recommendations in manual mode.
-	for _, s := range web.Servers(websim.KindContent) {
-		if len(s.Feeds) == 0 {
-			continue
-		}
-		for path := range s.Pages {
-			if _, err := dep.IngestClicks(ctx, []reef.Click{{User: "p1", URL: s.URL(path), At: dt0}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	recs, err := dep.Recommendations(ctx, "p1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) == 0 {
-		t.Fatal("no locally generated recommendations")
-	}
-	if err := dep.AcceptRecommendation(ctx, "p1", recs[0].ID); err != nil {
-		t.Fatal(err)
-	}
-
-	statKeys := []string{"subscriptions", "pending_recommendations"}
-	before, err := durabletest.Capture(ctx, dep, []string{"p1"}, statKeys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := durabletest.Crash(dep); err != nil {
-		t.Fatal(err)
-	}
-
-	dep2 := open()
-	defer func() { _ = dep2.Close() }()
-	after, err := durabletest.Capture(ctx, dep2, []string{"p1"}, statKeys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff, err := durabletest.Diff(before, after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff != "" {
-		t.Fatalf("recovered distributed state differs:\n%s", diff)
-	}
-}
-
 // TestSnapshotCompactionRace hammers IngestClicks and PublishEvent while
 // snapshot compactions run, then recovers and counts: every ingested
 // click must be on exactly one side of every snapshot/WAL handoff. Run

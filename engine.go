@@ -1,13 +1,13 @@
 package reef
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
 
-	"reef/internal/core"
 	"reef/internal/delivery"
 	"reef/internal/durable"
 	"reef/internal/frontend"
@@ -15,22 +15,46 @@ import (
 	"reef/internal/pubsub"
 	"reef/internal/recommend"
 	"reef/internal/simclock"
-	"reef/internal/store"
 	"reef/internal/waif"
 )
 
-// engine is one shard of the centralized deployment: a complete
-// per-user-partition state machine — core server (click store, crawler,
-// recommenders), edge broker, WAIF proxy, hosted frontends/sidebars,
-// pending-recommendation ledger and journal. The Centralized router owns
-// N of these and addresses each user's state to exactly one of them; the
-// engine itself knows nothing about its siblings, so its lock domains
-// (broker RWMutex, journal mutex, frontend map) never contend across
-// shards.
+// clickPolicy is what a shard does differently in the two deployments —
+// the paper's Figure 1 analyzes clicks on a server, Figure 2 on the
+// user's host. Everything else about a shard is the engine's.
+type clickPolicy interface {
+	// ingest analyzes a validated batch of clicks by this shard's users
+	// and reports how many it analyzed.
+	ingest(ctx context.Context, e *engine, clicks []Click) (int, error)
+	// newFrontend builds a user's frontend, and whatever per-user state
+	// the policy keeps beside it. Called once per user, under e.mu.
+	newFrontend(user string, sub frontend.Subscriber, proxy frontend.FeedProxy) *frontend.Frontend
+	// applied is told of every recommendation the shard applied.
+	applied(user string, rec recommend.Recommendation)
+	// reject feeds a rejected feed recommendation back to the recommender.
+	reject(user, feedURL string, at time.Time)
+	// ready drains the recommendations generated for user since the last
+	// call, for the pending ledger.
+	ready(user string) []recommend.Recommendation
+	// capture adds what the policy journals itself to a snapshot.
+	capture(st *durable.State)
+	// replay sets the hooks for what the policy journals itself; hooks it
+	// leaves nil reject their records.
+	replay(dr *durableReplay)
+	// stats adds the policy's counters to the shard's.
+	stats(e *engine, out Stats)
+}
+
+// engine is one shard of a deployment: a complete per-user-partition
+// state machine — click policy, edge broker, WAIF proxy, hosted
+// frontends and sidebars, reliable delivery queues, pending-recommendation
+// ledger and journal. The router owns N of these and addresses each
+// user's state to exactly one of them; the engine itself knows nothing
+// about its siblings, so its lock domains (broker RWMutex, journal mutex,
+// frontend map) never contend across shards. It is the only place that
+// journals a subscription, and apply is the only place one is applied.
 type engine struct {
-	idx        int
 	cfg        config
-	server     *core.Server
+	policy     clickPolicy
 	broker     *pubsub.Broker
 	proxy      *waif.Proxy
 	clock      simclock.Clock
@@ -41,35 +65,21 @@ type engine struct {
 	mu     sync.Mutex
 	closed bool
 	fronts map[string]*frontend.Frontend
-	bars   map[string]*frontend.Sidebar
 }
 
 // newEngine builds one shard over an already-open journal. The journal
 // is still disarmed; the caller recovers (directly or through the
 // migration replay) and then arms it.
-func newEngine(cfg config, idx int, journal *durable.Journal) *engine {
+func newEngine(cfg config, idx int, journal *durable.Journal, policy clickPolicy) *engine {
 	e := &engine{
-		idx:     idx,
-		cfg:     cfg,
-		clock:   cfg.clock,
-		journal: journal,
-		server: core.NewServer(core.ServerConfig{
-			Fetcher:      cfg.fetcher,
-			Store:        cfg.clickStore,
-			CrawlWorkers: cfg.crawlWorkers,
-			Topic: recommend.TopicConfig{
-				MinHostVisits: cfg.topic.MinHostVisits,
-				InactiveAfter: cfg.topic.InactiveAfter,
-				MinScore:      cfg.topic.MinScore,
-			},
-			Content: recommend.ContentConfig{NumTerms: cfg.content.NumTerms},
-			Journal: journal,
-		}),
+		cfg:        cfg,
+		policy:     policy,
+		clock:      cfg.clock,
+		journal:    journal,
 		broker:     pubsub.NewBroker(fmt.Sprintf("reef-edge-%d", idx), cfg.clock),
 		pending:    newPendingSet(),
 		deliveries: delivery.NewSet(),
 		fronts:     make(map[string]*frontend.Frontend),
-		bars:       make(map[string]*frontend.Sidebar),
 	}
 	publisher := cfg.feedPublisher
 	if publisher == nil {
@@ -84,27 +94,20 @@ func newEngine(cfg config, idx int, journal *durable.Journal) *engine {
 }
 
 // replay returns the hooks that re-drive this shard's recovery stream:
-// clicks re-enter core ingestion so derived state rebuilds exactly as
-// live ingestion built it, and pending ops land in the shard's ledger.
+// subscriptions and accepts re-apply, pending ops land in the shard's
+// ledger, and the policy adds its own records (clicks re-enter ingestion
+// so derived state rebuilds exactly as live ingestion built it).
 func (e *engine) replay() durableReplay {
-	apply := func(rec recommend.Recommendation) error { return e.apply(rec.User, rec) }
-	return durableReplay{
-		applyClicks: e.server.ReceiveClicks,
-		setFlag:     func(host string, f int) { e.server.Store().SetFlag(host, store.Flag(f)) },
-		applySub:    apply,
-		restorePending: func(user, id string, seq int64, rec recommend.Recommendation) {
-			e.pending.restore(user, id, seq, rec)
-		},
-		setPendingSeq: e.pending.setSeq,
-		takePending:   e.pending.take,
-		acceptRec:     func(user string, rec recommend.Recommendation) error { return apply(rec) },
-		rejectFeedback: func(user, feedURL string, at time.Time) {
-			e.server.ObserveEventFeedback(user, feedURL, false, at)
-		},
+	dr := durableReplay{
+		applySub:       func(rec recommend.Recommendation) error { return e.apply(rec.User, rec) },
+		restorePending: e.pending.restore,
+		setPendingSeq:  e.pending.setSeq,
+		takePending:    e.pending.take,
+		acceptRec:      e.apply,
+		rejectFeedback: e.policy.reject,
 		registerDelivery: func(user, id string, ds durable.DeliveryState) {
 			e.deliveries.Register(user, id, toDeliveryConfig(fromDurableDelivery(ds), e.cfg))
 		},
-		removeDelivery: e.deliveries.Remove,
 		ackCursor: func(user, id string, seq int64) {
 			// The retained window is not durable, so a recovered cursor for
 			// a queue the WAL never re-registered (possible only in a
@@ -114,6 +117,8 @@ func (e *engine) replay() durableReplay {
 			}
 		},
 	}
+	e.policy.replay(&dr)
+	return dr
 }
 
 // recover replays the shard journal's recovery state: the snapshot
@@ -138,14 +143,8 @@ func (e *engine) arm() {
 // operation stream (shards snapshot independently — each snapshot is a
 // per-shard consistent cut, not a global one).
 func (e *engine) captureState() (*durable.State, error) {
-	clicks, flags := e.server.Store().Dump()
-	st := &durable.State{Version: 1, Clicks: clicks}
-	if len(flags) > 0 {
-		st.Flags = make(map[string]int, len(flags))
-		for h, f := range flags {
-			st.Flags[h] = int(f)
-		}
-	}
+	st := &durable.State{Version: 1}
+	e.policy.capture(st)
 	e.mu.Lock()
 	users := make([]string, 0, len(e.fronts))
 	for u := range e.fronts {
@@ -182,98 +181,123 @@ func (e *engine) captureState() (*durable.State, error) {
 	return st, nil
 }
 
-// frontLocked returns (creating on first use) the hosted frontend for a
-// user, or nil once the shard is torn down — a creation racing Close
+// front returns (creating on first use) the hosted frontend for a user,
+// or ErrClosed once the shard is torn down — a creation racing Close
 // would wire a frontend to the already-closed broker and leak it past
-// the teardown snapshot. Caller must hold e.mu.
-func (e *engine) frontLocked(user string) *frontend.Frontend {
+// the teardown snapshot.
+func (e *engine) front(user string) (*frontend.Frontend, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.closed {
-		return nil
+		return nil, ErrClosed
 	}
 	if fe, ok := e.fronts[user]; ok {
-		return fe
+		return fe, nil
 	}
-	bar := frontend.NewSidebar(frontend.Config{
-		Capacity: e.cfg.sidebarCapacity,
-		TTL:      e.cfg.sidebarTTL,
-		Feedback: func(feedURL string, d frontend.Disposition, at time.Time) {
-			if feedURL == "" {
-				return
-			}
-			e.server.ObserveEventFeedback(user, feedURL, d == frontend.DispositionClicked, at)
-		},
-	})
 	var sub frontend.Subscriber = e.broker
 	if e.cfg.subscriberFor != nil {
 		sub = e.cfg.subscriberFor(user)
 	}
-	fe := frontend.NewFrontend(user, sub, e.proxy, bar, e.clock.Now)
+	fe := e.policy.newFrontend(user, sub, e.proxy)
 	e.fronts[user] = fe
-	e.bars[user] = bar
-	return fe
+	return fe, nil
 }
 
-// apply executes a recommendation through the user's hosted frontend.
-// When the subscription has a reliable queue (registered before this call,
-// live and on replay alike), the queue's Append rides along as the
-// frontend's tap: the publisher retains the event itself, ahead of the
-// sidebar, so a publish that returned is in the queue. A duplicate of a
-// best-effort subscription gets the tap attached here.
+// lookup returns the user's frontend without creating one.
+func (e *engine) lookup(user string) (*frontend.Frontend, bool) {
+	e.mu.Lock()
+	fe, ok := e.fronts[user]
+	e.mu.Unlock()
+	return fe, ok
+}
+
+// apply executes a recommendation through the user's hosted frontend. It
+// does not journal: live callers wrap it in the record that describes
+// it, replay runs it bare. When the subscription has a reliable queue
+// (registered before this call, live and on replay alike), the queue's
+// Append rides along as the frontend's tap: the publisher retains the
+// event itself, ahead of the sidebar, so a publish that returned is in
+// the queue. A duplicate of a best-effort subscription gets the tap
+// attached here; an unsubscribe drops the queue.
 func (e *engine) apply(user string, rec recommend.Recommendation) error {
 	fe, err := e.front(user)
 	if err != nil {
 		return err
 	}
-	q, ok := e.deliveries.Get(user, subscriptionID(rec))
-	if !ok {
-		return fe.Apply(rec)
+	id := subscriptionID(rec)
+	unsubscribe := rec.Kind == recommend.KindUnsubscribeFeed
+	var tap func(pubsub.Event)
+	if q, ok := e.deliveries.Get(user, id); ok && !unsubscribe {
+		tap = func(ev pubsub.Event) { q.Append(ev, e.clock.Now()) }
 	}
-	return fe.ApplyTapped(rec, func(ev pubsub.Event) { q.Append(ev, e.clock.Now()) })
+	if err := fe.ApplyTapped(rec, tap); err != nil {
+		return err
+	}
+	if unsubscribe {
+		e.deliveries.Remove(user, id)
+	}
+	e.policy.applied(user, rec)
+	return nil
 }
 
-func (e *engine) front(user string) (*frontend.Frontend, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	fe := e.frontLocked(user)
-	if fe == nil {
-		return nil, ErrClosed
+// commit applies rec under the journal, logged as the subscribe or
+// unsubscribe record its kind calls for. An AtLeastOnce config first
+// registers the subscription's reliable queue — before the frontend
+// applies the subscription, so no event the new subscription matches can
+// slip past the queue.
+func (e *engine) commit(user string, rec recommend.Recommendation, sc SubscribeConfig) error {
+	if rec.Kind == recommend.KindUnsubscribeFeed {
+		return e.journal.Record(
+			func() error { return e.apply(user, rec) },
+			func() durable.Record { return durable.UnsubscribeRecord(toDurableSub(user, rec)) },
+		)
 	}
-	return fe, nil
+	id := subscriptionID(rec)
+	return e.journal.Record(
+		func() error {
+			if sc.Guarantee != AtLeastOnce {
+				return e.apply(user, rec)
+			}
+			_, existed := e.deliveries.Get(user, id)
+			e.deliveries.Register(user, id, toDeliveryConfig(sc, e.cfg))
+			err := e.apply(user, rec)
+			if err != nil && !existed {
+				e.deliveries.Remove(user, id)
+			}
+			return err
+		},
+		func() durable.Record {
+			ds := toDurableSub(user, rec)
+			ds.Delivery = toDurableDelivery(sc)
+			return durable.SubscribeRecord(ds)
+		},
+	)
 }
 
-// ingestClicks lands a validated batch in this shard's click store and
-// queues page URLs for the next pipeline round.
-func (e *engine) ingestClicks(clicks []Click) error {
-	return e.server.ReceiveClicks(toAttentionClicks(clicks))
+// subscription renders a live subscription in its public form, with its
+// reliable queue's state when it has one.
+func (e *engine) subscription(user string, rec recommend.Recommendation) Subscription {
+	sub := toPublicSubscription(user, rec)
+	if q, ok := e.deliveries.Get(user, sub.ID); ok {
+		sub.Guarantee = AtLeastOnce.String()
+		sub.OrderingKey = q.Config().OrderingKey
+		sub.Acked = q.Acked()
+	}
+	return sub
 }
 
 // subscriptions lists a user's live subscriptions.
 func (e *engine) subscriptions(user string) []Subscription {
-	e.mu.Lock()
-	fe, ok := e.fronts[user]
-	e.mu.Unlock()
-	if !ok {
-		return []Subscription{}
-	}
-	active := fe.Active()
+	active := e.activeRecs(user)
 	out := make([]Subscription, 0, len(active))
 	for _, rec := range active {
-		sub := toPublicSubscription(user, rec)
-		if q, ok := e.deliveries.Get(user, sub.ID); ok {
-			sub.Guarantee = AtLeastOnce.String()
-			sub.OrderingKey = q.Config().OrderingKey
-			sub.Acked = q.Acked()
-		}
-		out = append(out, sub)
+		out = append(out, e.subscription(user, rec))
 	}
 	return out
 }
 
 // subscribe places a feed subscription immediately, bypassing the
-// recommendation queue. An AtLeastOnce config additionally registers the
-// subscription's reliable queue — before the frontend applies the
-// subscription, so no event the new subscription matches can slip past
-// the queue.
+// recommendation queue.
 func (e *engine) subscribe(user, feedURL string, sc SubscribeConfig) (Subscription, error) {
 	rec := recommend.Recommendation{
 		Kind:    recommend.KindSubscribeFeed,
@@ -283,45 +307,15 @@ func (e *engine) subscribe(user, feedURL string, sc SubscribeConfig) (Subscripti
 		Reason:  "direct API subscription",
 		At:      e.clock.Now(),
 	}
-	if err := e.journal.Record(
-		func() error {
-			reliable := sc.Guarantee == AtLeastOnce
-			var created bool
-			if reliable {
-				_, existed := e.deliveries.Get(user, feedURL)
-				e.deliveries.Register(user, feedURL, toDeliveryConfig(sc, e.cfg))
-				created = !existed
-			}
-			if err := e.apply(user, rec); err != nil {
-				if created {
-					e.deliveries.Remove(user, feedURL)
-				}
-				return err
-			}
-			return nil
-		},
-		func() durable.Record {
-			ds := toDurableSub(user, rec)
-			ds.Delivery = toDurableDelivery(sc)
-			return durable.SubscribeRecord(ds)
-		},
-	); err != nil {
+	if err := e.commit(user, rec, sc); err != nil {
 		return Subscription{}, err
 	}
-	sub := toPublicSubscription(user, rec)
-	if q, ok := e.deliveries.Get(user, sub.ID); ok {
-		sub.Guarantee = AtLeastOnce.String()
-		sub.OrderingKey = q.Config().OrderingKey
-		sub.Acked = q.Acked()
-	}
-	return sub, nil
+	return e.subscription(user, rec), nil
 }
 
 // unsubscribe removes a feed subscription.
 func (e *engine) unsubscribe(user, feedURL string) error {
-	e.mu.Lock()
-	fe, ok := e.fronts[user]
-	e.mu.Unlock()
+	fe, ok := e.lookup(user)
 	if !ok {
 		return fmt.Errorf("%w: user %q has no subscriptions", ErrNotFound, user)
 	}
@@ -335,23 +329,13 @@ func (e *engine) unsubscribe(user, feedURL string) error {
 	if !found {
 		return fmt.Errorf("%w: no subscription for feed %q", ErrNotFound, feedURL)
 	}
-	rec := recommend.Recommendation{
+	return e.commit(user, recommend.Recommendation{
 		Kind:    recommend.KindUnsubscribeFeed,
 		User:    user,
 		FeedURL: feedURL,
 		Reason:  "direct API unsubscription",
 		At:      e.clock.Now(),
-	}
-	return e.journal.Record(
-		func() error {
-			if err := fe.Apply(rec); err != nil {
-				return err
-			}
-			e.deliveries.Remove(user, feedURL)
-			return nil
-		},
-		func() durable.Record { return durable.UnsubscribeRecord(toDurableSub(user, rec)) },
-	)
+	}, SubscribeConfig{})
 }
 
 // deliveryQueue resolves a reliable subscription's queue, with the
@@ -377,9 +361,7 @@ func (e *engine) deliveryQueue(user, id string) (*delivery.Queue, error) {
 // activeRecs lists the recommendations behind a user's live
 // subscriptions (empty when the shard hosts no frontend for the user).
 func (e *engine) activeRecs(user string) []recommend.Recommendation {
-	e.mu.Lock()
-	fe, ok := e.fronts[user]
-	e.mu.Unlock()
+	fe, ok := e.lookup(user)
 	if !ok {
 		return nil
 	}
@@ -489,26 +471,31 @@ func (e *engine) deadLetters(user, id string, drain bool) ([]DeadLetter, error) 
 	return out, nil
 }
 
-// recommendations drains freshly generated recommendations into the
+// addPending journals one recommendation into the shard's pending
+// ledger.
+func (e *engine) addPending(user string, rec recommend.Recommendation) error {
+	var id string
+	var seq int64
+	return e.journal.Record(
+		func() error { id, seq = e.pending.add(user, rec); return nil },
+		func() durable.Record {
+			return durable.PendingAddRecord(durable.PendingAddPayload{
+				User: user, ID: id, Seq: seq, Rec: toDurableRec(rec),
+			})
+		},
+	)
+}
+
+// recommendations drains the user's ready recommendations into the
 // shard's pending ledger and lists the user's queue.
 func (e *engine) recommendations(user string) ([]Recommendation, error) {
-	// The outbox drain is destructive, so a journaling failure must not
-	// abort the loop: every drained recommendation still reaches the
-	// in-memory ledger (only its durability is lost), and the first error
-	// is reported after.
+	// The drain is destructive, so a journaling failure must not abort the
+	// loop: every drained recommendation still reaches the in-memory
+	// ledger (only its durability is lost), and the first error is
+	// reported after.
 	var firstErr error
-	for _, rec := range e.server.Recommendations(user) {
-		rec := rec
-		var id string
-		var seq int64
-		if err := e.journal.Record(
-			func() error { id, seq = e.pending.add(user, rec); return nil },
-			func() durable.Record {
-				return durable.PendingAddRecord(durable.PendingAddPayload{
-					User: user, ID: id, Seq: seq, Rec: toDurableRec(rec),
-				})
-			},
-		); err != nil && firstErr == nil {
+	for _, rec := range e.policy.ready(user) {
+		if err := e.addPending(user, rec); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -526,11 +513,7 @@ func (e *engine) acceptRecommendation(user, id string) error {
 			if !ok {
 				return fmt.Errorf("%w: no pending recommendation %q for user %q", ErrNotFound, id, user)
 			}
-			fe, err := e.front(user)
-			if err != nil {
-				return err
-			}
-			return fe.Apply(rec)
+			return e.apply(user, rec)
 		},
 		func() durable.Record {
 			return durable.PendingTakeRecord(durable.PendingTakePayload{
@@ -551,7 +534,7 @@ func (e *engine) rejectRecommendation(user, id string) error {
 				return fmt.Errorf("%w: no pending recommendation %q for user %q", ErrNotFound, id, user)
 			}
 			if rec.FeedURL != "" {
-				e.server.ObserveEventFeedback(user, rec.FeedURL, false, at)
+				e.policy.reject(user, rec.FeedURL, at)
 			}
 			return nil
 		},
@@ -563,46 +546,26 @@ func (e *engine) rejectRecommendation(user, id string) error {
 	)
 }
 
-// stats snapshots this shard's counters, in the exact key set the
-// unsharded deployment has always reported. Keys come from the shared
+// stats snapshots this shard's counters: the proxy, the pending ledger
+// and the broker, plus the policy's own. Keys come from the shared
 // constant table (internal/metrics) so the cluster merge rules and the
 // /v1/metrics exposition can never drift from what is emitted here.
 func (e *engine) stats() Stats {
-	out := Stats(e.server.Metrics().Snapshot())
-	out[metrics.ClicksStored.Key] = float64(e.server.Store().Len())
-	out[metrics.DistinctServers.Key] = float64(e.server.Store().DistinctServers())
-	out[metrics.FeedsDiscovered.Key] = float64(e.server.DistinctFeedsFound())
-	out[metrics.UploadBytes.Key] = float64(e.server.UploadBytes())
-	out[metrics.ProxyFeeds.Key] = float64(e.proxy.NumFeeds())
-	for name, v := range e.proxy.Metrics().Snapshot() {
-		out["proxy_"+name] = v
+	out := Stats{
+		metrics.ProxyFeeds.Key:             float64(e.proxy.NumFeeds()),
+		metrics.PendingRecommendations.Key: float64(e.pending.size()),
 	}
-	out[metrics.PendingRecommendations.Key] = float64(e.pending.size())
-	dt := e.deliveries.Totals()
-	out[metrics.DeliveryReliableSubs.Key] = float64(dt.Queues)
-	out[metrics.DeliveryRetained.Key] = float64(dt.Retained)
-	out[metrics.DeliveryAcked.Key] = float64(dt.Acked)
-	out[metrics.DeliveryRedeliveries.Key] = float64(dt.Redeliveries)
-	out[metrics.DeliveryDeadLetters.Key] = float64(dt.DeadLetters)
-	out[metrics.DeliveryLeaseExpiries.Key] = float64(dt.LeaseExpiries)
-	e.mu.Lock()
-	out[metrics.UsersWithFrontends.Key] = float64(len(e.fronts))
-	e.mu.Unlock()
 	for name, v := range e.broker.Metrics().Snapshot() {
 		out["broker_"+name] = v
 	}
+	e.policy.stats(e, out)
 	return out
-}
-
-// runPipeline performs one crawl/analysis round over this shard's users.
-func (e *engine) runPipeline(now time.Time) core.PipelineStats {
-	return e.server.RunPipeline(now)
 }
 
 // teardown closes frontends, proxy and broker (but not the journal — the
 // caller picks Close vs Crash for that). The closed flag is flipped
-// under the same lock frontLocked creates under, so no frontend can be
-// born after the snapshot below and escape its Close.
+// under the same lock front creates under, so no frontend can be born
+// after the snapshot below and escape its Close.
 func (e *engine) teardown() {
 	e.mu.Lock()
 	e.closed = true
@@ -620,8 +583,9 @@ func (e *engine) teardown() {
 
 // sidebar returns the user's sidebar if this shard hosts one.
 func (e *engine) sidebar(user string) (*frontend.Sidebar, bool) {
-	e.mu.Lock()
-	bar, ok := e.bars[user]
-	e.mu.Unlock()
-	return bar, ok
+	fe, ok := e.lookup(user)
+	if !ok {
+		return nil, false
+	}
+	return fe.Sidebar(), true
 }

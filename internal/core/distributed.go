@@ -130,27 +130,24 @@ func (p *Peer) ObservePageView(click attention.Click, res *websim.Resource) []re
 	p.mu.Unlock()
 
 	if !p.cfg.ManualApply {
-		for _, rec := range recs {
-			if err := p.frontend.Apply(rec); err == nil {
-				p.mu.Lock()
-				p.applied++
-				p.mu.Unlock()
-			}
-		}
+		n := p.applyAll(recs)
+		p.mu.Lock()
+		p.applied += n
+		p.mu.Unlock()
 	}
 	return recs
 }
 
-// Apply executes one recommendation against the peer's frontend (the
-// accept path when ManualApply is set).
-func (p *Peer) Apply(rec recommend.Recommendation) error {
-	err := p.frontend.Apply(rec)
-	if err == nil && rec.Kind != recommend.KindUnsubscribeFeed {
-		p.mu.Lock()
-		p.applied++
-		p.mu.Unlock()
+// applyAll applies recs through the peer's frontend and returns how many
+// took.
+func (p *Peer) applyAll(recs []recommend.Recommendation) int {
+	n := 0
+	for _, rec := range recs {
+		if p.frontend.Apply(rec) == nil {
+			n++
+		}
 	}
-	return err
+	return n
 }
 
 // discoverFeeds returns autodiscovered feed URLs of a cached page.
@@ -170,9 +167,7 @@ func (p *Peer) SweepInactive(now time.Time) []recommend.Recommendation {
 	recs := p.topicRec.SweepInactive(now)
 	p.mu.Unlock()
 	if !p.cfg.ManualApply {
-		for _, rec := range recs {
-			_ = p.frontend.Apply(rec)
-		}
+		p.applyAll(recs)
 	}
 	return recs
 }
@@ -206,29 +201,32 @@ func (p *Peer) ProfileVector() community.Vector {
 // ReceivePeerFeeds ingests feed URLs recommended by community peers,
 // applying subscriptions for unknown ones. It returns how many were new.
 func (p *Peer) ReceivePeerFeeds(feeds []string, now time.Time) int {
-	applied := 0
+	return p.applyAll(p.peerFeedRecommendations(feeds, now))
+}
+
+// peerFeedRecommendations ingests feed URLs recommended by community
+// peers and returns the subscribe recommendations the unknown ones earn,
+// without applying them.
+func (p *Peer) peerFeedRecommendations(feeds []string, now time.Time) []recommend.Recommendation {
+	var recs []recommend.Recommendation
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for _, f := range feeds {
 		feedHost, _, err := websim.SplitURL(f)
 		if err != nil {
 			continue
 		}
-		p.mu.Lock()
-		var rec recommend.Recommendation
-		var ok bool
-		if _, known := p.knownFeeds[f]; !known {
-			p.knownFeeds[f] = struct{}{}
-			// Community provenance substitutes for a direct visit.
-			p.topicRec.ObserveVisit(p.cfg.User, feedHost, now)
-			rec, ok = p.topicRec.ObserveFeed(p.cfg.User, f, feedHost, now)
+		if _, known := p.knownFeeds[f]; known {
+			continue
 		}
-		p.mu.Unlock()
-		if ok {
-			if err := p.frontend.Apply(rec); err == nil {
-				applied++
-			}
+		p.knownFeeds[f] = struct{}{}
+		// Community provenance substitutes for a direct visit.
+		p.topicRec.ObserveVisit(p.cfg.User, feedHost, now)
+		if rec, ok := p.topicRec.ObserveFeed(p.cfg.User, f, feedHost, now); ok {
+			recs = append(recs, rec)
 		}
 	}
-	return applied
+	return recs
 }
 
 // AppliedRecommendations reports how many recommendations the peer has
@@ -252,27 +250,38 @@ func (p *Peer) Close() {
 	p.frontend.Close()
 }
 
-// ExchangeCommunities clusters peers by profile similarity and delivers
-// collaborative feed recommendations within each community. It returns
-// the number of communities and the total recommendations exchanged.
+// ExchangeCommunities clusters peers by profile similarity and applies
+// the collaborative feed recommendations within each community through
+// the receiving peers' frontends. It returns the number of communities
+// and the total recommendations applied.
 func ExchangeCommunities(peers []*Peer, threshold float64, now time.Time) (int, int) {
+	comms, recs := ExchangeRecommendations(peers, threshold, now)
+	total := 0
+	for i, p := range peers {
+		total += p.applyAll(recs[i])
+	}
+	return comms, total
+}
+
+// ExchangeRecommendations clusters peers by profile similarity and
+// returns the number of communities and, for each peer in order, the
+// subscribe recommendations it draws from its community's feeds — the
+// feeds now count as known to the peer, but applying is left to the
+// caller.
+func ExchangeRecommendations(peers []*Peer, threshold float64, now time.Time) (int, [][]recommend.Recommendation) {
 	members := make([]community.Member, 0, len(peers))
-	byID := make(map[string]*Peer, len(peers))
 	known := make(map[string]map[string]struct{}, len(peers))
 	for _, p := range peers {
 		members = append(members, community.Member{ID: p.User(), Profile: p.ProfileVector()})
-		byID[p.User()] = p
 		known[p.User()] = p.KnownFeeds()
 	}
 	comms := community.BuildCommunities(members, threshold)
 	shared := community.Exchange(comms, known)
-	total := 0
-	for id, feeds := range shared {
-		if peer, ok := byID[id]; ok && len(feeds) > 0 {
-			total += peer.ReceivePeerFeeds(feeds, now)
-		}
+	recs := make([][]recommend.Recommendation, len(peers))
+	for i, p := range peers {
+		recs[i] = p.peerFeedRecommendations(shared[p.User()], now)
 	}
-	return len(comms), total
+	return len(comms), recs
 }
 
 func maxInt(a, b int) int {

@@ -14,6 +14,7 @@ package reef
 // loop.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 
@@ -48,12 +49,9 @@ func (c *Centralized) ReplicationEnabled() bool {
 // owning shard's replay hooks. Every landed record is journaled via
 // Ingest so it survives this node's own crashes.
 func (c *Centralized) ApplyReplicated(recs []durable.Record) error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
+	if err := c.checkOpen(context.Background()); err != nil {
+		return err
 	}
-	c.mu.Unlock()
 	for _, rec := range recs {
 		if err := c.applyReplicatedRecord(rec); err != nil {
 			return fmt.Errorf("reef: applying replicated %v record: %w", rec.Op, err)
@@ -70,19 +68,13 @@ func (c *Centralized) applyReplicatedRecord(rec durable.Record) error {
 		if err := json.Unmarshal(rec.Payload, &p); err != nil {
 			return err
 		}
-		groups := make([][]attention.Click, n)
-		for _, cl := range p.Clicks {
-			i := shardFor(cl.User, n)
-			groups[i] = append(groups[i], cl)
-		}
-		for i, g := range groups {
+		for i, g := range byShard(p.Clicks, n, func(c attention.Click) string { return c.User }) {
 			if len(g) == 0 {
 				continue
 			}
 			e := c.shards[i]
-			g := g
 			if err := e.journal.Ingest(
-				func() error { e.server.ApplyReplicatedClicks(g); return nil },
+				func() error { serverOf(e).ApplyReplicatedClicks(g); return nil },
 				durable.ClicksRecord(g),
 			); err != nil {
 				return err
@@ -137,12 +129,9 @@ func replicatedRecordUser(rec durable.Record) (string, error) {
 // is not a single global point in the operation stream, which is the
 // same consistency a multi-shard snapshot already has.
 func (c *Centralized) CaptureReplicationState() (*durable.State, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
+	if err := c.checkOpen(context.Background()); err != nil {
+		return nil, err
 	}
-	c.mu.Unlock()
 	out := &durable.State{Version: 1}
 	for _, e := range c.shards {
 		st, err := e.journal.Capture()
@@ -177,12 +166,9 @@ func (c *Centralized) CaptureReplicationState() (*durable.State, error) {
 // for the cut's users — the replication manager only requests one on a
 // fresh or restarting replica.
 func (c *Centralized) ApplyReplicatedCut(st *durable.State) error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
+	if err := c.checkOpen(context.Background()); err != nil {
+		return err
 	}
-	c.mu.Unlock()
 	if st == nil {
 		return nil
 	}
@@ -193,14 +179,9 @@ func (c *Centralized) ApplyReplicatedCut(st *durable.State) error {
 	// Replace it with the bare mutation: the per-shard Snapshot below
 	// makes the whole cut durable in one piece instead.
 	dr.applyClicks = func(batch []attention.Click) error {
-		groups := make([][]attention.Click, n)
-		for _, cl := range batch {
-			i := shardFor(cl.User, n)
-			groups[i] = append(groups[i], cl)
-		}
-		for i, g := range groups {
+		for i, g := range byShard(batch, n, func(c attention.Click) string { return c.User }) {
 			if len(g) > 0 {
-				c.shards[i].server.ApplyReplicatedClicks(g)
+				serverOf(c.shards[i]).ApplyReplicatedClicks(g)
 			}
 		}
 		return nil

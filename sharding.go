@@ -1,6 +1,7 @@
 package reef
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"reef/internal/attention"
 	"reef/internal/durable"
 	"reef/internal/pubsub"
 	"reef/internal/recommend"
@@ -40,6 +42,498 @@ func resolveShards(cfg config) (int, error) {
 	return cfg.shards, nil
 }
 
+// router is the user→shard router both deployments are built on: it
+// owns the WithShards(n) engines and the open/closed state, and serves
+// every verb whose only deployment-specific part is the shards' click
+// policy. Users partition across shards by a stable hash, so every
+// user-addressed call (clicks, subscriptions, recommendations, sidebar)
+// touches exactly one shard's lock domains, while publishes fan out to
+// all shards concurrently. Each shard journals to its own directory and
+// recovers in parallel with its siblings; a single shard behaves — in
+// memory and on disk — exactly like the pre-sharding deployment.
+type router struct {
+	cfg    config
+	shards []*engine
+
+	mu     sync.Mutex
+	closed bool
+}
+
+// openRouter builds the shards, each with the click policy newPolicy
+// makes over its journal, then recovers or migrates the data directory
+// before arming the journals (see NewCentralized).
+//
+// combos rejects the option combinations a shard count cannot serve. It
+// runs on the explicit count BEFORE planShards may touch the data
+// directory (fresh-dir meta write, migration cleanup), and again on an
+// adopted count — the adopt path makes no writes, so a rejected
+// constructor leaves no trace.
+func openRouter(cfg config, newPolicy func(config, *durable.Journal) clickPolicy, combos func(n int) error) (*router, error) {
+	n, err := resolveShards(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := combos(n); err != nil {
+		return nil, err
+	}
+	plan, err := planShards(cfg.dataDir, n)
+	if err != nil {
+		return nil, err
+	}
+	n = plan.n
+	if err := combos(n); err != nil {
+		return nil, err
+	}
+	r := &router{cfg: cfg, shards: make([]*engine, n)}
+	for i := range r.shards {
+		dir := ""
+		if plan.dirs != nil {
+			dir = plan.dirs[i]
+		}
+		journal, err := openShardJournal(cfg, dir)
+		if err != nil {
+			r.teardownPartial(i)
+			return nil, err
+		}
+		r.shards[i] = newEngine(cfg, i, journal, newPolicy(cfg, journal))
+	}
+	fail := func(err error) (*router, error) {
+		r.teardownPartial(n)
+		return nil, fmt.Errorf("reef: recovering %s: %w", cfg.dataDir, err)
+	}
+	if plan.migrate {
+		if err := r.migrateFrom(plan); err != nil {
+			return fail(err)
+		}
+		return r, nil
+	}
+	if _, err := fanOut(n, func(i int) (struct{}, error) {
+		return struct{}{}, r.shards[i].recover()
+	}); err != nil {
+		return fail(err)
+	}
+	for _, e := range r.shards {
+		e.arm()
+	}
+	if err := ensureShardLayout(cfg.dataDir, n); err != nil {
+		return fail(err)
+	}
+	return r, nil
+}
+
+// oneFeedPublisher rejects WithFeedPublisher on more than one shard:
+// every shard's WAIF proxy would poll the feeds its users track and
+// publish each new item to the one caller-owned publisher — duplicate
+// deliveries for any feed followed from two shards.
+func oneFeedPublisher(cfg config, n int) error {
+	if n > 1 && cfg.feedPublisher != nil {
+		return fmt.Errorf("%w: WithFeedPublisher cannot fan in from more than one shard; use WithShards(1)", ErrInvalidArgument)
+	}
+	return nil
+}
+
+// teardownPartial closes the first k constructed shards (constructor
+// error paths).
+func (r *router) teardownPartial(k int) {
+	for i := 0; i < k; i++ {
+		if r.shards[i] != nil {
+			r.shards[i].teardown()
+			_ = r.shards[i].journal.Close()
+		}
+	}
+}
+
+// migrateFrom replays an old shard layout's journals through the new
+// engines — every operation routed to the shard its user now hashes to —
+// then snapshots each shard so the new layout is durable before the old
+// one is retired.
+func (r *router) migrateFrom(plan shardPlan) error {
+	rep := r.routedReplay()
+	for _, dir := range plan.oldDirs {
+		st, tail, err := loadShardSource(dir)
+		if err != nil {
+			return fmt.Errorf("migrating %s: %w", dir, err)
+		}
+		if err := rep.run(st, tail); err != nil {
+			return fmt.Errorf("migrating %s: %w", dir, err)
+		}
+	}
+	for _, e := range r.shards {
+		e.arm()
+	}
+	if _, err := fanOut(len(r.shards), func(i int) (struct{}, error) {
+		return struct{}{}, r.shards[i].journal.Snapshot()
+	}); err != nil {
+		return fmt.Errorf("snapshotting migrated shards: %w", err)
+	}
+	return finishMigration(r.cfg.dataDir, plan)
+}
+
+// routedReplay builds replay hooks that dispatch each recovered
+// operation to the engine its user hashes to. Classification flags are
+// global knowledge (an ad server is an ad server for every user), so
+// they broadcast to every shard's store; click batches split per user.
+// A policy that journals no clicks or flags leaves those hooks nil.
+func (r *router) routedReplay() durableReplay {
+	n := len(r.shards)
+	reps := make([]durableReplay, n)
+	for i, e := range r.shards {
+		reps[i] = e.replay()
+	}
+	if n == 1 {
+		return reps[0]
+	}
+	at := func(user string) durableReplay { return reps[shardFor(user, n)] }
+	dr := durableReplay{
+		applySub: func(rec recommend.Recommendation) error { return at(rec.User).applySub(rec) },
+		restorePending: func(user, id string, seq int64, rec recommend.Recommendation) {
+			at(user).restorePending(user, id, seq, rec)
+		},
+		setPendingSeq: func(seq int64) {
+			for i := range reps {
+				reps[i].setPendingSeq(seq)
+			}
+		},
+		takePending: func(user, id string) (recommend.Recommendation, bool) {
+			return at(user).takePending(user, id)
+		},
+		acceptRec: func(user string, rec recommend.Recommendation) error {
+			return at(user).acceptRec(user, rec)
+		},
+		rejectFeedback: func(user, feedURL string, t time.Time) {
+			at(user).rejectFeedback(user, feedURL, t)
+		},
+		registerDelivery: func(user, id string, ds durable.DeliveryState) {
+			at(user).registerDelivery(user, id, ds)
+		},
+		ackCursor: func(user, id string, seq int64) { at(user).ackCursor(user, id, seq) },
+	}
+	if reps[0].applyClicks != nil {
+		dr.applyClicks = func(batch []attention.Click) error {
+			for i, g := range byShard(batch, n, func(c attention.Click) string { return c.User }) {
+				if len(g) == 0 {
+					continue
+				}
+				if err := reps[i].applyClicks(g); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	if reps[0].setFlag != nil {
+		dr.setFlag = func(host string, f int) {
+			for i := range reps {
+				reps[i].setFlag(host, f)
+			}
+		}
+	}
+	return dr
+}
+
+// byShard splits items into per-shard groups by the user each belongs to.
+func byShard[T any](items []T, n int, user func(T) string) [][]T {
+	groups := make([][]T, n)
+	for _, it := range items {
+		i := shardFor(user(it), n)
+		groups[i] = append(groups[i], it)
+	}
+	return groups
+}
+
+// shard returns the engine serving a user.
+func (r *router) shard(user string) *engine {
+	return r.shards[shardFor(user, len(r.shards))]
+}
+
+// ShardCount implements Sharder.
+func (r *router) ShardCount() int { return len(r.shards) }
+
+func (r *router) checkOpen(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return ErrClosed
+	}
+	return nil
+}
+
+// markClosed flips the closed flag; it reports false if the deployment
+// was already closed.
+func (r *router) markClosed() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return false
+	}
+	r.closed = true
+	return true
+}
+
+// Close implements Deployment. Idempotent. Buffered WAL appends are
+// flushed on every shard; no final snapshot is taken (reopening replays
+// the WALs, which exercises the same recovery path a crash would).
+func (r *router) Close() error {
+	return r.shutdown((*durable.Journal).Close)
+}
+
+// Crash closes the deployment WITHOUT flushing buffered WAL appends — the
+// fault-injection hook behind the crash-recovery tests: everything since
+// the last sync is lost on every shard, exactly as if the process had
+// died.
+func (r *router) Crash() error {
+	return r.shutdown((*durable.Journal).Crash)
+}
+
+// shutdown tears every shard down and ends its journal with stop.
+func (r *router) shutdown(stop func(*durable.Journal) error) error {
+	if !r.markClosed() {
+		return nil
+	}
+	var firstErr error
+	for _, e := range r.shards {
+		e.teardown()
+		if err := stop(e.journal); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
+}
+
+// StorageInfo implements Persister: per-shard backend states merge into
+// one summary with a per-shard breakdown (see StorageInfo.Shards).
+func (r *router) StorageInfo(ctx context.Context) (StorageInfo, error) {
+	if err := r.checkOpen(ctx); err != nil {
+		return StorageInfo{}, err
+	}
+	infos := make([]durable.Info, len(r.shards))
+	for i, e := range r.shards {
+		infos[i] = e.journal.Info()
+	}
+	return mergeStorageInfo(r.cfg.dataDir, infos), nil
+}
+
+// Snapshot implements Persister: every shard captures its full state as
+// its new recovery baseline and restarts its WAL, all shards in
+// parallel. Each shard's snapshot is a consistent cut of that shard's
+// operation stream — users never span shards, so no cross-shard
+// operation can straddle the handoff.
+func (r *router) Snapshot(ctx context.Context) (StorageInfo, error) {
+	if err := r.checkOpen(ctx); err != nil {
+		return StorageInfo{}, err
+	}
+	if _, err := fanOut(len(r.shards), func(i int) (struct{}, error) {
+		return struct{}{}, r.shards[i].journal.Snapshot()
+	}); err != nil {
+		return StorageInfo{}, err
+	}
+	return r.StorageInfo(ctx)
+}
+
+// IngestClicks implements Deployment: the whole batch is validated up
+// front — so an invalid click cannot leave it half-ingested and a client
+// retrying a corrected batch does not double-count — then each shard's
+// click policy analyzes its users' clicks, the shards concurrently. It
+// returns how many clicks were analyzed.
+func (r *router) IngestClicks(ctx context.Context, clicks []Click) (int, error) {
+	if err := r.checkOpen(ctx); err != nil {
+		return 0, err
+	}
+	for _, cl := range clicks {
+		if err := validateUser(cl.User); err != nil {
+			return 0, err
+		}
+		if cl.URL == "" {
+			return 0, fmt.Errorf("%w: click with empty URL", ErrInvalidArgument)
+		}
+	}
+	n := len(r.shards)
+	if n == 1 {
+		return r.shards[0].policy.ingest(ctx, r.shards[0], clicks)
+	}
+	groups := byShard(clicks, n, func(c Click) string { return c.User })
+	return sumFanOut(n, func(i int) (int, error) {
+		if len(groups[i]) == 0 {
+			return 0, nil
+		}
+		return r.shards[i].policy.ingest(ctx, r.shards[i], groups[i])
+	})
+}
+
+// PublishEvent implements Deployment: the event is stamped once and
+// fanned out to every shard's broker concurrently; the result is the
+// total of local deliveries. With WithFeedPublisher the event goes to
+// the caller-owned publisher, whose delivery count is not observable
+// from here: a successful publish then reports 0 deliveries.
+func (r *router) PublishEvent(ctx context.Context, ev Event) (int, error) {
+	if err := r.checkOpen(ctx); err != nil {
+		return 0, err
+	}
+	pev, err := toPubsubEvent(ev)
+	if err != nil {
+		return 0, err
+	}
+	if r.cfg.feedPublisher != nil {
+		if err := r.cfg.feedPublisher.Publish(ctx, pev); err != nil {
+			return 0, err
+		}
+		return 0, nil
+	}
+	n := len(r.shards)
+	if n == 1 {
+		return r.shards[0].broker.Publish(ctx, pev)
+	}
+	one := [1]pubsub.Event{pev}
+	stampEvents(one[:], r.cfg.clock.Now)
+	return sumFanOut(n, func(i int) (int, error) {
+		return r.shards[i].broker.Publish(ctx, one[0])
+	})
+}
+
+// PublishBatch implements Deployment: the whole batch is validated up
+// front, stamped once, then fanned out to every shard's batched fast
+// path (one lock acquisition and match pass per shard for all events).
+// With WithFeedPublisher the events go one by one to the caller-owned
+// publisher.
+func (r *router) PublishBatch(ctx context.Context, evs []Event) (int, error) {
+	if err := r.checkOpen(ctx); err != nil {
+		return 0, err
+	}
+	pevs, err := toPubsubEvents(evs)
+	if err != nil {
+		return 0, err
+	}
+	if r.cfg.feedPublisher != nil {
+		for _, pev := range pevs {
+			if err := r.cfg.feedPublisher.Publish(ctx, pev); err != nil {
+				return 0, err
+			}
+		}
+		return 0, nil
+	}
+	n := len(r.shards)
+	if n == 1 {
+		return r.shards[0].broker.PublishBatch(ctx, pevs)
+	}
+	stampEvents(pevs, r.cfg.clock.Now)
+	return sumFanOut(n, func(i int) (int, error) {
+		return r.shards[i].broker.PublishBatch(ctx, pevs)
+	})
+}
+
+// Subscriptions implements Deployment.
+func (r *router) Subscriptions(ctx context.Context, user string) ([]Subscription, error) {
+	if err := r.checkOpen(ctx); err != nil {
+		return nil, err
+	}
+	if err := validateUser(user); err != nil {
+		return nil, err
+	}
+	return r.shard(user).subscriptions(user), nil
+}
+
+// subscribeArgs validates a Subscribe call and resolves its options.
+func (r *router) subscribeArgs(ctx context.Context, user, feedURL string, opts []SubscribeOption) (SubscribeConfig, error) {
+	if err := r.checkOpen(ctx); err != nil {
+		return SubscribeConfig{}, err
+	}
+	if err := validateUser(user); err != nil {
+		return SubscribeConfig{}, err
+	}
+	if err := validateFeedURL(feedURL); err != nil {
+		return SubscribeConfig{}, err
+	}
+	return NewSubscribeConfig(opts...)
+}
+
+// Unsubscribe implements Deployment.
+func (r *router) Unsubscribe(ctx context.Context, user, feedURL string) error {
+	if err := r.checkOpen(ctx); err != nil {
+		return err
+	}
+	if err := validateUser(user); err != nil {
+		return err
+	}
+	if err := validateFeedURL(feedURL); err != nil {
+		return err
+	}
+	return r.shard(user).unsubscribe(user, feedURL)
+}
+
+// Recommendations implements Deployment: recommendations the user's
+// shard has ready move into that shard's pending ledger, where they keep
+// their ID until accepted or rejected.
+func (r *router) Recommendations(ctx context.Context, user string) ([]Recommendation, error) {
+	if err := r.checkOpen(ctx); err != nil {
+		return nil, err
+	}
+	if err := validateUser(user); err != nil {
+		return nil, err
+	}
+	return r.shard(user).recommendations(user)
+}
+
+// AcceptRecommendation implements Deployment.
+func (r *router) AcceptRecommendation(ctx context.Context, user, id string) error {
+	if err := r.checkOpen(ctx); err != nil {
+		return err
+	}
+	if err := validateUser(user); err != nil {
+		return err
+	}
+	return r.shard(user).acceptRecommendation(user, id)
+}
+
+// RejectRecommendation implements Deployment: the recommendation is
+// dropped and, for feed recommendations, negative feedback reaches the
+// recommender of the user's shard.
+func (r *router) RejectRecommendation(ctx context.Context, user, id string) error {
+	if err := r.checkOpen(ctx); err != nil {
+		return err
+	}
+	if err := validateUser(user); err != nil {
+		return err
+	}
+	return r.shard(user).rejectRecommendation(user, id)
+}
+
+// shardStats snapshots every shard's counters.
+func (r *router) shardStats() []Stats {
+	out := make([]Stats, len(r.shards))
+	for i, e := range r.shards {
+		out[i] = e.stats()
+	}
+	return out
+}
+
+// PollFeeds polls every due feed through each shard's WAIF proxy,
+// pushing new items to that shard's subscribers. It returns feeds
+// polled and items published, summed across shards.
+func (r *router) PollFeeds(ctx context.Context, now time.Time) (polled, published int) {
+	type counts struct{ polled, published int }
+	results, _ := fanOut(len(r.shards), func(i int) (counts, error) {
+		p, pub := r.shards[i].proxy.PollDue(ctx, now)
+		return counts{p, pub}, nil
+	})
+	for _, c := range results {
+		polled += c.polled
+		published += c.published
+	}
+	return polled, published
+}
+
+// Sidebar returns the user's displayed events, oldest first.
+func (r *router) Sidebar(user string) []SidebarItem {
+	bar, ok := r.shard(user).sidebar(user)
+	if !ok {
+		return nil
+	}
+	return toSidebarItems(bar.Items())
+}
+
 // fanOut runs fn for every shard concurrently — shard 0 on the calling
 // goroutine, the rest on their own — and returns the per-shard results.
 // With one shard it is a direct call, so the single-shard fast path pays
@@ -67,40 +561,6 @@ func fanOut[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 		}
 	}
 	return out, nil
-}
-
-// routedReplay builds migration-replay hooks that dispatch each
-// recovered user-addressed operation to the shard its user now hashes
-// to, given every shard's own replay hooks. Deployment-specific ops
-// (clicks, flags) stay unset for the caller to layer on.
-func routedReplay(reps []durableReplay) durableReplay {
-	n := len(reps)
-	at := func(user string) durableReplay { return reps[shardFor(user, n)] }
-	return durableReplay{
-		applySub: func(rec recommend.Recommendation) error { return at(rec.User).applySub(rec) },
-		restorePending: func(user, id string, seq int64, rec recommend.Recommendation) {
-			at(user).restorePending(user, id, seq, rec)
-		},
-		setPendingSeq: func(seq int64) {
-			for i := range reps {
-				reps[i].setPendingSeq(seq)
-			}
-		},
-		takePending: func(user, id string) (recommend.Recommendation, bool) {
-			return at(user).takePending(user, id)
-		},
-		acceptRec: func(user string, rec recommend.Recommendation) error {
-			return at(user).acceptRec(user, rec)
-		},
-		rejectFeedback: func(user, feedURL string, at2 time.Time) {
-			at(user).rejectFeedback(user, feedURL, at2)
-		},
-		registerDelivery: func(user, id string, ds durable.DeliveryState) {
-			at(user).registerDelivery(user, id, ds)
-		},
-		removeDelivery: func(user, id string) { at(user).removeDelivery(user, id) },
-		ackCursor:      func(user, id string, seq int64) { at(user).ackCursor(user, id, seq) },
-	}
 }
 
 // sumFanOut fans a counting operation out to every shard and totals
