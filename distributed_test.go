@@ -45,9 +45,8 @@ func pinPeers(t *testing.T, ctx context.Context, dep *reef.Distributed) string {
 // distributedKeys is the distributed deployment's exact Stats key set, as
 // pinPeers renders it.
 const distributedKeys = "keys=applied_recommendations,broker_canceled,broker_delivered,broker_dropped," +
-	"broker_published,broker_seq_delivered,broker_seq_dropped,broker_seq_subscribes,broker_seq_unsubscribes," +
-	"broker_subscribes,broker_subscriptions,broker_unsubscribes,known_feeds,peers,pending_recommendations," +
-	"proxy_feeds,shards,subscriptions "
+	"broker_published,broker_subscribes,broker_subscriptions,broker_unsubscribes," +
+	"known_feeds,peers,pending_recommendations,proxy_feeds,shards,subscriptions "
 
 // checkPin compares a pinPeers line against its recorded value.
 func checkPin(t *testing.T, what, got, want string) {

@@ -52,16 +52,18 @@ func runCovering(opt A2Options, covering bool) (tableSize int, subsForwarded, ev
 
 	// Each leaf subscribes to the broad feed-item filter (a "give me all
 	// feed items" sidebar) plus narrow per-feed filters that the broad
-	// one covers.
+	// one covers. Only forwarding is counted, so the leaves discard what
+	// they receive.
+	discard := pubsub.WithHandler(func(pubsub.Event) {})
 	for li, leaf := range leaves {
 		if _, err := leaf.Subscribe(eventalg.NewFilter(
 			eventalg.C("type", eventalg.OpEq, eventalg.String(waif.EventAttrType)),
-		)); err != nil {
+		), discard); err != nil {
 			return 0, 0, 0, err
 		}
 		for f := 0; f < opt.FeedsPerLeaf; f++ {
 			feedURL := fmt.Sprintf("http://c%04d.web.test/feeds/%d.xml", li, f)
-			if _, err := leaf.Subscribe(waif.ItemFilter(feedURL)); err != nil {
+			if _, err := leaf.Subscribe(waif.ItemFilter(feedURL), discard); err != nil {
 				return 0, 0, 0, err
 			}
 		}

@@ -14,70 +14,34 @@ import (
 // ErrClosed is returned by operations on a closed broker.
 var ErrClosed = errors.New("pubsub: broker closed")
 
-// DeliveryPolicy selects what a broker does when a subscriber's queue is
-// full.
-type DeliveryPolicy int
-
-// Delivery policies. Start at 1 so the zero value is invalid and defaults
-// are explicit.
-const (
-	// DropNewest discards the incoming event (default): the subscriber
-	// keeps the oldest undelivered events.
-	DropNewest DeliveryPolicy = iota + 1
-	// DropOldest evicts the oldest queued event to admit the new one.
-	DropOldest
-	// Block makes Publish wait until the subscriber drains or the publish
-	// context is canceled. Use only when the subscriber is guaranteed to
-	// consume promptly.
-	Block
-)
-
-// DefaultQueueSize is the per-subscription delivery queue length used when
-// no option overrides it.
+// DefaultQueueSize is the length of a queue subscription's channel.
 const DefaultQueueSize = 64
 
 // SubOption configures a subscription.
 type SubOption func(*subConfig)
 
 type subConfig struct {
-	queueSize int
-	policy    DeliveryPolicy
-	handler   func(Event)
-}
-
-// WithQueueSize sets the delivery queue length (minimum 1).
-func WithQueueSize(n int) SubOption {
-	return func(c *subConfig) {
-		if n > 0 {
-			c.queueSize = n
-		}
-	}
-}
-
-// WithPolicy sets the overflow policy.
-func WithPolicy(p DeliveryPolicy) SubOption {
-	return func(c *subConfig) { c.policy = p }
+	handler func(Event)
 }
 
 // WithHandler makes the subscription deliver by calling fn instead of
 // queueing: every matched event is handed to fn at match time, on the
 // publisher's goroutine, and counts as delivered when fn returns. Such a
-// subscription has no channel (Events returns nil), no queue size and no
-// overflow policy. Calls to fn are serialized, and once Cancel has
-// returned fn is never entered again — Cancel waits out a call in flight —
-// so fn must not block, publish or cancel its own subscription. A nil fn
-// leaves the subscription a queue.
+// subscription has no channel (Events returns nil). Calls to fn are
+// serialized, and once Cancel has returned fn is never entered again —
+// Cancel waits out a call in flight — so fn must not block, publish or
+// cancel its own subscription. A nil fn leaves the subscription a queue.
 func WithHandler(fn func(Event)) SubOption {
 	return func(c *subConfig) { c.handler = fn }
 }
 
 // Subscription is a local content-based subscription: a filter plus
-// either a bounded delivery queue or a handler (see WithHandler).
+// either a handler (see WithHandler) or a queue, a channel of
+// DefaultQueueSize that drops the newest event when full.
 type Subscription struct {
 	id      int64
 	filter  eventalg.Filter
 	ch      chan Event
-	policy  DeliveryPolicy
 	handler func(Event)
 	broker  *Broker
 
@@ -85,14 +49,8 @@ type Subscription struct {
 	// broker. The overlay uses it to withdraw propagated subscriptions.
 	onCancel func()
 
-	// sendMu (capacity 1) serializes Block-policy sends against each
-	// other and against close, without holding mu across a blocking send
-	// — so each waiting publisher stays interruptible by its own context.
-	sendMu chan struct{}
-
 	mu       sync.Mutex
 	canceled bool
-	dropped  int64
 }
 
 // ID returns the broker-local subscription ID.
@@ -105,13 +63,6 @@ func (s *Subscription) Filter() eventalg.Filter { return s.filter }
 // is canceled or the broker shuts down, and nil for a handler
 // subscription.
 func (s *Subscription) Events() <-chan Event { return s.ch }
-
-// Dropped reports how many events were discarded due to queue overflow.
-func (s *Subscription) Dropped() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
 
 // Cancel removes the subscription from its broker and closes the delivery
 // channel. Cancel is idempotent.
@@ -126,21 +77,17 @@ const (
 	// sent: the event is in the subscription's queue, or its handler
 	// returned.
 	sent outcome = iota
-	// overflowed: the queue was full (or a Block send's context ended) and
-	// an event was lost to the overflow policy.
+	// overflowed: the queue was full and the event was dropped.
 	overflowed
 	// canceled: the subscription was canceled between match and delivery;
 	// nobody is left to miss the event.
 	canceled
 )
 
-// deliver hands one event to the handler, or enqueues it under the
-// subscription's overflow policy. The handler runs under mu, which is what
-// makes the canceled check and the call atomic with respect to close.
-func (s *Subscription) deliver(ctx context.Context, ev Event) outcome {
-	if s.policy == Block {
-		return s.deliverBlocking(ctx, ev)
-	}
+// deliver hands one event to the handler, or enqueues it unless the queue
+// is full. Both run under mu, which is what makes the canceled check and
+// the call or send atomic with respect to close.
+func (s *Subscription) deliver(ev Event) outcome {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.canceled {
@@ -150,116 +97,22 @@ func (s *Subscription) deliver(ctx context.Context, ev Event) outcome {
 		s.handler(ev)
 		return sent
 	}
-	switch s.policy {
-	case DropOldest:
-		for {
-			select {
-			case s.ch <- ev:
-				return sent
-			default:
-				select {
-				case <-s.ch:
-					s.dropped++
-				default:
-				}
-			}
-		}
-	default: // DropNewest
-		select {
-		case s.ch <- ev:
-			return sent
-		default:
-			s.dropped++
-			return overflowed
-		}
-	}
-}
-
-// deliverBlocking sends under the Block policy. A blocked send never
-// holds mu, so each waiting publisher is bounded by its own context;
-// sendMu keeps close from racing a blocked send (closing s.ch mid-send
-// would panic). As before, Cancel waits for an in-flight blocked send to
-// finish or be canceled.
-func (s *Subscription) deliverBlocking(ctx context.Context, ev Event) outcome {
-	drop := func() outcome {
-		s.mu.Lock()
-		s.dropped++
-		s.mu.Unlock()
-		return overflowed
-	}
-	select {
-	case s.sendMu <- struct{}{}:
-	case <-ctx.Done():
-		return drop()
-	}
-	defer func() { <-s.sendMu }()
-	s.mu.Lock()
-	gone := s.canceled
-	s.mu.Unlock()
-	if gone {
-		return canceled
-	}
 	select {
 	case s.ch <- ev:
 		return sent
-	case <-ctx.Done():
-		return drop()
+	default:
+		return overflowed
 	}
 }
 
 func (s *Subscription) close() {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.canceled {
-		s.mu.Unlock()
 		return
 	}
 	s.canceled = true
-	policy := s.policy
-	s.mu.Unlock()
-	if policy == Block {
-		// Wait out any in-flight blocked send before closing the channel.
-		s.sendMu <- struct{}{}
-		defer func() { <-s.sendMu }()
-	}
 	if s.ch != nil {
-		close(s.ch)
-	}
-}
-
-// SequenceSubscription is a stateful multi-event subscription (paper §5.3,
-// Cayuga-style). Completed sequences arrive on Matches.
-type SequenceSubscription struct {
-	id      int64
-	seq     eventalg.Sequence
-	matcher *eventalg.SequenceMatcher
-	ch      chan eventalg.SequenceMatch
-	broker  *Broker
-
-	mu       sync.Mutex
-	canceled bool
-	dropped  int64
-}
-
-// Matches returns the channel of completed sequence instances.
-func (s *SequenceSubscription) Matches() <-chan eventalg.SequenceMatch { return s.ch }
-
-// Dropped reports discarded matches due to queue overflow.
-func (s *SequenceSubscription) Dropped() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
-
-// Cancel removes the sequence subscription. Idempotent.
-func (s *SequenceSubscription) Cancel() {
-	s.broker.unsubscribeSequence(s)
-}
-
-func (s *SequenceSubscription) close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.canceled {
-		s.canceled = true
 		close(s.ch)
 	}
 }
@@ -277,7 +130,6 @@ type Broker struct {
 	closed bool
 	index  *Index
 	subs   map[int64]*Subscription
-	seqs   map[int64]*SequenceSubscription
 	reg    *metrics.Registry
 
 	// Counters and the gauge, resolved once at construction so neither a
@@ -285,17 +137,13 @@ type Broker struct {
 	// locked map lookup. dropped counts events lost to a full queue;
 	// canceled counts deliveries skipped because the subscription was
 	// canceled after the match.
-	published       *metrics.Counter
-	delivered       *metrics.Counter
-	dropped         *metrics.Counter
-	canceled        *metrics.Counter
-	seqDelivered    *metrics.Counter
-	seqDropped      *metrics.Counter
-	subscribes      *metrics.Counter
-	unsubscribes    *metrics.Counter
-	seqSubscribes   *metrics.Counter
-	seqUnsubscribes *metrics.Counter
-	subscriptions   *metrics.Gauge
+	published     *metrics.Counter
+	delivered     *metrics.Counter
+	dropped       *metrics.Counter
+	canceled      *metrics.Counter
+	subscribes    *metrics.Counter
+	unsubscribes  *metrics.Counter
+	subscriptions *metrics.Gauge
 }
 
 // NewBroker creates a broker. A nil clock defaults to the real clock.
@@ -308,32 +156,26 @@ func NewBroker(name string, clock simclock.Clock) *Broker {
 		clock: clock,
 		index: NewIndex(),
 		subs:  make(map[int64]*Subscription),
-		seqs:  make(map[int64]*SequenceSubscription),
 		reg:   metrics.NewRegistry(),
 	}
 	b.published = b.reg.Counter("published")
 	b.delivered = b.reg.Counter("delivered")
 	b.dropped = b.reg.Counter("dropped")
 	b.canceled = b.reg.Counter("canceled")
-	b.seqDelivered = b.reg.Counter("seq_delivered")
-	b.seqDropped = b.reg.Counter("seq_dropped")
 	b.subscribes = b.reg.Counter("subscribes")
 	b.unsubscribes = b.reg.Counter("unsubscribes")
-	b.seqSubscribes = b.reg.Counter("seq_subscribes")
-	b.seqUnsubscribes = b.reg.Counter("seq_unsubscribes")
 	b.subscriptions = b.reg.Gauge("subscriptions")
 	return b
 }
 
 // publishScratch holds the per-publish match state so the steady-state
 // publish path does not allocate. The ids buffer feeds MatchAppend; the
-// targets/seqs slices are cleared before pooling so they do not pin
-// canceled subscriptions. off carries per-event target offsets for
-// PublishBatch (off[i]..off[i+1] index into targets).
+// targets slice is cleared before pooling so it does not pin canceled
+// subscriptions. off carries per-event target offsets (off[i]..off[i+1]
+// index into targets).
 type publishScratch struct {
 	ids     []int64
 	targets []*Subscription
-	seqs    []*SequenceSubscription
 	off     []int
 }
 
@@ -343,8 +185,6 @@ func (ps *publishScratch) release() {
 	ps.ids = ps.ids[:0]
 	clear(ps.targets)
 	ps.targets = ps.targets[:0]
-	clear(ps.seqs)
-	ps.seqs = ps.seqs[:0]
 	ps.off = ps.off[:0]
 	pubScratchPool.Put(ps)
 }
@@ -357,7 +197,7 @@ func (b *Broker) Metrics() *metrics.Registry { return b.reg }
 
 // Subscribe registers a filter and returns the subscription handle.
 func (b *Broker) Subscribe(f eventalg.Filter, opts ...SubOption) (*Subscription, error) {
-	cfg := subConfig{queueSize: DefaultQueueSize, policy: DropNewest}
+	var cfg subConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -369,39 +209,11 @@ func (b *Broker) Subscribe(f eventalg.Filter, opts ...SubOption) (*Subscription,
 	id := b.index.Add(f)
 	sub := &Subscription{id: id, filter: f, broker: b, handler: cfg.handler}
 	if sub.handler == nil {
-		sub.ch = make(chan Event, cfg.queueSize)
-		sub.policy = cfg.policy
-		sub.sendMu = make(chan struct{}, 1)
+		sub.ch = make(chan Event, DefaultQueueSize)
 	}
 	b.subs[id] = sub
 	b.subscribes.Inc()
 	b.subscriptions.Set(int64(len(b.subs)))
-	return sub, nil
-}
-
-// SubscribeSequence registers a stateful sequence subscription.
-func (b *Broker) SubscribeSequence(seq eventalg.Sequence, opts ...SubOption) (*SequenceSubscription, error) {
-	cfg := subConfig{queueSize: DefaultQueueSize, policy: DropNewest}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return nil, ErrClosed
-	}
-	// Sequence IDs come from the same monotonic counter as filter IDs, so
-	// allocation is O(1) and the two kinds share one namespace.
-	id := b.index.ReserveID()
-	sub := &SequenceSubscription{
-		id:      id,
-		seq:     seq,
-		matcher: eventalg.NewSequenceMatcher(seq),
-		ch:      make(chan eventalg.SequenceMatch, cfg.queueSize),
-		broker:  b,
-	}
-	b.seqs[id] = sub
-	b.seqSubscribes.Inc()
 	return sub, nil
 }
 
@@ -421,96 +233,20 @@ func (b *Broker) unsubscribe(s *Subscription) {
 	}
 }
 
-// Filters returns the distinct filters of all live local subscriptions.
-func (b *Broker) Filters() []eventalg.Filter {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	seen := make(map[string]struct{}, len(b.subs))
-	out := make([]eventalg.Filter, 0, len(b.subs))
-	for _, s := range b.subs {
-		key := s.filter.Canonical()
-		if _, ok := seen[key]; ok {
-			continue
-		}
-		seen[key] = struct{}{}
-		out = append(out, s.filter)
-	}
-	return out
-}
-
-func (b *Broker) unsubscribeSequence(s *SequenceSubscription) {
-	b.mu.Lock()
-	if _, ok := b.seqs[s.id]; ok {
-		delete(b.seqs, s.id)
-		b.seqUnsubscribes.Inc()
-	}
-	b.mu.Unlock()
-	s.close()
-}
-
-// Publish assigns the event an ID and timestamp (if unset) and delivers it
-// to every matching local subscriber. It returns the number of successful
-// local deliveries. The context bounds blocking deliveries (Block policy):
-// when it is canceled mid-publish, remaining deliveries are abandoned and
-// ctx.Err() is returned alongside the count so far.
-//
-// Publish only read-locks the broker, so any number of publishers match
-// concurrently; per-subscription delivery serializes on each
-// subscription's own mutex.
+// Publish is PublishBatch of the one event.
 func (b *Broker) Publish(ctx context.Context, ev Event) (int, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if ev.ID == 0 {
-		ev.ID = nextEventID()
-	}
-	if ev.Published.IsZero() {
-		ev.Published = b.clock.Now()
-	}
-
-	ps := pubScratchPool.Get().(*publishScratch)
-	b.mu.RLock()
-	if b.closed {
-		b.mu.RUnlock()
-		ps.release()
-		return 0, ErrClosed
-	}
-	ps.ids = b.index.MatchAppend(ev.Attrs, ps.ids[:0])
-	for _, id := range ps.ids {
-		if s, ok := b.subs[id]; ok {
-			ps.targets = append(ps.targets, s)
-		}
-	}
-	for _, s := range b.seqs {
-		ps.seqs = append(ps.seqs, s)
-	}
-	b.mu.RUnlock()
-	b.published.Inc()
-
-	delivered := 0
-	for _, s := range ps.targets {
-		if b.deliver(ctx, s, ev) {
-			delivered++
-		}
-		if err := ctx.Err(); err != nil {
-			ps.release()
-			return delivered, err
-		}
-	}
-	for _, s := range ps.seqs {
-		b.feedSequence(s, ev)
-	}
-	ps.release()
-	return delivered, nil
+	return b.PublishBatchCounts(ctx, []Event{ev}, nil)
 }
 
-// PublishBatch publishes a batch of events, amortizing lock acquisition
-// and index probes across the batch: all events are matched under a single
-// read lock, then delivered outside it. Missing IDs and timestamps are
-// assigned in place, so the caller's slice carries them afterward. It
-// returns the total number of successful local deliveries; a canceled
-// context abandons the remaining deliveries and returns the count so far
-// with ctx.Err(), exactly like Publish.
+// PublishBatch assigns each event an ID and timestamp (if unset), in
+// place, so the caller's slice carries them afterward, and delivers it to
+// every matching local subscriber. All events are matched under a single
+// read lock, then delivered in order outside it; any number of publishers
+// match concurrently, and per-subscription delivery serializes on each
+// subscription's own mutex. It returns the total number of successful
+// local deliveries. The context is checked after every delivery: once it
+// is canceled, the remaining deliveries are abandoned and ctx.Err() is
+// returned alongside the count so far.
 func (b *Broker) PublishBatch(ctx context.Context, evs []Event) (int, error) {
 	return b.PublishBatchCounts(ctx, evs, nil)
 }
@@ -553,16 +289,13 @@ func (b *Broker) PublishBatchCounts(ctx context.Context, evs []Event, counts []i
 		}
 		ps.off = append(ps.off, len(ps.targets))
 	}
-	for _, s := range b.seqs {
-		ps.seqs = append(ps.seqs, s)
-	}
 	b.mu.RUnlock()
 	b.published.Add(int64(len(evs)))
 
 	delivered := 0
 	for i := range evs {
 		for _, s := range ps.targets[ps.off[i]:ps.off[i+1]] {
-			if b.deliver(ctx, s, evs[i]) {
+			if b.deliver(s, evs[i]) {
 				delivered++
 				if counts != nil {
 					counts[i]++
@@ -573,9 +306,6 @@ func (b *Broker) PublishBatchCounts(ctx context.Context, evs []Event, counts []i
 				return delivered, err
 			}
 		}
-		for _, s := range ps.seqs {
-			b.feedSequence(s, evs[i])
-		}
 	}
 	ps.release()
 	return delivered, nil
@@ -583,8 +313,8 @@ func (b *Broker) PublishBatchCounts(ctx context.Context, evs []Event, counts []i
 
 // deliver hands one matched event to one subscription and counts what
 // became of it; it reports whether the event reached the queue or handler.
-func (b *Broker) deliver(ctx context.Context, s *Subscription, ev Event) bool {
-	switch s.deliver(ctx, ev) {
+func (b *Broker) deliver(s *Subscription, ev Event) bool {
+	switch s.deliver(ev) {
 	case sent:
 		b.delivered.Inc()
 		return true
@@ -594,42 +324,6 @@ func (b *Broker) deliver(ctx context.Context, s *Subscription, ev Event) bool {
 		b.canceled.Inc()
 	}
 	return false
-}
-
-// feedSequence advances one sequence matcher with the event. Matcher state
-// is guarded by the subscription's own mutex so concurrent Publish calls
-// serialize per sequence, not per broker.
-func (b *Broker) feedSequence(s *SequenceSubscription, ev Event) {
-	s.mu.Lock()
-	if s.canceled {
-		s.mu.Unlock()
-		return
-	}
-	matches := s.matcher.Feed(ev.Published, ev.Attrs)
-	var droppedNow int
-	for _, m := range matches {
-		select {
-		case s.ch <- m:
-		default:
-			s.dropped++
-			droppedNow++
-		}
-	}
-	s.mu.Unlock()
-	if droppedNow > 0 {
-		b.seqDropped.Add(int64(droppedNow))
-	}
-	if n := len(matches) - droppedNow; n > 0 {
-		b.seqDelivered.Add(int64(n))
-	}
-}
-
-// MatchCount returns how many local subscriptions the tuple would match,
-// without delivering anything. Used by experiments to probe routing tables.
-func (b *Broker) MatchCount(t eventalg.Tuple) int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.index.Match(t))
 }
 
 // NumSubscriptions returns the number of live local subscriptions.
@@ -647,22 +341,11 @@ func (b *Broker) Close() {
 		return
 	}
 	b.closed = true
-	subs := make([]*Subscription, 0, len(b.subs))
-	for _, s := range b.subs {
-		subs = append(subs, s)
-	}
-	seqs := make([]*SequenceSubscription, 0, len(b.seqs))
-	for _, s := range b.seqs {
-		seqs = append(seqs, s)
-	}
+	subs := b.subs
 	b.subs = map[int64]*Subscription{}
-	b.seqs = map[int64]*SequenceSubscription{}
 	b.mu.Unlock()
 
 	for _, s := range subs {
-		s.close()
-	}
-	for _, s := range seqs {
 		s.close()
 	}
 }

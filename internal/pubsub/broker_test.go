@@ -89,33 +89,80 @@ func TestBrokerOnCancelHook(t *testing.T) {
 	}
 }
 
-func TestBrokerDropNewest(t *testing.T) {
+// TestBrokerQueueSubscription pins the queue form of a subscription: a
+// channel of DefaultQueueSize that keeps the oldest events and counts each
+// newer one it cannot take in the broker's dropped counter, while a handler
+// subscription on the same broker sees every event and drops none; Cancel
+// and Close both close the channel.
+func TestBrokerQueueSubscription(t *testing.T) {
 	b := NewBroker("b1", nil)
 	defer b.Close()
-	sub, _ := b.Subscribe(TopicFilter("t"), WithQueueSize(2), WithPolicy(DropNewest))
-	for i := 0; i < 5; i++ {
-		b.Publish(context.Background(), testEvent("t"))
+	queued, err := b.Subscribe(TopicFilter("t"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := sub.Dropped(); got != 3 {
-		t.Errorf("Dropped = %d, want 3", got)
+	if got := cap(queued.Events()); got != DefaultQueueSize {
+		t.Fatalf("cap(Events()) = %d, want %d", got, DefaultQueueSize)
 	}
-	// The two oldest events survive.
-	if len(sub.Events()) != 2 {
-		t.Errorf("queued = %d, want 2", len(sub.Events()))
+	handled := 0
+	if _, err := b.Subscribe(TopicFilter("t"), WithHandler(func(Event) { handled++ })); err != nil {
+		t.Fatal(err)
+	}
+	evs := make([]Event, DefaultQueueSize+3)
+	for i := range evs {
+		evs[i] = testEvent("t")
+	}
+	n, err := b.PublishBatch(context.Background(), evs)
+	if err != nil || n != DefaultQueueSize+len(evs) {
+		t.Fatalf("PublishBatch = (%d, %v), want %d queued and %d handled", n, err, DefaultQueueSize, len(evs))
+	}
+	if handled != len(evs) {
+		t.Errorf("handler saw %d of %d events", handled, len(evs))
+	}
+	if got := b.Metrics().Snapshot()["dropped"]; got != 3 {
+		t.Errorf("dropped = %v, want 3", got)
+	}
+	queued.Cancel()
+	var ids []uint64
+	for len(queued.Events()) > 0 {
+		ids = append(ids, (<-queued.Events()).ID)
+	}
+	if len(ids) != DefaultQueueSize || ids[0] != evs[0].ID || ids[len(ids)-1] != evs[DefaultQueueSize-1].ID {
+		t.Errorf("queue kept %d events, want the oldest %d", len(ids), DefaultQueueSize)
+	}
+	assertClosed(t, "Cancel", queued.Events())
+
+	open, _ := b.Subscribe(TopicFilter("t"))
+	b.Close()
+	assertClosed(t, "broker Close", open.Events())
+}
+
+// assertClosed fails unless ch is drained and closed.
+func assertClosed(t *testing.T, after string, ch <-chan Event) {
+	t.Helper()
+	select {
+	case _, ok := <-ch:
+		if ok {
+			t.Errorf("event left in the channel after %s", after)
+		}
+	default:
+		t.Errorf("channel not closed after %s", after)
 	}
 }
 
 // TestBrokerHandler pins the handler contract: it runs on the publisher's
 // goroutine, so every matched event has reached it, in publish order, when
-// Publish returns; each call counts as a delivery; and the subscription
-// has no channel and nothing to overflow.
+// Publish returns; each call counts as a delivery, attributed to its event
+// beside a queue subscription's; and the subscription has no channel.
 func TestBrokerHandler(t *testing.T) {
 	b := NewBroker("b1", nil)
 	defer b.Close()
 	var handled []uint64
-	sub, _ := b.Subscribe(TopicFilter("t"), WithQueueSize(1), WithPolicy(Block),
-		WithHandler(func(ev Event) { handled = append(handled, ev.ID) }))
-	queued, _ := b.Subscribe(TopicFilter("t"), WithQueueSize(1))
+	sub, _ := b.Subscribe(TopicFilter("t"), WithHandler(func(ev Event) { handled = append(handled, ev.ID) }))
+	queued, err := b.Subscribe(TopicFilter("t"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if sub.Events() != nil {
 		t.Error("a handler subscription has a channel")
 	}
@@ -124,11 +171,13 @@ func TestBrokerHandler(t *testing.T) {
 		evs[i] = testEvent("t")
 	}
 	counts := make([]int, len(evs))
-	if n, err := b.PublishBatchCounts(context.Background(), evs, counts); err != nil || n != len(evs)+1 {
-		t.Fatalf("PublishBatchCounts = (%d, %v), want %d handler calls and one queue send", n, err, len(evs))
+	if n, err := b.PublishBatchCounts(context.Background(), evs, counts); err != nil || n != 2*len(evs) {
+		t.Fatalf("PublishBatchCounts = (%d, %v), want %d handler calls and as many queue sends", n, err, len(evs))
 	}
-	if counts[0] != 2 || counts[1] != 1 {
-		t.Errorf("counts = %v, want the handler counted for every event", counts)
+	for i, c := range counts {
+		if c != 2 {
+			t.Fatalf("counts[%d] = %d, want the handler and the queue counted for every event", i, c)
+		}
 	}
 	if len(handled) != len(evs) {
 		t.Fatalf("handler saw %d of %d events", len(handled), len(evs))
@@ -138,11 +187,9 @@ func TestBrokerHandler(t *testing.T) {
 			t.Fatalf("handler order %v, want publish order", handled)
 		}
 	}
-	if sub.Dropped() != 0 || queued.Dropped() != 7 {
-		t.Errorf("Dropped: handler %d, queue %d; want 0, 7", sub.Dropped(), queued.Dropped())
-	}
 	b.Publish(context.Background(), testEvent("other"))
 	sub.Cancel()
+	queued.Cancel()
 	if n, _ := b.Publish(context.Background(), testEvent("t")); n != 0 || len(handled) != len(evs) {
 		t.Errorf("after Cancel: %d deliveries, handler saw %d; want 0, %d", n, len(handled), len(evs))
 	}
@@ -239,164 +286,54 @@ func TestBrokerHandlerNotEnteredAfterCancel(t *testing.T) {
 }
 
 // TestBrokerCanceledIsNotDropped pins the split of the two reasons a
-// matched event does not reach a queue: dropped is an event lost to a full
-// queue, canceled a delivery to a subscription that went away after the
-// match and that nobody misses.
+// matched event does not reach a subscriber: dropped is an event lost to a
+// full queue, canceled a delivery to a subscription that went away after
+// the match and that nobody misses.
 func TestBrokerCanceledIsNotDropped(t *testing.T) {
 	b := NewBroker("b1", nil)
 	defer b.Close()
-	ctx := context.Background()
-	full, _ := b.Subscribe(TopicFilter("t"), WithQueueSize(1))
-	gone, _ := b.Subscribe(TopicFilter("t"))
-	blocked, _ := b.Subscribe(TopicFilter("t"), WithPolicy(Block))
-	b.Publish(ctx, testEvent("t"))
-	b.Publish(ctx, testEvent("t")) // overflows full
+	if _, err := b.Subscribe(TopicFilter("t")); err != nil {
+		t.Fatal(err)
+	}
+	evs := make([]Event, DefaultQueueSize+1)
+	for i := range evs {
+		evs[i] = testEvent("t")
+	}
+	b.PublishBatch(context.Background(), evs) // the last one overflows
 	// A publisher that matched before the cancel delivers after it.
-	gone.Cancel()
-	blocked.Cancel()
-	for _, s := range []*Subscription{gone, blocked} {
-		if b.deliver(ctx, s, testEvent("t")) {
+	gone, _ := b.Subscribe(TopicFilter("t"))
+	handler, _ := b.Subscribe(TopicFilter("t"), WithHandler(func(Event) {}))
+	for _, s := range []*Subscription{gone, handler} {
+		s.Cancel()
+		if b.deliver(s, testEvent("t")) {
 			t.Fatal("delivered to a canceled subscription")
 		}
 	}
 	snap := b.Metrics().Snapshot()
-	if snap["dropped"] != 1 || snap["canceled"] != 2 || snap["delivered"] != 5 {
-		t.Errorf("dropped = %v, canceled = %v, delivered = %v; want 1, 2, 5",
-			snap["dropped"], snap["canceled"], snap["delivered"])
-	}
-	if full.Dropped() != 1 || gone.Dropped() != 0 {
-		t.Errorf("Dropped: full %d, gone %d; want 1, 0", full.Dropped(), gone.Dropped())
+	if snap["dropped"] != 1 || snap["canceled"] != 2 || snap["delivered"] != DefaultQueueSize {
+		t.Errorf("dropped = %v, canceled = %v, delivered = %v; want 1, 2, %d",
+			snap["dropped"], snap["canceled"], snap["delivered"], DefaultQueueSize)
 	}
 }
 
-func TestBrokerDropOldest(t *testing.T) {
-	clock := simclock.NewVirtual(time.Unix(1000, 0))
-	b := NewBroker("b1", clock)
-	defer b.Close()
-	sub, _ := b.Subscribe(TopicFilter("t"), WithQueueSize(2), WithPolicy(DropOldest))
-	var lastID uint64
-	for i := 0; i < 5; i++ {
-		ev := testEvent("t")
-		b.Publish(context.Background(), ev)
-	}
-	if got := sub.Dropped(); got != 3 {
-		t.Errorf("Dropped = %d, want 3", got)
-	}
-	// Drain: the newest two events should be there.
-	var ids []uint64
-	for len(sub.Events()) > 0 {
-		ev := <-sub.Events()
-		ids = append(ids, ev.ID)
-	}
-	if len(ids) != 2 {
-		t.Fatalf("drained %d events, want 2", len(ids))
-	}
-	if ids[0] >= ids[1] {
-		t.Errorf("events out of order: %v", ids)
-	}
-	_ = lastID
-}
-
-func TestBrokerBlockPolicy(t *testing.T) {
+// TestBrokerPublishContext pins what the context bounds: a canceled one
+// refuses the publish outright, and one canceled mid-fan-out abandons the
+// remaining deliveries and returns the count so far.
+func TestBrokerPublishContext(t *testing.T) {
 	b := NewBroker("b1", nil)
 	defer b.Close()
-	sub, _ := b.Subscribe(TopicFilter("t"), WithQueueSize(1), WithPolicy(Block))
-	b.Publish(context.Background(), testEvent("t")) // fills the queue
-
-	done := make(chan struct{})
-	go func() {
-		b.Publish(context.Background(), testEvent("t")) // must block until drained
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("blocking publish returned with full queue")
-	case <-time.After(20 * time.Millisecond):
-	}
-	<-sub.Events()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("blocking publish did not resume after drain")
-	}
-}
-
-func TestBrokerBlockPolicyCancellation(t *testing.T) {
-	b := NewBroker("b1", nil)
-	defer b.Close()
-	sub, _ := b.Subscribe(TopicFilter("t"), WithQueueSize(1), WithPolicy(Block))
-	b.Publish(context.Background(), testEvent("t")) // fills the queue
-
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := b.Publish(ctx, testEvent("t")) // blocks: subscriber is stuck
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		t.Fatalf("blocking publish returned early: %v", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-	cancel()
-	select {
-	case err := <-done:
-		if err != context.Canceled {
-			t.Errorf("canceled publish err = %v", err)
+	defer cancel()
+	for i := 0; i < 3; i++ {
+		if _, err := b.Subscribe(TopicFilter("t"), WithHandler(func(Event) { cancel() })); err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("canceled publish still blocked")
 	}
-	if sub.Dropped() != 1 {
-		t.Errorf("dropped = %d, want 1", sub.Dropped())
+	if n, err := b.Publish(ctx, testEvent("t")); n != 1 || err != context.Canceled {
+		t.Errorf("Publish canceled by the first delivery = (%d, %v), want (1, %v)", n, err, context.Canceled)
 	}
-
-	// A pre-canceled context refuses the publish outright.
-	if _, err := b.Publish(ctx, testEvent("t")); err != context.Canceled {
-		t.Errorf("pre-canceled publish err = %v", err)
-	}
-}
-
-// TestBrokerBlockConcurrentPublisherCancellation pins that a second
-// publisher waiting behind a stuck blocking send is freed by its own
-// context, even though the first publisher (Background context) stays
-// blocked.
-func TestBrokerBlockConcurrentPublisherCancellation(t *testing.T) {
-	b := NewBroker("b1", nil)
-	defer b.Close()
-	sub, _ := b.Subscribe(TopicFilter("t"), WithQueueSize(1), WithPolicy(Block))
-	b.Publish(context.Background(), testEvent("t")) // fills the queue
-
-	first := make(chan struct{})
-	go func() {
-		b.Publish(context.Background(), testEvent("t")) // sticks until drain
-		close(first)
-	}()
-	time.Sleep(20 * time.Millisecond) // let the first publisher block
-
-	ctx, cancel := context.WithCancel(context.Background())
-	second := make(chan error, 1)
-	go func() {
-		_, err := b.Publish(ctx, testEvent("t"))
-		second <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-second:
-		if err != context.Canceled {
-			t.Errorf("second publisher err = %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("second publisher not freed by its own context")
-	}
-
-	// Draining frees the first publisher; nothing deadlocked.
-	<-sub.Events()
-	select {
-	case <-first:
-	case <-time.After(2 * time.Second):
-		t.Fatal("first publisher did not resume after drain")
+	if n, err := b.PublishBatch(ctx, []Event{testEvent("t")}); n != 0 || err != context.Canceled {
+		t.Errorf("PublishBatch with a canceled context = (%d, %v), want (0, %v)", n, err, context.Canceled)
 	}
 }
 
@@ -430,55 +367,6 @@ func TestBrokerVirtualClockTimestamps(t *testing.T) {
 	}
 }
 
-func TestBrokerSequenceSubscription(t *testing.T) {
-	clock := simclock.NewVirtual(time.Unix(0, 0))
-	b := NewBroker("b1", clock)
-	defer b.Close()
-	seq := eventalg.NewSequence(time.Minute,
-		eventalg.MustParse(`topic = login`),
-		eventalg.MustParse(`topic = buy`),
-	)
-	ss, err := b.SubscribeSequence(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Publish(context.Background(), testEvent("login"))
-	clock.Advance(10 * time.Second)
-	b.Publish(context.Background(), testEvent("buy"))
-	select {
-	case m := <-ss.Matches():
-		if len(m.Tuples) != 2 {
-			t.Errorf("match tuples = %d", len(m.Tuples))
-		}
-	default:
-		t.Fatal("sequence did not complete")
-	}
-	ss.Cancel()
-	ss.Cancel()
-	if _, ok := <-ss.Matches(); ok {
-		t.Error("Matches not closed after Cancel")
-	}
-}
-
-func TestBrokerSequenceWindowExpiresAcrossPublishes(t *testing.T) {
-	clock := simclock.NewVirtual(time.Unix(0, 0))
-	b := NewBroker("b1", clock)
-	defer b.Close()
-	seq := eventalg.NewSequence(time.Minute,
-		eventalg.MustParse(`topic = login`),
-		eventalg.MustParse(`topic = buy`),
-	)
-	ss, _ := b.SubscribeSequence(seq)
-	b.Publish(context.Background(), testEvent("login"))
-	clock.Advance(2 * time.Minute)
-	b.Publish(context.Background(), testEvent("buy"))
-	select {
-	case <-ss.Matches():
-		t.Fatal("expired chain completed")
-	default:
-	}
-}
-
 func TestBrokerMetrics(t *testing.T) {
 	b := NewBroker("b1", nil)
 	defer b.Close()
@@ -495,29 +383,24 @@ func TestBrokerMetrics(t *testing.T) {
 	if snap["subscriptions"] != 1 {
 		t.Errorf("subscriptions gauge = %v", snap["subscriptions"])
 	}
-	seq, _ := b.SubscribeSequence(eventalg.Sequence{})
-	seq.Cancel()
 	sub.Cancel()
 	snap = b.Metrics().Snapshot()
 	if snap["subscriptions"] != 0 {
 		t.Errorf("subscriptions gauge after cancel = %v", snap["subscriptions"])
 	}
-	for _, name := range []string{"subscribes", "unsubscribes", "seq_subscribes", "seq_unsubscribes"} {
+	for _, name := range []string{"subscribes", "unsubscribes"} {
 		if snap[name] != 1 {
 			t.Errorf("%s = %v, want 1", name, snap[name])
 		}
 	}
-}
-
-func TestBrokerFilters(t *testing.T) {
-	b := NewBroker("b1", nil)
-	defer b.Close()
-	b.Subscribe(TopicFilter("a"))
-	b.Subscribe(TopicFilter("a")) // duplicate filter
-	b.Subscribe(TopicFilter("b"))
-	fs := b.Filters()
-	if len(fs) != 2 {
-		t.Errorf("Filters() returned %d, want 2 distinct", len(fs))
+	want := []string{"canceled", "delivered", "dropped", "published", "subscribes", "subscriptions", "unsubscribes"}
+	if len(snap) != len(want) {
+		t.Errorf("metrics %v, want exactly %v", snap, want)
+	}
+	for _, name := range want {
+		if _, ok := snap[name]; !ok {
+			t.Errorf("metric %s missing", name)
+		}
 	}
 }
 
@@ -539,7 +422,7 @@ func TestBrokerConcurrentPublishSubscribe(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				s, err := b.Subscribe(TopicFilter("t"), WithQueueSize(4))
+				s, err := b.Subscribe(TopicFilter("t"))
 				if err != nil {
 					t.Error(err)
 					return
@@ -555,9 +438,9 @@ func TestBrokerConcurrentPublishSubscribe(t *testing.T) {
 }
 
 // TestBrokerConcurrentChurn hammers every broker entry point at once —
-// Publish, PublishBatch, Subscribe/Cancel, SubscribeSequence/Cancel and
-// the read-side probes — so the race detector exercises the RWMutex fast
-// path and the pooled match state under real contention.
+// Publish, PublishBatch, Subscribe/Cancel, the read-side probe and, last,
+// Close — so the race detector exercises the RWMutex fast path and the
+// pooled match state under real contention.
 func TestBrokerConcurrentChurn(t *testing.T) {
 	b := NewBroker("churn", nil)
 	defer b.Close()
@@ -596,9 +479,7 @@ func TestBrokerConcurrentChurn(t *testing.T) {
 				return
 			default:
 			}
-			b.MatchCount(eventalg.Tuple{"topic": eventalg.String("t")})
 			b.NumSubscriptions()
-			b.Filters()
 		}
 	}()
 
@@ -608,7 +489,11 @@ func TestBrokerConcurrentChurn(t *testing.T) {
 		go func() {
 			defer churn.Done()
 			for i := 0; i < 150; i++ {
-				sub, err := b.Subscribe(TopicFilter("t"), WithQueueSize(2))
+				var opts []SubOption
+				if i%2 == 1 {
+					opts = append(opts, WithHandler(func(Event) {}))
+				}
+				sub, err := b.Subscribe(TopicFilter("t"), opts...)
 				if err != nil {
 					t.Error(err)
 					return
@@ -618,25 +503,19 @@ func TestBrokerConcurrentChurn(t *testing.T) {
 				default:
 				}
 				sub.Cancel()
-				if i%10 == 0 {
-					seq, err := b.SubscribeSequence(eventalg.NewSequence(time.Minute,
-						eventalg.MustParse(`topic = t`),
-						eventalg.MustParse(`topic = u`)))
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					seq.Cancel()
-				}
 			}
 		}()
 	}
 	churn.Wait()
+	if b.NumSubscriptions() != 0 {
+		t.Errorf("NumSubscriptions = %d after the churn", b.NumSubscriptions())
+	}
+	// Close lands while the publishers are still in flight; they stop on
+	// ErrClosed.
+	b.Subscribe(TopicFilter("t"))
+	b.Close()
 	close(stop)
 	wg.Wait()
-	if b.NumSubscriptions() != 0 {
-		t.Errorf("NumSubscriptions = %d at end", b.NumSubscriptions())
-	}
 }
 
 // TestBrokerPublishBatch checks the batched path delivers like N singles
@@ -644,7 +523,7 @@ func TestBrokerConcurrentChurn(t *testing.T) {
 func TestBrokerPublishBatch(t *testing.T) {
 	b := NewBroker("b1", nil)
 	defer b.Close()
-	sub, err := b.Subscribe(TopicFilter("t"), WithQueueSize(8))
+	sub, err := b.Subscribe(TopicFilter("t"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -673,16 +552,5 @@ func TestBrokerPublishBatch(t *testing.T) {
 	b.Close()
 	if _, err := b.PublishBatch(context.Background(), []Event{testEvent("t")}); err != ErrClosed {
 		t.Errorf("batch after close = %v, want ErrClosed", err)
-	}
-}
-
-func TestBrokerMatchCount(t *testing.T) {
-	b := NewBroker("b1", nil)
-	defer b.Close()
-	b.Subscribe(TopicFilter("t"))
-	b.Subscribe(eventalg.NewFilter())
-	got := b.MatchCount(eventalg.Tuple{"topic": eventalg.String("t")})
-	if got != 2 {
-		t.Errorf("MatchCount = %d, want 2", got)
 	}
 }

@@ -5,10 +5,10 @@
 //   - Index: an access-predicate matcher that files each conjunctive
 //     filter under its most selective equality and evaluates an event
 //     against only the filters filed under its own attribute values.
-//   - Broker: a single matching engine with local subscribers — each
-//     either a bounded delivery queue read from a channel, or a handler
-//     called at match time on the publisher's goroutine (WithHandler) —
-//     and sequence (multi-event) subscriptions.
+//   - Broker: a single matching engine with local subscribers, each a
+//     handler called at match time on the publisher's goroutine
+//     (WithHandler) or, without one, a fixed-size queue read from a
+//     channel.
 //   - Overlay: a network of broker nodes connected by links, with
 //     reverse-path content-based routing and covering-based subscription
 //     propagation, simulated with one goroutine per node.

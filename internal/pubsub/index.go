@@ -12,9 +12,9 @@ import "reef/internal/eventalg"
 // such equality wait on a per-attribute scan list.
 //
 // Concurrency: Match and MatchAppend only read the index and are safe to
-// call from any number of goroutines at once. Add, Remove and ReserveID
-// mutate it and must be writer-exclusive — callers (Broker) hold a write
-// lock around them and a read lock around matching.
+// call from any number of goroutines at once. Add and Remove mutate it and
+// must be writer-exclusive — callers (Broker) hold a write lock around
+// them and a read lock around matching.
 type Index struct {
 	nextID int64
 	// entries maps entry ID to where the entry is filed.
@@ -77,14 +77,6 @@ func hashedEq(c eventalg.Constraint) bool {
 	return c.Op == eventalg.OpEq && hashable(c.Val)
 }
 
-// ReserveID allocates an ID from the index's monotonic counter without
-// registering a filter. The Broker uses it for sequence subscriptions so
-// filter and sequence IDs come from one namespace. Writer-exclusive.
-func (ix *Index) ReserveID() int64 {
-	ix.nextID++
-	return ix.nextID
-}
-
 // Add registers a filter and returns its entry ID for later removal.
 // Writer-exclusive.
 //
@@ -95,7 +87,8 @@ func (ix *Index) ReserveID() int64 {
 // event probes (type) stays empty and an event verifies its own feed's
 // subscribers and nothing else.
 func (ix *Index) Add(f eventalg.Filter) int64 {
-	e := &indexEntry{id: ix.ReserveID(), filter: f, cs: f.Constraints()}
+	ix.nextID++
+	e := &indexEntry{id: ix.nextID, filter: f, cs: f.Constraints()}
 	ix.entries[e.id] = e
 	if len(e.cs) == 0 {
 		e.pos = len(ix.matchAll)

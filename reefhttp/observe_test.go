@@ -43,6 +43,10 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
+	// Broker stats are exported (stat="published"), but no sequence ones.
+	if !strings.Contains(body, `stat="published"`) || strings.Contains(body, `stat="seq_`) {
+		t.Error(`exposition lacks stat="published" or exports a broker seq_ series`)
+	}
 	for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
 		if strings.HasPrefix(line, "#") {
 			continue
