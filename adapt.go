@@ -472,6 +472,10 @@ type durableReplay struct {
 	// ackCursor restores one subscription's cumulative cursor (the
 	// OpCursorAck record family and the snapshot's cursor table).
 	ackCursor func(user, id string, seq int64)
+	// setReplPosition restores how far this node had applied one source's
+	// replication stream (the OpReplPosition family and the snapshot's
+	// position table).
+	setReplPosition func(p durable.ReplPosition)
 }
 
 // run replays the snapshot state and WAL tail.
@@ -528,6 +532,9 @@ func (dr durableReplay) applyState(st *durable.State) error {
 		dr.restorePending(p.User, p.ID, p.Seq, rec)
 	}
 	dr.setPendingSeq(st.PendingSeq)
+	for _, p := range st.ReplPositions {
+		dr.setReplPosition(p)
+	}
 	return nil
 }
 
@@ -574,6 +581,13 @@ func (dr durableReplay) applyRecord(rec durable.Record) error {
 			return err
 		}
 		dr.ackCursor(p.User, p.ID, p.Seq)
+		return nil
+	case durable.OpReplPosition:
+		var p durable.ReplPosition
+		if err := json.Unmarshal(rec.Payload, &p); err != nil {
+			return err
+		}
+		dr.setReplPosition(p)
 		return nil
 	case durable.OpPendingAdd:
 		var p durable.PendingAddPayload

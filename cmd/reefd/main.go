@@ -72,9 +72,9 @@
 //	      -peers n1=http://10.0.0.1:7070,n2=http://10.0.0.2:7070
 //
 // Give the router the same -replicas so its placement walks the same
-// replica sets. Inbound stream positions persist under
-// <data-dir>/replication/, and GET /v1/admin/replication reports both
-// directions' stream positions, lag and backlog.
+// replica sets. Inbound stream positions are journaled in the node's
+// WAL beside the records they cover, and GET /v1/admin/replication
+// reports both directions' stream positions, lag and backlog.
 //
 // # Observability
 //
@@ -522,8 +522,10 @@ func run(logger *slog.Logger, addr string, seed int64, scale float64, pipelineEv
 	if replicas > 0 {
 		// The tap is set BEFORE the handler swaps in: every record the
 		// API writes from the first request on is offered for shipping.
-		// Positions live under the data dir so a restarted replica
-		// resumes its inbound streams instead of double-applying.
+		// Inbound positions are journaled in the deployment's own WAL, so
+		// a restarted replica resumes its streams where its log ends;
+		// Dir is read only to import the positions file older releases
+		// kept there.
 		mgr, err = replication.New(replication.Options{
 			Self:     nodeID,
 			Nodes:    replNodes,

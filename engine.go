@@ -65,6 +65,9 @@ type engine struct {
 	mu     sync.Mutex
 	closed bool
 	fronts map[string]*frontend.Frontend
+	// replPos is how far this shard's log holds each source's
+	// replication stream, by source.
+	replPos map[string]durable.ReplPosition
 }
 
 // newEngine builds one shard over an already-open journal. The journal
@@ -80,6 +83,7 @@ func newEngine(cfg config, idx int, journal *durable.Journal, policy clickPolicy
 		pending:    newPendingSet(),
 		deliveries: delivery.NewSet(),
 		fronts:     make(map[string]*frontend.Frontend),
+		replPos:    make(map[string]durable.ReplPosition),
 	}
 	publisher := cfg.feedPublisher
 	if publisher == nil {
@@ -116,9 +120,18 @@ func (e *engine) replay() durableReplay {
 				q.RestoreAcked(seq)
 			}
 		},
+		setReplPosition: e.setReplPosition,
 	}
 	e.policy.replay(&dr)
 	return dr
+}
+
+// setReplPosition records how far this shard has applied one source's
+// replication stream.
+func (e *engine) setReplPosition(p durable.ReplPosition) {
+	e.mu.Lock()
+	e.replPos[p.Source] = p
+	e.mu.Unlock()
 }
 
 // recover replays the shard journal's recovery state: the snapshot
@@ -155,6 +168,7 @@ func (e *engine) captureState() (*durable.State, error) {
 	for i, u := range users {
 		fronts[i] = e.fronts[u]
 	}
+	st.ReplPositions = mergeReplPositions([]map[string]durable.ReplPosition{e.replPos})
 	e.mu.Unlock()
 	for i, fe := range fronts {
 		for _, rec := range fe.Active() {

@@ -94,6 +94,10 @@ type Backend interface {
 	// tail recorded after it. A torn tail is not an error; it is reported
 	// via Info().TornTail.
 	Load() (*State, []Record, error)
+	// Flush hands buffered appends to the operating system without
+	// waiting for stable storage: they then survive the process, not the
+	// machine.
+	Flush() error
 	// Sync forces buffered appends to stable storage.
 	Sync() error
 	// Info reports storage state.

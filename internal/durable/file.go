@@ -317,6 +317,19 @@ func (b *FileBackend) syncLocked() error {
 	return nil
 }
 
+// Flush implements Backend: one write of the buffered appends, no fsync.
+func (b *FileBackend) Flush() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return nil
+	}
+	if err := b.buf.Flush(); err != nil {
+		return fmt.Errorf("durable: flushing WAL: %w", err)
+	}
+	return nil
+}
+
 // Sync implements Backend.
 func (b *FileBackend) Sync() error {
 	b.mu.Lock()

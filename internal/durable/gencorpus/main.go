@@ -138,4 +138,14 @@ func main() {
 	// truncated, so the decoder must stop with a typed error.
 	deliverFrame := durable.Record{Op: durable.OpStreamDeliver, Payload: deliver}.AppendEncoded(nil)
 	write("seed-truncated-deliver", deliverFrame[:len(deliverFrame)-7])
+
+	// A replicated batch as a replica journals it: the records, then the
+	// source's applied position right after them.
+	repl := durable.CursorAckRecord(durable.CursorAckPayload{
+		User: "bob", ID: "http://news.test/feed.xml", Seq: 9,
+	}).AppendEncoded(nil)
+	repl = durable.ReplPositionRecord(durable.ReplPosition{
+		Source: "n1", Epoch: 1136073600000000000, Applied: 42,
+	}).AppendEncoded(repl)
+	write("seed-repl-position", repl)
 }

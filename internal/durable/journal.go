@@ -213,6 +213,15 @@ func (j *Journal) Snapshot() error {
 	return nil
 }
 
+// Flush hands buffered appends to the operating system (see
+// Backend.Flush).
+func (j *Journal) Flush() error {
+	if !j.Enabled() {
+		return nil
+	}
+	return j.backend.Flush()
+}
+
 // Sync forces buffered appends to stable storage.
 func (j *Journal) Sync() error {
 	if !j.Enabled() {

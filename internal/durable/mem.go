@@ -46,6 +46,9 @@ func (m *MemBackend) Load() (*State, []Record, error) {
 	return m.state, tail, nil
 }
 
+// Flush implements Backend (a no-op: appends are never buffered).
+func (m *MemBackend) Flush() error { return nil }
+
 // Sync implements Backend (a no-op: memory is as durable as it gets).
 func (m *MemBackend) Sync() error { return nil }
 

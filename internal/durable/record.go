@@ -109,8 +109,15 @@ const (
 	// forget (binary payload: consumer ID + event count).
 	OpStreamCredit Op = 14
 
+	// OpReplPosition records how far a replica has applied one source's
+	// replication stream. Unlike 8–14 it is a WAL op: the receiver
+	// journals it right after the records it covers, so a recovered
+	// position never runs ahead of the log that holds them. A binary
+	// older than this op stops replay at it (ErrUnknownOp).
+	OpReplPosition Op = 15
+
 	// opMax is one past the last defined op.
-	opMax = 15
+	opMax = 16
 )
 
 // String names the op.
@@ -144,6 +151,8 @@ func (o Op) String() string {
 		return "stream-consume-ack"
 	case OpStreamCredit:
 		return "stream-credit"
+	case OpReplPosition:
+		return "repl-position"
 	default:
 		return fmt.Sprintf("op(%d)", byte(o))
 	}
@@ -400,6 +409,19 @@ type State struct {
 	// cursor, sorted by (user, id) for deterministic snapshots. Absent in
 	// snapshots written before the reliable-delivery tier existed.
 	Cursors []CursorState `json:"cursors,omitempty"`
+	// ReplPositions lists the replication positions this node had applied
+	// at the cut, sorted by source. Absent on nodes that never received a
+	// replication stream.
+	ReplPositions []ReplPosition `json:"repl_positions,omitempty"`
+}
+
+// ReplPosition is the OpReplPosition payload and a row of the snapshot's
+// position table: the receiver has applied Source's stream of epoch
+// Epoch through sequence Applied.
+type ReplPosition struct {
+	Source  string `json:"source"`
+	Epoch   int64  `json:"epoch"`
+	Applied int64  `json:"applied"`
 }
 
 // mustRecord marshals a payload into a Record. Payload structs contain
@@ -436,3 +458,6 @@ func PendingTakeRecord(p PendingTakePayload) Record { return mustRecord(OpPendin
 
 // CursorAckRecord builds an OpCursorAck record.
 func CursorAckRecord(p CursorAckPayload) Record { return mustRecord(OpCursorAck, p) }
+
+// ReplPositionRecord builds an OpReplPosition record.
+func ReplPositionRecord(p ReplPosition) Record { return mustRecord(OpReplPosition, p) }

@@ -144,7 +144,8 @@ func TestOpStrings(t *testing.T) {
 	want := map[Op]string{
 		OpClicks: "clicks", OpFlag: "flag", OpSubscribe: "subscribe",
 		OpUnsubscribe: "unsubscribe", OpPendingAdd: "pending-add",
-		OpPendingTake: "pending-take", Op(42): "op(42)",
+		OpPendingTake: "pending-take", OpReplPosition: "repl-position",
+		Op(42): "op(42)",
 	}
 	for op, name := range want {
 		if op.String() != name {

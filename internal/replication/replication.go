@@ -15,14 +15,19 @@
 //     sender streams its peer's subsequence in batches with a
 //     prev/last watermark handshake, retrying forever with the journal
 //     as source of truth: a peer that falls off the retained log tail
-//     is resynced with a full snapshot cut, then streamed again.
+//     is resynced with a full snapshot cut, then streamed again. The
+//     log keeps only what some peer has not acked: once every peer's
+//     watermark passes an entry, it is dropped.
 //
 //   - Receiver: IngestRecords applies a peer's batch through the
 //     deployment (which journals it WITHOUT re-feeding the tap, so
-//     mutual replication cannot loop) and advances a per-source
-//     applied watermark, persisted to disk so a restarted replica
-//     resumes where it stopped instead of double-applying its own
-//     journal's contents.
+//     mutual replication cannot loop) with the source's new applied
+//     watermark as the batch's last record, and acks only after the
+//     deployment has handed the whole batch to the OS. A restarted
+//     replica reads its watermarks back from its own log
+//     (Applier.ReplicationPositions), so it resumes exactly where that
+//     log ends: never past records it lost, never re-applying ones it
+//     holds.
 //
 // Consistency model: asynchronous. An acked client write is durable on
 // the primary only; replicas trail by the shipping lag (exported as a
@@ -37,10 +42,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"log/slog"
+	"maps"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -63,7 +72,10 @@ type Node struct {
 // (implemented by reef.Centralized).
 type Applier interface {
 	// ApplyReplicated applies and journals a peer's records in order,
-	// without re-feeding the replication tap.
+	// without re-feeding the replication tap, and hands them to the OS
+	// before returning. The manager closes each batch with an
+	// OpReplPosition record, which the applier must journal after the
+	// records it covers and report back through ReplicationPositions.
 	ApplyReplicated([]durable.Record) error
 	// ApplyReplicatedCut absorbs a full snapshot cut and makes it
 	// durable before returning.
@@ -71,6 +83,9 @@ type Applier interface {
 	// CaptureReplicationState cuts this node's full state for a peer
 	// that can no longer catch up from the record stream.
 	CaptureReplicationState() (*durable.State, error)
+	// ReplicationPositions reports the positions the applier's log holds,
+	// one per source; New resumes every inbound stream from them.
+	ReplicationPositions() []durable.ReplPosition
 }
 
 // Ack is the receiver's reply to a batch: the last stream position it
@@ -104,14 +119,19 @@ type Options struct {
 	Replicas int
 	// Applier is the local deployment.
 	Applier Applier
-	// Dir, when set, persists the receiver's per-source applied
-	// watermarks (tiny JSON, rewritten per batch) so a restart resumes
-	// instead of double-applying. Strongly recommended outside tests.
+	// Dir is where releases that kept the receiver's positions outside
+	// the WAL wrote replication-positions.json. When the applier reports
+	// no positions and that file exists, New journals its positions
+	// through the applier once and removes it, so a node upgraded in
+	// place resumes its inbound streams. Nothing else is read or written
+	// there.
 	Dir string
 	// Window caps records per shipped batch (default 256).
 	Window int
-	// Retain caps the in-memory log (default 65536 entries); a peer
-	// lagging past the cap is resynced with a snapshot cut.
+	// Retain caps the in-memory log (default 65536 entries). Entries every
+	// peer has acked are dropped at once, so the cap binds only while a
+	// peer is down or lagging; a peer that falls past it is resynced
+	// with a snapshot cut.
 	Retain int
 	// RetryInterval paces sender retries and idle re-checks
 	// (default 250ms).
@@ -140,13 +160,13 @@ type logEntry struct {
 	at    time.Time
 }
 
-// sourcePos is the receiver's durable position for one source.
+// sourcePos is the receiver's position for one source.
 type sourcePos struct {
-	Epoch   int64 `json:"epoch"`
-	Applied int64 `json:"applied"`
+	Epoch   int64
+	Applied int64
 	// LastIngest is informational (status page), not part of the
 	// handshake.
-	LastIngest time.Time `json:"last_ingest,omitzero"`
+	LastIngest time.Time
 }
 
 // Manager is one node's replication endpoint: sender of the local WAL
@@ -164,11 +184,10 @@ type Manager struct {
 	log      []logEntry
 	nextSeq  int64 // seq the next Offer gets (starts at 1)
 	logStart int64 // seq of the first retained entry
-	dropped  int64 // entries evicted past a peer's position
 
-	// inMu serializes ingest: per-source ordering plus the positions
-	// file write. Apply runs under it; the lock order in→journal→log
-	// is acyclic with the tap's journal→log.
+	// inMu serializes ingest: per-source ordering of apply and position.
+	// Apply runs under it; the lock order in→journal→log is acyclic with
+	// the tap's journal→log.
 	inMu    sync.Mutex
 	sources map[string]*sourcePos
 
@@ -218,8 +237,13 @@ func New(opt Options) (*Manager, error) {
 		sources:  make(map[string]*sourcePos),
 		stop:     make(chan struct{}),
 	}
-	if err := m.loadPositions(); err != nil {
-		return nil, err
+	for _, p := range opt.Applier.ReplicationPositions() {
+		m.sources[p.Source] = &sourcePos{Epoch: p.Epoch, Applied: p.Applied}
+	}
+	if len(m.sources) == 0 && opt.Dir != "" {
+		if err := m.importLegacyPositions(); err != nil {
+			return nil, err
+		}
 	}
 	for i, n := range opt.Nodes {
 		if i == self {
@@ -346,12 +370,7 @@ func (m *Manager) append(rec durable.Record, dests []string) {
 	e := logEntry{seq: m.nextSeq, enc: enc, dests: dests, at: time.Now()}
 	m.nextSeq++
 	m.log = append(m.log, e)
-	if len(m.log) > m.opt.Retain {
-		drop := len(m.log) - m.opt.Retain
-		m.log = m.log[drop:]
-		m.logStart = m.log[0].seq
-		m.dropped += int64(drop)
-	}
+	m.dropThrough(m.nextSeq - 1 - int64(m.opt.Retain))
 	m.logMu.Unlock()
 	for _, p := range m.peers {
 		for _, d := range dests {
@@ -362,10 +381,45 @@ func (m *Manager) append(rec durable.Record, dests []string) {
 	}
 }
 
+// trim drops the log prefix every peer has acked: nothing a live peer
+// can still ask for, since a receiver acks a batch only once its log
+// holds it. A down peer's watermark holds the log where it is.
+func (m *Manager) trim() {
+	low := int64(math.MaxInt64)
+	for _, p := range m.peers {
+		low = min(low, p.position())
+	}
+	m.logMu.Lock()
+	m.dropThrough(low)
+	m.logMu.Unlock()
+}
+
+// dropThrough removes the retained entries with seq ≤ seq (caller holds
+// logMu), clearing their slots so the dropped frames are garbage at
+// once. Few survivors (the usual trim) move to the front, so the array
+// is reused; many (eviction at the Retain cap) stay put, so dropping
+// one entry never copies the whole window.
+func (m *Manager) dropThrough(seq int64) {
+	n := int(min(seq+1-m.logStart, int64(len(m.log))))
+	if n <= 0 {
+		return
+	}
+	m.logStart += int64(n)
+	if k := len(m.log) - n; k <= n {
+		copy(m.log, m.log[n:])
+		clear(m.log[k:])
+		m.log = m.log[:k]
+		return
+	}
+	clear(m.log[:n])
+	m.log = m.log[n:]
+}
+
 // IngestRecords is the receiver half of the batch protocol: decode the
-// frames, check the watermark handshake, apply, persist the new
-// position. A *ConflictError return carries this node's authoritative
-// position for the sender to adopt.
+// frames, check the watermark handshake, and apply them with the new
+// position as the batch's last record, so it is journaled after the
+// records it covers. A *ConflictError return carries this node's
+// authoritative position for the sender to adopt.
 func (m *Manager) IngestRecords(source string, epoch, prev, last int64, count int, frames []byte) (Ack, error) {
 	recs, err := durable.Replay(frames)
 	if err != nil {
@@ -385,17 +439,18 @@ func (m *Manager) IngestRecords(source string, epoch, prev, last int64, count in
 	if prev != ss.Applied {
 		return Ack{}, &ConflictError{Ack: Ack{Acked: ss.Applied}}
 	}
+	recs = append(recs, positionRecord(source, epoch, last))
 	if err := m.opt.Applier.ApplyReplicated(recs); err != nil {
 		return Ack{}, err
 	}
 	ss.Applied = last
 	ss.LastIngest = time.Now()
-	m.savePositions()
 	return Ack{Acked: last}, nil
 }
 
 // IngestSnapshot absorbs a full cut from a source whose stream this
-// node fell off of: the cut replaces catch-up through seq.
+// node fell off of: the cut replaces catch-up through seq, and the
+// position is journaled once the cut is durable.
 func (m *Manager) IngestSnapshot(source string, epoch, seq int64, state []byte) (Ack, error) {
 	var st durable.State
 	if err := json.Unmarshal(state, &st); err != nil {
@@ -407,12 +462,17 @@ func (m *Manager) IngestSnapshot(source string, epoch, seq int64, state []byte) 
 	if err := m.opt.Applier.ApplyReplicatedCut(&st); err != nil {
 		return Ack{}, err
 	}
-	if seq > ss.Applied {
-		ss.Applied = seq
+	applied := max(seq, ss.Applied)
+	if err := m.opt.Applier.ApplyReplicated([]durable.Record{positionRecord(source, epoch, applied)}); err != nil {
+		return Ack{}, err
 	}
+	ss.Applied = applied
 	ss.LastIngest = time.Now()
-	m.savePositions()
-	return Ack{Acked: ss.Applied}, nil
+	return Ack{Acked: applied}, nil
+}
+
+func positionRecord(source string, epoch, applied int64) durable.Record {
+	return durable.ReplPositionRecord(durable.ReplPosition{Source: source, Epoch: epoch, Applied: applied})
 }
 
 // source returns the per-source state, resetting the position when the
@@ -431,57 +491,41 @@ func (m *Manager) source(id string, epoch int64) *sourcePos {
 	return ss
 }
 
-// --- receiver position persistence --------------------------------------
-
-func (m *Manager) positionsFile() string {
-	return filepath.Join(m.opt.Dir, "replication-positions.json")
-}
-
-func (m *Manager) loadPositions() error {
-	if m.opt.Dir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(m.opt.Dir, 0o755); err != nil {
-		return fmt.Errorf("replication: creating state dir: %w", err)
-	}
-	data, err := os.ReadFile(m.positionsFile())
-	if os.IsNotExist(err) {
+// importLegacyPositions upgrades a node whose receiver positions an
+// older release kept in <Dir>/replication-positions.json: it journals
+// them through the applier once, then removes the file so it can never
+// shadow a journaled position. Without it, a node upgraded in place
+// would answer every running peer with applied 0, and each would
+// re-ship or resync everything the node already holds.
+func (m *Manager) importLegacyPositions() error {
+	path := filepath.Join(m.opt.Dir, "replication-positions.json")
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil
 	}
 	if err != nil {
-		return fmt.Errorf("replication: reading positions: %w", err)
+		return fmt.Errorf("replication: reading %s: %w", path, err)
 	}
 	var file struct {
-		Sources map[string]*sourcePos `json:"sources"`
+		Sources map[string]durable.ReplPosition `json:"sources"`
 	}
-	if err := json.Unmarshal(data, &file); err != nil {
-		// A torn positions file is recoverable the expensive way: treat
-		// every source as unknown and let the conflict handshake resync.
-		return nil
+	// A torn file is recoverable the expensive way: every source starts
+	// unknown and the handshake resyncs it. It is removed all the same.
+	if json.Unmarshal(data, &file) == nil && len(file.Sources) > 0 {
+		var recs []durable.Record
+		for _, src := range slices.Sorted(maps.Keys(file.Sources)) {
+			p := file.Sources[src]
+			recs = append(recs, positionRecord(src, p.Epoch, p.Applied))
+			m.sources[src] = &sourcePos{Epoch: p.Epoch, Applied: p.Applied}
+		}
+		if err := m.opt.Applier.ApplyReplicated(recs); err != nil {
+			return fmt.Errorf("replication: importing %s: %w", path, err)
+		}
 	}
-	if file.Sources != nil {
-		m.sources = file.Sources
+	if err := os.Remove(path); err != nil {
+		return fmt.Errorf("replication: retiring %s: %w", path, err)
 	}
 	return nil
-}
-
-// savePositions rewrites the positions file (caller holds inMu). Best
-// effort: a failed write costs a resync after restart, not data.
-func (m *Manager) savePositions() {
-	if m.opt.Dir == "" {
-		return
-	}
-	data, err := json.Marshal(struct {
-		Sources map[string]*sourcePos `json:"sources"`
-	}{m.sources})
-	if err != nil {
-		return
-	}
-	tmp := m.positionsFile() + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return
-	}
-	_ = os.Rename(tmp, m.positionsFile())
 }
 
 // --- status --------------------------------------------------------------

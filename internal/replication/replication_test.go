@@ -5,8 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -19,18 +23,52 @@ import (
 	"reef/internal/routing"
 )
 
-// fakeApplier records what the manager applied, in order.
+// fakeApplier records what the manager applied, in order, keeping the
+// position records apart from the data records as a deployment's log
+// would hand them back.
 type fakeApplier struct {
-	mu   sync.Mutex
-	recs []durable.Record
-	cuts []*durable.State
+	mu        sync.Mutex
+	recs      []durable.Record
+	cuts      []*durable.State
+	positions map[string]durable.ReplPosition
 }
 
 func (f *fakeApplier) ApplyReplicated(recs []durable.Record) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.recs = append(f.recs, recs...)
+	for _, rec := range recs {
+		if rec.Op != durable.OpReplPosition {
+			f.recs = append(f.recs, rec)
+			continue
+		}
+		var p durable.ReplPosition
+		if err := json.Unmarshal(rec.Payload, &p); err != nil {
+			return err
+		}
+		if f.positions == nil {
+			f.positions = make(map[string]durable.ReplPosition)
+		}
+		f.positions[p.Source] = p
+	}
 	return nil
+}
+
+func (f *fakeApplier) ReplicationPositions() []durable.ReplPosition {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var out []durable.ReplPosition
+	for _, src := range slices.Sorted(maps.Keys(f.positions)) {
+		out = append(out, f.positions[src])
+	}
+	return out
+}
+
+// restarted is the applier a restarted process recovers from this one's
+// log: the positions, and none of the records applied so far.
+func (f *fakeApplier) restarted() *fakeApplier {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return &fakeApplier{positions: maps.Clone(f.positions)}
 }
 
 func (f *fakeApplier) ApplyReplicatedCut(st *durable.State) error {
@@ -106,10 +144,12 @@ func serve(t *testing.T, mgr func() *Manager) *httptest.Server {
 // time-scripted by the test body).
 type gate struct {
 	open atomic.Bool
+	// host, when set, limits the outage to calls to that host.
+	host string
 }
 
 func (g *gate) RoundTrip(req *http.Request) (*http.Response, error) {
-	if !g.open.Load() {
+	if !g.open.Load() && (g.host == "" || req.URL.Host == g.host) {
 		return nil, errors.New("gate: peer unreachable")
 	}
 	return http.DefaultTransport.RoundTrip(req)
@@ -282,14 +322,13 @@ func TestSnapshotResync(t *testing.T) {
 	}
 }
 
-// TestReceiverRestartResume pins position persistence: a receiver
-// rebuilt over the same state dir resumes at its applied watermark and
-// does not double-apply the stream prefix.
+// TestReceiverRestartResume pins position recovery: a receiver rebuilt
+// over an applier that recovered its log resumes at the watermark
+// journaled there and does not double-apply the stream prefix.
 func TestReceiverRestartResume(t *testing.T) {
-	dir := t.TempDir()
 	nodes := []Node{{ID: "a", BaseURL: "http://unused.test"}, {ID: "b", BaseURL: "http://unused.test"}}
 	recvApp := &fakeApplier{}
-	recv, err := New(Options{Self: "b", Nodes: nodes, Applier: recvApp, Dir: dir})
+	recv, err := New(Options{Self: "b", Nodes: nodes, Applier: recvApp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,10 +353,10 @@ func TestReceiverRestartResume(t *testing.T) {
 	}
 	waitFor(t, "first batch applied", func() bool { return len(recvApp.applied()) == 6 })
 
-	// "Restart" the replica: fresh manager, fresh applier, same dir.
+	// "Restart" the replica: fresh manager over the recovered applier.
 	recv.Close()
-	recvApp2 := &fakeApplier{}
-	recv2, err := New(Options{Self: "b", Nodes: nodes, Applier: recvApp2, Dir: dir})
+	recvApp2 := recvApp.restarted()
+	recv2, err := New(Options{Self: "b", Nodes: nodes, Applier: recvApp2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +374,75 @@ func TestReceiverRestartResume(t *testing.T) {
 			len(got), cursorSeq(t, got[0]))
 	}
 	if recvApp2.cutCount() != 0 {
-		t.Fatal("restart with persisted positions forced a snapshot resync")
+		t.Fatal("restart with journaled positions forced a snapshot resync")
+	}
+}
+
+// TestLegacyPositionsImport pins the in-place upgrade: a receiver whose
+// applier recovered no positions, but whose Dir holds the positions file
+// older releases wrote, journals that file's positions once, removes it,
+// and resumes the stream from them with no resync.
+func TestLegacyPositionsImport(t *testing.T) {
+	nodes := []Node{{ID: "a", BaseURL: "http://unused.test"}, {ID: "b", BaseURL: "http://unused.test"}}
+	recvApp := &fakeApplier{}
+	recv, err := New(Options{Self: "b", Nodes: nodes, Applier: recvApp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cur atomic.Pointer[Manager]
+	cur.Store(recv)
+	srv := serve(t, cur.Load)
+	sender, err := New(Options{
+		Self:          "a",
+		Nodes:         []Node{{ID: "a", BaseURL: "http://unused.test"}, {ID: "b", BaseURL: srv.URL}},
+		Replicas:      1,
+		Applier:       &fakeApplier{},
+		RetryInterval: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Close()
+	for i := 1; i <= 6; i++ {
+		sender.Offer(cursorRec("u", int64(i)))
+	}
+	waitFor(t, "first batch applied", func() bool { return len(recvApp.applied()) == 6 })
+	recv.Close()
+
+	// The restarted receiver's log predates journaled positions; the
+	// older release kept them in Dir instead.
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, "replication-positions.json")
+	file := fmt.Sprintf(`{"sources":{"a":{"epoch":%d,"applied":6,"last_ingest":"2026-01-01T00:00:00Z"}}}`+"\n",
+		sender.Status().Epoch)
+	if err := os.WriteFile(legacy, []byte(file), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recvApp2 := &fakeApplier{}
+	recv2, err := New(Options{Self: "b", Nodes: nodes, Applier: recvApp2, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv2.Close()
+	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
+		t.Fatalf("legacy positions file survived the import: %v", err)
+	}
+	if got := recvApp2.ReplicationPositions(); len(got) != 1 || got[0].Applied != 6 {
+		t.Fatalf("journaled positions after import = %+v, want a at 6", got)
+	}
+	cur.Store(recv2)
+
+	for i := 7; i <= 9; i++ {
+		sender.Offer(cursorRec("u", int64(i)))
+	}
+	waitFor(t, "only the new records applied", func() bool { return len(recvApp2.applied()) == 3 })
+	time.Sleep(50 * time.Millisecond)
+	if got := recvApp2.applied(); len(got) != 3 || cursorSeq(t, got[0]) != 7 {
+		t.Fatalf("upgraded receiver applied %d records starting at seq %d, want exactly 7..9",
+			len(got), cursorSeq(t, got[0]))
+	}
+	if recvApp2.cutCount() != 0 || sender.Status().Peers[0].Resyncs != 0 {
+		t.Fatal("upgrade from the legacy positions file forced a snapshot resync")
 	}
 }
 

@@ -199,6 +199,7 @@ func (m *Manager) sendLoop(p *peer) {
 					p.fail(err)
 					break // wait a tick, retry
 				}
+				m.trim()
 				continue
 			}
 			if b.count == 0 && b.last == b.prev {
@@ -222,6 +223,7 @@ func (m *Manager) sendLoop(p *peer) {
 				lags[i] = float64(now.Sub(at).Microseconds())
 			}
 			p.success(b.last, lags)
+			m.trim()
 		}
 	}
 }

@@ -544,3 +544,4 @@ type noopApplier struct{}
 func (noopApplier) ApplyReplicated([]durable.Record) error           { return nil }
 func (noopApplier) ApplyReplicatedCut(*durable.State) error          { return nil }
 func (noopApplier) CaptureReplicationState() (*durable.State, error) { return &durable.State{}, nil }
+func (noopApplier) ReplicationPositions() []durable.ReplPosition     { return nil }

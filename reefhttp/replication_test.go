@@ -40,6 +40,8 @@ func (a *replTestApplier) CaptureReplicationState() (*durable.State, error) {
 	return &durable.State{Version: 1}, nil
 }
 
+func (a *replTestApplier) ReplicationPositions() []durable.ReplPosition { return nil }
+
 // newReplServer mounts the full handler with a replication manager over
 // a real (small) deployment.
 func newReplServer(t *testing.T) *httptest.Server {

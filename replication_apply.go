@@ -3,8 +3,10 @@ package reef
 // Replication glue: how a Centralized deployment feeds a replication
 // sender (the tap) and absorbs a peer's stream (ApplyReplicated /
 // ApplyReplicatedCut). The deployment stays transport-free — the
-// internal/replication manager owns connections and positions; this
-// file only bridges durable records to the sharded engines.
+// internal/replication manager owns connections and the handshake; this
+// file bridges durable records to the sharded engines, and journals the
+// positions the manager acks (OpReplPosition) beside the records they
+// cover.
 //
 // The invariant both directions share: a replicated record is applied
 // AND journaled on the shard that owns its user (via
@@ -17,6 +19,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
+	"math"
+	"sort"
 
 	"reef/internal/attention"
 	"reef/internal/durable"
@@ -43,11 +48,14 @@ func (c *Centralized) ReplicationEnabled() bool {
 
 // ApplyReplicated applies a batch of records received from a peer, in
 // order. Each record lands on the shard its user hashes to: click
-// batches are split and re-framed per shard, flags broadcast to every
-// shard (the flag store is an idempotent OR-set, so the broadcast is
-// safe under redelivery), and user-addressed ops dispatch to the
-// owning shard's replay hooks. Every landed record is journaled via
-// Ingest so it survives this node's own crashes.
+// batches are split and re-framed per shard, flags and replication
+// positions broadcast to every shard (the flag store is an idempotent
+// OR-set, so the broadcast is safe under redelivery), and
+// user-addressed ops dispatch to the owning shard's replay hooks. Every
+// landed record is journaled via Ingest so it survives this node's own
+// crashes, and every shard's journal is flushed before the call returns:
+// a batch the caller acks then survives this process dying, whatever the
+// sync policy.
 func (c *Centralized) ApplyReplicated(recs []durable.Record) error {
 	if err := c.checkOpen(context.Background()); err != nil {
 		return err
@@ -55,6 +63,11 @@ func (c *Centralized) ApplyReplicated(recs []durable.Record) error {
 	for _, rec := range recs {
 		if err := c.applyReplicatedRecord(rec); err != nil {
 			return fmt.Errorf("reef: applying replicated %v record: %w", rec.Op, err)
+		}
+	}
+	for _, e := range c.shards {
+		if err := e.journal.Flush(); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -81,17 +94,12 @@ func (c *Centralized) applyReplicatedRecord(rec durable.Record) error {
 			}
 		}
 		return nil
-	case durable.OpFlag:
-		var p durable.FlagPayload
-		if err := json.Unmarshal(rec.Payload, &p); err != nil {
-			return err
-		}
+	case durable.OpFlag, durable.OpReplPosition:
+		// A position lands on every shard after that shard's share of the
+		// batch it closes, so each shard's log holds what it claims.
 		for _, e := range c.shards {
 			rep := e.replay()
-			if err := e.journal.Ingest(
-				func() error { rep.setFlag(p.Host, p.Flag); return nil },
-				rec,
-			); err != nil {
+			if err := e.journal.Ingest(func() error { return rep.applyRecord(rec) }, rec); err != nil {
 				return err
 			}
 		}
@@ -105,6 +113,50 @@ func (c *Centralized) applyReplicatedRecord(rec durable.Record) error {
 		rep := e.replay()
 		return e.journal.Ingest(func() error { return rep.applyRecord(rec) }, rec)
 	}
+}
+
+// ReplicationPositions reports how far this node's logs hold each
+// source's replication stream, merged over the shards (see
+// mergeReplPositions), sorted by source.
+func (c *Centralized) ReplicationPositions() []durable.ReplPosition {
+	tables := make([]map[string]durable.ReplPosition, len(c.shards))
+	for i, e := range c.shards {
+		e.mu.Lock()
+		tables[i] = maps.Clone(e.replPos)
+		e.mu.Unlock()
+	}
+	return mergeReplPositions(tables)
+}
+
+// mergeReplPositions folds position tables — one per shard, or one per
+// old directory in a migration — into one list sorted by source. Per
+// source the newest epoch wins, and within it the lowest applied
+// position: a table in an older epoch, or one without the source, reads
+// 0. A shard whose log lost a tail therefore has the sender re-ship
+// that tail instead of skipping it.
+func mergeReplPositions(tables []map[string]durable.ReplPosition) []durable.ReplPosition {
+	epochs := make(map[string]int64)
+	for _, t := range tables {
+		for src, p := range t {
+			if e, ok := epochs[src]; !ok || p.Epoch > e {
+				epochs[src] = p.Epoch
+			}
+		}
+	}
+	out := make([]durable.ReplPosition, 0, len(epochs))
+	for src, epoch := range epochs {
+		p := durable.ReplPosition{Source: src, Epoch: epoch, Applied: math.MaxInt64}
+		for _, t := range tables {
+			q, ok := t[src]
+			if !ok || q.Epoch != epoch {
+				q.Applied = 0
+			}
+			p.Applied = min(p.Applied, q.Applied)
+		}
+		out = append(out, p)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Source < out[j].Source })
+	return out
 }
 
 // replicatedRecordUser extracts the owning user from a user-addressed
@@ -127,7 +179,9 @@ func replicatedRecordUser(rec durable.Record) (string, error) {
 // each shard's state is captured under its journal lock (a per-shard
 // consistent cut), then merged. Shards cut independently — the merge
 // is not a single global point in the operation stream, which is the
-// same consistency a multi-shard snapshot already has.
+// same consistency a multi-shard snapshot already has. The cut carries
+// no replication positions: they say what this node applied, which is
+// nothing a peer should adopt.
 func (c *Centralized) CaptureReplicationState() (*durable.State, error) {
 	if err := c.checkOpen(context.Background()); err != nil {
 		return nil, err

@@ -2,8 +2,11 @@ package reef_test
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"reef"
 	"reef/internal/durable"
@@ -78,6 +81,89 @@ func TestReplicationApplyRoundTrip(t *testing.T) {
 	if diff != "" {
 		t.Fatalf("replicated state differs from primary:\n%s", diff)
 	}
+}
+
+// TestReplicationPositionsRecover pins where a replica's positions live:
+// in its own journal. Positions applied through ApplyReplicated come
+// back through ReplicationPositions after a clean reopen, after a
+// snapshot took them into its position table, and across the
+// legacy→3→1 shard migration.
+func TestReplicationPositionsRecover(t *testing.T) {
+	web := testWeb(73)
+	open := func(t *testing.T, dir string, shards int) *reef.Centralized {
+		t.Helper()
+		dep, err := reef.NewCentralized(
+			reef.WithFetcher(web),
+			reef.WithDataDir(dir),
+			reef.WithShards(shards),
+			reef.WithSnapshotEvery(-1),
+			reef.WithPollInterval(time.Hour),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dep
+	}
+	want := []durable.ReplPosition{{Source: "a", Epoch: 7, Applied: 12}, {Source: "b", Epoch: 9, Applied: 3}}
+	apply := func(t *testing.T, dep *reef.Centralized) {
+		t.Helper()
+		// Two batches: the later position of a source supersedes the
+		// earlier one in log order.
+		for _, batch := range [][]durable.ReplPosition{{{Source: "a", Epoch: 7, Applied: 5}}, want} {
+			recs := []durable.Record{durable.FlagRecord("ads.test", 1)}
+			for _, p := range batch {
+				recs = append(recs, durable.ReplPositionRecord(p))
+			}
+			if err := dep.ApplyReplicated(recs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(t *testing.T, dep *reef.Centralized, when string) {
+		t.Helper()
+		if got := dep.ReplicationPositions(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("positions %s = %+v, want %+v", when, got, want)
+		}
+	}
+	closeDep := func(t *testing.T, dep *reef.Centralized) {
+		t.Helper()
+		if err := dep.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			dir := t.TempDir()
+			dep := open(t, dir, shards)
+			apply(t, dep)
+			check(t, dep, "as applied")
+			closeDep(t, dep)
+			dep = open(t, dir, shards)
+			check(t, dep, "after reopen")
+
+			if _, err := dep.Snapshot(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			closeDep(t, dep)
+			dep = open(t, dir, shards)
+			defer closeDep(t, dep)
+			check(t, dep, "after snapshot and reopen")
+		})
+	}
+
+	t.Run("migration", func(t *testing.T) {
+		dir := t.TempDir()
+		dep := open(t, dir, 1)
+		apply(t, dep)
+		closeDep(t, dep)
+		dep = open(t, dir, 3)
+		check(t, dep, "after migrating to 3 shards")
+		closeDep(t, dep)
+		dep = open(t, dir, 1)
+		defer closeDep(t, dep)
+		check(t, dep, "after migrating back to 1 shard")
+	})
 }
 
 // TestReplicationSnapshotCut pins the catch-up path for a replica too

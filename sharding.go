@@ -149,13 +149,25 @@ func (r *router) teardownPartial(k int) {
 // one is retired.
 func (r *router) migrateFrom(plan shardPlan) error {
 	rep := r.routedReplay()
-	for _, dir := range plan.oldDirs {
+	// Each old directory's log holds its own replication positions; the
+	// new shards start from their merge, so a directory that lost a tail
+	// holds every new shard back rather than the last one read winning.
+	tables := make([]map[string]durable.ReplPosition, len(plan.oldDirs))
+	for i, dir := range plan.oldDirs {
+		table := make(map[string]durable.ReplPosition)
+		tables[i] = table
+		rep.setReplPosition = func(p durable.ReplPosition) { table[p.Source] = p }
 		st, tail, err := loadShardSource(dir)
 		if err != nil {
 			return fmt.Errorf("migrating %s: %w", dir, err)
 		}
 		if err := rep.run(st, tail); err != nil {
 			return fmt.Errorf("migrating %s: %w", dir, err)
+		}
+	}
+	for _, p := range mergeReplPositions(tables) {
+		for _, e := range r.shards {
+			e.setReplPosition(p)
 		}
 	}
 	for _, e := range r.shards {
@@ -207,6 +219,11 @@ func (r *router) routedReplay() durableReplay {
 			at(user).registerDelivery(user, id, ds)
 		},
 		ackCursor: func(user, id string, seq int64) { at(user).ackCursor(user, id, seq) },
+		setReplPosition: func(p durable.ReplPosition) {
+			for i := range reps {
+				reps[i].setReplPosition(p)
+			}
+		},
 	}
 	if reps[0].applyClicks != nil {
 		dr.applyClicks = func(batch []attention.Click) error {
