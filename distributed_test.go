@@ -64,14 +64,17 @@ func driveDistributed(t *testing.T, ctx context.Context, dep *reef.Distributed, 
 	t.Helper()
 	users := []string{"p1", "p2"}
 	i := 0
-	for _, s := range web.Servers(websim.KindContent) {
-		if len(s.Feeds) == 0 {
-			continue
-		}
-		for path := range s.Pages {
+	// Servers and pages in sorted order: a peer's recommendations follow
+	// its browsing order, so p1 accepts the first host's first feed on every
+	// run, never the last feed the callers then subscribe it to directly (a
+	// duplicate apply counts twice live but once after a snapshot replay).
+	for _, s := range feedServers(web) {
+		urls := s.PageURLs()
+		sort.Strings(urls)
+		for _, url := range urls {
 			// p2 browses every other page, so the two peers' profiles differ.
 			for _, u := range users[:1+i%2] {
-				if _, err := dep.IngestClicks(ctx, []reef.Click{{User: u, URL: s.URL(path), At: dt0}}); err != nil {
+				if _, err := dep.IngestClicks(ctx, []reef.Click{{User: u, URL: url, At: dt0}}); err != nil {
 					t.Fatal(err)
 				}
 			}
