@@ -21,21 +21,6 @@ import (
 	"reef/internal/store"
 )
 
-// toAttentionClicks converts public clicks to the internal attention type.
-func toAttentionClicks(clicks []Click) []attention.Click {
-	out := make([]attention.Click, len(clicks))
-	for i, c := range clicks {
-		out[i] = attention.Click{
-			User:      c.User,
-			URL:       c.URL,
-			At:        c.At,
-			Referrer:  c.Referrer,
-			FromEvent: c.FromEvent,
-		}
-	}
-	return out
-}
-
 // toPubsubEvent converts a public event to the internal representation.
 func toPubsubEvent(ev Event) (pubsub.Event, error) {
 	if len(ev.Attrs) == 0 {
@@ -94,6 +79,7 @@ func toPublicRecommendation(id string, rec recommend.Recommendation) Recommendat
 // subscription into the public listing form.
 func toPublicSubscription(user string, rec recommend.Recommendation) Subscription {
 	sub := Subscription{
+		ID:      subscriptionID(rec),
 		User:    user,
 		Kind:    rec.Kind.String(),
 		FeedURL: rec.FeedURL,
@@ -101,11 +87,6 @@ func toPublicSubscription(user string, rec recommend.Recommendation) Subscriptio
 	}
 	if !rec.Filter.IsEmpty() {
 		sub.Filter = rec.Filter.String()
-	}
-	if rec.FeedURL != "" {
-		sub.ID = rec.FeedURL
-	} else {
-		sub.ID = rec.Filter.Canonical()
 	}
 	return sub
 }
@@ -142,13 +123,26 @@ func subscriptionID(rec recommend.Recommendation) string {
 	return rec.Filter.Canonical()
 }
 
-// toDeliveryConfig resolves a validated at-least-once SubscribeConfig
-// against the deployment defaults.
-func toDeliveryConfig(sc SubscribeConfig, cfg config) delivery.Config {
+// deliveryState is the journaled form of an at-least-once subscription's
+// delivery config: a subscribe record carries what the caller asked for
+// (zero for a deployment default), a snapshot the queue's resolved
+// values. Best-effort subscriptions journal none.
+func deliveryState(ackTimeout time.Duration, maxAttempts int) *durable.DeliveryState {
+	return &durable.DeliveryState{
+		Guarantee:    AtLeastOnce.String(),
+		AckTimeoutMS: ackTimeout.Milliseconds(),
+		MaxAttempts:  maxAttempts,
+	}
+}
+
+// deliveryConfig resolves a journaled delivery config against the
+// deployment defaults into the queue's config. The live path and replay
+// both come through here, so a recovered queue is configured exactly as
+// the one it replaces.
+func deliveryConfig(ds durable.DeliveryState, cfg config) delivery.Config {
 	out := delivery.Config{
-		OrderingKey: sc.OrderingKey,
-		AckTimeout:  sc.AckTimeout,
-		MaxAttempts: sc.MaxAttempts,
+		AckTimeout:  time.Duration(ds.AckTimeoutMS) * time.Millisecond,
+		MaxAttempts: ds.MaxAttempts,
 	}
 	if out.AckTimeout <= 0 {
 		out.AckTimeout = cfg.ackTimeout
@@ -157,32 +151,6 @@ func toDeliveryConfig(sc SubscribeConfig, cfg config) delivery.Config {
 		out.MaxAttempts = cfg.maxAttempts
 	}
 	return out
-}
-
-// toDurableDelivery serializes an at-least-once subscription's delivery
-// configuration for the WAL / snapshot; best-effort subscriptions return
-// nil so their records stay byte-identical to the pre-delivery format.
-func toDurableDelivery(sc SubscribeConfig) *durable.DeliveryState {
-	if sc.Guarantee != AtLeastOnce {
-		return nil
-	}
-	return &durable.DeliveryState{
-		Guarantee:    AtLeastOnce.String(),
-		OrderingKey:  sc.OrderingKey,
-		AckTimeoutMS: sc.AckTimeout.Milliseconds(),
-		MaxAttempts:  sc.MaxAttempts,
-	}
-}
-
-// fromDurableDelivery rebuilds the SubscribeConfig behind a recovered
-// reliable subscription.
-func fromDurableDelivery(ds durable.DeliveryState) SubscribeConfig {
-	return SubscribeConfig{
-		Guarantee:   AtLeastOnce,
-		OrderingKey: ds.OrderingKey,
-		AckTimeout:  time.Duration(ds.AckTimeoutMS) * time.Millisecond,
-		MaxAttempts: ds.MaxAttempts,
-	}
 }
 
 // toPublicDelivered converts leased events to the public form.
@@ -625,23 +593,16 @@ func (dr durableReplay) applyRecord(rec durable.Record) error {
 
 // openShardJournal builds one shard's persistence journal: a file
 // backend over the shard's directory when WithDataDir was given, a
-// disabled journal otherwise.
+// disabled journal otherwise. An unset sync policy is the backend's
+// default, SyncAsync.
 func openShardJournal(cfg config, dir string) (*durable.Journal, error) {
 	if dir == "" {
 		return durable.NewJournal(nil), nil
 	}
-	var sp durable.SyncPolicy
-	switch cfg.syncPolicy {
-	case SyncAlways:
-		sp = durable.SyncAlways
-	case SyncNever:
-		sp = durable.SyncNever
-	case SyncAsync, 0:
-		sp = durable.SyncAsync
-	default:
+	if cfg.syncPolicy < 0 || cfg.syncPolicy > SyncNever {
 		return nil, fmt.Errorf("%w: unknown sync policy %d", ErrInvalidArgument, cfg.syncPolicy)
 	}
-	b, err := durable.OpenFile(dir, durable.FileOptions{Sync: sp})
+	b, err := durable.OpenFile(dir, durable.FileOptions{Sync: cfg.syncPolicy})
 	if err != nil {
 		return nil, err
 	}

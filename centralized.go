@@ -91,7 +91,7 @@ func serverOf(e *engine) *core.Server { return e.policy.(*serverPolicy).server }
 // ingest lands the batch in the shard's click store and queues page URLs
 // for the next pipeline round.
 func (sp *serverPolicy) ingest(_ context.Context, _ *engine, clicks []Click) (int, error) {
-	if err := sp.server.ReceiveClicks(toAttentionClicks(clicks)); err != nil {
+	if err := sp.server.ReceiveClicks(clicks); err != nil {
 		return 0, err
 	}
 	return len(clicks), nil
@@ -164,52 +164,6 @@ func (sp *serverPolicy) stats(e *engine, out Stats) {
 	e.mu.Lock()
 	out[metrics.UsersWithFrontends.Key] = float64(len(e.fronts))
 	e.mu.Unlock()
-}
-
-// PublishBatchCounts implements BatchCountPublisher: like PublishBatch,
-// but counts[i] (when counts is non-nil, with len(evs) entries) is
-// incremented per delivery of evs[i]. Each subscriber lives on exactly
-// one shard, so per-shard counts are additive; the shards fill private
-// slices that are summed after the fan-out to keep the hot path
-// race-free.
-func (c *Centralized) PublishBatchCounts(ctx context.Context, evs []Event, counts []int) (int, error) {
-	if counts == nil {
-		return c.PublishBatch(ctx, evs)
-	}
-	if err := c.checkOpen(ctx); err != nil {
-		return 0, err
-	}
-	if len(counts) != len(evs) {
-		return 0, fmt.Errorf("%w: counts has %d entries for %d events", ErrInvalidArgument, len(counts), len(evs))
-	}
-	pevs, err := toPubsubEvents(evs)
-	if err != nil {
-		return 0, err
-	}
-	if c.cfg.feedPublisher != nil {
-		for _, pev := range pevs {
-			if err := c.cfg.feedPublisher.Publish(ctx, pev); err != nil {
-				return 0, err
-			}
-		}
-		return 0, nil
-	}
-	n := len(c.shards)
-	if n == 1 {
-		return c.shards[0].broker.PublishBatchCounts(ctx, pevs, counts)
-	}
-	stampEvents(pevs, c.cfg.clock.Now)
-	perShard := make([][]int, n)
-	total, ferr := sumFanOut(n, func(i int) (int, error) {
-		perShard[i] = make([]int, len(pevs))
-		return c.shards[i].broker.PublishBatchCounts(ctx, pevs, perShard[i])
-	})
-	for _, shard := range perShard {
-		for i, v := range shard {
-			counts[i] += v
-		}
-	}
-	return total, ferr
 }
 
 // Subscribe implements Deployment: it places a feed subscription

@@ -89,10 +89,6 @@ func (e *ConfigError) Unwrap() error { return ErrInvalidArgument }
 type SubscribeConfig struct {
 	// Guarantee is the delivery tier; zero means BestEffort.
 	Guarantee DeliveryGuarantee
-	// OrderingKey names the event attribute consumers group by. Advisory:
-	// reliable fetches are always totally ordered by sequence number.
-	// Requires AtLeastOnce.
-	OrderingKey string
 	// AckTimeout is the redelivery lease for fetched events; zero means
 	// the deployment default. Requires AtLeastOnce.
 	AckTimeout time.Duration
@@ -109,14 +105,8 @@ func WithGuarantee(g DeliveryGuarantee) SubscribeOption {
 	return func(c *SubscribeConfig) { c.Guarantee = g }
 }
 
-// WithOrderingKey sets the advisory ordering attribute. Requires
-// WithGuarantee(AtLeastOnce).
-func WithOrderingKey(attr string) SubscribeOption {
-	return func(c *SubscribeConfig) { c.OrderingKey = attr }
-}
-
-// WithAckTimeout sets the redelivery lease for fetched events. Requires
-// WithGuarantee(AtLeastOnce).
+// WithAckTimeout sets the redelivery lease for fetched events, in whole
+// milliseconds as the WAL keeps it. Requires WithGuarantee(AtLeastOnce).
 func WithAckTimeout(d time.Duration) SubscribeOption {
 	return func(c *SubscribeConfig) { c.AckTimeout = d }
 }
@@ -165,14 +155,6 @@ func NewSubscribeConfig(opts ...SubscribeOption) (SubscribeConfig, error) {
 		}
 	}
 	if c.Guarantee != AtLeastOnce {
-		if c.OrderingKey != "" {
-			return SubscribeConfig{}, &ConfigError{
-				Field:  "ordering_key",
-				Value:  c.OrderingKey,
-				Reason: "ordering keys require the at-least-once tier",
-				Help:   "add WithGuarantee(AtLeastOnce)",
-			}
-		}
 		if c.AckTimeout > 0 {
 			return SubscribeConfig{}, &ConfigError{
 				Field:  "ack_timeout",

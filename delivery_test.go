@@ -1,11 +1,16 @@
 package reef_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,6 +18,7 @@ import (
 	"reef/internal/durable"
 	"reef/internal/durable/durabletest"
 	"reef/internal/simclock"
+	"reef/internal/waif"
 	"reef/reefclient"
 	"reef/reefhttp"
 )
@@ -54,9 +60,9 @@ func TestSubscribeConfigValidation(t *testing.T) {
 	feeds := feedURLs(testWeb(20))
 
 	var cfgErr *reef.ConfigError
-	_, err = dep.Subscribe(ctx, "u", feeds[0], reef.WithOrderingKey("topic"))
-	if !errors.As(err, &cfgErr) || cfgErr.Field != "ordering_key" {
-		t.Fatalf("ordering key without AtLeastOnce: err = %v, want ConfigError{Field: ordering_key}", err)
+	_, err = dep.Subscribe(ctx, "u", feeds[0], reef.WithMaxAttempts(3))
+	if !errors.As(err, &cfgErr) || cfgErr.Field != "max_attempts" {
+		t.Fatalf("max attempts without AtLeastOnce: err = %v, want ConfigError{Field: max_attempts}", err)
 	}
 	if !errors.Is(err, reef.ErrInvalidArgument) {
 		t.Fatalf("ConfigError does not unwrap to ErrInvalidArgument: %v", err)
@@ -104,14 +110,13 @@ func TestReliableConsumerE2E(t *testing.T) {
 	cli := reefclient.New(srv.URL, reefclient.WithHTTPClient(srv.Client()))
 	sub, err := cli.Subscribe(ctx, user, feed,
 		reef.WithGuarantee(reef.AtLeastOnce),
-		reef.WithOrderingKey("n"),
 		reef.WithAckTimeout(time.Second),
 		reef.WithMaxAttempts(3))
 	if err != nil {
 		t.Fatalf("Subscribe over the wire: %v", err)
 	}
-	if sub.Guarantee != "at_least_once" || sub.OrderingKey != "n" {
-		t.Fatalf("Subscription = %+v, want at_least_once with ordering key n", sub)
+	if sub.Guarantee != "at_least_once" {
+		t.Fatalf("Subscription = %+v, want at_least_once", sub)
 	}
 
 	const total = 10
@@ -366,6 +371,121 @@ func TestReliableCursorSurvivesShardMigration(t *testing.T) {
 	if len(subs) != 1 || subs[0].Acked != 2 || subs[0].Guarantee != "at_least_once" {
 		t.Fatalf("migrated subscription = %+v, want at_least_once with acked_seq 2", subs)
 	}
+}
+
+// TestRetiredOrderingFieldRecovers pins that a data dir written while
+// reliable subscriptions still journaled an advisory "ordering_key"
+// recovers: the key is ignored in the snapshot and in the WAL tail alike,
+// at one shard and through the migration to three. The recovered queues
+// are live, listings carry no ordering key, and the next snapshot drops
+// it.
+func TestRetiredOrderingFieldRecovers(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			ctx := context.Background()
+			web := testWeb(26)
+			feeds := feedURLs(web)
+			users := []string{"alice", "bob"}
+			dir := t.TempDir()
+			writeRetiredOrderingDir(t, dir, users, feeds)
+
+			dep, err := reef.NewCentralized(reef.WithFetcher(web), reef.WithDataDir(dir),
+				reef.WithShards(shards), reef.WithSyncPolicy(reef.SyncAlways))
+			if err != nil {
+				t.Fatalf("recovering a dir with ordering keys: %v", err)
+			}
+			defer func() { _ = dep.Close() }()
+			for i, u := range users {
+				subs, err := dep.Subscriptions(ctx, u)
+				if err != nil || len(subs) != 1 || subs[0].Guarantee != "at_least_once" {
+					t.Fatalf("Subscriptions(%s) = (%+v, %v), want one at_least_once subscription", u, subs, err)
+				}
+				if raw, _ := json.Marshal(subs); strings.Contains(string(raw), "ordering_key") {
+					t.Errorf("listing of %s still carries an ordering key: %s", u, raw)
+				}
+				if _, err := dep.PublishEvent(ctx, reef.Event{Attrs: feedItemAttrs(feeds[i], 1)}); err != nil {
+					t.Fatal(err)
+				}
+				if evs, err := dep.FetchEvents(ctx, u, feeds[i], 0); err != nil || len(evs) != 1 {
+					t.Fatalf("FetchEvents(%s) = (%+v, %v), want the one event published after recovery", u, evs, err)
+				}
+			}
+			if _, err := dep.Snapshot(ctx); err != nil {
+				t.Fatal(err)
+			}
+			for _, snap := range snapshotFiles(t, dir) {
+				if data, err := os.ReadFile(snap); err != nil || bytes.Contains(data, []byte("ordering_key")) {
+					t.Errorf("snapshot %s after recovery: err %v, or it still carries an ordering key", snap, err)
+				}
+			}
+		})
+	}
+}
+
+// writeRetiredOrderingDir writes a single-journal data dir through the
+// durable layer as reliable subscriptions used to journal it: users[0]'s
+// subscription to feeds[0] in the snapshot, users[1]'s to feeds[1] in
+// the WAL tail, each delivery config with an "ordering_key".
+func writeRetiredOrderingDir(t *testing.T, dir string, users, feeds []string) {
+	t.Helper()
+	sub := func(i int) durable.SubscriptionState {
+		return durable.SubscriptionState{
+			User: users[i], Kind: reef.KindSubscribeFeed, FeedURL: feeds[i],
+			Filter: waif.ItemFilter(feeds[i]).String(), At: dt0,
+			Delivery: &durable.DeliveryState{Guarantee: "at_least_once", MaxAttempts: 3},
+		}
+	}
+	b, err := durable.OpenFile(dir, durable.FileOptions{Sync: durable.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Snapshot(&durable.State{Version: 1, Subscriptions: []durable.SubscriptionState{sub(0)}}); err != nil {
+		t.Fatal(err)
+	}
+	rec := durable.SubscribeRecord(sub(1))
+	rec.Payload = addRetiredOrdering(t, rec.Payload)
+	if err := b.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snaps := snapshotFiles(t, dir)
+	if len(snaps) != 1 {
+		t.Fatalf("snapshots = %v, want one", snaps)
+	}
+	data, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snaps[0], addRetiredOrdering(t, data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// addRetiredOrdering adds an "ordering_key" to every at-least-once delivery
+// config in a JSON document.
+func addRetiredOrdering(t *testing.T, data []byte) []byte {
+	t.Helper()
+	out := bytes.ReplaceAll(data, []byte(`"guarantee":"at_least_once"`), []byte(`"guarantee":"at_least_once","ordering_key":"n"`))
+	if bytes.Equal(out, data) {
+		t.Fatalf("no delivery config to add an ordering key to in %s", data)
+	}
+	return out
+}
+
+// snapshotFiles lists the snapshot files of a data dir, root and shards.
+func snapshotFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	var out []string
+	for _, pattern := range []string{"snap-*.json", "shard-*/snap-*.json"} {
+		m, err := filepath.Glob(filepath.Join(dir, pattern))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, m...)
+	}
+	return out
 }
 
 // TestReliableSurvivesBestEffortOverflow pins that the at-least-once tier

@@ -163,6 +163,21 @@ func TestConstructorsRequireFetcher(t *testing.T) {
 	}
 }
 
+// TestUnknownSyncPolicy pins that a sync policy outside the three named
+// ones is rejected as input by both constructors.
+func TestUnknownSyncPolicy(t *testing.T) {
+	for _, p := range []reef.SyncPolicy{-1, reef.SyncNever + 1, 9} {
+		dir := t.TempDir()
+		opts := []reef.Option{reef.WithFetcher(testWeb(30)), reef.WithDataDir(dir), reef.WithSyncPolicy(p)}
+		if _, err := reef.NewCentralized(opts...); !errors.Is(err, reef.ErrInvalidArgument) {
+			t.Errorf("NewCentralized(WithSyncPolicy(%d)) = %v, want ErrInvalidArgument", p, err)
+		}
+		if _, err := reef.NewDistributed(opts...); !errors.Is(err, reef.ErrInvalidArgument) {
+			t.Errorf("NewDistributed(WithSyncPolicy(%d)) = %v, want ErrInvalidArgument", p, err)
+		}
+	}
+}
+
 // TestDeploymentCapabilities pins which optional interfaces each built-in
 // deployment satisfies. Transports decide by type assertion: reefhttp
 // answers 501 for reliable delivery a deployment lacks, and reefstream
@@ -176,7 +191,7 @@ func TestDeploymentCapabilities(t *testing.T) {
 		reliable, stream, batchCounts, persister, sharder bool
 	}{
 		{"Centralized", (*reef.Centralized)(nil), true, true, true, true, true},
-		{"Distributed", (*reef.Distributed)(nil), false, false, false, true, true},
+		{"Distributed", (*reef.Distributed)(nil), false, false, true, true, true},
 	} {
 		_, reliable := tc.dep.(reef.ReliableDeliverer)
 		_, stream := tc.dep.(reef.StreamDeliverer)

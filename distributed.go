@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"reef/internal/attention"
 	"reef/internal/core"
 	"reef/internal/durable"
 	"reef/internal/frontend"
@@ -32,9 +31,10 @@ type Distributed struct {
 }
 
 var (
-	_ Deployment = (*Distributed)(nil)
-	_ Persister  = (*Distributed)(nil)
-	_ Sharder    = (*Distributed)(nil)
+	_ Deployment          = (*Distributed)(nil)
+	_ Persister           = (*Distributed)(nil)
+	_ Sharder             = (*Distributed)(nil)
+	_ BatchCountPublisher = (*Distributed)(nil)
 )
 
 // NewDistributed builds the distributed deployment. WithFetcher is
@@ -97,13 +97,7 @@ func (pp *peerPolicy) ingest(ctx context.Context, e *engine, clicks []Click) (in
 			return n, err
 		}
 		p, _ := pp.lookup(cl.User)
-		recs := p.ObservePageView(attention.Click{
-			User:      cl.User,
-			URL:       cl.URL,
-			At:        cl.At,
-			Referrer:  cl.Referrer,
-			FromEvent: cl.FromEvent,
-		}, res)
+		recs := p.ObservePageView(cl, res)
 		n++
 		if err := pp.offer(e, cl.User, recs); err != nil {
 			return n, err

@@ -110,7 +110,7 @@ func (e *engine) replay() durableReplay {
 		acceptRec:      e.apply,
 		rejectFeedback: e.policy.reject,
 		registerDelivery: func(user, id string, ds durable.DeliveryState) {
-			e.deliveries.Register(user, id, toDeliveryConfig(fromDurableDelivery(ds), e.cfg))
+			e.deliveries.Register(user, id, deliveryConfig(ds, e.cfg))
 		},
 		ackCursor: func(user, id string, seq int64) {
 			// The retained window is not durable, so a recovered cursor for
@@ -178,12 +178,7 @@ func (e *engine) captureState() (*durable.State, error) {
 				// delivery config, so replaying it re-registers an
 				// identical queue and re-snapshots byte-identically.
 				qc := q.Config()
-				ds.Delivery = &durable.DeliveryState{
-					Guarantee:    AtLeastOnce.String(),
-					OrderingKey:  qc.OrderingKey,
-					AckTimeoutMS: qc.AckTimeout.Milliseconds(),
-					MaxAttempts:  qc.MaxAttempts,
-				}
+				ds.Delivery = deliveryState(qc.AckTimeout, qc.MaxAttempts)
 			}
 			st.Subscriptions = append(st.Subscriptions, ds)
 		}
@@ -260,20 +255,22 @@ func (e *engine) apply(user string, rec recommend.Recommendation) error {
 // applies the subscription, so no event the new subscription matches can
 // slip past the queue.
 func (e *engine) commit(user string, rec recommend.Recommendation, sc SubscribeConfig) error {
-	if rec.Kind == recommend.KindUnsubscribeFeed {
-		return e.journal.Record(
-			func() error { return e.apply(user, rec) },
-			func() durable.Record { return durable.UnsubscribeRecord(toDurableSub(user, rec)) },
-		)
+	record := durable.SubscribeRecord
+	var dl *durable.DeliveryState
+	switch {
+	case rec.Kind == recommend.KindUnsubscribeFeed:
+		record = durable.UnsubscribeRecord
+	case sc.Guarantee == AtLeastOnce:
+		dl = deliveryState(sc.AckTimeout, sc.MaxAttempts)
 	}
-	id := subscriptionID(rec)
 	return e.journal.Record(
 		func() error {
-			if sc.Guarantee != AtLeastOnce {
+			if dl == nil {
 				return e.apply(user, rec)
 			}
+			id := subscriptionID(rec)
 			_, existed := e.deliveries.Get(user, id)
-			e.deliveries.Register(user, id, toDeliveryConfig(sc, e.cfg))
+			e.deliveries.Register(user, id, deliveryConfig(*dl, e.cfg))
 			err := e.apply(user, rec)
 			if err != nil && !existed {
 				e.deliveries.Remove(user, id)
@@ -282,8 +279,8 @@ func (e *engine) commit(user string, rec recommend.Recommendation, sc SubscribeC
 		},
 		func() durable.Record {
 			ds := toDurableSub(user, rec)
-			ds.Delivery = toDurableDelivery(sc)
-			return durable.SubscribeRecord(ds)
+			ds.Delivery = dl
+			return record(ds)
 		},
 	)
 }
@@ -294,7 +291,6 @@ func (e *engine) subscription(user string, rec recommend.Recommendation) Subscri
 	sub := toPublicSubscription(user, rec)
 	if q, ok := e.deliveries.Get(user, sub.ID); ok {
 		sub.Guarantee = AtLeastOnce.String()
-		sub.OrderingKey = q.Config().OrderingKey
 		sub.Acked = q.Acked()
 	}
 	return sub

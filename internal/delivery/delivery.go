@@ -52,9 +52,6 @@ const (
 
 // Config tunes one subscription's reliable-delivery queue.
 type Config struct {
-	// OrderingKey is an advisory attribute name consumers group by; the
-	// queue itself is always totally ordered by sequence number.
-	OrderingKey string
 	// AckTimeout is the lease each fetched event carries; an event not
 	// acked within it becomes eligible for redelivery (plus backoff).
 	AckTimeout time.Duration

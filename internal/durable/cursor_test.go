@@ -66,8 +66,9 @@ func TestCorruptCursorRecordTypedError(t *testing.T) {
 
 // TestSubscriptionStateDeliveryOptional pins the compatibility contract:
 // records written before the reliable-delivery tier (no "delivery" key)
-// decode with a nil Delivery, and the field survives a round trip when
-// present.
+// decode with a nil Delivery, records that still carry the retired
+// "ordering_key" decode without it, and the field survives a round trip
+// when present.
 func TestSubscriptionStateDeliveryOptional(t *testing.T) {
 	var old SubscriptionState
 	if err := json.Unmarshal([]byte(`{"user":"a","kind":"subscribe-feed","at":"2006-01-01T00:00:00Z"}`), &old); err != nil {
@@ -76,9 +77,17 @@ func TestSubscriptionStateDeliveryOptional(t *testing.T) {
 	if old.Delivery != nil {
 		t.Fatalf("legacy payload grew a delivery config: %+v", old.Delivery)
 	}
+	var keyed SubscriptionState
+	if err := json.Unmarshal([]byte(`{"user":"a","kind":"subscribe-feed","at":"2006-01-01T00:00:00Z",`+
+		`"delivery":{"guarantee":"at_least_once","ordering_key":"feed","max_attempts":2}}`), &keyed); err != nil {
+		t.Fatalf("payload with the retired ordering_key: %v", err)
+	}
+	if want := (DeliveryState{Guarantee: "at_least_once", MaxAttempts: 2}); keyed.Delivery == nil || *keyed.Delivery != want {
+		t.Fatalf("payload with the retired ordering_key decoded to %+v, want %+v", keyed.Delivery, want)
+	}
 	in := SubscriptionState{
 		User: "a", Kind: "subscribe-feed", FeedURL: "http://h.test/f", At: time.Unix(0, 0).UTC(),
-		Delivery: &DeliveryState{Guarantee: "at_least_once", OrderingKey: "feed", AckTimeoutMS: 100, MaxAttempts: 2},
+		Delivery: &DeliveryState{Guarantee: "at_least_once", AckTimeoutMS: 100, MaxAttempts: 2},
 	}
 	data, err := json.Marshal(in)
 	if err != nil {

@@ -71,8 +71,7 @@ func main() {
 		Filter: `feed = "http://news.test/feed.xml" and type = "feed-item"`,
 		At:     time.Unix(1136073600, 0).UTC(),
 		Delivery: &durable.DeliveryState{
-			Guarantee: "at_least_once", OrderingKey: "feed",
-			AckTimeoutMS: 5000, MaxAttempts: 3,
+			Guarantee: "at_least_once", AckTimeoutMS: 5000, MaxAttempts: 3,
 		},
 	}).AppendEncoded(nil)
 	cur = durable.CursorAckRecord(durable.CursorAckPayload{
@@ -83,6 +82,9 @@ func main() {
 		User: "bob", ID: "http://news.test/feed.xml", Seq: 9,
 	}).AppendEncoded(cur)
 	write("seed-cursor-ops", cur)
+	// seed-cursor-ops-ordering-key is this log as written while reliable
+	// subscriptions still journaled an "ordering_key". It stays checked in
+	// as it is; nothing here regenerates it.
 
 	// The same cursor log with a payload byte flipped: the checksum must
 	// reject it with a typed error.

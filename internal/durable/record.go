@@ -329,10 +329,10 @@ type SubscriptionState struct {
 }
 
 // DeliveryState is the durable form of a subscription's reliable-
-// delivery configuration.
+// delivery configuration. Records written when subscriptions still took
+// an advisory "ordering_key" carry that key too; decoding ignores it.
 type DeliveryState struct {
-	Guarantee   string `json:"guarantee"`
-	OrderingKey string `json:"ordering_key,omitempty"`
+	Guarantee string `json:"guarantee"`
 	// AckTimeoutMS and MaxAttempts are zero when the subscription uses
 	// the deployment defaults.
 	AckTimeoutMS int64 `json:"ack_timeout_ms,omitempty"`

@@ -216,15 +216,6 @@ func (t Tuple) Get(name string) (Value, bool) {
 	return v, ok
 }
 
-// Clone returns a shallow copy of the tuple (Values are immutable).
-func (t Tuple) Clone() Tuple {
-	out := make(Tuple, len(t))
-	for k, v := range t {
-		out[k] = v
-	}
-	return out
-}
-
 // String renders the tuple deterministically for logs and tests.
 func (t Tuple) String() string {
 	names := make([]string, 0, len(t))

@@ -140,15 +140,6 @@ func TestTupleString(t *testing.T) {
 	}
 }
 
-func TestTupleClone(t *testing.T) {
-	orig := Tuple{"a": Int(1)}
-	cl := orig.Clone()
-	cl["a"] = Int(2)
-	if !orig["a"].Equal(Int(1)) {
-		t.Error("Clone did not copy: mutation visible in original")
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if KindString.String() != "string" || KindInt.String() != "int" ||
 		KindFloat.String() != "float" || KindBool.String() != "bool" {

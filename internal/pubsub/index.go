@@ -47,7 +47,6 @@ type eqBucket struct {
 // Remove a swap-delete.
 type indexEntry struct {
 	id     int64
-	filter eventalg.Filter
 	cs     []eventalg.Constraint
 	hashed bool
 	pos    int
@@ -88,7 +87,7 @@ func hashedEq(c eventalg.Constraint) bool {
 // subscribers and nothing else.
 func (ix *Index) Add(f eventalg.Filter) int64 {
 	ix.nextID++
-	e := &indexEntry{id: ix.nextID, filter: f, cs: f.Constraints()}
+	e := &indexEntry{id: ix.nextID, cs: f.Constraints()}
 	ix.entries[e.id] = e
 	if len(e.cs) == 0 {
 		e.pos = len(ix.matchAll)
@@ -215,13 +214,4 @@ next:
 		dst = append(dst, e.id)
 	}
 	return dst
-}
-
-// Filter returns the filter registered under id.
-func (ix *Index) Filter(id int64) (eventalg.Filter, bool) {
-	e, ok := ix.entries[id]
-	if !ok {
-		return eventalg.Filter{}, false
-	}
-	return e.filter, true
 }

@@ -104,19 +104,6 @@ func TestIndexMultiAttr(t *testing.T) {
 	}
 }
 
-func TestIndexFilterLookup(t *testing.T) {
-	ix := NewIndex()
-	f := eventalg.MustParse(`topic = x`)
-	id := ix.Add(f)
-	got, ok := ix.Filter(id)
-	if !ok || !got.Equal(f) {
-		t.Errorf("Filter(%d) = (%v, %v)", id, got, ok)
-	}
-	if _, ok := ix.Filter(999); ok {
-		t.Error("Filter(999) found")
-	}
-}
-
 // TestIndexAgainstBruteForce drives the index with a seeded random history
 // of Add, Remove and Match and cross-checks every match against direct
 // filter evaluation. The filters mix hashable equalities (string, bool),

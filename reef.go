@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"time"
+
+	"reef/internal/attention"
+	"reef/internal/durable"
 )
 
 // Sentinel errors returned by Deployment implementations. The REST surface
@@ -36,16 +39,7 @@ const (
 // Click is one unit of attention data: an outgoing HTTP request with the
 // attributes the paper's prototype logs — URI, timestamp, user cookie —
 // plus a flag marking closed-loop clicks on delivered events.
-type Click struct {
-	User string    `json:"user"`
-	URL  string    `json:"url"`
-	At   time.Time `json:"at"`
-	// Referrer is the page the click came from, when known.
-	Referrer string `json:"referrer,omitempty"`
-	// FromEvent marks clicks on links inside delivered events; the
-	// recommendation service reads these as positive feedback.
-	FromEvent bool `json:"from_event,omitempty"`
-}
+type Click = attention.Click
 
 // Event is one pub-sub event injected through the public API. Attributes
 // are name-value string pairs matched against subscription filters.
@@ -94,9 +88,6 @@ type Subscription struct {
 	// Guarantee is the delivery tier's wire name ("at_least_once" for
 	// reliable subscriptions; empty for best-effort).
 	Guarantee string `json:"delivery_guarantee,omitempty"`
-	// OrderingKey is the advisory ordering attribute of a reliable
-	// subscription.
-	OrderingKey string `json:"ordering_key,omitempty"`
 	// Acked is a reliable subscription's durable cumulative cursor: the
 	// highest sequence number the consumer has acknowledged.
 	Acked int64 `json:"acked_seq,omitempty"`
@@ -125,18 +116,18 @@ type PipelineStats struct {
 
 // SyncPolicy selects when write-ahead-log appends reach stable storage on
 // deployments opened with WithDataDir.
-type SyncPolicy int
+type SyncPolicy = durable.SyncPolicy
 
 // Sync policies. The zero value is invalid so defaults stay explicit.
 const (
 	// SyncAsync (default) buffers appends and flushes on a short
 	// background interval: a bounded loss window at near-zero append cost.
-	SyncAsync SyncPolicy = iota + 1
+	SyncAsync = durable.SyncAsync
 	// SyncAlways fsyncs every append before acknowledging it.
-	SyncAlways
+	SyncAlways = durable.SyncAlways
 	// SyncNever flushes only on snapshot and close; a crash loses the
 	// buffered tail.
-	SyncNever
+	SyncNever = durable.SyncNever
 )
 
 // StorageInfo describes a deployment's persistence state, served by
@@ -259,9 +250,9 @@ type Deployment interface {
 // BatchCountPublisher is an optional Deployment extension: a batch
 // publish that also reports per-event delivery counts. Stream servers
 // coalesce pipelined publish frames into one batch call and need to ack
-// each frame with its own delivered count; deployments that can
-// attribute deliveries per event implement this, and callers fall back
-// to per-frame PublishBatch when the deployment cannot.
+// each frame with its own delivered count. Both built-in deployments
+// implement it; callers fall back to per-frame PublishBatch for a
+// deployment that does not.
 type BatchCountPublisher interface {
 	// PublishBatchCounts behaves like PublishBatch; counts must be nil
 	// or have len(evs) entries, and counts[i] is incremented once per

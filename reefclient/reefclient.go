@@ -372,7 +372,6 @@ func (c *Client) Subscribe(ctx context.Context, user, feedURL string, opts ...re
 	if sc.Guarantee == reef.AtLeastOnce {
 		body.Delivery = &reefhttp.DeliveryConfig{
 			Guarantee:    sc.Guarantee.String(),
-			OrderingKey:  sc.OrderingKey,
 			AckTimeoutMS: sc.AckTimeout.Milliseconds(),
 			MaxAttempts:  sc.MaxAttempts,
 		}

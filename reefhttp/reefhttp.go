@@ -124,8 +124,7 @@ type (
 	// DeliveryConfig selects a subscription's delivery tier on the wire.
 	DeliveryConfig struct {
 		// Guarantee is "best_effort" or "at_least_once".
-		Guarantee   string `json:"guarantee"`
-		OrderingKey string `json:"ordering_key,omitempty"`
+		Guarantee string `json:"guarantee"`
 		// AckTimeoutMS and MaxAttempts are at-least-once tuning; zero
 		// keeps the deployment defaults.
 		AckTimeoutMS int64 `json:"ack_timeout_ms,omitempty"`
@@ -620,9 +619,6 @@ func subscribeOptions(d *DeliveryConfig) ([]reef.SubscribeOption, error) {
 			return nil, err
 		}
 		opts = append(opts, reef.WithGuarantee(g))
-	}
-	if d.OrderingKey != "" {
-		opts = append(opts, reef.WithOrderingKey(d.OrderingKey))
 	}
 	if d.AckTimeoutMS != 0 {
 		opts = append(opts, reef.WithAckTimeout(time.Duration(d.AckTimeoutMS)*time.Millisecond))

@@ -252,7 +252,6 @@ func TestDeliveryEndpointErrorPaths(t *testing.T) {
 		{"ack beyond delivered", "POST", "/v1/subscriptions/" + encReliable + "/ack", `{"user":"u","seq":99}`, http.StatusBadRequest, reefhttp.CodeInvalidArgument, ""},
 
 		{"subscribe with unknown guarantee", "PUT", "/v1/users/u/subscriptions", `{"feed_url":"http://f.test/x.xml","delivery":{"guarantee":"exactly_once"}}`, http.StatusBadRequest, reefhttp.CodeInvalidArgument, ""},
-		{"subscribe ordering key without tier", "PUT", "/v1/users/u/subscriptions", `{"feed_url":"http://f.test/x.xml","delivery":{"ordering_key":"topic"}}`, http.StatusBadRequest, reefhttp.CodeInvalidArgument, ""},
 	}
 
 	for _, tc := range tests {

@@ -156,6 +156,64 @@ func TestStreamConcurrentPipelining(t *testing.T) {
 	}
 }
 
+// TestStreamDistributedPerFrameCounts pins per-frame attribution on the
+// distributed deployment, which publishes through the same batch-count
+// body as the centralized one: pipelined frames for two feeds with
+// different subscriber counts, coalesced into shared batches and fanned
+// out to three shards, must each be acked with their own feed's count.
+func TestStreamDistributedPerFrameCounts(t *testing.T) {
+	ctx := context.Background()
+	dep, err := reef.NewDistributed(reef.WithFetcher(nopFetcher{}), reef.WithShards(3))
+	if err != nil {
+		t.Fatalf("NewDistributed: %v", err)
+	}
+	t.Cleanup(func() { dep.Close() })
+	feeds := []struct {
+		url  string
+		subs int
+	}{{"http://h.test/a", 2}, {"http://h.test/b", 5}}
+	for _, f := range feeds {
+		for i := 0; i < f.subs; i++ {
+			if _, err := dep.Subscribe(ctx, fmt.Sprintf("%s-user-%d", f.url, i), f.url); err != nil {
+				t.Fatalf("Subscribe: %v", err)
+			}
+		}
+	}
+	srv, err := reefstream.Listen("127.0.0.1:0", dep)
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer srv.Close()
+	cl := reefstream.NewClient(srv.Addr().String())
+	defer cl.Close()
+
+	const workers, perWorker = 8, 50
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				f := feeds[(w+i)%len(feeds)]
+				n, err := cl.PublishEvent(ctx, feedEvent(f.url))
+				if err != nil {
+					t.Errorf("PublishEvent: %v", err)
+					return
+				}
+				if n != f.subs {
+					t.Errorf("frame for %s acked %d deliveries, want its own %d", f.url, n, f.subs)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if frames, events := srv.Stats(); frames != workers*perWorker || events != workers*perWorker {
+		t.Errorf("server stats = (%d frames, %d events), want (%d, %d)",
+			frames, events, workers*perWorker, workers*perWorker)
+	}
+}
+
 // TestStreamInvalidEventAck pins error attribution: an invalid event is
 // rejected with a typed ack that unwraps to reef.ErrInvalidArgument,
 // and a valid frame pipelined around it still lands.

@@ -380,44 +380,29 @@ func (r *router) IngestClicks(ctx context.Context, clicks []Click) (int, error) 
 	})
 }
 
-// PublishEvent implements Deployment: the event is stamped once and
-// fanned out to every shard's broker concurrently; the result is the
-// total of local deliveries. With WithFeedPublisher the event goes to
-// the caller-owned publisher, whose delivery count is not observable
-// from here: a successful publish then reports 0 deliveries.
+// PublishEvent implements Deployment: a batch of one.
 func (r *router) PublishEvent(ctx context.Context, ev Event) (int, error) {
-	if err := r.checkOpen(ctx); err != nil {
-		return 0, err
-	}
-	pev, err := toPubsubEvent(ev)
-	if err != nil {
-		return 0, err
-	}
-	if r.cfg.feedPublisher != nil {
-		if err := r.cfg.feedPublisher.Publish(ctx, pev); err != nil {
-			return 0, err
-		}
-		return 0, nil
-	}
-	n := len(r.shards)
-	if n == 1 {
-		return r.shards[0].broker.Publish(ctx, pev)
-	}
-	one := [1]pubsub.Event{pev}
-	stampEvents(one[:], r.cfg.clock.Now)
-	return sumFanOut(n, func(i int) (int, error) {
-		return r.shards[i].broker.Publish(ctx, one[0])
-	})
+	return r.PublishBatchCounts(ctx, []Event{ev}, nil)
 }
 
-// PublishBatch implements Deployment: the whole batch is validated up
-// front, stamped once, then fanned out to every shard's batched fast
-// path (one lock acquisition and match pass per shard for all events).
-// With WithFeedPublisher the events go one by one to the caller-owned
-// publisher.
+// PublishBatch implements Deployment.
 func (r *router) PublishBatch(ctx context.Context, evs []Event) (int, error) {
+	return r.PublishBatchCounts(ctx, evs, nil)
+}
+
+// PublishBatchCounts implements BatchCountPublisher and is the one
+// publish body: the batch is validated whole, stamped once and fanned
+// out to every shard's broker concurrently; it returns the total of local
+// deliveries. Each subscriber lives on one shard, so the shards count
+// into private slices summed after the fan-out. With WithFeedPublisher
+// the events go one by one to the caller-owned publisher, whose
+// deliveries are not observable from here: success reports 0.
+func (r *router) PublishBatchCounts(ctx context.Context, evs []Event, counts []int) (int, error) {
 	if err := r.checkOpen(ctx); err != nil {
 		return 0, err
+	}
+	if counts != nil && len(counts) != len(evs) {
+		return 0, fmt.Errorf("%w: counts has %d entries for %d events", ErrInvalidArgument, len(counts), len(evs))
 	}
 	pevs, err := toPubsubEvents(evs)
 	if err != nil {
@@ -433,12 +418,22 @@ func (r *router) PublishBatch(ctx context.Context, evs []Event) (int, error) {
 	}
 	n := len(r.shards)
 	if n == 1 {
-		return r.shards[0].broker.PublishBatch(ctx, pevs)
+		return r.shards[0].broker.PublishBatchCounts(ctx, pevs, counts)
 	}
 	stampEvents(pevs, r.cfg.clock.Now)
-	return sumFanOut(n, func(i int) (int, error) {
-		return r.shards[i].broker.PublishBatch(ctx, pevs)
+	perShard := make([][]int, n)
+	total, err := sumFanOut(n, func(i int) (int, error) {
+		if counts != nil {
+			perShard[i] = make([]int, len(pevs))
+		}
+		return r.shards[i].broker.PublishBatchCounts(ctx, pevs, perShard[i])
 	})
+	for _, shard := range perShard {
+		for i, v := range shard {
+			counts[i] += v
+		}
+	}
+	return total, err
 }
 
 // Subscriptions implements Deployment.
