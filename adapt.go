@@ -424,8 +424,8 @@ type durableReplay struct {
 	// restorePending re-queues a recovered pending recommendation under
 	// its original ID; setPendingSeq advances the ledger's ID counter;
 	// takePending removes one for a replayed accept/reject. They are
-	// hooks rather than a ledger pointer so the shard-migration replay
-	// can route each op to the ledger its user now hashes to.
+	// hooks rather than a ledger pointer so the routed replay can send
+	// each op to the ledger of the shard its user hashes to.
 	restorePending func(user, id string, seq int64, rec recommend.Recommendation)
 	setPendingSeq  func(seq int64)
 	takePending    func(user, id string) (recommend.Recommendation, bool)
@@ -591,18 +591,18 @@ func (dr durableReplay) applyRecord(rec durable.Record) error {
 	}
 }
 
-// openShardJournal builds one shard's persistence journal: a file
-// backend over the shard's directory when WithDataDir was given, a
-// disabled journal otherwise. An unset sync policy is the backend's
-// default, SyncAsync.
-func openShardJournal(cfg config, dir string) (*durable.Journal, error) {
-	if dir == "" {
+// openJournal builds the node's persistence journal: a file backend
+// over the data directory's root when WithDataDir was given, a disabled
+// journal otherwise. An unset sync policy is the backend's default,
+// SyncAsync.
+func openJournal(cfg config) (*durable.Journal, error) {
+	if cfg.dataDir == "" {
 		return durable.NewJournal(nil), nil
 	}
 	if cfg.syncPolicy < 0 || cfg.syncPolicy > SyncNever {
 		return nil, fmt.Errorf("%w: unknown sync policy %d", ErrInvalidArgument, cfg.syncPolicy)
 	}
-	b, err := durable.OpenFile(dir, durable.FileOptions{Sync: cfg.syncPolicy})
+	b, err := durable.OpenFile(cfg.dataDir, durable.FileOptions{Sync: cfg.syncPolicy})
 	if err != nil {
 		return nil, err
 	}

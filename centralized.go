@@ -38,12 +38,13 @@ var (
 // NewCentralized builds the centralized deployment. WithFetcher is
 // required: it is the crawler's access to the web and the WAIF proxy's
 // feed poller. With WithDataDir the constructor first recovers the
-// directory's persisted state — per shard: snapshot, then intact WAL
-// tail, in order, all shards in parallel — before arming live
-// journaling, so an unclean predecessor's state is back before the
-// first call lands. A data directory written with a different shard
-// count is migrated when either side of the change is 1 (the legacy
-// single-journal layout upgrades in place; see WithShards).
+// directory's persisted state — snapshot, then intact WAL tail, in
+// order, each operation routed to the shard its user hashes to — before
+// arming live journaling, so an unclean predecessor's state is back
+// before the first call lands. The node has one journal at the
+// directory root whatever its shard count, so any count opens any
+// directory; a directory an older release wrote in the per-shard layout
+// is imported once (see WithShards).
 func NewCentralized(opts ...Option) (*Centralized, error) {
 	cfg := buildConfig(opts)
 	if cfg.fetcher == nil {
@@ -123,14 +124,20 @@ func (sp *serverPolicy) ready(user string) []recommend.Recommendation {
 	return sp.server.Recommendations(user)
 }
 
+// capture adds the shard's clicks and flags; a host two shards flagged
+// carries the union of their flags.
 func (sp *serverPolicy) capture(st *durable.State) {
 	clicks, flags := sp.server.Store().Dump()
-	st.Clicks = clicks
-	if len(flags) > 0 {
-		st.Flags = make(map[string]int, len(flags))
-		for h, f := range flags {
-			st.Flags[h] = int(f)
+	if st.Clicks == nil {
+		st.Clicks = clicks // the first shard's dump is already a private copy
+	} else {
+		st.Clicks = append(st.Clicks, clicks...)
+	}
+	for h, f := range flags {
+		if st.Flags == nil {
+			st.Flags = make(map[string]int, len(flags))
 		}
+		st.Flags[h] |= int(f)
 	}
 }
 

@@ -12,8 +12,10 @@
 // write-ahead log and recovers it on startup; -sync picks the WAL
 // durability policy (async, always, never) and -snapshot-every the
 // compaction cadence in records. -shards partitions users across N
-// independent engine shards (per-shard journals under shard-<i>/; a
-// legacy single-journal directory migrates in place on first open).
+// in-memory engine shards (default 1). All shards share the one journal
+// at the data directory's root, so a directory reopens at any -shards;
+// one an older release wrote as per-shard journals (shards.json plus
+// shard-<i>/) is imported once, on first open.
 //
 // # Cluster membership
 //
@@ -159,7 +161,7 @@ func main() {
 	dataDir := flag.String("data-dir", "", "data directory for WAL + snapshot persistence (empty = in-memory)")
 	syncMode := flag.String("sync", "async", "WAL sync policy: async, always, never")
 	snapshotEvery := flag.Int("snapshot-every", 0, "snapshot compaction after N WAL records (0 = default 4096, <0 disables)")
-	shards := flag.Int("shards", 0, "number of independent engine shards users partition across (0 = adopt the data directory's existing count, default 1)")
+	shards := flag.Int("shards", 1, "number of in-memory engine shards users partition across (any count opens any data directory)")
 	ackTimeout := flag.Duration("delivery-ack-timeout", 0, "default lease before an unacked reliable delivery is retried (0 = library default 30s)")
 	maxAttempts := flag.Int("delivery-max-attempts", 0, "default delivery attempts before an event dead-letters (0 = library default 5)")
 	nodeID := flag.String("node-id", "", "this node's cluster identity, stamped into /v1/healthz and /v1/readyz")
@@ -453,16 +455,10 @@ func run(logger *slog.Logger, addr string, seed int64, scale float64, pipelineEv
 	if ackTimeout > 0 || maxAttempts > 0 {
 		opts = append(opts, reef.WithDeliveryDefaults(ackTimeout, maxAttempts))
 	}
-	// 0 leaves WithShards off: an existing data directory keeps its
-	// shard count, everything else gets the single-engine default.
-	// Anything negative is a typo, not a request to adopt — fail loudly
-	// like the library does.
-	if shards < 0 {
-		return fmt.Errorf("reefd: -shards %d is invalid (want 0 to adopt, or a positive count)", shards)
+	if shards < 1 {
+		return fmt.Errorf("reefd: -shards %d is invalid (want a positive count)", shards)
 	}
-	if shards > 0 {
-		opts = append(opts, reef.WithShards(shards))
-	}
+	opts = append(opts, reef.WithShards(shards))
 	if dataDir != "" {
 		sp, err := syncPolicy(syncMode)
 		if err != nil {
@@ -635,7 +631,7 @@ func runRouter(logger *slog.Logger, addr, spec, streamSpec, nodeID, streamAddr s
 	if dataDir != "" {
 		return errors.New("reefd: -data-dir is a node flag; a cluster router holds no state (drop it or drop -cluster-nodes)")
 	}
-	if shards != 0 {
+	if shards != 1 {
 		return errors.New("reefd: -shards is a node flag; shard the nodes, not the router")
 	}
 	if peersSpec != "" {

@@ -56,7 +56,7 @@ func TestParsePeers(t *testing.T) {
 // -replicas combination errors before anything binds or recovers.
 func TestRunReplicationFlagValidation(t *testing.T) {
 	base := func(dataDir, nodeID string, replicas int, peers string) error {
-		return run(discard, ":0", 1, 0.01, time.Hour, time.Hour, dataDir, "async", 0, 0,
+		return run(discard, ":0", 1, 0.01, time.Hour, time.Hour, dataDir, "async", 0, 1,
 			nodeID, "", "", 0, 0, 0, replicas, peers)
 	}
 	for _, tc := range []struct {
@@ -79,19 +79,23 @@ func TestRunReplicationFlagValidation(t *testing.T) {
 }
 
 func TestRunRouterFlagValidation(t *testing.T) {
-	if err := runRouter(discard, ":0", "a=http://x.test", "", "", "", 0, "", 0, 0, "a=http://x.test"); err == nil ||
+	if err := runRouter(discard, ":0", "a=http://x.test", "", "", "", 0, "", 1, 0, "a=http://x.test"); err == nil ||
 		!strings.Contains(err.Error(), "-peers is a node flag") {
 		t.Fatalf("router with -peers = %v, want node-flag error", err)
 	}
-	if err := runRouter(discard, ":0", "a=http://x.test", "", "", "", 0, "", 0, 1, ""); err == nil ||
+	if err := runRouter(discard, ":0", "a=http://x.test", "", "", "", 0, "", 3, 0, ""); err == nil ||
+		!strings.Contains(err.Error(), "-shards is a node flag") {
+		t.Fatalf("router with -shards 3 = %v, want node-flag error", err)
+	}
+	if err := runRouter(discard, ":0", "a=http://x.test", "", "", "", 0, "", 1, 1, ""); err == nil ||
 		!strings.Contains(err.Error(), "replicas") {
 		t.Fatalf("router with replicas >= nodes = %v, want range error", err)
 	}
-	if err := runRouter(discard, ":0", "a=http://x.test", "", "", ":7071", 0, "", 0, 0, ""); err == nil ||
+	if err := runRouter(discard, ":0", "a=http://x.test", "", "", ":7071", 0, "", 1, 0, ""); err == nil ||
 		!strings.Contains(err.Error(), "-stream-addr is a node flag") {
 		t.Fatalf("router with -stream-addr = %v, want node-flag error", err)
 	}
-	if err := runRouter(discard, ":0", "a=http://x.test", "b=10.0.0.2:7071", "", "", 0, "", 0, 0, ""); err == nil ||
+	if err := runRouter(discard, ":0", "a=http://x.test", "b=10.0.0.2:7071", "", "", 0, "", 1, 0, ""); err == nil ||
 		!strings.Contains(err.Error(), `"b" has no -cluster-nodes entry`) {
 		t.Fatalf("router with unknown stream id = %v, want unknown-id error", err)
 	}

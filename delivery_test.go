@@ -317,16 +317,18 @@ func TestReliableDeliveryCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestReliableCursorSurvivesShardMigration pins that the cursor record
-// family rides the shard migration: a reliable subscription acked at one
-// shard keeps its cursor when the directory is reopened at two.
-func TestReliableCursorSurvivesShardMigration(t *testing.T) {
+// TestReliableCursorSurvivesReshard pins that the cursor record family
+// is routed by user like every other: a reliable subscription acked at
+// one shard keeps its cursor reopened at three, advances there, and
+// keeps the advance reopened at two.
+func TestReliableCursorSurvivesReshard(t *testing.T) {
 	ctx := context.Background()
 	web := testWeb(23)
 	dir := t.TempDir()
 	vt := simclock.NewVirtual(dt0)
-	open := func(shards int) (*reef.Centralized, error) {
-		return reef.NewCentralized(
+	open := func(shards int) *reef.Centralized {
+		t.Helper()
+		dep, err := reef.NewCentralized(
 			reef.WithFetcher(web),
 			reef.WithClock(vt),
 			reef.WithDataDir(dir),
@@ -334,49 +336,64 @@ func TestReliableCursorSurvivesShardMigration(t *testing.T) {
 			reef.WithSyncPolicy(reef.SyncAlways),
 			reef.WithSnapshotEvery(-1),
 		)
-	}
-	dep, err := open(1)
-	if err != nil {
-		t.Fatal(err)
+		if err != nil {
+			t.Fatalf("opening at %d shards: %v", shards, err)
+		}
+		return dep
 	}
 	feed := feedURLs(web)[0]
-	if _, err := dep.Subscribe(ctx, "carol", feed, reef.WithGuarantee(reef.AtLeastOnce)); err != nil {
-		t.Fatal(err)
+	acked := func(dep *reef.Centralized, want int64) {
+		t.Helper()
+		subs, err := dep.Subscriptions(ctx, "carol")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(subs) != 1 || subs[0].Acked != want || subs[0].Guarantee != "at_least_once" {
+			t.Fatalf("subscription at %d shards = %+v, want at_least_once with acked_seq %d", dep.ShardCount(), subs, want)
+		}
 	}
-	for i := 1; i <= 3; i++ {
-		if _, err := dep.PublishEvent(ctx, reef.Event{Attrs: feedItemAttrs(feed, i)}); err != nil {
+	publishAndAck := func(dep *reef.Centralized, from, to int, ack int64) {
+		t.Helper()
+		for i := from; i <= to; i++ {
+			if _, err := dep.PublishEvent(ctx, reef.Event{Attrs: feedItemAttrs(feed, i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := dep.FetchEvents(ctx, "carol", feed, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := dep.Ack(ctx, "carol", feed, ack, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	wantRetained(t, ctx, dep.Stats, 3)
-	if _, err := dep.FetchEvents(ctx, "carol", feed, 0); err != nil {
+
+	dep := open(1)
+	if _, err := dep.Subscribe(ctx, "carol", feed, reef.WithGuarantee(reef.AtLeastOnce)); err != nil {
 		t.Fatal(err)
 	}
-	if err := dep.Ack(ctx, "carol", feed, 2, false); err != nil {
-		t.Fatal(err)
-	}
+	publishAndAck(dep, 1, 3, 2)
 	if err := dep.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	dep2, err := open(2)
-	if err != nil {
-		t.Fatalf("migrating to 2 shards: %v", err)
-	}
-	defer func() { _ = dep2.Close() }()
-	subs, err := dep2.Subscriptions(ctx, "carol")
-	if err != nil {
+	dep = open(3)
+	acked(dep, 2)
+	// Sequencing resumes past the recovered cursor: the two new events
+	// take seqs 3 and 4.
+	publishAndAck(dep, 4, 5, 4)
+	if err := dep.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(subs) != 1 || subs[0].Acked != 2 || subs[0].Guarantee != "at_least_once" {
-		t.Fatalf("migrated subscription = %+v, want at_least_once with acked_seq 2", subs)
-	}
+
+	dep = open(2)
+	defer func() { _ = dep.Close() }()
+	acked(dep, 4)
 }
 
 // TestRetiredOrderingFieldRecovers pins that a data dir written while
 // reliable subscriptions still journaled an advisory "ordering_key"
 // recovers: the key is ignored in the snapshot and in the WAL tail alike,
-// at one shard and through the migration to three. The recovered queues
+// at one shard and at three. The recovered queues
 // are live, listings carry no ordering key, and the next snapshot drops
 // it.
 func TestRetiredOrderingFieldRecovers(t *testing.T) {
@@ -474,16 +491,12 @@ func addRetiredOrdering(t *testing.T, data []byte) []byte {
 	return out
 }
 
-// snapshotFiles lists the snapshot files of a data dir, root and shards.
+// snapshotFiles lists the snapshot files of a data dir.
 func snapshotFiles(t *testing.T, dir string) []string {
 	t.Helper()
-	var out []string
-	for _, pattern := range []string{"snap-*.json", "shard-*/snap-*.json"} {
-		m, err := filepath.Glob(filepath.Join(dir, pattern))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, m...)
+	out, err := filepath.Glob(filepath.Join(dir, "snap-*.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
 	return out
 }

@@ -42,9 +42,9 @@ var (
 // locally generated recommendations queue for AcceptRecommendation;
 // WithAutoApply(true) restores the paper's zero-click behavior.
 //
-// With WithDataDir each shard's subscription table and
-// pending-recommendation ledger persist and recover (all shards in
-// parallel); raw attention data deliberately does not — in the
+// With WithDataDir the subscription tables and pending-recommendation
+// ledgers of every shard persist in the node's one journal and recover;
+// raw attention data deliberately does not — in the
 // distributed deployment clicks never leave the user's host (paper §4),
 // so the durable footprint holds only what the user chose to act on (or
 // let the peer act on), and profile state rebuilds from future browsing.

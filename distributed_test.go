@@ -182,11 +182,11 @@ func TestDistributedCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestDistributedShardMigration mirrors TestShardMigrationFromLegacyLayout
-// for the distributed deployment: a single-journal directory migrates to
-// three shards and back to one, with the golden state unchanged at each
-// step and the peer counters and Stats key set pinned.
-func TestDistributedShardMigration(t *testing.T) {
+// TestDistributedReopenAtAnyShardCount mirrors TestReopenAtAnyShardCount
+// for the distributed deployment: one directory reopens at 1, 3, 2 and
+// then 1 shard, with the golden state unchanged at each step and the
+// peer counters and Stats key set pinned.
+func TestDistributedReopenAtAnyShardCount(t *testing.T) {
 	ctx := context.Background()
 	web := testWeb(13)
 	dir := t.TempDir()
@@ -217,10 +217,16 @@ func TestDistributedShardMigration(t *testing.T) {
 			t.Fatalf("%s: state differs (%v):\n%s", step, err, diff)
 		}
 	}
+	closeDep := func(dep *reef.Distributed) {
+		t.Helper()
+		if err := dep.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	dep := open(1)
 	driveDistributed(t, ctx, dep, web)
-	// The legacy journal holds a snapshot baseline and a WAL tail.
+	// The journal holds a snapshot baseline and a WAL tail.
 	if _, err := dep.Snapshot(ctx); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
@@ -228,39 +234,33 @@ func TestDistributedShardMigration(t *testing.T) {
 	if _, err := dep.Subscribe(ctx, "p1", feeds[len(feeds)-1]); err != nil {
 		t.Fatal(err)
 	}
-	legacy := capture(dep)
-	checkPin(t, "legacy pin", pinPeers(t, ctx, dep),
+	want := capture(dep)
+	checkPin(t, "pin at 1", pinPeers(t, ctx, dep),
 		distributedKeys+"users=p1,p2 known=p1:28,p2:28 applied=p1:2,p2:2")
-	if err := dep.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !hasRootJournal(t, dir) {
-		t.Fatal("single-shard deployment did not write the legacy root layout")
-	}
+	closeDep(dep)
 
-	dep3 := open(3)
-	same("legacy -> 3", legacy, capture(dep3))
-	checkPin(t, "migrated pin", pinPeers(t, ctx, dep3),
+	dep = open(3)
+	same("1 -> 3", want, capture(dep))
+	checkPin(t, "pin at 3", pinPeers(t, ctx, dep),
 		distributedKeys+"users=p1,p2 known=p1:0,p2:0 applied=p1:2,p2:1")
-	if hasRootJournal(t, dir) {
-		t.Error("legacy root journal files survived the migration")
-	}
-	if _, err := dep3.Subscribe(ctx, "p2", feeds[len(feeds)-1]); err != nil {
+	if _, err := dep.Subscribe(ctx, "p2", feeds[len(feeds)-1]); err != nil {
 		t.Fatal(err)
 	}
-	sharded := capture(dep3)
-	if err := dep3.Close(); err != nil {
-		t.Fatal(err)
-	}
+	want = capture(dep)
+	closeDep(dep)
 
-	dep1 := open(1)
-	defer func() { _ = dep1.Close() }()
-	same("3 -> 1", sharded, capture(dep1))
-	checkPin(t, "downgraded pin", pinPeers(t, ctx, dep1),
+	dep = open(2)
+	same("3 -> 2", want, capture(dep))
+	checkPin(t, "pin at 2", pinPeers(t, ctx, dep),
 		distributedKeys+"users=p1,p2 known=p1:0,p2:0 applied=p1:2,p2:2")
-	if !hasRootJournal(t, dir) {
-		t.Error("downgrade did not restore the root journal layout")
-	}
+	closeDep(dep)
+
+	dep = open(1)
+	defer closeDep(dep)
+	same("2 -> 1", want, capture(dep))
+	checkPin(t, "pin back at 1", pinPeers(t, ctx, dep),
+		distributedKeys+"users=p1,p2 known=p1:0,p2:0 applied=p1:2,p2:2")
+	checkRootLayout(t, dir)
 }
 
 // feedServers returns the web's feed-hosting content servers, sorted by

@@ -12,14 +12,14 @@
 // implementations — NewCentralized (the paper's Figure 1 server) and
 // NewDistributed (the Figure 2 WAIF-peer pipeline) — plus functional
 // options and the sentinel error set. WithShards(n) partitions a
-// deployment's users across n independent engine shards behind a
-// stable hash router: user-addressed calls touch one shard, publishes
-// fan out to all shards concurrently, and each shard journals and
-// recovers independently (the Sharder interface reports the count).
-// Deployments opened with WithDataDir persist their state through a
-// write-ahead log and compacting snapshots (internal/durable) — one
-// journal per shard — and recover it on reopen, all shards in
-// parallel; the Persister interface exposes the storage surface. The
+// deployment's users across n in-memory engine shards behind a stable
+// hash router: user-addressed calls touch one shard and publishes fan
+// out to all shards concurrently (the Sharder interface reports the
+// count). Deployments opened with WithDataDir persist their state
+// through a write-ahead log and compacting snapshots (internal/durable)
+// — one journal per node, shared by every shard — and recover it on
+// reopen, at whatever shard count the node opens with; the Persister
+// interface exposes the storage surface. The
 // reefhttp subpackage serves any Deployment over a versioned REST
 // surface, and reefclient is the Go SDK for it (itself a Deployment).
 // REST is the control plane; the high-volume verbs — publish and

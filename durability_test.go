@@ -2,12 +2,10 @@ package reef_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -164,11 +162,11 @@ func TestCentralizedCrashRecovery(t *testing.T) {
 }
 
 // TestCentralizedCrashRecoveryShards3 runs the crash-recovery golden
-// -state acceptance at shards=3: every shard journals to its own
-// shard-<i>/ directory, recovery replays all three in parallel, and the
-// recovered state — subscriptions, pending ledger with stable IDs, and
-// durable counters — must be byte-identical. A mid-history compaction
-// makes recovery cross each shard's snapshot/WAL boundary.
+// -state acceptance at shards=3: all three shards record through the
+// one journal at the data-dir root, recovery replays it routed by user,
+// and the recovered state — subscriptions, pending ledger with stable
+// IDs, and durable counters — must be byte-identical. A mid-history
+// compaction makes recovery cross the snapshot/WAL boundary.
 func TestCentralizedCrashRecoveryShards3(t *testing.T) {
 	ctx := context.Background()
 	web := testWeb(11)
@@ -206,16 +204,8 @@ func TestCentralizedCrashRecoveryShards3(t *testing.T) {
 		t.Fatalf("Crash: %v", err)
 	}
 
-	// The sharded layout is on disk: per-shard directories plus the meta
-	// file, no root journal files.
-	for i := 0; i < 3; i++ {
-		if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("shard-%d", i))); err != nil {
-			t.Errorf("shard-%d directory missing: %v", i, err)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, "shards.json")); err != nil {
-		t.Errorf("shards.json missing: %v", err)
-	}
+	// Three shards, one journal: the root layout, as at one shard.
+	checkRootLayout(t, dir)
 
 	dep2 := open()
 	defer func() { _ = dep2.Close() }()
@@ -223,8 +213,8 @@ func TestCentralizedCrashRecoveryShards3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Backend != "file" || info.ShardCount != 3 || len(info.Shards) != 3 {
-		t.Errorf("StorageInfo after recovery = %+v, want file backend with 3 shard entries", info)
+	if info.Backend != "file" || info.ShardCount != 3 || len(info.Shards) != 0 {
+		t.Errorf("StorageInfo after recovery = %+v, want file backend, 3 shards and no per-shard entries", info)
 	}
 	after, err := durabletest.Capture(ctx, dep2, users, durabletest.DurableStatKeys)
 	if err != nil {
@@ -247,161 +237,103 @@ func TestCentralizedCrashRecoveryShards3(t *testing.T) {
 	}
 }
 
-// TestShardMigrationFromLegacyLayout checks that a data directory
-// written by the single-journal layout opens cleanly under the sharded
-// engine: the legacy journal replays routed to the shards users now
-// hash to, each shard snapshots its slice, and the legacy files retire.
-// The test then crashes the sharded deployment (recovery now runs from
-// the migrated per-shard journals) and finally migrates back down to
-// one shard.
-func TestShardMigrationFromLegacyLayout(t *testing.T) {
+// TestReopenAtAnyShardCount pins that the shard count is a runtime
+// choice: one data directory reopens at 1, 3, 2 and then 1 shard —
+// with a mutation and a crash at 3 — and the golden state is the same
+// at every step. Opening without WithShards runs one shard. The
+// directory keeps the root layout throughout.
+func TestReopenAtAnyShardCount(t *testing.T) {
 	ctx := context.Background()
 	web := testWeb(11)
 	dir := t.TempDir()
-	open := func(shards int) (*reef.Centralized, error) {
-		return reef.NewCentralized(
+	open := func(opts ...reef.Option) *reef.Centralized {
+		t.Helper()
+		dep, err := reef.NewCentralized(append([]reef.Option{
 			reef.WithFetcher(web),
 			reef.WithDataDir(dir),
-			reef.WithShards(shards),
 			reef.WithSyncPolicy(reef.SyncAlways),
 			reef.WithSnapshotEvery(-1),
-		)
+		}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dep
 	}
-	// distinct_servers deliberately is not compared across shard-count
-	// changes: a host clicked by users now on different shards counts
-	// once per shard that stores it.
-	statKeys := []string{"clicks_stored", "pending_recommendations"}
-
-	dep, err := open(1)
-	if err != nil {
-		t.Fatal(err)
+	var users []string
+	capture := func(dep *reef.Centralized) *durabletest.GoldenState {
+		t.Helper()
+		g, err := durabletest.Capture(ctx, dep, users, durabletest.DurableStatKeys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
 	}
-	users := driveCentralized(t, ctx, dep, web)
-	legacy, err := durabletest.Capture(ctx, dep, users, statKeys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dep.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !hasRootJournal(t, dir) {
-		t.Fatal("single-shard deployment did not write the legacy root layout")
-	}
-
-	// Reopen sharded: the legacy directory migrates in place.
-	dep3, err := open(3)
-	if err != nil {
-		t.Fatalf("opening legacy dir with WithShards(3): %v", err)
-	}
-	migrated, err := durabletest.Capture(ctx, dep3, users, statKeys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff, err := durabletest.Diff(legacy, migrated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff != "" {
-		t.Fatalf("migrated state differs from legacy:\n%s", diff)
-	}
-	if hasRootJournal(t, dir) {
-		t.Error("legacy root journal files survived the migration")
-	}
-
-	// A wrong shard count against a sharded directory is refused.
-	if _, err := open(2); !errors.Is(err, reef.ErrInvalidArgument) {
-		t.Errorf("open with mismatched shard count: error = %v, want ErrInvalidArgument", err)
-	}
-
-	// Opening WITHOUT WithShards adopts the directory's count instead of
-	// migrating it down to one shard (dep3 still holds the dir; adoption
-	// is a read-only decision, so the probe deployment opens the same
-	// layout and is closed before the crash below).
-	if err := dep3.Close(); err != nil {
-		t.Fatal(err)
-	}
-	adopt, err := reef.NewCentralized(
-		reef.WithFetcher(web),
-		reef.WithDataDir(dir),
-		reef.WithSyncPolicy(reef.SyncAlways),
-		reef.WithSnapshotEvery(-1),
-	)
-	if err != nil {
-		t.Fatalf("open without WithShards: %v", err)
-	}
-	if got := adopt.ShardCount(); got != 3 {
-		t.Errorf("ShardCount without WithShards = %d, want the directory's 3", got)
-	}
-	if err := adopt.Close(); err != nil {
-		t.Fatal(err)
-	}
-	dep3, err = open(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Crash-recover at 3 to prove the migrated journals are live.
-	feeds := feedURLs(web)
-	if _, err := dep3.Subscribe(ctx, "u2", feeds[len(feeds)-1]); err != nil {
-		t.Fatal(err)
-	}
-	before, err := durabletest.Capture(ctx, dep3, users, statKeys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := durabletest.Crash(dep3); err != nil {
-		t.Fatal(err)
-	}
-	dep3b, err := open(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, err := durabletest.Capture(ctx, dep3b, users, statKeys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff, err := durabletest.Diff(before, after); err != nil || diff != "" {
-		t.Fatalf("crash recovery after migration differs (%v):\n%s", err, diff)
-	}
-	if err := dep3b.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// And back down: the sharded directory migrates to the legacy layout.
-	dep1, err := open(1)
-	if err != nil {
-		t.Fatalf("migrating back to one shard: %v", err)
-	}
-	defer func() { _ = dep1.Close() }()
-	down, err := durabletest.Capture(ctx, dep1, users, statKeys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff, err := durabletest.Diff(before, down); err != nil || diff != "" {
-		t.Fatalf("downgrade migration differs (%v):\n%s", err, diff)
-	}
-	if !hasRootJournal(t, dir) {
-		t.Error("downgrade did not restore the root journal layout")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "shards.json")); !os.IsNotExist(err) {
-		t.Errorf("shards.json survived the downgrade: %v", err)
-	}
-}
-
-// hasRootJournal reports whether dir holds root-level WAL segments (the
-// legacy single-shard layout).
-func hasRootJournal(t *testing.T, dir string) bool {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if e.Type().IsRegular() && strings.HasPrefix(e.Name(), "wal-") {
-			return true
+	same := func(step string, want, got *durabletest.GoldenState) {
+		t.Helper()
+		if diff, err := durabletest.Diff(want, got); err != nil || diff != "" {
+			t.Fatalf("%s: state differs (%v):\n%s", step, err, diff)
 		}
 	}
-	return false
+	closeDep := func(dep *reef.Centralized) {
+		t.Helper()
+		if err := dep.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	dep := open(reef.WithShards(1))
+	users = driveCentralized(t, ctx, dep, web)
+	// Recovery crosses a snapshot baseline and a WAL tail.
+	if _, err := dep.Snapshot(ctx); err != nil {
+		t.Fatal(err)
+	}
+	feeds := feedURLs(web)
+	if _, err := dep.Subscribe(ctx, "u2", feeds[len(feeds)-1]); err != nil {
+		t.Fatal(err)
+	}
+	want := capture(dep)
+	closeDep(dep)
+
+	dep = open(reef.WithShards(3))
+	same("1 -> 3", want, capture(dep))
+	if err := dep.Unsubscribe(ctx, "u2", feeds[len(feeds)-1]); err != nil {
+		t.Fatal(err)
+	}
+	want = capture(dep)
+	if err := durabletest.Crash(dep); err != nil {
+		t.Fatal(err)
+	}
+	dep = open(reef.WithShards(3))
+	same("crash at 3", want, capture(dep))
+	closeDep(dep)
+
+	dep = open(reef.WithShards(2))
+	same("3 -> 2", want, capture(dep))
+	closeDep(dep)
+
+	dep = open()
+	defer closeDep(dep)
+	if got := dep.ShardCount(); got != 1 {
+		t.Errorf("ShardCount without WithShards = %d, want 1", got)
+	}
+	same("2 -> 1", want, capture(dep))
+	checkRootLayout(t, dir)
+}
+
+// checkRootLayout asserts dir holds the one-journal layout: root WAL
+// segments, and neither the per-shard layout's shards.json nor any
+// shard-<i>/ directory.
+func checkRootLayout(t *testing.T, dir string) {
+	t.Helper()
+	if m, _ := filepath.Glob(filepath.Join(dir, "wal-*.log")); len(m) == 0 {
+		t.Errorf("no root WAL segment in %s", dir)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "shards.json")); !os.IsNotExist(err) {
+		t.Errorf("shards.json in %s: %v", dir, err)
+	}
+	if m, _ := filepath.Glob(filepath.Join(dir, "shard-*")); len(m) != 0 {
+		t.Errorf("per-shard directories in %s: %v", dir, m)
+	}
 }
 
 // TestCentralizedCrashLosesUnsyncedTail pins the loss semantics of
@@ -453,13 +385,24 @@ func TestCentralizedCrashLosesUnsyncedTail(t *testing.T) {
 // snapshot compactions run, then recovers and counts: every ingested
 // click must be on exactly one side of every snapshot/WAL handoff. Run
 // under -race this also proves the capture path holds no stale views.
+// At three shards the workers' users spread over shards that all record
+// into, and are all captured from, the one journal.
 func TestSnapshotCompactionRace(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			testSnapshotCompactionRace(t, shards)
+		})
+	}
+}
+
+func testSnapshotCompactionRace(t *testing.T, shards int) {
 	ctx := context.Background()
 	web := testWeb(14)
 	dir := t.TempDir()
 	dep, err := reef.NewCentralized(
 		reef.WithFetcher(web),
 		reef.WithDataDir(dir),
+		reef.WithShards(shards),
 		reef.WithSyncPolicy(reef.SyncNever), // graceful close flushes; the race is in the handoff
 		reef.WithSnapshotEvery(-1),
 	)
@@ -515,7 +458,7 @@ func TestSnapshotCompactionRace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dep2, err := reef.NewCentralized(reef.WithFetcher(web), reef.WithDataDir(dir))
+	dep2, err := reef.NewCentralized(reef.WithFetcher(web), reef.WithDataDir(dir), reef.WithShards(shards))
 	if err != nil {
 		t.Fatalf("recovery after compaction race: %v", err)
 	}

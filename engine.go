@@ -46,12 +46,14 @@ type clickPolicy interface {
 
 // engine is one shard of a deployment: a complete per-user-partition
 // state machine — click policy, edge broker, WAIF proxy, hosted
-// frontends and sidebars, reliable delivery queues, pending-recommendation
-// ledger and journal. The router owns N of these and addresses each
-// user's state to exactly one of them; the engine itself knows nothing
-// about its siblings, so its lock domains (broker RWMutex, journal mutex,
-// frontend map) never contend across shards. It is the only place that
-// journals a subscription, and apply is the only place one is applied.
+// frontends and sidebars, reliable delivery queues and
+// pending-recommendation ledger. The router owns N of these and
+// addresses each user's state to exactly one of them; the engine itself
+// knows nothing about its siblings, so its lock domains (broker RWMutex,
+// frontend map) never contend across shards. All of a node's engines
+// record through the router's one journal. The engine is the only place
+// that journals a subscription, and apply is the only place one is
+// applied.
 type engine struct {
 	cfg        config
 	policy     clickPolicy
@@ -65,14 +67,11 @@ type engine struct {
 	mu     sync.Mutex
 	closed bool
 	fronts map[string]*frontend.Frontend
-	// replPos is how far this shard's log holds each source's
-	// replication stream, by source.
-	replPos map[string]durable.ReplPosition
 }
 
-// newEngine builds one shard over an already-open journal. The journal
-// is still disarmed; the caller recovers (directly or through the
-// migration replay) and then arms it.
+// newEngine builds one shard over the node's already-open journal. The
+// journal is still disarmed; the router recovers (or imports) and then
+// arms it.
 func newEngine(cfg config, idx int, journal *durable.Journal, policy clickPolicy) *engine {
 	e := &engine{
 		cfg:        cfg,
@@ -83,7 +82,6 @@ func newEngine(cfg config, idx int, journal *durable.Journal, policy clickPolicy
 		pending:    newPendingSet(),
 		deliveries: delivery.NewSet(),
 		fronts:     make(map[string]*frontend.Frontend),
-		replPos:    make(map[string]durable.ReplPosition),
 	}
 	publisher := cfg.feedPublisher
 	if publisher == nil {
@@ -97,10 +95,11 @@ func newEngine(cfg config, idx int, journal *durable.Journal, policy clickPolicy
 	return e
 }
 
-// replay returns the hooks that re-drive this shard's recovery stream:
-// subscriptions and accepts re-apply, pending ops land in the shard's
-// ledger, and the policy adds its own records (clicks re-enter ingestion
-// so derived state rebuilds exactly as live ingestion built it).
+// replay returns the hooks that re-drive this shard's share of the
+// recovery stream: subscriptions and accepts re-apply, pending ops land
+// in the shard's ledger, and the policy adds its own records (clicks
+// re-enter ingestion so derived state rebuilds exactly as live ingestion
+// built it). Replication positions are the router's (see routedReplay).
 func (e *engine) replay() durableReplay {
 	dr := durableReplay{
 		applySub:       func(rec recommend.Recommendation) error { return e.apply(rec.User, rec) },
@@ -120,43 +119,15 @@ func (e *engine) replay() durableReplay {
 				q.RestoreAcked(seq)
 			}
 		},
-		setReplPosition: e.setReplPosition,
 	}
 	e.policy.replay(&dr)
 	return dr
 }
 
-// setReplPosition records how far this shard has applied one source's
-// replication stream.
-func (e *engine) setReplPosition(p durable.ReplPosition) {
-	e.mu.Lock()
-	e.replPos[p.Source] = p
-	e.mu.Unlock()
-}
-
-// recover replays the shard journal's recovery state: the snapshot
-// baseline first, then every intact WAL record in append order. The
-// journal is still disarmed, so replayed mutations are not re-logged.
-func (e *engine) recover() error {
-	st, tail, err := e.journal.Load()
-	if err != nil {
-		return err
-	}
-	return e.replay().run(st, tail)
-}
-
-// arm turns on live journaling; recovery (or migration) must be done.
-func (e *engine) arm() {
-	e.journal.Arm(e.captureState, journalSnapshotEvery(e.cfg))
-}
-
-// captureState assembles the shard's full durable state for a snapshot.
-// The journal holds its exclusive lock while calling it, so no mutation
-// is in flight: the capture is a consistent cut of this shard's
-// operation stream (shards snapshot independently — each snapshot is a
-// per-shard consistent cut, not a global one).
-func (e *engine) captureState() (*durable.State, error) {
-	st := &durable.State{Version: 1}
+// capture appends the shard's durable state to st. The router calls it
+// for every shard with the journal lock held (see router.captureState),
+// so no mutation is in flight.
+func (e *engine) capture(st *durable.State) {
 	e.policy.capture(st)
 	e.mu.Lock()
 	users := make([]string, 0, len(e.fronts))
@@ -168,7 +139,6 @@ func (e *engine) captureState() (*durable.State, error) {
 	for i, u := range users {
 		fronts[i] = e.fronts[u]
 	}
-	st.ReplPositions = mergeReplPositions([]map[string]durable.ReplPosition{e.replPos})
 	e.mu.Unlock()
 	for i, fe := range fronts {
 		for _, rec := range fe.Active() {
@@ -183,11 +153,12 @@ func (e *engine) captureState() (*durable.State, error) {
 			st.Subscriptions = append(st.Subscriptions, ds)
 		}
 	}
-	st.Pending, st.PendingSeq = e.pending.dump()
+	pending, seq := e.pending.dump()
+	st.Pending = append(st.Pending, pending...)
+	st.PendingSeq = max(st.PendingSeq, seq)
 	for _, cu := range e.deliveries.Cursors() {
 		st.Cursors = append(st.Cursors, durable.CursorState{User: cu.User, ID: cu.ID, Acked: cu.Acked})
 	}
-	return st, nil
 }
 
 // front returns (creating on first use) the hosted frontend for a user,

@@ -8,10 +8,11 @@ package routing
 import "strings"
 
 // UserSlot maps a user identity to one of n slots with FNV-1a. The
-// hash is part of durable contracts on both layers — a user's journal
-// records live in shard-<UserSlot(user, shards)>/ on disk, and a
-// cluster routes the user to node UserSlot(user, nodes) — so it must
-// stay stable across releases (changing it is a data migration).
+// in-process router uses it to place a user's in-memory state on a
+// shard, and a cluster routes the user to node UserSlot(user, nodes).
+// The node placement is a durable contract — a user's data lives on
+// that node — so the hash must stay stable across releases (changing it
+// is a data migration).
 func UserSlot(user string, n int) int {
 	if n <= 1 {
 		return 0

@@ -46,13 +46,12 @@ type config struct {
 	syncPolicy      SyncPolicy
 	snapshotEvery   int
 	shards          int
-	shardsSet       bool
 	ackTimeout      time.Duration
 	maxAttempts     int
 }
 
 func buildConfig(opts []Option) config {
-	var cfg config
+	cfg := config{shards: 1}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -165,21 +164,18 @@ func WithSnapshotEvery(n int) Option {
 	return func(c *config) { c.snapshotEvery = n }
 }
 
-// WithShards partitions the deployment's users across n independent
-// engine shards, each with its own broker lock domain, pending ledger
-// and — under WithDataDir — its own journal in a shard-<i>/
-// subdirectory. User-addressed calls (clicks, subscriptions,
+// WithShards partitions the deployment's users across n engine shards
+// in memory, each with its own broker lock domain, pending ledger and
+// frontends. User-addressed calls (clicks, subscriptions,
 // recommendations) route to exactly one shard by a stable hash of the
 // user identity; publishes fan out to every shard concurrently; stats
-// and storage info aggregate across shards. One shard preserves the
-// single-engine behavior and on-disk layout exactly. Leaving the
-// option off adopts an existing data directory's shard count (fresh
-// directories and memory deployments default to 1), so a restart
-// without the option never re-shards; an explicit count that differs
-// from the directory's migrates when either side is 1 and is refused
-// otherwise. n < 1 makes the constructor fail with ErrInvalidArgument.
+// aggregate across shards. Under WithDataDir every shard records
+// through the node's one journal at the directory root, so the count is
+// a runtime choice: any n opens any directory, with no migration step.
+// Unset means 1. n < 1 makes the constructor fail with
+// ErrInvalidArgument.
 func WithShards(n int) Option {
-	return func(c *config) { c.shards, c.shardsSet = n, true }
+	return func(c *config) { c.shards = n }
 }
 
 // WithDeliveryDefaults sets the deployment-wide defaults for

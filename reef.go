@@ -154,16 +154,13 @@ type StorageInfo struct {
 	// stopped cleanly at the last intact record.
 	TornTail bool `json:"torn_tail,omitempty"`
 	// ShardCount is the number of engine shards behind the deployment
-	// (1 unless WithShards raised it). On a sharded deployment the
-	// top-level counters are sums across shards, Generation is the
-	// highest shard generation, and TornTail is true if any shard's WAL
-	// was torn.
+	// (1 unless WithShards raised it). Every shard of a node records
+	// through the node's one journal, so the other fields describe the
+	// whole node at any count.
 	ShardCount int `json:"shard_count,omitempty"`
-	// Shards breaks the storage state down per shard, in shard order.
-	// Empty on single-shard deployments, where the top-level fields
-	// already are the whole story. A cluster deployment (reefcluster)
-	// reuses the field for its per-node breakdown, with Node set on each
-	// entry.
+	// Shards is the per-node breakdown of a cluster deployment
+	// (reefcluster), with Node set on each entry. Empty on a single
+	// node, which has one journal whatever its shard count.
 	Shards []StorageInfo `json:"shards,omitempty"`
 	// Node labels a per-node entry of a cluster deployment's breakdown
 	// with that node's ID. Empty everywhere else.

@@ -30,9 +30,10 @@
 // (internal/replication), and the router walks that same replica set:
 // a dead primary's users are served by the first up replica within one
 // probe interval, and fail back automatically on re-admission.
-// Placement is intentionally static (node list order is the contract,
-// like the shard count is on disk): moving users between nodes is a
-// data migration, not a failover.
+// Placement is intentionally static (node list order is the contract):
+// moving users between nodes is a data migration, not a failover.
+// A node's shard count, by contrast, is an in-memory partition over one
+// journal and may change at any restart.
 package reefcluster
 
 import (

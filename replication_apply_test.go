@@ -11,14 +11,15 @@ import (
 	"reef"
 	"reef/internal/durable"
 	"reef/internal/durable/durabletest"
+	"reef/internal/routing"
 )
 
 // TestReplicationApplyRoundTrip is the reef-layer half of replication:
 // every record tapped from a primary's WAL, applied on a second
 // deployment through ApplyReplicated, reproduces the golden state
 // byte-exactly — including pending-recommendation IDs and durable
-// counters — even when the replica runs a different shard count (the
-// stream is re-framed per shard on ingest).
+// counters — even when the replica runs a different shard count (each
+// record is journaled as received and routed by user in memory).
 func TestReplicationApplyRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	web := testWeb(71)
@@ -86,8 +87,8 @@ func TestReplicationApplyRoundTrip(t *testing.T) {
 // TestReplicationPositionsRecover pins where a replica's positions live:
 // in its own journal. Positions applied through ApplyReplicated come
 // back through ReplicationPositions after a clean reopen, after a
-// snapshot took them into its position table, and across the
-// legacy→3→1 shard migration.
+// snapshot took them into its position table, and reopened at 3 shards
+// and then at 1.
 func TestReplicationPositionsRecover(t *testing.T) {
 	web := testWeb(73)
 	open := func(t *testing.T, dir string, shards int) *reef.Centralized {
@@ -158,11 +159,11 @@ func TestReplicationPositionsRecover(t *testing.T) {
 		apply(t, dep)
 		closeDep(t, dep)
 		dep = open(t, dir, 3)
-		check(t, dep, "after migrating to 3 shards")
+		check(t, dep, "reopened at 3 shards")
 		closeDep(t, dep)
 		dep = open(t, dir, 1)
 		defer closeDep(t, dep)
-		check(t, dep, "after migrating back to 1 shard")
+		check(t, dep, "reopened at 1 shard")
 	})
 }
 
@@ -230,5 +231,64 @@ func TestReplicationSnapshotCut(t *testing.T) {
 	}
 	if diff, err := durabletest.Diff(want, got); err != nil || diff != "" {
 		t.Fatalf("cut state lost across replica crash (%v):\n%s", err, diff)
+	}
+}
+
+// TestReplicatedRecordsJournaledOnce pins that a replicated record is
+// journaled once, as received, however many shards it touches: a click
+// batch spanning all three shards, a flag and a position grow the WAL by
+// exactly three records, while the clicks land on their users' shards
+// and the flag is known.
+func TestReplicatedRecordsJournaledOnce(t *testing.T) {
+	ctx := context.Background()
+	dep, err := reef.NewCentralized(
+		reef.WithFetcher(testWeb(74)),
+		reef.WithDataDir(t.TempDir()),
+		reef.WithShards(3),
+		reef.WithSnapshotEvery(-1),
+		reef.WithPollInterval(time.Hour),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Close()
+	var clicks []reef.Click
+	slots := make(map[int]bool)
+	for _, u := range []string{"alice", "dave", "ivan"} {
+		slots[routing.UserSlot(u, 3)] = true
+		clicks = append(clicks, reef.Click{User: u, URL: "http://pages.test/" + u, At: dt0})
+	}
+	if len(slots) != 3 {
+		t.Fatalf("the batch's users cover shards %v, want all three", slots)
+	}
+	before, err := dep.StorageInfo(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dep.ApplyReplicated([]durable.Record{
+		durable.ClicksRecord(clicks),
+		durable.FlagRecord("ads.test", 1),
+		durable.ReplPositionRecord(durable.ReplPosition{Source: "a", Epoch: 1, Applied: 3}),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	after, err := dep.StorageInfo(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.WALRecords - before.WALRecords; got != 3 {
+		t.Errorf("WAL grew by %d records, want 3", got)
+	}
+	stats, err := dep.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if got := stats[fmt.Sprintf("shard%d_clicks_stored", i)]; got != 1 {
+			t.Errorf("shard %d stores %v clicks, want 1", i, got)
+		}
+	}
+	if got := dep.FlaggedServers("ad"); got != 1 {
+		t.Errorf("FlaggedServers(ad) = %d, want 1", got)
 	}
 }

@@ -2,10 +2,10 @@ package reef
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,103 +20,70 @@ import (
 
 // shardFor maps a user identity to a shard index with the shared
 // FNV-1a placement hash (internal/routing, also the cluster router's
-// user→node scheme). The hash is part of the on-disk contract: a
-// user's journal records live in shard-<shardFor(user)>/, so it must
-// stay stable across releases (changing it requires the same migration
-// path as changing the shard count).
+// user→node scheme). Shards are an in-memory partition only: every
+// journal record carries its user, so recovery routes it to whichever
+// shard the user hashes to at the count the node opened with.
 func shardFor(user string, n int) int {
 	return routing.UserSlot(user, n)
 }
 
-// resolveShards validates an explicit WithShards setting; unset returns
-// 0, meaning "adopt the data directory's count, default 1" (resolved in
-// planShards). Leaving the option off must never re-shard an existing
-// directory.
-func resolveShards(cfg config) (int, error) {
-	if !cfg.shardsSet {
-		return 0, nil
-	}
-	if cfg.shards < 1 {
-		return 0, fmt.Errorf("%w: WithShards(%d): shard count must be at least 1", ErrInvalidArgument, cfg.shards)
-	}
-	return cfg.shards, nil
-}
-
 // router is the user→shard router both deployments are built on: it
-// owns the WithShards(n) engines and the open/closed state, and serves
-// every verb whose only deployment-specific part is the shards' click
-// policy. Users partition across shards by a stable hash, so every
-// user-addressed call (clicks, subscriptions, recommendations, sidebar)
-// touches exactly one shard's lock domains, while publishes fan out to
-// all shards concurrently. Each shard journals to its own directory and
-// recovers in parallel with its siblings; a single shard behaves — in
-// memory and on disk — exactly like the pre-sharding deployment.
+// owns the WithShards(n) engines, the node's one journal and the
+// open/closed state, and serves every verb whose only
+// deployment-specific part is the shards' click policy. Users partition
+// across shards by a stable hash, so every user-addressed call
+// (clicks, subscriptions, recommendations, sidebar) touches exactly one
+// shard's lock domains, while publishes fan out to all shards
+// concurrently. Every shard records through the same journal at the
+// data-dir root — one log in one order, whatever the shard count — so a
+// directory reopens at any count and a single shard behaves exactly
+// like the pre-sharding deployment.
 type router struct {
-	cfg    config
-	shards []*engine
+	cfg     config
+	shards  []*engine
+	journal *durable.Journal
 
 	mu     sync.Mutex
 	closed bool
+	// replPos is how far this node's log holds each source's
+	// replication stream, by source.
+	replPos map[string]durable.ReplPosition
 }
 
-// openRouter builds the shards, each with the click policy newPolicy
-// makes over its journal, then recovers or migrates the data directory
-// before arming the journals (see NewCentralized).
-//
-// combos rejects the option combinations a shard count cannot serve. It
-// runs on the explicit count BEFORE planShards may touch the data
-// directory (fresh-dir meta write, migration cleanup), and again on an
-// adopted count — the adopt path makes no writes, so a rejected
-// constructor leaves no trace.
+// openRouter builds the shards over one journal, each with the click
+// policy newPolicy makes, then recovers the data directory — or imports
+// the per-shard layout older releases wrote — before arming the journal
+// (see NewCentralized). combos rejects the option combinations a shard
+// count cannot serve; it runs before anything touches the data
+// directory, so a rejected constructor leaves no trace.
 func openRouter(cfg config, newPolicy func(config, *durable.Journal) clickPolicy, combos func(n int) error) (*router, error) {
-	n, err := resolveShards(cfg)
-	if err != nil {
-		return nil, err
+	n := cfg.shards
+	if n < 1 {
+		return nil, fmt.Errorf("%w: WithShards(%d): shard count must be at least 1", ErrInvalidArgument, n)
 	}
 	if err := combos(n); err != nil {
 		return nil, err
 	}
-	plan, err := planShards(cfg.dataDir, n)
+	oldDirs, legacy, err := prepareDataDir(cfg.dataDir)
 	if err != nil {
 		return nil, err
 	}
-	n = plan.n
-	if err := combos(n); err != nil {
+	journal, err := openJournal(cfg)
+	if err != nil {
 		return nil, err
 	}
-	r := &router{cfg: cfg, shards: make([]*engine, n)}
+	r := &router{cfg: cfg, shards: make([]*engine, n), journal: journal, replPos: make(map[string]durable.ReplPosition)}
 	for i := range r.shards {
-		dir := ""
-		if plan.dirs != nil {
-			dir = plan.dirs[i]
-		}
-		journal, err := openShardJournal(cfg, dir)
-		if err != nil {
-			r.teardownPartial(i)
-			return nil, err
-		}
 		r.shards[i] = newEngine(cfg, i, journal, newPolicy(cfg, journal))
 	}
-	fail := func(err error) (*router, error) {
-		r.teardownPartial(n)
+	if legacy {
+		err = r.importShardLayout(oldDirs)
+	} else {
+		err = r.recover()
+	}
+	if err != nil {
+		_ = r.Close()
 		return nil, fmt.Errorf("reef: recovering %s: %w", cfg.dataDir, err)
-	}
-	if plan.migrate {
-		if err := r.migrateFrom(plan); err != nil {
-			return fail(err)
-		}
-		return r, nil
-	}
-	if _, err := fanOut(n, func(i int) (struct{}, error) {
-		return struct{}{}, r.shards[i].recover()
-	}); err != nil {
-		return fail(err)
-	}
-	for _, e := range r.shards {
-		e.arm()
-	}
-	if err := ensureShardLayout(cfg.dataDir, n); err != nil {
-		return fail(err)
 	}
 	return r, nil
 }
@@ -132,60 +99,103 @@ func oneFeedPublisher(cfg config, n int) error {
 	return nil
 }
 
-// teardownPartial closes the first k constructed shards (constructor
-// error paths).
-func (r *router) teardownPartial(k int) {
-	for i := 0; i < k; i++ {
-		if r.shards[i] != nil {
-			r.shards[i].teardown()
-			_ = r.shards[i].journal.Close()
-		}
+// recover replays the journal's recovery state — the snapshot baseline,
+// then every intact WAL record in append order — with each operation
+// routed to the shard its user hashes to, then arms the journal. The
+// journal is still disarmed during replay, so replayed mutations are not
+// re-logged.
+func (r *router) recover() error {
+	st, tail, err := r.journal.Load()
+	if err != nil {
+		return err
 	}
+	if err := r.routedReplay().run(st, tail); err != nil {
+		return err
+	}
+	r.arm()
+	return nil
 }
 
-// migrateFrom replays an old shard layout's journals through the new
-// engines — every operation routed to the shard its user now hashes to —
-// then snapshots each shard so the new layout is durable before the old
-// one is retired.
-func (r *router) migrateFrom(plan shardPlan) error {
+// importShardLayout moves a directory written in the per-shard layout
+// into the root journal, once: every old shard journal replays routed to
+// the shards its users hash to now, the node starts from the merge of
+// the old position tables (a shard that lost a tail holds the whole node
+// back rather than the last one read winning), and one root snapshot
+// makes the import durable. Only then do shards.json and the shard-<i>/
+// directories go: a crash before shards.json is removed re-runs the
+// import from the untouched old journals, a crash after it leaves only
+// garbage that the next open sweeps.
+func (r *router) importShardLayout(oldDirs []string) error {
 	rep := r.routedReplay()
-	// Each old directory's log holds its own replication positions; the
-	// new shards start from their merge, so a directory that lost a tail
-	// holds every new shard back rather than the last one read winning.
-	tables := make([]map[string]durable.ReplPosition, len(plan.oldDirs))
-	for i, dir := range plan.oldDirs {
+	tables := make([]map[string]durable.ReplPosition, len(oldDirs))
+	for i, dir := range oldDirs {
 		table := make(map[string]durable.ReplPosition)
 		tables[i] = table
 		rep.setReplPosition = func(p durable.ReplPosition) { table[p.Source] = p }
 		st, tail, err := loadShardSource(dir)
-		if err != nil {
-			return fmt.Errorf("migrating %s: %w", dir, err)
+		if err == nil {
+			err = rep.run(st, tail)
 		}
-		if err := rep.run(st, tail); err != nil {
-			return fmt.Errorf("migrating %s: %w", dir, err)
+		if err != nil {
+			return fmt.Errorf("importing %s: %w", dir, err)
 		}
 	}
 	for _, p := range mergeReplPositions(tables) {
-		for _, e := range r.shards {
-			e.setReplPosition(p)
-		}
+		r.setReplPosition(p)
 	}
+	r.arm()
+	if err := r.journal.Snapshot(); err != nil {
+		return fmt.Errorf("snapshotting the imported state: %w", err)
+	}
+	if err := os.Remove(filepath.Join(r.cfg.dataDir, shardMetaFile)); err != nil {
+		return fmt.Errorf("retiring %s: %w", shardMetaFile, err)
+	}
+	return removeShardDirs(r.cfg.dataDir)
+}
+
+// arm turns on live journaling; recovery (or the import) must be done.
+func (r *router) arm() {
+	r.journal.Arm(r.captureState, journalSnapshotEvery(r.cfg))
+}
+
+// captureState assembles the node's full durable state for a snapshot.
+// The journal holds its exclusive lock while calling it, so no mutation
+// is in flight on any shard: the capture is one consistent cut of the
+// node's operation stream.
+func (r *router) captureState() (*durable.State, error) {
+	st := &durable.State{Version: 1}
 	for _, e := range r.shards {
-		e.arm()
+		e.capture(st)
 	}
-	if _, err := fanOut(len(r.shards), func(i int) (struct{}, error) {
-		return struct{}{}, r.shards[i].journal.Snapshot()
-	}); err != nil {
-		return fmt.Errorf("snapshotting migrated shards: %w", err)
-	}
-	return finishMigration(r.cfg.dataDir, plan)
+	sort.Slice(st.Cursors, func(i, j int) bool {
+		a, b := st.Cursors[i], st.Cursors[j]
+		return a.User < b.User || a.User == b.User && a.ID < b.ID
+	})
+	st.ReplPositions = r.positions()
+	return st, nil
+}
+
+// setReplPosition records how far this node has applied one source's
+// replication stream.
+func (r *router) setReplPosition(p durable.ReplPosition) {
+	r.mu.Lock()
+	r.replPos[p.Source] = p
+	r.mu.Unlock()
+}
+
+// positions lists the node's replication positions, sorted by source.
+func (r *router) positions() []durable.ReplPosition {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return mergeReplPositions([]map[string]durable.ReplPosition{r.replPos})
 }
 
 // routedReplay builds replay hooks that dispatch each recovered
 // operation to the engine its user hashes to. Classification flags are
 // global knowledge (an ad server is an ad server for every user), so
-// they broadcast to every shard's store; click batches split per user.
-// A policy that journals no clicks or flags leaves those hooks nil.
+// they broadcast to every shard's store; click batches split per user;
+// replication positions land in the node's one table. A policy that
+// journals no clicks or flags leaves those hooks nil.
 func (r *router) routedReplay() durableReplay {
 	n := len(r.shards)
 	reps := make([]durableReplay, n)
@@ -193,7 +203,9 @@ func (r *router) routedReplay() durableReplay {
 		reps[i] = e.replay()
 	}
 	if n == 1 {
-		return reps[0]
+		dr := reps[0]
+		dr.setReplPosition = r.setReplPosition
+		return dr
 	}
 	at := func(user string) durableReplay { return reps[shardFor(user, n)] }
 	dr := durableReplay{
@@ -218,12 +230,8 @@ func (r *router) routedReplay() durableReplay {
 		registerDelivery: func(user, id string, ds durable.DeliveryState) {
 			at(user).registerDelivery(user, id, ds)
 		},
-		ackCursor: func(user, id string, seq int64) { at(user).ackCursor(user, id, seq) },
-		setReplPosition: func(p durable.ReplPosition) {
-			for i := range reps {
-				reps[i].setReplPosition(p)
-			}
-		},
+		ackCursor:       func(user, id string, seq int64) { at(user).ackCursor(user, id, seq) },
+		setReplPosition: r.setReplPosition,
 	}
 	if reps[0].applyClicks != nil {
 		dr.applyClicks = func(batch []attention.Click) error {
@@ -291,60 +299,49 @@ func (r *router) markClosed() bool {
 }
 
 // Close implements Deployment. Idempotent. Buffered WAL appends are
-// flushed on every shard; no final snapshot is taken (reopening replays
-// the WALs, which exercises the same recovery path a crash would).
+// flushed; no final snapshot is taken (reopening replays the WAL, which
+// exercises the same recovery path a crash would).
 func (r *router) Close() error {
 	return r.shutdown((*durable.Journal).Close)
 }
 
 // Crash closes the deployment WITHOUT flushing buffered WAL appends — the
 // fault-injection hook behind the crash-recovery tests: everything since
-// the last sync is lost on every shard, exactly as if the process had
-// died.
+// the last sync is lost, exactly as if the process had died.
 func (r *router) Crash() error {
 	return r.shutdown((*durable.Journal).Crash)
 }
 
-// shutdown tears every shard down and ends its journal with stop.
+// shutdown tears every shard down and ends the journal with stop.
 func (r *router) shutdown(stop func(*durable.Journal) error) error {
 	if !r.markClosed() {
 		return nil
 	}
-	var firstErr error
 	for _, e := range r.shards {
 		e.teardown()
-		if err := stop(e.journal); err != nil && firstErr == nil {
-			firstErr = err
-		}
 	}
-	return firstErr
+	return stop(r.journal)
 }
 
-// StorageInfo implements Persister: per-shard backend states merge into
-// one summary with a per-shard breakdown (see StorageInfo.Shards).
+// StorageInfo implements Persister: the node's one journal, plus the
+// shard count.
 func (r *router) StorageInfo(ctx context.Context) (StorageInfo, error) {
 	if err := r.checkOpen(ctx); err != nil {
 		return StorageInfo{}, err
 	}
-	infos := make([]durable.Info, len(r.shards))
-	for i, e := range r.shards {
-		infos[i] = e.journal.Info()
-	}
-	return mergeStorageInfo(r.cfg.dataDir, infos), nil
+	info := toStorageInfo(r.journal.Info())
+	info.ShardCount = len(r.shards)
+	return info, nil
 }
 
-// Snapshot implements Persister: every shard captures its full state as
-// its new recovery baseline and restarts its WAL, all shards in
-// parallel. Each shard's snapshot is a consistent cut of that shard's
-// operation stream — users never span shards, so no cross-shard
-// operation can straddle the handoff.
+// Snapshot implements Persister: the node's full state, every shard
+// captured under the one journal lock, becomes the new recovery baseline
+// and the WAL restarts.
 func (r *router) Snapshot(ctx context.Context) (StorageInfo, error) {
 	if err := r.checkOpen(ctx); err != nil {
 		return StorageInfo{}, err
 	}
-	if _, err := fanOut(len(r.shards), func(i int) (struct{}, error) {
-		return struct{}{}, r.shards[i].journal.Snapshot()
-	}); err != nil {
+	if err := r.journal.Snapshot(); err != nil {
 		return StorageInfo{}, err
 	}
 	return r.StorageInfo(ctx)
@@ -607,286 +604,85 @@ func stampEvents(evs []pubsub.Event, now func() time.Time) {
 	}
 }
 
-// mergeStorageInfo aggregates per-shard backend info into the public
-// form: counters sum, Generation is the highest shard generation,
-// TornTail ORs, and the per-shard breakdown rides along in Shards when
-// there is more than one.
-func mergeStorageInfo(dataDir string, infos []durable.Info) StorageInfo {
-	if len(infos) == 1 {
-		out := toStorageInfo(infos[0])
-		out.ShardCount = 1
-		return out
-	}
-	agg := StorageInfo{
-		Backend:    infos[0].Kind,
-		Dir:        dataDir,
-		Sync:       infos[0].Sync,
-		ShardCount: len(infos),
-		Shards:     make([]StorageInfo, 0, len(infos)),
-	}
-	for _, in := range infos {
-		si := toStorageInfo(in)
-		agg.Shards = append(agg.Shards, si)
-		agg.WALRecords += si.WALRecords
-		agg.WALBytes += si.WALBytes
-		agg.Snapshots += si.Snapshots
-		agg.RecoveredRecords += si.RecoveredRecords
-		if si.Generation > agg.Generation {
-			agg.Generation = si.Generation
-		}
-		if si.TornTail {
-			agg.TornTail = true
-		}
-		if si.LastSnapshot.After(agg.LastSnapshot) {
-			agg.LastSnapshot = si.LastSnapshot
-		}
-	}
-	return agg
-}
-
-// --- on-disk layout -----------------------------------------------------
+// --- the per-shard layout of older releases -------------------------------
 //
-// A single-shard data directory keeps the layout every release so far
-// has written: wal-<gen>.log and snap-<gen>.json at the root. A sharded
-// directory nests one such journal per shard:
+// Releases before the one-journal layout nested one journal per shard
+// when the count was above 1, pinned by a meta file:
 //
 //	<dataDir>/shards.json        {"version":1,"shards":N}
 //	<dataDir>/shard-0/wal-....log
 //	<dataDir>/shard-0/snap-....json
 //	<dataDir>/shard-1/...
 //
-// shards.json exists only on sharded directories, so a legacy (or
-// shards=1) directory is recognized by its root journal files alone and
-// an old binary can still open a shards=1 directory byte-for-byte.
+// Such a directory is imported once (importShardLayout); a directory at
+// one shard always had the root layout and opens as it is.
 
-// shardMetaFile pins a sharded directory's shard count.
+// shardMetaFile marks a directory still in the per-shard layout.
 const shardMetaFile = "shards.json"
 
-type shardMeta struct {
-	Version int `json:"version"`
-	Shards  int `json:"shards"`
-}
-
-// shardDirs names the per-shard journal directories for count n: the
-// root itself for 1, shard-<i> subdirectories otherwise.
-func shardDirs(dataDir string, n int) []string {
-	if n == 1 {
-		return []string{dataDir}
+// prepareDataDir readies dataDir before its root journal opens. With
+// shards.json present it reports the shard-<i>/ journals to import,
+// after clearing any root WAL and snapshot files: while shards.json
+// exists the old journals are the truth, and root files can only be the
+// partial output of an interrupted import. Without it, leftover
+// shard-<i>/ directories are the garbage of a finished import and are
+// swept.
+func prepareDataDir(dataDir string) (oldDirs []string, legacy bool, err error) {
+	if dataDir == "" {
+		return nil, false, nil
 	}
-	dirs := make([]string, n)
-	for i := range dirs {
-		dirs[i] = filepath.Join(dataDir, "shard-"+strconv.Itoa(i))
+	_, err = os.Stat(filepath.Join(dataDir, shardMetaFile))
+	if os.IsNotExist(err) {
+		return nil, false, removeShardDirs(dataDir)
 	}
-	return dirs
-}
-
-// hasJournalFiles reports whether dir holds root-level WAL or snapshot
-// files (the single-shard layout).
-func hasJournalFiles(dir string) bool {
-	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return false
+		return nil, false, fmt.Errorf("reef: reading %s: %w", shardMetaFile, err)
+	}
+	entries, err := os.ReadDir(dataDir)
+	if err != nil {
+		return nil, false, fmt.Errorf("reef: reading data dir: %w", err)
 	}
 	for _, e := range entries {
 		name := e.Name()
 		if e.Type().IsRegular() &&
 			(strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log") ||
 				strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".json")) {
-			return true
+			if err := os.Remove(filepath.Join(dataDir, name)); err != nil {
+				return nil, false, fmt.Errorf("reef: clearing stale %s: %w", name, err)
+			}
 		}
 	}
-	return false
+	return listShardDirs(dataDir), true, nil
 }
 
 // listShardDirs returns the shard-<i> subdirectories present under
-// dataDir and the highest index + 1 (0 when there are none).
-func listShardDirs(dataDir string) (dirs []string, count int) {
+// dataDir.
+func listShardDirs(dataDir string) []string {
 	entries, err := os.ReadDir(dataDir)
 	if err != nil {
-		return nil, 0
+		return nil
 	}
+	var dirs []string
 	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
 		rest, ok := strings.CutPrefix(e.Name(), "shard-")
-		if !ok {
+		if !e.IsDir() || !ok {
 			continue
 		}
-		i, err := strconv.Atoi(rest)
-		if err != nil || i < 0 {
-			continue
-		}
-		dirs = append(dirs, filepath.Join(dataDir, e.Name()))
-		if i+1 > count {
-			count = i + 1
+		if i, err := strconv.Atoi(rest); err == nil && i >= 0 {
+			dirs = append(dirs, filepath.Join(dataDir, e.Name()))
 		}
 	}
-	return dirs, count
+	return dirs
 }
 
-// detectShardCount reads the directory's current layout: the meta
-// file's count when present, 1 when root journal files exist (legacy
-// single-shard layout — authoritative even when stale shard dirs from
-// an interrupted migration linger), the shard-dir count otherwise, and
-// 0 for a fresh or empty directory.
-func detectShardCount(dataDir string) (int, error) {
-	data, err := os.ReadFile(filepath.Join(dataDir, shardMetaFile))
-	if err == nil {
-		var m shardMeta
-		if jerr := json.Unmarshal(data, &m); jerr != nil || m.Shards < 1 {
-			return 0, fmt.Errorf("reef: corrupt %s in %s", shardMetaFile, dataDir)
-		}
-		return m.Shards, nil
-	}
-	if !os.IsNotExist(err) {
-		return 0, fmt.Errorf("reef: reading %s: %w", shardMetaFile, err)
-	}
-	if hasJournalFiles(dataDir) {
-		return 1, nil
-	}
-	_, count := listShardDirs(dataDir)
-	return count, nil
-}
-
-// shardPlan is the resolved layout decision for one open.
-type shardPlan struct {
-	n    int
-	dirs []string // new-layout journal dirs (nil without a data dir)
-	// migrate is set when the directory holds oldN shards' worth of
-	// data that must be replayed into the n-shard layout.
-	migrate bool
-	oldN    int
-	oldDirs []string
-}
-
-// planShards decides how to open dataDir with n shards (0 = WithShards
-// unset: adopt the directory's existing count, default 1 — a restart
-// without the option never migrates). Re-sharding is supported across
-// the single-shard boundary in both directions (the legacy upgrade 1→n
-// and the downgrade n→1); between two sharded counts it is refused
-// with a clear error, because both layouts would claim the same
-// shard-<i> directories.
-func planShards(dataDir string, n int) (shardPlan, error) {
-	if dataDir == "" {
-		if n == 0 {
-			n = 1
-		}
-		return shardPlan{n: n}, nil
-	}
-	plan := shardPlan{}
-	if err := os.MkdirAll(dataDir, 0o755); err != nil {
-		return plan, fmt.Errorf("reef: creating data dir: %w", err)
-	}
-	cur, err := detectShardCount(dataDir)
-	if err != nil {
-		return plan, err
-	}
-	if n == 0 {
-		n = cur
-		if n == 0 {
-			n = 1
-		}
-	}
-	plan.n = n
-	plan.dirs = shardDirs(dataDir, n)
-	if cur == 0 {
-		// Publish the meta file BEFORE any shard journal is created: if
-		// the first open dies mid-way, the partially created shard-<i>/
-		// dirs must not masquerade as the directory's real count (a retry
-		// would otherwise adopt or refuse the wrong number).
-		if n > 1 {
-			if err := writeShardMeta(dataDir, n); err != nil {
-				return plan, err
-			}
-		}
-		return plan, nil
-	}
-	if cur == n {
-		return plan, nil
-	}
-	if cur != 1 && n != 1 {
-		return plan, fmt.Errorf("%w: data dir %s is laid out for %d shards; reopen it with WithShards(%d) or re-shard through a single-shard step",
-			ErrInvalidArgument, dataDir, cur, cur)
-	}
-	plan.migrate = true
-	plan.oldN = cur
-	plan.oldDirs = shardDirs(dataDir, cur)
-	// Wipe any partial new-layout output of an interrupted earlier
-	// migration: until the meta flip below, the old layout stays the
-	// single source of truth, so this is cleanup, not data loss.
-	if err := wipeLayout(dataDir, n); err != nil {
-		return plan, err
-	}
-	return plan, nil
-}
-
-// wipeLayout removes layout-n's files under dataDir: every shard-<i>
-// directory for a sharded layout, the root journal files for the
-// single-shard one.
-func wipeLayout(dataDir string, n int) error {
-	if n == 1 {
-		entries, err := os.ReadDir(dataDir)
-		if err != nil {
-			return fmt.Errorf("reef: reading data dir: %w", err)
-		}
-		for _, e := range entries {
-			name := e.Name()
-			// Prefix AND suffix, matching hasJournalFiles: a stray
-			// wal-0.log.bak is not layout evidence, so it is not ours to
-			// delete either.
-			if e.Type().IsRegular() &&
-				(strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log") ||
-					strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".json")) {
-				if err := os.Remove(filepath.Join(dataDir, name)); err != nil {
-					return fmt.Errorf("reef: clearing stale %s: %w", name, err)
-				}
-			}
-		}
-		return nil
-	}
-	dirs, _ := listShardDirs(dataDir)
-	for _, d := range dirs {
+// removeShardDirs deletes every shard-<i> subdirectory of dataDir.
+func removeShardDirs(dataDir string) error {
+	for _, d := range listShardDirs(dataDir) {
 		if err := os.RemoveAll(d); err != nil {
-			return fmt.Errorf("reef: clearing stale %s: %w", d, err)
+			return fmt.Errorf("reef: removing %s: %w", d, err)
 		}
 	}
 	return nil
-}
-
-// writeShardMeta atomically publishes the directory's shard count.
-func writeShardMeta(dataDir string, n int) error {
-	data, err := json.Marshal(shardMeta{Version: 1, Shards: n})
-	if err != nil {
-		return err
-	}
-	tmp := filepath.Join(dataDir, shardMetaFile+".tmp")
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("reef: writing %s: %w", shardMetaFile, err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dataDir, shardMetaFile)); err != nil {
-		return fmt.Errorf("reef: publishing %s: %w", shardMetaFile, err)
-	}
-	return nil
-}
-
-// ensureShardLayout finalizes a non-migrating open: a sharded directory
-// gets its meta file (fresh dirs), and stale files of the other layout
-// left by a crash between a migration's meta flip and its cleanup are
-// swept. Single-shard directories stay byte-compatible with the legacy
-// layout: no meta file, nothing extra.
-func ensureShardLayout(dataDir string, n int) error {
-	if dataDir == "" {
-		return nil
-	}
-	if n == 1 {
-		_ = os.Remove(filepath.Join(dataDir, shardMetaFile))
-		return wipeLayout(dataDir, 2) // sweep stale shard-* dirs, if any
-	}
-	if err := writeShardMeta(dataDir, n); err != nil {
-		return err
-	}
-	return wipeLayout(dataDir, 1) // sweep stale root journal files, if any
 }
 
 // loadShardSource opens one old-layout journal directory just long
@@ -905,23 +701,4 @@ func loadShardSource(dir string) (*durable.State, []durable.Record, error) {
 		return nil, nil, err
 	}
 	return st, tail, nil
-}
-
-// finishMigration publishes the migrated layout: flip the meta file to
-// the new shard count (or drop it for the single-shard layout), then
-// retire the old layout's files. Every new shard journal must already
-// hold a durable snapshot of its slice of the state; a crash before the
-// meta flip re-runs the migration from the untouched old layout, a
-// crash after it leaves only stale old files, swept at the next open.
-func finishMigration(dataDir string, plan shardPlan) error {
-	if plan.n == 1 {
-		if err := os.Remove(filepath.Join(dataDir, shardMetaFile)); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("reef: retiring %s: %w", shardMetaFile, err)
-		}
-	} else {
-		if err := writeShardMeta(dataDir, plan.n); err != nil {
-			return err
-		}
-	}
-	return wipeLayout(dataDir, plan.oldN)
 }
