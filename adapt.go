@@ -2,7 +2,6 @@ package reef
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -10,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"reef/internal/attention"
 	"reef/internal/delivery"
 	"reef/internal/durable"
 	"reef/internal/eventalg"
@@ -405,190 +403,6 @@ func fromDurableSub(st durable.SubscriptionState) (recommend.Recommendation, err
 		Reason:  st.Reason,
 		At:      st.At,
 	})
-}
-
-// durableReplay replays a recovery source — snapshot baseline, then the
-// intact WAL tail in append order — through a shard's hooks. The click
-// policy's hooks (applyClicks, setFlag) may be nil and then reject their
-// op: the distributed deployment journals no clicks or flags, so meeting
-// one in its WAL is corruption, not data.
-type durableReplay struct {
-	// applyClicks re-drives a recovered click batch (rebuilding derived
-	// state exactly as live ingestion does).
-	applyClicks func([]attention.Click) error
-	// setFlag restores one server classification flag.
-	setFlag func(host string, flag int)
-	// applySub re-applies a recovered subscribe or unsubscribe
-	// recommendation (rec.Kind distinguishes them).
-	applySub func(rec recommend.Recommendation) error
-	// restorePending re-queues a recovered pending recommendation under
-	// its original ID; setPendingSeq advances the ledger's ID counter;
-	// takePending removes one for a replayed accept/reject. They are
-	// hooks rather than a ledger pointer so the routed replay can send
-	// each op to the ledger of the shard its user hashes to.
-	restorePending func(user, id string, seq int64, rec recommend.Recommendation)
-	setPendingSeq  func(seq int64)
-	takePending    func(user, id string) (recommend.Recommendation, bool)
-	// acceptRec re-executes an accepted recommendation.
-	acceptRec func(user string, rec recommend.Recommendation) error
-	// rejectFeedback re-drives a reject's negative feedback.
-	rejectFeedback func(user, feedURL string, at time.Time)
-	// registerDelivery restores one reliable subscription's delivery
-	// queue. Called before applySub so no event published during replay
-	// can slip past the queue.
-	registerDelivery func(user, id string, ds durable.DeliveryState)
-	// ackCursor restores one subscription's cumulative cursor (the
-	// OpCursorAck record family and the snapshot's cursor table).
-	ackCursor func(user, id string, seq int64)
-	// setReplPosition restores how far this node had applied one source's
-	// replication stream (the OpReplPosition family and the snapshot's
-	// position table).
-	setReplPosition func(p durable.ReplPosition)
-}
-
-// run replays the snapshot state and WAL tail.
-func (dr durableReplay) run(st *durable.State, tail []durable.Record) error {
-	if st != nil {
-		if err := dr.applyState(st); err != nil {
-			return fmt.Errorf("applying snapshot: %w", err)
-		}
-	}
-	for i, rec := range tail {
-		if err := dr.applyRecord(rec); err != nil {
-			return fmt.Errorf("replaying WAL record %d (%v): %w", i, rec.Op, err)
-		}
-	}
-	return nil
-}
-
-// applyState restores a snapshot baseline.
-func (dr durableReplay) applyState(st *durable.State) error {
-	if len(st.Clicks) > 0 {
-		if dr.applyClicks == nil {
-			return fmt.Errorf("snapshot carries clicks this deployment does not persist")
-		}
-		if err := dr.applyClicks(st.Clicks); err != nil {
-			return err
-		}
-	}
-	if len(st.Flags) > 0 && dr.setFlag == nil {
-		return fmt.Errorf("snapshot carries flags this deployment does not persist")
-	}
-	for host, f := range st.Flags {
-		dr.setFlag(host, f)
-	}
-	for _, sub := range st.Subscriptions {
-		rec, err := fromDurableSub(sub)
-		if err != nil {
-			return err
-		}
-		if sub.Delivery != nil {
-			dr.registerDelivery(sub.User, subscriptionID(rec), *sub.Delivery)
-		}
-		if err := dr.applySub(rec); err != nil {
-			return err
-		}
-	}
-	for _, cu := range st.Cursors {
-		dr.ackCursor(cu.User, cu.ID, cu.Acked)
-	}
-	for _, p := range st.Pending {
-		rec, err := fromDurableRec(p.Rec)
-		if err != nil {
-			return err
-		}
-		dr.restorePending(p.User, p.ID, p.Seq, rec)
-	}
-	dr.setPendingSeq(st.PendingSeq)
-	for _, p := range st.ReplPositions {
-		dr.setReplPosition(p)
-	}
-	return nil
-}
-
-// applyRecord replays one WAL record.
-func (dr durableReplay) applyRecord(rec durable.Record) error {
-	switch rec.Op {
-	case durable.OpClicks:
-		if dr.applyClicks == nil {
-			return fmt.Errorf("unexpected op %v", rec.Op)
-		}
-		var p durable.ClicksPayload
-		if err := json.Unmarshal(rec.Payload, &p); err != nil {
-			return err
-		}
-		return dr.applyClicks(p.Clicks)
-	case durable.OpFlag:
-		if dr.setFlag == nil {
-			return fmt.Errorf("unexpected op %v", rec.Op)
-		}
-		var p durable.FlagPayload
-		if err := json.Unmarshal(rec.Payload, &p); err != nil {
-			return err
-		}
-		dr.setFlag(p.Host, p.Flag)
-		return nil
-	case durable.OpSubscribe, durable.OpUnsubscribe:
-		var p durable.SubscriptionState
-		if err := json.Unmarshal(rec.Payload, &p); err != nil {
-			return err
-		}
-		r, err := fromDurableSub(p)
-		if err != nil {
-			return err
-		}
-		if rec.Op == durable.OpUnsubscribe {
-			r.Kind = recommend.KindUnsubscribeFeed
-		} else if p.Delivery != nil {
-			dr.registerDelivery(p.User, subscriptionID(r), *p.Delivery)
-		}
-		return dr.applySub(r)
-	case durable.OpCursorAck:
-		var p durable.CursorAckPayload
-		if err := json.Unmarshal(rec.Payload, &p); err != nil {
-			return err
-		}
-		dr.ackCursor(p.User, p.ID, p.Seq)
-		return nil
-	case durable.OpReplPosition:
-		var p durable.ReplPosition
-		if err := json.Unmarshal(rec.Payload, &p); err != nil {
-			return err
-		}
-		dr.setReplPosition(p)
-		return nil
-	case durable.OpPendingAdd:
-		var p durable.PendingAddPayload
-		if err := json.Unmarshal(rec.Payload, &p); err != nil {
-			return err
-		}
-		r, err := fromDurableRec(p.Rec)
-		if err != nil {
-			return err
-		}
-		dr.restorePending(p.User, p.ID, p.Seq, r)
-		return nil
-	case durable.OpPendingTake:
-		var p durable.PendingTakePayload
-		if err := json.Unmarshal(rec.Payload, &p); err != nil {
-			return err
-		}
-		r, ok := dr.takePending(p.User, p.ID)
-		if !ok {
-			return nil
-		}
-		if p.Accepted {
-			return dr.acceptRec(p.User, r)
-		}
-		// A replayed reject re-drives the negative feedback the live path
-		// gave the recommender, at the recorded decision time.
-		if r.FeedURL != "" && dr.rejectFeedback != nil {
-			dr.rejectFeedback(p.User, r.FeedURL, p.At)
-		}
-		return nil
-	default:
-		return fmt.Errorf("unexpected op %v", rec.Op)
-	}
 }
 
 // openJournal builds the node's persistence journal: a file backend

@@ -10,7 +10,6 @@ import (
 	"reef/internal/frontend"
 	"reef/internal/metrics"
 	"reef/internal/recommend"
-	"reef/internal/store"
 )
 
 // Centralized is the public face of the paper's Figure 1 deployment: a
@@ -50,12 +49,7 @@ func NewCentralized(opts ...Option) (*Centralized, error) {
 	if cfg.fetcher == nil {
 		return nil, fmt.Errorf("%w: NewCentralized requires WithFetcher", ErrInvalidArgument)
 	}
-	r, err := openRouter(cfg, newServerPolicy, func(n int) error {
-		if n > 1 && cfg.clickStore != nil {
-			return fmt.Errorf("%w: WithStore cannot back more than one shard; drop it or use WithShards(1)", ErrInvalidArgument)
-		}
-		return oneFeedPublisher(cfg, n)
-	})
+	r, err := openRouter(cfg, newServerPolicy)
 	if err != nil {
 		return nil, err
 	}
@@ -65,25 +59,15 @@ func NewCentralized(opts ...Option) (*Centralized, error) {
 // serverPolicy is the Figure 1 click policy: clicks upload to a
 // core.Server, which stores them (journaled as click batches, with the
 // crawler's server flags), crawls the pages in its pipeline rounds and
-// queues recommendations in per-user outboxes.
+// queues recommendations in per-user outboxes. The router replays those
+// records itself (router.replayClickStore).
 type serverPolicy struct {
 	cfg    config
 	server *core.Server
 }
 
 func newServerPolicy(cfg config, journal *durable.Journal) clickPolicy {
-	return &serverPolicy{cfg: cfg, server: core.NewServer(core.ServerConfig{
-		Fetcher:      cfg.fetcher,
-		Store:        cfg.clickStore,
-		CrawlWorkers: cfg.crawlWorkers,
-		Topic: recommend.TopicConfig{
-			MinHostVisits: cfg.topic.MinHostVisits,
-			InactiveAfter: cfg.topic.InactiveAfter,
-			MinScore:      cfg.topic.MinScore,
-		},
-		Content: recommend.ContentConfig{NumTerms: cfg.content.NumTerms},
-		Journal: journal,
-	})}
+	return &serverPolicy{cfg: cfg, server: core.NewServer(core.ServerConfig{Fetcher: cfg.fetcher, Journal: journal})}
 }
 
 // serverOf returns a centralized shard's core server.
@@ -139,13 +123,6 @@ func (sp *serverPolicy) capture(st *durable.State) {
 		}
 		st.Flags[h] |= int(f)
 	}
-}
-
-// replay re-drives recovered clicks through core ingestion, so derived
-// state rebuilds exactly as live ingestion built it, and restores flags.
-func (sp *serverPolicy) replay(dr *durableReplay) {
-	dr.applyClicks = sp.server.ReceiveClicks
-	dr.setFlag = func(host string, f int) { sp.server.Store().SetFlag(host, store.Flag(f)) }
 }
 
 // stats adds the server's counters and the shard's delivery and frontend

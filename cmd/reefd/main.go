@@ -405,6 +405,9 @@ func serveUntilSignal(logger *slog.Logger, srv *http.Server, serveErr <-chan err
 }
 
 func run(logger *slog.Logger, addr string, seed int64, scale float64, pipelineEvery, pollEvery time.Duration, dataDir, syncMode string, snapshotEvery, shards int, nodeID, streamAddr, clusterStreams string, drainGrace time.Duration, ackTimeout time.Duration, maxAttempts int, replicas int, peersSpec string) error {
+	// Uptime counts from here, so a recovered node's healthz includes the
+	// WAL replay, as its readyz (built before recovery) already does.
+	start := time.Now()
 	if clusterStreams != "" {
 		return errors.New("reefd: -cluster-streams is a router flag; a node's own stream listener is -stream-addr")
 	}
@@ -513,6 +516,7 @@ func run(logger *slog.Logger, addr string, seed int64, scale float64, pipelineEv
 	handlerOpts := []reefhttp.HandlerOption{
 		reefhttp.WithReadiness(ready), reefhttp.WithNodeID(nodeID),
 		reefhttp.WithMetrics(reg), reefhttp.WithTrace(rec),
+		reefhttp.WithStartTime(start),
 	}
 	var mgr *replication.Manager
 	if replicas > 0 {
@@ -628,6 +632,7 @@ func run(logger *slog.Logger, addr string, seed int64, scale float64, pipelineEv
 // node. The router holds no state of its own, so there is nothing to
 // recover — it is ready as soon as the first probe round finishes.
 func runRouter(logger *slog.Logger, addr, spec, streamSpec, nodeID, streamAddr string, drainGrace time.Duration, dataDir string, shards, replicas int, peersSpec string) error {
+	start := time.Now()
 	if dataDir != "" {
 		return errors.New("reefd: -data-dir is a node flag; a cluster router holds no state (drop it or drop -cluster-nodes)")
 	}
@@ -676,7 +681,8 @@ func runRouter(logger *slog.Logger, addr, spec, streamSpec, nodeID, streamAddr s
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", reefhttp.NewHandler(cl, slog.NewLogLogger(logger.Handler(), slog.LevelError),
 		reefhttp.WithReadiness(ready), reefhttp.WithNodeID(nodeID),
-		reefhttp.WithMetrics(reg), reefhttp.WithTrace(rec)))
+		reefhttp.WithMetrics(reg), reefhttp.WithTrace(rec),
+		reefhttp.WithStartTime(start)))
 	mux.Handle("/v1/readyz", reefhttp.ReadyzHandler(ready, nodeID))
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -53,7 +53,7 @@ func NewDistributed(opts ...Option) (*Distributed, error) {
 	if cfg.fetcher == nil {
 		return nil, fmt.Errorf("%w: NewDistributed requires WithFetcher", ErrInvalidArgument)
 	}
-	r, err := openRouter(cfg, newPeerPolicy, func(n int) error { return oneFeedPublisher(cfg, n) })
+	r, err := openRouter(cfg, newPeerPolicy)
 	if err != nil {
 		return nil, err
 	}
@@ -129,16 +129,10 @@ func (pp *peerPolicy) offer(e *engine, user string, recs []recommend.Recommendat
 // newFrontend builds the user's peer; its frontend is the user's.
 func (pp *peerPolicy) newFrontend(user string, sub frontend.Subscriber, proxy frontend.FeedProxy) *frontend.Frontend {
 	p := core.NewPeer(core.PeerConfig{
-		User:       user,
-		Subscriber: sub,
-		Proxy:      proxy,
-		Clock:      pp.cfg.clock,
-		Topic: recommend.TopicConfig{
-			MinHostVisits: pp.cfg.topic.MinHostVisits,
-			InactiveAfter: pp.cfg.topic.InactiveAfter,
-			MinScore:      pp.cfg.topic.MinScore,
-		},
-		Content:         recommend.ContentConfig{NumTerms: pp.cfg.content.NumTerms},
+		User:            user,
+		Subscriber:      sub,
+		Proxy:           proxy,
+		Clock:           pp.cfg.clock,
 		SidebarCapacity: pp.cfg.sidebarCapacity,
 		SidebarTTL:      pp.cfg.sidebarTTL,
 		ManualApply:     true,
@@ -172,9 +166,9 @@ func (pp *peerPolicy) reject(user, feedURL string, at time.Time) {
 // as they are made.
 func (pp *peerPolicy) ready(string) []recommend.Recommendation { return nil }
 
-// capture and replay add nothing: the peer journals no clicks or flags.
+// capture adds nothing: the peer journals no clicks or flags, so the
+// router's replay refuses any it meets.
 func (pp *peerPolicy) capture(*durable.State) {}
-func (pp *peerPolicy) replay(*durableReplay)  {}
 
 func (pp *peerPolicy) stats(_ *engine, out Stats) {
 	var subs, feeds, applied int

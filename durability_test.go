@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"reef"
+	"reef/internal/durable"
 	"reef/internal/durable/durabletest"
 	"reef/internal/websim"
 )
@@ -494,3 +495,77 @@ func TestPersisterOnMemoryDeployment(t *testing.T) {
 		t.Errorf("Snapshot on memory deployment: %v", err)
 	}
 }
+
+// TestClickRecordsReplayByPolicy pins the check replay makes on the
+// click policy's own records: a Distributed node journals no clicks or
+// flags, so a log carrying either, in a WAL record or in a snapshot, is
+// corrupt and refuses to open, while a Centralized node replays the
+// same click batch into its store.
+func TestClickRecordsReplayByPolicy(t *testing.T) {
+	batch := []reef.Click{
+		{User: "alice", URL: "http://a.test/p/1.html", At: dt0},
+		{User: "bob", URL: "http://b.test/p/2.html", At: dt0.Add(time.Second)},
+		{User: "carol", URL: "http://c.test/p/3.html", At: dt0.Add(2 * time.Second)},
+	}
+	flags := map[string]int{"ads.test": 1}
+	cases := []struct {
+		name string
+		snap *durable.State
+		rec  *durable.Record
+	}{
+		{"wal-clicks", nil, ptr(durable.ClicksRecord(batch))},
+		{"wal-flag", nil, ptr(durable.FlagRecord("ads.test", 1))},
+		{"snapshot-clicks", &durable.State{Version: 1, Clicks: batch}, nil},
+		{"snapshot-flags", &durable.State{Version: 1, Flags: flags}, nil},
+	}
+	web := testWeb(27)
+	for _, shards := range []int{1, 3} {
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%s/shards=%d", tc.name, shards), func(t *testing.T) {
+				write := func() string {
+					dir := t.TempDir()
+					b, err := durable.OpenFile(dir, durable.FileOptions{Sync: durable.SyncAlways})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if tc.snap != nil {
+						err = b.Snapshot(tc.snap)
+					} else {
+						err = b.Append(*tc.rec)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := b.Close(); err != nil {
+						t.Fatal(err)
+					}
+					return dir
+				}
+				opts := func(dir string) []reef.Option {
+					return []reef.Option{reef.WithFetcher(web), reef.WithDataDir(dir), reef.WithShards(shards)}
+				}
+				if dep, err := reef.NewDistributed(opts(write())...); err == nil {
+					_ = dep.Close()
+					t.Fatal("NewDistributed opened a log carrying clicks or flags")
+				}
+				if tc.name != "wal-clicks" {
+					return
+				}
+				dep, err := reef.NewCentralized(opts(write())...)
+				if err != nil {
+					t.Fatalf("NewCentralized: %v", err)
+				}
+				defer func() { _ = dep.Close() }()
+				stats, err := dep.Stats(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := stats["clicks_stored"]; got != float64(len(batch)) {
+					t.Errorf("clicks_stored = %v, want %d", got, len(batch))
+				}
+			})
+		}
+	}
+}
+
+func ptr[T any](v T) *T { return &v }

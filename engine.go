@@ -20,7 +20,9 @@ import (
 
 // clickPolicy is what a shard does differently in the two deployments —
 // the paper's Figure 1 analyzes clicks on a server, Figure 2 on the
-// user's host. Everything else about a shard is the engine's.
+// user's host. Everything else about a shard is the engine's, except
+// replay: the router decodes every record itself and applies the server
+// policy's clicks and flags bare (router.replayClickStore).
 type clickPolicy interface {
 	// ingest analyzes a validated batch of clicks by this shard's users
 	// and reports how many it analyzed.
@@ -37,9 +39,6 @@ type clickPolicy interface {
 	ready(user string) []recommend.Recommendation
 	// capture adds what the policy journals itself to a snapshot.
 	capture(st *durable.State)
-	// replay sets the hooks for what the policy journals itself; hooks it
-	// leaves nil reject their records.
-	replay(dr *durableReplay)
 	// stats adds the policy's counters to the shard's.
 	stats(e *engine, out Stats)
 }
@@ -95,33 +94,14 @@ func newEngine(cfg config, idx int, journal *durable.Journal, policy clickPolicy
 	return e
 }
 
-// replay returns the hooks that re-drive this shard's share of the
-// recovery stream: subscriptions and accepts re-apply, pending ops land
-// in the shard's ledger, and the policy adds its own records (clicks
-// re-enter ingestion so derived state rebuilds exactly as live ingestion
-// built it). Replication positions are the router's (see routedReplay).
-func (e *engine) replay() durableReplay {
-	dr := durableReplay{
-		applySub:       func(rec recommend.Recommendation) error { return e.apply(rec.User, rec) },
-		restorePending: e.pending.restore,
-		setPendingSeq:  e.pending.setSeq,
-		takePending:    e.pending.take,
-		acceptRec:      e.apply,
-		rejectFeedback: e.policy.reject,
-		registerDelivery: func(user, id string, ds durable.DeliveryState) {
-			e.deliveries.Register(user, id, deliveryConfig(ds, e.cfg))
-		},
-		ackCursor: func(user, id string, seq int64) {
-			// The retained window is not durable, so a recovered cursor for
-			// a queue the WAL never re-registered (possible only in a
-			// corrupt log) is ignored rather than fatal.
-			if q, ok := e.deliveries.Get(user, id); ok {
-				q.RestoreAcked(seq)
-			}
-		},
+// restoreCursor restores one subscription's cumulative cursor on
+// replay. The retained window is not durable, so a recovered cursor for
+// a queue the log never re-registered (possible only in a corrupt log)
+// is ignored rather than fatal.
+func (e *engine) restoreCursor(user, id string, seq int64) {
+	if q, ok := e.deliveries.Get(user, id); ok {
+		q.RestoreAcked(seq)
 	}
-	e.policy.replay(&dr)
-	return dr
 }
 
 // capture appends the shard's durable state to st. The router calls it

@@ -26,14 +26,8 @@ import (
 type ServerConfig struct {
 	// Fetcher is the crawler's access to the web.
 	Fetcher websim.Fetcher
-	// Store is the click database; nil means a fresh in-memory store.
-	Store *store.ClickStore
 	// CrawlWorkers bounds crawl parallelism (default 8).
 	CrawlWorkers int
-	// Topic tunes the topic-based recommender.
-	Topic recommend.TopicConfig
-	// Content tunes the content-based recommender.
-	Content recommend.ContentConfig
 	// Journal receives a WAL record for every durable mutation the server
 	// performs (click batches, server flags). Nil disables journaling.
 	Journal *durable.Journal
@@ -58,7 +52,10 @@ type PipelineStats struct {
 // Server is the centralized Reef server: click database, crawler,
 // recommenders and per-user recommendation outboxes. It implements
 // attention.Sink so recorders can post batches directly (step 1 of
-// Figure 1); Recommendations drains a user's outbox (step 2).
+// Figure 1); Recommendations drains a user's outbox (step 2). Each
+// durable mutation has one bare form (ApplyClicks, Store().SetFlag) that
+// replay calls, and a live form that journals it (ReceiveClicks, the
+// pipeline's flagging).
 type Server struct {
 	cfg     ServerConfig
 	store   *store.ClickStore
@@ -91,10 +88,7 @@ var _ attention.Sink = (*Server)(nil)
 
 // NewServer builds a centralized Reef server.
 func NewServer(cfg ServerConfig) *Server {
-	st := cfg.Store
-	if st == nil {
-		st = store.NewClickStore()
-	}
+	st := store.NewClickStore()
 	s := &Server{
 		cfg:     cfg,
 		store:   st,
@@ -104,11 +98,11 @@ func NewServer(cfg ServerConfig) *Server {
 		pendingSeen: make(map[string]struct{}),
 		urlUsers:    make(map[string]map[string]struct{}),
 		corpus:      ir.NewCorpus(),
-		topicRec:    recommend.NewTopicRecommender(cfg.Topic),
+		topicRec:    recommend.NewTopicRecommender(recommend.TopicConfig{}),
 		outbox:      make(map[string][]recommend.Recommendation),
 		feedsSeen:   make(map[string]struct{}),
 	}
-	s.contentRec = recommend.NewContentRecommender(cfg.Content, s.corpus)
+	s.contentRec = recommend.NewContentRecommender(recommend.ContentConfig{}, s.corpus)
 	s.crawl = crawler.New(crawler.Config{
 		Fetcher: cfg.Fetcher,
 		Workers: cfg.CrawlWorkers,
@@ -154,26 +148,22 @@ func (s *Server) UploadBytes() int64 {
 	return s.uploadBytes
 }
 
-// ReceiveClicks implements attention.Sink: it stores the batch, notes
-// host visits for the topic recommender, and queues page URLs for the next
-// crawl round. With a journal configured the batch is logged as one WAL
-// record; the append happens outside the store's and broker's locks.
+// ReceiveClicks implements attention.Sink: ApplyClicks under the
+// journal, which logs the batch as one WAL record once it applied.
 func (s *Server) ReceiveClicks(batch []attention.Click) error {
 	return s.journal.Record(
-		func() error { s.applyClicks(batch); return nil },
+		func() error { s.ApplyClicks(batch); return nil },
 		func() durable.Record { return durable.ClicksRecord(batch) },
 	)
 }
 
-// ApplyReplicatedClicks applies a click batch WITHOUT journaling it.
-// Replication ingest appends the replicated record itself under the
-// journal's exclusion (durable.Journal.Ingest) and needs the bare
-// mutation — going through ReceiveClicks there would deadlock on the
-// journal lock and re-feed the replication tap.
-func (s *Server) ApplyReplicatedClicks(batch []attention.Click) { s.applyClicks(batch) }
-
-// applyClicks is the journaled mutation behind ReceiveClicks.
-func (s *Server) applyClicks(batch []attention.Click) {
+// ApplyClicks is the bare mutation behind ReceiveClicks: it stores the
+// batch, notes host visits for the topic recommender, and queues page
+// URLs for the next crawl round, journaling nothing. Replay — recovery,
+// and replica apply, which appends the received record itself inside
+// durable.Journal.Ingest — calls it directly: going through
+// ReceiveClicks there would deadlock on the journal lock.
+func (s *Server) ApplyClicks(batch []attention.Click) {
 	s.store.AddBatch(batch)
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -25,9 +25,6 @@ type PeerConfig struct {
 	Proxy frontend.FeedProxy
 	// Clock drives timestamps.
 	Clock simclock.Clock
-	// Topic and Content tune the local recommenders.
-	Topic   recommend.TopicConfig
-	Content recommend.ContentConfig
 	// SidebarCapacity and SidebarTTL tune the display.
 	SidebarCapacity int
 	SidebarTTL      time.Duration
@@ -71,11 +68,11 @@ func NewPeer(cfg PeerConfig) *Peer {
 		cfg:        cfg,
 		clock:      cfg.Clock,
 		corpus:     ir.NewCorpus(),
-		topicRec:   recommend.NewTopicRecommender(cfg.Topic),
+		topicRec:   recommend.NewTopicRecommender(recommend.TopicConfig{}),
 		profile:    make(map[string]int),
 		knownFeeds: make(map[string]struct{}),
 	}
-	p.contentRec = recommend.NewContentRecommender(cfg.Content, p.corpus)
+	p.contentRec = recommend.NewContentRecommender(recommend.ContentConfig{}, p.corpus)
 	p.frontend = frontend.NewFrontend(cfg.User, cfg.Subscriber, cfg.Proxy, sidebar, cfg.Clock.Now)
 	return p
 }

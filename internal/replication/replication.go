@@ -126,8 +126,6 @@ type Options struct {
 	// place resumes its inbound streams. Nothing else is read or written
 	// there.
 	Dir string
-	// Window caps records per shipped batch (default 256).
-	Window int
 	// Retain caps the in-memory log (default 65536 entries). Entries every
 	// peer has acked are dropped at once, so the cap binds only while a
 	// peer is down or lagging; a peer that falls past it is resynced
@@ -212,9 +210,6 @@ func New(opt Options) (*Manager, error) {
 	}
 	if opt.Replicas < 0 || opt.Replicas > len(opt.Nodes)-1 {
 		return nil, fmt.Errorf("replication: replicas %d out of range for %d nodes", opt.Replicas, len(opt.Nodes))
-	}
-	if opt.Window <= 0 {
-		opt.Window = 256
 	}
 	if opt.Retain <= 0 {
 		opt.Retain = 65536

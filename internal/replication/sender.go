@@ -45,8 +45,12 @@ const (
 	SnapshotPath = "/v1/replication/snapshot"
 )
 
-// lagWindow bounds the per-peer lag sample ring for the p99 gauge.
-const lagWindow = 512
+// shipWindow caps records per shipped batch; lagWindow bounds the
+// per-peer lag sample ring for the p99 gauge.
+const (
+	shipWindow = 256
+	lagWindow  = 512
+)
 
 // peer is one outbound stream: position, health, lag samples.
 type peer struct {
@@ -162,7 +166,7 @@ func (m *Manager) nextBatch(p *peer) batch {
 			b.frames = append(b.frames, e.enc...)
 			b.count++
 			b.offeredAt = append(b.offeredAt, e.at)
-			if b.count >= m.opt.Window {
+			if b.count >= shipWindow {
 				return b
 			}
 		}

@@ -5,37 +5,13 @@ import (
 
 	"reef/internal/frontend"
 	"reef/internal/simclock"
-	"reef/internal/store"
 	"reef/internal/waif"
 	"reef/internal/websim"
 )
 
-// TopicTuning tunes the topic-based (feed) recommender.
-type TopicTuning struct {
-	// MinHostVisits is how many times the user must have visited a feed's
-	// host before the feed is recommended (default 1).
-	MinHostVisits int
-	// InactiveAfter triggers unsubscribe recommendations for feeds whose
-	// host the user stopped visiting (default 21 days).
-	InactiveAfter time.Duration
-	// MinScore is the feedback score below which an inactive feed is
-	// dropped (default 0).
-	MinScore float64
-}
-
-// ContentTuning tunes the content-based recommender.
-type ContentTuning struct {
-	// NumTerms is the N of "top N terms" (paper: optimal 30).
-	NumTerms int
-}
-
 type config struct {
 	fetcher         websim.Fetcher
-	clickStore      *store.ClickStore
 	clock           simclock.Clock
-	crawlWorkers    int
-	topic           TopicTuning
-	content         ContentTuning
 	sidebarCapacity int
 	sidebarTTL      time.Duration
 	pollEvery       time.Duration
@@ -71,31 +47,10 @@ func WithFetcher(f websim.Fetcher) Option {
 	return func(c *config) { c.fetcher = f }
 }
 
-// WithStore injects the click database the centralized deployment records
-// attention into; nil (the default) means a fresh in-memory store.
-func WithStore(s *store.ClickStore) Option {
-	return func(c *config) { c.clickStore = s }
-}
-
 // WithClock drives all deployment timestamps (virtual time in
 // simulations); the default is the real clock.
 func WithClock(clk simclock.Clock) Option {
 	return func(c *config) { c.clock = clk }
-}
-
-// WithCrawlWorkers bounds the centralized crawler's parallelism.
-func WithCrawlWorkers(n int) Option {
-	return func(c *config) { c.crawlWorkers = n }
-}
-
-// WithTopicTuning tunes the topic-based recommender.
-func WithTopicTuning(t TopicTuning) Option {
-	return func(c *config) { c.topic = t }
-}
-
-// WithContentTuning tunes the content-based recommender.
-func WithContentTuning(t ContentTuning) Option {
-	return func(c *config) { c.content = t }
 }
 
 // WithQueueSize has no effect: a hosted frontend displays each event on

@@ -266,7 +266,8 @@ func New(cfg Config) (*Cluster, error) {
 			// port cannot siphon another node's publishes.
 			c.streams[i] = reefstream.NewClient(n.StreamAddr,
 				reefstream.WithExpectNode(n.ID),
-				reefstream.WithCallTimeout(cfg.CallTimeout))
+				reefstream.WithCallTimeout(cfg.CallTimeout),
+				reefstream.WithClientMetrics(c.metrics))
 		}
 		if cfg.Retries > 0 {
 			c.clients[i] = reefclient.New(n.BaseURL, clientOpts(reefclient.WithRetry(cfg.Retries, cfg.RetryBackoff))...)

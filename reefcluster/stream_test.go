@@ -7,14 +7,15 @@ import (
 	"time"
 
 	"reef"
+	"reef/internal/metrics"
 	"reef/reefcluster"
 	"reef/reefstream"
 )
 
 // startStreamCluster boots count nodes, each with a binary stream
 // listener next to its REST surface, and a router configured to publish
-// over the streams.
-func startStreamCluster(t *testing.T, count int) (*reefcluster.Cluster, []*testNode, []*reefstream.Server) {
+// over the streams. reg is the router's Config.Metrics (nil for its own).
+func startStreamCluster(t *testing.T, count int, reg *metrics.Registry) (*reefcluster.Cluster, []*testNode, []*reefstream.Server) {
 	t.Helper()
 	web := testWeb(71)
 	nodes := make([]*testNode, count)
@@ -37,6 +38,7 @@ func startStreamCluster(t *testing.T, count int) (*reefcluster.Cluster, []*testN
 		ProbeTimeout:  2 * time.Second,
 		CallTimeout:   5 * time.Second,
 		RetryBackoff:  5 * time.Millisecond,
+		Metrics:       reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -47,10 +49,12 @@ func startStreamCluster(t *testing.T, count int) (*reefcluster.Cluster, []*testN
 
 // TestClusterStreamFanOut pins that publishes ride the stream plane:
 // delivery counts match the REST fan-out exactly, and the stream
-// servers — not REST — carried the frames.
+// servers — not REST — carried the frames, and their ack round trips
+// land in the router's registry, so one scrape covers the publish leg.
 func TestClusterStreamFanOut(t *testing.T) {
 	ctx := context.Background()
-	cl, nodes, streams := startStreamCluster(t, 3)
+	reg := metrics.NewRegistry()
+	cl, nodes, streams := startStreamCluster(t, 3, reg)
 	byNode := usersPerNode(cl, nodes, 1)
 
 	feed := feedURLs(testWeb(71))[0]
@@ -81,6 +85,9 @@ func TestClusterStreamFanOut(t *testing.T) {
 			t.Errorf("node %d stream carried (%d frames, %d events), want (2, 3)", i, frames, events)
 		}
 	}
+	if got := reg.Histogram(metrics.StreamAckSeconds.Name).Count(); got == 0 {
+		t.Errorf("router registry holds %d %s observations after stream publishes, want > 0", got, metrics.StreamAckSeconds.Name)
+	}
 
 	// A deterministic validation failure surfaces through the stream
 	// acks with the same sentinel REST maps to, and fails the publish —
@@ -102,7 +109,7 @@ func TestClusterStreamFanOut(t *testing.T) {
 // receives publishes over REST, without being demoted.
 func TestClusterStreamFallsBackToREST(t *testing.T) {
 	ctx := context.Background()
-	cl, nodes, streams := startStreamCluster(t, 2)
+	cl, nodes, streams := startStreamCluster(t, 2, nil)
 	byNode := usersPerNode(cl, nodes, 1)
 
 	feed := feedURLs(testWeb(71))[0]

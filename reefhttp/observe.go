@@ -47,9 +47,6 @@ func WithStartTime(t time.Time) HandlerOption {
 // adjacent components into the same scrape.
 func (h *Handler) Metrics() *metrics.Registry { return h.metrics }
 
-// Tracer returns the handler's span recorder.
-func (h *Handler) Tracer() *trace.Recorder { return h.tracer }
-
 var (
 	versionOnce sync.Once
 	versionStr  string

@@ -27,7 +27,6 @@ import (
 type Client struct {
 	addr        string
 	expectNode  string
-	dialTimeout time.Duration
 	callTimeout time.Duration
 
 	metrics *metrics.Registry
@@ -50,11 +49,6 @@ func WithExpectNode(id string) ClientOption {
 	return func(c *Client) { c.expectNode = id }
 }
 
-// WithDialTimeout bounds connection establishment (default 5s).
-func WithDialTimeout(d time.Duration) ClientOption {
-	return func(c *Client) { c.dialTimeout = d }
-}
-
 // WithCallTimeout bounds one publish round trip when the caller's
 // context has no deadline of its own (default 10s).
 func WithCallTimeout(d time.Duration) ClientOption {
@@ -74,7 +68,6 @@ func WithClientMetrics(r *metrics.Registry) ClientOption {
 func NewClient(addr string, opts ...ClientOption) *Client {
 	c := &Client{
 		addr:        addr,
-		dialTimeout: 5 * time.Second,
 		callTimeout: 10 * time.Second,
 	}
 	c.cond = sync.NewCond(&c.mu)
@@ -239,15 +232,18 @@ func (c *Client) dropConn(sc *streamConn) {
 	c.mu.Unlock()
 }
 
+// dialTimeout bounds connection establishment and the handshake.
+const dialTimeout = 5 * time.Second
+
 func (c *Client) dial() (*streamConn, error) {
-	conn, err := net.DialTimeout("tcp", c.addr, c.dialTimeout)
+	conn, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("reefstream: dial %s: %w", c.addr, err)
 	}
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	sc, err := newStreamConn(conn, c.expectNode, c.dialTimeout, c.callTimeout)
+	sc, err := newStreamConn(conn, c.expectNode, dialTimeout, c.callTimeout)
 	if err != nil {
 		conn.Close()
 		return nil, err

@@ -4,16 +4,16 @@ package reef
 // sender (the tap) and absorbs a peer's stream (ApplyReplicated /
 // ApplyReplicatedCut). The deployment stays transport-free — the
 // internal/replication manager owns connections and the handshake; this
-// file bridges durable records to the sharded engines, and journals the
-// positions the manager acks (OpReplPosition) beside the records they
-// cover.
+// file bridges durable records to the router's replay — the one recovery
+// and the layout import use — and journals the positions the manager
+// acks (OpReplPosition) beside the records they cover.
 //
 // The invariant both directions share: a replicated record is journaled
 // once, as received, in the node's one journal (via
 // durable.Journal.Ingest, which appends without feeding the tap) and
-// applied in memory on the shards it concerns, so a replica's own
-// recovery replays it exactly like a local mutation, and it is never
-// re-shipped — two nodes replicating to each other cannot loop.
+// applied bare on the shards it concerns, so a replica's own recovery
+// replays it exactly like a local mutation, and it is never re-shipped —
+// two nodes replicating to each other cannot loop.
 
 import (
 	"context"
@@ -21,7 +21,6 @@ import (
 	"math"
 	"sort"
 
-	"reef/internal/attention"
 	"reef/internal/durable"
 )
 
@@ -35,50 +34,27 @@ func (c *Centralized) SetReplicationTap(fn func(durable.Record)) {
 	c.journal.SetTap(fn)
 }
 
-// ReplicationEnabled reports whether this deployment journals at all —
-// replication ships the WAL, so no WAL means nothing to replicate.
-func (c *Centralized) ReplicationEnabled() bool {
-	return c.journal.Enabled()
-}
-
 // ApplyReplicated applies a batch of records received from a peer, in
 // order. Each record is journaled once, as received, via Ingest — so it
 // survives this node's own crashes — and applied in memory through the
-// routed replay hooks: a click batch splits across the shards its users
-// hash to, a flag or replication position applies to every shard (the
-// flag store is an idempotent OR-set, so redelivery is safe), and
-// user-addressed ops dispatch to the owning shard. The journal is
-// flushed before the call returns: a batch the caller acks then
-// survives this process dying, whatever the sync policy.
+// router's replay, exactly as recovery would apply it: a click batch
+// splits across the shards its users hash to, a flag applies to every
+// shard (the flag store ORs, so redelivery is safe), a replication
+// position lands in the node's one table, and user-addressed ops go to
+// the owning shard. The journal is flushed before the call returns: a
+// batch the caller acks then survives this process dying, whatever the
+// sync policy.
 func (c *Centralized) ApplyReplicated(recs []durable.Record) error {
 	if err := c.checkOpen(context.Background()); err != nil {
 		return err
 	}
-	dr := c.replicaReplay()
+	pos := c.setReplPosition
 	for _, rec := range recs {
-		if err := c.journal.Ingest(func() error { return dr.applyRecord(rec) }, rec); err != nil {
+		if err := c.journal.Ingest(func() error { return c.replayRecord(rec, pos) }, rec); err != nil {
 			return fmt.Errorf("reef: applying replicated %v record: %w", rec.Op, err)
 		}
 	}
 	return c.journal.Flush()
-}
-
-// replicaReplay is routedReplay with the bare click mutation in place of
-// the live ReceiveClicks hook, which would journal — deadlocking inside
-// Ingest's lock, and tapping the batch for re-shipping — on the armed
-// journal.
-func (c *Centralized) replicaReplay() durableReplay {
-	dr := c.routedReplay()
-	n := len(c.shards)
-	dr.applyClicks = func(batch []attention.Click) error {
-		for i, g := range byShard(batch, n, func(c attention.Click) string { return c.User }) {
-			if len(g) > 0 {
-				serverOf(c.shards[i]).ApplyReplicatedClicks(g)
-			}
-		}
-		return nil
-	}
-	return dr
 }
 
 // ReplicationPositions reports how far this node's log holds each
@@ -138,9 +114,8 @@ func (c *Centralized) CaptureReplicationState() (*durable.State, error) {
 	return st, nil
 }
 
-// ApplyReplicatedCut absorbs a peer's snapshot cut: the state is
-// replayed through the same routed hooks recovery uses (clicks split
-// per shard, flags broadcast, users dispatched by hash), then one
+// ApplyReplicatedCut absorbs a peer's snapshot cut: the state goes
+// through the router's replay, as a recovered snapshot does, then one
 // snapshot makes the cut durable here before the record stream resumes.
 // The cut must land on a node that holds no conflicting state for the
 // cut's users — the replication manager only requests one on a fresh or
@@ -152,7 +127,7 @@ func (c *Centralized) ApplyReplicatedCut(st *durable.State) error {
 	if st == nil {
 		return nil
 	}
-	if err := c.replicaReplay().applyState(st); err != nil {
+	if err := c.replayState(st, c.setReplPosition); err != nil {
 		return err
 	}
 	return c.journal.Snapshot()

@@ -13,8 +13,7 @@ import (
 )
 
 // TestWithShardsValidation pins the WithShards contract: n < 1 is
-// rejected with ErrInvalidArgument by both constructors, and an
-// injected click store cannot back more than one shard.
+// rejected with ErrInvalidArgument by both constructors.
 func TestWithShardsValidation(t *testing.T) {
 	web := testWeb(21)
 	for _, n := range []int{0, -1, -100} {
@@ -24,10 +23,6 @@ func TestWithShardsValidation(t *testing.T) {
 		if _, err := reef.NewDistributed(reef.WithFetcher(web), reef.WithShards(n)); !errors.Is(err, reef.ErrInvalidArgument) {
 			t.Errorf("NewDistributed(WithShards(%d)) error = %v, want ErrInvalidArgument", n, err)
 		}
-	}
-	if _, err := reef.NewCentralized(reef.WithFetcher(web), reef.WithShards(2), reef.WithStore(nil)); err != nil {
-		// WithStore(nil) means "default store": allowed with any shard count.
-		t.Errorf("WithShards(2)+WithStore(nil): %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package reef
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,6 +17,7 @@ import (
 	"reef/internal/pubsub"
 	"reef/internal/recommend"
 	"reef/internal/routing"
+	"reef/internal/store"
 )
 
 // shardFor maps a user identity to a shard index with the shared
@@ -53,16 +55,19 @@ type router struct {
 // openRouter builds the shards over one journal, each with the click
 // policy newPolicy makes, then recovers the data directory — or imports
 // the per-shard layout older releases wrote — before arming the journal
-// (see NewCentralized). combos rejects the option combinations a shard
-// count cannot serve; it runs before anything touches the data
-// directory, so a rejected constructor leaves no trace.
-func openRouter(cfg config, newPolicy func(config, *durable.Journal) clickPolicy, combos func(n int) error) (*router, error) {
+// (see NewCentralized). Option combinations a shard count cannot serve
+// are rejected before anything touches the data directory, so a rejected
+// constructor leaves no trace.
+func openRouter(cfg config, newPolicy func(config, *durable.Journal) clickPolicy) (*router, error) {
 	n := cfg.shards
 	if n < 1 {
 		return nil, fmt.Errorf("%w: WithShards(%d): shard count must be at least 1", ErrInvalidArgument, n)
 	}
-	if err := combos(n); err != nil {
-		return nil, err
+	if n > 1 && cfg.feedPublisher != nil {
+		// Every shard's WAIF proxy would poll the feeds its users track and
+		// publish each new item to the one caller-owned publisher:
+		// duplicate deliveries for any feed followed from two shards.
+		return nil, fmt.Errorf("%w: WithFeedPublisher cannot fan in from more than one shard; use WithShards(1)", ErrInvalidArgument)
 	}
 	oldDirs, legacy, err := prepareDataDir(cfg.dataDir)
 	if err != nil {
@@ -88,28 +93,16 @@ func openRouter(cfg config, newPolicy func(config, *durable.Journal) clickPolicy
 	return r, nil
 }
 
-// oneFeedPublisher rejects WithFeedPublisher on more than one shard:
-// every shard's WAIF proxy would poll the feeds its users track and
-// publish each new item to the one caller-owned publisher — duplicate
-// deliveries for any feed followed from two shards.
-func oneFeedPublisher(cfg config, n int) error {
-	if n > 1 && cfg.feedPublisher != nil {
-		return fmt.Errorf("%w: WithFeedPublisher cannot fan in from more than one shard; use WithShards(1)", ErrInvalidArgument)
-	}
-	return nil
-}
-
 // recover replays the journal's recovery state — the snapshot baseline,
-// then every intact WAL record in append order — with each operation
-// routed to the shard its user hashes to, then arms the journal. The
-// journal is still disarmed during replay, so replayed mutations are not
-// re-logged.
+// then every intact WAL record in append order — then arms the journal.
+// The journal is still disarmed during replay, so replayed mutations are
+// not re-logged.
 func (r *router) recover() error {
 	st, tail, err := r.journal.Load()
 	if err != nil {
 		return err
 	}
-	if err := r.routedReplay().run(st, tail); err != nil {
+	if err := r.replay(st, tail, r.setReplPosition); err != nil {
 		return err
 	}
 	r.arm()
@@ -126,15 +119,13 @@ func (r *router) recover() error {
 // import from the untouched old journals, a crash after it leaves only
 // garbage that the next open sweeps.
 func (r *router) importShardLayout(oldDirs []string) error {
-	rep := r.routedReplay()
 	tables := make([]map[string]durable.ReplPosition, len(oldDirs))
 	for i, dir := range oldDirs {
 		table := make(map[string]durable.ReplPosition)
 		tables[i] = table
-		rep.setReplPosition = func(p durable.ReplPosition) { table[p.Source] = p }
 		st, tail, err := loadShardSource(dir)
 		if err == nil {
-			err = rep.run(st, tail)
+			err = r.replay(st, tail, func(p durable.ReplPosition) { table[p.Source] = p })
 		}
 		if err != nil {
 			return fmt.Errorf("importing %s: %w", dir, err)
@@ -190,74 +181,187 @@ func (r *router) positions() []durable.ReplPosition {
 	return mergeReplPositions([]map[string]durable.ReplPosition{r.replPos})
 }
 
-// routedReplay builds replay hooks that dispatch each recovered
-// operation to the engine its user hashes to. Classification flags are
-// global knowledge (an ad server is an ad server for every user), so
-// they broadcast to every shard's store; click batches split per user;
-// replication positions land in the node's one table. A policy that
-// journals no clicks or flags leaves those hooks nil.
-func (r *router) routedReplay() durableReplay {
-	n := len(r.shards)
-	reps := make([]durableReplay, n)
-	for i, e := range r.shards {
-		reps[i] = e.replay()
-	}
-	if n == 1 {
-		dr := reps[0]
-		dr.setReplPosition = r.setReplPosition
-		return dr
-	}
-	at := func(user string) durableReplay { return reps[shardFor(user, n)] }
-	dr := durableReplay{
-		applySub: func(rec recommend.Recommendation) error { return at(rec.User).applySub(rec) },
-		restorePending: func(user, id string, seq int64, rec recommend.Recommendation) {
-			at(user).restorePending(user, id, seq, rec)
-		},
-		setPendingSeq: func(seq int64) {
-			for i := range reps {
-				reps[i].setPendingSeq(seq)
-			}
-		},
-		takePending: func(user, id string) (recommend.Recommendation, bool) {
-			return at(user).takePending(user, id)
-		},
-		acceptRec: func(user string, rec recommend.Recommendation) error {
-			return at(user).acceptRec(user, rec)
-		},
-		rejectFeedback: func(user, feedURL string, t time.Time) {
-			at(user).rejectFeedback(user, feedURL, t)
-		},
-		registerDelivery: func(user, id string, ds durable.DeliveryState) {
-			at(user).registerDelivery(user, id, ds)
-		},
-		ackCursor:       func(user, id string, seq int64) { at(user).ackCursor(user, id, seq) },
-		setReplPosition: r.setReplPosition,
-	}
-	if reps[0].applyClicks != nil {
-		dr.applyClicks = func(batch []attention.Click) error {
-			for i, g := range byShard(batch, n, func(c attention.Click) string { return c.User }) {
-				if len(g) == 0 {
-					continue
-				}
-				if err := reps[i].applyClicks(g); err != nil {
-					return err
-				}
-			}
-			return nil
+// --- replay ---------------------------------------------------------------
+//
+// One replay serves recovery, the per-shard-layout import and replica
+// apply (ApplyReplicated, ApplyReplicatedCut): each operation is decoded
+// and handed straight to the shard its user hashes to at the count the
+// node opened with. Replay never journals. Recovery and the import run
+// on a disarmed journal, and replica apply runs inside Journal.Ingest,
+// where a nested Record or Ingest would self-deadlock on the journal
+// lock.
+
+// replay restores a recovery source: the snapshot baseline, then the
+// WAL tail in append order. pos receives the replication positions.
+func (r *router) replay(st *durable.State, tail []durable.Record, pos func(durable.ReplPosition)) error {
+	if st != nil {
+		if err := r.replayState(st, pos); err != nil {
+			return fmt.Errorf("applying snapshot: %w", err)
 		}
 	}
-	if reps[0].setFlag != nil {
-		dr.setFlag = func(host string, f int) {
-			for i := range reps {
-				reps[i].setFlag(host, f)
-			}
+	for i, rec := range tail {
+		if err := r.replayRecord(rec, pos); err != nil {
+			return fmt.Errorf("replaying WAL record %d (%v): %w", i, rec.Op, err)
 		}
 	}
-	return dr
+	return nil
+}
+
+// replayState restores a snapshot baseline, or a peer's snapshot cut.
+func (r *router) replayState(st *durable.State, pos func(durable.ReplPosition)) error {
+	if len(st.Clicks) > 0 || len(st.Flags) > 0 {
+		if err := r.replayClickStore(st.Clicks, st.Flags); err != nil {
+			return err
+		}
+	}
+	for _, sub := range st.Subscriptions {
+		if err := r.replaySub(sub, false); err != nil {
+			return err
+		}
+	}
+	for _, cu := range st.Cursors {
+		r.shard(cu.User).restoreCursor(cu.User, cu.ID, cu.Acked)
+	}
+	for _, p := range st.Pending {
+		if err := r.restorePending(p); err != nil {
+			return err
+		}
+	}
+	for _, e := range r.shards {
+		e.pending.setSeq(st.PendingSeq)
+	}
+	for _, p := range st.ReplPositions {
+		pos(p)
+	}
+	return nil
+}
+
+// replayRecord re-applies one WAL record.
+func (r *router) replayRecord(rec durable.Record, pos func(durable.ReplPosition)) error {
+	switch rec.Op {
+	case durable.OpClicks:
+		p, err := decode[durable.ClicksPayload](rec)
+		if err != nil {
+			return err
+		}
+		return r.replayClickStore(p.Clicks, nil)
+	case durable.OpFlag:
+		p, err := decode[durable.FlagPayload](rec)
+		if err != nil {
+			return err
+		}
+		return r.replayClickStore(nil, map[string]int{p.Host: p.Flag})
+	case durable.OpSubscribe, durable.OpUnsubscribe:
+		p, err := decode[durable.SubscriptionState](rec)
+		if err != nil {
+			return err
+		}
+		return r.replaySub(p, rec.Op == durable.OpUnsubscribe)
+	case durable.OpCursorAck:
+		p, err := decode[durable.CursorAckPayload](rec)
+		if err != nil {
+			return err
+		}
+		r.shard(p.User).restoreCursor(p.User, p.ID, p.Seq)
+	case durable.OpReplPosition:
+		p, err := decode[durable.ReplPosition](rec)
+		if err != nil {
+			return err
+		}
+		pos(p)
+	case durable.OpPendingAdd:
+		p, err := decode[durable.PendingAddPayload](rec)
+		if err != nil {
+			return err
+		}
+		return r.restorePending(p)
+	case durable.OpPendingTake:
+		p, err := decode[durable.PendingTakePayload](rec)
+		if err != nil {
+			return err
+		}
+		e := r.shard(p.User)
+		taken, ok := e.pending.take(p.User, p.ID)
+		switch {
+		case !ok:
+		case p.Accepted:
+			return e.apply(p.User, taken)
+		case taken.FeedURL != "":
+			// A replayed reject re-drives the negative feedback the live
+			// path gave the recommender, at the recorded decision time.
+			e.policy.reject(p.User, taken.FeedURL, p.At)
+		}
+	default:
+		return fmt.Errorf("unexpected op %v", rec.Op)
+	}
+	return nil
+}
+
+// decode unmarshals a record's payload.
+func decode[T any](rec durable.Record) (T, error) {
+	var p T
+	err := json.Unmarshal(rec.Payload, &p)
+	return p, err
+}
+
+// replayClickStore re-applies what the server policy journals itself: a
+// click batch, split across the shards its users hash to, and server
+// classification flags, set on every shard's store (an ad server is an ad
+// server for every user, and the store ORs flags in, so redelivery is
+// safe). Both are the bare mutations live ingestion and the pipeline
+// journal, so derived state rebuilds exactly as it was built. A
+// deployment whose policy journals neither (the distributed one) refuses
+// them: meeting one in its log is corruption, not data.
+func (r *router) replayClickStore(batch []attention.Click, flags map[string]int) error {
+	if _, ok := r.shards[0].policy.(*serverPolicy); !ok {
+		return fmt.Errorf("clicks or flags, which this deployment does not persist")
+	}
+	for i, g := range byShard(batch, len(r.shards), func(c attention.Click) string { return c.User }) {
+		if len(g) > 0 {
+			serverOf(r.shards[i]).ApplyClicks(g)
+		}
+	}
+	for _, e := range r.shards {
+		for host, f := range flags {
+			serverOf(e).Store().SetFlag(host, store.Flag(f))
+		}
+	}
+	return nil
+}
+
+// replaySub re-applies a recovered subscribe, or unsubscribe, on the
+// user's shard. A reliable subscription's queue registers first, as on
+// the live path, so no event published meanwhile slips past it.
+func (r *router) replaySub(st durable.SubscriptionState, unsubscribe bool) error {
+	rec, err := fromDurableSub(st)
+	if err != nil {
+		return err
+	}
+	e := r.shard(st.User)
+	if unsubscribe {
+		rec.Kind = recommend.KindUnsubscribeFeed
+	} else if st.Delivery != nil {
+		e.deliveries.Register(st.User, subscriptionID(rec), deliveryConfig(*st.Delivery, e.cfg))
+	}
+	return e.apply(st.User, rec)
+}
+
+// restorePending re-queues a recovered pending recommendation under its
+// original ID in the ledger of its user's shard.
+func (r *router) restorePending(p durable.PendingAddPayload) error {
+	rec, err := fromDurableRec(p.Rec)
+	if err != nil {
+		return err
+	}
+	r.shard(p.User).pending.restore(p.User, p.ID, p.Seq, rec)
+	return nil
 }
 
 // byShard splits items into per-shard groups by the user each belongs to.
 func byShard[T any](items []T, n int, user func(T) string) [][]T {
+	if n == 1 {
+		return [][]T{items}
+	}
 	groups := make([][]T, n)
 	for _, it := range items {
 		i := shardFor(user(it), n)
