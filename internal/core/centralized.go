@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -68,9 +69,10 @@ type Server struct {
 	// them are batched for periodic crawling", §3.1).
 	pendingCrawl []string
 	pendingSeen  map[string]struct{}
-	// clickOf remembers which users visited each URL (for attributing
-	// crawl analysis to user profiles).
-	urlUsers map[string]map[string]struct{}
+	// urlUsers remembers which users visited each URL (for attributing
+	// crawl analysis to user profiles). A URL has few visitors, so a
+	// slice scanned for membership costs less than a set.
+	urlUsers map[string][]string
 	// corpus is the background collection built from crawled content
 	// pages; the content recommender's statistics come from here.
 	corpus     *ir.Corpus
@@ -96,7 +98,7 @@ func NewServer(cfg ServerConfig) *Server {
 		journal: cfg.Journal,
 
 		pendingSeen: make(map[string]struct{}),
-		urlUsers:    make(map[string]map[string]struct{}),
+		urlUsers:    make(map[string][]string),
 		corpus:      ir.NewCorpus(),
 		topicRec:    recommend.NewTopicRecommender(recommend.TopicConfig{}),
 		outbox:      make(map[string][]recommend.Recommendation),
@@ -162,9 +164,10 @@ func (s *Server) ReceiveClicks(batch []attention.Click) error {
 // URLs for the next crawl round, journaling nothing. Replay — recovery,
 // and replica apply, which appends the received record itself inside
 // durable.Journal.Ingest — calls it directly: going through
-// ReceiveClicks there would deadlock on the journal lock.
+// ReceiveClicks there would deadlock on the journal lock. Everything it
+// keeps of a click holds the store's interned strings, not the batch's.
 func (s *Server) ApplyClicks(batch []attention.Click) {
-	s.store.AddBatch(batch)
+	batch = s.store.AddBatch(batch)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, c := range batch {
@@ -178,12 +181,9 @@ func (s *Server) ApplyClicks(batch []attention.Click) {
 			s.pendingSeen[c.URL] = struct{}{}
 			s.pendingCrawl = append(s.pendingCrawl, c.URL)
 		}
-		users := s.urlUsers[c.URL]
-		if users == nil {
-			users = make(map[string]struct{})
-			s.urlUsers[c.URL] = users
+		if users := s.urlUsers[c.URL]; !slices.Contains(users, c.User) {
+			s.urlUsers[c.URL] = append(users, c.User)
 		}
-		users[c.User] = struct{}{}
 	}
 	s.reg.Counter("clicks_received").Add(int64(len(batch)))
 }
@@ -260,7 +260,7 @@ func (s *Server) RunPipeline(now time.Time) PipelineStats {
 			if err != nil {
 				continue
 			}
-			for user := range users {
+			for _, user := range users {
 				if rec, ok := s.topicRec.ObserveFeed(user, d.Href, feedHost, now); ok {
 					s.outbox[user] = append(s.outbox[user], rec)
 					stats.Recommendations++
@@ -270,7 +270,7 @@ func (s *Server) RunPipeline(now time.Time) PipelineStats {
 		// Page text grows the background corpus and user profiles.
 		if len(r.Terms) > 0 {
 			s.corpus.Add(&ir.Document{ID: r.URL, Terms: r.Terms, Len: termTotal(r.Terms)})
-			for user := range users {
+			for _, user := range users {
 				s.contentRec.ObservePage(user, r.Terms)
 			}
 		}

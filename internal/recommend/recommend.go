@@ -87,11 +87,16 @@ type userFeedState struct {
 	lastSignal  time.Time
 }
 
+// hostVisits is a user's visit count to one host and the latest visit.
+type hostVisits struct {
+	n    int
+	last time.Time
+}
+
 // userState is the topic recommender's per-user state.
 type userState struct {
-	hostVisits map[string]int
-	lastVisit  map[string]time.Time
-	feeds      map[string]*userFeedState
+	hosts map[string]hostVisits
+	feeds map[string]*userFeedState
 }
 
 // TopicRecommender drives §3.2: feeds discovered in the user's browsing
@@ -117,9 +122,8 @@ func (tr *TopicRecommender) user(id string) *userState {
 	u, ok := tr.users[id]
 	if !ok {
 		u = &userState{
-			hostVisits: make(map[string]int),
-			lastVisit:  make(map[string]time.Time),
-			feeds:      make(map[string]*userFeedState),
+			hosts: make(map[string]hostVisits),
+			feeds: make(map[string]*userFeedState),
 		}
 		tr.users[id] = u
 	}
@@ -129,10 +133,12 @@ func (tr *TopicRecommender) user(id string) *userState {
 // ObserveVisit records that the user visited a host at the given time.
 func (tr *TopicRecommender) ObserveVisit(user, host string, at time.Time) {
 	u := tr.user(user)
-	u.hostVisits[host]++
-	if at.After(u.lastVisit[host]) {
-		u.lastVisit[host] = at
+	h := u.hosts[host]
+	h.n++
+	if at.After(h.last) {
+		h.last = at
 	}
+	u.hosts[host] = h
 }
 
 // ObserveFeed records a feed discovered on a page the user visited and
@@ -148,7 +154,8 @@ func (tr *TopicRecommender) ObserveFeed(user, feedURL, host string, at time.Time
 	if st.recommended {
 		return Recommendation{}, false
 	}
-	if u.hostVisits[host] < tr.cfg.MinHostVisits {
+	visits := u.hosts[host].n
+	if visits < tr.cfg.MinHostVisits {
 		return Recommendation{}, false
 	}
 	st.recommended = true
@@ -159,7 +166,7 @@ func (tr *TopicRecommender) ObserveFeed(user, feedURL, host string, at time.Time
 		User:    user,
 		FeedURL: feedURL,
 		Filter:  waif.ItemFilter(feedURL),
-		Reason:  fmt.Sprintf("feed discovered on %s after %d visits", host, u.hostVisits[host]),
+		Reason:  fmt.Sprintf("feed discovered on %s after %d visits", host, visits),
 		At:      at,
 	}, true
 }
@@ -191,7 +198,7 @@ func (tr *TopicRecommender) SweepInactive(now time.Time) []Recommendation {
 			if !st.subscribed {
 				continue
 			}
-			lastVisit := u.lastVisit[st.host]
+			lastVisit := u.hosts[st.host].last
 			if st.lastSignal.After(lastVisit) {
 				lastVisit = st.lastSignal
 			}

@@ -1,16 +1,13 @@
 // Package store is the click database of the centralized Reef server (the
 // paper's MySQL substitute, see DESIGN.md §2): an in-memory store of
-// attention clicks with the indexes the analysis pipeline needs (by user,
-// by server, time ranges), a server-flag table recording crawl
-// classifications (ad / spam / multimedia / crawled, §3.1), and JSON
-// snapshot persistence.
+// attention clicks with the per-server aggregates the analysis pipeline
+// needs, and a server-flag table recording crawl classifications (ad /
+// spam / multimedia / crawled, §3.1).
 package store
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -59,97 +56,116 @@ func (f Flag) String() string {
 
 // ClickStore is the indexed click database. All methods are safe for
 // concurrent use.
+//
+// Clicks are stored as columns in arrival order. Every user, URL,
+// referrer and host string is stored once, in the intern table, and the
+// columns and indexes hold its dense ID; a timestamp is its Unix seconds
+// and nanoseconds plus an index into the zone table. Dump materialises
+// attention.Click values again, so the columns are invisible outside.
 type ClickStore struct {
 	mu sync.RWMutex
-	// clicks in arrival order.
-	clicks []attention.Click
-	// byUser indexes click positions per user.
-	byUser map[string][]int
-	// serverHits counts clicks per server host.
-	serverHits map[string]int
-	// serverUsers tracks which users visited each server.
-	serverUsers map[string]map[string]struct{}
+	// strs is the intern table; ids maps each string to its index.
+	strs []string
+	ids  map[string]uint32
+	// The click columns.
+	user, url, ref []uint32
+	sec            []int64
+	nsec           []int32
+	zone           []uint16
+	fromEvent      []bool
+	// zones holds each distinct (name, offset) zone once, keyed by value:
+	// JSON decoding allocates a fresh *time.Location per timestamp whose
+	// offset is not a whole hour.
+	zones  []*time.Location
+	zoneID map[zoneKey]uint16
+	// serverHits counts clicks per server host ID.
+	serverHits map[uint32]int
+	// serverUsers tracks which user IDs visited each server host ID.
+	serverUsers map[uint32]map[uint32]struct{}
 	// flags per server host.
 	flags map[string]Flag
+}
+
+type zoneKey struct {
+	name   string
+	offset int
 }
 
 // NewClickStore returns an empty store.
 func NewClickStore() *ClickStore {
 	return &ClickStore{
-		byUser:      make(map[string][]int),
-		serverHits:  make(map[string]int),
-		serverUsers: make(map[string]map[string]struct{}),
+		ids:         make(map[string]uint32),
+		zones:       []*time.Location{time.UTC},
+		zoneID:      map[zoneKey]uint16{{"UTC", 0}: 0},
+		serverHits:  make(map[uint32]int),
+		serverUsers: make(map[uint32]map[uint32]struct{}),
 		flags:       make(map[string]Flag),
 	}
 }
 
-// Add stores one click.
-func (s *ClickStore) Add(c attention.Click) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	idx := len(s.clicks)
-	s.clicks = append(s.clicks, c)
-	s.byUser[c.User] = append(s.byUser[c.User], idx)
-	host := c.Host()
-	if host != "" {
-		s.serverHits[host]++
-		users := s.serverUsers[host]
-		if users == nil {
-			users = make(map[string]struct{})
-			s.serverUsers[host] = users
-		}
-		users[c.User] = struct{}{}
+// intern returns str's ID, adding a private copy of it on first sight.
+// The caller holds s.mu.
+func (s *ClickStore) intern(str string) uint32 {
+	id, ok := s.ids[str]
+	if !ok {
+		id = uint32(len(s.strs))
+		str = strings.Clone(str)
+		s.strs = append(s.strs, str)
+		s.ids[str] = id
 	}
+	return id
 }
 
-// AddBatch stores a batch (the recorder sink path).
-func (s *ClickStore) AddBatch(batch []attention.Click) {
-	for _, c := range batch {
-		s.Add(c)
+// zoneOf returns the zone table index of t's zone. The caller holds s.mu.
+func (s *ClickStore) zoneOf(t time.Time) uint16 {
+	name, offset := t.Zone()
+	k := zoneKey{name, offset}
+	id, ok := s.zoneID[k]
+	if !ok {
+		id = uint16(len(s.zones))
+		s.zones = append(s.zones, time.FixedZone(name, offset))
+		s.zoneID[k] = id
 	}
+	return id
+}
+
+// AddBatch stores a batch and returns it with every User, URL and
+// Referrer replaced by the store's interned copy, so callers that keep
+// click strings share the store's. The caller's slice is not written.
+func (s *ClickStore) AddBatch(batch []attention.Click) []attention.Click {
+	out := make([]attention.Click, len(batch))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, c := range batch {
+		user, url, ref := s.intern(c.User), s.intern(c.URL), s.intern(c.Referrer)
+		s.user = append(s.user, user)
+		s.url = append(s.url, url)
+		s.ref = append(s.ref, ref)
+		s.sec = append(s.sec, c.At.Unix())
+		s.nsec = append(s.nsec, int32(c.At.Nanosecond()))
+		s.zone = append(s.zone, s.zoneOf(c.At))
+		s.fromEvent = append(s.fromEvent, c.FromEvent)
+		c.User, c.URL, c.Referrer = s.strs[user], s.strs[url], s.strs[ref]
+		out[i] = c
+		if host := c.Host(); host != "" {
+			h := s.intern(host)
+			s.serverHits[h]++
+			users := s.serverUsers[h]
+			if users == nil {
+				users = make(map[uint32]struct{})
+				s.serverUsers[h] = users
+			}
+			users[user] = struct{}{}
+		}
+	}
+	return out
 }
 
 // Len returns the total click count.
 func (s *ClickStore) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.clicks)
-}
-
-// ByUser returns the user's clicks in arrival order.
-func (s *ClickStore) ByUser(user string) []attention.Click {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	idxs := s.byUser[user]
-	out := make([]attention.Click, len(idxs))
-	for i, idx := range idxs {
-		out[i] = s.clicks[idx]
-	}
-	return out
-}
-
-// ByUserSince returns the user's clicks with At after t.
-func (s *ClickStore) ByUserSince(user string, t time.Time) []attention.Click {
-	all := s.ByUser(user)
-	out := all[:0]
-	for _, c := range all {
-		if c.At.After(t) {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// Users returns all user cookies, sorted.
-func (s *ClickStore) Users() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.byUser))
-	for u := range s.byUser {
-		out = append(out, u)
-	}
-	sort.Strings(out)
-	return out
+	return len(s.user)
 }
 
 // ServerCount is a per-server aggregate row.
@@ -165,7 +181,7 @@ func (s *ClickStore) Servers() []ServerCount {
 	defer s.mu.RUnlock()
 	out := make([]ServerCount, 0, len(s.serverHits))
 	for h, n := range s.serverHits {
-		out = append(out, ServerCount{Host: h, Hits: n, Users: len(s.serverUsers[h])})
+		out = append(out, ServerCount{Host: s.strs[h], Hits: n, Users: len(s.serverUsers[h])})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Hits != out[j].Hits {
@@ -190,7 +206,7 @@ func (s *ClickStore) HitsTo(pred func(host string) bool) int {
 	defer s.mu.RUnlock()
 	n := 0
 	for h, hits := range s.serverHits {
-		if pred(h) {
+		if pred(s.strs[h]) {
 			n += hits
 		}
 	}
@@ -226,7 +242,7 @@ func (s *ClickStore) Hosts() []string {
 	defer s.mu.RUnlock()
 	out := make([]string, 0, len(s.serverHits))
 	for h := range s.serverHits {
-		out = append(out, h)
+		out = append(out, s.strs[h])
 	}
 	return out
 }
@@ -259,60 +275,25 @@ func (s *ClickStore) CountFlagged(f Flag) int {
 	return n
 }
 
-// Dump copies out the store's primary state — clicks in arrival order and
-// the flag table — for the durability layer's snapshot capture. The
+// Dump materialises the store's primary state — clicks in arrival order
+// and the flag table — for the durability layer's snapshot capture. The
 // indexes are derived and rebuilt by replaying the clicks.
 func (s *ClickStore) Dump() ([]attention.Click, map[string]Flag) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	clicks := make([]attention.Click, len(s.clicks))
-	copy(clicks, s.clicks)
+	clicks := make([]attention.Click, len(s.user))
+	for i := range clicks {
+		clicks[i] = attention.Click{
+			User:      s.strs[s.user[i]],
+			URL:       s.strs[s.url[i]],
+			At:        time.Unix(s.sec[i], int64(s.nsec[i])).In(s.zones[s.zone[i]]),
+			Referrer:  s.strs[s.ref[i]],
+			FromEvent: s.fromEvent[i],
+		}
+	}
 	flags := make(map[string]Flag, len(s.flags))
 	for h, f := range s.flags {
 		flags[h] = f
 	}
 	return clicks, flags
-}
-
-// snapshot is the JSON persistence format.
-type snapshot struct {
-	Clicks []attention.Click `json:"clicks"`
-	Flags  map[string]Flag   `json:"flags"`
-}
-
-// Save writes a JSON snapshot of the store.
-func (s *ClickStore) Save(w io.Writer) error {
-	s.mu.RLock()
-	snap := snapshot{Clicks: s.clicks, Flags: make(map[string]Flag, len(s.flags))}
-	for h, f := range s.flags {
-		snap.Flags[h] = f
-	}
-	s.mu.RUnlock()
-	if err := json.NewEncoder(w).Encode(&snap); err != nil {
-		return fmt.Errorf("store: save: %w", err)
-	}
-	return nil
-}
-
-// Load replaces the store's contents from a JSON snapshot.
-func (s *ClickStore) Load(r io.Reader) error {
-	var snap snapshot
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
-		return fmt.Errorf("store: load: %w", err)
-	}
-	fresh := NewClickStore()
-	fresh.AddBatch(snap.Clicks)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fresh.mu.RLock()
-	defer fresh.mu.RUnlock()
-	s.clicks = fresh.clicks
-	s.byUser = fresh.byUser
-	s.serverHits = fresh.serverHits
-	s.serverUsers = fresh.serverUsers
-	s.flags = snap.Flags
-	if s.flags == nil {
-		s.flags = make(map[string]Flag)
-	}
-	return nil
 }
