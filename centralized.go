@@ -125,29 +125,29 @@ func (sp *serverPolicy) capture(st *durable.State) {
 	}
 }
 
-// stats adds the server's counters and the shard's delivery and frontend
-// gauges, in the key set the unsharded deployment has always reported.
-func (sp *serverPolicy) stats(e *engine, out Stats) {
-	for k, v := range sp.server.Metrics().Snapshot() {
-		out[k] = v
-	}
-	out[metrics.ClicksStored.Key] = float64(sp.server.Store().Len())
-	out[metrics.DistinctServers.Key] = float64(sp.server.Store().DistinctServers())
-	out[metrics.FeedsDiscovered.Key] = float64(sp.server.DistinctFeedsFound())
-	out[metrics.UploadBytes.Key] = float64(sp.server.UploadBytes())
-	for name, v := range e.proxy.Metrics().Snapshot() {
-		out["proxy_"+name] = v
-	}
+// samples adds the server's counters and the shard's store, proxy,
+// delivery and frontend series, in the key set the unsharded deployment
+// has always reported. distinct_servers is the deployment's own (see
+// Centralized.Samples).
+func (sp *serverPolicy) samples(e *engine, out []metrics.Sample) []metrics.Sample {
+	out = metrics.AppendRegistry(out, sp.server.Metrics(), "")
+	out = metrics.AppendRegistry(out, e.proxy.Metrics(), "proxy_")
 	dt := e.deliveries.Totals()
-	out[metrics.DeliveryReliableSubs.Key] = float64(dt.Queues)
-	out[metrics.DeliveryRetained.Key] = float64(dt.Retained)
-	out[metrics.DeliveryAcked.Key] = float64(dt.Acked)
-	out[metrics.DeliveryRedeliveries.Key] = float64(dt.Redeliveries)
-	out[metrics.DeliveryDeadLetters.Key] = float64(dt.DeadLetters)
-	out[metrics.DeliveryLeaseExpiries.Key] = float64(dt.LeaseExpiries)
 	e.mu.Lock()
-	out[metrics.UsersWithFrontends.Key] = float64(len(e.fronts))
+	fronts := len(e.fronts)
 	e.mu.Unlock()
+	return append(out,
+		metrics.Sample{Def: metrics.ClicksStored, Value: float64(sp.server.Store().Len())},
+		metrics.Sample{Def: metrics.FeedsDiscovered, Value: float64(sp.server.DistinctFeedsFound())},
+		metrics.Sample{Def: metrics.UploadBytes, Value: float64(sp.server.UploadBytes())},
+		metrics.Sample{Def: metrics.DeliveryReliableSubs, Value: float64(dt.Queues)},
+		metrics.Sample{Def: metrics.DeliveryRetained, Value: float64(dt.Retained)},
+		metrics.Sample{Def: metrics.DeliveryAcked, Value: float64(dt.Acked)},
+		metrics.Sample{Def: metrics.DeliveryRedeliveries, Value: float64(dt.Redeliveries)},
+		metrics.Sample{Def: metrics.DeliveryDeadLetters, Value: float64(dt.DeadLetters)},
+		metrics.Sample{Def: metrics.DeliveryLeaseExpiries, Value: float64(dt.LeaseExpiries)},
+		metrics.Sample{Def: metrics.UsersWithFrontends, Value: float64(fronts)},
+	)
 }
 
 // Subscribe implements Deployment: it places a feed subscription
@@ -239,35 +239,38 @@ func (c *Centralized) reliableArgs(ctx context.Context, user string) error {
 	return validateUser(user)
 }
 
-// Stats implements Deployment: counters and gauges sum across shards
-// (one shard reports its counters unchanged), histogram means and
-// maxima keep their meaning (see mergeStats), distinct_servers counts
-// each host once however many shard stores know it, and sharded
-// deployments add a shard<i>_-prefixed load breakdown plus the shard
-// count.
-func (c *Centralized) Stats(ctx context.Context) (Stats, error) {
+// Samples reports the deployment's series. Each family merges across
+// shards by its rule (one shard reports its own unchanged),
+// distinct_servers counts each host once however many shard stores know
+// it, and a sharded deployment adds each shard's clicks stored, users
+// with frontends and pending recommendations under a shard label.
+func (c *Centralized) Samples(ctx context.Context) ([]metrics.Sample, error) {
 	if err := c.checkOpen(ctx); err != nil {
 		return nil, err
 	}
-	perShard := c.shardStats()
-	n := len(perShard)
-	if n == 1 {
-		perShard[0][metrics.Shards.Key] = 1
-		return perShard[0], nil
+	out, perShard := c.samples()
+	if len(perShard) == 1 {
+		distinct := serverOf(c.shards[0]).Store().DistinctServers()
+		return append(out, metrics.Sample{Def: metrics.DistinctServers, Value: float64(distinct)}), nil
 	}
-	out := mergeStats(perShard)
 	hosts := make(map[string]struct{})
 	for i, e := range c.shards {
 		for _, h := range serverOf(e).Store().Hosts() {
 			hosts[h] = struct{}{}
 		}
-		out[fmt.Sprintf("shard%d_%s", i, metrics.ClicksStored.Key)] = perShard[i][metrics.ClicksStored.Key]
-		out[fmt.Sprintf("shard%d_%s", i, metrics.UsersWithFrontends.Key)] = perShard[i][metrics.UsersWithFrontends.Key]
-		out[fmt.Sprintf("shard%d_%s", i, metrics.PendingRecommendations.Key)] = perShard[i][metrics.PendingRecommendations.Key]
+		for _, s := range perShard[i] {
+			switch s.Def {
+			case metrics.ClicksStored, metrics.UsersWithFrontends, metrics.PendingRecommendations:
+				out = append(out, metrics.Sample{Def: s.Def, Label: metrics.Shard(i), Value: s.Value})
+			}
+		}
 	}
-	out[metrics.DistinctServers.Key] = float64(len(hosts))
-	out[metrics.Shards.Key] = float64(n)
-	return out, nil
+	return append(out, metrics.Sample{Def: metrics.DistinctServers, Value: float64(len(hosts))}), nil
+}
+
+// Stats implements Deployment: the flat view of Samples.
+func (c *Centralized) Stats(ctx context.Context) (Stats, error) {
+	return flatStats(c.Samples(ctx))
 }
 
 // RunPipeline performs one periodic crawl/analysis round (the paper's

@@ -83,7 +83,8 @@
 // Every reefd (node or router) serves GET /v1/metrics, a dependency-free
 // Prometheus text exposition covering the REST middleware, the stream
 // data plane, delivery queues, replication, and (router mode) the
-// cluster's routing health — one shared registry per process. Requests
+// cluster's routing health: one shared registry per process plus the
+// deployment's labelled samples. Requests
 // are traced: a 16-byte ID minted at ingress (or taken from the
 // X-Reef-Trace header) is echoed on the response, forwarded on fan-out
 // and replication calls, carried on stream publish frames, and recorded
@@ -658,8 +659,9 @@ func runRouter(logger *slog.Logger, addr, spec, streamSpec, nodeID, streamAddr s
 		"version", reefhttp.Version(), "addr", addr,
 		"nodes", len(nodes), "replicas", replicas)
 	// The router shares one registry and span ring between its REST
-	// surface and the cluster's routing-health counters, so /v1/metrics
-	// on the router reports forwarding and fan-out health too.
+	// surface and the cluster's stream clients, so /v1/metrics on the
+	// router reports publish ack round trips beside the cluster's own
+	// forwarding and fan-out samples.
 	reg := metrics.NewRegistry()
 	rec := trace.NewRecorder(0)
 	// The router's k must match the nodes' -replicas: it decides which

@@ -170,7 +170,7 @@ func (pp *peerPolicy) ready(string) []recommend.Recommendation { return nil }
 // router's replay refuses any it meets.
 func (pp *peerPolicy) capture(*durable.State) {}
 
-func (pp *peerPolicy) stats(_ *engine, out Stats) {
+func (pp *peerPolicy) samples(_ *engine, out []metrics.Sample) []metrics.Sample {
 	var subs, feeds, applied int
 	peers := pp.sorted()
 	for _, p := range peers {
@@ -182,10 +182,12 @@ func (pp *peerPolicy) stats(_ *engine, out Stats) {
 		applied += n
 	}
 	pp.mu.Unlock()
-	out[metrics.DistributedPeers.Key] = float64(len(peers))
-	out[metrics.DistributedSubs.Key] = float64(subs)
-	out[metrics.DistributedKnownFeeds.Key] = float64(feeds)
-	out[metrics.DistributedApplied.Key] = float64(applied)
+	return append(out,
+		metrics.Sample{Def: metrics.DistributedPeers, Value: float64(len(peers))},
+		metrics.Sample{Def: metrics.DistributedSubs, Value: float64(subs)},
+		metrics.Sample{Def: metrics.DistributedKnownFeeds, Value: float64(feeds)},
+		metrics.Sample{Def: metrics.DistributedApplied, Value: float64(applied)},
+	)
 }
 
 // lookup returns the user's peer without creating one.
@@ -222,15 +224,19 @@ func (d *Distributed) Subscribe(ctx context.Context, user, feedURL string, opts 
 	return d.shard(user).subscribe(user, feedURL, sc)
 }
 
-// Stats implements Deployment: counters sum across shards, plus the
-// shard count.
-func (d *Distributed) Stats(ctx context.Context) (Stats, error) {
+// Samples reports the deployment's series: each family merged across
+// shards by its rule, plus the shard count.
+func (d *Distributed) Samples(ctx context.Context) ([]metrics.Sample, error) {
 	if err := d.checkOpen(ctx); err != nil {
 		return nil, err
 	}
-	out := mergeStats(d.shardStats())
-	out[metrics.Shards.Key] = float64(len(d.shards))
+	out, _ := d.samples()
 	return out, nil
+}
+
+// Stats implements Deployment: the flat view of Samples.
+func (d *Distributed) Stats(ctx context.Context) (Stats, error) {
+	return flatStats(d.Samples(ctx))
 }
 
 // Users lists the users with live peers across all shards, sorted.

@@ -59,9 +59,10 @@
 // long-poll, so consumers on either plane block instead of polling.
 //
 // Every surface is observable end to end: GET /v1/metrics serves a
-// dependency-free Prometheus exposition (internal/metrics — one
-// constant table binds legacy Stats() keys to uniformly named
-// reef_<subsystem>_<name> families), requests carry a 16-byte trace ID
+// dependency-free Prometheus exposition (internal/metrics: every
+// deployment value is a sample of one Def, labelled at source, rendered
+// as a uniformly named reef_<subsystem>_<name> family and flattened by
+// the same Def into the Stats() keys), requests carry a 16-byte trace ID
 // across nodes (X-Reef-Trace on REST and replication, an optional
 // trailer on stream frames) into per-node span rings dumped by GET
 // /v1/admin/trace, and reefd logs through log/slog with pprof on a

@@ -39,8 +39,8 @@ type clickPolicy interface {
 	ready(user string) []recommend.Recommendation
 	// capture adds what the policy journals itself to a snapshot.
 	capture(st *durable.State)
-	// stats adds the policy's counters to the shard's.
-	stats(e *engine, out Stats)
+	// samples appends the policy's series to the shard's.
+	samples(e *engine, out []metrics.Sample) []metrics.Sample
 }
 
 // engine is one shard of a deployment: a complete per-user-partition
@@ -507,20 +507,16 @@ func (e *engine) rejectRecommendation(user, id string) error {
 	)
 }
 
-// stats snapshots this shard's counters: the proxy, the pending ledger
-// and the broker, plus the policy's own. Keys come from the shared
-// constant table (internal/metrics) so the cluster merge rules and the
-// /v1/metrics exposition can never drift from what is emitted here.
-func (e *engine) stats() Stats {
-	out := Stats{
-		metrics.ProxyFeeds.Key:             float64(e.proxy.NumFeeds()),
-		metrics.PendingRecommendations.Key: float64(e.pending.size()),
+// samples reports this shard's series: the proxy, the pending ledger
+// and the broker, plus the policy's own, each under its Def from the
+// shared constant table (internal/metrics).
+func (e *engine) samples() []metrics.Sample {
+	out := []metrics.Sample{
+		{Def: metrics.ProxyFeeds, Value: float64(e.proxy.NumFeeds())},
+		{Def: metrics.PendingRecommendations, Value: float64(e.pending.size())},
 	}
-	for name, v := range e.broker.Metrics().Snapshot() {
-		out["broker_"+name] = v
-	}
-	e.policy.stats(e, out)
-	return out
+	out = metrics.AppendRegistry(out, e.broker.Metrics(), "broker_")
+	return e.policy.samples(e, out)
 }
 
 // teardown closes frontends, proxy and broker (but not the journal — the

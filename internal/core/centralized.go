@@ -27,8 +27,6 @@ import (
 type ServerConfig struct {
 	// Fetcher is the crawler's access to the web.
 	Fetcher websim.Fetcher
-	// CrawlWorkers bounds crawl parallelism (default 8).
-	CrawlWorkers int
 	// Journal receives a WAL record for every durable mutation the server
 	// performs (click batches, server flags). Nil disables journaling.
 	Journal *durable.Journal
@@ -107,7 +105,6 @@ func NewServer(cfg ServerConfig) *Server {
 	s.contentRec = recommend.NewContentRecommender(recommend.ContentConfig{}, s.corpus)
 	s.crawl = crawler.New(crawler.Config{
 		Fetcher: cfg.Fetcher,
-		Workers: cfg.CrawlWorkers,
 		Skip: func(host string) bool {
 			// Never re-crawl flagged or already-crawled hosts (§3.1).
 			return st.HasFlag(host, store.FlagAd|store.FlagSpam|store.FlagMultimedia|store.FlagCrawled)
@@ -123,7 +120,6 @@ func NewServer(cfg ServerConfig) *Server {
 func (s *Server) DisableFlagSkip() {
 	s.crawl = crawler.New(crawler.Config{
 		Fetcher:               s.cfg.Fetcher,
-		Workers:               s.cfg.CrawlWorkers,
 		DisableClassification: true,
 	})
 }

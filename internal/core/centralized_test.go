@@ -38,7 +38,7 @@ func newRig(t *testing.T, seed int64) *testRig {
 	wcfg.FeedProb = 0.6
 	web := websim.Generate(wcfg, model)
 
-	server := NewServer(ServerConfig{Fetcher: web, CrawlWorkers: 4})
+	server := NewServer(ServerConfig{Fetcher: web})
 	broker := pubsub.NewBroker("edge", nil)
 	t.Cleanup(broker.Close)
 	proxy := waif.New(waif.Config{Fetcher: web, Publish: brokerPublisher{broker}, PollEvery: time.Hour})

@@ -165,7 +165,7 @@ func A3AdFilter(opt A3Options) Result {
 		wcfg.NumMultimediaServers = scaleInt(wcfg.NumMultimediaServers, opt.Scale)
 		web := websim.Generate(wcfg, model)
 
-		server := core.NewServer(core.ServerConfig{Fetcher: web, CrawlWorkers: 8})
+		server := core.NewServer(core.ServerConfig{Fetcher: web})
 		if !filtering {
 			server.DisableFlagSkip()
 		}

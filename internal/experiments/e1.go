@@ -61,7 +61,7 @@ func E1TopicDiscovery(opt E1Options) Result {
 	wcfg.NumMultimediaServers = scaleInt(wcfg.NumMultimediaServers, opt.Scale)
 	web := websim.Generate(wcfg, model)
 
-	server := core.NewServer(core.ServerConfig{Fetcher: web, CrawlWorkers: 8})
+	server := core.NewServer(core.ServerConfig{Fetcher: web})
 	gen := workload.NewGenerator(workload.DefaultConfigAdjusted(opt.Seed, SimStart, opt.Users, opt.Days), web)
 
 	var subscribeRecs, unsubscribeRecs int

@@ -59,7 +59,7 @@ func runCentralized(opt FOptions, users int) archRun {
 	wcfg.NumMultimediaServers = scaleInt(wcfg.NumMultimediaServers, opt.Scale)
 	web := websim.Generate(wcfg, model)
 
-	server := core.NewServer(core.ServerConfig{Fetcher: web, CrawlWorkers: 8})
+	server := core.NewServer(core.ServerConfig{Fetcher: web})
 	gen := workload.NewGenerator(workload.DefaultConfigAdjusted(opt.Seed, SimStart, users, opt.Days), web)
 
 	// Browsing traffic itself is not crawl traffic: reset after workload

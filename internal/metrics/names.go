@@ -1,20 +1,17 @@
 package metrics
 
-import (
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // This file is the single source of truth for metric naming. Every
-// Prometheus family exported anywhere in the repo — and every legacy
-// Stats() key that maps onto one — is declared here as a Def, so the
-// cluster merge rules (internal/routing.Merge, keyed by the Stats()
-// key) and the /v1/metrics exposition (keyed by the Prometheus name)
-// cannot drift apart. Stats() producers reference Def.Key; exposition
-// and registry instrumentation reference Def.Name. A repo-wide check
-// (TestMetricNamesUseConstantTable) rejects "reef_"-prefixed string
-// literals outside this package, forcing new metrics through this
-// table.
+// family exported anywhere in the repo is declared here as a Def: its
+// Prometheus name and Kind, and, for a deployment series, Key, the name
+// its value takes in the flat Stats() view. The code that produces a
+// value reports it as a Sample of its Def, labelled at source;
+// /v1/metrics renders samples by Def.Name and Stats() flattens the same
+// samples by Def.Key, so neither name is ever parsed back into the
+// other. A repo-wide check (TestMetricNamesUseConstantTable) rejects
+// "reef_"-prefixed string literals outside this package, forcing new
+// metrics through this table.
 
 // Kind classifies a metric family for the exposition TYPE line.
 type Kind uint8
@@ -26,9 +23,6 @@ const (
 	KindCounter
 	// KindHistogram has cumulative buckets, a sum and a count.
 	KindHistogram
-	// KindUntyped is used for derived series (".mean"/".max"
-	// projections, unknown stats keys).
-	KindUntyped
 )
 
 // String returns the Prometheus TYPE keyword.
@@ -36,21 +30,18 @@ func (k Kind) String() string {
 	switch k {
 	case KindCounter:
 		return "counter"
-	case KindGauge:
-		return "gauge"
 	case KindHistogram:
 		return "histogram"
 	default:
-		return "untyped"
+		return "gauge"
 	}
 }
 
-// Def binds one legacy Stats() key to its Prometheus family. Key is ""
-// for families that exist only in a Registry (instrumentation that has
-// no Stats() projection).
+// Def declares one metric family. Key is "" for families that exist
+// only in a Registry (instrumentation that has no Stats() view).
 type Def struct {
-	// Key is the Stats() map key (without shard/node prefixes or
-	// ".count"/".mean"/".max" suffixes), "" for registry-only families.
+	// Key is the family's flat Stats() key (before Sample.Key adds a
+	// breakdown prefix), "" for registry-only families.
 	Key string
 	// Name is the Prometheus family name (reef_<subsystem>_<name>).
 	Name string
@@ -60,7 +51,7 @@ type Def struct {
 	Help string
 }
 
-// Engine / deployment families (Stats()-backed).
+// Engine / deployment families.
 var (
 	ClicksStored           = Def{"clicks_stored", "reef_engine_clicks_stored", KindGauge, "Click records held in the store."}
 	DistinctServers        = Def{"distinct_servers", "reef_engine_distinct_servers", KindGauge, "Distinct origin servers seen in stored clicks."}
@@ -69,22 +60,40 @@ var (
 	ProxyFeeds             = Def{"proxy_feeds", "reef_engine_proxy_feeds", KindGauge, "Feeds tracked by the proxy."}
 	PendingRecommendations = Def{"pending_recommendations", "reef_engine_pending_recommendations", KindGauge, "Recommendations awaiting a user decision."}
 	UsersWithFrontends     = Def{"users_with_frontends", "reef_engine_users_with_frontends", KindGauge, "Users with a registered frontend."}
-	ProxyStat              = Def{"", "reef_engine_proxy_stat", KindUntyped, "Proxy component registry stat, labeled by stat name."}
-	BrokerStat             = Def{"", "reef_engine_broker_stat", KindUntyped, "Broker component registry stat, labeled by stat name."}
-	BrokerCanceled         = Def{"broker_canceled", "reef_engine_broker_canceled_total", KindCounter, "Deliveries skipped because the subscription was canceled after the match (broker_dropped counts only queue overflow)."}
 	Shards                 = Def{"shards", "reef_shards", KindGauge, "Shard count of the deployment."}
+)
+
+// Component families: the series of a shard's server, broker and proxy
+// registries, keyed by the registry name behind the prefix that
+// AppendRegistry is given ("", "broker_", "proxy_").
+var (
+	ClicksReceived      = Def{"clicks_received", "reef_engine_clicks_received_total", KindCounter, "Clicks received by the recommendation server."}
+	JournalErrors       = Def{"journal_errors", "reef_engine_journal_errors_total", KindCounter, "Server flag records the journal failed to append."}
+	PipelineRuns        = Def{"pipeline_runs", "reef_engine_pipeline_runs_total", KindCounter, "Crawl and analysis rounds run."}
+	URLsCrawled         = Def{"urls_crawled", "reef_engine_urls_crawled_total", KindCounter, "URLs crawled by the pipeline."}
+	Recommendations     = Def{"recommendations", "reef_engine_recommendations_total", KindCounter, "Recommendations generated by the pipeline."}
+	BrokerPublished     = Def{"broker_published", "reef_engine_broker_published_total", KindCounter, "Events published to the broker."}
+	BrokerDelivered     = Def{"broker_delivered", "reef_engine_broker_delivered_total", KindCounter, "Deliveries handed to matching subscriptions."}
+	BrokerDropped       = Def{"broker_dropped", "reef_engine_broker_dropped_total", KindCounter, "Deliveries lost to a full subscription queue."}
+	BrokerCanceled      = Def{"broker_canceled", "reef_engine_broker_canceled_total", KindCounter, "Deliveries skipped because the subscription was canceled after the match (broker_dropped counts only queue overflow)."}
+	BrokerSubscribes    = Def{"broker_subscribes", "reef_engine_broker_subscribes_total", KindCounter, "Broker subscriptions made."}
+	BrokerUnsubscribes  = Def{"broker_unsubscribes", "reef_engine_broker_unsubscribes_total", KindCounter, "Broker subscriptions canceled."}
+	BrokerSubscriptions = Def{"broker_subscriptions", "reef_engine_broker_subscriptions", KindGauge, "Live broker subscriptions."}
+	ProxyPolls          = Def{"proxy_polls", "reef_engine_proxy_polls_total", KindCounter, "Feed polls issued by the proxy."}
+	ProxyPollsSaved     = Def{"proxy_polls_saved", "reef_engine_proxy_polls_saved_total", KindCounter, "Polls that per-user pulling would have issued and shared polling saved."}
+	ProxyPollErrors     = Def{"proxy_poll_errors", "reef_engine_proxy_poll_errors_total", KindCounter, "Feed polls that failed."}
+	ProxyItemsPublished = Def{"proxy_items_published", "reef_engine_proxy_items_published_total", KindCounter, "Feed items the proxy published."}
 )
 
 // Distributed deployment families.
 var (
-	DistributedPeers        = Def{"peers", "reef_distributed_peers", KindGauge, "Broker peers in the distributed deployment."}
-	DistributedSubs         = Def{"subscriptions", "reef_distributed_subscriptions", KindGauge, "Subscriptions across distributed peers."}
-	DistributedKnownFeeds   = Def{"known_feeds", "reef_distributed_known_feeds", KindGauge, "Feeds known across distributed peers."}
-	DistributedApplied      = Def{"applied_recommendations", "reef_distributed_applied_recommendations", KindGauge, "Recommendations applied across distributed peers."}
-	DistributedPendingRecos = PendingRecommendations // same key, shared family
+	DistributedPeers      = Def{"peers", "reef_distributed_peers", KindGauge, "Broker peers in the distributed deployment."}
+	DistributedSubs       = Def{"subscriptions", "reef_distributed_subscriptions", KindGauge, "Subscriptions across distributed peers."}
+	DistributedKnownFeeds = Def{"known_feeds", "reef_distributed_known_feeds", KindGauge, "Feeds known across distributed peers."}
+	DistributedApplied    = Def{"applied_recommendations", "reef_distributed_applied_recommendations", KindGauge, "Recommendations applied across distributed peers."}
 )
 
-// Delivery families (Stats()-backed from delivery.Totals).
+// Delivery families (from delivery.Totals).
 var (
 	DeliveryReliableSubs  = Def{"delivery_reliable_subs", "reef_delivery_reliable_subs", KindGauge, "Reliable (at-least-once) subscription queues."}
 	DeliveryRetained      = Def{"delivery_retained", "reef_delivery_retained", KindGauge, "Events retained awaiting ack across reliable queues."}
@@ -94,8 +103,7 @@ var (
 	DeliveryLeaseExpiries = Def{"delivery_lease_expiries", "reef_delivery_lease_expiries_total", KindCounter, "Delivery leases that expired before an ack."}
 )
 
-// Cluster router families (registry-backed counters, projected into
-// Stats() under Def.Key for the legacy merge path).
+// Cluster router families.
 var (
 	ClusterNodes          = Def{"nodes", "reef_cluster_nodes", KindGauge, "Nodes in the cluster seed list."}
 	ClusterNodesUp        = Def{"nodes_up", "reef_cluster_nodes_up", KindGauge, "Nodes currently probed Up."}
@@ -141,14 +149,14 @@ var (
 	TraceSpans = Def{"", "reef_trace_spans_total", KindCounter, "Spans recorded into the trace ring (including evicted)."}
 )
 
-// UnknownStat is the fallback family for Stats() keys with no table
-// entry; the raw key rides in a label so nothing is silently dropped.
-var UnknownStat = Def{"", "reef_stat", KindUntyped, "Stats() key with no table entry, labeled by raw key."}
-
 // Defs lists every Def above; exposition and the naming check walk it.
 var Defs = []Def{
 	ClicksStored, DistinctServers, FeedsDiscovered, UploadBytes, ProxyFeeds,
-	PendingRecommendations, UsersWithFrontends, ProxyStat, BrokerStat, BrokerCanceled, Shards,
+	PendingRecommendations, UsersWithFrontends, Shards,
+	ClicksReceived, JournalErrors, PipelineRuns, URLsCrawled, Recommendations,
+	BrokerPublished, BrokerDelivered, BrokerDropped, BrokerCanceled,
+	BrokerSubscribes, BrokerUnsubscribes, BrokerSubscriptions,
+	ProxyPolls, ProxyPollsSaved, ProxyPollErrors, ProxyItemsPublished,
 	DistributedPeers, DistributedSubs, DistributedKnownFeeds, DistributedApplied,
 	DeliveryReliableSubs, DeliveryRetained, DeliveryAcked, DeliveryRedeliveries,
 	DeliveryDeadLetters, DeliveryLeaseExpiries,
@@ -159,10 +167,20 @@ var Defs = []Def{
 	HTTPRequests, HTTPRequestSeconds, HTTPInFlight,
 	StreamConns, StreamFramesIn, StreamFramesOut, StreamEventsIn,
 	StreamBatchEvents, StreamConsumers, StreamDelivered, StreamAckSeconds,
-	TraceSpans, UnknownStat,
+	TraceSpans,
 }
 
-// byKey indexes the Stats()-backed defs.
+// merge folds one more producer's value into a family total: the sum,
+// except for the replication lag gauge, whose per-node p99s do not add
+// and combine by maximum.
+func (d Def) merge(total, v float64) float64 {
+	if d == ReplicationLagP99Micros {
+		return max(total, v)
+	}
+	return total + v
+}
+
+// byKey indexes the defs that have a flat Stats() key.
 var byKey = func() map[string]Def {
 	m := make(map[string]Def, len(Defs))
 	for _, d := range Defs {
@@ -176,77 +194,87 @@ var byKey = func() map[string]Def {
 // Label is one exposition label pair.
 type Label struct{ Key, Value string }
 
-// ResolveStatKey maps a raw Stats() map key to its Prometheus family
-// and labels. It peels, in order: a "shard<i>_" or "node_<id>_" prefix
-// (becoming a {shard=...} / {node=...} label), a ".count"/".mean"/
-// ".max" histogram-projection suffix (appended to the family name as
-// "_count"/"_mean"/"_max"), and dynamic "proxy_"/"broker_" component
-// keys (the component stat name becoming a {stat=...} label). Keys with
-// no table entry resolve to UnknownStat with the raw key as a label.
-func ResolveStatKey(raw string) (name string, kind Kind, help string, labels []Label) {
-	key := raw
+// Shard labels a sample as shard i's share of its family.
+func Shard(i int) Label { return Label{"shard", strconv.Itoa(i)} }
 
-	// Per-shard and per-node breakdown prefixes become labels.
-	if rest, ok := strings.CutPrefix(key, "shard"); ok {
-		if i := strings.IndexByte(rest, '_'); i > 0 {
-			if _, err := strconv.Atoi(rest[:i]); err == nil {
-				labels = append(labels, Label{"shard", rest[:i]})
-				key = rest[i+1:]
-			}
-		}
-	} else if rest, ok := strings.CutPrefix(key, "node_"); ok {
-		// Node IDs may contain underscores, so find the longest known
-		// base key ending the string; the rest is the node ID.
-		if id, base, ok := splitNodeKey(rest); ok {
-			labels = append(labels, Label{"node", id})
-			key = base
-		}
-	}
+// Node labels a sample as one cluster node's share of its family.
+func Node(id string) Label { return Label{"node", id} }
 
-	suffix := ""
-	for _, s := range []string{".count", ".mean", ".max"} {
-		if base, ok := strings.CutSuffix(key, s); ok {
-			key, suffix = base, "_"+s[1:]
-			break
-		}
-	}
-
-	var d Def
-	if hit, ok := byKey[key]; ok {
-		d = hit
-	} else if stat, ok := strings.CutPrefix(key, "proxy_"); ok {
-		d = ProxyStat
-		labels = append(labels, Label{"stat", stat})
-	} else if stat, ok := strings.CutPrefix(key, "broker_"); ok {
-		d = BrokerStat
-		labels = append(labels, Label{"stat", stat})
-	} else {
-		d = UnknownStat
-		labels = append(labels, Label{"key", raw})
-		return d.Name, d.Kind, d.Help, labels
-	}
-
-	name, kind, help = d.Name, d.Kind, d.Help
-	if suffix != "" {
-		// A ".mean"/".max"/".count" projection of a remote histogram is
-		// not the histogram itself; expose it as an untyped suffix
-		// series so the TYPE line stays honest.
-		name += suffix
-		kind = KindUntyped
-		help = d.Help + " (" + suffix[1:] + " projection)"
-	}
-	return name, kind, help, labels
+// Sample is one value of a family as its producer reports it. Label is
+// a Shard or Node breakdown, or zero for the producer's total.
+type Sample struct {
+	Def   Def
+	Label Label
+	Value float64
 }
 
-// splitNodeKey splits "<id>_<known base key>" taking the longest known
-// base key as the tail.
-func splitNodeKey(rest string) (id, base string, ok bool) {
-	best := -1
-	for k := range byKey {
-		if strings.HasSuffix(rest, "_"+k) && len(k) > best {
-			best = len(k)
-			id, base = rest[:len(rest)-len(k)-1], k
+// Key is the sample's name in the flat Stats() view: Def.Key, prefixed
+// "shard<i>_" or "node_<id>_" by a breakdown label.
+func (s Sample) Key() string {
+	switch s.Label.Key {
+	case "shard":
+		return "shard" + s.Label.Value + "_" + s.Def.Key
+	case "node":
+		return "node_" + s.Label.Value + "_" + s.Def.Key
+	}
+	return s.Def.Key
+}
+
+// Flat is the Stats() view of samples, one key per sample.
+func Flat(samples []Sample) map[string]float64 {
+	out := make(map[string]float64, len(samples))
+	for _, s := range samples {
+		out[s.Key()] = s.Value
+	}
+	return out
+}
+
+// Decode reads a producer's flat view back into its totals, by exact
+// Def.Key. Breakdown keys are not read: a shard's or a node's share is
+// served by that producer's own scrape.
+func Decode(flat map[string]float64) []Sample {
+	var out []Sample
+	for _, d := range Defs {
+		if v, ok := flat[d.Key]; ok && d.Key != "" {
+			out = append(out, Sample{Def: d, Value: v})
 		}
 	}
-	return id, base, best >= 0
+	return out
+}
+
+// Combine merges the samples of several producers into one per series,
+// by each family's merge rule, in first-seen order.
+func Combine(parts ...[]Sample) []Sample {
+	type series struct {
+		d Def
+		l Label
+	}
+	var out []Sample
+	at := make(map[series]int)
+	for _, p := range parts {
+		for _, s := range p {
+			k := series{s.Def, s.Label}
+			if i, ok := at[k]; ok {
+				out[i].Value = s.Def.merge(out[i].Value, s.Value)
+				continue
+			}
+			at[k] = len(out)
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// AppendRegistry appends a component registry's series to out, each as
+// a sample of the Def keyed prefix+name: the broker's "dropped" counter
+// under prefix "broker_" is BrokerDropped. A series no Def names is left
+// out, and TestComponentSeriesHaveDefs holds every registry name the
+// deployments report to one.
+func AppendRegistry(out []Sample, reg *Registry, prefix string) []Sample {
+	for name, v := range reg.Snapshot() {
+		if d, ok := byKey[prefix+name]; ok {
+			out = append(out, Sample{Def: d, Value: v})
+		}
+	}
+	return out
 }

@@ -15,7 +15,7 @@ import (
 // TestMetricNamesUseConstantTable walks every non-test Go file in the
 // repository and rejects "reef_"-prefixed string literals outside this
 // package. Metric families must be spelled via the Def table (names.go)
-// so the legacy Stats() key and the Prometheus name cannot drift apart;
+// so the flat Stats() key and the Prometheus name cannot drift apart;
 // a raw literal is exactly the drift this table exists to prevent.
 func TestMetricNamesUseConstantTable(t *testing.T) {
 	root := moduleRoot(t)
@@ -78,5 +78,51 @@ func moduleRoot(t *testing.T) string {
 			t.Fatal("no go.mod above test directory")
 		}
 		dir = parent
+	}
+}
+
+// TestComponentSeriesHaveDefs holds every series the deployments report
+// through AppendRegistry to a Def: each literal name a server, broker
+// or proxy registers must resolve, behind the prefix the engine gives
+// AppendRegistry, to a table entry, or Stats() would silently lose it.
+func TestComponentSeriesHaveDefs(t *testing.T) {
+	root := moduleRoot(t)
+	fset := token.NewFileSet()
+	for file, prefix := range map[string]string{
+		"internal/core/centralized.go": "",
+		"internal/pubsub/broker.go":    "broker_",
+		"internal/waif/waif.go":        "proxy_",
+	} {
+		f, err := parser.ParseFile(fset, filepath.Join(root, file), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := 0
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) != 1 {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			lit, isLit := call.Args[0].(*ast.BasicLit)
+			if !ok || !isLit || lit.Kind != token.STRING {
+				return true
+			}
+			switch sel.Sel.Name {
+			case "Counter", "Gauge", "Histogram":
+			default:
+				return true
+			}
+			name, _ := strconv.Unquote(lit.Value)
+			names++
+			if _, ok := byKey[prefix+name]; !ok {
+				t.Errorf("%s:%d: registry series %q has no Def keyed %q",
+					file, fset.Position(lit.Pos()).Line, name, prefix+name)
+			}
+			return true
+		})
+		if names == 0 {
+			t.Errorf("%s registers no series; the file list is stale", file)
+		}
 	}
 }

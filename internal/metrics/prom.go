@@ -9,8 +9,8 @@ import (
 	"strings"
 )
 
-// This file renders registries and legacy Stats() maps in the
-// Prometheus text exposition format (version 0.0.4), dependency-free.
+// This file renders a registry and a list of samples in the Prometheus
+// text exposition format (version 0.0.4), dependency-free.
 // Registry metric names may embed exposition labels — a metric
 // registered as `reef_http_request_seconds{route="publish"}` (built
 // with LabeledName) becomes one series of the
@@ -26,11 +26,14 @@ func LabeledName(d Def, labels ...Label) string {
 	if len(labels) == 0 {
 		return d.Name
 	}
+	return d.Name + "{" + labelBlock(labels...) + "}"
+}
+
+// labelBlock renders label pairs sorted by key, without braces.
+func labelBlock(labels ...Label) string {
 	ls := append([]Label(nil), labels...)
 	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
 	var b strings.Builder
-	b.WriteString(d.Name)
-	b.WriteByte('{')
 	for i, l := range ls {
 		if i > 0 {
 			b.WriteByte(',')
@@ -40,7 +43,6 @@ func LabeledName(d Def, labels ...Label) string {
 		b.WriteString(escapeLabelValue(l.Value))
 		b.WriteByte('"')
 	}
-	b.WriteByte('}')
 	return b.String()
 }
 
@@ -136,12 +138,10 @@ type promFamily struct {
 	series []promSeries
 }
 
-// WriteText writes reg (when non-nil) followed by the translated legacy
-// stats map (when non-nil) as Prometheus text exposition. Stats keys
-// are resolved through the constant table (ResolveStatKey); a stats key
-// whose family the registry already exported is skipped, so a component
-// migrating from Stats() to registry metrics never double-reports.
-func WriteText(w io.Writer, reg *Registry, stats map[string]float64) error {
+// WriteText writes reg (when non-nil) and samples as Prometheus text
+// exposition, one block per family. Each value has one producer, so a
+// family is fed by the registry or by samples, never both.
+func WriteText(w io.Writer, reg *Registry, samples []Sample) error {
 	fams := make(map[string]*promFamily)
 	order := []string{}
 	add := func(name string, kind Kind, help string, s promSeries) {
@@ -176,18 +176,13 @@ func WriteText(w io.Writer, reg *Registry, stats map[string]float64) error {
 
 		for _, m := range ms {
 			family, labels := splitName(m.key)
-			kind, help := KindUntyped, ""
+			kind, help := KindGauge, ""
 			if d, ok := byName[family]; ok {
 				kind, help = d.Kind, d.Help
-			} else {
-				switch {
-				case m.c != nil:
-					kind = KindCounter
-				case m.g != nil:
-					kind = KindGauge
-				case m.h != nil:
-					kind = KindHistogram
-				}
+			} else if m.c != nil {
+				kind = KindCounter
+			} else if m.h != nil {
+				kind = KindHistogram
 			}
 			switch {
 			case m.c != nil:
@@ -201,24 +196,12 @@ func WriteText(w io.Writer, reg *Registry, stats map[string]float64) error {
 		}
 	}
 
-	if stats != nil {
-		fromRegistry := make(map[string]bool, len(fams))
-		for n := range fams {
-			fromRegistry[n] = true
+	for _, s := range samples {
+		labels := ""
+		if s.Label.Key != "" {
+			labels = labelBlock(s.Label)
 		}
-		keys := make([]string, 0, len(stats))
-		for k := range stats {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			name, kind, help, labels := ResolveStatKey(k)
-			if fromRegistry[name] {
-				continue
-			}
-			_, lb := splitName(LabeledName(Def{Name: name}, labels...))
-			add(name, kind, help, promSeries{labels: lb, value: stats[k]})
-		}
+		add(s.Def.Name, s.Def.Kind, s.Def.Help, promSeries{labels: labels, value: s.Value})
 	}
 
 	sort.Strings(order)

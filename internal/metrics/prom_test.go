@@ -7,9 +7,9 @@ import (
 )
 
 // TestWriteTextGolden pins the full exposition output for a registry
-// plus legacy stats map: HELP/TYPE lines, family ordering, label
-// rendering, cumulative histogram buckets, and the registry-over-stats
-// dedup rule.
+// plus a list of samples (HELP/TYPE lines, family ordering, label
+// rendering, cumulative histogram buckets) and the flat Stats() view
+// of the same samples.
 func TestWriteTextGolden(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter(LabeledName(HTTPRequests, Label{"route", "events"}, Label{"class", "2xx"})).Add(3)
@@ -19,17 +19,15 @@ func TestWriteTextGolden(t *testing.T) {
 	h.Observe(0.5)
 	h.Observe(2) // exp 1 => le 2
 
-	stats := map[string]float64{
-		"clicks_stored":        42,
-		"shard0_clicks_stored": 20,
-		"node_n1_shards":       4,
-		"proxy_cache_hits":     7,
-		"mystery_key":          1,
-		"upload_bytes.max":     512,
+	samples := []Sample{
+		{Def: ClicksStored, Value: 42},
+		{Def: ClicksStored, Label: Shard(0), Value: 20},
+		{Def: Shards, Label: Node("n1"), Value: 4},
+		{Def: ReplicationLagP99Micros, Value: 512},
 	}
 
 	var b strings.Builder
-	if err := WriteText(&b, reg, stats); err != nil {
+	if err := WriteText(&b, reg, samples); err != nil {
 		t.Fatal(err)
 	}
 	got := b.String()
@@ -38,12 +36,6 @@ func TestWriteTextGolden(t *testing.T) {
 # TYPE reef_engine_clicks_stored gauge
 reef_engine_clicks_stored 42
 reef_engine_clicks_stored{shard="0"} 20
-# HELP reef_engine_proxy_stat Proxy component registry stat, labeled by stat name.
-# TYPE reef_engine_proxy_stat untyped
-reef_engine_proxy_stat{stat="cache_hits"} 7
-# HELP reef_engine_upload_bytes_max Bytes uploaded by frontends. (max projection)
-# TYPE reef_engine_upload_bytes_max untyped
-reef_engine_upload_bytes_max 512
 # HELP reef_http_in_flight HTTP requests currently being served.
 # TYPE reef_http_in_flight gauge
 reef_http_in_flight 1
@@ -57,72 +49,45 @@ reef_http_request_seconds_count{route="events"} 3
 # HELP reef_http_requests_total HTTP requests served, labeled by route and status class.
 # TYPE reef_http_requests_total counter
 reef_http_requests_total{class="2xx",route="events"} 3
+# HELP reef_replication_lag_p99_micros p99 replication shipping lag in microseconds.
+# TYPE reef_replication_lag_p99_micros gauge
+reef_replication_lag_p99_micros 512
 # HELP reef_shards Shard count of the deployment.
 # TYPE reef_shards gauge
 reef_shards{node="n1"} 4
-# HELP reef_stat Stats() key with no table entry, labeled by raw key.
-# TYPE reef_stat untyped
-reef_stat{key="mystery_key"} 1
 `
 	if got != want {
 		t.Errorf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
-}
 
-// TestWriteTextDedup pins the migration rule: a stats key whose family
-// the registry already exports is skipped, so a component half-way
-// through the Stats()-to-registry migration never double-reports.
-func TestWriteTextDedup(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter(ClusterForwardErrors.Name).Add(5)
-	var b strings.Builder
-	err := WriteText(&b, reg, map[string]float64{ClusterForwardErrors.Key: 5})
-	if err != nil {
-		t.Fatal(err)
+	flat := Flat(samples)
+	wantFlat := map[string]float64{
+		"clicks_stored": 42, "shard0_clicks_stored": 20,
+		"node_n1_shards": 4, "replication_lag_p99_micros": 512,
 	}
-	samples := 0
-	for _, line := range strings.Split(b.String(), "\n") {
-		if strings.HasPrefix(line, ClusterForwardErrors.Name+" ") {
-			samples++
+	if len(flat) != len(wantFlat) {
+		t.Errorf("Flat = %v, want %v", flat, wantFlat)
+	}
+	for k, v := range wantFlat {
+		if flat[k] != v {
+			t.Errorf("Flat[%q] = %v, want %v", k, flat[k], v)
 		}
-	}
-	if samples != 1 {
-		t.Errorf("family sample rendered %d times, want 1:\n%s", samples, b.String())
 	}
 }
 
-func TestResolveStatKey(t *testing.T) {
-	for _, tc := range []struct {
-		raw, name  string
-		kind       Kind
-		wantLabels []Label
-	}{
-		{"clicks_stored", ClicksStored.Name, KindGauge, nil},
-		{"delivery_acked", DeliveryAcked.Name, KindCounter, nil},
-		{"shard3_pending_recommendations", PendingRecommendations.Name, KindGauge, []Label{{"shard", "3"}}},
-		{"node_n2_clicks_stored", ClicksStored.Name, KindGauge, []Label{{"node", "n2"}}},
-		{"node_a_b_shards", Shards.Name, KindGauge, []Label{{"node", "a_b"}}},
-		{"replication_lag_p99_micros.max", ReplicationLagP99Micros.Name + "_max", KindUntyped, nil},
-		{"broker_published.mean", BrokerStat.Name + "_mean", KindUntyped, []Label{{"stat", "published"}}},
-		{"shard1_broker_canceled", BrokerCanceled.Name, KindCounter, []Label{{"shard", "1"}}},
-		{"proxy_fetches", ProxyStat.Name, KindUntyped, []Label{{"stat", "fetches"}}},
-		{"what_is_this", UnknownStat.Name, KindUntyped, []Label{{"key", "what_is_this"}}},
-		// "shardX_" with a non-numeric index is not a shard prefix.
-		{"shardy_key", UnknownStat.Name, KindUntyped, []Label{{"key", "shardy_key"}}},
-	} {
-		name, kind, _, labels := ResolveStatKey(tc.raw)
-		if name != tc.name || kind != tc.kind {
-			t.Errorf("ResolveStatKey(%q) = (%q, %v), want (%q, %v)", tc.raw, name, kind, tc.name, tc.kind)
-		}
-		if len(labels) != len(tc.wantLabels) {
-			t.Errorf("ResolveStatKey(%q) labels = %v, want %v", tc.raw, labels, tc.wantLabels)
-			continue
-		}
-		for i := range labels {
-			if labels[i] != tc.wantLabels[i] {
-				t.Errorf("ResolveStatKey(%q) label %d = %v, want %v", tc.raw, i, labels[i], tc.wantLabels[i])
-			}
-		}
+// TestCombineAndDecode pins the merge rules a family carries and the
+// exact-key decoding of a flat view: totals sum, the lag gauge takes
+// the maximum, breakdown keys and keys no Def names are not read.
+func TestCombineAndDecode(t *testing.T) {
+	a := Decode(map[string]float64{
+		"clicks_stored": 3, "replication_lag_p99_micros": 40,
+		"shard0_clicks_stored": 2, "node_x_shards": 2, "no_such_key": 1,
+	})
+	b := Decode(map[string]float64{"clicks_stored": 4, "replication_lag_p99_micros": 25})
+	got := Flat(Combine(a, b))
+	want := map[string]float64{"clicks_stored": 7, "replication_lag_p99_micros": 40}
+	if len(got) != len(want) || got["clicks_stored"] != 7 || got["replication_lag_p99_micros"] != 40 {
+		t.Errorf("Combine(Decode...) = %v, want %v", got, want)
 	}
 }
 
@@ -135,7 +100,7 @@ func TestLabeledName(t *testing.T) {
 	if got := LabeledName(HTTPRequests); got != HTTPRequests.Name {
 		t.Errorf("LabeledName with no labels = %q", got)
 	}
-	got = LabeledName(UnknownStat, Label{"key", `a"b\c`})
+	got = LabeledName(HTTPRequests, Label{"route", `a"b\c`})
 	if !strings.Contains(got, `a\"b\\c`) {
 		t.Errorf("label value not escaped: %q", got)
 	}

@@ -606,29 +606,30 @@ func (m *Manager) Status() Status {
 	return st
 }
 
-// Stats flattens the status into gauges for the node's /v1/stats.
-func (m *Manager) Stats() map[string]float64 {
+// Samples reports the status as the node's replication series: the
+// slowest peer's p99 shipping lag, and totals over peers and sources.
+func (m *Manager) Samples() []metrics.Sample {
 	st := m.Status()
-	out := map[string]float64{
-		metrics.ReplicationReplicas.Key: float64(st.Replicas),
-		metrics.ReplicationLogLen.Key:   float64(st.LogLen),
-		metrics.ReplicationPeers.Key:    float64(len(st.Peers)),
-	}
-	var pending, resyncs, lagMax float64
+	var pending, resyncs, lagMax, applied float64
 	for _, p := range st.Peers {
 		pending += float64(p.Pending)
 		resyncs += float64(p.Resyncs)
-		if p.LagP99Micros > lagMax {
-			lagMax = p.LagP99Micros
-		}
+		lagMax = max(lagMax, p.LagP99Micros)
 	}
-	out[metrics.ReplicationPending.Key] = pending
-	out[metrics.ReplicationResyncs.Key] = resyncs
-	out[metrics.ReplicationLagP99Micros.Key+".max"] = lagMax
-	var applied float64
 	for _, s := range st.Sources {
 		applied += float64(s.Applied)
 	}
-	out[metrics.ReplicationAppliedRecords.Key] = applied
-	return out
+	return []metrics.Sample{
+		{Def: metrics.ReplicationReplicas, Value: float64(st.Replicas)},
+		{Def: metrics.ReplicationLogLen, Value: float64(st.LogLen)},
+		{Def: metrics.ReplicationPeers, Value: float64(len(st.Peers))},
+		{Def: metrics.ReplicationPending, Value: pending},
+		{Def: metrics.ReplicationResyncs, Value: resyncs},
+		{Def: metrics.ReplicationLagP99Micros, Value: lagMax},
+		{Def: metrics.ReplicationAppliedRecords, Value: applied},
+	}
 }
+
+// Stats is the flat view of Samples, the node's replication keys in
+// /v1/stats.
+func (m *Manager) Stats() map[string]float64 { return metrics.Flat(m.Samples()) }

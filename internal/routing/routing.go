@@ -1,11 +1,9 @@
-// Package routing holds the two contracts the in-process shard router
-// (package reef) and the multi-node cluster router (reefcluster) must
-// agree on forever: the user-placement hash and the stat-merge rules.
-// Both routers call these one canonical implementations so the schemes
-// cannot drift apart.
+// Package routing holds the placement contract the in-process shard
+// router (package reef) and the multi-node cluster router (reefcluster)
+// must agree on forever: the user-placement hash and the replica set
+// built on it. Both routers call this one canonical implementation so
+// the schemes cannot drift apart.
 package routing
-
-import "strings"
 
 // UserSlot maps a user identity to one of n slots with FNV-1a. The
 // in-process router uses it to place a user's in-memory state on a
@@ -47,38 +45,6 @@ func ReplicaSet(user string, n, k int) []int {
 	out := make([]int, 1+k)
 	for i := range out {
 		out[i] = (primary + i) % n
-	}
-	return out
-}
-
-// Merge merges per-slot stat snapshots. Counters and gauges sum;
-// histogram-derived keys keep their meaning across the merge — ".max"
-// takes the maximum and ".mean" becomes the ".count"-weighted mean —
-// so a 50µs mean on every slot still reads as 50µs, not slots×50µs.
-func Merge[S ~map[string]float64](slots []S) S {
-	out := S{}
-	for _, s := range slots {
-		for k, v := range s {
-			switch {
-			case strings.HasSuffix(k, ".max"):
-				if v > out[k] {
-					out[k] = v
-				}
-			case strings.HasSuffix(k, ".mean"):
-				out[k] += v * s[strings.TrimSuffix(k, ".mean")+".count"]
-			default:
-				out[k] += v
-			}
-		}
-	}
-	for k, v := range out {
-		if strings.HasSuffix(k, ".mean") {
-			if c := out[strings.TrimSuffix(k, ".mean")+".count"]; c > 0 {
-				out[k] = v / c
-			} else {
-				out[k] = 0
-			}
-		}
 	}
 	return out
 }

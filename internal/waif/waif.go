@@ -132,7 +132,6 @@ func (p *Proxy) Subscribe(feedURL string, now time.Time) error {
 		p.feeds[feedURL] = pf
 	}
 	pf.refcount++
-	p.reg.Gauge("feeds").Set(int64(len(p.feeds)))
 	return nil
 }
 
@@ -149,7 +148,6 @@ func (p *Proxy) Unsubscribe(feedURL string) {
 	if pf.refcount <= 0 {
 		delete(p.feeds, feedURL)
 	}
-	p.reg.Gauge("feeds").Set(int64(len(p.feeds)))
 }
 
 // NumFeeds reports distinct feeds under management.

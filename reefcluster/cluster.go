@@ -145,11 +145,11 @@ type Config struct {
 	// HTTPClient overrides the transport for every node client (tests).
 	HTTPClient *http.Client
 
-	// Metrics is the registry the router's counters (forward errors,
-	// publish skips/partials) register into. The router reefd passes its
-	// REST handler's registry so one /v1/metrics scrape covers routing
-	// health; nil uses a private registry (Stats still reports the
-	// counters either way).
+	// Metrics is the registry the router's stream clients record publish
+	// ack round trips into. The router reefd passes its REST handler's
+	// registry so one /v1/metrics scrape covers the publish leg; nil uses
+	// a private registry. The routing-health counters are the router's
+	// own samples, served beside the registry either way.
 	Metrics *metrics.Registry
 
 	// Logger receives the router's structured events — node demotions
@@ -170,11 +170,10 @@ type Cluster struct {
 	mu     sync.Mutex
 	closed bool
 
-	// Registry-backed routing-health counters (named from the shared
-	// constant table, so Stats keys and /v1/metrics families agree).
-	mForwardErrors  *metrics.Counter // transport failures on forwarded calls
-	mPublishSkips   *metrics.Counter // node publishes skipped or lost to node failures
-	mPublishPartial *metrics.Counter // publishes that landed on fewer than all configured nodes
+	// Routing-health counters, reported by Samples.
+	forwardErrors  metrics.Counter // transport failures on forwarded calls
+	publishSkips   metrics.Counter // node publishes skipped or lost to node failures
+	publishPartial metrics.Counter // publishes that landed on fewer than all configured nodes
 }
 
 var (
@@ -245,9 +244,6 @@ func New(cfg Config) (*Cluster, error) {
 	if c.logger == nil {
 		c.logger = slog.New(slog.DiscardHandler)
 	}
-	c.mForwardErrors = c.metrics.Counter(metrics.ClusterForwardErrors.Name)
-	c.mPublishSkips = c.metrics.Counter(metrics.ClusterPublishSkips.Name)
-	c.mPublishPartial = c.metrics.Counter(metrics.ClusterPublishPartial.Name)
 	clientOpts := func(extra ...reefclient.Option) []reefclient.Option {
 		opts := []reefclient.Option{reefclient.WithTimeout(cfg.CallTimeout)}
 		if cfg.HTTPClient != nil {
@@ -456,7 +452,7 @@ func (c *Cluster) forwardErr(ctx context.Context, i int, err error) error {
 	if !nodeFault(ctx, err) {
 		return err
 	}
-	c.mForwardErrors.Add(1)
+	c.forwardErrors.Add(1)
 	c.logger.Warn("node demoted on forward failure",
 		"node", c.nodes[i].ID, "err", err)
 	c.tracker.Report(c.nodes[i].ID, membership.Down)
@@ -806,7 +802,7 @@ func (c *Cluster) fanOut(ctx context.Context, fn func(i int) (int, error)) (int,
 		if c.tracker.State(n.ID) == membership.Up {
 			targets = append(targets, i)
 		} else {
-			c.mPublishSkips.Add(1)
+			c.publishSkips.Add(1)
 		}
 	}
 	if len(targets) == 0 {
@@ -836,7 +832,7 @@ func (c *Cluster) fanOut(ctx context.Context, fn func(i int) (int, error)) (int,
 					}
 					return
 				}
-				c.mPublishSkips.Add(1)
+				c.publishSkips.Add(1)
 				_ = c.forwardErr(ctx, i, err) // demote; publish itself continues
 				return
 			}
@@ -852,37 +848,32 @@ func (c *Cluster) fanOut(ctx context.Context, fn func(i int) (int, error)) (int,
 		return 0, &NodeDownError{Node: "any", State: membership.Down.String()}
 	}
 	if landed < len(c.nodes) {
-		c.mPublishPartial.Add(1)
+		c.publishPartial.Add(1)
 	}
 	return total, nil
 }
 
 // --- aggregation -------------------------------------------------------
 
-// Stats implements reef.Deployment: counters merge across Up nodes
-// with the same rules the shard router uses (internal/routing.Merge:
-// sums; ".max" keys take the max, ".mean" keys become count-weighted
-// means), each node contributes a node_<id>_-prefixed load breakdown,
-// and the cluster adds its own gauges: nodes, nodes_up/draining/down,
-// cluster_forward_errors and cluster_publish_skips. Down nodes are
-// skipped — their counters are unreachable by definition.
-func (c *Cluster) Stats(ctx context.Context) (reef.Stats, error) {
+// Samples reports the cluster's series. Each Up node's totals are
+// read from its flat stats by exact key and merge by their families'
+// rules (sums; the replication lag takes the maximum). Each node adds
+// its clicks stored, users with frontends, pending recommendations and
+// shard count under a node label, and the router adds its own: nodes,
+// nodes_up/draining/down, cluster_forward_errors, cluster_publish_skips
+// and cluster_publish_partial. A node's shard breakdown stays on the
+// node's own scrape. Down nodes are skipped: their counters are
+// unreachable by definition.
+func (c *Cluster) Samples(ctx context.Context) ([]metrics.Sample, error) {
 	if err := c.checkOpen(ctx); err != nil {
 		return nil, err
 	}
-	type nodeStats struct {
-		i  int
-		st reef.Stats
-	}
-	var (
-		wg  sync.WaitGroup
-		mu  sync.Mutex
-		per []nodeStats
-	)
 	states := map[string]float64{"up": 0, "draining": 0, "down": 0}
 	for _, s := range c.Status() {
 		states[s.State]++
 	}
+	per := make([][]metrics.Sample, len(c.nodes))
+	var wg sync.WaitGroup
 	for i, n := range c.nodes {
 		if c.tracker.State(n.ID) != membership.Up {
 			continue
@@ -895,36 +886,37 @@ func (c *Cluster) Stats(ctx context.Context) (reef.Stats, error) {
 				_ = c.forwardErr(ctx, i, err)
 				return
 			}
-			mu.Lock()
-			per = append(per, nodeStats{i, st})
-			mu.Unlock()
+			per[i] = metrics.Decode(st)
 		}(i)
 	}
 	wg.Wait()
-	merged := make([]reef.Stats, 0, len(per))
-	for _, ns := range per {
-		merged = append(merged, ns.st)
-	}
-	out := routing.Merge(merged)
-	for _, ns := range per {
-		id := c.nodes[ns.i].ID
-		for _, k := range []string{
-			metrics.ClicksStored.Key, metrics.UsersWithFrontends.Key,
-			metrics.PendingRecommendations.Key, metrics.Shards.Key,
-		} {
-			if v, ok := ns.st[k]; ok {
-				out["node_"+id+"_"+k] = v
+	out := metrics.Combine(per...)
+	for i, ss := range per {
+		for _, s := range ss {
+			switch s.Def {
+			case metrics.ClicksStored, metrics.UsersWithFrontends, metrics.PendingRecommendations, metrics.Shards:
+				out = append(out, metrics.Sample{Def: s.Def, Label: metrics.Node(c.nodes[i].ID), Value: s.Value})
 			}
 		}
 	}
-	out[metrics.ClusterNodes.Key] = float64(len(c.nodes))
-	out[metrics.ClusterNodesUp.Key] = states["up"]
-	out[metrics.ClusterNodesDraining.Key] = states["draining"]
-	out[metrics.ClusterNodesDown.Key] = states["down"]
-	out[metrics.ClusterForwardErrors.Key] = float64(c.mForwardErrors.Value())
-	out[metrics.ClusterPublishSkips.Key] = float64(c.mPublishSkips.Value())
-	out[metrics.ClusterPublishPartial.Key] = float64(c.mPublishPartial.Value())
-	return out, nil
+	return append(out,
+		metrics.Sample{Def: metrics.ClusterNodes, Value: float64(len(c.nodes))},
+		metrics.Sample{Def: metrics.ClusterNodesUp, Value: states["up"]},
+		metrics.Sample{Def: metrics.ClusterNodesDraining, Value: states["draining"]},
+		metrics.Sample{Def: metrics.ClusterNodesDown, Value: states["down"]},
+		metrics.Sample{Def: metrics.ClusterForwardErrors, Value: float64(c.forwardErrors.Value())},
+		metrics.Sample{Def: metrics.ClusterPublishSkips, Value: float64(c.publishSkips.Value())},
+		metrics.Sample{Def: metrics.ClusterPublishPartial, Value: float64(c.publishPartial.Value())},
+	), nil
+}
+
+// Stats implements reef.Deployment: the flat view of Samples.
+func (c *Cluster) Stats(ctx context.Context) (reef.Stats, error) {
+	samples, err := c.Samples(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return metrics.Flat(samples), nil
 }
 
 // StorageInfo implements reef.Persister: the per-node backend states

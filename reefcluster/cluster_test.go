@@ -39,14 +39,16 @@ func testWeb(seed int64) *websim.Web {
 // deployment behind the REST surface on a stable address, so a restart
 // after a kill comes back where the cluster expects it.
 type testNode struct {
-	id    string
-	dir   string
-	addr  string
-	web   *websim.Web
-	dep   *reef.Centralized
-	srv   *http.Server
-	ready *reefhttp.Readiness
-	done  chan struct{}
+	id   string
+	dir  string
+	addr string
+	web  *websim.Web
+	dep  *reef.Centralized
+	// shards is the node's engine shard count; 0 means 1.
+	shards int
+	srv    *http.Server
+	ready  *reefhttp.Readiness
+	done   chan struct{}
 
 	// Replication wiring; zero on plain cluster tests. Set replicas and
 	// peers before boot to run a replication.Manager alongside the node
@@ -64,10 +66,11 @@ type testNode struct {
 	stream     *reefstream.Server
 }
 
-// startTestNode boots a fresh node: new data dir, new listener.
-func startTestNode(t *testing.T, id string, web *websim.Web) *testNode {
+// startTestNode boots a fresh node of the given shard count (0 means
+// 1): new data dir, new listener.
+func startTestNode(t *testing.T, id string, shards int, web *websim.Web) *testNode {
 	t.Helper()
-	n := &testNode{id: id, dir: t.TempDir(), web: web}
+	n := &testNode{id: id, dir: t.TempDir(), web: web, shards: shards}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -89,6 +92,7 @@ func (n *testNode) boot(t *testing.T, ln net.Listener) {
 		reef.WithSyncPolicy(reef.SyncAlways),
 		reef.WithSnapshotEvery(-1),
 		reef.WithPollInterval(time.Hour),
+		reef.WithShards(max(n.shards, 1)),
 	)
 	if err != nil {
 		t.Fatalf("node %s: %v", n.id, err)
@@ -198,17 +202,18 @@ func (n *testNode) shutdown() {
 // startCluster boots count nodes and a router over them with fast
 // probes.
 func startCluster(t *testing.T, count int, web *websim.Web) (*reefcluster.Cluster, []*testNode) {
-	return startClusterK(t, count, 0, web)
+	return startClusterK(t, count, 0, 0, web)
 }
 
-// startClusterK is startCluster with k routing replicas per user.
-func startClusterK(t *testing.T, count, replicas int, web *websim.Web) (*reefcluster.Cluster, []*testNode) {
+// startClusterK is startCluster with k routing replicas per user and
+// nodes of the given shard count (0 means 1).
+func startClusterK(t *testing.T, count, replicas, shards int, web *websim.Web) (*reefcluster.Cluster, []*testNode) {
 	t.Helper()
 	nodes := make([]*testNode, count)
 	cfgNodes := make([]reefcluster.Node, count)
 	for i := range nodes {
 		id := string(rune('a' + i))
-		nodes[i] = startTestNode(t, id, web)
+		nodes[i] = startTestNode(t, id, shards, web)
 		cfgNodes[i] = reefcluster.Node{ID: id, BaseURL: nodes[i].url()}
 	}
 	cl, err := reefcluster.New(reefcluster.Config{
@@ -285,7 +290,7 @@ func TestClusterConfigValidation(t *testing.T) {
 func TestClusterPromotionWalk(t *testing.T) {
 	ctx := context.Background()
 	web := testWeb(56)
-	cl, nodes := startClusterK(t, 3, 1, web)
+	cl, nodes := startClusterK(t, 3, 1, 0, web)
 	byID := make(map[string]*testNode, len(nodes))
 	for _, n := range nodes {
 		byID[n.id] = n

@@ -110,7 +110,7 @@ func startStallCluster(t *testing.T, callTimeout time.Duration) *stallCluster {
 	cfgNodes := make([]reefcluster.Node, 2)
 	for i := range sc.nodes {
 		id := string(rune('a' + i))
-		n := startTestNode(t, id, web)
+		n := startTestNode(t, id, 0, web)
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)

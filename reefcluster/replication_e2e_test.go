@@ -16,13 +16,13 @@ import (
 	"reef/reefcluster"
 )
 
-// startReplCluster boots count nodes that each run a replication
-// manager with k replicas per user, plus a router configured with the
+// startReplCluster boots count nodes of the given shard count (0 means
+// 1) that each run a replication manager with k replicas per user, plus a router configured with the
 // same k. All listeners bind before any node boots, because every
 // manager needs every peer's base URL up front. Each node also runs a
 // binary stream listener, so publishes and reliable consumes ride the
 // data plane across failovers.
-func startReplCluster(t *testing.T, count, k int, web *websim.Web) (*reefcluster.Cluster, []*testNode) {
+func startReplCluster(t *testing.T, count, k, shards int, web *websim.Web) (*reefcluster.Cluster, []*testNode) {
 	t.Helper()
 	nodes := make([]*testNode, count)
 	lns := make([]net.Listener, count)
@@ -40,7 +40,7 @@ func startReplCluster(t *testing.T, count, k int, web *websim.Web) (*reefcluster
 		}
 		lns[i] = ln
 		nodes[i] = &testNode{
-			id: id, dir: t.TempDir(), web: web, addr: ln.Addr().String(), replicas: k,
+			id: id, dir: t.TempDir(), web: web, addr: ln.Addr().String(), replicas: k, shards: shards,
 			streamLn: sln, streamAddr: sln.Addr().String(),
 		}
 		peers[i] = replication.Node{ID: id, BaseURL: "http://" + nodes[i].addr}
@@ -145,7 +145,7 @@ func nodeByID(t *testing.T, nodes []*testNode, id string) *testNode {
 func TestClusterReplicationFailoverE2E(t *testing.T) {
 	ctx := context.Background()
 	web := testWeb(61)
-	cl, nodes := startReplCluster(t, 3, 1, web)
+	cl, nodes := startReplCluster(t, 3, 1, 0, web)
 	byNode := usersPerNode(cl, nodes, 2)
 	victim := nodes[1]
 	vUsers := byNode[victim.id]
@@ -386,7 +386,7 @@ func TestClusterReplicationFailoverE2E(t *testing.T) {
 func TestClusterReplicationWholeSetDown(t *testing.T) {
 	ctx := context.Background()
 	web := testWeb(62)
-	cl, nodes := startReplCluster(t, 3, 1, web)
+	cl, nodes := startReplCluster(t, 3, 1, 0, web)
 	byNode := usersPerNode(cl, nodes, 1)
 	victim := nodes[0]
 	u := byNode[victim.id][0]
@@ -412,7 +412,7 @@ func TestClusterReplicationWholeSetDown(t *testing.T) {
 func TestClusterForwardFaultRetry(t *testing.T) {
 	ctx := context.Background()
 	web := testWeb(63)
-	nodes := []*testNode{startTestNode(t, "a", web)}
+	nodes := []*testNode{startTestNode(t, "a", 0, web)}
 	ft := faulthttp.New(http.DefaultTransport,
 		// Probes hit /healthz//readyz only, so the scripted fault is
 		// consumed by the forwarded call, deterministically.

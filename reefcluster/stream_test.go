@@ -23,7 +23,7 @@ func startStreamCluster(t *testing.T, count int, reg *metrics.Registry) (*reefcl
 	cfgNodes := make([]reefcluster.Node, count)
 	for i := range nodes {
 		id := string(rune('a' + i))
-		nodes[i] = startTestNode(t, id, web)
+		nodes[i] = startTestNode(t, id, 0, web)
 		srv, err := reefstream.Listen("127.0.0.1:0", nodes[i].dep, reefstream.WithNode(id))
 		if err != nil {
 			t.Fatal(err)

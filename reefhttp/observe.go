@@ -1,6 +1,7 @@
 package reefhttp
 
 import (
+	"context"
 	"net/http"
 	"runtime/debug"
 	"strconv"
@@ -198,20 +199,29 @@ func routeLabel(seg []string) string {
 // ContentTypeMetrics is the Content-Type of the /v1/metrics exposition.
 const ContentTypeMetrics = "text/plain; version=0.0.4; charset=utf-8"
 
+// sampler is a deployment that labels its metric series at source
+// (reef.Centralized, reef.Distributed, reefcluster.Cluster).
+type sampler interface {
+	Samples(ctx context.Context) ([]metrics.Sample, error)
+}
+
 // handleMetrics serves the Prometheus text exposition: the handler's
-// registry (HTTP/stream/delivery instrumentation) followed by the
-// deployment's Stats() snapshot translated through the constant table
-// in internal/metrics. A failing deployment degrades the scrape to
-// registry-only rather than failing it: a half-blind scrape beats a
-// gap in every series.
+// registry (HTTP/stream/trace instrumentation) plus the deployment's
+// and the replication manager's samples, each family under its Def in
+// internal/metrics. A failing deployment degrades the scrape to the
+// rest rather than failing it: a half-blind scrape beats a gap in every
+// series.
 func (h *Handler) handleMetrics(rw http.ResponseWriter, req *http.Request) {
-	stats, err := h.mergedStats(req.Context())
-	if err != nil {
-		stats = nil
+	var samples []metrics.Sample
+	if s, ok := h.dep.(sampler); ok {
+		samples, _ = s.Samples(req.Context())
+	}
+	if h.repl != nil {
+		samples = append(samples, h.repl.Samples()...)
 	}
 	rw.Header().Set("Content-Type", ContentTypeMetrics)
 	rw.WriteHeader(http.StatusOK)
-	if err := metrics.WriteText(rw, h.metrics, stats); err != nil && h.log != nil {
+	if err := metrics.WriteText(rw, h.metrics, samples); err != nil && h.log != nil {
 		h.log.Printf("reefhttp: writing metrics exposition: %v", err)
 	}
 }

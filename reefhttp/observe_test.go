@@ -15,7 +15,7 @@ import (
 // TestMetricsEndpoint scrapes /v1/metrics and checks the exposition is
 // well-formed Prometheus text: right Content-Type, every line either a
 // comment or a "name value" sample, and both registry families (HTTP
-// middleware) and translated Stats() families present.
+// middleware) and the deployment's sampled families present.
 func TestMetricsEndpoint(t *testing.T) {
 	srv, _ := newTestServer(t)
 
@@ -43,9 +43,10 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
-	// Broker stats are exported (stat="published"), but no sequence ones.
-	if !strings.Contains(body, `stat="published"`) || strings.Contains(body, `stat="seq_`) {
-		t.Error(`exposition lacks stat="published" or exports a broker seq_ series`)
+	// Broker stats are exported under their own families, but no
+	// sequence ones.
+	if !strings.Contains(body, metrics.BrokerPublished.Name+" ") || strings.Contains(body, "seq_") {
+		t.Error("exposition lacks the broker's published counter or exports a broker seq_ series")
 	}
 	for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
 		if strings.HasPrefix(line, "#") {

@@ -531,34 +531,21 @@ func (h *Handler) handleDecision(rw http.ResponseWriter, req *http.Request, id, 
 	}{ID: id, Action: verb})
 }
 
+// handleStats answers the deployment's flat stats, with the node-scoped
+// replication keys merged in when a manager is mounted, so one call
+// covers both.
 func (h *Handler) handleStats(rw http.ResponseWriter, req *http.Request) {
-	stats, err := h.mergedStats(req.Context())
+	stats, err := h.dep.Stats(req.Context())
 	if err != nil {
 		h.writeDeploymentError(rw, err)
 		return
 	}
-	h.writeJSON(rw, http.StatusOK, StatsResponse{Stats: stats})
-}
-
-// mergedStats snapshots the deployment, merging in the node-scoped
-// replication gauges when a manager is mounted, so one scrape covers
-// both.
-func (h *Handler) mergedStats(ctx context.Context) (reef.Stats, error) {
-	stats, err := h.dep.Stats(ctx)
-	if err != nil {
-		return nil, err
-	}
 	if h.repl != nil {
-		merged := make(reef.Stats, len(stats))
-		for k, v := range stats {
-			merged[k] = v
+		for _, s := range h.repl.Samples() {
+			stats[s.Key()] = s.Value // every Stats call returns a fresh map
 		}
-		for k, v := range h.repl.Stats() {
-			merged[k] = v
-		}
-		stats = merged
 	}
-	return stats, nil
+	h.writeJSON(rw, http.StatusOK, StatsResponse{Stats: stats})
 }
 
 // handleHealthz answers the liveness probe. A closed (or otherwise

@@ -8,6 +8,7 @@ import (
 	"strconv"
 
 	"reef"
+	"reef/internal/metrics"
 	"reef/internal/replication"
 )
 
@@ -23,8 +24,9 @@ type Replicator interface {
 	IngestSnapshot(source string, epoch, seq int64, state []byte) (replication.Ack, error)
 	// Status reports stream positions and health.
 	Status() replication.Status
-	// Stats flattens the status into gauges merged into /v1/stats.
-	Stats() map[string]float64
+	// Samples reports the status as the node's replication series,
+	// merged into /v1/stats and /v1/metrics.
+	Samples() []metrics.Sample
 }
 
 // WithReplication mounts the replication ingest routes and the admin

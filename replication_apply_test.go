@@ -11,7 +11,6 @@ import (
 	"reef"
 	"reef/internal/durable"
 	"reef/internal/durable/durabletest"
-	"reef/internal/routing"
 )
 
 // TestReplicationApplyRoundTrip is the reef-layer half of replication:
@@ -231,64 +230,5 @@ func TestReplicationSnapshotCut(t *testing.T) {
 	}
 	if diff, err := durabletest.Diff(want, got); err != nil || diff != "" {
 		t.Fatalf("cut state lost across replica crash (%v):\n%s", err, diff)
-	}
-}
-
-// TestReplicatedRecordsJournaledOnce pins that a replicated record is
-// journaled once, as received, however many shards it touches: a click
-// batch spanning all three shards, a flag and a position grow the WAL by
-// exactly three records, while the clicks land on their users' shards
-// and the flag is known.
-func TestReplicatedRecordsJournaledOnce(t *testing.T) {
-	ctx := context.Background()
-	dep, err := reef.NewCentralized(
-		reef.WithFetcher(testWeb(74)),
-		reef.WithDataDir(t.TempDir()),
-		reef.WithShards(3),
-		reef.WithSnapshotEvery(-1),
-		reef.WithPollInterval(time.Hour),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dep.Close()
-	var clicks []reef.Click
-	slots := make(map[int]bool)
-	for _, u := range []string{"alice", "dave", "ivan"} {
-		slots[routing.UserSlot(u, 3)] = true
-		clicks = append(clicks, reef.Click{User: u, URL: "http://pages.test/" + u, At: dt0})
-	}
-	if len(slots) != 3 {
-		t.Fatalf("the batch's users cover shards %v, want all three", slots)
-	}
-	before, err := dep.StorageInfo(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dep.ApplyReplicated([]durable.Record{
-		durable.ClicksRecord(clicks),
-		durable.FlagRecord("ads.test", 1),
-		durable.ReplPositionRecord(durable.ReplPosition{Source: "a", Epoch: 1, Applied: 3}),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	after, err := dep.StorageInfo(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := after.WALRecords - before.WALRecords; got != 3 {
-		t.Errorf("WAL grew by %d records, want 3", got)
-	}
-	stats, err := dep.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if got := stats[fmt.Sprintf("shard%d_clicks_stored", i)]; got != 1 {
-			t.Errorf("shard %d stores %v clicks, want 1", i, got)
-		}
-	}
-	if got := dep.FlaggedServers("ad"); got != 1 {
-		t.Errorf("FlaggedServers(ad) = %d, want 1", got)
 	}
 }

@@ -14,6 +14,7 @@ import (
 
 	"reef/internal/attention"
 	"reef/internal/durable"
+	"reef/internal/metrics"
 	"reef/internal/pubsub"
 	"reef/internal/recommend"
 	"reef/internal/routing"
@@ -613,13 +614,23 @@ func (r *router) RejectRecommendation(ctx context.Context, user, id string) erro
 	return r.shard(user).rejectRecommendation(user, id)
 }
 
-// shardStats snapshots every shard's counters.
-func (r *router) shardStats() []Stats {
-	out := make([]Stats, len(r.shards))
+// samples snapshots every shard's series and combines them by each
+// family's merge rule, adding the shard count.
+func (r *router) samples() (total []metrics.Sample, perShard [][]metrics.Sample) {
+	perShard = make([][]metrics.Sample, len(r.shards))
 	for i, e := range r.shards {
-		out[i] = e.stats()
+		perShard[i] = e.samples()
 	}
-	return out
+	total = metrics.Combine(perShard...)
+	return append(total, metrics.Sample{Def: metrics.Shards, Value: float64(len(r.shards))}), perShard
+}
+
+// flatStats is the Stats view of a Samples result.
+func flatStats(samples []metrics.Sample, err error) (Stats, error) {
+	if err != nil {
+		return nil, err
+	}
+	return metrics.Flat(samples), nil
 }
 
 // PollFeeds polls every due feed through each shard's WAIF proxy,
@@ -685,13 +696,6 @@ func sumFanOut(n int, fn func(i int) (int, error)) (int, error) {
 		total += c
 	}
 	return total, err
-}
-
-// mergeStats merges per-shard stat snapshots with the shared rules
-// (internal/routing.Merge): counters sum, ".max" takes the maximum,
-// ".mean" becomes the ".count"-weighted mean.
-func mergeStats(shards []Stats) Stats {
-	return routing.Merge(shards)
 }
 
 // stampEvents assigns IDs and timestamps before a fan-out, so every
