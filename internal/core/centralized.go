@@ -189,6 +189,11 @@ func (s *Server) ApplyClicks(batch []attention.Click) {
 // counter: the flag stays set in memory and the operator sees the
 // durability gap in /v1/stats.
 func (s *Server) setFlag(host string, f store.Flag) {
+	if s.store.Flags(host)&f == f {
+		// Flags are OR-ed on apply and replay, so a record that sets no
+		// new bit changes nothing.
+		return
+	}
 	if err := s.journal.Record(
 		func() error { s.store.SetFlag(host, f); return nil },
 		func() durable.Record { return durable.FlagRecord(host, int(f)) },
@@ -265,7 +270,7 @@ func (s *Server) RunPipeline(now time.Time) PipelineStats {
 		}
 		// Page text grows the background corpus and user profiles.
 		if len(r.Terms) > 0 {
-			s.corpus.Add(&ir.Document{ID: r.URL, Terms: r.Terms, Len: termTotal(r.Terms)})
+			s.corpus.Add(r.URL, r.Terms)
 			for _, user := range users {
 				s.contentRec.ObservePage(user, r.Terms)
 			}
@@ -282,15 +287,6 @@ func (s *Server) RunPipeline(now time.Time) PipelineStats {
 	s.reg.Counter("urls_crawled").Add(int64(stats.Crawled))
 	s.reg.Counter("recommendations").Add(int64(stats.Recommendations))
 	return stats
-}
-
-// termTotal sums a term-count map.
-func termTotal(m map[string]int) int {
-	n := 0
-	for _, c := range m {
-		n += c
-	}
-	return n
 }
 
 // DistinctFeedsFound reports how many distinct feed URLs the crawler has

@@ -50,7 +50,6 @@ type Peer struct {
 	corpus     *ir.Corpus
 	topicRec   *recommend.TopicRecommender
 	contentRec *recommend.ContentRecommender
-	profile    map[string]int // term counts for community clustering
 	knownFeeds map[string]struct{}
 	applied    int
 }
@@ -69,7 +68,6 @@ func NewPeer(cfg PeerConfig) *Peer {
 		clock:      cfg.Clock,
 		corpus:     ir.NewCorpus(),
 		topicRec:   recommend.NewTopicRecommender(recommend.TopicConfig{}),
-		profile:    make(map[string]int),
 		knownFeeds: make(map[string]struct{}),
 	}
 	p.contentRec = recommend.NewContentRecommender(recommend.ContentConfig{}, p.corpus)
@@ -118,11 +116,8 @@ func (p *Peer) ObservePageView(click attention.Click, res *websim.Resource) []re
 	}
 	terms := ir.TermCounts(websim.ExtractText(res.Body))
 	if len(terms) > 0 {
-		p.corpus.Add(&ir.Document{ID: click.URL, Terms: terms, Len: termTotal(terms)})
+		p.corpus.Add(click.URL, terms)
 		p.contentRec.ObservePage(p.cfg.User, terms)
-		for t, n := range terms {
-			p.profile[t] += n
-		}
 	}
 	p.mu.Unlock()
 
@@ -187,7 +182,7 @@ func (p *Peer) KnownFeeds() map[string]struct{} {
 func (p *Peer) ProfileVector() community.Vector {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	terms := ir.SelectTerms(p.profile, nil, maxInt(1, p.contentRec.ProfileSize(p.cfg.User)), p.corpus, 50, ir.SelectRawTF)
+	terms := p.contentRec.SelectTermsBy(p.cfg.User, 50, ir.SelectRawTF)
 	v := make(community.Vector, len(terms))
 	for _, t := range terms {
 		v[t.Term] = t.Score
@@ -279,11 +274,4 @@ func ExchangeRecommendations(peers []*Peer, threshold float64, now time.Time) (i
 		recs[i] = p.peerFeedRecommendations(shared[p.User()], now)
 	}
 	return len(comms), recs
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

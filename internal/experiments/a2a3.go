@@ -179,8 +179,8 @@ func A3AdFilter(opt A3Options) Result {
 		})
 		fetches, bytes := web.Stats()
 		spamDocs := 0
-		for _, d := range server.Corpus().Docs() {
-			if host, _, err := websim.SplitURL(d.ID); err == nil {
+		for _, id := range server.Corpus().IDs() {
+			if host, _, err := websim.SplitURL(id); err == nil {
 				if s, ok := web.Server(host); ok && s.Kind == websim.KindSpam {
 					spamDocs++
 				}

@@ -36,7 +36,7 @@ type BM25 struct {
 type scoreBuf struct {
 	scores  []float64
 	mark    []bool
-	touched []int
+	touched []uint32
 }
 
 // NewBM25 builds a scorer over the corpus. Zero-valued params fall back to
@@ -84,35 +84,10 @@ func (s *BM25) IDF(term string) float64 {
 	return idf
 }
 
-// ScoreDoc computes the BM25 score of one document for a query given as
-// term -> weight. Weights multiply each term's contribution; use weight 1
-// for plain queries.
-func (s *BM25) ScoreDoc(d *Document, query map[string]float64) float64 {
-	if d.Len == 0 {
-		return 0
-	}
-	k1, b := s.params.K1, s.params.B
-	avg := s.corpus.AvgLen()
-	if avg == 0 {
-		return 0
-	}
-	var score float64
-	for term, w := range query {
-		tf := float64(d.TF(term))
-		if tf == 0 {
-			continue
-		}
-		idf := s.IDF(term)
-		norm := tf * (k1 + 1) / (tf + k1*(1-b+b*float64(d.Len)/avg))
-		score += w * idf * norm
-	}
-	return score
-}
-
 // accumulate adds every query term's contributions into sb via the
 // inverted postings lists, recording which slots were touched.
 func (s *BM25) accumulate(query map[string]float64, sb *scoreBuf) {
-	docs := s.corpus.Docs()
+	docs := s.corpus.docs
 	k1, b := s.params.K1, s.params.B
 	avg := s.corpus.AvgLen()
 	if avg == 0 {
@@ -128,7 +103,7 @@ func (s *BM25) accumulate(query map[string]float64, sb *scoreBuf) {
 		}
 		for _, p := range s.corpus.Postings(term) {
 			tf := float64(p.TF)
-			norm := tf * (k1 + 1) / (tf + k1*(1-b+b*float64(docs[p.Slot].Len)/avg))
+			norm := tf * (k1 + 1) / (tf + k1*(1-b+b*float64(docs[p.Slot].len)/avg))
 			if !sb.mark[p.Slot] {
 				sb.mark[p.Slot] = true
 				sb.touched = append(sb.touched, p.Slot)
@@ -156,12 +131,12 @@ func rankedLess(a, b Ranked) bool {
 // Rank scores every document and returns them ordered by descending score.
 // Ties break by document ID for determinism.
 func (s *BM25) Rank(query map[string]float64) []Ranked {
-	docs := s.corpus.Docs()
+	docs := s.corpus.docs
 	sb := s.getBuf(len(docs))
 	s.accumulate(query, sb)
 	out := make([]Ranked, len(docs))
 	for i, d := range docs {
-		out[i] = Ranked{ID: d.ID, Score: sb.scores[i]}
+		out[i] = Ranked{ID: d.id, Score: sb.scores[i]}
 	}
 	s.putBuf(sb)
 	sort.Slice(out, func(i, j int) bool { return rankedLess(out[i], out[j]) })
@@ -173,7 +148,7 @@ func (s *BM25) Rank(query map[string]float64) []Ranked {
 // partially selected through a bounded min-heap, O(matched · log k)
 // instead of O(N log N).
 func (s *BM25) RankTop(query map[string]float64, k int) []Ranked {
-	docs := s.corpus.Docs()
+	docs := s.corpus.docs
 	if k <= 0 {
 		return nil
 	}
@@ -233,7 +208,7 @@ func (s *BM25) RankTop(query map[string]float64, k int) []Ranked {
 		}
 	}
 	for _, slot := range sb.touched {
-		r := Ranked{ID: docs[slot].ID, Score: sb.scores[slot]}
+		r := Ranked{ID: docs[slot].id, Score: sb.scores[slot]}
 		if len(heap) < k {
 			heap = append(heap, r)
 			siftUp(len(heap) - 1)

@@ -17,6 +17,18 @@ func newTestCorpus() *Corpus {
 	return c
 }
 
+// scoreOf returns the document's score in the full ranking of query.
+func scoreOf(t *testing.T, s *BM25, query map[string]float64, id string) float64 {
+	t.Helper()
+	for _, r := range s.Rank(query) {
+		if r.ID == id {
+			return r.Score
+		}
+	}
+	t.Fatalf("document %q not ranked", id)
+	return 0
+}
+
 func TestBM25RanksRelevantFirst(t *testing.T) {
 	c := newTestCorpus()
 	s := NewBM25(c, DefaultBM25)
@@ -46,9 +58,7 @@ func TestBM25TermFrequencySaturation(t *testing.T) {
 	s := NewBM25(c, DefaultBM25)
 	kw := Stem("keyword")
 	q := map[string]float64{kw: 1}
-	dOnce, _ := c.Doc("once")
-	dMany, _ := c.Doc("many")
-	so, sm := s.ScoreDoc(dOnce, q), s.ScoreDoc(dMany, q)
+	so, sm := scoreOf(t, s, q, "once"), scoreOf(t, s, q, "many")
 	if so <= 0 || sm <= 0 {
 		t.Fatalf("scores = %v, %v; want positive", so, sm)
 	}
@@ -75,9 +85,8 @@ func TestBM25IDFFloor(t *testing.T) {
 func TestBM25QueryWeights(t *testing.T) {
 	c := newTestCorpus()
 	s := NewBM25(c, DefaultBM25)
-	d, _ := c.Doc("tech1")
-	low := s.ScoreDoc(d, map[string]float64{Stem("protocol"): 0.1})
-	high := s.ScoreDoc(d, map[string]float64{Stem("protocol"): 1.0})
+	low := scoreOf(t, s, map[string]float64{Stem("protocol"): 0.1}, "tech1")
+	high := scoreOf(t, s, map[string]float64{Stem("protocol"): 1.0}, "tech1")
 	if math.Abs(high-10*low) > 1e-9 {
 		t.Errorf("weights not linear: low=%v high=%v", low, high)
 	}
@@ -158,10 +167,11 @@ func TestCorpusReplaceUpdatesPostings(t *testing.T) {
 	if len(ps) != 2 {
 		t.Fatalf("gamma postings = %v, want 2 entries", ps)
 	}
+	wantTF := map[string]uint32{"d1": 2, "d2": 1}
 	for _, p := range ps {
-		d := c.Docs()[p.Slot]
-		if d.TF(Stem("gamma")) != p.TF {
-			t.Errorf("posting tf %d disagrees with doc %q tf %d", p.TF, d.ID, d.TF(Stem("gamma")))
+		id := c.IDs()[p.Slot]
+		if wantTF[id] != p.TF {
+			t.Errorf("posting tf %d disagrees with doc %q tf %d", p.TF, id, wantTF[id])
 		}
 	}
 	s := NewBM25(c, DefaultBM25)
@@ -186,8 +196,7 @@ func TestBM25EmptyCorpusAndDocs(t *testing.T) {
 		t.Error("Rank on empty corpus returned results")
 	}
 	c.AddText("empty", "")
-	d, _ := c.Doc("empty")
-	if got := s.ScoreDoc(d, map[string]float64{"x": 1}); got != 0 {
+	if got := scoreOf(t, s, map[string]float64{"x": 1}, "empty"); got != 0 {
 		t.Errorf("score of empty doc = %v", got)
 	}
 }

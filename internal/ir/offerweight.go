@@ -85,24 +85,29 @@ func (m TermSelectionMode) String() string {
 	}
 }
 
+// TermStat is one attention-profile term's statistics over the documents a
+// user attended to (the "relevant" set): TF is its total occurrence count,
+// DF the number of attended documents containing it.
+type TermStat struct {
+	TF, DF uint32
+}
+
 // SelectTerms ranks the terms of a user attention profile against a
 // background corpus and returns the top k terms by the chosen selection
 // value.
 //
-//   - profile: term -> occurrence count across the documents the user
-//     attended to (the "relevant" set).
-//   - relDF: term -> number of attended documents containing the term.
+//   - profile: term ID in corpus's dictionary -> the term's statistics
+//     over the attended documents.
 //   - R: number of attended documents.
 //   - corpus: the background collection providing N and df.
-func SelectTerms(profile map[string]int, relDF map[string]int, R int, corpus *Corpus, k int, mode TermSelectionMode) []TermScore {
+//
+// Ties break by term string.
+func SelectTerms(profile map[uint32]TermStat, R int, corpus *Corpus, k int, mode TermSelectionMode) []TermScore {
 	N := corpus.N()
 	scored := make([]TermScore, 0, len(profile))
-	for term, tf := range profile {
-		r := relDF[term]
-		if r == 0 {
-			r = 1
-		}
-		n := corpus.DF(term)
+	for id, st := range profile {
+		tf, r := int(st.TF), int(st.DF)
+		n := len(corpus.postings[id])
 		if n < r {
 			// The background corpus may not contain every attended page;
 			// clamp so the formula stays defined.
@@ -120,7 +125,7 @@ func SelectTerms(profile map[string]int, relDF map[string]int, R int, corpus *Co
 		if s <= 0 {
 			continue
 		}
-		scored = append(scored, TermScore{Term: term, Score: s})
+		scored = append(scored, TermScore{Term: corpus.terms[id], Score: s})
 	}
 	sort.Slice(scored, func(i, j int) bool {
 		if scored[i].Score != scored[j].Score {

@@ -57,17 +57,12 @@ func TestSelectTermsTopK(t *testing.T) {
 	corpus.AddText("q1", "quark physics")
 	corpus.AddText("q2", "quark collider")
 
-	profile := map[string]int{
-		Stem("quark"):   8,
-		Stem("physics"): 3,
-		Stem("common"):  2,
+	profile := map[uint32]TermStat{
+		corpus.Intern(Stem("quark")):   {TF: 8, DF: 4},
+		corpus.Intern(Stem("physics")): {TF: 3, DF: 2},
+		corpus.Intern(Stem("common")):  {TF: 2, DF: 2},
 	}
-	relDF := map[string]int{
-		Stem("quark"):   4,
-		Stem("physics"): 2,
-		Stem("common"):  2,
-	}
-	got := SelectTerms(profile, relDF, 5, corpus, 2, SelectModifiedOW)
+	got := SelectTerms(profile, 5, corpus, 2, SelectModifiedOW)
 	if len(got) != 2 {
 		t.Fatalf("SelectTerms returned %d terms, want 2", len(got))
 	}
@@ -86,17 +81,16 @@ func TestSelectTermsModes(t *testing.T) {
 		corpus.AddText(string(rune('a'))+string(rune('a'+i%26))+string(rune('a'+i/26)), "filler text body")
 	}
 	corpus.AddText("r", "rare signal")
-	profile := map[string]int{
-		Stem("filler"): 50, // frequent but ubiquitous
-		Stem("rare"):   2,  // infrequent but discriminative
+	profile := map[uint32]TermStat{
+		corpus.Intern(Stem("filler")): {TF: 50, DF: 5}, // frequent but ubiquitous
+		corpus.Intern(Stem("rare")):   {TF: 2, DF: 2},  // infrequent but discriminative
 	}
-	relDF := map[string]int{Stem("filler"): 5, Stem("rare"): 2}
 
-	tf := SelectTerms(profile, relDF, 5, corpus, 1, SelectRawTF)
+	tf := SelectTerms(profile, 5, corpus, 1, SelectRawTF)
 	if tf[0].Term != Stem("filler") {
 		t.Errorf("raw-tf top = %q, want filler", tf[0].Term)
 	}
-	ow := SelectTerms(profile, relDF, 5, corpus, 1, SelectPlainOW)
+	ow := SelectTerms(profile, 5, corpus, 1, SelectPlainOW)
 	if ow[0].Term != Stem("rare") {
 		t.Errorf("plain-ow top = %q, want rare", ow[0].Term)
 	}
@@ -105,8 +99,8 @@ func TestSelectTermsModes(t *testing.T) {
 func TestSelectTermsKZeroReturnsAll(t *testing.T) {
 	corpus := NewCorpus()
 	corpus.AddText("d", "alpha beta gamma")
-	profile := map[string]int{Stem("alpha"): 1, Stem("beta"): 1}
-	got := SelectTerms(profile, map[string]int{}, 1, corpus, 0, SelectModifiedOW)
+	profile := map[uint32]TermStat{corpus.Intern(Stem("alpha")): {TF: 1, DF: 1}, corpus.Intern(Stem("beta")): {TF: 1, DF: 1}}
+	got := SelectTerms(profile, 1, corpus, 0, SelectModifiedOW)
 	if len(got) != 2 {
 		t.Errorf("k=0 returned %d terms, want all (2)", len(got))
 	}

@@ -19,9 +19,8 @@ type ContentConfig struct {
 
 // contentUser accumulates one user's attention profile.
 type contentUser struct {
-	profile map[string]int // term -> total occurrences across attended docs
-	relDF   map[string]int // term -> number of attended docs containing it
-	R       int            // attended doc count
+	stats map[uint32]ir.TermStat // corpus term ID -> stats over attended docs
+	R     int                    // attended doc count
 }
 
 // ContentRecommender drives §3.3: it accumulates term statistics from the
@@ -50,28 +49,24 @@ func NewContentRecommender(cfg ContentConfig, corpus *ir.Corpus) *ContentRecomme
 	}
 }
 
-func (cr *ContentRecommender) user(id string) *contentUser {
-	u, ok := cr.users[id]
-	if !ok {
-		u = &contentUser{
-			profile: make(map[string]int),
-			relDF:   make(map[string]int),
-		}
-		cr.users[id] = u
-	}
-	return u
-}
-
 // ObservePage folds one attended page's term counts into the user profile.
+// Terms are keyed by their ID in the background corpus's dictionary.
 func (cr *ContentRecommender) ObservePage(user string, terms map[string]int) {
 	if len(terms) == 0 {
 		return
 	}
-	u := cr.user(user)
+	u, ok := cr.users[user]
+	if !ok {
+		u = &contentUser{stats: make(map[uint32]ir.TermStat)}
+		cr.users[user] = u
+	}
 	u.R++
 	for t, n := range terms {
-		u.profile[t] += n
-		u.relDF[t]++
+		id := cr.corpus.Intern(t)
+		st := u.stats[id]
+		st.TF += uint32(n)
+		st.DF++
+		u.stats[id] = st
 	}
 }
 
@@ -86,6 +81,11 @@ func (cr *ContentRecommender) ProfileSize(user string) int {
 // SelectTerms returns the user's top-n profile terms under the configured
 // mode (n <= 0 uses the configured NumTerms).
 func (cr *ContentRecommender) SelectTerms(user string, n int) []ir.TermScore {
+	return cr.SelectTermsBy(user, n, cr.cfg.Mode)
+}
+
+// SelectTermsBy is SelectTerms under the given mode.
+func (cr *ContentRecommender) SelectTermsBy(user string, n int, mode ir.TermSelectionMode) []ir.TermScore {
 	u, ok := cr.users[user]
 	if !ok {
 		return nil
@@ -93,12 +93,7 @@ func (cr *ContentRecommender) SelectTerms(user string, n int) []ir.TermScore {
 	if n <= 0 {
 		n = cr.cfg.NumTerms
 	}
-	return ir.SelectTerms(u.profile, u.relDF, u.R, cr.corpus, n, cr.cfg.Mode)
-}
-
-// Query builds the weighted BM25 query for the user's top-n terms.
-func (cr *ContentRecommender) Query(user string, n int) map[string]float64 {
-	return ir.QueryFromTerms(cr.SelectTerms(user, n))
+	return ir.SelectTerms(u.stats, u.R, cr.corpus, n, mode)
 }
 
 // Recommend produces the user's content-query recommendation: a pub-sub

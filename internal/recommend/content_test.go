@@ -54,7 +54,7 @@ func TestContentSelectTermsPrefersDiscriminative(t *testing.T) {
 func TestContentQueryWeights(t *testing.T) {
 	cr := NewContentRecommender(ContentConfig{NumTerms: 3}, backgroundCorpus())
 	cr.ObservePage("u1", ir.TermCounts("quasar quasar telescope"))
-	q := cr.Query("u1", 0)
+	q := ir.QueryFromTerms(cr.SelectTerms("u1", 0))
 	if len(q) == 0 {
 		t.Fatal("empty query")
 	}

@@ -9,7 +9,9 @@
 package recommend
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"reef/internal/eventalg"
@@ -190,7 +192,9 @@ func (tr *TopicRecommender) ObserveFeedback(user, feedURL string, clicked bool, 
 
 // SweepInactive issues unsubscribe recommendations for subscribed feeds
 // with no recent positive signal — no host visits and no event clicks
-// within InactiveAfter — whose score is at or below MinScore.
+// within InactiveAfter — whose score is at or below MinScore. They come
+// sorted by user, then feed URL, so callers see one order whatever the
+// map order.
 func (tr *TopicRecommender) SweepInactive(now time.Time) []Recommendation {
 	var out []Recommendation
 	for user, u := range tr.users {
@@ -221,6 +225,9 @@ func (tr *TopicRecommender) SweepInactive(now time.Time) []Recommendation {
 			})
 		}
 	}
+	slices.SortFunc(out, func(a, b Recommendation) int {
+		return cmp.Or(cmp.Compare(a.User, b.User), cmp.Compare(a.FeedURL, b.FeedURL))
+	})
 	return out
 }
 

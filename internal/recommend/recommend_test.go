@@ -1,6 +1,8 @@
 package recommend
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -94,6 +96,39 @@ func TestSweepInactiveUnsubscribes(t *testing.T) {
 	// Idempotent: second sweep finds nothing.
 	if recs := tr.SweepInactive(rt0.Add(16 * 24 * time.Hour)); len(recs) != 0 {
 		t.Errorf("second sweep = %+v", recs)
+	}
+}
+
+// TestSweepInactiveOrder sweeps many recommenders built the same way and
+// expects one order, sorted by user then feed URL, whatever the map order.
+func TestSweepInactiveOrder(t *testing.T) {
+	build := func() *TopicRecommender {
+		tr := NewTopicRecommender(TopicConfig{InactiveAfter: 10 * 24 * time.Hour})
+		for u := 0; u < 4; u++ {
+			user := fmt.Sprintf("u%d", u)
+			for h := 0; h < 5; h++ {
+				host := fmt.Sprintf("h%d.test", h)
+				tr.ObserveVisit(user, host, rt0)
+				tr.ObserveFeed(user, "http://"+host+"/f.xml", host, rt0)
+			}
+		}
+		return tr
+	}
+	key := func(r Recommendation) string { return r.User + " " + r.FeedURL }
+	var want []string
+	for i := 0; i < 50; i++ {
+		var got []string
+		for _, r := range build().SweepInactive(rt0.Add(15 * 24 * time.Hour)) {
+			got = append(got, key(r))
+		}
+		if len(got) != 20 || !slices.IsSorted(got) {
+			t.Fatalf("sweep %d = %v, want 20 recommendations sorted by user, feed", i, got)
+		}
+		if want == nil {
+			want = got
+		} else if !slices.Equal(got, want) {
+			t.Fatalf("sweep %d order %v differs from %v", i, got, want)
+		}
 	}
 }
 

@@ -158,3 +158,63 @@ func TestWALBudgets(t *testing.T) {
 		})
 	}
 }
+
+// TestWALPipelineFlagsOncePerHost pins that a pipeline round journals one
+// flag record per newly set (host, flag) bit, not one per crawled page:
+// every page of a host comes back from the same crawl batch, and only the
+// first sets the host's flag.
+func TestWALPipelineFlagsOncePerHost(t *testing.T) {
+	ctx := context.Background()
+	web := testWeb(75)
+	dep, err := reef.NewCentralized(
+		reef.WithFetcher(web),
+		reef.WithDataDir(t.TempDir()),
+		reef.WithSnapshotEvery(-1),
+		reef.WithPollInterval(time.Hour),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Close()
+
+	at := dt0
+	var clicks []reef.Click
+	for _, kind := range []websim.ServerKind{websim.KindContent, websim.KindAd, websim.KindSpam} {
+		for _, s := range web.Servers(kind) {
+			for path := range s.Pages {
+				at = at.Add(time.Second)
+				clicks = append(clicks, reef.Click{User: "u1", URL: s.URL(path), At: at})
+			}
+		}
+	}
+	if _, err := dep.IngestClicks(ctx, clicks); err != nil {
+		t.Fatal(err)
+	}
+	flags := []string{"crawled", "ad", "spam", "multimedia"}
+	flagged := func() int {
+		n := 0
+		for _, f := range flags {
+			n += dep.FlaggedServers(f)
+		}
+		return n
+	}
+	before, err := dep.StorageInfo(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flaggedBefore := flagged()
+	stats := dep.RunPipeline(at)
+	after, err := dep.StorageInfo(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	changed := flagged() - flaggedBefore
+	records := after.WALRecords - before.WALRecords
+	t.Logf("%d pages crawled, %d host flags set, %d WAL records", stats.Crawled, changed, records)
+	if changed == 0 || stats.Crawled <= changed {
+		t.Fatalf("crawled %d pages setting %d host flags; the test needs hosts with several pages", stats.Crawled, changed)
+	}
+	if records != int64(changed) {
+		t.Errorf("pipeline appended %d WAL records, want %d (one per host flag set)", records, changed)
+	}
+}
