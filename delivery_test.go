@@ -459,8 +459,13 @@ func writeRetiredOrderingDir(t *testing.T, dir string, users, feeds []string) {
 	if err := b.Snapshot(&durable.State{Version: 1, Subscriptions: []durable.SubscriptionState{sub(0)}}); err != nil {
 		t.Fatal(err)
 	}
-	rec := durable.SubscribeRecord(sub(1))
-	rec.Payload = addRetiredOrdering(t, rec.Payload)
+	// The ordering key predates binary payloads: journal the record as
+	// the JSON one those releases wrote.
+	payload, err := json.Marshal(sub(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := durable.Record{Op: durable.OpSubscribe, Version: durable.VersionJSON, Payload: addRetiredOrdering(t, payload)}
 	if err := b.Append(rec); err != nil {
 		t.Fatal(err)
 	}

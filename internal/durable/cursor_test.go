@@ -23,8 +23,8 @@ func TestCursorRecordRoundTrip(t *testing.T) {
 	if err != nil || n != len(frame) {
 		t.Fatalf("decode: n=%d err=%v", n, err)
 	}
-	var p CursorAckPayload
-	if err := json.Unmarshal(dec.Payload, &p); err != nil {
+	p, err := DecodeCursorAck(dec)
+	if err != nil {
 		t.Fatalf("payload: %v", err)
 	}
 	if p.User != "bob" || p.ID != "http://h.test/f" || p.Seq != 42 || !p.At.Equal(at) {

@@ -132,7 +132,9 @@ type snapFile struct {
 
 // recover selects the newest valid generation, loads its snapshot and
 // intact WAL tail, truncates the torn tail if any, and opens the WAL for
-// appending. Stale older generations and leftover .tmp files are removed.
+// appending. A WAL holding a record of an unknown version or op fails
+// the open and stays untouched. Stale older generations and leftover
+// .tmp files are removed.
 func (b *FileBackend) recover() error {
 	snapGens, err := b.listGens("snap", ".json")
 	if err != nil {
@@ -199,6 +201,12 @@ func (b *FileBackend) recover() error {
 		}
 		var replayErr error
 		tail, replayErr = Replay(body)
+		if errors.Is(replayErr, ErrVersion) || errors.Is(replayErr, ErrUnknownOp) {
+			// An intact record this binary cannot read was written by a
+			// newer one. Truncating there would delete it and everything
+			// after it, so refuse the directory and leave the file as it is.
+			return fmt.Errorf("durable: %s: record %d was written by a newer binary: %w", b.walPath(gen), len(tail), replayErr)
+		}
 		if replayErr != nil {
 			b.torn = true
 		}

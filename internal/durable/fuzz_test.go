@@ -124,3 +124,114 @@ func FuzzWALDecode(f *testing.F) {
 		}
 	})
 }
+
+// payloadCodecs maps each WAL op to its typed decoder followed by the
+// constructor that encodes the decoded value again, plus the user
+// RecordUser must report for it ("" for ops without one).
+var payloadCodecs = map[Op]func(Record) (Record, string, error){
+	OpClicks: func(r Record) (Record, string, error) {
+		p, err := DecodeClicks(r)
+		return ClicksRecord(p.Clicks), "", err
+	},
+	OpFlag: func(r Record) (Record, string, error) {
+		p, err := DecodeFlag(r)
+		return FlagRecord(p.Host, p.Flag), "", err
+	},
+	OpSubscribe: func(r Record) (Record, string, error) {
+		p, err := DecodeSubscription(r)
+		return SubscribeRecord(p), p.User, err
+	},
+	OpUnsubscribe: func(r Record) (Record, string, error) {
+		p, err := DecodeSubscription(r)
+		return UnsubscribeRecord(p), p.User, err
+	},
+	OpPendingAdd: func(r Record) (Record, string, error) {
+		p, err := DecodePendingAdd(r)
+		return PendingAddRecord(p), p.User, err
+	},
+	OpPendingTake: func(r Record) (Record, string, error) {
+		p, err := DecodePendingTake(r)
+		return PendingTakeRecord(p), p.User, err
+	},
+	OpCursorAck: func(r Record) (Record, string, error) {
+		p, err := DecodeCursorAck(r)
+		return CursorAckRecord(p), p.User, err
+	},
+	OpReplPosition: func(r Record) (Record, string, error) {
+		p, err := DecodeReplPosition(r)
+		return ReplPositionRecord(p), "", err
+	},
+}
+
+// FuzzPayloadDecode hammers the typed payload decoders with arbitrary
+// payload bytes under every WAL op, read as version 2 and as version-1
+// JSON. The contract: never panic; fail only with ErrPayload; a
+// version-2 payload that decodes re-encodes to exactly its bytes; and
+// ClickUsers and RecordUser, which read only part of a payload, agree
+// with the full decode wherever it succeeds.
+func FuzzPayloadDecode(f *testing.F) {
+	at := time.Date(2006, 1, 2, 15, 4, 5, 123, time.FixedZone("", 5*3600+45*60))
+	for _, rec := range append(sampleRecords(),
+		ClicksRecord([]attention.Click{{User: "u", URL: "http://h.test/p", At: at, Referrer: "r"}, {User: "u"}}),
+		UnsubscribeRecord(SubscriptionState{User: "u", Kind: "subscribe-feed", At: at,
+			Delivery: &DeliveryState{Guarantee: "at_least_once", AckTimeoutMS: 100, MaxAttempts: 2}}),
+		PendingAddRecord(PendingAddPayload{User: "u", ID: "r1", Seq: -1, Rec: RecommendationState{
+			Kind: "content-query", Terms: []TermState{{Term: "t", Score: -0.5}}}}),
+		PendingTakeRecord(PendingTakePayload{User: "u", ID: "r1", At: at}),
+		CursorAckRecord(CursorAckPayload{User: "b", ID: "f", Seq: 1 << 40}),
+		ReplPositionRecord(ReplPosition{Source: "n1", Epoch: -3, Applied: 7}),
+	) {
+		f.Add(byte(rec.Op), rec.Payload)
+	}
+	f.Add(byte(OpFlag), []byte(`{"host":"h.test","flag":3}`))
+	f.Add(byte(OpCursorAck), []byte{0x80, 0x00})
+	f.Add(byte(OpClicks), []byte{0xff, 0xff, 0xff, 0xff, 0x0f})
+
+	f.Fuzz(func(t *testing.T, opByte byte, payload []byte) {
+		op := Op(opByte)
+		codec, ok := payloadCodecs[op]
+		if !ok {
+			return
+		}
+		for _, version := range []byte{VersionJSON, VersionBinary} {
+			rec := Record{Op: op, Version: version, Payload: payload}
+			re, user, err := codec(rec)
+			if err != nil {
+				if !errors.Is(err, ErrPayload) {
+					t.Fatalf("%v v%d: untyped error %v", op, version, err)
+				}
+				continue
+			}
+			if version == VersionBinary && string(re.Payload) != string(payload) {
+				t.Fatalf("%v v2 payload re-encodes to %x, want %x", op, re.Payload, payload)
+			}
+			if user != "" {
+				if got, err := RecordUser(rec); err != nil || got != user {
+					t.Fatalf("%v v%d: RecordUser = (%q, %v), want %q", op, version, got, err, user)
+				}
+			}
+			if op == OpClicks {
+				p, _ := DecodeClicks(rec)
+				users, err := ClickUsers(rec)
+				if err != nil || len(users) != len(p.Clicks) {
+					t.Fatalf("v%d: ClickUsers = (%d users, %v), want %d", version, len(users), err, len(p.Clicks))
+				}
+				for i, c := range p.Clicks {
+					if users[i] != c.User {
+						t.Fatalf("v%d: ClickUsers[%d] = %q, want %q", version, i, users[i], c.User)
+					}
+				}
+			}
+		}
+		// Partial reads fail only with typed errors too.
+		for _, version := range []byte{VersionJSON, VersionBinary} {
+			rec := Record{Op: op, Version: version, Payload: payload}
+			if _, err := RecordUser(rec); err != nil && !errors.Is(err, ErrPayload) {
+				t.Fatalf("RecordUser: untyped error %v", err)
+			}
+			if _, err := ClickUsers(rec); err != nil && !errors.Is(err, ErrPayload) {
+				t.Fatalf("ClickUsers: untyped error %v", err)
+			}
+		}
+	})
+}

@@ -1,6 +1,6 @@
-// Command gencorpus regenerates the checked-in seed corpus under
-// testdata/fuzz/FuzzWALDecode after a record-format change. Run from the
-// repository root:
+// Command gencorpus regenerates the version-2 and stream seeds of the
+// checked-in corpus under testdata/fuzz/FuzzWALDecode after a
+// record-format change. Run from the repository root:
 //
 //	go run ./internal/durable/gencorpus
 package main
@@ -25,72 +25,46 @@ func write(name string, data []byte) {
 }
 
 func main() {
-	var clean []byte
-	clean = durable.ClicksRecord([]attention.Click{{User: "u", URL: "http://h.test/p", At: time.Unix(0, 0).UTC()}}).AppendEncoded(clean)
-	clean = durable.FlagRecord("h.test", 3).AppendEncoded(clean)
-	write("seed-clean-log", clean)
-	write("seed-torn-tail", clean[:len(clean)-4])
+	// The version-1 seeds (seed-clean-log through seed-repl-position and
+	// seed-cursor-ops-ordering-key) hold the JSON records releases before
+	// binary payloads wrote. They stay checked in as they are; nothing
+	// here regenerates them, since this binary writes version 2.
 
-	flipped := append([]byte(nil), clean...)
-	flipped[4] ^= 0x10
-	write("seed-flipped-crc", flipped)
-
-	dirty := append([]byte(nil), clean...)
-	dirty[len(dirty)-2] ^= 0x40
-	write("seed-flipped-payload", dirty)
-
-	write("seed-garbage", []byte("not a log at all"))
-	write("seed-empty", nil)
-
-	huge := make([]byte, 12)
-	binary.LittleEndian.PutUint32(huge[0:4], durable.MaxRecordLen+1)
-	write("seed-huge-length", huge)
-
-	tiny := make([]byte, 12)
-	binary.LittleEndian.PutUint32(tiny[0:4], 1)
-	write("seed-tiny-length", tiny)
-
-	sub := durable.SubscribeRecord(durable.SubscriptionState{
-		User: "alice", Kind: "subscribe-feed", FeedURL: "http://news.test/feed.xml",
-		Filter: `feed = "http://news.test/feed.xml" and type = "feed-item"`,
-		At:     time.Unix(1136073600, 0).UTC(),
-	}).AppendEncoded(nil)
-	pend := durable.PendingAddRecord(durable.PendingAddPayload{
-		User: "alice", ID: "r3", Seq: 3,
-		Rec: durable.RecommendationState{Kind: "content-query", User: "alice",
-			Terms: []durable.TermState{{Term: "reef", Score: 4.2}}},
-	}).AppendEncoded(sub)
-	pend = durable.PendingTakeRecord(durable.PendingTakePayload{User: "alice", ID: "r3", Accepted: true}).AppendEncoded(pend)
-	write("seed-subscription-ops", pend)
-
-	// Cursor record family: a reliable subscribe (delivery config riding
-	// on the subscription payload) followed by two cumulative cursor
-	// advances.
-	cur := durable.SubscribeRecord(durable.SubscriptionState{
-		User: "bob", Kind: "subscribe-feed", FeedURL: "http://news.test/feed.xml",
-		Filter: `feed = "http://news.test/feed.xml" and type = "feed-item"`,
-		At:     time.Unix(1136073600, 0).UTC(),
-		Delivery: &durable.DeliveryState{
-			Guarantee: "at_least_once", AckTimeoutMS: 5000, MaxAttempts: 3,
-		},
-	}).AppendEncoded(nil)
-	cur = durable.CursorAckRecord(durable.CursorAckPayload{
-		User: "bob", ID: "http://news.test/feed.xml", Seq: 4,
-		At: time.Unix(1136073661, 0).UTC(),
-	}).AppendEncoded(cur)
-	cur = durable.CursorAckRecord(durable.CursorAckPayload{
-		User: "bob", ID: "http://news.test/feed.xml", Seq: 9,
-	}).AppendEncoded(cur)
-	write("seed-cursor-ops", cur)
-	// seed-cursor-ops-ordering-key is this log as written while reliable
-	// subscriptions still journaled an "ordering_key". It stays checked in
-	// as it is; nothing here regenerates it.
-
-	// The same cursor log with a payload byte flipped: the checksum must
-	// reject it with a typed error.
-	curDirty := append([]byte(nil), cur...)
-	curDirty[len(curDirty)-3] ^= 0x20
-	write("seed-cursor-corrupt", curDirty)
+	// One version-2 seed per WAL op, then all of them as one log, torn
+	// mid-record and with a flipped payload byte.
+	at := time.Date(2006, 1, 1, 12, 0, 0, 5, time.FixedZone("", 5*3600+45*60))
+	feed := "http://news.test/feed.xml"
+	filter := `feed = "http://news.test/feed.xml" and type = "feed-item"`
+	v2 := []durable.Record{
+		durable.ClicksRecord([]attention.Click{
+			{User: "alice", URL: "http://news.test/a.html", At: at, Referrer: "http://news.test/"},
+			{User: "alice", URL: "http://news.test/b.html", FromEvent: true},
+		}),
+		durable.FlagRecord("ads.test", 3),
+		durable.SubscribeRecord(durable.SubscriptionState{
+			User: "bob", Kind: "subscribe-feed", FeedURL: feed, Filter: filter, At: at,
+			Delivery: &durable.DeliveryState{Guarantee: "at_least_once", AckTimeoutMS: 5000, MaxAttempts: 3},
+		}),
+		durable.UnsubscribeRecord(durable.SubscriptionState{User: "bob", Kind: "subscribe-feed", FeedURL: feed, Filter: filter, At: at.UTC()}),
+		durable.PendingAddRecord(durable.PendingAddPayload{
+			User: "carol", ID: "r3", Seq: 3,
+			Rec: durable.RecommendationState{Kind: "content-query", User: "carol", Filter: `keywords contains "reef"`,
+				At: at, Terms: []durable.TermState{{Term: "reef", Score: 4.2}}},
+		}),
+		durable.PendingTakeRecord(durable.PendingTakePayload{User: "carol", ID: "r3", Accepted: true, At: at}),
+		durable.CursorAckRecord(durable.CursorAckPayload{User: "bob", ID: feed, Seq: 9}),
+		durable.ReplPositionRecord(durable.ReplPosition{Source: "n1", Epoch: 1136073600000000000, Applied: 42}),
+	}
+	var all []byte
+	for _, rec := range v2 {
+		write("seed-v2-"+rec.Op.String(), rec.AppendEncoded(nil))
+		all = rec.AppendEncoded(all)
+	}
+	write("seed-v2-all-ops", all)
+	write("seed-v2-torn-tail", all[:len(all)-6])
+	dirty := append([]byte(nil), all...)
+	dirty[len(dirty)/2] ^= 0x08
+	write("seed-v2-flipped-payload", dirty)
 
 	// The stream consume family (ops 11–14). These never appear in a WAL
 	// file, but they share the frame codec, so the WAL fuzzer must keep
@@ -140,14 +114,4 @@ func main() {
 	// truncated, so the decoder must stop with a typed error.
 	deliverFrame := durable.Record{Op: durable.OpStreamDeliver, Payload: deliver}.AppendEncoded(nil)
 	write("seed-truncated-deliver", deliverFrame[:len(deliverFrame)-7])
-
-	// A replicated batch as a replica journals it: the records, then the
-	// source's applied position right after them.
-	repl := durable.CursorAckRecord(durable.CursorAckPayload{
-		User: "bob", ID: "http://news.test/feed.xml", Seq: 9,
-	}).AppendEncoded(nil)
-	repl = durable.ReplPositionRecord(durable.ReplPosition{
-		Source: "n1", Epoch: 1136073600000000000, Applied: 42,
-	}).AppendEncoded(repl)
-	write("seed-repl-position", repl)
 }

@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"encoding/json"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -164,11 +163,12 @@ func TestJournalTap(t *testing.T) {
 	if len(tapped) != 2 || tapped[0].Op != OpFlag || tapped[1].Op != OpFlag {
 		t.Fatalf("tap saw %d records, want the 2 local ones", len(tapped))
 	}
-	var f0, f1 FlagPayload
-	if err := json.Unmarshal(tapped[0].Payload, &f0); err != nil {
+	f0, err := DecodeFlag(tapped[0])
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(tapped[1].Payload, &f1); err != nil {
+	f1, err := DecodeFlag(tapped[1])
+	if err != nil {
 		t.Fatal(err)
 	}
 	if f0.Host != "a.test" || f1.Host != "c.test" {

@@ -2,7 +2,6 @@ package durable
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -19,6 +18,12 @@ import (
 // The length covers the body only, so the minimum frame is 10 bytes
 // (8-byte header + version + op). The CRC covers the body, so a flipped
 // bit anywhere in version, op or payload fails the checksum.
+//
+// The version byte names the payload format. Version 1 is JSON for the
+// WAL ops, and the one format of every stream op; version 2 is the
+// binary layout of payload.go and exists for WAL ops only. This binary
+// writes version 2 for every WAL op and still decodes version 1, so old
+// data directories open.
 const (
 	// frameHeaderLen is the fixed prefix: length + CRC.
 	frameHeaderLen = 8
@@ -27,15 +32,20 @@ const (
 	// MaxRecordLen bounds one record's body, guarding against reading a
 	// corrupt length as a multi-gigabyte allocation.
 	MaxRecordLen = 16 << 20
-	// recordVersion is the current record format version.
-	recordVersion = 1
+	// VersionJSON is the format of WAL records written before binary
+	// payloads, and of every stream frame.
+	VersionJSON = 1
+	// VersionBinary is the format this binary writes WAL records in.
+	VersionBinary = 2
 )
 
 // castagnoli is the CRC32-C table (hardware-accelerated on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Typed decode errors. Recovery treats ErrTruncated at the tail as a
-// clean unclean-shutdown marker; everything else means corruption.
+// Typed decode errors. Recovery truncates the log at a torn or corrupt
+// record (ErrTruncated, ErrChecksum, ErrTooLarge, ErrBadLength) and
+// refuses to open one it cannot read (ErrVersion, ErrUnknownOp): those
+// records are intact, written by a newer binary.
 var (
 	// ErrTruncated marks a frame cut short: the header or body extends
 	// past the end of the log (a torn write at crash time).
@@ -50,6 +60,9 @@ var (
 	ErrVersion = errors.New("durable: unknown record version")
 	// ErrUnknownOp marks an op byte outside the defined range.
 	ErrUnknownOp = errors.New("durable: unknown record op")
+	// ErrPayload marks a payload that does not decode as its op and
+	// version say it should, inside a frame whose checksum held.
+	ErrPayload = errors.New("durable: malformed record payload")
 )
 
 // Op is the operation type of a WAL record.
@@ -158,10 +171,37 @@ func (o Op) String() string {
 	}
 }
 
-// Record is one decoded WAL record: an operation and its JSON payload.
+// walOp reports whether o is a WAL op, one that may be written in
+// version 2.
+func (o Op) walOp() bool { return o >= OpClicks && o <= OpCursorAck || o == OpReplPosition }
+
+// currentVersion is the version this binary writes o in.
+func (o Op) currentVersion() byte {
+	if o.walOp() {
+		return VersionBinary
+	}
+	return VersionJSON
+}
+
+// Record is one WAL record or stream frame: an operation, the format
+// version of its payload, and the payload bytes. The payload is opaque
+// here; the typed decoders of payload.go are the only code that reads a
+// WAL op's payload, and package reefstream reads the stream ops'.
+// Records decoded from a log keep the version they were written in, so
+// re-encoding one reproduces its bytes. A zero Version encodes as the
+// op's current one.
 type Record struct {
 	Op      Op
+	Version byte
 	Payload []byte
+}
+
+// version resolves a zero Version to the op's current one.
+func (r Record) version() byte {
+	if r.Version == 0 {
+		return r.Op.currentVersion()
+	}
+	return r.Version
 }
 
 // EncodedLen returns the full frame size of the record.
@@ -170,7 +210,7 @@ func (r Record) EncodedLen() int { return frameHeaderLen + minBodyLen + len(r.Pa
 // AppendEncoded appends the record's frame to dst and returns the
 // extended slice.
 func (r Record) AppendEncoded(dst []byte) []byte {
-	return AppendFrameParts(dst, r.Op, r.Payload, nil)
+	return appendFrame(dst, r.version(), r.Op, r.Payload, nil, nil)
 }
 
 // AppendFrameParts encodes one frame whose payload is the concatenation
@@ -180,18 +220,7 @@ func (r Record) AppendEncoded(dst []byte) []byte {
 // two-part shape (rather than a variadic) keeps the arguments off the
 // heap.
 func AppendFrameParts(dst []byte, op Op, a, b []byte) []byte {
-	bodyLen := minBodyLen + len(a) + len(b)
-	var hdr [frameHeaderLen + minBodyLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(bodyLen))
-	hdr[8] = recordVersion
-	hdr[9] = byte(op)
-	crc := crc32.Update(0, castagnoli, hdr[8:10])
-	crc = crc32.Update(crc, castagnoli, a)
-	crc = crc32.Update(crc, castagnoli, b)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, a...)
-	return append(dst, b...)
+	return appendFrame(dst, op.currentVersion(), op, a, b, nil)
 }
 
 // AppendFrameParts3 is AppendFrameParts with a third payload part, for
@@ -199,10 +228,15 @@ func AppendFrameParts(dst []byte, op Op, a, b []byte) []byte {
 // after a shared body that must not be copied or mutated. Like the
 // two-part shape, the fixed arity keeps the arguments off the heap.
 func AppendFrameParts3(dst []byte, op Op, a, b, c []byte) []byte {
+	return appendFrame(dst, op.currentVersion(), op, a, b, c)
+}
+
+// appendFrame frames the payload a+b+c under the given version.
+func appendFrame(dst []byte, version byte, op Op, a, b, c []byte) []byte {
 	bodyLen := minBodyLen + len(a) + len(b) + len(c)
 	var hdr [frameHeaderLen + minBodyLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(bodyLen))
-	hdr[8] = recordVersion
+	hdr[8] = version
 	hdr[9] = byte(op)
 	crc := crc32.Update(0, castagnoli, hdr[8:10])
 	crc = crc32.Update(crc, castagnoli, a)
@@ -239,14 +273,17 @@ func DecodeFrame(buf []byte) (Record, int, error) {
 	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(buf[4:8]) {
 		return Record{}, 0, ErrChecksum
 	}
-	if body[0] != recordVersion {
-		return Record{}, 0, fmt.Errorf("%w: %d", ErrVersion, body[0])
+	version, op := body[0], Op(body[1])
+	if version != VersionJSON && version != VersionBinary {
+		return Record{}, 0, fmt.Errorf("%w: %d", ErrVersion, version)
 	}
-	op := Op(body[1])
 	if op == 0 || op >= opMax {
 		return Record{}, 0, fmt.Errorf("%w: %d", ErrUnknownOp, body[1])
 	}
-	return Record{Op: op, Payload: body[minBodyLen:]}, frameHeaderLen + int(bodyLen), nil
+	if version == VersionBinary && !op.walOp() {
+		return Record{}, 0, fmt.Errorf("%w: %d for %v", ErrVersion, version, op)
+	}
+	return Record{Op: op, Version: version, Payload: body[minBodyLen:]}, frameHeaderLen + int(bodyLen), nil
 }
 
 // FrameHeaderLen is the fixed frame prefix (length + CRC), exported for
@@ -293,9 +330,9 @@ func Replay(data []byte) ([]Record, error) {
 
 // ---- Operation payloads ----
 //
-// Payloads are JSON so the format stays debuggable (strings <
-// reflection-free binary codecs matter less than being able to read a WAL
-// with jq) and versioned by the frame's version byte.
+// The payload types of the WAL ops. payload.go encodes them (version 2,
+// binary) and decodes them (version 2, and the JSON of version 1, which
+// the struct tags describe); snapshots marshal them as JSON.
 
 // ClicksPayload is the OpClicks payload.
 type ClicksPayload struct {
@@ -423,41 +460,3 @@ type ReplPosition struct {
 	Epoch   int64  `json:"epoch"`
 	Applied int64  `json:"applied"`
 }
-
-// mustRecord marshals a payload into a Record. Payload structs contain
-// only JSON-encodable fields, so a marshal failure is a programming error.
-func mustRecord(op Op, payload any) Record {
-	data, err := json.Marshal(payload)
-	if err != nil {
-		panic(fmt.Sprintf("durable: encoding %v payload: %v", op, err))
-	}
-	return Record{Op: op, Payload: data}
-}
-
-// ClicksRecord builds an OpClicks record.
-func ClicksRecord(batch []attention.Click) Record {
-	return mustRecord(OpClicks, ClicksPayload{Clicks: batch})
-}
-
-// FlagRecord builds an OpFlag record.
-func FlagRecord(host string, flag int) Record {
-	return mustRecord(OpFlag, FlagPayload{Host: host, Flag: flag})
-}
-
-// SubscribeRecord builds an OpSubscribe record.
-func SubscribeRecord(s SubscriptionState) Record { return mustRecord(OpSubscribe, s) }
-
-// UnsubscribeRecord builds an OpUnsubscribe record.
-func UnsubscribeRecord(s SubscriptionState) Record { return mustRecord(OpUnsubscribe, s) }
-
-// PendingAddRecord builds an OpPendingAdd record.
-func PendingAddRecord(p PendingAddPayload) Record { return mustRecord(OpPendingAdd, p) }
-
-// PendingTakeRecord builds an OpPendingTake record.
-func PendingTakeRecord(p PendingTakePayload) Record { return mustRecord(OpPendingTake, p) }
-
-// CursorAckRecord builds an OpCursorAck record.
-func CursorAckRecord(p CursorAckPayload) Record { return mustRecord(OpCursorAck, p) }
-
-// ReplPositionRecord builds an OpReplPosition record.
-func ReplPositionRecord(p ReplPosition) Record { return mustRecord(OpReplPosition, p) }

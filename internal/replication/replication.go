@@ -276,42 +276,58 @@ func (m *Manager) Offer(rec durable.Record) {
 		// OR-set, so overlap between nodes is harmless.
 		m.append(rec, m.ringDests())
 	case durable.OpClicks:
-		var p durable.ClicksPayload
-		if err := json.Unmarshal(rec.Payload, &p); err != nil || len(p.Clicks) == 0 {
-			return
-		}
-		groups := make(map[string][]attention.Click)
-		keys := make(map[string][]string)
-		for _, cl := range p.Clicks {
-			dests := m.userDests(cl.User)
-			if len(dests) == 0 {
-				continue
-			}
-			k := destKey(dests)
-			groups[k] = append(groups[k], cl)
-			keys[k] = dests
-		}
-		if len(groups) == 1 {
-			if k := firstKey(groups); len(groups[k]) == len(p.Clicks) {
-				// Whole batch shares one destination set: ship the
-				// original frame, no re-encode.
-				m.append(rec, keys[k])
-				return
-			}
-		}
-		for k, g := range groups {
-			m.append(durable.ClicksRecord(g), keys[k])
-		}
+		m.offerClicks(rec)
 	default:
-		var p struct {
-			User string `json:"user"`
-		}
-		if err := json.Unmarshal(rec.Payload, &p); err != nil || p.User == "" {
+		user, err := durable.RecordUser(rec)
+		if err != nil || user == "" {
 			return
 		}
-		if dests := m.userDests(p.User); len(dests) > 0 {
+		if dests := m.userDests(user); len(dests) > 0 {
 			m.append(rec, dests)
 		}
+	}
+}
+
+// offerClicks ships a click batch to its users' replica sets, reading
+// only the clicks' users. A batch whose clicks all share one
+// destination set ships as the original frame; otherwise it is decoded
+// and re-encoded as one batch per destination set.
+func (m *Manager) offerClicks(rec durable.Record) {
+	users, err := durable.ClickUsers(rec)
+	if err != nil {
+		return
+	}
+	keys := make([]string, len(users)) // destKey per click; "" for none
+	dests := make(map[string][]string)
+	for i, u := range users {
+		if i > 0 && u == users[i-1] {
+			keys[i] = keys[i-1]
+			continue
+		}
+		if d := m.userDests(u); len(d) > 0 {
+			keys[i] = destKey(d)
+			dests[keys[i]] = d
+		}
+	}
+	switch {
+	case len(dests) == 0:
+		return
+	case len(dests) == 1 && !slices.Contains(keys, ""):
+		m.append(rec, dests[keys[0]])
+		return
+	}
+	p, err := durable.DecodeClicks(rec)
+	if err != nil {
+		return
+	}
+	groups := make(map[string][]attention.Click, len(dests))
+	for i, cl := range p.Clicks {
+		if keys[i] != "" {
+			groups[keys[i]] = append(groups[keys[i]], cl)
+		}
+	}
+	for k, g := range groups {
+		m.append(durable.ClicksRecord(g), dests[k])
 	}
 }
 
@@ -345,13 +361,6 @@ func destKey(dests []string) string {
 		out += d + "\x00"
 	}
 	return out
-}
-
-func firstKey(m map[string][]attention.Click) string {
-	for k := range m {
-		return k
-	}
-	return ""
 }
 
 // append adds one entry to the shipping log, evicting the oldest past

@@ -41,8 +41,8 @@ func (f *fakeApplier) ApplyReplicated(recs []durable.Record) error {
 			f.recs = append(f.recs, rec)
 			continue
 		}
-		var p durable.ReplPosition
-		if err := json.Unmarshal(rec.Payload, &p); err != nil {
+		p, err := durable.DecodeReplPosition(rec)
+		if err != nil {
 			return err
 		}
 		if f.positions == nil {
@@ -163,8 +163,8 @@ func cursorRec(user string, seq int64) durable.Record {
 
 func cursorSeq(t *testing.T, rec durable.Record) int64 {
 	t.Helper()
-	var p durable.CursorAckPayload
-	if err := json.Unmarshal(rec.Payload, &p); err != nil {
+	p, err := durable.DecodeCursorAck(rec)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return p.Seq

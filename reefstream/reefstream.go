@@ -11,8 +11,10 @@
 // Every message on the wire is one internal/durable record frame
 // ([4B body length][4B CRC32-C][1B version][1B op][payload]), so the
 // ingest wire format and the WAL/replication format are a single codec
-// with a single fuzzer. Seven ops exist only on the wire and never in a
-// WAL file:
+// with a single fuzzer; the varint and length-prefix primitives of the
+// payloads below are internal/durable's, which the WAL's version-2
+// payloads are built from too. Stream frames carry version 1. Seven ops
+// exist only on the wire and never in a WAL file:
 //
 //	OpStreamHello      (8)  JSON handshake, both directions
 //	OpStreamPublish    (9)  [8B LE seq][uvarint n][n × event][optional 16B trace ID]
@@ -158,17 +160,13 @@ type hello struct {
 // events may encode differently. That is fine — frames are transport,
 // not identity.
 func AppendEvent(dst []byte, ev reef.Event) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(ev.Source)))
-	dst = append(dst, ev.Source...)
+	dst = durable.AppendString(dst, ev.Source)
 	dst = binary.AppendUvarint(dst, uint64(len(ev.Attrs)))
 	for k, v := range ev.Attrs {
-		dst = binary.AppendUvarint(dst, uint64(len(k)))
-		dst = append(dst, k...)
-		dst = binary.AppendUvarint(dst, uint64(len(v)))
-		dst = append(dst, v...)
+		dst = durable.AppendString(dst, k)
+		dst = durable.AppendString(dst, v)
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(ev.Payload)))
-	dst = append(dst, ev.Payload...)
+	dst = durable.AppendBytes(dst, ev.Payload)
 	var nanos uint64
 	if !ev.Published.IsZero() {
 		nanos = uint64(ev.Published.UnixNano())
@@ -194,23 +192,10 @@ func AppendEvents(dst []byte, evs []reef.Event) []byte {
 	return dst
 }
 
-func decodeUvarint(buf []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("%w: bad uvarint", ErrBadFrame)
-	}
-	return v, buf[n:], nil
-}
-
-func decodeBytes(buf []byte) ([]byte, []byte, error) {
-	n, rest, err := decodeUvarint(buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n > uint64(len(rest)) {
-		return nil, nil, fmt.Errorf("%w: length %d exceeds remaining %d", ErrBadFrame, n, len(rest))
-	}
-	return rest[:n], rest[n:], nil
+// badFrame marks an error of the shared durable codec as a malformed
+// stream payload, so callers keep matching ErrBadFrame.
+func badFrame(err error) error {
+	return fmt.Errorf("%w: %w", ErrBadFrame, err)
 }
 
 // decodeEvent decodes one event from the front of buf. shared is the
@@ -226,16 +211,16 @@ func decodeEvent(buf []byte, shared string) (reef.Event, []byte, error) {
 		return shared[end-len(f) : end]
 	}
 	var ev reef.Event
-	src, rest, err := decodeBytes(buf)
+	src, rest, err := durable.DecodeBytes(buf)
 	if err != nil {
-		return ev, nil, err
+		return ev, nil, badFrame(err)
 	}
 	if len(src) > 0 {
 		ev.Source = view(src, rest)
 	}
-	nattrs, rest, err := decodeUvarint(rest)
+	nattrs, rest, err := durable.DecodeUvarint(rest)
 	if err != nil {
-		return ev, nil, err
+		return ev, nil, badFrame(err)
 	}
 	// Each attribute costs at least two length bytes; anything claiming
 	// more attributes than remaining bytes is garbage, not a big event.
@@ -247,18 +232,18 @@ func decodeEvent(buf []byte, shared string) (reef.Event, []byte, error) {
 	}
 	for i := uint64(0); i < nattrs; i++ {
 		var k, v []byte
-		if k, rest, err = decodeBytes(rest); err != nil {
-			return ev, nil, err
+		if k, rest, err = durable.DecodeBytes(rest); err != nil {
+			return ev, nil, badFrame(err)
 		}
 		kv := view(k, rest)
-		if v, rest, err = decodeBytes(rest); err != nil {
-			return ev, nil, err
+		if v, rest, err = durable.DecodeBytes(rest); err != nil {
+			return ev, nil, badFrame(err)
 		}
 		ev.Attrs[kv] = view(v, rest)
 	}
-	payload, rest, err := decodeBytes(rest)
+	payload, rest, err := durable.DecodeBytes(rest)
 	if err != nil {
-		return ev, nil, err
+		return ev, nil, badFrame(err)
 	}
 	if len(payload) > 0 {
 		ev.Payload = append([]byte(nil), payload...)
@@ -285,9 +270,9 @@ func decodePublish(payload []byte, evs []reef.Event) (uint64, trace.ID, []reef.E
 		return 0, tr, nil, fmt.Errorf("%w: truncated publish header", ErrBadFrame)
 	}
 	seq := binary.LittleEndian.Uint64(payload[:8])
-	n, rest, err := decodeUvarint(payload[8:])
+	n, rest, err := durable.DecodeUvarint(payload[8:])
 	if err != nil {
-		return 0, tr, nil, err
+		return 0, tr, nil, badFrame(err)
 	}
 	if n > MaxFrameEvents || n > uint64(len(rest)) {
 		return 0, tr, nil, fmt.Errorf("%w: %d events in %d bytes", ErrBadFrame, n, len(rest))
@@ -356,9 +341,9 @@ func decodeAck(payload []byte) (ack, error) {
 		Delivered: binary.LittleEndian.Uint64(payload[8:16]),
 		Status:    int(payload[16]),
 	}
-	msg, rest, err := decodeBytes(payload[17:])
+	msg, rest, err := durable.DecodeBytes(payload[17:])
 	if err != nil {
-		return ack{}, err
+		return ack{}, badFrame(err)
 	}
 	if len(rest) != 0 {
 		return ack{}, fmt.Errorf("%w: %d trailing bytes after ack", ErrBadFrame, len(rest))
@@ -387,10 +372,8 @@ func appendSubscribeFrame(dst []byte, s subscribe) []byte {
 	binary.LittleEndian.PutUint64(fixed[8:16], s.CID)
 	n := 16 + binary.PutUvarint(fixed[16:], s.Credit)
 	body := make([]byte, 0, 2*binary.MaxVarintLen64+len(s.User)+len(s.SubID))
-	body = binary.AppendUvarint(body, uint64(len(s.User)))
-	body = append(body, s.User...)
-	body = binary.AppendUvarint(body, uint64(len(s.SubID)))
-	body = append(body, s.SubID...)
+	body = durable.AppendString(body, s.User)
+	body = durable.AppendString(body, s.SubID)
 	return durable.AppendFrameParts(dst, durable.OpStreamSubscribe, fixed[:n], body)
 }
 
@@ -402,18 +385,18 @@ func decodeSubscribe(payload []byte) (subscribe, error) {
 		Seq: binary.LittleEndian.Uint64(payload[0:8]),
 		CID: binary.LittleEndian.Uint64(payload[8:16]),
 	}
-	credit, rest, err := decodeUvarint(payload[16:])
+	credit, rest, err := durable.DecodeUvarint(payload[16:])
 	if err != nil {
-		return subscribe{}, err
+		return subscribe{}, badFrame(err)
 	}
 	s.Credit = credit
-	user, rest, err := decodeBytes(rest)
+	user, rest, err := durable.DecodeBytes(rest)
 	if err != nil {
-		return subscribe{}, err
+		return subscribe{}, badFrame(err)
 	}
-	subID, rest, err := decodeBytes(rest)
+	subID, rest, err := durable.DecodeBytes(rest)
 	if err != nil {
-		return subscribe{}, err
+		return subscribe{}, badFrame(err)
 	}
 	if len(rest) != 0 {
 		return subscribe{}, fmt.Errorf("%w: %d trailing bytes after subscribe", ErrBadFrame, len(rest))
@@ -453,9 +436,9 @@ func decodeDeliver(payload []byte, evs []reef.DeliveredEvent) (uint64, []reef.De
 		return 0, nil, fmt.Errorf("%w: truncated deliver header", ErrBadFrame)
 	}
 	cid := binary.LittleEndian.Uint64(payload[:8])
-	n, rest, err := decodeUvarint(payload[8:])
+	n, rest, err := durable.DecodeUvarint(payload[8:])
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, badFrame(err)
 	}
 	if n > MaxFrameEvents || n > uint64(len(rest)) {
 		return 0, nil, fmt.Errorf("%w: %d deliveries in %d bytes", ErrBadFrame, n, len(rest))
@@ -467,9 +450,9 @@ func decodeDeliver(payload []byte, evs []reef.DeliveredEvent) (uint64, []reef.De
 		}
 		seq := binary.LittleEndian.Uint64(rest[:8])
 		rest = rest[8:]
-		attempts, r2, err := decodeUvarint(rest)
+		attempts, r2, err := durable.DecodeUvarint(rest)
 		if err != nil {
-			return 0, nil, err
+			return 0, nil, badFrame(err)
 		}
 		rest = r2
 		var ev reef.Event
@@ -540,9 +523,9 @@ func decodeCredit(payload []byte) (credit, error) {
 		return credit{}, fmt.Errorf("%w: truncated credit", ErrBadFrame)
 	}
 	c := credit{CID: binary.LittleEndian.Uint64(payload[0:8])}
-	n, rest, err := decodeUvarint(payload[8:])
+	n, rest, err := durable.DecodeUvarint(payload[8:])
 	if err != nil {
-		return credit{}, err
+		return credit{}, badFrame(err)
 	}
 	if len(rest) != 0 {
 		return credit{}, fmt.Errorf("%w: %d trailing bytes after credit", ErrBadFrame, len(rest))

@@ -2,7 +2,6 @@ package reef
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -237,47 +236,48 @@ func (r *router) replayState(st *durable.State, pos func(durable.ReplPosition)) 
 	return nil
 }
 
-// replayRecord re-applies one WAL record.
+// replayRecord re-applies one WAL record, decoded by its op's typed
+// decoder.
 func (r *router) replayRecord(rec durable.Record, pos func(durable.ReplPosition)) error {
 	switch rec.Op {
 	case durable.OpClicks:
-		p, err := decode[durable.ClicksPayload](rec)
+		p, err := durable.DecodeClicks(rec)
 		if err != nil {
 			return err
 		}
 		return r.replayClickStore(p.Clicks, nil)
 	case durable.OpFlag:
-		p, err := decode[durable.FlagPayload](rec)
+		p, err := durable.DecodeFlag(rec)
 		if err != nil {
 			return err
 		}
 		return r.replayClickStore(nil, map[string]int{p.Host: p.Flag})
 	case durable.OpSubscribe, durable.OpUnsubscribe:
-		p, err := decode[durable.SubscriptionState](rec)
+		p, err := durable.DecodeSubscription(rec)
 		if err != nil {
 			return err
 		}
 		return r.replaySub(p, rec.Op == durable.OpUnsubscribe)
 	case durable.OpCursorAck:
-		p, err := decode[durable.CursorAckPayload](rec)
+		p, err := durable.DecodeCursorAck(rec)
 		if err != nil {
 			return err
 		}
 		r.shard(p.User).restoreCursor(p.User, p.ID, p.Seq)
 	case durable.OpReplPosition:
-		p, err := decode[durable.ReplPosition](rec)
+		p, err := durable.DecodeReplPosition(rec)
 		if err != nil {
 			return err
 		}
 		pos(p)
 	case durable.OpPendingAdd:
-		p, err := decode[durable.PendingAddPayload](rec)
+		p, err := durable.DecodePendingAdd(rec)
 		if err != nil {
 			return err
 		}
 		return r.restorePending(p)
 	case durable.OpPendingTake:
-		p, err := decode[durable.PendingTakePayload](rec)
+		p, err := durable.DecodePendingTake(rec)
 		if err != nil {
 			return err
 		}
@@ -296,13 +296,6 @@ func (r *router) replayRecord(rec durable.Record, pos func(durable.ReplPosition)
 		return fmt.Errorf("unexpected op %v", rec.Op)
 	}
 	return nil
-}
-
-// decode unmarshals a record's payload.
-func decode[T any](rec durable.Record) (T, error) {
-	var p T
-	err := json.Unmarshal(rec.Payload, &p)
-	return p, err
 }
 
 // replayClickStore re-applies what the server policy journals itself: a

@@ -93,24 +93,24 @@ func TestWALBudgets(t *testing.T) {
 		op             func() error
 		check          func(t *testing.T)
 	}{
-		{name: "best-effort subscribe", records: 1, bytes: 248, op: func() error {
+		{name: "best-effort subscribe", records: 1, bytes: 164, op: func() error {
 			_, err := dep.Subscribe(ctx, "u2", feeds[0])
 			return err
 		}},
-		{name: "reliable subscribe", records: 1, bytes: 289, op: func() error {
+		{name: "reliable subscribe", records: 1, bytes: 180, op: func() error {
 			_, err := dep.Subscribe(ctx, "u4", feeds[1], reef.WithGuarantee(reef.AtLeastOnce))
 			return err
 		}},
-		{name: "unsubscribe", records: 1, bytes: 171, op: func() error {
+		{name: "unsubscribe", records: 1, bytes: 103, op: func() error {
 			return dep.Unsubscribe(ctx, "u2", feeds[0])
 		}},
-		{name: "accept", records: 1, bytes: 87, op: func() error {
+		{name: "accept", records: 1, bytes: 28, op: func() error {
 			return dep.AcceptRecommendation(ctx, "u1", recs[0].ID)
 		}},
-		{name: "cursor ack", records: 1, bytes: 110, op: func() error {
+		{name: "cursor ack", records: 1, bytes: 59, op: func() error {
 			return dep.Ack(ctx, "u3", held.ID, leased[0].Seq, false)
 		}},
-		{name: "replicated batch", records: 3, bytes: 333, op: func() error {
+		{name: "replicated batch", records: 3, bytes: 158, op: func() error {
 			return dep.ApplyReplicated([]durable.Record{
 				durable.ClicksRecord(clicks),
 				durable.FlagRecord("ads.test", 1),
