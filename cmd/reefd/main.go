@@ -40,10 +40,10 @@
 //
 // # Streaming data plane
 //
-// REST is the control plane; the two hot paths — publish, and the
-// reliable consume loop (server-pushed fetches with pipelined acks) —
-// can ride a persistent, length-prefixed binary stream instead (package
-// reefstream). -stream-addr (node mode) opens the stream listener next
+// REST is the control plane; the hot paths — publish, the reliable
+// consume loop (server-pushed fetches with pipelined acks), and a
+// router's click forwards — can ride a persistent, length-prefixed
+// binary stream instead (package reefstream). -stream-addr (node mode) opens the stream listener next
 // to the REST surface and advertises it in /v1/healthz:
 //
 //	reefd -addr :7070 -node-id n1 -stream-addr :7071
@@ -51,7 +51,8 @@
 // -cluster-streams (router mode) maps node IDs to their stream
 // addresses; listed nodes receive fan-out publishes over one long-lived
 // stream each, with frames encoded once and shared across nodes, and
-// serve their own users' consume traffic over the same connection. A
+// serve their own users' consume traffic and click batches over the
+// same connection. A
 // node whose stream fails falls back to REST for that call without
 // being demoted:
 //
@@ -168,7 +169,7 @@ func main() {
 	nodeID := flag.String("node-id", "", "this node's cluster identity, stamped into /v1/healthz and /v1/readyz")
 	streamAddr := flag.String("stream-addr", "", "listen address for the binary data plane (reefstream publish + consume); empty disables it")
 	clusterNodes := flag.String("cluster-nodes", "", "run as a cluster router over these nodes (comma-separated id=url pairs) instead of a local deployment")
-	clusterStreams := flag.String("cluster-streams", "", "stream addresses for -cluster-nodes entries (comma-separated id=host:port pairs); listed nodes receive publishes over the binary stream instead of REST")
+	clusterStreams := flag.String("cluster-streams", "", "stream addresses for -cluster-nodes entries (comma-separated id=host:port pairs); listed nodes receive publishes, consume traffic and click batches over the binary stream instead of REST")
 	replicas := flag.Int("replicas", 0, "replicas per user: node mode ships the WAL to each user's k replica nodes (needs -data-dir, -node-id and -peers); router mode fails user calls over to the first up replica")
 	peers := flag.String("peers", "", "the cluster seed list this node replicates over (comma-separated id=url pairs, same order on every node; must include -node-id)")
 	drainGrace := flag.Duration("drain-grace", 500*time.Millisecond, "how long /v1/readyz advertises draining before the listener closes")

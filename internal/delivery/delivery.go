@@ -147,9 +147,10 @@ type Queue struct {
 	pending []*entry
 	dlq     []DeadLetter
 
-	// watchers receive a non-blocking signal on every Append; this is
-	// the hook that lets pushed delivery (and REST long-poll) replace
-	// tight fetch loops. Keyed so cancel is O(1) under churn.
+	// watchers receive a non-blocking signal on every Append and on an
+	// Ack that leaves events retained; this is the hook that lets pushed
+	// delivery (and REST long-poll) replace tight fetch loops. Keyed so
+	// cancel is O(1) under churn.
 	watchers   map[uint64]chan<- struct{}
 	watcherSeq uint64
 
@@ -185,20 +186,27 @@ func (q *Queue) Append(ev pubsub.Event, now time.Time) int64 {
 		q.deadLetterLocked(q.pending[0], now, ReasonOverflow)
 		q.pending = q.pending[1:]
 	}
+	q.signalLocked()
+	return q.nextSeq
+}
+
+// signalLocked wakes every registered watcher (non-blocking: a full
+// channel has already been told there is work). Caller must hold q.mu.
+func (q *Queue) signalLocked() {
 	for _, ch := range q.watchers {
 		select {
 		case ch <- struct{}{}:
 		default:
 		}
 	}
-	return q.nextSeq
 }
 
-// Notify registers ch for a non-blocking signal on every Append, and
-// returns a cancel func that unregisters it. The signal is an edge, not
-// a level: use a 1-buffered channel and always re-Fetch after waking.
-// Lease expiry does NOT signal — a waiter that also cares about
-// redelivery must poll on its own (coarse) timer.
+// Notify registers ch for a non-blocking signal on every Append, and on
+// every Ack that leaves events retained, and returns a cancel func that
+// unregisters it. The signal is an edge, not a level: use a 1-buffered
+// channel and always re-Fetch after waking. Lease expiry does NOT
+// signal — a waiter that also cares about redelivery must poll on its
+// own (coarse) timer.
 func (q *Queue) Notify(ch chan<- struct{}) (cancel func()) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -332,6 +340,11 @@ func (q *Queue) Ack(seq int64, now time.Time) error {
 		q.pending[i] = nil
 	}
 	q.pending = keep
+	// Events appended while the acked head was leased could not be
+	// fetched past it; the cursor moving is what makes them eligible.
+	if len(keep) > 0 {
+		q.signalLocked()
+	}
 	return nil
 }
 

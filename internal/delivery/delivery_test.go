@@ -299,6 +299,48 @@ func TestNotifySignalsOnAppend(t *testing.T) {
 	cancelB()
 }
 
+// TestNotifySignalsOnAckBehindLease pins that an Ack which leaves events
+// retained wakes the watchers: an event appended while the head was
+// leased could not be fetched when its Append signalled, and the cursor
+// moving past the head is what makes it eligible. An Ack that empties
+// the queue has nothing to announce.
+func TestNotifySignalsOnAckBehindLease(t *testing.T) {
+	now := time.Unix(1000, 0)
+	q := testQueue(Config{AckTimeout: time.Minute, MaxAttempts: 3})
+	w := make(chan struct{}, 1)
+	defer q.Notify(w)()
+
+	q.Append(ev(1), now)
+	<-w
+	if got := q.Fetch(10, now); len(got) != 1 {
+		t.Fatalf("fetch = %v, want [1]", seqs(got))
+	}
+	q.Append(ev(2), now)
+	<-w
+	if got := q.Fetch(10, now); len(got) != 0 {
+		t.Fatalf("fetch behind the leased head = %v, want none", seqs(got))
+	}
+	if err := q.Ack(1, now); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-w:
+	default:
+		t.Fatal("Ack that unblocked a retained event did not signal the watcher")
+	}
+	if got := q.Fetch(10, now); len(got) != 1 || got[0].Seq != 2 {
+		t.Fatalf("fetch after the ack = %v, want [2]", seqs(got))
+	}
+	if err := q.Ack(2, now); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-w:
+		t.Fatal("Ack that emptied the queue signalled the watcher")
+	default:
+	}
+}
+
 // TestFetchIntoReusesBuffer pins the pooled fetch path: FetchInto
 // appends onto dst, max bounds only the newly appended events, and a
 // recycled buffer serves the next fetch without reallocating.

@@ -49,15 +49,22 @@ func ClicksRecord(batch []attention.Click) Record {
 	for _, c := range batch {
 		n += len(c.User) + len(c.URL) + len(c.Referrer) + fixedRoom
 	}
-	p := binary.AppendUvarint(make([]byte, 0, n), uint64(len(batch)))
+	return Record{Op: OpClicks, Version: VersionBinary, Payload: AppendClicks(make([]byte, 0, n), batch)}
+}
+
+// AppendClicks appends the OpClicks version-2 payload of batch to dst.
+// The stream plane's click frames carry exactly these bytes, so the WAL
+// and the wire share one click codec.
+func AppendClicks(dst []byte, batch []attention.Click) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(batch)))
 	for _, c := range batch {
-		p = AppendString(p, c.User)
-		p = AppendString(p, c.URL)
-		p = appendTime(p, c.At)
-		p = AppendString(p, c.Referrer)
-		p = appendBool(p, c.FromEvent)
+		dst = AppendString(dst, c.User)
+		dst = AppendString(dst, c.URL)
+		dst = appendTime(dst, c.At)
+		dst = AppendString(dst, c.Referrer)
+		dst = appendBool(dst, c.FromEvent)
 	}
-	return Record{Op: OpClicks, Version: VersionBinary, Payload: p}
+	return dst
 }
 
 // FlagRecord builds an OpFlag record.
@@ -173,6 +180,9 @@ func DecodeClicks(rec Record) (ClicksPayload, error) {
 	return decodePayload(rec, func(r *reader) ClicksPayload {
 		var p ClicksPayload
 		n := r.count(minClickLen)
+		if n > 0 {
+			p.Clicks = make([]attention.Click, 0, n)
+		}
 		prev := ""
 		for i := 0; i < n && r.err == nil; i++ {
 			c := attention.Click{User: r.stringLike(prev), URL: r.string(), At: r.time(), Referrer: r.string(), FromEvent: r.bool()}

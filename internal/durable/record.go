@@ -98,8 +98,8 @@ const (
 	// OpStreamPublish carries a pipelined publish batch (binary payload:
 	// sequence number + encoded events).
 	OpStreamPublish Op = 9
-	// OpStreamAck answers one publish frame (binary payload: sequence
-	// number, delivered count, status).
+	// OpStreamAck answers one publish, subscribe, consume-ack or clicks
+	// frame (binary payload: sequence number, delivered count, status).
 	OpStreamAck Op = 10
 
 	// The consume family extends the stream plane into a bidirectional
@@ -129,8 +129,14 @@ const (
 	// older than this op stops replay at it (ErrUnknownOp).
 	OpReplPosition Op = 15
 
+	// OpStreamClicks carries a click batch a router forwards to the
+	// user's owning node (binary payload: sequence number + an OpClicks
+	// version-2 payload). Like 8–14 it exists only on the wire, never in
+	// a WAL file.
+	OpStreamClicks Op = 16
+
 	// opMax is one past the last defined op.
-	opMax = 16
+	opMax = 17
 )
 
 // String names the op.
@@ -166,6 +172,8 @@ func (o Op) String() string {
 		return "stream-credit"
 	case OpReplPosition:
 		return "repl-position"
+	case OpStreamClicks:
+		return "stream-clicks"
 	default:
 		return fmt.Sprintf("op(%d)", byte(o))
 	}

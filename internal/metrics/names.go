@@ -138,6 +138,7 @@ var (
 	StreamFramesIn    = Def{"", "reef_stream_frames_in_total", KindCounter, "Publish frames decoded from stream connections."}
 	StreamFramesOut   = Def{"", "reef_stream_frames_out_total", KindCounter, "Frames written to stream connections (acks and deliveries)."}
 	StreamEventsIn    = Def{"", "reef_stream_events_in_total", KindCounter, "Events ingested over stream connections."}
+	StreamClicksIn    = Def{"", "reef_stream_clicks_in_total", KindCounter, "Clicks ingested over stream connections."}
 	StreamBatchEvents = Def{"", "reef_stream_batch_events", KindHistogram, "Coalesced events applied per stream batch."}
 	StreamConsumers   = Def{"", "reef_stream_consumers", KindGauge, "Consumers attached to the stream consume plane."}
 	StreamDelivered   = Def{"", "reef_stream_delivered_total", KindCounter, "Events pushed to stream consumers."}
@@ -165,7 +166,7 @@ var Defs = []Def{
 	ReplicationReplicas, ReplicationLogLen, ReplicationPeers, ReplicationPending,
 	ReplicationResyncs, ReplicationLagP99Micros, ReplicationAppliedRecords,
 	HTTPRequests, HTTPRequestSeconds, HTTPInFlight,
-	StreamConns, StreamFramesIn, StreamFramesOut, StreamEventsIn,
+	StreamConns, StreamFramesIn, StreamFramesOut, StreamEventsIn, StreamClicksIn,
 	StreamBatchEvents, StreamConsumers, StreamDelivered, StreamAckSeconds,
 	TraceSpans,
 }

@@ -162,7 +162,7 @@ type Cluster struct {
 	nodes    []Node
 	replicas int
 	clients  []*reefclient.Client // forwarding clients, with retry
-	streams  []*reefstream.Client // publish data planes; nil where the node has no StreamAddr
+	streams  []*reefstream.Client // data planes (publish, consume, clicks); nil where the node has no StreamAddr
 	tracker  *membership.Tracker
 	metrics  *metrics.Registry
 	logger   *slog.Logger
@@ -471,7 +471,8 @@ func (c *Cluster) forwardErr(ctx context.Context, i int, err error) error {
 // is what actually landed, also alongside an error, so a caller
 // retrying a failed batch knows it may duplicate clicks on the
 // surviving groups; callers that need exactly-once should batch
-// per user.
+// per user. A group rides its node's stream when the node takes clicks
+// frames (see ingestGroup).
 func (c *Cluster) IngestClicks(ctx context.Context, clicks []reef.Click) (int, error) {
 	if err := c.checkOpen(ctx); err != nil {
 		return 0, err
@@ -505,20 +506,32 @@ func (c *Cluster) IngestClicks(ctx context.Context, clicks []reef.Click) (int, e
 		wg.Add(1)
 		go func(i int, g []reef.Click) {
 			defer wg.Done()
-			n, err := c.clients[i].IngestClicks(ctx, g)
+			n, err := c.ingestGroup(ctx, i, g)
 			mu.Lock()
 			defer mu.Unlock()
-			if err != nil {
-				if first == nil {
-					first = c.forwardErr(ctx, i, err)
-				}
-				return
-			}
 			total += n
+			if err != nil && first == nil {
+				first = c.forwardErr(ctx, i, err)
+			}
 		}(i, g)
 	}
 	wg.Wait()
 	return total, first
+}
+
+// ingestGroup forwards one node's group over its stream, or over REST
+// when the node has no stream or the stream proves the group was never
+// sent (dial or handshake failed, or the node predates clicks frames).
+// Any other stream failure is final: the frame may have landed, and
+// clicks are not idempotent, so the group is never repeated over REST.
+func (c *Cluster) ingestGroup(ctx context.Context, i int, g []reef.Click) (int, error) {
+	if sc := c.streams[i]; sc != nil {
+		n, err := sc.IngestClicks(ctx, g)
+		if !errors.Is(err, reefstream.ErrNotSent) {
+			return n, err
+		}
+	}
+	return c.clients[i].IngestClicks(ctx, g)
 }
 
 // Subscriptions implements reef.Deployment by forwarding to the owner.

@@ -1,12 +1,18 @@
 package reefcluster_test
 
 import (
+	"bufio"
 	"context"
 	"errors"
+	"io"
+	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"reef"
+	"reef/internal/durable"
 	"reef/internal/metrics"
 	"reef/reefcluster"
 	"reef/reefstream"
@@ -136,6 +142,179 @@ func TestClusterStreamFallsBackToREST(t *testing.T) {
 	}
 	if stats["nodes_up"] != 2 {
 		t.Errorf("nodes_up = %v, want 2 (a dead stream listener is not a dead node)", stats["nodes_up"])
+	}
+}
+
+// TestClusterStreamClicks pins that click batches ride the stream
+// plane: every click lands on its owner, the accepted count matches,
+// and each node's stream clicks counter equals the clicks it owns, so
+// REST carried none of them.
+func TestClusterStreamClicks(t *testing.T) {
+	ctx := context.Background()
+	cl, nodes, streams := startStreamCluster(t, 3, nil)
+	byNode := usersPerNode(cl, nodes, 3)
+
+	var clicks []reef.Click
+	owned := make(map[string]int)
+	for id, users := range byNode {
+		for _, u := range users {
+			for j := 0; j < 5; j++ {
+				clicks = append(clicks, reef.Click{User: u, URL: "http://site.test/p.html", At: t0.Add(time.Duration(j) * time.Minute)})
+				owned[id]++
+			}
+		}
+	}
+	accepted, err := cl.IngestClicks(ctx, clicks)
+	if err != nil || accepted != len(clicks) {
+		t.Fatalf("IngestClicks = (%d, %v), want %d", accepted, err, len(clicks))
+	}
+	for i, n := range nodes {
+		stats, err := n.dep.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats["clicks_stored"] != float64(owned[n.id]) {
+			t.Errorf("node %s stores %v clicks, want the %d of its users", n.id, stats["clicks_stored"], owned[n.id])
+		}
+		if got := streams[i].Metrics().Counter(metrics.StreamClicksIn.Name).Value(); got != int64(owned[n.id]) {
+			t.Errorf("node %s %s = %d, want %d", n.id, metrics.StreamClicksIn.Name, got, owned[n.id])
+		}
+	}
+}
+
+// fakeStream stands in for one node's stream listener: it answers each
+// hello with reply and counts the clicks frames it reads across all
+// connections, closing a connection on its first one — what a node
+// does that predates the clicks op, or that dies mid-frame.
+type fakeStream struct {
+	ln     net.Listener
+	hellos atomic.Int64
+	clicks atomic.Int64
+	wg     sync.WaitGroup
+}
+
+func startFakeStream(t *testing.T, reply string) *fakeStream {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &fakeStream{ln: ln}
+	f.wg.Add(1)
+	go func() {
+		defer f.wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			f.wg.Add(1)
+			go func() {
+				defer f.wg.Done()
+				defer conn.Close()
+				f.serve(conn, reply)
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		f.wg.Wait()
+	})
+	return f
+}
+
+func (f *fakeStream) serve(conn net.Conn, reply string) {
+	br := bufio.NewReader(conn)
+	for {
+		hdr := make([]byte, durable.FrameHeaderLen)
+		if _, err := io.ReadFull(br, hdr); err != nil {
+			return
+		}
+		frame := append(hdr, make([]byte, durable.FrameBodyLen(hdr))...)
+		if _, err := io.ReadFull(br, frame[durable.FrameHeaderLen:]); err != nil {
+			return
+		}
+		rec, _, err := durable.DecodeFrame(frame)
+		if err != nil {
+			return
+		}
+		switch rec.Op {
+		case durable.OpStreamHello:
+			f.hellos.Add(1)
+			if _, err := conn.Write(durable.Record{Op: durable.OpStreamHello, Payload: []byte(reply)}.AppendEncoded(nil)); err != nil {
+				return
+			}
+		case durable.OpStreamClicks:
+			f.clicks.Add(1)
+			return
+		}
+	}
+}
+
+// startFakeStreamNode boots one real node (REST alive) whose configured
+// stream address is a fake answering reply, and a router over it.
+func startFakeStreamNode(t *testing.T, reply string) (*reefcluster.Cluster, *testNode, *fakeStream) {
+	t.Helper()
+	node := startTestNode(t, "a", 0, testWeb(71))
+	fake := startFakeStream(t, reply)
+	cl, err := reefcluster.New(reefcluster.Config{
+		Nodes:         []reefcluster.Node{{ID: "a", BaseURL: node.url(), StreamAddr: fake.ln.Addr().String()}},
+		ProbeInterval: time.Hour,
+		ProbeTimeout:  2 * time.Second,
+		CallTimeout:   5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cl.Close() })
+	return cl, node, fake
+}
+
+// TestClusterStreamClicksMixedVersions pins the upgrade path: a node
+// whose stream hello lacks the clicks capability (built before the
+// verb) gets its clicks over REST, and is never sent a clicks frame,
+// which it would refuse by killing the connection.
+func TestClusterStreamClicksMixedVersions(t *testing.T) {
+	ctx := context.Background()
+	cl, node, fake := startFakeStreamNode(t, `{"proto":1,"node":"a"}`)
+	clicks := []reef.Click{
+		{User: "u1", URL: "http://site.test/a.html", At: t0},
+		{User: "u2", URL: "http://site.test/b.html", At: t0},
+	}
+	if n, err := cl.IngestClicks(ctx, clicks); err != nil || n != len(clicks) {
+		t.Fatalf("IngestClicks = (%d, %v), want %d over REST", n, err, len(clicks))
+	}
+	stats, err := node.dep.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats["clicks_stored"] != float64(len(clicks)) {
+		t.Errorf("clicks_stored = %v, want %d", stats["clicks_stored"], len(clicks))
+	}
+	if fake.hellos.Load() == 0 || fake.clicks.Load() != 0 {
+		t.Errorf("old stream saw %d hellos and %d clicks frames, want some and 0", fake.hellos.Load(), fake.clicks.Load())
+	}
+}
+
+// TestClusterStreamClicksNeverResent pins that the router never repeats
+// a click batch: the node's stream reads the frame and dies before the
+// ack, so the clicks may have landed, and the router reports the
+// failure instead of sending the batch again over REST or a new stream.
+func TestClusterStreamClicksNeverResent(t *testing.T) {
+	ctx := context.Background()
+	cl, node, fake := startFakeStreamNode(t, `{"proto":1,"node":"a","clicks":true}`)
+	if _, err := cl.IngestClicks(ctx, []reef.Click{{User: "u1", URL: "http://site.test/a.html", At: t0}}); err == nil {
+		t.Fatal("IngestClicks succeeded though the stream died before the ack")
+	}
+	if got := fake.clicks.Load(); got != 1 {
+		t.Errorf("stream read %d clicks frames, want exactly 1", got)
+	}
+	stats, err := node.dep.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats["clicks_stored"] != 0 {
+		t.Errorf("clicks_stored = %v, want 0: the batch was repeated over REST", stats["clicks_stored"])
 	}
 }
 

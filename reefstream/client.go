@@ -87,10 +87,9 @@ func (c *Client) Metrics() *metrics.Registry { return c.metrics }
 // Addr reports the address the client dials.
 func (c *Client) Addr() string { return c.addr }
 
-// payloadPool recycles publish payload encode buffers. Safe because
-// roundTrip copies the payload into its own frame buffer before
-// queueing it, so the payload is unreferenced once PublishPayload
-// returns.
+// payloadPool recycles publish and clicks payload encode buffers. Safe
+// because roundTrip copies the payload into its own frame buffer before
+// queueing it, so the payload is unreferenced once roundTrip returns.
 var payloadPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // PublishEvent publishes one event and returns its delivered count.
@@ -147,7 +146,7 @@ func (c *Client) PublishPayload(ctx context.Context, payload []byte) (int, error
 			return 0, err
 		}
 		begin := time.Now()
-		delivered, err := sc.roundTrip(ctx, payload)
+		delivered, err := sc.roundTrip(ctx, durable.OpStreamPublish, payload)
 		if err == nil {
 			c.mAckRTT.Observe(time.Since(begin).Seconds())
 			return delivered, nil
@@ -162,6 +161,47 @@ func (c *Client) PublishPayload(ctx context.Context, payload []byte) (int, error
 		lastErr = err
 	}
 	return 0, fmt.Errorf("reefstream: publish to %s: %w", c.addr, lastErr)
+}
+
+// IngestClicks forwards a click batch to the server's deployment in
+// clicks frames of at most MaxFrameEvents clicks, and returns how many
+// clicks the server accepted. Clicks are not idempotent, so unlike
+// PublishPayload it never re-sends a frame: once a frame is queued, a
+// dead connection is an error, and the count covers the frames acked
+// before it. An error wrapping ErrNotSent means nothing was sent; it
+// also wraps reef.ErrUnsupported when the server's hello did not
+// advertise the clicks verb.
+func (c *Client) IngestClicks(ctx context.Context, clicks []reef.Click) (int, error) {
+	if len(clicks) == 0 {
+		return 0, nil
+	}
+	sc, err := c.getConn(ctx)
+	if err != nil {
+		return 0, fmt.Errorf("%w: %w", ErrNotSent, err)
+	}
+	if !sc.clicks {
+		return 0, fmt.Errorf("%w: %w: %s does not take clicks frames", ErrNotSent, reef.ErrUnsupported, c.addr)
+	}
+	pp := payloadPool.Get().(*[]byte)
+	defer payloadPool.Put(pp)
+	total := 0
+	for len(clicks) > 0 {
+		n := min(len(clicks), MaxFrameEvents)
+		buf := durable.AppendClicks((*pp)[:0], clicks[:n])
+		*pp = buf
+		// A frame the server cannot read would kill the connection
+		// after the frames before it landed; refuse it unsent instead.
+		if 2+8+len(buf) > durable.MaxRecordLen { // version + op + seq + payload
+			return total, fmt.Errorf("%w: %d clicks encode to %d bytes, over the frame limit", reef.ErrInvalidArgument, n, len(buf))
+		}
+		accepted, err := sc.roundTrip(ctx, durable.OpStreamClicks, buf)
+		total += accepted
+		if err != nil {
+			return total, err
+		}
+		clicks = clicks[n:]
+	}
+	return total, nil
 }
 
 // Close closes the client and its connection. Further publishes return
@@ -257,6 +297,7 @@ func (c *Client) dial() (*streamConn, error) {
 type streamConn struct {
 	conn    net.Conn
 	writeCh chan *[]byte
+	clicks  bool // the server's hello advertised the clicks verb
 
 	wmu     sync.Mutex
 	nextSeq uint64
@@ -318,6 +359,7 @@ func newStreamConn(conn net.Conn, expectNode string, hsTimeout, callTimeout time
 	sc := &streamConn{
 		conn:      conn,
 		writeCh:   make(chan *[]byte, 256),
+		clicks:    h.Clicks,
 		waiters:   make(map[uint64]chan ack),
 		consumers: make(map[string]*clientConsumer),
 		byCID:     make(map[uint64]*clientConsumer),
@@ -542,17 +584,21 @@ func (sc *streamConn) finishCall(ctx context.Context, seq uint64, waiter chan ac
 	return a, nil
 }
 
-// roundTrip queues one publish frame and waits for its ack. A trace ID
-// carried by ctx rides the frame's optional trailing field, stitching
-// the publish into the server's span ring.
-func (sc *streamConn) roundTrip(ctx context.Context, payload []byte) (int, error) {
+// roundTrip queues one publish or clicks frame and waits for its ack.
+// A trace ID carried by ctx rides a publish frame's optional trailing
+// field, stitching the publish into the server's span ring.
+func (sc *streamConn) roundTrip(ctx context.Context, op durable.Op, payload []byte) (int, error) {
 	seq, waiter, err := sc.beginCall()
 	if err != nil {
 		return 0, err
 	}
-	tr, _ := trace.FromContext(ctx)
 	fp := framePool.Get().(*[]byte)
-	*fp = appendPublishFrame((*fp)[:0], seq, payload, tr)
+	if op == durable.OpStreamClicks {
+		*fp = appendClicksFrame((*fp)[:0], seq, payload)
+	} else {
+		tr, _ := trace.FromContext(ctx)
+		*fp = appendPublishFrame((*fp)[:0], seq, payload, tr)
+	}
 	a, err := sc.finishCall(ctx, seq, waiter, fp)
 	if err != nil {
 		return 0, err

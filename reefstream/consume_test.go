@@ -257,3 +257,61 @@ func TestStreamConsumeUnsupportedSubscription(t *testing.T) {
 		t.Error("FetchEvents for an unknown user succeeded, want typed refusal")
 	}
 }
+
+// TestStreamAckWakesPusher pins that a consume-ack wakes the pusher: an
+// event published while the head was leased arrives right after the
+// ack retires the head, not on the next redelivery tick. Each round
+// starts right after the previous one's delivery, so a pusher that
+// waited for the tick would miss the bound in every round after the
+// first.
+func TestStreamAckWakesPusher(t *testing.T) {
+	const feed = "http://h.test/f"
+	const user = "user-000"
+	const bound = 50 * time.Millisecond
+	dep := newDep(t, feed, 1)
+	subscribeReliable(t, dep, user, feed, time.Minute)
+	srv, err := reefstream.Listen("127.0.0.1:0", dep)
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer srv.Close()
+	cl := reefstream.NewClient(srv.Addr().String())
+	defer cl.Close()
+	ctx := context.Background()
+
+	fetchOne := func() reef.DeliveredEvent {
+		t.Helper()
+		fctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+		defer cancel()
+		evs, err := cl.FetchEvents(fctx, user, feed, 16)
+		if err != nil || len(evs) != 1 {
+			t.Fatalf("FetchEvents = (%d events, %v), want 1", len(evs), err)
+		}
+		return evs[0]
+	}
+	for round := 0; round < 5; round++ {
+		if _, err := cl.PublishEvent(ctx, feedEvent(feed)); err != nil {
+			t.Fatal(err)
+		}
+		head := fetchOne()
+		// Published behind the leased head: its append wakes the pusher,
+		// which cannot fetch past the lease.
+		if _, err := cl.PublishEvent(ctx, feedEvent(feed)); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		if err := cl.Ack(ctx, user, feed, head.Seq, false); err != nil {
+			t.Fatal(err)
+		}
+		next := fetchOne()
+		if wait := time.Since(start); wait >= bound {
+			t.Errorf("round %d: event %d arrived %v after the ack, want < %v", round, next.Seq, wait, bound)
+		}
+		if next.Seq != head.Seq+1 {
+			t.Fatalf("round %d: got seq %d after acking %d", round, next.Seq, head.Seq)
+		}
+		if err := cl.Ack(ctx, user, feed, next.Seq, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

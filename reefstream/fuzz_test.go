@@ -1,10 +1,14 @@
 package reefstream
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"os"
 	"testing"
 	"time"
+	"unsafe"
 
 	"reef"
 	"reef/internal/durable"
@@ -297,4 +301,106 @@ func TestConsumeCodecRoundTrip(t *testing.T) {
 	if got, err := decodeCredit(rec.Payload); err != nil || got != wantCr {
 		t.Errorf("credit round trip = (%+v, %v), want %+v", got, err, wantCr)
 	}
+}
+
+// sampleClicks covers what the click codec must carry: times in UTC, at
+// +02:00 and +05:45, in the local zone and zero; an empty referrer; a
+// click from an event; consecutive clicks by one user.
+func sampleClicks() []reef.Click {
+	at := time.Date(2006, 1, 2, 15, 4, 5, 123456789, time.UTC)
+	return []reef.Click{
+		{User: "alice", URL: "http://h.test/a.html", At: at, Referrer: "http://h.test/"},
+		{User: "alice", URL: "http://h.test/b.html", At: at.In(time.FixedZone("", 2*3600))},
+		{User: "bob", URL: "http://h.test/c.html", At: at.In(time.FixedZone("", 5*3600+45*60)), FromEvent: true},
+		{User: "bob", URL: "http://h.test/d.html", At: at.Local()},
+		{User: "carol", URL: "http://h.test/e.html"},
+	}
+}
+
+// clicksPayload is the OpStreamClicks payload of seq and clicks.
+func clicksPayload(seq uint64, clicks []reef.Click) []byte {
+	return appendClicksFrame(nil, seq, durable.AppendClicks(nil, clicks))[durable.FrameHeaderLen+2:]
+}
+
+// loadClicks64 reads the checked-in 64-click batch: the first batch a
+// workload generator's user cut on its first day.
+func loadClicks64(tb testing.TB) []reef.Click {
+	tb.Helper()
+	data, err := os.ReadFile("testdata/clicks-64.json")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var body struct {
+		Clicks []reef.Click `json:"clicks"`
+	}
+	if err := json.Unmarshal(data, &body); err != nil || len(body.Clicks) != 64 {
+		tb.Fatalf("testdata/clicks-64.json = (%d clicks, %v), want 64", len(body.Clicks), err)
+	}
+	return body.Clicks
+}
+
+// TestClicksCodecRoundTrip pins the clicks frame: every click field
+// survives encode→decode, each time keeps its instant and its zone
+// offset, the zero time stays zero, and consecutive clicks by one user
+// share one decoded string.
+func TestClicksCodecRoundTrip(t *testing.T) {
+	want := sampleClicks()
+	rec, n, err := durable.DecodeFrame(appendClicksFrame(nil, 77, durable.AppendClicks(nil, want)))
+	if err != nil || rec.Op != durable.OpStreamClicks || rec.Version != durable.VersionJSON {
+		t.Fatalf("DecodeFrame = (%v v%d, %d, %v)", rec.Op, rec.Version, n, err)
+	}
+	seq, got, err := decodeClicksFrame(rec.Payload)
+	if err != nil || seq != 77 || len(got) != len(want) {
+		t.Fatalf("decodeClicksFrame = (%d, %d clicks, %v), want (77, %d)", seq, len(got), err, len(want))
+	}
+	for i, g := range got {
+		w := want[i]
+		_, gotOff := g.At.Zone()
+		_, wantOff := w.At.Zone()
+		if g.User != w.User || g.URL != w.URL || g.Referrer != w.Referrer || g.FromEvent != w.FromEvent ||
+			!g.At.Equal(w.At) || gotOff != wantOff || g.At.IsZero() != w.At.IsZero() {
+			t.Errorf("click %d = %+v, want %+v", i, g, w)
+		}
+	}
+	if unsafe.StringData(got[0].User) != unsafe.StringData(got[1].User) {
+		t.Error("consecutive clicks by one user decoded two strings")
+	}
+	// A frame of more clicks than MaxFrameEvents is refused even when
+	// its bytes could hold them.
+	over := clicksPayload(1, make([]reef.Click, MaxFrameEvents+1))
+	if _, _, err := decodeClicksFrame(over); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("decodeClicksFrame(%d clicks) = %v, want ErrBadFrame", MaxFrameEvents+1, err)
+	}
+}
+
+// FuzzStreamClicks extends the stream decode contract to clicks frames:
+// arbitrary payload bytes yield ErrBadFrame or clicks — never a panic,
+// never an allocation sized by an unchecked count — and a payload that
+// decodes re-encodes to exactly its own bytes.
+func FuzzStreamClicks(f *testing.F) {
+	f.Add(clicksPayload(3, sampleClicks()))
+	f.Add(clicksPayload(1<<63+1, loadClicks64(f)))
+	f.Add(clicksPayload(0, nil))
+	// Truncated mid-click, and a trailing byte after the last click.
+	clean := clicksPayload(5, sampleClicks())
+	f.Add(clean[:len(clean)-3])
+	f.Add(append(append([]byte{}, clean...), 0))
+	// One click more than a frame may carry, and a count the bytes
+	// cannot hold.
+	f.Add(clicksPayload(9, make([]reef.Click, MaxFrameEvents+1)))
+	f.Add(binary.AppendUvarint(binary.LittleEndian.AppendUint64(nil, 9), 1<<40))
+	f.Add([]byte{1, 2, 3})
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		seq, clicks, err := decodeClicksFrame(payload)
+		if err != nil {
+			if !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("decodeClicksFrame returned untyped error %v", err)
+			}
+			return
+		}
+		if re := clicksPayload(seq, clicks); !bytes.Equal(re, payload) {
+			t.Fatalf("re-encoded payload differs:\n got %x\nwant %x", re, payload)
+		}
+	})
 }

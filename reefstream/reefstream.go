@@ -3,8 +3,9 @@
 // reef deployment without the per-call HTTP/1.1 + JSON envelope the
 // REST transport pays. REST (reefclient) remains the control plane —
 // subscriptions, recommendations, stats — while this package moves the
-// two hot, high-volume verbs: publish (ingest) and reliable consume
-// (server-pushed delivery with pipelined acks).
+// three hot, high-volume verbs: publish (ingest), reliable consume
+// (server-pushed delivery with pipelined acks), and the click batches a
+// cluster router forwards to each user's owning node.
 //
 // # Wire format
 //
@@ -13,7 +14,7 @@
 // ingest wire format and the WAL/replication format are a single codec
 // with a single fuzzer; the varint and length-prefix primitives of the
 // payloads below are internal/durable's, which the WAL's version-2
-// payloads are built from too. Stream frames carry version 1. Seven ops
+// payloads are built from too. Stream frames carry version 1. Eight ops
 // exist only on the wire and never in a WAL file:
 //
 //	OpStreamHello      (8)  JSON handshake, both directions
@@ -23,6 +24,7 @@
 //	OpStreamDeliver    (12) [8B LE cid][uvarint n][n × ([8B LE seq][uvarint attempts][event])]
 //	OpStreamConsumeAck (13) [8B LE seq][8B LE cid][8B LE ackSeq][1B nack]
 //	OpStreamCredit     (14) [8B LE cid][uvarint n]
+//	OpStreamClicks     (16) [8B LE seq][OpClicks version-2 payload]
 //
 // An event is encoded as [uvarint-len source][uvarint nattrs]
 // [nattrs × (uvarint-len key, uvarint-len value)][uvarint-len payload]
@@ -41,6 +43,17 @@
 // Acks may arrive out of order with respect to nothing — the server
 // acks in frame order — but the client matches them by sequence number
 // regardless.
+//
+// A clicks frame carries exactly the bytes durable.ClicksRecord writes
+// into the WAL after its sequence number, and the server decodes them
+// with durable.DecodeClicks: the wire and the log share one click codec.
+// The server applies a clicks frame inline, in frame order, and answers
+// with an ack whose delivered count is the clicks it accepted. Clicks
+// are not idempotent, so a clicks frame is never re-sent: once queued,
+// a dead connection is the caller's error. A server that takes clicks
+// frames says so in its hello ("clicks": true); a client never sends one
+// to a server whose hello lacks it, since an older server kills the
+// connection on an op it does not know.
 //
 // # Consume
 //
@@ -81,9 +94,10 @@ import (
 // hello with a version it does not speak.
 const ProtoVersion = 1
 
-// MaxFrameEvents bounds the events one publish frame may carry; larger
-// batches are split by the client. It keeps a single frame's decode
-// allocation and the server's coalescing buffer bounded.
+// MaxFrameEvents bounds the events one publish frame, and the clicks one
+// clicks frame, may carry; larger batches are split by the client. It
+// keeps a single frame's decode allocation and the server's coalescing
+// buffer bounded.
 const MaxFrameEvents = 4096
 
 // Ack status bytes. The numeric values are part of the wire format.
@@ -101,6 +115,13 @@ const (
 // inside it is malformed. Like the durable codec's errors it is a
 // typed, terminal decode verdict — never a panic.
 var ErrBadFrame = errors.New("reefstream: malformed frame payload")
+
+// ErrNotSent marks a Client.IngestClicks failure that proves no clicks
+// frame left the client: the dial or handshake failed, or the server
+// did not advertise the clicks verb. Only such a failure may be retried
+// over another transport; any other error may follow a frame the
+// server already applied.
+var ErrNotSent = errors.New("reefstream: clicks frame not sent")
 
 // StatusError is a non-OK ack surfaced to the publisher. It unwraps to
 // the matching reef sentinel so callers keep their errors.Is checks.
@@ -149,10 +170,13 @@ func statusFor(err error) int {
 }
 
 // hello is the JSON handshake payload. The client sends {Proto}; the
-// server answers {Proto, Node}.
+// server answers {Proto, Node, Clicks}. Clicks advertises the clicks
+// verb without a protocol bump: older clients ignore the field, and a
+// server that predates the verb omits it.
 type hello struct {
-	Proto int    `json:"proto"`
-	Node  string `json:"node,omitempty"`
+	Proto  int    `json:"proto"`
+	Node   string `json:"node,omitempty"`
+	Clicks bool   `json:"clicks,omitempty"`
 }
 
 // AppendEvent appends one encoded event to dst. Attribute order is not
@@ -310,6 +334,36 @@ func appendPublishFrame(dst []byte, seq uint64, payload []byte, tr trace.ID) []b
 		return durable.AppendFrameParts(dst, durable.OpStreamPublish, seqBuf[:], payload)
 	}
 	return durable.AppendFrameParts3(dst, durable.OpStreamPublish, seqBuf[:], payload, tr[:])
+}
+
+// appendClicksFrame frames seq + a durable.AppendClicks payload as one
+// OpStreamClicks record appended to dst.
+func appendClicksFrame(dst []byte, seq uint64, payload []byte) []byte {
+	var seqBuf [8]byte
+	binary.LittleEndian.PutUint64(seqBuf[:], seq)
+	return durable.AppendFrameParts(dst, durable.OpStreamClicks, seqBuf[:], payload)
+}
+
+// decodeClicksFrame decodes an OpStreamClicks payload into its sequence
+// number and clicks. The count is checked against MaxFrameEvents before
+// the durable decoder allocates for it.
+func decodeClicksFrame(payload []byte) (uint64, []reef.Click, error) {
+	if len(payload) < 8 {
+		return 0, nil, fmt.Errorf("%w: truncated clicks header", ErrBadFrame)
+	}
+	body := payload[8:]
+	n, _, err := durable.DecodeUvarint(body)
+	if err != nil {
+		return 0, nil, badFrame(err)
+	}
+	if n > MaxFrameEvents {
+		return 0, nil, fmt.Errorf("%w: %d clicks in one frame", ErrBadFrame, n)
+	}
+	p, err := durable.DecodeClicks(durable.Record{Op: durable.OpClicks, Version: durable.VersionBinary, Payload: body})
+	if err != nil {
+		return 0, nil, badFrame(err)
+	}
+	return binary.LittleEndian.Uint64(payload[:8]), p.Clicks, nil
 }
 
 // ack is a decoded OpStreamAck. connDead is never on the wire: it is

@@ -53,10 +53,10 @@ func WithTraceRecorder(r *trace.Recorder) ServerOption {
 	return func(s *Server) { s.tracer = r }
 }
 
-// Server accepts stream connections and feeds decoded publish frames
-// into a deployment. One goroutine per connection reads frames,
-// coalesces whatever is already buffered into a single batch publish,
-// and acks every frame with its exact delivered count.
+// Server accepts stream connections and feeds decoded publish and
+// clicks frames into a deployment. One goroutine per connection reads
+// frames, coalesces whatever publishes are already buffered into a
+// single batch publish, and acks every frame with its exact count.
 type Server struct {
 	dep    reef.Deployment
 	counts reef.BatchCountPublisher // non-nil when dep attributes per-event counts
@@ -73,6 +73,7 @@ type Server struct {
 	mFramesIn  *metrics.Counter
 	mFramesOut *metrics.Counter
 	mEventsIn  *metrics.Counter
+	mClicksIn  *metrics.Counter
 	mBatch     *metrics.Histogram
 	mConsumers *metrics.Gauge
 	mDelivered *metrics.Counter
@@ -121,6 +122,7 @@ func NewServer(ln net.Listener, dep reef.Deployment, opts ...ServerOption) *Serv
 	s.mFramesIn = s.metrics.Counter(metrics.StreamFramesIn.Name)
 	s.mFramesOut = s.metrics.Counter(metrics.StreamFramesOut.Name)
 	s.mEventsIn = s.metrics.Counter(metrics.StreamEventsIn.Name)
+	s.mClicksIn = s.metrics.Counter(metrics.StreamClicksIn.Name)
 	s.mBatch = s.metrics.Histogram(metrics.StreamBatchEvents.Name)
 	s.mConsumers = s.metrics.Gauge(metrics.StreamConsumers.Name)
 	s.mDelivered = s.metrics.Counter(metrics.StreamDelivered.Name)
@@ -283,7 +285,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		// Block for one frame, then keep decoding as long as more
 		// frames are already buffered — pipelined publishes coalesce
 		// into one batch publish without adding latency to a lone one.
-		// A consume-plane frame ends the pass (it is handled after the
+		// Any other frame ends the pass (it is handled after the
 		// publishes it trailed, preserving frame order).
 		rec, err := s.readFrame(br, &readBuf)
 		for {
@@ -335,13 +337,28 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// handleControl dispatches one consume-plane frame: subscribe and
-// consume-ack get an ack frame appended to dst (matched by sequence
-// number client-side), credit is fire-and-forget. A malformed payload
-// or an op that has no business arriving from a client is a protocol
-// error that kills the connection.
+// handleControl dispatches one frame other than a publish: subscribe,
+// consume-ack and clicks get an ack frame appended to dst (matched by
+// sequence number client-side), credit is fire-and-forget. A clicks
+// frame is applied here, inline, so frames behind it on the connection
+// wait for it. A malformed payload or an op that has no business
+// arriving from a client is a protocol error that kills the connection.
 func (s *Server) handleControl(cs *connState, rec durable.Record, dst []byte) ([]byte, error) {
 	switch rec.Op {
+	case durable.OpStreamClicks:
+		seq, clicks, err := decodeClicksFrame(rec.Payload)
+		if err != nil {
+			return dst, err
+		}
+		n, err := s.dep.IngestClicks(context.Background(), clicks)
+		a := ack{Seq: seq, Delivered: uint64(n)}
+		if err != nil {
+			a.Status = statusFor(err)
+			a.Message = err.Error()
+		} else {
+			s.mClicksIn.Add(int64(n))
+		}
+		return appendAckFrame(dst, a), nil
 	case durable.OpStreamSubscribe:
 		sub, err := decodeSubscribe(rec.Payload)
 		if err != nil {
@@ -457,7 +474,7 @@ func (s *Server) handshake(br *bufio.Reader, bw *bufio.Writer) error {
 	if h.Proto != ProtoVersion {
 		return fmt.Errorf("%w: protocol version %d", ErrBadFrame, h.Proto)
 	}
-	reply, err := json.Marshal(hello{Proto: ProtoVersion, Node: s.node})
+	reply, err := json.Marshal(hello{Proto: ProtoVersion, Node: s.node, Clicks: true})
 	if err != nil {
 		return err
 	}

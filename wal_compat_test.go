@@ -224,23 +224,31 @@ func TestWALMixedVersionsReopen(t *testing.T) {
 // TestRefuseNewerWAL pins that a node refuses a log holding an intact
 // record it cannot read — a version or an op a newer binary writes —
 // instead of truncating the log there, which would delete that record
-// and every one after it. The file is left byte-identical.
+// and every one after it. The file is left byte-identical. A version-2
+// frame of the wire-only clicks op is refused the same way, so a WAL
+// can never hold it.
 func TestRefuseNewerWAL(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		at    int // frame byte to set: 8 is the version, 9 the op
-		value byte
-		want  error
+		name    string
+		version byte // frame byte 8; 0 keeps the record's own
+		op      byte // frame byte 9; 0 keeps the record's own
+		want    error
 	}{
-		{"version 9", 8, 9, durable.ErrVersion},
-		{"op 16", 9, 16, durable.ErrUnknownOp},
+		{"version 9", 9, 0, durable.ErrVersion},
+		{"op 17", 0, 17, durable.ErrUnknownOp},
+		{"stream clicks op at version 2", durable.VersionBinary, byte(durable.OpStreamClicks), durable.ErrVersion},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			log := []byte("REEFWAL\x01")
 			for i, rec := range walCompatOps()[:4] {
 				frame := rec.AppendEncoded(nil)
 				if i == 2 {
-					frame[tc.at] = tc.value
+					if tc.version != 0 {
+						frame[8] = tc.version
+					}
+					if tc.op != 0 {
+						frame[9] = tc.op
+					}
 					binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(frame[8:], crc32.MakeTable(crc32.Castagnoli)))
 				}
 				log = append(log, frame...)
