@@ -22,8 +22,8 @@
 // interface exposes the storage surface. The
 // reefhttp subpackage serves any Deployment over a versioned REST
 // surface, and reefclient is the Go SDK for it (itself a Deployment).
-// REST is the control plane; the high-volume verbs — publish and
-// reliable consume — have a dedicated binary data plane in reefstream,
+// REST is the control plane; the high-volume verbs — publish, clicks
+// and reliable consume — have a dedicated binary data plane in reefstream,
 // a persistent-connection, length-prefixed streaming protocol (framed
 // by the internal/durable codec, pipelined by callers, batch-coalesced
 // by the server; consumers attach a subscription and are pushed leased

@@ -18,7 +18,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"reef/internal/replication"
@@ -26,6 +25,7 @@ import (
 
 	"reef"
 	"reef/reefhttp"
+	"reef/reefstream"
 )
 
 // APIError is a decoded error envelope from the server. It unwraps to
@@ -61,27 +61,21 @@ func (e *APIError) Unwrap() error {
 	}
 }
 
-// Transport is a publish data plane the client can carry events over
-// instead of REST. The REST surface stays the control plane for every
-// other verb; a Transport moves only the hot, high-volume publish path
-// (reefstream.Client satisfies this). Close releases the transport's
-// connection; the Client's own Close calls it.
+// Transport is a binary data plane the client carries its hot verbs
+// over instead of REST: publishes, click batches, and the reliable
+// consume path (server-pushed fetches and pipelined acks).
+// reefstream.Client satisfies it. REST stays the control plane for
+// every other verb and the one fallback under these five; restFallback
+// decides, per call, when a transport failure hands the call to REST.
+// Close releases the transport's connection; the Client's own Close
+// calls it.
 type Transport interface {
 	PublishEvent(ctx context.Context, ev reef.Event) (int, error)
 	PublishBatch(ctx context.Context, evs []reef.Event) (int, error)
-	Close() error
-}
-
-// ConsumerTransport is a Transport that also carries the reliable
-// consume path — server-pushed fetches and pipelined acks
-// (reefstream.Client satisfies this). When the configured Transport
-// implements it, FetchEvents and Ack ride the stream; REST remains the
-// fallback when the stream cannot serve a call (connection failure, or
-// a server that predates the consume plane).
-type ConsumerTransport interface {
-	Transport
+	IngestClicks(ctx context.Context, clicks []reef.Click) (int, error)
 	FetchEvents(ctx context.Context, user, subID string, max int) ([]reef.DeliveredEvent, error)
 	Ack(ctx context.Context, user, subID string, seq int64, nack bool) error
+	Close() error
 }
 
 // Option configures a Client.
@@ -92,17 +86,12 @@ func WithHTTPClient(hc *http.Client) Option {
 	return func(c *Client) { c.hc = hc }
 }
 
-// WithTransport routes PublishEvent/PublishBatch — and, when the
-// transport is a ConsumerTransport, FetchEvents/Ack — over a streaming
-// data plane while every other call stays on REST. The client owns the
-// transport: Close closes it.
+// WithTransport routes PublishEvent, PublishBatch, IngestClicks,
+// FetchEvents and Ack over a streaming data plane, with REST as the
+// fallback restFallback allows, while every other call stays on REST.
+// The client owns the transport: Close closes it.
 func WithTransport(t Transport) Option {
-	return func(c *Client) {
-		c.transport = t
-		if ct, ok := t.(ConsumerTransport); ok {
-			c.consumer = ct
-		}
-	}
+	return func(c *Client) { c.transport = t }
 }
 
 // WithTimeout bounds each request attempt with its own deadline (on top
@@ -142,15 +131,9 @@ type Client struct {
 	base      string
 	hc        *http.Client
 	transport Transport
-	consumer  ConsumerTransport
 	timeout   time.Duration
 	retries   int
 	backoff   time.Duration
-
-	// restOnlyConsume latches when the stream answers a consume call
-	// with "unsupported" (a server predating the consume plane): no
-	// point re-asking per call.
-	restOnlyConsume atomic.Bool
 }
 
 var (
@@ -311,8 +294,49 @@ func (c *Client) doOnce(ctx context.Context, method, path string, data []byte, h
 		Message: envelope.Error.Message}
 }
 
-// IngestClicks implements reef.Deployment over POST /v1/clicks.
+// restFallback is the one rule that decides whether a transport call's
+// error is the answer or a reason to repeat the call over REST, for the
+// SDK and the cluster router alike (the router forwards every node call
+// through a Client). In order:
+//
+//   - the caller's ctx is done, or the error wraps
+//     context.DeadlineExceeded (the transport's own call timeout): the
+//     answer; a router's forwardErr decides who is blamed;
+//   - reefstream.ErrNotSent or reef.ErrUnsupported (nothing left the
+//     client, or the server predates the verb): REST, for this call
+//     only;
+//   - a *reefstream.StatusError, or a wrapped reef.ErrInvalidArgument,
+//     ErrNotFound or ErrClosed: the answer — the node's own verdict,
+//     which REST would repeat;
+//   - anything else is connection-level: REST if the verb may be
+//     repeated after its frame was queued (publish, fetch, ack), the
+//     answer otherwise (clicks are not idempotent).
+func restFallback(ctx context.Context, err error, mayRepeat bool) bool {
+	if err == nil || ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) {
+		return false
+	}
+	if errors.Is(err, reefstream.ErrNotSent) || errors.Is(err, reef.ErrUnsupported) {
+		return true
+	}
+	var se *reefstream.StatusError
+	if errors.As(err, &se) || errors.Is(err, reef.ErrInvalidArgument) ||
+		errors.Is(err, reef.ErrNotFound) || errors.Is(err, reef.ErrClosed) {
+		return false
+	}
+	return mayRepeat
+}
+
+// IngestClicks implements reef.Deployment over POST /v1/clicks, or over
+// the streaming data plane when WithTransport is set. A clicks frame is
+// never repeated once queued: only a failure that proves nothing was
+// sent falls back to REST.
 func (c *Client) IngestClicks(ctx context.Context, clicks []reef.Click) (int, error) {
+	if c.transport != nil {
+		n, err := c.transport.IngestClicks(ctx, clicks)
+		if !restFallback(ctx, err, false) {
+			return n, err
+		}
+	}
 	var out reefhttp.ClicksResponse
 	err := c.do(ctx, http.MethodPost, "/v1/clicks", reefhttp.ClicksRequest{Clicks: clicks}, &out)
 	if err != nil {
@@ -325,7 +349,10 @@ func (c *Client) IngestClicks(ctx context.Context, clicks []reef.Click) (int, er
 // the streaming data plane when WithTransport is set.
 func (c *Client) PublishEvent(ctx context.Context, ev reef.Event) (int, error) {
 	if c.transport != nil {
-		return c.transport.PublishEvent(ctx, ev)
+		n, err := c.transport.PublishEvent(ctx, ev)
+		if !restFallback(ctx, err, true) {
+			return n, err
+		}
 	}
 	var out reefhttp.EventResponse
 	if err := c.do(ctx, http.MethodPost, "/v1/events", ev, &out); err != nil {
@@ -339,7 +366,10 @@ func (c *Client) PublishEvent(ctx context.Context, ev reef.Event) (int, error) {
 // streaming data plane when WithTransport is set.
 func (c *Client) PublishBatch(ctx context.Context, evs []reef.Event) (int, error) {
 	if c.transport != nil {
-		return c.transport.PublishBatch(ctx, evs)
+		n, err := c.transport.PublishBatch(ctx, evs)
+		if !restFallback(ctx, err, true) {
+			return n, err
+		}
 	}
 	var out reefhttp.EventResponse
 	err := c.do(ctx, http.MethodPost, "/v1/events:batch", reefhttp.EventsBatchRequest{Events: evs}, &out)
@@ -382,15 +412,13 @@ func (c *Client) Subscribe(ctx context.Context, user, feedURL string, opts ...re
 }
 
 // FetchEvents implements reef.ReliableDeliverer over GET
-// /v1/subscriptions/{id}/events.
+// /v1/subscriptions/{id}/events, or over the stream's server-pushed
+// consume plane when WithTransport is set.
 func (c *Client) FetchEvents(ctx context.Context, user, subID string, max int) ([]reef.DeliveredEvent, error) {
-	if t := c.consumer; t != nil && !c.restOnlyConsume.Load() {
-		evs, err := t.FetchEvents(ctx, user, subID, max)
-		if err == nil {
-			return evs, nil
-		}
-		if verdict := c.consumeErr(ctx, err); verdict != nil {
-			return nil, verdict
+	if c.transport != nil {
+		evs, err := c.transport.FetchEvents(ctx, user, subID, max)
+		if !restFallback(ctx, err, true) {
+			return evs, err
 		}
 	}
 	path := "/v1/subscriptions/" + url.PathEscape(subID) + "/events?user=" + url.QueryEscape(user)
@@ -405,41 +433,18 @@ func (c *Client) FetchEvents(ctx context.Context, user, subID string, max int) (
 }
 
 // Ack implements reef.ReliableDeliverer over POST
-// /v1/subscriptions/{id}/ack (or the stream when the transport carries
-// the consume plane). Acks are cumulative and idempotent on the server,
-// so WithRetry — and the stream-to-REST fallback — may safely repeat
-// one.
+// /v1/subscriptions/{id}/ack, or over the stream when WithTransport is
+// set. Acks are cumulative and idempotent on the server, so WithRetry —
+// and the stream-to-REST fallback — may safely repeat one.
 func (c *Client) Ack(ctx context.Context, user, subID string, seq int64, nack bool) error {
-	if t := c.consumer; t != nil && !c.restOnlyConsume.Load() {
-		err := t.Ack(ctx, user, subID, seq, nack)
-		if err == nil {
-			return nil
-		}
-		if verdict := c.consumeErr(ctx, err); verdict != nil {
-			return verdict
+	if c.transport != nil {
+		err := c.transport.Ack(ctx, user, subID, seq, nack)
+		if !restFallback(ctx, err, true) {
+			return err
 		}
 	}
 	return c.do(ctx, http.MethodPost, "/v1/subscriptions/"+url.PathEscape(subID)+"/ack",
 		reefhttp.AckRequest{User: user, Seq: seq, Nack: nack}, nil)
-}
-
-// consumeErr classifies a stream-consume failure. A non-nil return is
-// the caller's final verdict; nil means "absorb it and fall back to
-// REST for this call". Server verdicts (bad argument, unknown
-// subscription, draining) and caller timeouts surface; an unsupported
-// verdict latches the REST fallback permanently; anything else is a
-// connection-level failure the REST path can ride out.
-func (c *Client) consumeErr(ctx context.Context, err error) error {
-	if errors.Is(err, reef.ErrUnsupported) {
-		c.restOnlyConsume.Store(true)
-		return nil
-	}
-	if ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, reef.ErrInvalidArgument) || errors.Is(err, reef.ErrNotFound) ||
-		errors.Is(err, reef.ErrClosed) {
-		return err
-	}
-	return nil
 }
 
 // DeadLetters implements reef.ReliableDeliverer over GET

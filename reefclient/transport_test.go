@@ -18,7 +18,6 @@ import (
 // the Transport surface structurally (reefstream does not import this
 // package), including the consume side.
 var _ Transport = (*reefstream.Client)(nil)
-var _ ConsumerTransport = (*reefstream.Client)(nil)
 
 // TestDefaultClientReusesConnections is the regression test for the
 // connection-churn bug: the old default (http.DefaultClient, whose
@@ -80,6 +79,18 @@ func (r *recordingTransport) PublishEvent(ctx context.Context, ev reef.Event) (i
 func (r *recordingTransport) PublishBatch(ctx context.Context, evs []reef.Event) (int, error) {
 	r.batches += len(evs)
 	return len(evs), nil
+}
+
+func (r *recordingTransport) IngestClicks(ctx context.Context, clicks []reef.Click) (int, error) {
+	return len(clicks), nil
+}
+
+func (r *recordingTransport) FetchEvents(ctx context.Context, user, subID string, max int) ([]reef.DeliveredEvent, error) {
+	return nil, nil
+}
+
+func (r *recordingTransport) Ack(ctx context.Context, user, subID string, seq int64, nack bool) error {
+	return nil
 }
 
 func (r *recordingTransport) Close() error {
@@ -148,9 +159,9 @@ func (s *consumerTransportStub) Ack(ctx context.Context, user, subID string, seq
 
 // TestConsumerTransportFallback pins the consume routing contract:
 // healthy calls ride the stream and never touch REST; a connection-level
-// failure falls back to REST for that call but keeps trying the stream;
-// an unsupported verdict latches REST permanently; server verdicts
-// (unknown subscription) surface without a REST retry.
+// failure falls back to REST for that call but keeps trying the stream,
+// and so does an unsupported verdict; server verdicts (unknown
+// subscription) surface without a REST retry.
 func TestConsumerTransportFallback(t *testing.T) {
 	var restFetches atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -190,8 +201,8 @@ func TestConsumerTransportFallback(t *testing.T) {
 	}
 	_ = c.Close()
 
-	// Unsupported server: the first failure latches REST; the stream is
-	// never asked again.
+	// Unsupported server: each call falls back to REST, and the stream
+	// is asked again on the next one.
 	restFetches.Store(0)
 	tr = &consumerTransportStub{fetchErr: reef.ErrUnsupported}
 	c = New(ts.URL, WithTransport(tr))
@@ -200,8 +211,8 @@ func TestConsumerTransportFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tr.fetches != 1 || restFetches.Load() != 3 {
-		t.Fatalf("unsupported routing = (%d stream tries, %d REST calls), want (1, 3)", tr.fetches, restFetches.Load())
+	if tr.fetches != 3 || restFetches.Load() != 3 {
+		t.Fatalf("unsupported routing = (%d stream tries, %d REST calls), want (3, 3)", tr.fetches, restFetches.Load())
 	}
 	_ = c.Close()
 

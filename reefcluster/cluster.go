@@ -10,11 +10,13 @@
 //     through the reef client SDK.
 //   - PublishEvent/PublishBatch stamp the events once and fan out to
 //     every routable node concurrently, mirroring the in-process
-//     fan-out; the result sums the nodes' local delivery counts. Nodes
-//     configured with a StreamAddr receive publishes over a persistent
-//     binary stream (reefstream) — the batch is encoded once and the
-//     same payload ships to every node — while REST remains the
-//     control plane and the publish fallback.
+//     fan-out; the result sums the nodes' local delivery counts.
+//   - Every forward goes through one reef client SDK per node. Nodes
+//     configured with a StreamAddr carry publishes, clicks, fetches and
+//     acks over a persistent binary stream (reefstream) plugged in as
+//     the client's transport; REST remains the control plane and the
+//     fallback, which the client decides the same way for the router
+//     and for any SDK user.
 //   - Stats and StorageInfo aggregate across nodes with per-node
 //     breakdowns.
 //
@@ -101,11 +103,11 @@ type Node struct {
 	ID      string
 	BaseURL string
 
-	// StreamAddr is the node's binary ingest listener (reefd
-	// -stream-addr), host:port. When set, the router publishes to this
-	// node over one long-lived reefstream connection instead of REST;
-	// empty keeps that node's publishes on REST. Control-plane calls
-	// always use BaseURL either way.
+	// StreamAddr is the node's binary data plane listener (reefd
+	// -stream-addr), host:port. When set, the router carries this node's
+	// publishes, clicks, fetches and acks over one long-lived reefstream
+	// connection instead of REST; empty keeps them on REST. Control-plane
+	// calls always use BaseURL either way.
 	StreamAddr string
 }
 
@@ -161,8 +163,7 @@ type Config struct {
 type Cluster struct {
 	nodes    []Node
 	replicas int
-	clients  []*reefclient.Client // forwarding clients, with retry
-	streams  []*reefstream.Client // data planes (publish, consume, clicks); nil where the node has no StreamAddr
+	clients  []*reefclient.Client // forwarding clients, with retry and the node's stream as transport
 	tracker  *membership.Tracker
 	metrics  *metrics.Registry
 	logger   *slog.Logger
@@ -252,24 +253,23 @@ func New(cfg Config) (*Cluster, error) {
 		return append(opts, extra...)
 	}
 	c.clients = make([]*reefclient.Client, len(cfg.Nodes))
-	c.streams = make([]*reefstream.Client, len(cfg.Nodes))
 	probeClients := make([]*reefclient.Client, len(cfg.Nodes))
 	mnodes := make([]membership.Node, len(cfg.Nodes))
 	for i, n := range cfg.Nodes {
+		var fwd []reefclient.Option
+		if cfg.Retries > 0 {
+			fwd = append(fwd, reefclient.WithRetry(cfg.Retries, cfg.RetryBackoff))
+		}
 		if n.StreamAddr != "" {
 			// The stream client verifies the node's handshake identity,
 			// the same guard the prober applies to /healthz — a reused
 			// port cannot siphon another node's publishes.
-			c.streams[i] = reefstream.NewClient(n.StreamAddr,
+			fwd = append(fwd, reefclient.WithTransport(reefstream.NewClient(n.StreamAddr,
 				reefstream.WithExpectNode(n.ID),
 				reefstream.WithCallTimeout(cfg.CallTimeout),
-				reefstream.WithClientMetrics(c.metrics))
+				reefstream.WithClientMetrics(c.metrics))))
 		}
-		if cfg.Retries > 0 {
-			c.clients[i] = reefclient.New(n.BaseURL, clientOpts(reefclient.WithRetry(cfg.Retries, cfg.RetryBackoff))...)
-		} else {
-			c.clients[i] = reefclient.New(n.BaseURL, clientOpts()...)
-		}
+		c.clients[i] = reefclient.New(n.BaseURL, clientOpts(fwd...)...)
 		// Probes never retry: a probe wants this instant's answer, and a
 		// retried 503 would stretch every round by the backoff.
 		probeClients[i] = reefclient.New(n.BaseURL, clientOpts()...)
@@ -472,7 +472,7 @@ func (c *Cluster) forwardErr(ctx context.Context, i int, err error) error {
 // retrying a failed batch knows it may duplicate clicks on the
 // surviving groups; callers that need exactly-once should batch
 // per user. A group rides its node's stream when the node takes clicks
-// frames (see ingestGroup).
+// frames, and is never repeated once its frame was queued.
 func (c *Cluster) IngestClicks(ctx context.Context, clicks []reef.Click) (int, error) {
 	if err := c.checkOpen(ctx); err != nil {
 		return 0, err
@@ -506,7 +506,7 @@ func (c *Cluster) IngestClicks(ctx context.Context, clicks []reef.Click) (int, e
 		wg.Add(1)
 		go func(i int, g []reef.Click) {
 			defer wg.Done()
-			n, err := c.ingestGroup(ctx, i, g)
+			n, err := c.clients[i].IngestClicks(ctx, g)
 			mu.Lock()
 			defer mu.Unlock()
 			total += n
@@ -517,21 +517,6 @@ func (c *Cluster) IngestClicks(ctx context.Context, clicks []reef.Click) (int, e
 	}
 	wg.Wait()
 	return total, first
-}
-
-// ingestGroup forwards one node's group over its stream, or over REST
-// when the node has no stream or the stream proves the group was never
-// sent (dial or handshake failed, or the node predates clicks frames).
-// Any other stream failure is final: the frame may have landed, and
-// clicks are not idempotent, so the group is never repeated over REST.
-func (c *Cluster) ingestGroup(ctx context.Context, i int, g []reef.Click) (int, error) {
-	if sc := c.streams[i]; sc != nil {
-		n, err := sc.IngestClicks(ctx, g)
-		if !errors.Is(err, reefstream.ErrNotSent) {
-			return n, err
-		}
-	}
-	return c.clients[i].IngestClicks(ctx, g)
 }
 
 // Subscriptions implements reef.Deployment by forwarding to the owner.
@@ -568,16 +553,6 @@ func (c *Cluster) FetchEvents(ctx context.Context, user, subID string, max int) 
 	if err != nil {
 		return nil, err
 	}
-	if sc := c.streams[i]; sc != nil {
-		evs, serr, ok := streamConsume(ctx, func() ([]reef.DeliveredEvent, error) {
-			return sc.FetchEvents(ctx, user, subID, max)
-		})
-		if ok {
-			return evs, c.forwardErr(ctx, i, serr)
-		}
-		// Stream transport failure or a node predating the consume
-		// plane: REST serves the same call.
-	}
 	evs, err := c.clients[i].FetchEvents(ctx, user, subID, max)
 	return evs, c.forwardErr(ctx, i, err)
 }
@@ -591,36 +566,7 @@ func (c *Cluster) Ack(ctx context.Context, user, subID string, seq int64, nack b
 	if err != nil {
 		return err
 	}
-	if sc := c.streams[i]; sc != nil {
-		_, serr, ok := streamConsume(ctx, func() ([]reef.DeliveredEvent, error) {
-			return nil, sc.Ack(ctx, user, subID, seq, nack)
-		})
-		if ok {
-			return c.forwardErr(ctx, i, serr)
-		}
-	}
 	return c.forwardErr(ctx, i, c.clients[i].Ack(ctx, user, subID, seq, nack))
-}
-
-// streamConsume runs one consume call against a node's stream with the
-// same ok-contract as streamPublish: ok=true carries the node's own
-// verdict (success or a StatusError REST would repeat); ok=false means
-// the call should fall back to REST — a transport-level failure, or an
-// unsupported verdict from a node that predates the consume plane but
-// still serves the REST fetch/ack endpoints.
-func streamConsume(ctx context.Context, call func() ([]reef.DeliveredEvent, error)) ([]reef.DeliveredEvent, error, bool) {
-	evs, err := call()
-	if err == nil {
-		return evs, nil, true
-	}
-	if errors.Is(err, reef.ErrUnsupported) {
-		return nil, err, false
-	}
-	var se *reefstream.StatusError
-	if errors.As(err, &se) || ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) {
-		return nil, err, true
-	}
-	return nil, err, false
 }
 
 // DeadLetters implements reef.ReliableDeliverer by forwarding to the
@@ -735,65 +681,13 @@ func (c *Cluster) PublishBatch(ctx context.Context, evs []reef.Event) (int, erro
 	return c.fanOutPublish(ctx, stamped)
 }
 
-// fanOutPublish ships stamped events to every Up node. Nodes with a
-// stream plane get binary publish frames whose payload is encoded ONCE
-// here and shared across all of them — fan-out cost grows with node
-// count only by the per-node send, not by re-encoding (the same
-// encode-once lesson the replication sender applies). Nodes without a
-// stream address, and stream sends that fail at the transport (the
-// listener is down but the node is otherwise alive), use REST.
+// fanOutPublish ships stamped events to every Up node through its
+// forwarding client: over the node's stream where it has one, with the
+// client's REST fallback, and over REST otherwise.
 func (c *Cluster) fanOutPublish(ctx context.Context, evs []reef.Event) (int, error) {
-	var payloads [][]byte
-	if c.hasStreams() {
-		for start := 0; start < len(evs); start += reefstream.MaxFrameEvents {
-			end := start + reefstream.MaxFrameEvents
-			if end > len(evs) {
-				end = len(evs)
-			}
-			payloads = append(payloads, reefstream.EncodeEvents(evs[start:end]))
-		}
-	}
 	return c.fanOut(ctx, func(i int) (int, error) {
-		if sc := c.streams[i]; sc != nil {
-			total, err, ok := streamPublish(ctx, sc, payloads)
-			if ok {
-				return total, err
-			}
-			// Stream transport failure: the listener may be down while
-			// the node itself is alive — give REST the call.
-		}
 		return c.clients[i].PublishBatch(ctx, evs)
 	})
-}
-
-// streamPublish ships the pre-encoded payloads over one node's stream.
-// ok=false means a transport-level failure where REST may still reach
-// the node; ok=true carries the stream's verdict (including a
-// StatusError — the node's answer about the events themselves, which
-// REST would repeat).
-func streamPublish(ctx context.Context, sc *reefstream.Client, payloads [][]byte) (total int, err error, ok bool) {
-	for _, p := range payloads {
-		n, perr := sc.PublishPayload(ctx, p)
-		total += n
-		if perr == nil {
-			continue
-		}
-		var se *reefstream.StatusError
-		if errors.As(perr, &se) {
-			return total, perr, true
-		}
-		return total, perr, false
-	}
-	return total, nil, true
-}
-
-func (c *Cluster) hasStreams() bool {
-	for _, sc := range c.streams {
-		if sc != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // fanOut runs a publish against every Up node concurrently and sums
@@ -1022,7 +916,8 @@ func (c *Cluster) Snapshot(ctx context.Context) (reef.StorageInfo, error) {
 	return c.StorageInfo(ctx)
 }
 
-// Close implements reef.Deployment: it stops the prober and marks the
+// Close implements reef.Deployment: it stops the prober, closes the
+// forwarding clients (and with them their node streams) and marks the
 // router closed. The nodes themselves keep running — the cluster
 // router is a view over them, not their owner. Idempotent.
 func (c *Cluster) Close() error {
@@ -1034,10 +929,8 @@ func (c *Cluster) Close() error {
 	c.closed = true
 	c.mu.Unlock()
 	c.tracker.Close()
-	for _, sc := range c.streams {
-		if sc != nil {
-			sc.Close()
-		}
+	for _, cli := range c.clients {
+		_ = cli.Close()
 	}
 	return nil
 }

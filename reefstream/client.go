@@ -97,7 +97,7 @@ func (c *Client) PublishEvent(ctx context.Context, ev reef.Event) (int, error) {
 	pp := payloadPool.Get().(*[]byte)
 	buf := binary.AppendUvarint((*pp)[:0], 1)
 	buf = AppendEvent(buf, ev)
-	delivered, err := c.PublishPayload(ctx, buf)
+	delivered, err := c.publishPayload(ctx, buf)
 	*pp = buf
 	payloadPool.Put(pp)
 	return delivered, err
@@ -116,7 +116,7 @@ func (c *Client) PublishBatch(ctx context.Context, evs []reef.Event) (int, error
 			n = MaxFrameEvents
 		}
 		buf := AppendEvents((*pp)[:0], evs[:n])
-		delivered, err := c.PublishPayload(ctx, buf)
+		delivered, err := c.publishPayload(ctx, buf)
 		*pp = buf
 		total += delivered
 		if err != nil {
@@ -133,40 +133,49 @@ func (c *Client) PublishBatch(ctx context.Context, evs []reef.Event) (int, error
 // streamConn.watchdog) so the ingest hot path pays no per-call timer.
 var errCallTimeout = fmt.Errorf("reefstream: publish round trip timed out: %w", context.DeadlineExceeded)
 
-// PublishPayload ships an EncodeEvents payload as one publish frame and
-// waits for its ack. The cluster router encodes a batch once and calls
-// this per node, so fan-out does not re-encode per destination. A
-// connection-level failure is retried once on a fresh connection;
-// server-side rejections (StatusError) and timeouts are not retried.
-func (c *Client) PublishPayload(ctx context.Context, payload []byte) (int, error) {
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		sc, err := c.getConn(ctx)
-		if err != nil {
-			return 0, err
-		}
+// publishPayload ships an EncodeEvents payload as one publish frame
+// and waits for its ack, through retryOnce.
+func (c *Client) publishPayload(ctx context.Context, payload []byte) (int, error) {
+	var delivered int
+	err := c.retryOnce(ctx, func(sc *streamConn) (err error) {
 		begin := time.Now()
-		delivered, err := sc.roundTrip(ctx, durable.OpStreamPublish, payload)
-		if err == nil {
+		if delivered, err = sc.roundTrip(ctx, durable.OpStreamPublish, payload); err == nil {
 			c.mAckRTT.Observe(time.Since(begin).Seconds())
-			return delivered, nil
+		}
+		return err
+	})
+	return delivered, err
+}
+
+// retryOnce runs call on the live connection. A connection-level
+// failure drops the connection and runs call once more on a fresh one;
+// a server verdict (StatusError), a timeout or the caller's ctx ending
+// is returned as is.
+func (c *Client) retryOnce(ctx context.Context, call func(*streamConn) error) error {
+	var err error
+	for attempt := 0; attempt < 2; attempt++ {
+		var sc *streamConn
+		if sc, err = c.getConn(ctx); err != nil {
+			return err
+		}
+		if err = call(sc); err == nil {
+			return nil
 		}
 		var se *StatusError
 		if errors.As(err, &se) || ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) {
-			return delivered, err
+			return err
 		}
 		// Connection-level failure: drop the conn so the next attempt
 		// (ours or a concurrent caller's) redials.
 		c.dropConn(sc)
-		lastErr = err
 	}
-	return 0, fmt.Errorf("reefstream: publish to %s: %w", c.addr, lastErr)
+	return fmt.Errorf("reefstream: %s: %w", c.addr, err)
 }
 
 // IngestClicks forwards a click batch to the server's deployment in
 // clicks frames of at most MaxFrameEvents clicks, and returns how many
-// clicks the server accepted. Clicks are not idempotent, so unlike
-// PublishPayload it never re-sends a frame: once a frame is queued, a
+// clicks the server accepted. Clicks are not idempotent, so unlike a
+// publish it never re-sends a frame: once a frame is queued, a
 // dead connection is an error, and the count covers the frames acked
 // before it. An error wrapping ErrNotSent means nothing was sent; it
 // also wraps reef.ErrUnsupported when the server's hello did not

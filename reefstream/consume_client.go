@@ -2,7 +2,6 @@ package reefstream
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"time"
 
@@ -148,24 +147,12 @@ func (sc *streamConn) sendCredit(cid uint64, n int) {
 // after a redial the session re-attaches transparently and the unacked
 // window redelivers under its lease.
 func (c *Client) FetchEvents(ctx context.Context, user, subID string, max int) ([]reef.DeliveredEvent, error) {
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		sc, err := c.getConn(ctx)
-		if err != nil {
-			return nil, err
-		}
-		evs, err := sc.fetchEvents(ctx, c.callTimeout, user, subID, max)
-		if err == nil {
-			return evs, nil
-		}
-		var se *StatusError
-		if errors.As(err, &se) || ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) {
-			return nil, err
-		}
-		c.dropConn(sc)
-		lastErr = err
-	}
-	return nil, lastErr
+	var evs []reef.DeliveredEvent
+	err := c.retryOnce(ctx, func(sc *streamConn) (err error) {
+		evs, err = sc.fetchEvents(ctx, c.callTimeout, user, subID, max)
+		return err
+	})
+	return evs, err
 }
 
 func (sc *streamConn) fetchEvents(ctx context.Context, callTimeout time.Duration, user, subID string, max int) ([]reef.DeliveredEvent, error) {
@@ -199,26 +186,12 @@ func (sc *streamConn) fetchEvents(ctx context.Context, callTimeout time.Duration
 // Ack advances the subscription's durable cumulative cursor (or, with
 // nack set, requests immediate redelivery) over the stream. Acks share
 // the pipelined sequence space with publishes, so a consumer can ack
-// while deliveries keep flowing.
+// while deliveries keep flowing. Like FetchEvents it retries a
+// connection failure once; acks are cumulative and idempotent.
 func (c *Client) Ack(ctx context.Context, user, subID string, seq int64, nack bool) error {
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		sc, err := c.getConn(ctx)
-		if err != nil {
-			return err
-		}
-		err = sc.consumeAck(ctx, user, subID, seq, nack)
-		if err == nil {
-			return nil
-		}
-		var se *StatusError
-		if errors.As(err, &se) || ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) {
-			return err
-		}
-		c.dropConn(sc)
-		lastErr = err
-	}
-	return lastErr
+	return c.retryOnce(ctx, func(sc *streamConn) error {
+		return sc.consumeAck(ctx, user, subID, seq, nack)
+	})
 }
 
 func (sc *streamConn) consumeAck(ctx context.Context, user, subID string, seq int64, nack bool) error {

@@ -199,9 +199,8 @@ func AppendEvent(dst []byte, ev reef.Event) []byte {
 }
 
 // EncodeEvents encodes a batch into the seq-less body of a publish
-// frame: [uvarint n][n × event]. The cluster router calls this once and
-// ships the same payload to every node (each node's client prepends its
-// own sequence number), so fan-out pays the encode cost once.
+// frame: [uvarint n][n × event]; the client prepends its own sequence
+// number when it frames the payload.
 func EncodeEvents(evs []reef.Event) []byte {
 	return AppendEvents(nil, evs)
 }
