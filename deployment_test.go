@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"reef"
+	"reef/internal/simclock"
 	"reef/internal/topics"
 	"reef/internal/websim"
 )
@@ -95,6 +96,75 @@ func TestDistributedManualFlow(t *testing.T) {
 		if err := dep.AcceptRecommendation(ctx, "p1", recs[1].ID); !errors.Is(err, reef.ErrNotFound) {
 			t.Fatalf("accept after reject = %v, want ErrNotFound", err)
 		}
+	}
+}
+
+// TestCentralizedPaperLoop runs the paper's whole loop on the shipped
+// engine: a click on a feed-hosting page, the pipeline's crawl and
+// recommendation, an accept that places the subscription through the
+// WAIF proxy, and a poll that puts the feed's new item in the sidebar.
+func TestCentralizedPaperLoop(t *testing.T) {
+	ctx := context.Background()
+	web := testWeb(1)
+	dep, err := reef.NewCentralized(
+		reef.WithFetcher(web),
+		reef.WithClock(simclock.NewVirtual(dt0)),
+		reef.WithPollInterval(time.Hour),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = dep.Close() }()
+
+	if n, err := dep.IngestClicks(ctx, []reef.Click{{User: "u1", URL: feedPage(t, web), At: dt0}}); err != nil || n != 1 {
+		t.Fatalf("IngestClicks = (%d, %v), want 1 stored", n, err)
+	}
+	stats := dep.RunPipeline(dt0.Add(time.Hour))
+	if stats.Crawled != 1 {
+		t.Fatalf("crawled = %d, want 1", stats.Crawled)
+	}
+	if stats.FeedsDiscovered == 0 {
+		t.Fatal("no feeds discovered on a feed-hosting page")
+	}
+	if stats.Recommendations == 0 {
+		t.Fatal("no recommendations generated")
+	}
+
+	recs, err := dep.Recommendations(ctx, "u1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) == 0 {
+		t.Fatal("no pending recommendations")
+	}
+	if err := dep.AcceptRecommendation(ctx, "u1", recs[0].ID); err != nil {
+		t.Fatal(err)
+	}
+	subs, err := dep.Subscriptions(ctx, "u1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(subs) != 1 || subs[0].FeedURL != recs[0].FeedURL {
+		t.Fatalf("subscriptions = %+v, want the accepted %s", subs, recs[0].FeedURL)
+	}
+	dstats, err := dep.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dstats["clicks_stored"] != 1 || dstats["proxy_feeds"] < 1 {
+		t.Fatalf("clicks_stored = %v, proxy_feeds = %v, want 1 and the accepted feed", dstats["clicks_stored"], dstats["proxy_feeds"])
+	}
+
+	// Prime, advance the feed, poll: the item is in the sidebar when the
+	// poll that published it returns.
+	dep.PollFeeds(ctx, dt0.Add(time.Hour))
+	later := dt0.Add(8 * 24 * time.Hour)
+	web.AdvanceTo(later)
+	if _, published := dep.PollFeeds(ctx, later); published == 0 {
+		t.Fatalf("no items published from %s", recs[0].FeedURL)
+	}
+	if len(dep.Sidebar("u1")) == 0 {
+		t.Fatal("feed item not in the sidebar after the poll returned")
 	}
 }
 

@@ -126,21 +126,18 @@ func (pp *peerPolicy) offer(e *engine, user string, recs []recommend.Recommendat
 	return firstErr
 }
 
-// newFrontend builds the user's peer; its frontend is the user's.
+// newFrontend builds the user's frontend and registers the user's peer
+// beside it. The sidebar has no feedback hook: dispositions do not reach
+// the peer's recommender.
 func (pp *peerPolicy) newFrontend(user string, sub frontend.Subscriber, proxy frontend.FeedProxy) *frontend.Frontend {
-	p := core.NewPeer(core.PeerConfig{
-		User:            user,
-		Subscriber:      sub,
-		Proxy:           proxy,
-		Clock:           pp.cfg.clock,
-		SidebarCapacity: pp.cfg.sidebarCapacity,
-		SidebarTTL:      pp.cfg.sidebarTTL,
-		ManualApply:     true,
+	bar := frontend.NewSidebar(frontend.Config{
+		Capacity: pp.cfg.sidebarCapacity,
+		TTL:      pp.cfg.sidebarTTL,
 	})
 	pp.mu.Lock()
-	pp.peers[user] = p
+	pp.peers[user] = core.NewPeer(core.PeerConfig{User: user})
 	pp.mu.Unlock()
-	return p.Frontend()
+	return frontend.NewFrontend(user, sub, proxy, bar, pp.cfg.clock.Now)
 }
 
 // applied counts the subscriptions a peer has taken on, however they
@@ -170,11 +167,13 @@ func (pp *peerPolicy) ready(string) []recommend.Recommendation { return nil }
 // router's replay refuses any it meets.
 func (pp *peerPolicy) capture(*durable.State) {}
 
-func (pp *peerPolicy) samples(_ *engine, out []metrics.Sample) []metrics.Sample {
+func (pp *peerPolicy) samples(e *engine, out []metrics.Sample) []metrics.Sample {
 	var subs, feeds, applied int
 	peers := pp.sorted()
 	for _, p := range peers {
-		subs += len(p.Frontend().ActiveSubscriptions())
+		if fe, ok := e.lookup(p.User()); ok {
+			subs += len(fe.ActiveSubscriptions())
+		}
 		feeds += len(p.KnownFeeds())
 	}
 	pp.mu.Lock()

@@ -1,8 +1,9 @@
-// Package attention implements the first two Reef components (paper §2.2):
-// the attention recorder, which captures the user's clicks (outgoing HTTP
-// requests) and periodically forwards batches to a sink, and the attention
-// parser, which scans raw attention data for tokens that form valid
-// name-value pairs of a given publish-subscribe schema (§2.1).
+// Package attention holds Reef's attention data (paper §2.2): the Click,
+// one outgoing HTTP request of the user's, and the attention parser, which
+// scans raw attention data for tokens that form valid name-value pairs of
+// a given publish-subscribe schema (§2.1). Clicks reach a node through
+// IngestClicks, over the SDK or the stream; the paper's browser-side
+// recorder is that client.
 package attention
 
 import (

@@ -1,10 +1,11 @@
-// Package core wires the four Reef components — attention recorder,
-// attention parser, recommendation service, subscription frontend — into
-// the paper's two deployments: Centralized Reef (Figure 1), where a server
-// holds the click database, crawls visited pages and recommends
-// subscriptions to browser extensions; and Distributed Reef (Figure 2),
-// where the whole pipeline runs on the user's host over the browser cache
-// and peers exchange recommendations within interest communities.
+// Package core is Reef's analysis: clicks and pages in, subscribe and
+// unsubscribe recommendations out, for the paper's two deployments.
+// Centralized Reef (Figure 1) runs it on a server that holds the click
+// database, crawls visited pages and queues recommendations per user;
+// Distributed Reef (Figure 2) runs it on the user's host over the browser
+// cache, and peers exchange recommendations within interest communities.
+// Nothing here places a subscription: applying a recommendation is the
+// caller's.
 package core
 
 import (
@@ -49,12 +50,11 @@ type PipelineStats struct {
 }
 
 // Server is the centralized Reef server: click database, crawler,
-// recommenders and per-user recommendation outboxes. It implements
-// attention.Sink so recorders can post batches directly (step 1 of
-// Figure 1); Recommendations drains a user's outbox (step 2). Each
-// durable mutation has one bare form (ApplyClicks, Store().SetFlag) that
-// replay calls, and a live form that journals it (ReceiveClicks, the
-// pipeline's flagging).
+// recommenders and per-user recommendation outboxes. ReceiveClicks takes
+// a batch of clicks (step 1 of Figure 1); Recommendations drains a user's
+// outbox (step 2). Each durable mutation has one bare form (ApplyClicks,
+// Store().SetFlag) that replay calls, and a live form that journals it
+// (ReceiveClicks, the pipeline's flagging).
 type Server struct {
 	cfg     ServerConfig
 	store   *store.ClickStore
@@ -83,8 +83,6 @@ type Server struct {
 	// uploadBytes approximates click-upload network cost (F1 metric).
 	uploadBytes int64
 }
-
-var _ attention.Sink = (*Server)(nil)
 
 // NewServer builds a centralized Reef server.
 func NewServer(cfg ServerConfig) *Server {
@@ -146,8 +144,8 @@ func (s *Server) UploadBytes() int64 {
 	return s.uploadBytes
 }
 
-// ReceiveClicks implements attention.Sink: ApplyClicks under the
-// journal, which logs the batch as one WAL record once it applied.
+// ReceiveClicks is ApplyClicks under the journal, which logs the batch as
+// one WAL record once it applied.
 func (s *Server) ReceiveClicks(batch []attention.Click) error {
 	return s.journal.Record(
 		func() error { s.ApplyClicks(batch); return nil },
@@ -306,7 +304,7 @@ func (s *Server) ObserveEventFeedback(user, feedURL string, clicked bool, at tim
 }
 
 // Recommendations drains the user's outbox (Figure 1, step 2: the server
-// recommends subscribe/unsubscribe actions to the extension).
+// recommends subscribe/unsubscribe actions to the user).
 func (s *Server) Recommendations(user string) []recommend.Recommendation {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -315,8 +313,9 @@ func (s *Server) Recommendations(user string) []recommend.Recommendation {
 	return out
 }
 
-// QueueFeedRecommendation lets operators inject a feed recommendation
-// directly (used by the collaborative exchange bridge and tests).
+// QueueFeedRecommendation puts a recommendation for feedURL in the user's
+// outbox as if the pipeline had found the feed, without a crawl. Tests
+// seed outboxes with it.
 func (s *Server) QueueFeedRecommendation(user, feedURL string, now time.Time) error {
 	host, _, err := websim.SplitURL(feedURL)
 	if err != nil {

@@ -1,30 +1,23 @@
 package core
 
 import (
-	"context"
 	"testing"
 	"time"
 
 	"reef/internal/attention"
-	"reef/internal/pubsub"
 	"reef/internal/recommend"
-	"reef/internal/simclock"
 	"reef/internal/store"
 	"reef/internal/topics"
-	"reef/internal/waif"
 	"reef/internal/websim"
 	"reef/internal/workload"
 )
 
 var ct0 = time.Date(2006, 1, 1, 0, 0, 0, 0, time.UTC)
 
-// testRig bundles a small end-to-end centralized deployment.
+// testRig bundles a centralized server over a small synthetic web.
 type testRig struct {
 	web    *websim.Web
 	server *Server
-	broker *pubsub.Broker
-	proxy  *waif.Proxy
-	clock  *simclock.Virtual
 }
 
 func newRig(t *testing.T, seed int64) *testRig {
@@ -37,23 +30,7 @@ func newRig(t *testing.T, seed int64) *testRig {
 	wcfg.NumMultimediaServers = 2
 	wcfg.FeedProb = 0.6
 	web := websim.Generate(wcfg, model)
-
-	server := NewServer(ServerConfig{Fetcher: web})
-	broker := pubsub.NewBroker("edge", nil)
-	t.Cleanup(broker.Close)
-	proxy := waif.New(waif.Config{Fetcher: web, Publish: brokerPublisher{broker}, PollEvery: time.Hour})
-	return &testRig{
-		web: web, server: server, broker: broker, proxy: proxy,
-		clock: simclock.NewVirtual(ct0),
-	}
-}
-
-// brokerPublisher adapts *pubsub.Broker to waif.Publisher.
-type brokerPublisher struct{ b *pubsub.Broker }
-
-func (p brokerPublisher) Publish(ctx context.Context, ev pubsub.Event) error {
-	_, err := p.b.Publish(ctx, ev)
-	return err
+	return &testRig{web: web, server: NewServer(ServerConfig{Fetcher: web})}
 }
 
 // feedHostPage returns a page URL on a content server that hosts feeds.
@@ -69,67 +46,6 @@ func feedHostPage(t *testing.T, web *websim.Web) (string, *websim.Server) {
 	}
 	t.Fatal("no feed-hosting content server")
 	return "", nil
-}
-
-func TestServerPipelineEndToEnd(t *testing.T) {
-	rig := newRig(t, 1)
-	ext := NewExtension(ExtensionConfig{
-		User:       "u1",
-		Sink:       rig.server,
-		Subscriber: rig.broker,
-		Proxy:      rig.proxy,
-		Clock:      rig.clock,
-	})
-	defer func() { _ = ext.Close() }()
-
-	pageURL, feedSrv := feedHostPage(t, rig.web)
-	if err := ext.Browse(pageURL, ct0); err != nil {
-		t.Fatal(err)
-	}
-	if err := ext.Recorder.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if rig.server.Store().Len() != 1 {
-		t.Fatalf("stored clicks = %d", rig.server.Store().Len())
-	}
-
-	stats := rig.server.RunPipeline(ct0.Add(time.Hour))
-	if stats.Crawled != 1 {
-		t.Fatalf("crawled = %d", stats.Crawled)
-	}
-	if stats.FeedsDiscovered == 0 {
-		t.Fatal("no feeds discovered on a feed-hosting page")
-	}
-	if stats.Recommendations == 0 {
-		t.Fatal("no recommendations generated")
-	}
-
-	applied, err := ext.PullRecommendations(rig.server)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied == 0 {
-		t.Fatal("no recommendations applied")
-	}
-	if got := len(ext.Frontend.ActiveSubscriptions()); got == 0 {
-		t.Fatal("no active subscriptions after apply")
-	}
-	// The WAIF proxy now manages the feed.
-	if rig.proxy.NumFeeds() == 0 {
-		t.Fatal("proxy has no feeds")
-	}
-
-	// Prime, advance the feed, poll: the item is in the sidebar when the
-	// poll that published it returns.
-	rig.proxy.PollDue(context.Background(), ct0.Add(time.Hour))
-	rig.web.AdvanceTo(ct0.Add(8 * 24 * time.Hour))
-	_, published := rig.proxy.PollDue(context.Background(), ct0.Add(8*24*time.Hour))
-	if published == 0 {
-		t.Fatalf("no items published from %s", feedSrv.Host)
-	}
-	if len(ext.Sidebar().Items()) == 0 {
-		t.Fatal("feed item not in the sidebar after the poll returned")
-	}
 }
 
 func TestServerFlagsAdServers(t *testing.T) {

@@ -6,12 +6,12 @@ import (
 	"time"
 
 	"reef/internal/attention"
-	"reef/internal/pubsub"
+	"reef/internal/recommend"
 	"reef/internal/topics"
 	"reef/internal/websim"
 )
 
-func newPeerRig(t *testing.T, seed int64) (*websim.Web, *pubsub.Broker) {
+func newPeerRig(t *testing.T, seed int64) *websim.Web {
 	t.Helper()
 	model := topics.NewModel(seed, 8, 30, 40)
 	wcfg := websim.DefaultConfig(seed, ct0)
@@ -20,25 +20,21 @@ func newPeerRig(t *testing.T, seed int64) (*websim.Web, *pubsub.Broker) {
 	wcfg.NumSpamServers = 3
 	wcfg.NumMultimediaServers = 2
 	wcfg.FeedProb = 0.6
-	web := websim.Generate(wcfg, model)
-	broker := pubsub.NewBroker("edge", nil)
-	t.Cleanup(broker.Close)
-	return web, broker
+	return websim.Generate(wcfg, model)
 }
 
-func browsePage(t *testing.T, web *websim.Web, p *Peer, url string, at time.Time) {
+func browsePage(t *testing.T, web *websim.Web, p *Peer, url string, at time.Time) []recommend.Recommendation {
 	t.Helper()
 	res, err := web.Fetch(url)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.ObservePageView(attention.Click{User: p.User(), URL: url, At: at}, res)
+	return p.ObservePageView(attention.Click{User: p.User(), URL: url, At: at}, res)
 }
 
 func TestPeerLocalPipeline(t *testing.T) {
-	web, broker := newPeerRig(t, 1)
-	peer := NewPeer(PeerConfig{User: "p1", Subscriber: broker})
-	defer peer.Close()
+	web := newPeerRig(t, 1)
+	peer := NewPeer(PeerConfig{User: "p1"})
 
 	pageURL, _ := feedHostPage(t, web)
 	web.ResetStats()
@@ -50,8 +46,10 @@ func TestPeerLocalPipeline(t *testing.T) {
 	if len(recs) == 0 {
 		t.Fatal("no local recommendations")
 	}
-	if peer.AppliedRecommendations() == 0 {
-		t.Fatal("recommendations not auto-applied")
+	for _, rec := range recs {
+		if rec.Kind != recommend.KindSubscribeFeed || rec.User != "p1" {
+			t.Errorf("rec = %+v, want a subscribe for p1", rec)
+		}
 	}
 	// The peer analyzed the cached copy: exactly one fetch (the browse
 	// itself), zero crawl traffic.
@@ -62,18 +60,14 @@ func TestPeerLocalPipeline(t *testing.T) {
 	if len(peer.KnownFeeds()) == 0 {
 		t.Error("no known feeds")
 	}
-	if broker.NumSubscriptions() == 0 {
-		t.Error("no pub-sub subscriptions placed")
-	}
 }
 
 func TestPeerIgnoresAdPages(t *testing.T) {
-	web, broker := newPeerRig(t, 2)
-	peer := NewPeer(PeerConfig{User: "p1", Subscriber: broker})
-	defer peer.Close()
+	web := newPeerRig(t, 2)
+	peer := NewPeer(PeerConfig{User: "p1"})
 	ad := web.Servers(websim.KindAd)[0]
-	browsePage(t, web, peer, ad.URL("/banner/1"), ct0)
-	if len(peer.KnownFeeds()) != 0 || peer.AppliedRecommendations() != 0 {
+	recs := browsePage(t, web, peer, ad.URL("/banner/1"), ct0)
+	if len(peer.KnownFeeds()) != 0 || len(recs) != 0 {
 		t.Error("ad page produced recommendations")
 	}
 	if peer.ProfileVector() == nil {
@@ -83,9 +77,8 @@ func TestPeerIgnoresAdPages(t *testing.T) {
 }
 
 func TestPeerProfileVector(t *testing.T) {
-	web, broker := newPeerRig(t, 3)
-	peer := NewPeer(PeerConfig{User: "p1", Subscriber: broker})
-	defer peer.Close()
+	web := newPeerRig(t, 3)
+	peer := NewPeer(PeerConfig{User: "p1"})
 	srv := web.Servers(websim.KindContent)[0]
 	for _, p := range srv.Pages {
 		browsePage(t, web, peer, srv.URL(p.Path), ct0)
@@ -100,13 +93,11 @@ func TestPeerProfileVector(t *testing.T) {
 }
 
 func TestPeerCommunityExchange(t *testing.T) {
-	web, broker := newPeerRig(t, 4)
+	web := newPeerRig(t, 4)
 	// Two peers browse the same topical server (similar profiles); one of
 	// them also finds a feed the other has not seen.
-	p1 := NewPeer(PeerConfig{User: "p1", Subscriber: broker})
-	defer p1.Close()
-	p2 := NewPeer(PeerConfig{User: "p2", Subscriber: broker})
-	defer p2.Close()
+	p1 := NewPeer(PeerConfig{User: "p1"})
+	p2 := NewPeer(PeerConfig{User: "p2"})
 
 	// Pick both servers by sorted host, not map order, and never the same
 	// one: were the shared server the feed host, p2 would already know
@@ -136,15 +127,23 @@ func TestPeerCommunityExchange(t *testing.T) {
 	browsePage(t, web, p1, feedPages[0], ct0)
 
 	before := len(p2.KnownFeeds())
-	comms, exchanged := ExchangeCommunities([]*Peer{p1, p2}, 0.2, ct0.Add(time.Hour))
+	comms, recs := ExchangeRecommendations([]*Peer{p1, p2}, 0.2, ct0.Add(time.Hour))
 	if comms == 0 {
 		t.Fatal("no communities formed")
 	}
 	if len(p1.KnownFeeds()) == 0 {
 		t.Fatal("p1 has no feeds to share")
 	}
-	if exchanged == 0 && before == len(p2.KnownFeeds()) {
+	if len(recs) != 2 {
+		t.Fatalf("got recommendations for %d peers, want 2", len(recs))
+	}
+	if len(recs[1]) == 0 && before == len(p2.KnownFeeds()) {
 		t.Error("no collaborative exchange happened")
+	}
+	for _, rec := range recs[1] {
+		if rec.Kind != recommend.KindSubscribeFeed || rec.User != "p2" {
+			t.Errorf("exchanged rec = %+v, want a subscribe for p2", rec)
+		}
 	}
 	if len(p2.KnownFeeds()) < len(p1.KnownFeeds()) {
 		t.Error("p2 did not learn p1's feeds")
@@ -152,28 +151,34 @@ func TestPeerCommunityExchange(t *testing.T) {
 }
 
 func TestPeerSweepInactive(t *testing.T) {
-	web, broker := newPeerRig(t, 5)
-	peer := NewPeer(PeerConfig{User: "p1", Subscriber: broker})
-	defer peer.Close()
+	web := newPeerRig(t, 5)
+	peer := NewPeer(PeerConfig{User: "p1"})
 	pageURL, _ := feedHostPage(t, web)
-	browsePage(t, web, peer, pageURL, ct0)
-	if peer.AppliedRecommendations() == 0 {
-		t.Fatal("setup: no subscriptions")
+	subs := browsePage(t, web, peer, pageURL, ct0)
+	if len(subs) == 0 {
+		t.Fatal("setup: no subscribe recommendations")
 	}
-	active := len(peer.Frontend().ActiveSubscriptions())
 	recs := peer.SweepInactive(ct0.Add(60 * 24 * time.Hour))
 	if len(recs) == 0 {
 		t.Fatal("sweep found nothing after 60 idle days")
 	}
-	if got := len(peer.Frontend().ActiveSubscriptions()); got >= active {
-		t.Errorf("active subs %d -> %d; sweep did not unsubscribe", active, got)
+	swept := make(map[string]bool, len(recs))
+	for _, rec := range recs {
+		if rec.Kind != recommend.KindUnsubscribeFeed {
+			t.Errorf("sweep rec = %+v, want an unsubscribe", rec)
+		}
+		swept[rec.FeedURL] = true
+	}
+	for _, rec := range subs {
+		if !swept[rec.FeedURL] {
+			t.Errorf("idle feed %s not swept", rec.FeedURL)
+		}
 	}
 }
 
 func TestPeerEventFeedback(t *testing.T) {
-	web, broker := newPeerRig(t, 6)
-	peer := NewPeer(PeerConfig{User: "p1", Subscriber: broker})
-	defer peer.Close()
+	web := newPeerRig(t, 6)
+	peer := NewPeer(PeerConfig{User: "p1"})
 	pageURL, _ := feedHostPage(t, web)
 	browsePage(t, web, peer, pageURL, ct0)
 	for f := range peer.KnownFeeds() {
@@ -187,13 +192,14 @@ func TestPeerEventFeedback(t *testing.T) {
 }
 
 func TestPeerMalformedInput(t *testing.T) {
-	_, broker := newPeerRig(t, 7)
-	peer := NewPeer(PeerConfig{User: "p1", Subscriber: broker})
-	defer peer.Close()
+	peer := NewPeer(PeerConfig{User: "p1"})
 	if recs := peer.ObservePageView(attention.Click{User: "p1", URL: "garbage"}, nil); recs != nil {
 		t.Error("nil resource produced recommendations")
 	}
-	if n := peer.ReceivePeerFeeds([]string{"::bad::"}, ct0); n != 0 {
-		t.Error("bad feed URL applied")
+	if recs := peer.peerFeedRecommendations([]string{"::bad::"}, ct0); len(recs) != 0 {
+		t.Error("bad feed URL recommended")
+	}
+	if len(peer.KnownFeeds()) != 0 {
+		t.Error("bad feed URL became known")
 	}
 }

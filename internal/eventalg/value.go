@@ -78,15 +78,6 @@ func (v Value) IsValid() bool { return v.kind != 0 }
 // Str returns the string payload. It is only meaningful for KindString.
 func (v Value) Str() string { return v.s }
 
-// IntVal returns the integer payload. It is only meaningful for KindInt.
-func (v Value) IntVal() int64 { return v.i }
-
-// FloatVal returns the float payload. It is only meaningful for KindFloat.
-func (v Value) FloatVal() float64 { return v.f }
-
-// BoolVal returns the boolean payload. It is only meaningful for KindBool.
-func (v Value) BoolVal() bool { return v.b }
-
 // String renders the value in the same syntax the filter parser accepts.
 func (v Value) String() string {
 	switch v.kind {

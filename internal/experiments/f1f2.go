@@ -6,7 +6,6 @@ import (
 
 	"reef/internal/core"
 	"reef/internal/metrics"
-	"reef/internal/pubsub"
 	"reef/internal/topics"
 	"reef/internal/websim"
 	"reef/internal/workload"
@@ -95,22 +94,14 @@ func runDistributed(opt FOptions, users int) archRun {
 	wcfg.NumMultimediaServers = scaleInt(wcfg.NumMultimediaServers, opt.Scale)
 	web := websim.Generate(wcfg, model)
 
-	broker := pubsub.NewBroker("edge", nil)
-	defer broker.Close()
-
 	gen := workload.NewGenerator(workload.DefaultConfigAdjusted(opt.Seed, SimStart, users, opt.Days), web)
 	peers := make(map[string]*core.Peer, users)
 	var peerList []*core.Peer
 	for _, u := range gen.Users() {
-		p := core.NewPeer(core.PeerConfig{User: u.ID, Subscriber: broker})
+		p := core.NewPeer(core.PeerConfig{User: u.ID})
 		peers[u.ID] = p
 		peerList = append(peerList, p)
 	}
-	defer func() {
-		for _, p := range peerList {
-			p.Close()
-		}
-	}()
 
 	// The browser itself fetches pages (that traffic exists in both
 	// architectures); the peer pipeline reads the cached copy. Count
@@ -134,7 +125,11 @@ func runDistributed(opt FOptions, users int) archRun {
 	fetches, _ := web.Stats()
 	crawlFetches := fetches - browseFetches // must be 0
 
-	_, exchanged := core.ExchangeCommunities(peerList, 0.25, lastDay.Add(24*time.Hour))
+	_, exchange := core.ExchangeRecommendations(peerList, 0.25, lastDay.Add(24*time.Hour))
+	exchanged := 0
+	for _, recs := range exchange {
+		exchanged += len(recs)
+	}
 
 	serverClicks := 0 // nothing is stored centrally
 	return archRun{

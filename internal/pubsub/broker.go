@@ -3,7 +3,6 @@ package pubsub
 import (
 	"context"
 	"errors"
-	"strconv"
 	"sync"
 
 	"reef/internal/eventalg"
@@ -353,17 +352,4 @@ func (b *Broker) Close() {
 // NewEvent is a convenience constructor used throughout the examples.
 func NewEvent(source string, attrs eventalg.Tuple, payload []byte) Event {
 	return Event{Attrs: attrs, Payload: payload, Source: source}
-}
-
-// FormatEventKey renders a stable dedup key for an event (source + id).
-// It sits on the dedup path of every propagated event, so it builds the
-// key with strconv appends in one allocation instead of fmt.Sprintf.
-func FormatEventKey(ev Event) string {
-	buf := make([]byte, 0, len(ev.Source)+2+2*20)
-	buf = append(buf, ev.Source...)
-	buf = append(buf, '#')
-	buf = strconv.AppendUint(buf, ev.ID, 10)
-	buf = append(buf, '@')
-	buf = strconv.AppendInt(buf, ev.Published.UnixNano(), 10)
-	return string(buf)
 }
