@@ -19,38 +19,41 @@ import (
 	"reef/internal/store"
 )
 
-// toPubsubEvent converts a public event to the internal representation.
-func toPubsubEvent(ev Event) (pubsub.Event, error) {
-	if len(ev.Attrs) == 0 {
-		return pubsub.Event{}, fmt.Errorf("%w: event has no attributes", ErrInvalidArgument)
-	}
-	attrs := make(eventalg.Tuple, len(ev.Attrs))
-	for k, v := range ev.Attrs {
-		if k == "" {
-			return pubsub.Event{}, fmt.Errorf("%w: empty attribute name", ErrInvalidArgument)
-		}
-		attrs[k] = eventalg.String(v)
-	}
+// toPubsubEvent converts a public event to the internal representation,
+// at the public-API edge: REST, in-process calls and the SDK.
+func toPubsubEvent(ev Event) pubsub.Event {
 	return pubsub.Event{
-		Attrs:     attrs,
+		Attrs:     eventalg.StringAttrs(ev.Attrs),
 		Payload:   ev.Payload,
 		Source:    ev.Source,
 		Published: ev.Published,
-	}, nil
+	}
 }
 
-// toPubsubEvents converts a batch, rejecting the whole batch on the first
-// invalid event so none of it is published partially.
-func toPubsubEvents(evs []Event) ([]pubsub.Event, error) {
+// toPubsubEvents converts a batch.
+func toPubsubEvents(evs []Event) []pubsub.Event {
 	out := make([]pubsub.Event, len(evs))
 	for i, ev := range evs {
-		pev, err := toPubsubEvent(ev)
-		if err != nil {
-			return nil, fmt.Errorf("event %d: %w", i, err)
-		}
-		out[i] = pev
+		out[i] = toPubsubEvent(ev)
 	}
-	return out, nil
+	return out
+}
+
+// checkEvents is the one event validation, whichever edge the batch came
+// in by: every event has at least one attribute and no empty name. It
+// rejects the whole batch on the first invalid event so none of it is
+// published partially.
+func checkEvents(evs []pubsub.Event) error {
+	for i := range evs {
+		a := evs[i].Attrs
+		switch {
+		case len(a) == 0:
+			return fmt.Errorf("event %d: %w: event has no attributes", i, ErrInvalidArgument)
+		case a[0].Name == "": // the name order puts an empty name first
+			return fmt.Errorf("event %d: %w: empty attribute name", i, ErrInvalidArgument)
+		}
+	}
+	return nil
 }
 
 // toPublicRecommendation converts an internal recommendation, attaching
@@ -93,22 +96,12 @@ func toPublicSubscription(user string, rec recommend.Recommendation) Subscriptio
 // for handing retained events to reliable consumers. String attributes
 // come back verbatim; other kinds render in filter syntax.
 func fromPubsubEvent(ev pubsub.Event) Event {
-	out := Event{
+	return Event{
 		Source:    ev.Source,
+		Attrs:     ev.Attrs.Strings(),
 		Payload:   ev.Payload,
 		Published: ev.Published,
 	}
-	if len(ev.Attrs) > 0 {
-		out.Attrs = make(map[string]string, len(ev.Attrs))
-		for k, v := range ev.Attrs {
-			if v.Kind() == eventalg.KindString {
-				out.Attrs[k] = v.Str()
-			} else {
-				out.Attrs[k] = v.String()
-			}
-		}
-	}
-	return out
 }
 
 // subscriptionID derives the stable subscription identifier the public

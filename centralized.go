@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"time"
 
+	"reef/internal/builtin"
 	"reef/internal/core"
+	"reef/internal/delivery"
 	"reef/internal/durable"
 	"reef/internal/frontend"
 	"reef/internal/metrics"
@@ -33,6 +35,21 @@ var (
 	_ StreamDeliverer     = (*Centralized)(nil)
 	_ BatchCountPublisher = (*Centralized)(nil)
 )
+
+func init() { builtin.Of = builtinEntry }
+
+// builtinEntry gives the stream its internal entry into the two built-in
+// deployments. It switches on the dynamic type: a type that embeds one of
+// them is not one of them, and is served through its own methods.
+func builtinEntry(dep any) (builtin.Entry, bool) {
+	switch d := dep.(type) {
+	case *Centralized:
+		return builtin.Entry{Publish: d.publishEvents, Fetch: d.fetchDelivered}, true
+	case *Distributed:
+		return builtin.Entry{Publish: d.publishEvents}, true
+	}
+	return builtin.Entry{}, false
+}
 
 // NewCentralized builds the centralized deployment. WithFetcher is
 // required: it is the crawler's access to the web and the WAIF proxy's
@@ -174,7 +191,7 @@ func (c *Centralized) FetchEvents(ctx context.Context, user, subID string, max i
 }
 
 // FetchEventsInto implements StreamDeliverer: FetchEvents appending into
-// a caller-reused buffer, for the streaming push path.
+// a caller-reused buffer.
 func (c *Centralized) FetchEventsInto(ctx context.Context, user, subID string, dst []DeliveredEvent, max int) ([]DeliveredEvent, error) {
 	if err := c.reliableArgs(ctx, user); err != nil {
 		return dst, err
@@ -183,6 +200,18 @@ func (c *Centralized) FetchEventsInto(ctx context.Context, user, subID string, d
 		return dst, err
 	}
 	return c.shard(user).fetchEventsInto(user, subID, dst, max)
+}
+
+// fetchDelivered is FetchEventsInto in the events' internal form: the
+// stream's push entry (builtin.Entry.Fetch).
+func (c *Centralized) fetchDelivered(ctx context.Context, user, subID string, dst []delivery.Delivered, max int) ([]delivery.Delivered, error) {
+	if err := c.reliableArgs(ctx, user); err != nil {
+		return dst, err
+	}
+	if err := validateSubID(subID); err != nil {
+		return dst, err
+	}
+	return c.shard(user).fetchDelivered(user, subID, dst, max)
 }
 
 // NotifyEvents implements StreamDeliverer: it registers ch on the

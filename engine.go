@@ -356,18 +356,25 @@ var deliveredScratch = sync.Pool{New: func() any { return new([]delivery.Deliver
 // into a pooled scratch buffer and the public conversion appends onto
 // the caller's (reused) slice.
 func (e *engine) fetchEventsInto(user, id string, dst []DeliveredEvent, max int) ([]DeliveredEvent, error) {
+	sp := deliveredScratch.Get().(*[]delivery.Delivered)
+	ds, err := e.fetchDelivered(user, id, (*sp)[:0], max)
+	for _, d := range ds {
+		dst = append(dst, DeliveredEvent{Seq: d.Seq, Attempts: d.Attempts, Event: fromPubsubEvent(d.Event)})
+	}
+	clear(ds)
+	*sp = ds[:0]
+	deliveredScratch.Put(sp)
+	return dst, err
+}
+
+// fetchDelivered leases retained events of one reliable subscription in
+// their internal form, appended to dst.
+func (e *engine) fetchDelivered(user, id string, dst []delivery.Delivered, max int) ([]delivery.Delivered, error) {
 	q, err := e.deliveryQueue(user, id)
 	if err != nil {
 		return dst, err
 	}
-	sp := deliveredScratch.Get().(*[]delivery.Delivered)
-	ds := q.FetchInto((*sp)[:0], max, e.clock.Now())
-	for _, d := range ds {
-		dst = append(dst, DeliveredEvent{Seq: d.Seq, Attempts: d.Attempts, Event: fromPubsubEvent(d.Event)})
-	}
-	*sp = ds[:0]
-	deliveredScratch.Put(sp)
-	return dst, nil
+	return q.FetchInto(dst, max, e.clock.Now()), nil
 }
 
 // notifyEvents registers ch on a reliable subscription's append hook,

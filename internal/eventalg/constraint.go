@@ -115,6 +115,12 @@ func (c Constraint) Match(t Tuple) bool {
 	return c.matchValue(v)
 }
 
+// MatchAttrs is Match on an event's attribute set.
+func (c Constraint) MatchAttrs(a Attrs) bool {
+	v, ok := a.Get(c.Attr)
+	return ok && c.matchValue(v)
+}
+
 func (c Constraint) matchValue(v Value) bool {
 	switch c.Op {
 	case OpExists:

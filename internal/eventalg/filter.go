@@ -51,6 +51,16 @@ func (f Filter) Match(t Tuple) bool {
 	return true
 }
 
+// MatchAttrs is Match on an event's attribute set.
+func (f Filter) MatchAttrs(a Attrs) bool {
+	for _, c := range f.constraints {
+		if !c.MatchAttrs(a) {
+			return false
+		}
+	}
+	return true
+}
+
 // Covers reports whether f covers g: every tuple matching g also matches f.
 // This is the standard conservative conjunction rule (Siena): every
 // constraint of f must be covered by some constraint of g. It is sound

@@ -15,6 +15,7 @@ package eventalg
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -51,22 +52,32 @@ func (k Kind) String() string {
 type Value struct {
 	kind Kind
 	s    string
-	i    int64
-	f    float64
-	b    bool
+	// n holds an int's two's complement, a float's IEEE 754 bits or a
+	// bool as 0/1: one word for the three, so a pair stays small.
+	n uint64
 }
 
 // String constructs a string Value.
 func String(s string) Value { return Value{kind: KindString, s: s} }
 
 // Int constructs an integer Value.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{kind: KindInt, n: uint64(i)} }
 
 // Float constructs a floating-point Value.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{kind: KindFloat, n: math.Float64bits(f)} }
 
 // Bool constructs a boolean Value.
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	v := Value{kind: KindBool}
+	if b {
+		v.n = 1
+	}
+	return v
+}
+
+func (v Value) i() int64   { return int64(v.n) }
+func (v Value) f() float64 { return math.Float64frombits(v.n) }
+func (v Value) b() bool    { return v.n != 0 }
 
 // Kind reports the kind of the value. The zero Value reports 0.
 func (v Value) Kind() Kind { return v.kind }
@@ -84,14 +95,23 @@ func (v Value) String() string {
 	case KindString:
 		return strconv.Quote(v.s)
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.i(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.b())
 	default:
 		return "<invalid>"
 	}
+}
+
+// Text is the value's text on the wire and in the public API: a string
+// verbatim, any other kind in filter syntax.
+func (v Value) Text() string {
+	if v.kind == KindString {
+		return v.s
+	}
+	return v.String()
 }
 
 // numeric reports whether the value is an int or float and returns it as a
@@ -99,9 +119,9 @@ func (v Value) String() string {
 func (v Value) numeric() (float64, bool) {
 	switch v.kind {
 	case KindInt:
-		return float64(v.i), true
+		return float64(v.i()), true
 	case KindFloat:
-		return v.f, true
+		return v.f(), true
 	default:
 		return 0, false
 	}
@@ -123,7 +143,7 @@ func (v Value) Equal(o Value) bool {
 	case KindString:
 		return v.s == o.s
 	case KindBool:
-		return v.b == o.b
+		return v.b() == o.b()
 	default:
 		return false
 	}
@@ -197,8 +217,9 @@ func unquote(s string) (string, error) {
 	return strconv.Unquote(s)
 }
 
-// Tuple is the attribute set of a single event: a mapping from attribute
-// name to typed value. Filters match against Tuples.
+// Tuple is an attribute set as a map from name to typed value. It is a
+// construction and test convenience: events carry Attrs, and
+// Tuple.Attrs converts.
 type Tuple map[string]Value
 
 // Get returns the value bound to name.

@@ -147,7 +147,7 @@ func (s *Sidebar) Add(ev pubsub.Event, now time.Time) int64 {
 }
 
 func attrStr(ev pubsub.Event, name string) string {
-	if v, ok := ev.Attrs[name]; ok && v.Kind() == eventalg.KindString {
+	if v, ok := ev.Attrs.Get(name); ok && v.Kind() == eventalg.KindString {
 		return v.Str()
 	}
 	return ""

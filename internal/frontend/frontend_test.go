@@ -23,7 +23,7 @@ func feedEvent(feedURL, title string) pubsub.Event {
 			"feed":  eventalg.String(feedURL),
 			"title": eventalg.String(title),
 			"link":  eventalg.String(feedURL + "/item"),
-		},
+		}.Attrs(),
 	}
 }
 
@@ -198,7 +198,10 @@ func TestFrontendApplyTapped(t *testing.T) {
 	fe, broker, _ := newTestFrontend(t)
 	tapped, plain := "http://h.test/tapped.xml", "http://h.test/plain.xml"
 	seen := map[string]int{}
-	tap := func(ev pubsub.Event) { seen[ev.Attrs["feed"].Str()]++ }
+	tap := func(ev pubsub.Event) {
+		feed, _ := ev.Attrs.Get("feed")
+		seen[feed.Str()]++
+	}
 	if err := fe.ApplyTapped(feedRec(tapped), tap); err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +271,7 @@ func TestFrontendContentQuery(t *testing.T) {
 	broker.Publish(context.Background(), pubsub.Event{Attrs: eventalg.Tuple{
 		"keywords": eventalg.String("quasar redshift"),
 		"title":    eventalg.String("science story"),
-	}})
+	}.Attrs()})
 	if items := fe.Sidebar().Items(); len(items) != 1 || items[0].Title != "science story" {
 		t.Errorf("sidebar after Publish = %+v, want the content event", items)
 	}

@@ -280,7 +280,7 @@ func (b *Broker) PublishBatchCounts(ctx context.Context, evs []Event, counts []i
 	}
 	ps.off = append(ps.off, 0)
 	for i := range evs {
-		ps.ids = b.index.MatchAppend(evs[i].Attrs, ps.ids[:0])
+		ps.ids = b.index.MatchAttrs(evs[i].Attrs, ps.ids[:0])
 		for _, id := range ps.ids {
 			if s, ok := b.subs[id]; ok {
 				ps.targets = append(ps.targets, s)
@@ -349,7 +349,8 @@ func (b *Broker) Close() {
 	}
 }
 
-// NewEvent is a convenience constructor used throughout the examples.
+// NewEvent is a convenience constructor used throughout the examples; it
+// converts the tuple to the event's sorted pairs once.
 func NewEvent(source string, attrs eventalg.Tuple, payload []byte) Event {
-	return Event{Attrs: attrs, Payload: payload, Source: source}
+	return Event{Attrs: attrs.Attrs(), Payload: payload, Source: source}
 }

@@ -1,7 +1,7 @@
 // Package pubsub implements the content-based publish-subscribe substrate
 // that Reef generates subscriptions for. It provides:
 //
-//   - Event: a typed name-value tuple with payload and provenance.
+//   - Event: a typed name-value set with payload and provenance.
 //   - Index: an access-predicate matcher that files each conjunctive
 //     filter under its most selective equality and evaluates an event
 //     against only the filters filed under its own attribute values.
@@ -26,14 +26,18 @@ import (
 	"reef/internal/eventalg"
 )
 
-// Event is a published notification: a typed attribute tuple plus an opaque
+// Event is a published notification: a typed attribute set plus an opaque
 // payload (e.g. the rendered story or feed item) and provenance metadata.
+// It is the one internal form of an event, from the stream decoder
+// through the broker to the delivery queue and the sidebar; an event
+// never shares storage with the frame it was decoded from.
 type Event struct {
 	// ID is assigned by the broker that first accepts the event and is
 	// unique within one substrate instance.
 	ID uint64
-	// Attrs carries the name-value pairs that filters match against.
-	Attrs eventalg.Tuple
+	// Attrs carries the name-value pairs that filters match against,
+	// sorted by name.
+	Attrs eventalg.Attrs
 	// Payload is opaque application data delivered verbatim.
 	Payload []byte
 	// Source identifies the publisher (e.g. a feed URL or service name).
@@ -45,7 +49,7 @@ type Event struct {
 // Topic returns the conventional "topic" attribute, if present. Topic-based
 // subscriptions in Reef are filters on this attribute.
 func (e Event) Topic() string {
-	if v, ok := e.Attrs["topic"]; ok && v.Kind() == eventalg.KindString {
+	if v, ok := e.Attrs.Get("topic"); ok && v.Kind() == eventalg.KindString {
 		return v.Str()
 	}
 	return ""

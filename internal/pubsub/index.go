@@ -1,6 +1,10 @@
 package pubsub
 
-import "reef/internal/eventalg"
+import (
+	"sync"
+
+	"reef/internal/eventalg"
+)
 
 // Index is an access-predicate matcher for conjunctive filters (Fabret et
 // al., SIGMOD 2001): each registered filter is filed under exactly one of
@@ -11,10 +15,10 @@ import "reef/internal/eventalg"
 // the buckets the event names, not the size of the table. Filters with no
 // such equality wait on a per-attribute scan list.
 //
-// Concurrency: Match and MatchAppend only read the index and are safe to
-// call from any number of goroutines at once. Add and Remove mutate it and
-// must be writer-exclusive — callers (Broker) hold a write lock around
-// them and a read lock around matching.
+// Concurrency: Match, MatchAppend and MatchAttrs only read the index and
+// are safe to call from any number of goroutines at once. Add and Remove
+// mutate it and must be writer-exclusive — callers (Broker) hold a write
+// lock around them and a read lock around matching.
 type Index struct {
 	nextID int64
 	// entries maps entry ID to where the entry is filed.
@@ -182,32 +186,48 @@ func (ix *Index) Match(t eventalg.Tuple) []int64 {
 	return ix.MatchAppend(t, nil)
 }
 
-// MatchAppend appends the IDs of all filters the tuple satisfies to dst
-// and returns the extended slice; with a reused buffer (dst[:0]) it does
-// not allocate. Every entry is filed in one place, so no ID appears twice.
-// Safe for concurrent use with other Match/MatchAppend calls.
+// tuplePairs pools the pair buffers MatchAppend sorts a tuple into.
+var tuplePairs = sync.Pool{New: func() any { return new(eventalg.Attrs) }}
+
+// MatchAppend is MatchAttrs on a tuple: it sorts the tuple into a pooled
+// pair buffer, so with a reused dst it does not allocate either.
 func (ix *Index) MatchAppend(t eventalg.Tuple, dst []int64) []int64 {
+	p := tuplePairs.Get().(*eventalg.Attrs)
+	a := t.AttrsInto(*p)
+	dst = ix.MatchAttrs(a, dst)
+	clear(a)
+	*p = a[:0]
+	tuplePairs.Put(p)
+	return dst
+}
+
+// MatchAttrs appends the IDs of all filters the attribute set satisfies
+// to dst and returns the extended slice; with a reused buffer (dst[:0])
+// it does not allocate. Every entry is filed in one place, so no ID
+// appears twice. Safe for concurrent use with other matches.
+func (ix *Index) MatchAttrs(a eventalg.Attrs, dst []int64) []int64 {
 	for _, e := range ix.matchAll {
 		dst = append(dst, e.id)
 	}
-	for attr, v := range t {
+	for i := range a {
+		attr, v := a[i].Name, a[i].Val
 		if m := ix.eq[attr]; m != nil && hashable(v) {
 			if b := m[v]; b != nil {
-				dst = appendVerified(dst, b.filed, 1, t)
+				dst = appendVerified(dst, b.filed, 1, a)
 			}
 		}
-		dst = appendVerified(dst, ix.scan[attr], 0, t)
+		dst = appendVerified(dst, ix.scan[attr], 0, a)
 	}
 	return dst
 }
 
 // appendVerified appends the IDs of the bucket's entries whose constraints
-// from cs[skip:] on all hold for the tuple.
-func appendVerified(dst []int64, bucket []*indexEntry, skip int, t eventalg.Tuple) []int64 {
+// from cs[skip:] on all hold for the attribute set.
+func appendVerified(dst []int64, bucket []*indexEntry, skip int, a eventalg.Attrs) []int64 {
 next:
 	for _, e := range bucket {
 		for _, c := range e.cs[skip:] {
-			if !c.Match(t) {
+			if !c.MatchAttrs(a) {
 				continue next
 			}
 		}

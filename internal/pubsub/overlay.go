@@ -407,7 +407,7 @@ func (n *Node) handlePublish(msg nodeMsg) {
 	}
 
 	// Match neighbor interests and forward once per matching neighbor.
-	ids := n.remote.Match(ev.Attrs)
+	ids := n.remote.MatchAttrs(ev.Attrs, nil)
 	if len(ids) == 0 {
 		return
 	}

@@ -48,14 +48,15 @@ func ItemFilter(feedURL string) eventalg.Filter {
 	)
 }
 
-// ItemEvent converts one feed item to a pub-sub event.
+// ItemEvent converts one feed item to a pub-sub event. The pairs are
+// written in name order, so the literal is already canonical.
 func ItemEvent(feedURL string, it feed.Item) pubsub.Event {
 	return pubsub.Event{
-		Attrs: eventalg.Tuple{
-			"type":  eventalg.String(EventAttrType),
-			"feed":  eventalg.String(feedURL),
-			"title": eventalg.String(it.Title),
-			"link":  eventalg.String(it.Link),
+		Attrs: eventalg.Attrs{
+			{Name: "feed", Val: eventalg.String(feedURL)},
+			{Name: "link", Val: eventalg.String(it.Link)},
+			{Name: "title", Val: eventalg.String(it.Title)},
+			{Name: "type", Val: eventalg.String(EventAttrType)},
 		},
 		Payload:   []byte(it.Description),
 		Source:    feedURL,

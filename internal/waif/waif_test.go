@@ -79,13 +79,13 @@ func TestProxyPublishesNewItems(t *testing.T) {
 		t.Fatalf("published = %d, sink = %d", published, sink.len())
 	}
 	ev := sink.events[0]
-	if ev.Attrs["type"].Str() != EventAttrType {
-		t.Errorf("event type attr = %v", ev.Attrs["type"])
+	if typ, _ := ev.Attrs.Get("type"); typ.Str() != EventAttrType {
+		t.Errorf("event type attr = %v", typ)
 	}
-	if ev.Attrs["feed"].Str() != feedURL {
-		t.Errorf("event feed attr = %v", ev.Attrs["feed"])
+	if feed, _ := ev.Attrs.Get("feed"); feed.Str() != feedURL {
+		t.Errorf("event feed attr = %v", feed)
 	}
-	if !ItemFilter(feedURL).Match(ev.Attrs) {
+	if !ItemFilter(feedURL).MatchAttrs(ev.Attrs) {
 		t.Error("ItemFilter does not match the proxy's own events")
 	}
 }
@@ -236,7 +236,7 @@ func TestItemFilterDoesNotMatchOtherFeeds(t *testing.T) {
 	other := ItemEvent("http://b.test/f.xml", feed.Item{
 		GUID: "g", Title: "t", Link: "l", Published: simStart,
 	})
-	if f.Match(other.Attrs) {
+	if f.MatchAttrs(other.Attrs) {
 		t.Error("filter matched another feed's items")
 	}
 }

@@ -13,7 +13,9 @@ import (
 	"time"
 
 	"reef"
+	"reef/internal/delivery"
 	"reef/internal/durable"
+	"reef/internal/eventalg"
 	"reef/internal/metrics"
 	"reef/internal/trace"
 )
@@ -496,6 +498,8 @@ func (sc *streamConn) writeFrame(bw *bufio.Writer, frame *[]byte) bool {
 
 func (sc *streamConn) readLoop(br *bufio.Reader) {
 	var buf []byte
+	var ds []delivery.Delivered
+	var pairs []eventalg.Attr
 	for {
 		rec, err := readFrame(br, &buf)
 		if err != nil {
@@ -503,15 +507,20 @@ func (sc *streamConn) readLoop(br *bufio.Reader) {
 			return
 		}
 		if rec.Op == durable.OpStreamDeliver {
-			// Pushed delivery: buffer it on its consumer session. The
-			// events get their own allocation — they outlive the read
-			// buffer, handed to the application by FetchEvents.
-			cid, evs, derr := decodeDeliver(rec.Payload, nil)
+			// Pushed delivery: buffer it on its consumer session in the
+			// public form. The events' text and payloads are their own —
+			// they outlive the read buffer, handed to the application by
+			// FetchEvents — while their pairs are done with once
+			// converted, so one pair buffer serves every frame.
+			cid, batch, derr := decodeDeliver(rec.Payload, ds[:0], &pairs)
 			if derr != nil {
 				sc.markDead(derr)
 				return
 			}
-			sc.dispatchDeliver(cid, evs)
+			sc.dispatchDeliver(cid, batch)
+			clear(batch)
+			clear(pairs)
+			ds, pairs = batch[:0], pairs[:0]
 			continue
 		}
 		if rec.Op != durable.OpStreamAck {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"reef"
+	"reef/internal/delivery"
 )
 
 // DefaultCreditWindow is the credit a consumer session extends to the
@@ -47,11 +48,12 @@ func (cc *clientConsumer) pop(max int) []reef.DeliveredEvent {
 	return out
 }
 
-// dispatchDeliver hands one pushed batch to its consumer session. An
-// unknown consumer ID means the session raced detachment; the dropped
-// events redeliver after their lease, so dropping here is safe.
-func (sc *streamConn) dispatchDeliver(cid uint64, evs []reef.DeliveredEvent) {
-	if len(evs) == 0 {
+// dispatchDeliver hands one pushed batch to its consumer session, in
+// the public form the application fetches. An unknown consumer ID means
+// the session raced detachment; the dropped events redeliver after
+// their lease, so dropping here is safe.
+func (sc *streamConn) dispatchDeliver(cid uint64, ds []delivery.Delivered) {
+	if len(ds) == 0 {
 		return
 	}
 	sc.cmu.Lock()
@@ -61,7 +63,9 @@ func (sc *streamConn) dispatchDeliver(cid uint64, evs []reef.DeliveredEvent) {
 		return
 	}
 	cc.mu.Lock()
-	cc.buf = append(cc.buf, evs...)
+	for _, d := range ds {
+		cc.buf = append(cc.buf, reef.DeliveredEvent{Seq: d.Seq, Attempts: d.Attempts, Event: publicEvent(d.Event)})
+	}
 	cc.mu.Unlock()
 	select {
 	case cc.ready <- struct{}{}:

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"reef"
+	"reef/internal/delivery"
 )
 
 // redeliverTick is the coarse fallback poll interval of a consumer
@@ -186,12 +187,12 @@ func (cs *connState) closeConsumers() {
 // session closes or the connection's writer dies.
 func (cs *connState) runPusher(c *consumerState) {
 	defer cs.pushers.Done()
-	var evs []reef.DeliveredEvent
+	var ds []delivery.Delivered
 	var frame []byte
 	tick := time.NewTicker(redeliverTick)
 	defer tick.Stop()
 	for {
-		if !cs.push(c, &evs, &frame) {
+		if !cs.push(c, &ds, &frame) {
 			return
 		}
 		select {
@@ -204,18 +205,18 @@ func (cs *connState) runPusher(c *consumerState) {
 }
 
 // push leases up to the consumer's credit in MaxFrameEvents chunks and
-// ships each chunk as one deliver frame, reusing the caller's event and
+// ships each chunk as one deliver frame, reusing the caller's lease and
 // frame buffers across fetches (the zero-alloc encode path). Unused
 // credit is refunded. Returns false when pushing must stop for good.
-func (cs *connState) push(c *consumerState, evs *[]reef.DeliveredEvent, frame *[]byte) bool {
+func (cs *connState) push(c *consumerState, ds *[]delivery.Delivered, frame *[]byte) bool {
 	ctx := context.Background()
 	for {
 		n := c.take(MaxFrameEvents)
 		if n == 0 {
 			return true
 		}
-		batch, err := cs.s.stream.FetchEventsInto(ctx, c.user, c.subID, (*evs)[:0], n)
-		*evs = batch[:0]
+		batch, err := cs.s.fetch(ctx, c.user, c.subID, (*ds)[:0], n)
+		*ds = batch[:0]
 		if err != nil {
 			// Subscription removed or deployment closing: nothing left
 			// to push. The client learns via its next control call.
@@ -239,4 +240,18 @@ func (cs *connState) push(c *consumerState, evs *[]reef.DeliveredEvent, frame *[
 			return true
 		}
 	}
+}
+
+// fetch leases up to max events of one reliable subscription, appended
+// to dst. A built-in engine hands over its own leased events; any other
+// StreamDeliverer's are converted from reef.DeliveredEvent at this edge.
+func (s *Server) fetch(ctx context.Context, user, subID string, dst []delivery.Delivered, max int) ([]delivery.Delivered, error) {
+	if s.entry.Fetch != nil {
+		return s.entry.Fetch(ctx, user, subID, dst, max)
+	}
+	pub, err := s.stream.FetchEventsInto(ctx, user, subID, nil, max)
+	for _, d := range pub {
+		dst = append(dst, delivery.Delivered{Seq: d.Seq, Attempts: d.Attempts, Event: internalEvent(d.Event)})
+	}
+	return dst, err
 }

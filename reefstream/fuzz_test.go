@@ -5,13 +5,18 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
 
 	"reef"
+	"reef/internal/delivery"
 	"reef/internal/durable"
+	"reef/internal/pubsub"
 	"reef/internal/trace"
 )
 
@@ -74,13 +79,8 @@ func TestPublishCodecRoundTrip(t *testing.T) {
 		if ev.Source != want.Source {
 			t.Errorf("event %d source = %q, want %q", i, ev.Source, want.Source)
 		}
-		if len(ev.Attrs) != len(want.Attrs) {
-			t.Errorf("event %d attrs = %v, want %v", i, ev.Attrs, want.Attrs)
-		}
-		for k, v := range want.Attrs {
-			if ev.Attrs[k] != v {
-				t.Errorf("event %d attr %q = %q, want %q", i, k, ev.Attrs[k], v)
-			}
+		if got := ev.Attrs.Strings(); !maps.Equal(got, want.Attrs) {
+			t.Errorf("event %d attrs = %v, want %v", i, got, want.Attrs)
 		}
 		if string(ev.Payload) != string(want.Payload) {
 			t.Errorf("event %d payload mismatch", i)
@@ -114,13 +114,39 @@ func TestAckCodecRoundTrip(t *testing.T) {
 
 // sampleDelivered wraps the sample events in delivery metadata for the
 // consume-plane codecs.
-func sampleDelivered() []reef.DeliveredEvent {
+func sampleDelivered() []delivery.Delivered {
 	evs := sampleEvents()
-	out := make([]reef.DeliveredEvent, len(evs))
+	out := make([]delivery.Delivered, len(evs))
 	for i, ev := range evs {
-		out[i] = reef.DeliveredEvent{Seq: int64(i) + 10, Attempts: i + 1, Event: ev}
+		out[i] = delivery.Delivered{Seq: int64(i) + 10, Attempts: i + 1, Event: internalEvent(ev)}
 	}
 	return out
+}
+
+// encodeInternal is EncodeEvents for decoded events: the publish body
+// they would travel in.
+func encodeInternal(evs []pubsub.Event) []byte {
+	body := binary.AppendUvarint(nil, uint64(len(evs)))
+	for _, ev := range evs {
+		body = appendEvent(body, ev.Source, ev.Attrs, ev.Payload, ev.Published)
+	}
+	return body
+}
+
+// sameEvent reports how two decoded events differ in content, or ""
+// when their source, attribute set, payload and publish time agree.
+func sameEvent(got, want pubsub.Event) string {
+	switch {
+	case got.Source != want.Source:
+		return fmt.Sprintf("source %q, want %q", got.Source, want.Source)
+	case !slices.Equal(got.Attrs, want.Attrs):
+		return fmt.Sprintf("attrs %v, want %v", got.Attrs, want.Attrs)
+	case !bytes.Equal(got.Payload, want.Payload):
+		return fmt.Sprintf("payload %q, want %q", got.Payload, want.Payload)
+	case !got.Published.Equal(want.Published):
+		return fmt.Sprintf("published %v, want %v", got.Published, want.Published)
+	}
+	return ""
 }
 
 // FuzzStreamDecode extends the FuzzWALDecode contract to the stream
@@ -170,7 +196,7 @@ func FuzzStreamDecode(f *testing.F) {
 			// re-encoded form must decode to the same events (attribute
 			// order may differ, so compare decoded-to-decoded) and the
 			// same trace ID.
-			re := appendPublishFrame(nil, seq, EncodeEvents(evs), tr)
+			re := appendPublishFrame(nil, seq, encodeInternal(evs), tr)
 			rec, _, derr := durable.DecodeFrame(re)
 			if derr != nil {
 				t.Fatalf("re-encoded frame does not decode: %v", derr)
@@ -179,6 +205,11 @@ func FuzzStreamDecode(f *testing.F) {
 			if derr != nil || seq2 != seq || tr2 != tr || len(evs2) != len(evs) {
 				t.Fatalf("re-decode = (%d, %v, %d events, %v), want (%d, %v, %d, nil)",
 					seq2, tr2, len(evs2), derr, seq, tr, len(evs))
+			}
+			for i := range evs {
+				if diff := sameEvent(evs2[i], evs[i]); diff != "" {
+					t.Fatalf("event %d re-decoded with %s", i, diff)
+				}
 			}
 		}
 		if _, err := decodeAck(ackPayload); err != nil && !errors.Is(err, ErrBadFrame) {
@@ -199,7 +230,7 @@ func FuzzStreamDecode(f *testing.F) {
 				t.Fatalf("subscribe re-decode = (%+v, %v), want (%+v, nil)", s2, derr, s)
 			}
 		}
-		if cid, evs, err := decodeDeliver(consumePayload, nil); err != nil {
+		if cid, evs, err := decodeDeliver(consumePayload, nil, nil); err != nil {
 			if !errors.Is(err, ErrBadFrame) {
 				t.Fatalf("decodeDeliver returned untyped error %v", err)
 			}
@@ -209,7 +240,7 @@ func FuzzStreamDecode(f *testing.F) {
 			if derr != nil {
 				t.Fatalf("re-encoded deliver does not frame: %v", derr)
 			}
-			cid2, evs2, derr := decodeDeliver(rec.Payload, nil)
+			cid2, evs2, derr := decodeDeliver(rec.Payload, nil, nil)
 			if derr != nil || cid2 != cid || len(evs2) != len(evs) {
 				t.Fatalf("deliver re-decode = (%d, %d events, %v), want (%d, %d, nil)",
 					cid2, len(evs2), derr, cid, len(evs))
@@ -218,6 +249,9 @@ func FuzzStreamDecode(f *testing.F) {
 				if evs2[i].Seq != evs[i].Seq || evs2[i].Attempts != evs[i].Attempts {
 					t.Fatalf("delivery %d metadata = (%d, %d), want (%d, %d)",
 						i, evs2[i].Seq, evs2[i].Attempts, evs[i].Seq, evs[i].Attempts)
+				}
+				if diff := sameEvent(evs2[i].Event, evs[i].Event); diff != "" {
+					t.Fatalf("delivery %d re-decoded with %s", i, diff)
 				}
 			}
 		}
@@ -268,14 +302,13 @@ func TestConsumeCodecRoundTrip(t *testing.T) {
 	if err != nil || rec.Op != durable.OpStreamDeliver {
 		t.Fatalf("deliver frame = (%v, %v)", rec.Op, err)
 	}
-	cid, got, err := decodeDeliver(rec.Payload, nil)
+	cid, got, err := decodeDeliver(rec.Payload, nil, nil)
 	if err != nil || cid != 7 || len(got) != len(wantDel) {
 		t.Fatalf("deliver round trip = (%d, %d events, %v)", cid, len(got), err)
 	}
 	for i, d := range got {
 		w := wantDel[i]
-		if d.Seq != w.Seq || d.Attempts != w.Attempts || d.Event.Source != w.Event.Source ||
-			string(d.Event.Payload) != string(w.Event.Payload) || !d.Event.Published.Equal(w.Event.Published) {
+		if d.Seq != w.Seq || d.Attempts != w.Attempts || sameEvent(d.Event, w.Event) != "" {
 			t.Errorf("delivery %d = %+v, want %+v", i, d, w)
 		}
 	}

@@ -82,11 +82,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
 	"reef"
+	"reef/internal/delivery"
 	"reef/internal/durable"
+	"reef/internal/eventalg"
+	"reef/internal/pubsub"
 	"reef/internal/trace"
 )
 
@@ -184,18 +188,10 @@ type hello struct {
 // events may encode differently. That is fine — frames are transport,
 // not identity.
 func AppendEvent(dst []byte, ev reef.Event) []byte {
-	dst = durable.AppendString(dst, ev.Source)
-	dst = binary.AppendUvarint(dst, uint64(len(ev.Attrs)))
-	for k, v := range ev.Attrs {
-		dst = durable.AppendString(dst, k)
-		dst = durable.AppendString(dst, v)
-	}
-	dst = durable.AppendBytes(dst, ev.Payload)
-	var nanos uint64
-	if !ev.Published.IsZero() {
-		nanos = uint64(ev.Published.UnixNano())
-	}
-	return binary.LittleEndian.AppendUint64(dst, nanos)
+	pp := pairPool.Get().(*[]eventalg.Attr)
+	dst = appendPublicEvent(dst, ev, pp)
+	pairPool.Put(pp)
+	return dst
 }
 
 // EncodeEvents encodes a batch into the seq-less body of a publish
@@ -209,10 +205,46 @@ func EncodeEvents(evs []reef.Event) []byte {
 // reuse an encode buffer across publishes.
 func AppendEvents(dst []byte, evs []reef.Event) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(evs)))
+	pp := pairPool.Get().(*[]eventalg.Attr)
 	for _, ev := range evs {
-		dst = AppendEvent(dst, ev)
+		dst = appendPublicEvent(dst, ev, pp)
 	}
+	pairPool.Put(pp)
 	return dst
+}
+
+// pairPool recycles the pair buffer a public event's attribute map is
+// laid out in for appendEvent.
+var pairPool = sync.Pool{New: func() any { return new([]eventalg.Attr) }}
+
+// appendPublicEvent encodes a public event through appendEvent, laying
+// its attribute map out in *pairs (reused; cleared before it returns).
+func appendPublicEvent(dst []byte, ev reef.Event, pairs *[]eventalg.Attr) []byte {
+	ps := (*pairs)[:0]
+	for k, v := range ev.Attrs {
+		ps = append(ps, eventalg.Attr{Name: k, Val: eventalg.String(v)})
+	}
+	dst = appendEvent(dst, ev.Source, ps, ev.Payload, ev.Published)
+	clear(ps)
+	*pairs = ps[:0]
+	return dst
+}
+
+// appendEvent is the one event encoder. Each attribute goes on the wire
+// as its name and its value's text, in the order given.
+func appendEvent(dst []byte, source string, attrs []eventalg.Attr, payload []byte, published time.Time) []byte {
+	dst = durable.AppendString(dst, source)
+	dst = binary.AppendUvarint(dst, uint64(len(attrs)))
+	for i := range attrs {
+		dst = durable.AppendString(dst, attrs[i].Name)
+		dst = durable.AppendString(dst, attrs[i].Val.Text())
+	}
+	dst = durable.AppendBytes(dst, payload)
+	var nanos uint64
+	if !published.IsZero() {
+		nanos = uint64(published.UnixNano())
+	}
+	return binary.LittleEndian.AppendUint64(dst, nanos)
 }
 
 // badFrame marks an error of the shared durable codec as a malformed
@@ -221,63 +253,89 @@ func badFrame(err error) error {
 	return fmt.Errorf("%w: %w", ErrBadFrame, err)
 }
 
-// decodeEvent decodes one event from the front of buf. shared is the
-// string conversion of the same byte region buf is a suffix of: every
-// decoded string is sliced out of it, so a frame pays one string
-// allocation instead of one per field (frames decode zero-copy from a
-// reused read buffer, so the event must not alias buf itself).
-func decodeEvent(buf []byte, shared string) (reef.Event, []byte, error) {
-	// view maps a field slice (cut from the same backing array) to its
-	// window of shared: f ends where rest begins.
-	view := func(f, rest []byte) string {
-		end := len(shared) - len(rest)
-		return shared[end-len(f) : end]
-	}
-	var ev reef.Event
+// decodeEvent is the one event decoder: it decodes one event from the
+// front of buf into the engine's form. The event owns its bytes and
+// nothing else: one string holds its source and attribute text, and the
+// payload is its own copy (frames decode zero-copy from a reused read
+// buffer, so the event must not alias buf). Attributes come out in
+// name order; of a repeated name the last value wins, as it would in
+// the map a REST body decodes into. With pairs nil the attributes get a
+// slice of their own; otherwise they are carved from *pairs, for a
+// caller that is done with the events before it decodes again. It
+// decodes into *ev, which it expects zero, and returns the bytes after
+// the event.
+func decodeEvent(buf []byte, ev *pubsub.Event, pairs *[]eventalg.Attr) ([]byte, error) {
 	src, rest, err := durable.DecodeBytes(buf)
 	if err != nil {
-		return ev, nil, badFrame(err)
-	}
-	if len(src) > 0 {
-		ev.Source = view(src, rest)
+		return nil, badFrame(err)
 	}
 	nattrs, rest, err := durable.DecodeUvarint(rest)
 	if err != nil {
-		return ev, nil, badFrame(err)
+		return nil, badFrame(err)
 	}
 	// Each attribute costs at least two length bytes; anything claiming
 	// more attributes than remaining bytes is garbage, not a big event.
 	if nattrs > uint64(len(rest)) {
-		return ev, nil, fmt.Errorf("%w: %d attrs in %d bytes", ErrBadFrame, nattrs, len(rest))
+		return nil, fmt.Errorf("%w: %d attrs in %d bytes", ErrBadFrame, nattrs, len(rest))
 	}
-	if nattrs > 0 {
-		ev.Attrs = make(map[string]string, nattrs)
-	}
+	// First pass: bound every field and size the event's text.
+	fields, text := rest, len(src)
 	for i := uint64(0); i < nattrs; i++ {
 		var k, v []byte
 		if k, rest, err = durable.DecodeBytes(rest); err != nil {
-			return ev, nil, badFrame(err)
+			return nil, badFrame(err)
 		}
-		kv := view(k, rest)
 		if v, rest, err = durable.DecodeBytes(rest); err != nil {
-			return ev, nil, badFrame(err)
+			return nil, badFrame(err)
 		}
-		ev.Attrs[kv] = view(v, rest)
+		text += len(k) + len(v)
 	}
 	payload, rest, err := durable.DecodeBytes(rest)
 	if err != nil {
-		return ev, nil, badFrame(err)
+		return nil, badFrame(err)
+	}
+	if len(rest) < 8 {
+		return nil, fmt.Errorf("%w: truncated publish timestamp", ErrBadFrame)
+	}
+	// The fields are known good: copy the text into one string, then cut
+	// the source and every name and value out of it.
+	var sb strings.Builder
+	sb.Grow(text)
+	sb.Write(src)
+	for i, r := uint64(0), fields; i < nattrs; i++ {
+		var k, v []byte
+		k, r, _ = durable.DecodeBytes(r)
+		v, r, _ = durable.DecodeBytes(r)
+		sb.Write(k)
+		sb.Write(v)
+	}
+	str := sb.String()
+	ev.Source, str = str[:len(src)], str[len(src):]
+	if nattrs > 0 {
+		var attrs []eventalg.Attr
+		if pairs == nil {
+			attrs = make([]eventalg.Attr, nattrs)
+		} else {
+			start := len(*pairs)
+			*pairs = append(*pairs, make([]eventalg.Attr, nattrs)...)
+			attrs = (*pairs)[start:len(*pairs):len(*pairs)]
+		}
+		for i := range attrs {
+			var k, v []byte
+			k, fields, _ = durable.DecodeBytes(fields)
+			v, fields, _ = durable.DecodeBytes(fields)
+			attrs[i] = eventalg.Attr{Name: str[:len(k)], Val: eventalg.String(str[len(k) : len(k)+len(v)])}
+			str = str[len(k)+len(v):]
+		}
+		ev.Attrs = eventalg.SortAttrs(attrs)
 	}
 	if len(payload) > 0 {
 		ev.Payload = append([]byte(nil), payload...)
 	}
-	if len(rest) < 8 {
-		return ev, nil, fmt.Errorf("%w: truncated publish timestamp", ErrBadFrame)
-	}
 	if nanos := binary.LittleEndian.Uint64(rest[:8]); nanos != 0 {
 		ev.Published = time.Unix(0, int64(nanos)).UTC()
 	}
-	return ev, rest[8:], nil
+	return rest[8:], nil
 }
 
 // decodePublish decodes an OpStreamPublish payload into its sequence
@@ -287,7 +345,7 @@ func decodeEvent(buf []byte, shared string) (reef.Event, []byte, error) {
 // 16-byte trace ID stitching the publish into a cross-node trace. An
 // empty tail means "untraced" (the pre-trace wire shape, still what
 // untraced publishers send); any other tail length is malformed.
-func decodePublish(payload []byte, evs []reef.Event) (uint64, trace.ID, []reef.Event, error) {
+func decodePublish(payload []byte, evs []pubsub.Event) (uint64, trace.ID, []pubsub.Event, error) {
 	var tr trace.ID
 	if len(payload) < 8 {
 		return 0, tr, nil, fmt.Errorf("%w: truncated publish header", ErrBadFrame)
@@ -300,15 +358,11 @@ func decodePublish(payload []byte, evs []reef.Event) (uint64, trace.ID, []reef.E
 	if n > MaxFrameEvents || n > uint64(len(rest)) {
 		return 0, tr, nil, fmt.Errorf("%w: %d events in %d bytes", ErrBadFrame, n, len(rest))
 	}
-	// One copy of the whole event region up front; decodeEvent slices
-	// every string out of it instead of copying field by field.
-	shared := string(rest)
 	for i := uint64(0); i < n; i++ {
-		var ev reef.Event
-		if ev, rest, err = decodeEvent(rest, shared); err != nil {
+		evs = append(evs, pubsub.Event{})
+		if rest, err = decodeEvent(rest, &evs[len(evs)-1], nil); err != nil {
 			return 0, tr, nil, err
 		}
-		evs = append(evs, ev)
 	}
 	switch len(rest) {
 	case 0:
@@ -460,19 +514,20 @@ func decodeSubscribe(payload []byte) (subscribe, error) {
 
 // appendDeliverFrame frames one pushed batch for a consumer: the CID,
 // then each leased event as [8B LE seq][uvarint attempts][event]. The
-// caller passes reef-level delivered events; encode allocates nothing
-// beyond dst's growth.
+// events are encoded from the engine's own form; encode allocates
+// nothing beyond dst's growth.
 var deliverBodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
-func appendDeliverFrame(dst []byte, cid uint64, evs []reef.DeliveredEvent) []byte {
+func appendDeliverFrame(dst []byte, cid uint64, ds []delivery.Delivered) []byte {
 	bp := deliverBodyPool.Get().(*[]byte)
 	buf := (*bp)[:0]
 	buf = binary.LittleEndian.AppendUint64(buf, cid)
-	buf = binary.AppendUvarint(buf, uint64(len(evs)))
-	for _, d := range evs {
+	buf = binary.AppendUvarint(buf, uint64(len(ds)))
+	for i := range ds {
+		d := &ds[i]
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(d.Seq))
 		buf = binary.AppendUvarint(buf, uint64(d.Attempts))
-		buf = AppendEvent(buf, d.Event)
+		buf = appendEvent(buf, d.Event.Source, d.Event.Attrs, d.Event.Payload, d.Event.Published)
 	}
 	dst = durable.AppendFrameParts(dst, durable.OpStreamDeliver, buf, nil)
 	*bp = buf
@@ -481,10 +536,11 @@ func appendDeliverFrame(dst []byte, cid uint64, evs []reef.DeliveredEvent) []byt
 }
 
 // decodeDeliver decodes an OpStreamDeliver payload into its consumer ID
-// and events, appending to evs (reusable across frames). Strings share
-// one allocation via the same shared-string technique decodePublish
-// uses, so a pushed frame costs one string copy, not one per field.
-func decodeDeliver(payload []byte, evs []reef.DeliveredEvent) (uint64, []reef.DeliveredEvent, error) {
+// and deliveries, appending to ds (reusable across frames). Each event
+// owns its text and payload, as decodeEvent decodes them; pairs is
+// decodeEvent's, so a caller that converts the events straight away can
+// reuse one pair buffer across frames.
+func decodeDeliver(payload []byte, ds []delivery.Delivered, pairs *[]eventalg.Attr) (uint64, []delivery.Delivered, error) {
 	if len(payload) < 8 {
 		return 0, nil, fmt.Errorf("%w: truncated deliver header", ErrBadFrame)
 	}
@@ -496,30 +552,36 @@ func decodeDeliver(payload []byte, evs []reef.DeliveredEvent) (uint64, []reef.De
 	if n > MaxFrameEvents || n > uint64(len(rest)) {
 		return 0, nil, fmt.Errorf("%w: %d deliveries in %d bytes", ErrBadFrame, n, len(rest))
 	}
-	shared := string(rest)
 	for i := uint64(0); i < n; i++ {
 		if len(rest) < 8 {
 			return 0, nil, fmt.Errorf("%w: truncated delivery seq", ErrBadFrame)
 		}
 		seq := binary.LittleEndian.Uint64(rest[:8])
-		rest = rest[8:]
-		attempts, r2, err := durable.DecodeUvarint(rest)
+		attempts, r2, err := durable.DecodeUvarint(rest[8:])
 		if err != nil {
 			return 0, nil, badFrame(err)
 		}
-		rest = r2
-		var ev reef.Event
-		// Re-anchor shared to the remaining window so decodeEvent's
-		// offset math (computed against the suffix it was handed) holds.
-		if ev, rest, err = decodeEvent(rest, shared[len(shared)-len(rest):]); err != nil {
+		ds = append(ds, delivery.Delivered{Seq: int64(seq), Attempts: int(attempts)})
+		if rest, err = decodeEvent(r2, &ds[len(ds)-1].Event, pairs); err != nil {
 			return 0, nil, err
 		}
-		evs = append(evs, reef.DeliveredEvent{Seq: int64(seq), Attempts: int(attempts), Event: ev})
 	}
 	if len(rest) != 0 {
 		return 0, nil, fmt.Errorf("%w: %d trailing bytes after deliveries", ErrBadFrame, len(rest))
 	}
-	return cid, evs, nil
+	return cid, ds, nil
+}
+
+// publicEvent converts a decoded event to the public form, at the edge
+// where a non-built-in deployment or an SDK caller takes it.
+func publicEvent(ev pubsub.Event) reef.Event {
+	return reef.Event{Source: ev.Source, Attrs: ev.Attrs.Strings(), Payload: ev.Payload, Published: ev.Published}
+}
+
+// internalEvent converts a public event to the engine's form, at the
+// edge where a non-built-in deployment hands over leased events.
+func internalEvent(ev reef.Event) pubsub.Event {
+	return pubsub.Event{Source: ev.Source, Attrs: eventalg.StringAttrs(ev.Attrs), Payload: ev.Payload, Published: ev.Published}
 }
 
 // consumeAck is a decoded OpStreamConsumeAck: one cumulative cursor

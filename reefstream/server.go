@@ -12,8 +12,10 @@ import (
 	"time"
 
 	"reef"
+	"reef/internal/builtin"
 	"reef/internal/durable"
 	"reef/internal/metrics"
+	"reef/internal/pubsub"
 	"reef/internal/trace"
 )
 
@@ -59,6 +61,7 @@ func WithTraceRecorder(r *trace.Recorder) ServerOption {
 // single batch publish, and acks every frame with its exact count.
 type Server struct {
 	dep    reef.Deployment
+	entry  builtin.Entry            // the built-in engine's own entry; zero for any other deployment
 	counts reef.BatchCountPublisher // non-nil when dep attributes per-event counts
 	stream reef.StreamDeliverer     // non-nil when dep can push reliable deliveries
 	node   string
@@ -106,6 +109,7 @@ func NewServer(ln net.Listener, dep reef.Deployment, opts ...ServerOption) *Serv
 		conns:      make(map[net.Conn]struct{}),
 		acceptDone: make(chan struct{}),
 	}
+	s.entry, _ = builtin.Of(dep)
 	if bc, ok := dep.(reef.BatchCountPublisher); ok {
 		s.counts = bc
 	}
@@ -273,7 +277,7 @@ func (s *Server) serveConn(conn net.Conn) {
 
 	var (
 		readBuf []byte
-		evs     []reef.Event
+		evs     []pubsub.Event
 		spans   []frameSpan
 		ackBuf  []byte
 		counts  []int
@@ -296,13 +300,14 @@ func (s *Server) serveConn(conn net.Conn) {
 				ctrl, hasCtrl = rec, true
 				break
 			}
-			var seq uint64
-			var tr trace.ID
 			start := len(evs)
-			seq, tr, evs, err = decodePublish(rec.Payload, evs)
-			if err != nil {
+			seq, tr, more, derr := decodePublish(rec.Payload, evs)
+			if derr != nil {
+				// evs keeps the frames before this one, to be applied.
+				err = derr
 				break
 			}
+			evs = more
 			spans = append(spans, frameSpan{seq: seq, start: start, end: len(evs), tr: tr})
 			if br.Buffered() < durable.FrameHeaderLen || len(evs) >= maxCoalesceEvents {
 				break
@@ -314,6 +319,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		// frame): a frame the server read is never left half-applied.
 		if len(spans) > 0 {
 			ackBuf, counts = s.applyAndAck(evs, spans, ackBuf[:0], counts)
+			clear(evs) // the engine keeps what it retains; drop the rest
 			if cs.write(ackBuf) != nil {
 				return
 			}
@@ -399,17 +405,17 @@ func (s *Server) handleControl(cs *connState, rec durable.Record, dst []byte) ([
 // batch call fails and error attribution matters — each frame is
 // published on its own. countScratch is the caller's reusable per-event
 // count slice; it is returned (possibly regrown) for the next pass.
-func (s *Server) applyAndAck(evs []reef.Event, spans []frameSpan, dst []byte, countScratch []int) ([]byte, []int) {
+func (s *Server) applyAndAck(evs []pubsub.Event, spans []frameSpan, dst []byte, countScratch []int) ([]byte, []int) {
 	ctx := context.Background()
 	begin := time.Now()
 	s.mBatch.Observe(float64(len(evs)))
-	if s.counts != nil {
+	if s.entry.Publish != nil || s.counts != nil {
 		if cap(countScratch) < len(evs) {
 			countScratch = make([]int, len(evs))
 		}
 		counts := countScratch[:len(evs)]
 		clear(counts)
-		if _, err := s.counts.PublishBatchCounts(ctx, evs, counts); err == nil {
+		if _, err := s.publish(ctx, evs, counts); err == nil {
 			s.mFramesIn.Add(int64(len(spans)))
 			s.mEventsIn.Add(int64(len(evs)))
 			s.mFramesOut.Add(int64(len(spans)))
@@ -427,7 +433,7 @@ func (s *Server) applyAndAck(evs []reef.Event, spans []frameSpan, dst []byte, co
 		// each ack carries its own verdict, not the group's.
 	}
 	for _, sp := range spans {
-		delivered, err := s.dep.PublishBatch(ctx, evs[sp.start:sp.end])
+		delivered, err := s.publish(ctx, evs[sp.start:sp.end], nil)
 		a := ack{Seq: sp.seq, Delivered: uint64(delivered)}
 		errStr := ""
 		if err != nil {
@@ -443,6 +449,24 @@ func (s *Server) applyAndAck(evs []reef.Event, spans []frameSpan, dst []byte, co
 		s.recordPublishSpan(sp, begin, errStr)
 	}
 	return dst, countScratch
+}
+
+// publish hands decoded events to the deployment. A built-in engine
+// takes them as they are; any other deployment gets them converted to
+// reef.Events at this edge, through PublishBatchCounts when counts is
+// set and PublishBatch otherwise.
+func (s *Server) publish(ctx context.Context, evs []pubsub.Event, counts []int) (int, error) {
+	if s.entry.Publish != nil {
+		return s.entry.Publish(ctx, evs, counts)
+	}
+	pub := make([]reef.Event, len(evs))
+	for i := range evs {
+		pub[i] = publicEvent(evs[i])
+	}
+	if counts != nil {
+		return s.counts.PublishBatchCounts(ctx, pub, counts)
+	}
+	return s.dep.PublishBatch(ctx, pub)
 }
 
 // recordPublishSpan records one traced publish frame into the node's

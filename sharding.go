@@ -485,22 +485,28 @@ func (r *router) PublishBatch(ctx context.Context, evs []Event) (int, error) {
 	return r.PublishBatchCounts(ctx, evs, nil)
 }
 
-// PublishBatchCounts implements BatchCountPublisher and is the one
-// publish body: the batch is validated whole, stamped once and fanned
-// out to every shard's broker concurrently; it returns the total of local
-// deliveries. Each subscriber lives on one shard, so the shards count
-// into private slices summed after the fan-out. With WithFeedPublisher
-// the events go one by one to the caller-owned publisher, whose
-// deliveries are not observable from here: success reports 0.
+// PublishBatchCounts implements BatchCountPublisher: the events convert
+// at the edge and go through publishEvents.
 func (r *router) PublishBatchCounts(ctx context.Context, evs []Event, counts []int) (int, error) {
+	return r.publishEvents(ctx, toPubsubEvents(evs), counts)
+}
+
+// publishEvents is the one publish body, and the stream's entry
+// (builtin.Entry.Publish): the batch is validated whole, stamped once and
+// fanned out to every shard's broker concurrently; it returns the total
+// of local deliveries. Each subscriber lives on one shard, so the shards
+// count into private slices summed after the fan-out. With
+// WithFeedPublisher the events go one by one to the caller-owned
+// publisher, whose deliveries are not observable from here: success
+// reports 0.
+func (r *router) publishEvents(ctx context.Context, pevs []pubsub.Event, counts []int) (int, error) {
 	if err := r.checkOpen(ctx); err != nil {
 		return 0, err
 	}
-	if counts != nil && len(counts) != len(evs) {
-		return 0, fmt.Errorf("%w: counts has %d entries for %d events", ErrInvalidArgument, len(counts), len(evs))
+	if counts != nil && len(counts) != len(pevs) {
+		return 0, fmt.Errorf("%w: counts has %d entries for %d events", ErrInvalidArgument, len(counts), len(pevs))
 	}
-	pevs, err := toPubsubEvents(evs)
-	if err != nil {
+	if err := checkEvents(pevs); err != nil {
 		return 0, err
 	}
 	if r.cfg.feedPublisher != nil {
