@@ -117,10 +117,10 @@ var (
 // Replication families.
 var (
 	ReplicationReplicas       = Def{"replication_replicas", "reef_replication_replicas", KindGauge, "Configured replica count."}
-	ReplicationLogLen         = Def{"replication_log_len", "reef_replication_log_len", KindGauge, "Records retained in the in-memory replication log."}
+	ReplicationLogLen         = Def{"replication_log_len", "reef_replication_log_len", KindGauge, "Entries queued for shipping, summed over the per-peer queues; a record bound for two peers counts twice."}
 	ReplicationPeers          = Def{"replication_peers", "reef_replication_peers", KindGauge, "Outbound replication peers."}
-	ReplicationPending        = Def{"replication_pending", "reef_replication_pending", KindGauge, "Records not yet shipped to the slowest peer."}
-	ReplicationResyncs        = Def{"replication_resyncs", "reef_replication_resyncs_total", KindCounter, "Full snapshot resyncs triggered by watermark gaps."}
+	ReplicationPending        = Def{"replication_pending", "reef_replication_pending", KindGauge, "Records queued and not yet acked, summed over outbound peers."}
+	ReplicationResyncs        = Def{"replication_resyncs", "reef_replication_resyncs_total", KindCounter, "Snapshot resyncs of peers that fell off their own bounded queue."}
 	ReplicationLagP99Micros   = Def{"replication_lag_p99_micros", "reef_replication_lag_p99_micros", KindGauge, "p99 replication shipping lag in microseconds."}
 	ReplicationAppliedRecords = Def{"replication_applied_records", "reef_replication_applied_records_total", KindCounter, "Replicated records applied from primaries."}
 )

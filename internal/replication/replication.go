@@ -10,14 +10,15 @@
 //
 //   - Sender: the deployment's replication tap calls Offer for every
 //     locally-originated record. Offer decodes just enough of the
-//     payload to compute the record's destination set, appends it to a
-//     bounded in-memory log, and wakes the per-peer senders. Each
-//     sender streams its peer's subsequence in batches with a
-//     prev/last watermark handshake, retrying forever with the journal
-//     as source of truth: a peer that falls off the retained log tail
-//     is resynced with a full snapshot cut, then streamed again. The
-//     log keeps only what some peer has not acked: once every peer's
-//     watermark passes an entry, it is dropped.
+//     payload to find the record's destination peers and appends its
+//     encoded frame to each one's own bounded queue, numbered in that
+//     peer's own sequence. Each peer's sender ships a prefix of its
+//     queue per batch, with a dense prev/last handshake, and drops the
+//     prefix once the peer acks it, retrying forever with the journal
+//     as source of truth. A peer nothing was offered to is never
+//     contacted. A peer whose queue overflows Retain (it was down or
+//     lagging that long) is resynced with a full snapshot cut, then
+//     streamed again; no other peer's queue is touched.
 //
 //   - Receiver: IngestRecords applies a peer's batch through the
 //     deployment (which journals it WITHOUT re-feeding the tap, so
@@ -45,12 +46,10 @@ import (
 	"io/fs"
 	"log/slog"
 	"maps"
-	"math"
 	"net/http"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -126,10 +125,10 @@ type Options struct {
 	// place resumes its inbound streams. Nothing else is read or written
 	// there.
 	Dir string
-	// Retain caps the in-memory log (default 65536 entries). Entries every
-	// peer has acked are dropped at once, so the cap binds only while a
-	// peer is down or lagging; a peer that falls past it is resynced
-	// with a snapshot cut.
+	// Retain caps each peer's queue (default 65536 entries). Entries the
+	// peer has acked are dropped at once, so the cap binds only while
+	// that peer is down or lagging; a peer that falls past it is
+	// resynced with a snapshot cut.
 	Retain int
 	// RetryInterval paces sender retries and idle re-checks
 	// (default 250ms).
@@ -146,16 +145,14 @@ type Options struct {
 	Trace *trace.Recorder
 }
 
-// logEntry is one tapped record with its destinations and offer time
-// (the lag clock starts here). The record is kept pre-encoded: frames
-// are cut for each peer by concatenation, and a flat byte slice keeps
-// the retained window nearly free for the garbage collector to scan —
-// decoded records are maps all the way down.
-type logEntry struct {
-	seq   int64
-	enc   []byte // one durable WAL frame
-	dests []string
-	at    time.Time
+// entry is one queued record and its offer time (the lag clock starts
+// here). The record is kept pre-encoded, one frame shared by every
+// peer it goes to: batches are cut by concatenation, and a flat byte
+// slice keeps the queues nearly free for the garbage collector to scan
+// — decoded records are maps all the way down.
+type entry struct {
+	enc []byte // one durable WAL frame
+	at  time.Time
 }
 
 // sourcePos is the receiver's position for one source.
@@ -173,19 +170,15 @@ type Manager struct {
 	opt   Options
 	epoch int64
 	self  int // index of Self in Nodes
+	// peers are the other nodes in node order. Offer runs under the
+	// deployment's journal lock and takes each destination peer's lock
+	// only to append, so nothing here may wait on locks that a journal
+	// holder could need.
 	peers []*peer
 
-	// logMu guards the shipping log. Offer runs under the deployment's
-	// journal lock, so nothing here may wait on locks that a journal
-	// holder could need (the senders only ever take logMu briefly).
-	logMu    sync.Mutex
-	log      []logEntry
-	nextSeq  int64 // seq the next Offer gets (starts at 1)
-	logStart int64 // seq of the first retained entry
-
 	// inMu serializes ingest: per-source ordering of apply and position.
-	// Apply runs under it; the lock order in→journal→log is acyclic with
-	// the tap's journal→log.
+	// Apply runs under it; the lock order in→journal→peer is acyclic
+	// with the tap's journal→peer.
 	inMu    sync.Mutex
 	sources map[string]*sourcePos
 
@@ -224,13 +217,11 @@ func New(opt Options) (*Manager, error) {
 		opt.Logger = slog.New(slog.DiscardHandler)
 	}
 	m := &Manager{
-		opt:      opt,
-		epoch:    time.Now().UnixNano(),
-		self:     self,
-		nextSeq:  1,
-		logStart: 1,
-		sources:  make(map[string]*sourcePos),
-		stop:     make(chan struct{}),
+		opt:     opt,
+		epoch:   time.Now().UnixNano(),
+		self:    self,
+		sources: make(map[string]*sourcePos),
+		stop:    make(chan struct{}),
 	}
 	for _, p := range opt.Applier.ReplicationPositions() {
 		m.sources[p.Source] = &sourcePos{Epoch: p.Epoch, Applied: p.Applied}
@@ -253,7 +244,7 @@ func New(opt Options) (*Manager, error) {
 }
 
 // Close stops the senders. In-flight batches finish or fail; nothing
-// new ships. The unshipped log tail is the async-replication loss
+// new ships. The unshipped queues are the async-replication loss
 // window — it survives in the local WAL and is NOT replayed by a
 // future process (fresh epoch), by design.
 func (m *Manager) Close() {
@@ -274,7 +265,7 @@ func (m *Manager) Offer(rec durable.Record) {
 		// shard of every replica set member wants them. Ship to this
 		// node's own k successors; the flag store is an idempotent
 		// OR-set, so overlap between nodes is harmless.
-		m.append(rec, m.ringDests())
+		m.enqueue(rec, m.ringPeers())
 	case durable.OpClicks:
 		m.offerClicks(rec)
 	default:
@@ -282,141 +273,99 @@ func (m *Manager) Offer(rec durable.Record) {
 		if err != nil || user == "" {
 			return
 		}
-		if dests := m.userDests(user); len(dests) > 0 {
-			m.append(rec, dests)
-		}
+		m.enqueue(rec, m.userPeers(user))
 	}
 }
 
-// offerClicks ships a click batch to its users' replica sets, reading
-// only the clicks' users. A batch whose clicks all share one
-// destination set ships as the original frame; otherwise it is decoded
-// and re-encoded as one batch per destination set.
+// offerClicks ships a click batch to its users' replica peers, reading
+// only the clicks' users. A peer every click goes to gets the original
+// frame; any other destination peer gets one batch of just its own
+// clicks, re-encoded.
 func (m *Manager) offerClicks(rec durable.Record) {
 	users, err := durable.ClickUsers(rec)
 	if err != nil {
 		return
 	}
-	keys := make([]string, len(users)) // destKey per click; "" for none
-	dests := make(map[string][]string)
+	to := make([][]*peer, len(users)) // each click's destination peers
 	for i, u := range users {
 		if i > 0 && u == users[i-1] {
-			keys[i] = keys[i-1]
-			continue
-		}
-		if d := m.userDests(u); len(d) > 0 {
-			keys[i] = destKey(d)
-			dests[keys[i]] = d
+			to[i] = to[i-1]
+		} else {
+			to[i] = m.userPeers(u)
 		}
 	}
-	switch {
-	case len(dests) == 0:
-		return
-	case len(dests) == 1 && !slices.Contains(keys, ""):
-		m.append(rec, dests[keys[0]])
+	var whole, part []*peer
+	for _, p := range m.peers {
+		n := 0
+		for _, d := range to {
+			if slices.Contains(d, p) {
+				n++
+			}
+		}
+		switch n {
+		case 0:
+		case len(users):
+			whole = append(whole, p)
+		default:
+			part = append(part, p)
+		}
+	}
+	m.enqueue(rec, whole)
+	if len(part) == 0 {
 		return
 	}
-	p, err := durable.DecodeClicks(rec)
+	batch, err := durable.DecodeClicks(rec)
 	if err != nil {
 		return
 	}
-	groups := make(map[string][]attention.Click, len(dests))
-	for i, cl := range p.Clicks {
-		if keys[i] != "" {
-			groups[keys[i]] = append(groups[keys[i]], cl)
-		}
-	}
-	for k, g := range groups {
-		m.append(durable.ClicksRecord(g), dests[k])
-	}
-}
-
-// userDests maps a user's replica set to peer IDs, excluding self.
-func (m *Manager) userDests(user string) []string {
-	slots := routing.ReplicaSet(user, len(m.opt.Nodes), m.opt.Replicas)
-	out := make([]string, 0, len(slots))
-	for _, s := range slots {
-		if s != m.self {
-			out = append(out, m.opt.Nodes[s].ID)
-		}
-	}
-	return out
-}
-
-// ringDests is the k successors of this node's own slot.
-func (m *Manager) ringDests() []string {
-	n := len(m.opt.Nodes)
-	out := make([]string, 0, m.opt.Replicas)
-	for i := 1; i <= m.opt.Replicas; i++ {
-		out = append(out, m.opt.Nodes[(m.self+i)%n].ID)
-	}
-	return out
-}
-
-func destKey(dests []string) string {
-	s := append([]string(nil), dests...)
-	sort.Strings(s)
-	out := ""
-	for _, d := range s {
-		out += d + "\x00"
-	}
-	return out
-}
-
-// append adds one entry to the shipping log, evicting the oldest past
-// the retention cap, and wakes the destinations' senders.
-func (m *Manager) append(rec durable.Record, dests []string) {
-	if len(dests) == 0 {
-		return
-	}
-	enc := rec.AppendEncoded(nil)
-	m.logMu.Lock()
-	e := logEntry{seq: m.nextSeq, enc: enc, dests: dests, at: time.Now()}
-	m.nextSeq++
-	m.log = append(m.log, e)
-	m.dropThrough(m.nextSeq - 1 - int64(m.opt.Retain))
-	m.logMu.Unlock()
-	for _, p := range m.peers {
-		for _, d := range dests {
-			if p.node.ID == d {
-				p.wake()
+	for _, p := range part {
+		var own []attention.Click
+		for i, cl := range batch.Clicks {
+			if slices.Contains(to[i], p) {
+				own = append(own, cl)
 			}
 		}
+		m.enqueue(durable.ClicksRecord(own), []*peer{p})
 	}
 }
 
-// trim drops the log prefix every peer has acked: nothing a live peer
-// can still ask for, since a receiver acks a batch only once its log
-// holds it. A down peer's watermark holds the log where it is.
-func (m *Manager) trim() {
-	low := int64(math.MaxInt64)
-	for _, p := range m.peers {
-		low = min(low, p.position())
+// userPeers is a user's replica set as peers, self left out.
+func (m *Manager) userPeers(user string) []*peer {
+	var out []*peer
+	for _, s := range routing.ReplicaSet(user, len(m.opt.Nodes), m.opt.Replicas) {
+		if s != m.self {
+			out = append(out, m.peerAt(s))
+		}
 	}
-	m.logMu.Lock()
-	m.dropThrough(low)
-	m.logMu.Unlock()
+	return out
 }
 
-// dropThrough removes the retained entries with seq ≤ seq (caller holds
-// logMu), clearing their slots so the dropped frames are garbage at
-// once. Few survivors (the usual trim) move to the front, so the array
-// is reused; many (eviction at the Retain cap) stay put, so dropping
-// one entry never copies the whole window.
-func (m *Manager) dropThrough(seq int64) {
-	n := int(min(seq+1-m.logStart, int64(len(m.log))))
-	if n <= 0 {
+// ringPeers is the k successors of this node's own slot.
+func (m *Manager) ringPeers() []*peer {
+	out := make([]*peer, m.opt.Replicas)
+	for i := range out {
+		out[i] = m.peerAt((m.self + 1 + i) % len(m.opt.Nodes))
+	}
+	return out
+}
+
+// peerAt is the peer at node slot s, which must not be self's.
+func (m *Manager) peerAt(s int) *peer {
+	if s > m.self {
+		s--
+	}
+	return m.peers[s]
+}
+
+// enqueue appends one encoded record to each destination peer's queue.
+func (m *Manager) enqueue(rec durable.Record, to []*peer) {
+	if len(to) == 0 {
 		return
 	}
-	m.logStart += int64(n)
-	if k := len(m.log) - n; k <= n {
-		copy(m.log, m.log[n:])
-		clear(m.log[k:])
-		m.log = m.log[:k]
-		return
+	e := entry{enc: rec.AppendEncoded(nil), at: time.Now()}
+	for _, p := range to {
+		p.push(e, m.opt.Retain)
 	}
-	clear(m.log[:n])
-	m.log = m.log[n:]
 }
 
 // IngestRecords is the receiver half of the batch protocol: decode the
@@ -432,8 +381,9 @@ func (m *Manager) IngestRecords(source string, epoch, prev, last int64, count in
 	if len(recs) != count {
 		return Ack{}, fmt.Errorf("replication: batch from %s carries %d records, header says %d", source, len(recs), count)
 	}
-	// count==0 with last>prev is a legitimate watermark advance: every
-	// record in (prev, last] was destined to other peers.
+	// count==0 with last>prev is the watermark advance older senders,
+	// numbering one log over all peers, ship across records destined to
+	// other peers; it stays accepted so mixed versions interoperate.
 	if last < prev {
 		return Ack{}, fmt.Errorf("replication: bad batch watermarks prev=%d last=%d count=%d", prev, last, count)
 	}
@@ -536,10 +486,13 @@ func (m *Manager) importLegacyPositions() error {
 
 // PeerStatus is one outbound stream's position and health.
 type PeerStatus struct {
-	Node    string `json:"node"`
-	Shipped int64  `json:"shipped"`
-	// Pending counts retained log entries destined to this peer and
-	// not yet acked.
+	Node string `json:"node"`
+	// Shipped is the number of records the peer has acked, counted in
+	// the peer's own sequence: a resync moves it to the sequence the
+	// cut was pinned at.
+	Shipped int64 `json:"shipped"`
+	// Pending is the length of the peer's queue: records offered for it
+	// and not yet acked.
 	Pending      int64     `json:"pending"`
 	LagP99Micros float64   `json:"lag_p99_micros"`
 	Resyncs      int64     `json:"resyncs"`
@@ -555,13 +508,13 @@ type SourceStatus struct {
 	LastIngest time.Time `json:"last_ingest,omitzero"`
 }
 
-// Status is the admin view of both roles.
+// Status is the admin view of both roles. LogLen is the number of
+// entries queued over all peers: a record bound for two peers counts
+// twice.
 type Status struct {
 	Self     string         `json:"self"`
 	Epoch    int64          `json:"epoch"`
 	Replicas int            `json:"replicas"`
-	LogStart int64          `json:"log_start"`
-	LogNext  int64          `json:"log_next"`
 	LogLen   int            `json:"log_len"`
 	Peers    []PeerStatus   `json:"peers,omitempty"`
 	Sources  []SourceStatus `json:"sources,omitempty"`
@@ -570,42 +523,14 @@ type Status struct {
 // Status reports stream positions, lag and health for the admin
 // endpoint.
 func (m *Manager) Status() Status {
-	m.logMu.Lock()
-	st := Status{
-		Self:     m.opt.Self,
-		Epoch:    m.epoch,
-		Replicas: m.opt.Replicas,
-		LogStart: m.logStart,
-		LogNext:  m.nextSeq,
-		LogLen:   len(m.log),
-	}
-	pending := make(map[string]int64, len(m.peers))
-	for _, p := range m.peers {
-		shipped := p.position()
-		for _, e := range m.log {
-			if e.seq <= shipped {
-				continue
-			}
-			for _, d := range e.dests {
-				if d == p.node.ID {
-					pending[p.node.ID]++
-				}
-			}
-		}
-	}
-	m.logMu.Unlock()
+	st := Status{Self: m.opt.Self, Epoch: m.epoch, Replicas: m.opt.Replicas}
 	for _, p := range m.peers {
 		ps := p.status()
-		ps.Pending = pending[p.node.ID]
+		st.LogLen += int(ps.Pending)
 		st.Peers = append(st.Peers, ps)
 	}
 	m.inMu.Lock()
-	ids := make([]string, 0, len(m.sources))
-	for id := range m.sources {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(m.sources)) {
 		ss := m.sources[id]
 		st.Sources = append(st.Sources, SourceStatus{
 			Source: id, Epoch: ss.Epoch, Applied: ss.Applied, LastIngest: ss.LastIngest,

@@ -282,8 +282,8 @@ func TestResponseDropRedelivers(t *testing.T) {
 	})
 }
 
-// TestSnapshotResync pins the eviction path: a peer that falls off the
-// bounded log gets a full cut, then streams normally again.
+// TestSnapshotResync pins the eviction path: a peer that falls off its
+// bounded queue gets a full cut, then streams normally again.
 func TestSnapshotResync(t *testing.T) {
 	g := &gate{}
 	sender, recv, recvApp := pair(t, func(o *Options) {
@@ -298,8 +298,9 @@ func TestSnapshotResync(t *testing.T) {
 		st := sender.Status()
 		return len(st.Peers) == 1 && st.Peers[0].LastError != ""
 	})
-	if st := sender.Status(); st.LogLen != 4 || st.LogStart != 17 {
-		t.Fatalf("retained log = len %d start %d, want 4 from 17", st.LogLen, st.LogStart)
+	if st := sender.Status(); st.LogLen != 4 || st.Peers[0].Pending != 4 || st.Peers[0].Shipped != 0 {
+		t.Fatalf("queue with the peer down = len %d, pending %d, shipped %d; want the newest 4 and nothing acked",
+			st.LogLen, st.Peers[0].Pending, st.Peers[0].Shipped)
 	}
 	g.open.Store(true)
 	waitFor(t, "snapshot resync", func() bool { return recvApp.cutCount() >= 1 })
@@ -307,6 +308,11 @@ func TestSnapshotResync(t *testing.T) {
 		st := sender.Status()
 		return st.Peers[0].Pending == 0 && st.Peers[0].Resyncs >= 1
 	})
+	// The cut was pinned at the peer's last queued seq, so it covers
+	// every record offered before it and the queue drops them all.
+	if got := sender.Status().Peers[0].Shipped; got != 20 {
+		t.Fatalf("shipped after the resync = %d, want 20", got)
+	}
 	// Records offered after the cut stream normally again.
 	sender.Offer(cursorRec("u", 21))
 	waitFor(t, "new record after resync", func() bool {
@@ -546,7 +552,8 @@ func TestOfferDestinations(t *testing.T) {
 		{ID: "c", BaseURL: "http://unused.test"},
 	}
 	us := slotUsers(3, 0, 1) // set {a,b} and set {b,c}
-	m, err := New(Options{Self: "a", Nodes: nodes, Replicas: 1, Applier: &fakeApplier{}})
+	down := &http.Client{Transport: &gate{}}
+	m, err := New(Options{Self: "a", Nodes: nodes, Replicas: 1, Applier: &fakeApplier{}, HTTPClient: down})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,50 +586,94 @@ func TestOfferDestinations(t *testing.T) {
 		t.Fatalf("pending b=%d c=%d after a flag record, want 3/1", b, c)
 	}
 
-	// k=0 disables shipping entirely.
-	m0, err := New(Options{Self: "a", Nodes: nodes, Replicas: 0, Applier: &fakeApplier{}})
+	// k=0 disables shipping entirely: no peer queues anything.
+	m0, err := New(Options{Self: "a", Nodes: nodes, Replicas: 0, Applier: &fakeApplier{}, HTTPClient: down})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m0.Close()
 	m0.Offer(cursorRec(us[0], 1))
-	if st := m0.Status(); st.LogLen != 0 {
-		t.Fatalf("k=0 manager logged %d entries, want 0", st.LogLen)
+	m0.Offer(durable.FlagRecord("spam.example.com", 1))
+	st := m0.Status()
+	if st.LogLen != 0 {
+		t.Fatalf("k=0 manager queued %d entries, want 0", st.LogLen)
+	}
+	for _, p := range st.Peers {
+		if p.Pending != 0 {
+			t.Fatalf("k=0 manager queued %d entries for %s, want 0", p.Pending, p.Node)
+		}
 	}
 }
 
-// TestClicksSplitByDestination pins the clicks fan-out: a batch whose
-// users share one replica set ships as the original frame; a mixed
-// batch is re-framed per destination set.
+// TestClicksSplitByDestination pins the clicks fan-out: a peer that
+// every click of a batch goes to gets the original frame, and any other
+// destination peer gets one re-encoded batch of only its own clicks.
 func TestClicksSplitByDestination(t *testing.T) {
 	nodes := []Node{
 		{ID: "a", BaseURL: "http://unused.test"},
 		{ID: "b", BaseURL: "http://unused.test"},
 		{ID: "c", BaseURL: "http://unused.test"},
 	}
-	us := slotUsers(3, 0, 0, 1)
-	m, err := New(Options{Self: "a", Nodes: nodes, Replicas: 1, Applier: &fakeApplier{}})
+	// Slot 0's set is {a,b}, slot 1's {b,c}, slot 2's {c,a}.
+	us := slotUsers(3, 0, 0, 1, 2)
+	m, err := New(Options{Self: "a", Nodes: nodes, Replicas: 1, Applier: &fakeApplier{},
+		HTTPClient: &http.Client{Transport: &gate{}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	clicks := func(users ...string) []attention.Click {
+	clicks := func(users ...string) durable.Record {
 		out := make([]attention.Click, len(users))
 		for i, u := range users {
 			out[i] = attention.Click{User: u, URL: "http://x.test/p"}
 		}
-		return out
+		return durable.ClicksRecord(out)
 	}
-	// Same set (both slot 0): one log entry.
-	m.Offer(durable.ClicksRecord(clicks(us[0], us[1])))
-	if st := m.Status(); st.LogLen != 1 {
-		t.Fatalf("same-set clicks batch produced %d log entries, want 1", st.LogLen)
+	// queued returns what the peer at node slot s holds: one user list
+	// per queued frame, and whether each frame is the one offered.
+	queued := func(s int, offered durable.Record) (users [][]string, original []bool) {
+		t.Helper()
+		p := m.peerAt(s)
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		for _, e := range p.queue {
+			recs, err := durable.Replay(e.enc)
+			if err != nil || len(recs) != 1 {
+				t.Fatalf("queued frame decodes to (%d records, %v)", len(recs), err)
+			}
+			u, err := durable.ClickUsers(recs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			users = append(users, u)
+			original = append(original, string(e.enc) == string(offered.AppendEncoded(nil)))
+		}
+		return users, original
 	}
-	// Mixed sets (slot 0 + slot 1): one entry per set.
-	m.Offer(durable.ClicksRecord(clicks(us[0], us[2])))
-	if st := m.Status(); st.LogLen != 3 {
-		t.Fatalf("log has %d entries after the mixed-set batch, want 3 (one + one per set)", st.LogLen)
+	check := func(what string, rec durable.Record, b, c []string, bWhole, cWhole bool) {
+		t.Helper()
+		m.Offer(rec)
+		for _, want := range []struct {
+			slot  int
+			users []string
+			whole bool
+		}{{1, b, bWhole}, {2, c, cWhole}} {
+			got, orig := queued(want.slot, rec)
+			switch {
+			case want.users == nil && len(got) != 0:
+				t.Fatalf("%s: slot %d queued %v, want nothing", what, want.slot, got)
+			case want.users == nil:
+			case len(got) != 1 || !slices.Equal(got[0], want.users) || orig[0] != want.whole:
+				t.Fatalf("%s: slot %d queued %v (original frame %v), want one frame of %v (original %v)",
+					what, want.slot, got, orig, want.users, want.whole)
+			}
+		}
+		m.peerAt(1).adopt(m.peerAt(1).next)
+		m.peerAt(2).adopt(m.peerAt(2).next)
 	}
+	check("one set", clicks(us[0], us[1]), []string{us[0], us[1]}, nil, true, false)
+	check("b takes all, c some", clicks(us[0], us[2]), []string{us[0], us[2]}, []string{us[2]}, true, false)
+	check("each takes some", clicks(us[0], us[3]), []string{us[0]}, []string{us[3]}, false, false)
 }
 
 // TestStats pins the gauge shapes merged into /v1/stats.

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -52,13 +52,20 @@ const (
 	lagWindow  = 512
 )
 
-// peer is one outbound stream: position, health, lag samples.
+// peer is one outbound stream: its queue, position, health and lag
+// samples.
 type peer struct {
 	node   Node
 	notify chan struct{}
 
-	mu        sync.Mutex
-	shipped   int64 // last acked watermark
+	mu sync.Mutex
+	// queue holds the entries offered for this peer and not yet acked,
+	// in the peer's own sequence: seq next-len(queue)+1 through next.
+	// It starts right after acked unless it overflowed Retain, which is
+	// what a resync repairs.
+	queue     []entry
+	next      int64 // seq of the last entry ever queued
+	acked     int64 // the receiver's acked position
 	resyncs   int64
 	lastAck   time.Time
 	lastErr   string
@@ -74,21 +81,51 @@ func (p *peer) wake() {
 	}
 }
 
-func (p *peer) position() int64 {
+// push queues one entry, evicting the oldest past retain, and wakes
+// the sender.
+func (p *peer) push(e entry, retain int) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.shipped
+	p.next++
+	p.queue = append(p.queue, e)
+	p.dropThrough(p.next - int64(retain))
+	p.mu.Unlock()
+	p.wake()
 }
 
+// dropThrough removes the queued entries with seq ≤ seq (caller holds
+// mu), clearing their slots so the dropped frames are garbage at once.
+// Few survivors (the usual ack) move to the front, so the array is
+// reused; many (eviction at the Retain cap) stay put, so dropping one
+// entry never copies the whole queue.
+func (p *peer) dropThrough(seq int64) {
+	n := int(min(seq-p.next+int64(len(p.queue)), int64(len(p.queue))))
+	if n <= 0 {
+		return
+	}
+	if k := len(p.queue) - n; k <= n {
+		copy(p.queue, p.queue[n:])
+		clear(p.queue[k:])
+		p.queue = p.queue[:k]
+		return
+	}
+	clear(p.queue[:n])
+	p.queue = p.queue[n:]
+}
+
+// adopt moves the peer to the receiver's position: what it holds
+// leaves the queue, and the rest ships again. A position below the
+// queue's start leaves a gap only a resync can fill.
 func (p *peer) adopt(acked int64) {
 	p.mu.Lock()
-	p.shipped = acked
+	p.acked = acked
+	p.next = max(p.next, acked)
+	p.dropThrough(acked)
 	p.mu.Unlock()
 }
 
 func (p *peer) success(last int64, lags []float64) {
+	p.adopt(last)
 	p.mu.Lock()
-	p.shipped = last
 	p.lastAck = time.Now()
 	p.lastErr = ""
 	p.lagMicros = append(p.lagMicros, lags...)
@@ -108,68 +145,44 @@ func (p *peer) status() PeerStatus {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	ps := PeerStatus{
-		Node:    p.node.ID,
-		Shipped: p.shipped,
-		Resyncs: p.resyncs,
-		LastAck: p.lastAck,
+		Node:      p.node.ID,
+		Shipped:   p.acked,
+		Pending:   int64(len(p.queue)),
+		Resyncs:   p.resyncs,
+		LastAck:   p.lastAck,
+		LastError: p.lastErr,
 	}
-	ps.LastError = p.lastErr
 	if len(p.lagMicros) > 0 {
-		s := append([]float64(nil), p.lagMicros...)
-		sort.Float64s(s)
+		s := slices.Clone(p.lagMicros)
+		slices.Sort(s)
 		ps.LagP99Micros = s[(len(s)*99)/100]
 	}
 	return ps
 }
 
-// batch is one shipping unit cut from the log.
+// batch is one shipping unit: a prefix of the peer's queue.
 type batch struct {
-	prev, last int64
-	count      int
+	prev, last int64 // count is last-prev
 	frames     []byte
 	offeredAt  []time.Time
-	// resync is set instead when the peer fell off the retained log.
+	// resync is set instead when the queue no longer starts right
+	// after the acked position.
 	resync bool
 }
 
-// nextBatch cuts the peer's next unshipped subsequence under the log
-// lock. Empty batch (count 0, prev==last) means the peer is caught up.
-func (m *Manager) nextBatch(p *peer) batch {
-	shipped := p.position()
-	m.logMu.Lock()
-	defer m.logMu.Unlock()
-	if shipped+1 < m.logStart {
-		// Entries the peer never acked were evicted; whether any were
-		// destined to it is unknowable, so resync conservatively.
+// nextBatch cuts the peer's next batch under its lock. An empty batch
+// (prev==last) means the peer is caught up.
+func (p *peer) nextBatch() batch {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.acked < p.next-int64(len(p.queue)) {
 		return batch{resync: true}
 	}
-	b := batch{prev: shipped, last: shipped}
-	// The log is contiguous (entry i has seq logStart+i), so the first
-	// unshipped entry is at a computable index — a caught-up peer's
-	// retry tick must not rescan the whole retained window.
-	start := shipped + 1 - m.logStart
-	if start > int64(len(m.log)) {
-		start = int64(len(m.log))
-	}
-	for _, e := range m.log[start:] {
-		destined := false
-		for _, d := range e.dests {
-			if d == p.node.ID {
-				destined = true
-				break
-			}
-		}
-		// Advance the watermark over gaps (records for other peers) so
-		// the handshake stays dense without shipping their bytes.
-		b.last = e.seq
-		if destined {
-			b.frames = append(b.frames, e.enc...)
-			b.count++
-			b.offeredAt = append(b.offeredAt, e.at)
-			if b.count >= shipWindow {
-				return b
-			}
-		}
+	n := min(len(p.queue), shipWindow)
+	b := batch{prev: p.acked, last: p.acked + int64(n), offeredAt: make([]time.Time, n)}
+	for i, e := range p.queue[:n] {
+		b.frames = append(b.frames, e.enc...)
+		b.offeredAt[i] = e.at
 	}
 	return b
 }
@@ -193,7 +206,7 @@ func (m *Manager) sendLoop(p *peer) {
 				return
 			default:
 			}
-			b := m.nextBatch(p)
+			b := p.nextBatch()
 			if b.resync {
 				m.opt.Logger.Info("replication resync",
 					"node", m.opt.Self, "peer", p.node.ID)
@@ -203,17 +216,16 @@ func (m *Manager) sendLoop(p *peer) {
 					p.fail(err)
 					break // wait a tick, retry
 				}
-				m.trim()
 				continue
 			}
-			if b.count == 0 && b.last == b.prev {
+			if b.last == b.prev {
 				break // caught up
 			}
 			ack, conflict, err := m.postRecords(p, b)
 			if err != nil {
 				m.opt.Logger.Warn("replication batch ship failed",
 					"node", m.opt.Self, "peer", p.node.ID,
-					"records", b.count, "err", err)
+					"records", b.last-b.prev, "err", err)
 				p.fail(err)
 				break
 			}
@@ -227,7 +239,6 @@ func (m *Manager) sendLoop(p *peer) {
 				lags[i] = float64(now.Sub(at).Microseconds())
 			}
 			p.success(b.last, lags)
-			m.trim()
 		}
 	}
 }
@@ -244,21 +255,22 @@ func (m *Manager) postRecords(p *peer, b batch) (Ack, bool, error) {
 	req.Header.Set(HdrEpoch, strconv.FormatInt(m.epoch, 10))
 	req.Header.Set(HdrPrev, strconv.FormatInt(b.prev, 10))
 	req.Header.Set(HdrLast, strconv.FormatInt(b.last, 10))
-	req.Header.Set(HdrCount, strconv.Itoa(b.count))
+	req.Header.Set(HdrCount, strconv.FormatInt(b.last-b.prev, 10))
 	return m.doShip(req, "repl.records")
 }
 
-// sendSnapshot resyncs a peer that fell off the log: capture a cut,
-// ship it, and adopt the cut's position. The watermark is pinned
-// BEFORE the capture starts, so records tapped while the capture runs
-// re-ship after it — a record racing the cut can be applied twice on
-// the replica (the documented async caveat; subscriptions, pending
-// takes and cursor acks are idempotent, click counts can double for
-// that sliver).
+// sendSnapshot resyncs a peer that fell off its queue: capture a cut,
+// ship it, and adopt the cut's position, which drops the queue through
+// it. The position is pinned at the peer's last queued seq BEFORE the
+// capture starts, so records tapped while the capture runs re-ship
+// after it — a record racing the cut can be applied twice on the
+// replica (the documented async caveat; subscriptions, pending takes
+// and cursor acks are idempotent, click counts can double for that
+// sliver).
 func (m *Manager) sendSnapshot(p *peer) error {
-	m.logMu.Lock()
-	seq := m.nextSeq - 1
-	m.logMu.Unlock()
+	p.mu.Lock()
+	seq := p.next
+	p.mu.Unlock()
 	st, err := m.opt.Applier.CaptureReplicationState()
 	if err != nil {
 		return err
@@ -280,8 +292,8 @@ func (m *Manager) sendSnapshot(p *peer) error {
 		return err
 	}
 	_ = conflict // a snapshot answer is authoritative either way
+	p.adopt(ack.Acked)
 	p.mu.Lock()
-	p.shipped = ack.Acked
 	p.resyncs++
 	p.mu.Unlock()
 	return nil

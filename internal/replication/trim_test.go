@@ -8,26 +8,26 @@ import (
 )
 
 // TestLogTrimmedOnAck pins the sender's trim: once the only peer has
-// acked everything, the shipping log holds nothing.
+// acked everything, its queue holds nothing.
 func TestLogTrimmedOnAck(t *testing.T) {
 	sender, _, recvApp := pair(t, nil)
 	for i := 1; i <= 10; i++ {
 		sender.Offer(cursorRec("u", int64(i)))
 	}
 	waitFor(t, "records applied", func() bool { return len(recvApp.applied()) == 10 })
-	waitFor(t, "log trimmed", func() bool {
+	waitFor(t, "queue trimmed", func() bool {
 		st := sender.Status()
-		return st.LogLen == 0 && st.LogStart == st.LogNext
+		return st.LogLen == 0 && st.Peers[0].Pending == 0
 	})
-	if st := sender.Status(); st.LogNext != 11 || st.Peers[0].Shipped != 10 {
-		t.Fatalf("status after trim = %+v, want next 11 and shipped 10", st)
+	if st := sender.Status(); st.Peers[0].Shipped != 10 {
+		t.Fatalf("status after trim = %+v, want shipped 10", st)
 	}
 }
 
 // TestLogHeldForDownPeer pins what the trim keeps: with one of two peers
-// unreachable, the log is held from that peer's watermark however far
-// the other has acked, and it empties once the peer is back — by
-// streaming, not by a snapshot resync.
+// unreachable, that peer's queue holds exactly its own records, the
+// other's empties as it acks, and the down peer's queue empties once it
+// is back — by streaming, not by a snapshot resync.
 func TestLogHeldForDownPeer(t *testing.T) {
 	b, c := &fakeApplier{}, &fakeApplier{}
 	receiver := func(self string, app *fakeApplier) string {
@@ -80,14 +80,15 @@ func TestLogHeldForDownPeer(t *testing.T) {
 		st := sender.Status()
 		return peer(st, "b").Shipped == 8 && peer(st, "c").LastError != ""
 	})
-	if st := sender.Status(); st.LogStart != 1 || st.LogLen != 8 {
-		t.Fatalf("log with c down = len %d from %d, want all 8 from 1", st.LogLen, st.LogStart)
+	if st := sender.Status(); st.LogLen != 4 || peer(st, "c").Pending != 4 || peer(st, "b").Pending != 0 {
+		t.Fatalf("queues with c down = %d in all, c %d, b %d; want c's own 4 and b empty",
+			st.LogLen, peer(st, "c").Pending, peer(st, "b").Pending)
 	}
 
 	g.open.Store(true)
-	waitFor(t, "c caught up and the log emptied", func() bool {
+	waitFor(t, "c caught up and its queue emptied", func() bool {
 		st := sender.Status()
-		return peer(st, "c").Shipped == 8 && st.LogLen == 0 && st.LogStart == 9
+		return peer(st, "c").Shipped == 4 && st.LogLen == 0
 	})
 	if got := len(c.applied()); got != 4 {
 		t.Fatalf("c applied %d records, want its 4", got)

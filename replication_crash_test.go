@@ -144,12 +144,12 @@ func waitDrained(t *testing.T, m *replication.Manager) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		st := m.Status()
-		if st.Peers[0].Shipped == st.LogNext-1 {
+		if st.Peers[0].Pending == 0 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("sender did not drain: shipped %d of %d (last error %q)",
-				st.Peers[0].Shipped, st.LogNext-1, st.Peers[0].LastError)
+			t.Fatalf("sender did not drain: %d pending after shipping %d (last error %q)",
+				st.Peers[0].Pending, st.Peers[0].Shipped, st.Peers[0].LastError)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
