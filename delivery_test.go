@@ -439,10 +439,10 @@ func TestRetiredOrderingFieldRecovers(t *testing.T) {
 	}
 }
 
-// writeRetiredOrderingDir writes a single-journal data dir through the
-// durable layer as reliable subscriptions used to journal it: users[0]'s
-// subscription to feeds[0] in the snapshot, users[1]'s to feeds[1] in
-// the WAL tail, each delivery config with an "ordering_key".
+// writeRetiredOrderingDir writes a single-journal data dir as reliable
+// subscriptions used to journal it: users[0]'s subscription to feeds[0]
+// in a version 1 JSON snapshot, users[1]'s to feeds[1] in the WAL tail,
+// each delivery config with an "ordering_key".
 func writeRetiredOrderingDir(t *testing.T, dir string, users, feeds []string) {
 	t.Helper()
 	sub := func(i int) durable.SubscriptionState {
@@ -456,11 +456,8 @@ func writeRetiredOrderingDir(t *testing.T, dir string, users, feeds []string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Snapshot(&durable.State{Version: 1, Subscriptions: []durable.SubscriptionState{sub(0)}}); err != nil {
-		t.Fatal(err)
-	}
-	// The ordering key predates binary payloads: journal the record as
-	// the JSON one those releases wrote.
+	// The ordering key predates binary payloads and snapshots: journal
+	// the record as the JSON one those releases wrote.
 	payload, err := json.Marshal(sub(1))
 	if err != nil {
 		t.Fatal(err)
@@ -472,15 +469,12 @@ func writeRetiredOrderingDir(t *testing.T, dir string, users, feeds []string) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	snaps := snapshotFiles(t, dir)
-	if len(snaps) != 1 {
-		t.Fatalf("snapshots = %v, want one", snaps)
-	}
-	data, err := os.ReadFile(snaps[0])
+	snap, err := json.Marshal(sub(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(snaps[0], addRetiredOrdering(t, data), 0o644); err != nil {
+	snap = fmt.Appendf(nil, `{"version":1,"state":{"version":1,"subscriptions":[%s]}}`, snap)
+	if err := os.WriteFile(filepath.Join(dir, "snap-00000000.json"), addRetiredOrdering(t, snap), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -499,7 +493,7 @@ func addRetiredOrdering(t *testing.T, data []byte) []byte {
 // snapshotFiles lists the snapshot files of a data dir.
 func snapshotFiles(t *testing.T, dir string) []string {
 	t.Helper()
-	out, err := filepath.Glob(filepath.Join(dir, "snap-*.json"))
+	out, err := filepath.Glob(filepath.Join(dir, "snap-*.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,15 +3,21 @@
 // versioned records plus periodic compacting snapshots, standing in for
 // the MySQL database behind the paper's centralized prototype (§3.1).
 //
+// There is one durable format: a snapshot, and the resync cut a
+// replication sender ships, are the run of records that rebuilds the
+// state (StateRecords), so recovery replays a snapshot and the WAL after
+// it as one run.
+//
 // The design splits three concerns:
 //
-//   - Record framing (record.go): a self-describing binary frame whose
-//     decoder returns typed errors and never panics, so recovery can stop
-//     cleanly at the first torn record of an uncleanly closed log.
-//   - Backend (file.go, mem.go): where the log and snapshots live. The
-//     file backend keeps one WAL and one snapshot per generation and
-//     rotates atomically (write-tmp, fsync, rename); the nop backend
-//     preserves the historical all-in-memory behavior at zero cost.
+//   - Record framing (record.go, payload.go): a self-describing binary
+//     frame whose decoder returns typed errors and never panics, so
+//     recovery can stop cleanly at the first torn record of an
+//     uncleanly closed log, and the typed payload of every op.
+//   - Backend (file.go): where the log and snapshots live. The file
+//     backend keeps one WAL and one snapshot per generation and rotates
+//     atomically (write-tmp, fsync, rename); a journal without a backend
+//     keeps the all-in-memory behavior at zero cost.
 //   - Journal (journal.go): the coordination point between mutators and
 //     the snapshot compactor. Mutations apply and append under a shared
 //     lock; snapshot capture takes the lock exclusively, guaranteeing the
@@ -19,8 +25,9 @@
 //     operations — no record is lost or duplicated across the handoff.
 //
 // The recovery invariant: after Open, the in-memory state equals the
-// state produced by applying, in order, every operation in the latest
-// snapshot followed by every intact WAL record before the first torn one.
+// state produced by applying, in order, every record of the latest
+// snapshot's run followed by every intact WAL record before the first
+// torn one.
 package durable
 
 import (
@@ -87,13 +94,14 @@ type Info struct {
 type Backend interface {
 	// Append adds one record to the current WAL segment.
 	Append(r Record) error
-	// Snapshot makes st the new recovery baseline and starts a fresh WAL
-	// segment; earlier segments and snapshots are superseded.
+	// Snapshot makes the run of st's records (StateRecords) the new
+	// recovery baseline and starts a fresh WAL segment; earlier segments
+	// and snapshots are superseded.
 	Snapshot(st *State) error
-	// Load returns the latest snapshot (nil if none) and the intact WAL
-	// tail recorded after it. A torn tail is not an error; it is reported
-	// via Info().TornTail.
-	Load() (*State, []Record, error)
+	// Load returns the records recovery replays: the latest snapshot's
+	// run, then the intact WAL tail recorded after it. A torn tail is not
+	// an error; it is reported via Info().TornTail.
+	Load() ([]Record, error)
 	// Flush hands buffered appends to the operating system without
 	// waiting for stable storage: they then survive the process, not the
 	// machine.

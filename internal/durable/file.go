@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,6 +18,11 @@ import (
 // walMagic is the 8-byte segment header: format name + version byte.
 var walMagic = []byte("REEFWAL\x01")
 
+// snapMagic opens a version 2 snapshot file: format name + version
+// byte. The run's record count follows as 8 bytes LE, so a file cut at
+// a frame boundary still reads as torn.
+var snapMagic = []byte("REEFSNP\x02")
+
 // FileOptions tunes a file backend.
 type FileOptions struct {
 	// Sync is the append durability policy (default SyncAsync).
@@ -27,14 +33,17 @@ type FileOptions struct {
 
 // FileBackend persists the WAL and snapshots in a data directory:
 //
-//	wal-<gen>.log    append-only record frames after an 8-byte magic header
-//	snap-<gen>.json  the state snapshot opening generation <gen>
+//	wal-<gen>.log   append-only record frames after an 8-byte magic header
+//	snap-<gen>.bin  the snapshot opening generation <gen>: an 8-byte magic
+//	                header, the record count, then the frames of the run
+//	                that rebuilds the state (StateRecords)
 //
-// Generation <gen> recovers as snap-<gen>.json (absent for generation 0
-// unless compaction ran) plus the intact records of wal-<gen>.log.
-// Snapshot writes the next generation atomically (tmp + fsync + rename)
-// before the old generation's files are removed, so a crash at any point
-// leaves a consistent recovery source.
+// Generation <gen> recovers as the run of snap-<gen>.bin (absent for
+// generation 0 unless compaction ran) followed by the intact records of
+// wal-<gen>.log. The JSON snap-<gen>.json of older releases reads as the
+// run of its state. Snapshot writes the next generation atomically (tmp
+// + fsync + rename) before the old generation's files are removed, so a
+// crash at any point leaves a consistent recovery source.
 type FileBackend struct {
 	dir string
 	opt FileOptions
@@ -52,9 +61,8 @@ type FileBackend struct {
 	recovered  int64
 	torn       bool
 
-	// loaded state handed to the first Load call.
-	loadState *State
-	loadTail  []Record
+	// loadRun is the run recovered at open: snapshot, then WAL tail.
+	loadRun []Record
 
 	flushStop chan struct{}
 	flushDone chan struct{}
@@ -89,54 +97,85 @@ func OpenFile(dir string, opt FileOptions) (*FileBackend, error) {
 
 // snapPath and walPath name one generation's files.
 func (b *FileBackend) snapPath(gen uint64) string {
-	return filepath.Join(b.dir, fmt.Sprintf("snap-%08d.json", gen))
+	return filepath.Join(b.dir, fmt.Sprintf("snap-%08d.bin", gen))
 }
 
 func (b *FileBackend) walPath(gen uint64) string {
 	return filepath.Join(b.dir, fmt.Sprintf("wal-%08d.log", gen))
 }
 
-// listGens scans the directory for generation numbers of files matching
-// prefix-########.suffix.
-func (b *FileBackend) listGens(prefix, suffix string) ([]uint64, error) {
+// genFile is one generation's file.
+type genFile struct {
+	gen  uint64
+	path string
+}
+
+// listGens scans the directory for files named prefix-########suffix,
+// for any of the suffixes, sorted by generation.
+func (b *FileBackend) listGens(prefix string, suffixes ...string) ([]genFile, error) {
 	entries, err := os.ReadDir(b.dir)
 	if err != nil {
 		return nil, fmt.Errorf("durable: reading data dir: %w", err)
 	}
-	var gens []uint64
+	var files []genFile
 	for _, e := range entries {
-		name := e.Name()
-		rest, ok := strings.CutPrefix(name, prefix+"-")
+		rest, ok := strings.CutPrefix(e.Name(), prefix+"-")
 		if !ok {
 			continue
 		}
-		numText, ok := strings.CutSuffix(rest, suffix)
-		if !ok {
-			continue
+		for _, suffix := range suffixes {
+			numText, ok := strings.CutSuffix(rest, suffix)
+			if !ok {
+				continue
+			}
+			if n, err := strconv.ParseUint(numText, 10, 64); err == nil {
+				files = append(files, genFile{n, filepath.Join(b.dir, e.Name())})
+			}
 		}
-		n, err := strconv.ParseUint(numText, 10, 64)
-		if err != nil {
-			continue
-		}
-		gens = append(gens, n)
 	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
-	return gens, nil
+	sort.Slice(files, func(i, j int) bool { return files[i].gen < files[j].gen })
+	return files, nil
 }
 
-// snapFile is the on-disk snapshot envelope.
-type snapFile struct {
-	Version int    `json:"version"`
-	State   *State `json:"state"`
+// readSnapshot reads one snapshot file as the run that rebuilds its
+// state: a version 2 file with Replay, a version 1 JSON file through
+// StateRecords. A file that does not read whole is an error, so
+// recovery falls back to the generation before it.
+func readSnapshot(path string) ([]Record, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if strings.HasSuffix(path, ".json") {
+		var v1 struct {
+			State *State `json:"state"`
+		}
+		if err := json.Unmarshal(data, &v1); err != nil || v1.State == nil {
+			return nil, fmt.Errorf("durable: unreadable version 1 snapshot %s", path)
+		}
+		return StateRecords(v1.State), nil
+	}
+	hdr := len(snapMagic) + 8
+	if len(data) < hdr || string(data[:len(snapMagic)]) != string(snapMagic) {
+		return nil, fmt.Errorf("%w: %s has no snapshot header", ErrTruncated, path)
+	}
+	run, err := Replay(data[hdr:])
+	if err != nil {
+		return nil, err
+	}
+	if n := binary.LittleEndian.Uint64(data[len(snapMagic):hdr]); uint64(len(run)) != n {
+		return nil, fmt.Errorf("%w: %s holds %d of its %d records", ErrTruncated, path, len(run), n)
+	}
+	return run, nil
 }
 
 // recover selects the newest valid generation, loads its snapshot and
 // intact WAL tail, truncates the torn tail if any, and opens the WAL for
-// appending. A WAL holding a record of an unknown version or op fails
-// the open and stays untouched. Stale older generations and leftover
-// .tmp files are removed.
+// appending. A WAL or snapshot holding a record of an unknown version or
+// op fails the open and stays untouched. Stale older generations and
+// leftover .tmp files are removed.
 func (b *FileBackend) recover() error {
-	snapGens, err := b.listGens("snap", ".json")
+	snaps, err := b.listGens("snap", ".bin", ".json")
 	if err != nil {
 		return err
 	}
@@ -145,35 +184,30 @@ func (b *FileBackend) recover() error {
 		return err
 	}
 
-	// Newest snapshot that decodes wins; a corrupt newest snapshot falls
-	// back to the one before it (its WAL was only removed after the next
-	// snapshot landed, so older generations may be gone — a corrupt
+	// Newest snapshot that reads wins; a corrupt or torn newest snapshot
+	// falls back to the one before it (its WAL was only removed after the
+	// next snapshot landed, so older generations may be gone — a corrupt
 	// snapshot with no predecessor is unrecoverable and reported).
-	var state *State
-	gen := uint64(0)
-	for i := len(snapGens) - 1; i >= 0; i-- {
-		g := snapGens[i]
-		data, err := os.ReadFile(b.snapPath(g))
-		if err != nil {
-			continue
+	var run []Record
+	gen, found := uint64(0), false
+	for i := len(snaps) - 1; i >= 0 && !found; i-- {
+		run, err = readSnapshot(snaps[i].path)
+		if errors.Is(err, ErrVersion) || errors.Is(err, ErrUnknownOp) {
+			return fmt.Errorf("durable: %s was written by a newer binary: %w", snaps[i].path, err)
 		}
-		var sf snapFile
-		if err := json.Unmarshal(data, &sf); err != nil || sf.State == nil {
-			continue
-		}
-		state, gen = sf.State, g
-		break
+		gen, found = snaps[i].gen, err == nil
 	}
-	if state == nil {
-		if len(snapGens) > 0 {
+	if !found {
+		if len(snaps) > 0 {
 			return fmt.Errorf("durable: no snapshot in %s is readable", b.dir)
 		}
 		// Fresh directory, or one that never compacted: resume the lowest
 		// WAL generation. (Snapshot creates wal-<gen+1> before publishing
 		// snap-<gen+1>; a crash between the two leaves an empty stale
 		// higher-generation WAL, and the lowest one holds the data.)
+		gen = 0
 		if len(walGens) > 0 {
-			gen = walGens[0]
+			gen = walGens[0].gen
 		}
 	}
 
@@ -250,8 +284,7 @@ func (b *FileBackend) recover() error {
 	b.walRecords = int64(len(tail))
 	b.walBytes = goodLen
 	b.recovered = int64(len(tail))
-	b.loadState = state
-	b.loadTail = tail
+	b.loadRun = append(run, tail...)
 
 	b.removeStale()
 	return nil
@@ -268,31 +301,21 @@ func (b *FileBackend) removeStale() {
 			}
 		}
 	}
-	for _, pf := range []struct {
-		prefix, suffix string
-		path           func(uint64) string
-	}{
-		{"snap", ".json", b.snapPath},
-		{"wal", ".log", b.walPath},
-	} {
-		gens, err := b.listGens(pf.prefix, pf.suffix)
-		if err != nil {
-			continue
-		}
-		for _, g := range gens {
-			if g != b.gen {
-				_ = os.Remove(pf.path(g))
-			}
+	snaps, _ := b.listGens("snap", ".bin", ".json")
+	wals, _ := b.listGens("wal", ".log")
+	for _, f := range append(snaps, wals...) {
+		if f.gen != b.gen {
+			_ = os.Remove(f.path)
 		}
 	}
 }
 
-// Load implements Backend, returning the state recovered at open. The
-// recovered tail is handed out once; subsequent calls re-derive nothing.
-func (b *FileBackend) Load() (*State, []Record, error) {
+// Load implements Backend, returning the run recovered at open: the
+// snapshot's records, then the WAL tail. Later calls re-derive nothing.
+func (b *FileBackend) Load() ([]Record, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.loadState, b.loadTail, nil
+	return b.loadRun, nil
 }
 
 // Append implements Backend.
@@ -373,10 +396,13 @@ func (b *FileBackend) Snapshot(st *State) error {
 		return errors.New("durable: backend closed")
 	}
 	next := b.gen + 1
-	data, err := json.Marshal(snapFile{Version: 1, State: st})
-	if err != nil {
-		return fmt.Errorf("durable: encoding snapshot: %w", err)
+	run := StateRecords(st)
+	size := len(snapMagic) + 8
+	for _, r := range run {
+		size += r.EncodedLen()
 	}
+	data := binary.LittleEndian.AppendUint64(append(make([]byte, 0, size), snapMagic...), uint64(len(run)))
+	data = AppendRun(data, run)
 	tmp := b.snapPath(next) + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -420,7 +446,6 @@ func (b *FileBackend) Snapshot(st *State) error {
 	// The snapshot is durable; everything in the old WAL is superseded.
 	_ = b.buf.Flush()
 	_ = b.file.Close()
-	oldGen := b.gen
 	b.gen = next
 	b.file = newWAL
 	b.buf = bufio.NewWriterSize(newWAL, 1<<16)
@@ -428,8 +453,7 @@ func (b *FileBackend) Snapshot(st *State) error {
 	b.walBytes = int64(len(walMagic))
 	b.snapshots++
 	b.lastSnap = time.Now().UTC()
-	_ = os.Remove(b.snapPath(oldGen))
-	_ = os.Remove(b.walPath(oldGen))
+	b.removeStale()
 	return nil
 }
 

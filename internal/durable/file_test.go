@@ -35,12 +35,9 @@ func TestFileBackendAppendReopen(t *testing.T) {
 
 	b2 := openTestBackend(t, dir, FileOptions{Sync: SyncAlways})
 	defer func() { _ = b2.Close() }()
-	st, tail, err := b2.Load()
+	tail, err := b2.Load()
 	if err != nil {
 		t.Fatalf("Load: %v", err)
-	}
-	if st != nil {
-		t.Fatalf("unexpected snapshot state before any Snapshot call")
 	}
 	if len(tail) != len(recs) {
 		t.Fatalf("recovered %d records, want %d", len(tail), len(recs))
@@ -85,14 +82,14 @@ func TestFileBackendSnapshotRotation(t *testing.T) {
 
 	b2 := openTestBackend(t, dir, FileOptions{})
 	defer func() { _ = b2.Close() }()
-	st2, tail, err := b2.Load()
+	run, err := b2.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2 == nil || st2.Flags["old.test"] != 1 {
-		t.Fatalf("snapshot state not recovered: %+v", st2)
+	if len(run) != 2 || string(run[0].Payload) != string(FlagRecord("old.test", 1).Payload) {
+		t.Fatalf("snapshot state not recovered: %+v", run)
 	}
-	if len(tail) != 1 || tail[0].Op != OpFlag {
+	if tail := run[1:]; tail[0].Op != OpFlag {
 		t.Fatalf("tail = %d records, want the post-snapshot append", len(tail))
 	}
 }
@@ -122,7 +119,7 @@ func TestFileBackendTornTail(t *testing.T) {
 	}
 
 	b2 := openTestBackend(t, dir, FileOptions{Sync: SyncAlways})
-	_, tail, err := b2.Load()
+	tail, err := b2.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +138,7 @@ func TestFileBackendTornTail(t *testing.T) {
 	}
 	b3 := openTestBackend(t, dir, FileOptions{})
 	defer func() { _ = b3.Close() }()
-	_, tail3, err := b3.Load()
+	tail3, err := b3.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +170,7 @@ func TestFileBackendCrashLosesBufferedTail(t *testing.T) {
 	}
 	b2 := openTestBackend(t, dir, FileOptions{})
 	defer func() { _ = b2.Close() }()
-	_, tail, err := b2.Load()
+	tail, err := b2.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,12 +197,12 @@ func TestFileBackendIgnoresStaleTmp(t *testing.T) {
 
 	b2 := openTestBackend(t, dir, FileOptions{})
 	defer func() { _ = b2.Close() }()
-	st, tail, err := b2.Load()
+	tail, err := b2.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st != nil || len(tail) != 1 {
-		t.Fatalf("recovery with stale tmp: state=%v records=%d", st, len(tail))
+	if len(tail) != 1 {
+		t.Fatalf("recovery with stale tmp: records=%d", len(tail))
 	}
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Errorf("stale tmp not swept: %v", err)
@@ -234,7 +231,7 @@ func TestFileBackendRepairsGarbageHeader(t *testing.T) {
 	}
 	b2 := openTestBackend(t, dir, FileOptions{})
 	defer func() { _ = b2.Close() }()
-	_, tail, err := b2.Load()
+	tail, err := b2.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +262,7 @@ func TestFileBackendInterruptedSnapshotKeepsData(t *testing.T) {
 	}
 	b2 := openTestBackend(t, dir, FileOptions{})
 	defer func() { _ = b2.Close() }()
-	_, tail, err := b2.Load()
+	tail, err := b2.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +301,7 @@ func TestFileBackendAsyncFlush(t *testing.T) {
 	}
 	b2 := openTestBackend(t, dir, FileOptions{})
 	defer func() { _ = b2.Close() }()
-	if _, tail, _ := b2.Load(); len(tail) != 1 {
+	if tail, _ := b2.Load(); len(tail) != 1 {
 		t.Fatalf("async-flushed record lost: %d records", len(tail))
 	}
 }

@@ -161,6 +161,10 @@ var payloadCodecs = map[Op]func(Record) (Record, string, error){
 		p, err := DecodeReplPosition(r)
 		return ReplPositionRecord(p), "", err
 	},
+	OpPendingSeq: func(r Record) (Record, string, error) {
+		seq, err := DecodePendingSeq(r)
+		return PendingSeqRecord(seq), "", err
+	},
 }
 
 // FuzzPayloadDecode hammers the typed payload decoders with arbitrary
@@ -180,6 +184,7 @@ func FuzzPayloadDecode(f *testing.F) {
 		PendingTakeRecord(PendingTakePayload{User: "u", ID: "r1", At: at}),
 		CursorAckRecord(CursorAckPayload{User: "b", ID: "f", Seq: 1 << 40}),
 		ReplPositionRecord(ReplPosition{Source: "n1", Epoch: -3, Applied: 7}),
+		PendingSeqRecord(1<<40),
 	) {
 		f.Add(byte(rec.Op), rec.Payload)
 	}

@@ -52,11 +52,11 @@ func NewJournal(b Backend) *Journal {
 // Enabled reports whether mutations are (or will be, after Arm) logged.
 func (j *Journal) Enabled() bool { return j != nil && j.backend != nil }
 
-// Load returns the backend's recovery state: latest snapshot plus intact
-// WAL tail.
-func (j *Journal) Load() (*State, []Record, error) {
+// Load returns the records recovery replays: the latest snapshot's run,
+// then the intact WAL tail.
+func (j *Journal) Load() ([]Record, error) {
 	if !j.Enabled() {
-		return nil, nil, nil
+		return nil, nil
 	}
 	return j.backend.Load()
 }
@@ -158,15 +158,20 @@ func (j *Journal) Ingest(apply func() error, rec Record) error {
 }
 
 // Capture returns the full current state under the journal lock, for a
-// replication snapshot cut: the cut is consistent (no mutation in
-// flight) and totally ordered against the record stream — every record
-// is either inside the cut or shipped after it, never both.
-func (j *Journal) Capture() (*State, error) {
+// replication resync cut, and calls pin under the same lock: the cut is
+// consistent (no mutation in flight), and what pin reads of the tap's
+// effects — a replication peer's queue position — is exactly what the
+// cut holds, so every tapped record is either inside the cut or shipped
+// after it, never both. A disabled journal cuts nothing (nil) and still
+// calls pin.
+func (j *Journal) Capture(pin func()) (*State, error) {
 	if !j.Enabled() || j.capture == nil {
+		pin()
 		return nil, nil
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	pin()
 	return j.capture()
 }
 

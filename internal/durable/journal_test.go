@@ -109,13 +109,18 @@ func TestJournalSnapshotHandoff(t *testing.T) {
 	wg.Wait()
 	<-snapDone
 
-	st, tail, err := mem.Load()
+	run, err := mem.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := int64(0)
-	if st != nil {
-		base = st.PendingSeq
+	// The snapshot's counter is its run's one OpPendingSeq record (none
+	// for a zero counter); the rest is the WAL tail.
+	base, tail := int64(0), run
+	if len(run) > 0 && run[0].Op == OpPendingSeq {
+		if base, err = DecodePendingSeq(run[0]); err != nil {
+			t.Fatal(err)
+		}
+		tail = run[1:]
 	}
 	if got := base + int64(len(tail)); got != applied.Load() {
 		t.Fatalf("snapshot(%d) + wal(%d) = %d ops, want %d: handoff lost or duplicated records",
@@ -206,21 +211,33 @@ func TestJournalIngestErrors(t *testing.T) {
 
 // TestJournalCapture pins the snapshot-cut helper: Capture returns the
 // armed capture function's state under the lock, and nil when the
-// journal is disabled or not yet armed.
+// journal is disabled or not yet armed. It calls pin once in every case,
+// and under the journal lock when armed.
 func TestJournalCapture(t *testing.T) {
+	pins := 0
+	pin := func() { pins++ }
 	var nilJ *Journal
-	if st, err := nilJ.Capture(); st != nil || err != nil {
+	if st, err := nilJ.Capture(pin); st != nil || err != nil {
 		t.Fatalf("nil journal Capture = (%v, %v), want (nil, nil)", st, err)
 	}
 	mem := NewMem()
 	j := NewJournal(mem)
-	if st, err := j.Capture(); st != nil || err != nil {
+	if st, err := j.Capture(pin); st != nil || err != nil {
 		t.Fatalf("unarmed Capture = (%v, %v), want (nil, nil)", st, err)
 	}
 	j.Arm(func() (*State, error) { return &State{Version: 1, PendingSeq: 42}, nil }, 0)
-	st, err := j.Capture()
+	st, err := j.Capture(func() {
+		pins++
+		if j.mu.TryLock() {
+			j.mu.Unlock()
+			t.Error("pin ran without the journal lock")
+		}
+	})
 	if err != nil || st == nil || st.PendingSeq != 42 {
 		t.Fatalf("Capture = (%+v, %v), want the armed capture state", st, err)
+	}
+	if pins != 3 {
+		t.Fatalf("pin ran %d times over three captures, want 3", pins)
 	}
 }
 

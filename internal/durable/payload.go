@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"slices"
 
 	"reef/internal/attention"
@@ -15,7 +16,7 @@ import (
 // the codec.go primitives, without reflection. The typed decoders are
 // the only code that reads a WAL payload; each decodes version 2, and
 // version 1 — the JSON this package wrote before — into the same value.
-// Snapshots stay JSON.
+// A snapshot is a run of these records too (see StateRecords).
 //
 // Version-2 layouts, with str a uvarint-length string, time what
 // appendTime writes, bool one byte 0 or 1 and f64 8 bytes LE IEEE 754:
@@ -31,6 +32,7 @@ import (
 //	OpPendingTake   str user, str id, bool accepted, time at
 //	OpCursorAck     str user, str id, varint seq, time at
 //	OpReplPosition  str source, varint epoch, varint applied
+//	OpPendingSeq    varint seq
 //
 // Every user-addressed payload starts with its user, so RecordUser
 // reads one field.
@@ -141,6 +143,51 @@ func ReplPositionRecord(rp ReplPosition) Record {
 	p := AppendString(make([]byte, 0, len(rp.Source)+fixedRoom), rp.Source)
 	p = binary.AppendVarint(p, rp.Epoch)
 	return Record{Op: OpReplPosition, Version: VersionBinary, Payload: binary.AppendVarint(p, rp.Applied)}
+}
+
+// clicksChunk bounds the estimated payload of one OpClicks record of a
+// snapshot run, well below MaxRecordLen.
+const clicksChunk = 1 << 20
+
+// StateRecords returns the run of records that rebuilds st when replayed
+// in order, as a log prefix would: its clicks in OpClicks batches, one
+// OpFlag per host in host order, the subscriptions, then their cursors,
+// the pending recommendations, the pending-ID counter and the
+// replication positions. A snapshot file and a resync cut are this run.
+func StateRecords(st *State) []Record {
+	var run []Record
+	for clicks := st.Clicks; len(clicks) > 0; {
+		n, size := 0, 0
+		for ; n < len(clicks) && size < clicksChunk; n++ {
+			size += len(clicks[n].User) + len(clicks[n].URL) + len(clicks[n].Referrer) + fixedRoom
+		}
+		run = append(run, ClicksRecord(clicks[:n]))
+		clicks = clicks[n:]
+	}
+	for _, host := range slices.Sorted(maps.Keys(st.Flags)) {
+		run = append(run, FlagRecord(host, st.Flags[host]))
+	}
+	for _, s := range st.Subscriptions {
+		run = append(run, SubscribeRecord(s))
+	}
+	for _, c := range st.Cursors {
+		run = append(run, CursorAckRecord(CursorAckPayload{User: c.User, ID: c.ID, Seq: c.Acked}))
+	}
+	for _, p := range st.Pending {
+		run = append(run, PendingAddRecord(p))
+	}
+	if st.PendingSeq > 0 {
+		run = append(run, PendingSeqRecord(st.PendingSeq))
+	}
+	for _, p := range st.ReplPositions {
+		run = append(run, ReplPositionRecord(p))
+	}
+	return run
+}
+
+// PendingSeqRecord builds an OpPendingSeq record.
+func PendingSeqRecord(seq int64) Record {
+	return Record{Op: OpPendingSeq, Version: VersionBinary, Payload: binary.AppendVarint(nil, seq)}
 }
 
 // ---- Typed decoders ----
@@ -273,6 +320,11 @@ func DecodeReplPosition(rec Record) (ReplPosition, error) {
 	return decodePayload(rec, func(r *reader) ReplPosition {
 		return ReplPosition{Source: r.string(), Epoch: r.varint(), Applied: r.varint()}
 	}, OpReplPosition)
+}
+
+// DecodePendingSeq decodes an OpPendingSeq record.
+func DecodePendingSeq(rec Record) (int64, error) {
+	return decodePayload(rec, (*reader).varint, OpPendingSeq)
 }
 
 // RecordUser returns the user of a user-addressed record — a subscribe,

@@ -135,8 +135,14 @@ const (
 	// a WAL file.
 	OpStreamClicks Op = 16
 
+	// OpPendingSeq raises the pending ledger's ID counter to at least
+	// its value, on every shard: State.PendingSeq, the one state field
+	// no other op carries. Only a snapshot run or a resync cut holds it,
+	// so a WAL holds one only as part of a cut a replica applied.
+	OpPendingSeq Op = 17
+
 	// opMax is one past the last defined op.
-	opMax = 17
+	opMax = 18
 )
 
 // String names the op.
@@ -174,6 +180,8 @@ func (o Op) String() string {
 		return "repl-position"
 	case OpStreamClicks:
 		return "stream-clicks"
+	case OpPendingSeq:
+		return "pending-seq"
 	default:
 		return fmt.Sprintf("op(%d)", byte(o))
 	}
@@ -181,7 +189,9 @@ func (o Op) String() string {
 
 // walOp reports whether o is a WAL op, one that may be written in
 // version 2.
-func (o Op) walOp() bool { return o >= OpClicks && o <= OpCursorAck || o == OpReplPosition }
+func (o Op) walOp() bool {
+	return o >= OpClicks && o <= OpCursorAck || o == OpReplPosition || o == OpPendingSeq
+}
 
 // currentVersion is the version this binary writes o in.
 func (o Op) currentVersion() byte {
@@ -336,11 +346,20 @@ func Replay(data []byte) ([]Record, error) {
 	return out, nil
 }
 
+// AppendRun appends the frames of run to dst, one after another: the
+// body of a snapshot file and of a resync cut, which Replay reads back.
+func AppendRun(dst []byte, run []Record) []byte {
+	for _, r := range run {
+		dst = r.AppendEncoded(dst)
+	}
+	return dst
+}
+
 // ---- Operation payloads ----
 //
 // The payload types of the WAL ops. payload.go encodes them (version 2,
 // binary) and decodes them (version 2, and the JSON of version 1, which
-// the struct tags describe); snapshots marshal them as JSON.
+// the struct tags describe).
 
 // ClicksPayload is the OpClicks payload.
 type ClicksPayload struct {
@@ -438,9 +457,11 @@ type PendingTakePayload struct {
 	At       time.Time `json:"at,omitzero"`
 }
 
-// State is the snapshot schema: the full durable deployment state at one
-// point in the operation stream. Applying it is equivalent to replaying
-// every operation up to the snapshot point.
+// State is the full durable deployment state at one point in the
+// operation stream, as a deployment captures it. StateRecords turns it
+// into the run of records that rebuilds it, which is what a snapshot
+// file and a resync cut hold. The JSON tags describe the version 1
+// snapshot files older releases wrote, which are still read.
 type State struct {
 	Version       int                 `json:"version"`
 	Clicks        []attention.Click   `json:"clicks,omitempty"`

@@ -117,9 +117,8 @@ var (
 // Replication families.
 var (
 	ReplicationReplicas       = Def{"replication_replicas", "reef_replication_replicas", KindGauge, "Configured replica count."}
-	ReplicationLogLen         = Def{"replication_log_len", "reef_replication_log_len", KindGauge, "Entries queued for shipping, summed over the per-peer queues; a record bound for two peers counts twice."}
 	ReplicationPeers          = Def{"replication_peers", "reef_replication_peers", KindGauge, "Outbound replication peers."}
-	ReplicationPending        = Def{"replication_pending", "reef_replication_pending", KindGauge, "Records queued and not yet acked, summed over outbound peers."}
+	ReplicationPending        = Def{"replication_pending", "reef_replication_pending", KindGauge, "Records queued and not yet acked, summed over the per-peer queues; a record bound for two peers counts twice."}
 	ReplicationResyncs        = Def{"replication_resyncs", "reef_replication_resyncs_total", KindCounter, "Snapshot resyncs of peers that fell off their own bounded queue."}
 	ReplicationLagP99Micros   = Def{"replication_lag_p99_micros", "reef_replication_lag_p99_micros", KindGauge, "p99 replication shipping lag in microseconds."}
 	ReplicationAppliedRecords = Def{"replication_applied_records", "reef_replication_applied_records_total", KindCounter, "Replicated records applied from primaries."}
@@ -163,7 +162,7 @@ var Defs = []Def{
 	DeliveryDeadLetters, DeliveryLeaseExpiries,
 	ClusterNodes, ClusterNodesUp, ClusterNodesDraining, ClusterNodesDown,
 	ClusterForwardErrors, ClusterPublishSkips, ClusterPublishPartial,
-	ReplicationReplicas, ReplicationLogLen, ReplicationPeers, ReplicationPending,
+	ReplicationReplicas, ReplicationPeers, ReplicationPending,
 	ReplicationResyncs, ReplicationLagP99Micros, ReplicationAppliedRecords,
 	HTTPRequests, HTTPRequestSeconds, HTTPInFlight,
 	StreamConns, StreamFramesIn, StreamFramesOut, StreamEventsIn, StreamClicksIn,

@@ -142,7 +142,7 @@ func testShipBudget(t *testing.T, k int) {
 	}
 	drained := func() {
 		t.Helper()
-		waitFor(t, "streams drained", func() bool { return sender.Status().LogLen == 0 })
+		waitFor(t, "streams drained", func() bool { return queued(sender.Status()) == 0 })
 	}
 	const perSet = 8
 	us := slotUsers(3, 0, 1, 2)

@@ -17,7 +17,7 @@
 //     prefix once the peer acks it, retrying forever with the journal
 //     as source of truth. A peer nothing was offered to is never
 //     contacted. A peer whose queue overflows Retain (it was down or
-//     lagging that long) is resynced with a full snapshot cut, then
+//     lagging that long) is resynced with a full state cut, then
 //     streamed again; no other peer's queue is touched.
 //
 //   - Receiver: IngestRecords applies a peer's batch through the
@@ -76,12 +76,16 @@ type Applier interface {
 	// OpReplPosition record, which the applier must journal after the
 	// records it covers and report back through ReplicationPositions.
 	ApplyReplicated([]durable.Record) error
-	// ApplyReplicatedCut absorbs a full snapshot cut and makes it
-	// durable before returning.
-	ApplyReplicatedCut(*durable.State) error
+	// ApplyReplicatedCut applies a resync cut's run of records as
+	// ApplyReplicated does, and has it on stable storage before
+	// returning.
+	ApplyReplicatedCut([]durable.Record) error
 	// CaptureReplicationState cuts this node's full state for a peer
-	// that can no longer catch up from the record stream.
-	CaptureReplicationState() (*durable.State, error)
+	// that can no longer catch up from the record stream, as the frames
+	// of the run of records that rebuilds it. It calls pin once while
+	// no record can reach the tap, so what pin reads of the queues
+	// matches the cut exactly.
+	CaptureReplicationState(pin func()) ([]byte, error)
 	// ReplicationPositions reports the positions the applier's log holds,
 	// one per source; New resumes every inbound stream from them.
 	ReplicationPositions() []durable.ReplPosition
@@ -403,21 +407,20 @@ func (m *Manager) IngestRecords(source string, epoch, prev, last int64, count in
 }
 
 // IngestSnapshot absorbs a full cut from a source whose stream this
-// node fell off of: the cut replaces catch-up through seq, and the
-// position is journaled once the cut is durable.
-func (m *Manager) IngestSnapshot(source string, epoch, seq int64, state []byte) (Ack, error) {
-	var st durable.State
-	if err := json.Unmarshal(state, &st); err != nil {
+// node fell off of: the cut, framed records as a batch is, replaces
+// catch-up through seq, and the position is applied as the cut's last
+// record, so it is journaled after what it covers and is on stable
+// storage with it before the Ack.
+func (m *Manager) IngestSnapshot(source string, epoch, seq int64, cut []byte) (Ack, error) {
+	recs, err := durable.Replay(cut)
+	if err != nil {
 		return Ack{}, fmt.Errorf("replication: decoding snapshot cut from %s: %w", source, err)
 	}
 	m.inMu.Lock()
 	defer m.inMu.Unlock()
 	ss := m.source(source, epoch)
-	if err := m.opt.Applier.ApplyReplicatedCut(&st); err != nil {
-		return Ack{}, err
-	}
 	applied := max(seq, ss.Applied)
-	if err := m.opt.Applier.ApplyReplicated([]durable.Record{positionRecord(source, epoch, applied)}); err != nil {
+	if err := m.opt.Applier.ApplyReplicatedCut(append(recs, positionRecord(source, epoch, applied))); err != nil {
 		return Ack{}, err
 	}
 	ss.Applied = applied
@@ -508,14 +511,11 @@ type SourceStatus struct {
 	LastIngest time.Time `json:"last_ingest,omitzero"`
 }
 
-// Status is the admin view of both roles. LogLen is the number of
-// entries queued over all peers: a record bound for two peers counts
-// twice.
+// Status is the admin view of both roles.
 type Status struct {
 	Self     string         `json:"self"`
 	Epoch    int64          `json:"epoch"`
 	Replicas int            `json:"replicas"`
-	LogLen   int            `json:"log_len"`
 	Peers    []PeerStatus   `json:"peers,omitempty"`
 	Sources  []SourceStatus `json:"sources,omitempty"`
 }
@@ -525,9 +525,7 @@ type Status struct {
 func (m *Manager) Status() Status {
 	st := Status{Self: m.opt.Self, Epoch: m.epoch, Replicas: m.opt.Replicas}
 	for _, p := range m.peers {
-		ps := p.status()
-		st.LogLen += int(ps.Pending)
-		st.Peers = append(st.Peers, ps)
+		st.Peers = append(st.Peers, p.status())
 	}
 	m.inMu.Lock()
 	for _, id := range slices.Sorted(maps.Keys(m.sources)) {
@@ -555,7 +553,6 @@ func (m *Manager) Samples() []metrics.Sample {
 	}
 	return []metrics.Sample{
 		{Def: metrics.ReplicationReplicas, Value: float64(st.Replicas)},
-		{Def: metrics.ReplicationLogLen, Value: float64(st.LogLen)},
 		{Def: metrics.ReplicationPeers, Value: float64(len(st.Peers))},
 		{Def: metrics.ReplicationPending, Value: pending},
 		{Def: metrics.ReplicationResyncs, Value: resyncs},

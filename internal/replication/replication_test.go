@@ -29,7 +29,7 @@ import (
 type fakeApplier struct {
 	mu        sync.Mutex
 	recs      []durable.Record
-	cuts      []*durable.State
+	cuts      [][]durable.Record
 	positions map[string]durable.ReplPosition
 }
 
@@ -71,21 +71,35 @@ func (f *fakeApplier) restarted() *fakeApplier {
 	return &fakeApplier{positions: maps.Clone(f.positions)}
 }
 
-func (f *fakeApplier) ApplyReplicatedCut(st *durable.State) error {
+// ApplyReplicatedCut keeps the cut apart from the streamed records and
+// applies the position record that closes it.
+func (f *fakeApplier) ApplyReplicatedCut(recs []durable.Record) error {
+	n := len(recs) - 1
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.cuts = append(f.cuts, st)
-	return nil
+	f.cuts = append(f.cuts, recs[:n])
+	f.mu.Unlock()
+	return f.ApplyReplicated(recs[n:])
 }
 
-func (f *fakeApplier) CaptureReplicationState() (*durable.State, error) {
-	return &durable.State{Version: 1, PendingSeq: 7}, nil
+func (f *fakeApplier) CaptureReplicationState(pin func()) ([]byte, error) {
+	pin()
+	return durable.PendingSeqRecord(7).AppendEncoded(nil), nil
 }
 
 func (f *fakeApplier) applied() []durable.Record {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return append([]durable.Record(nil), f.recs...)
+}
+
+// queued sums the per-peer queue lengths: the entries queued over all
+// peers, a record bound for two peers counted twice.
+func queued(st Status) int64 {
+	var n int64
+	for _, p := range st.Peers {
+		n += p.Pending
+	}
+	return n
 }
 
 func (f *fakeApplier) cutCount() int {
@@ -298,9 +312,9 @@ func TestSnapshotResync(t *testing.T) {
 		st := sender.Status()
 		return len(st.Peers) == 1 && st.Peers[0].LastError != ""
 	})
-	if st := sender.Status(); st.LogLen != 4 || st.Peers[0].Pending != 4 || st.Peers[0].Shipped != 0 {
+	if st := sender.Status(); queued(st) != 4 || st.Peers[0].Pending != 4 || st.Peers[0].Shipped != 0 {
 		t.Fatalf("queue with the peer down = len %d, pending %d, shipped %d; want the newest 4 and nothing acked",
-			st.LogLen, st.Peers[0].Pending, st.Peers[0].Shipped)
+			queued(st), st.Peers[0].Pending, st.Peers[0].Shipped)
 	}
 	g.open.Store(true)
 	waitFor(t, "snapshot resync", func() bool { return recvApp.cutCount() >= 1 })
@@ -595,8 +609,8 @@ func TestOfferDestinations(t *testing.T) {
 	m0.Offer(cursorRec(us[0], 1))
 	m0.Offer(durable.FlagRecord("spam.example.com", 1))
 	st := m0.Status()
-	if st.LogLen != 0 {
-		t.Fatalf("k=0 manager queued %d entries, want 0", st.LogLen)
+	if queued(st) != 0 {
+		t.Fatalf("k=0 manager queued %d entries, want 0", queued(st))
 	}
 	for _, p := range st.Peers {
 		if p.Pending != 0 {

@@ -26,9 +26,9 @@ import (
 //
 // The receiver answers 200 with an Ack, or 409 with its authoritative
 // Ack when the watermarks disagree (the sender adopts it and re-ships
-// from there). A snapshot cut POSTs to /v1/replication/snapshot with
-// the same Source/Epoch headers plus X-Reef-Replication-Seq, body =
-// JSON durable.State.
+// from there). A resync cut POSTs to /v1/replication/snapshot with the
+// same Source/Epoch headers plus X-Reef-Replication-Seq; its body is
+// framed records too, the run that rebuilds the sender's state.
 const (
 	HdrSource = "X-Reef-Replication-Source"
 	HdrEpoch  = "X-Reef-Replication-Epoch"
@@ -221,7 +221,11 @@ func (m *Manager) sendLoop(p *peer) {
 			if b.last == b.prev {
 				break // caught up
 			}
-			ack, conflict, err := m.postRecords(p, b)
+			ack, conflict, err := m.post(p, RecordsPath, "repl.records", b.frames, http.Header{
+				HdrPrev:  {strconv.FormatInt(b.prev, 10)},
+				HdrLast:  {strconv.FormatInt(b.last, 10)},
+				HdrCount: {strconv.FormatInt(b.last-b.prev, 10)},
+			})
 			if err != nil {
 				m.opt.Logger.Warn("replication batch ship failed",
 					"node", m.opt.Self, "peer", p.node.ID,
@@ -243,55 +247,42 @@ func (m *Manager) sendLoop(p *peer) {
 	}
 }
 
-// postRecords ships one batch. conflict=true carries the receiver's
-// position from a 409.
-func (m *Manager) postRecords(p *peer, b batch) (Ack, bool, error) {
-	req, err := http.NewRequest(http.MethodPost, p.node.BaseURL+RecordsPath, bytes.NewReader(b.frames))
+// post ships framed records to one of a peer's ingest routes, with the
+// source and epoch headers added to hdr; op names its trace span.
+// conflict=true carries the receiver's position from a 409.
+func (m *Manager) post(p *peer, path, op string, frames []byte, hdr http.Header) (Ack, bool, error) {
+	req, err := http.NewRequest(http.MethodPost, p.node.BaseURL+path, bytes.NewReader(frames))
 	if err != nil {
 		return Ack{}, false, err
 	}
+	req.Header = hdr
 	req.Header.Set("Content-Type", "application/octet-stream")
 	req.Header.Set(HdrSource, m.opt.Self)
 	req.Header.Set(HdrEpoch, strconv.FormatInt(m.epoch, 10))
-	req.Header.Set(HdrPrev, strconv.FormatInt(b.prev, 10))
-	req.Header.Set(HdrLast, strconv.FormatInt(b.last, 10))
-	req.Header.Set(HdrCount, strconv.FormatInt(b.last-b.prev, 10))
-	return m.doShip(req, "repl.records")
+	return m.doShip(req, op)
 }
 
 // sendSnapshot resyncs a peer that fell off its queue: capture a cut,
 // ship it, and adopt the cut's position, which drops the queue through
-// it. The position is pinned at the peer's last queued seq BEFORE the
-// capture starts, so records tapped while the capture runs re-ship
-// after it — a record racing the cut can be applied twice on the
-// replica (the documented async caveat; subscriptions, pending takes
-// and cursor acks are idempotent, click counts can double for that
-// sliver).
+// it. The position is pinned at the peer's last queued seq inside the
+// capture, under the journal lock the tap runs under (journal → peer,
+// Offer's own lock order), so every record is either in the cut or
+// queued after the pinned seq, never both.
 func (m *Manager) sendSnapshot(p *peer) error {
-	p.mu.Lock()
-	seq := p.next
-	p.mu.Unlock()
-	st, err := m.opt.Applier.CaptureReplicationState()
+	var seq int64
+	cut, err := m.opt.Applier.CaptureReplicationState(func() {
+		p.mu.Lock()
+		seq = p.next
+		p.mu.Unlock()
+	})
 	if err != nil {
 		return err
 	}
-	body, err := json.Marshal(st)
+	// A cut's answer is authoritative, a 409 included.
+	ack, _, err := m.post(p, SnapshotPath, "repl.snapshot", cut, http.Header{HdrSeq: {strconv.FormatInt(seq, 10)}})
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequest(http.MethodPost, p.node.BaseURL+SnapshotPath, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(HdrSource, m.opt.Self)
-	req.Header.Set(HdrEpoch, strconv.FormatInt(m.epoch, 10))
-	req.Header.Set(HdrSeq, strconv.FormatInt(seq, 10))
-	ack, conflict, err := m.doShip(req, "repl.snapshot")
-	if err != nil {
-		return err
-	}
-	_ = conflict // a snapshot answer is authoritative either way
 	p.adopt(ack.Acked)
 	p.mu.Lock()
 	p.resyncs++

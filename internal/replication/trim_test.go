@@ -17,7 +17,7 @@ func TestLogTrimmedOnAck(t *testing.T) {
 	waitFor(t, "records applied", func() bool { return len(recvApp.applied()) == 10 })
 	waitFor(t, "queue trimmed", func() bool {
 		st := sender.Status()
-		return st.LogLen == 0 && st.Peers[0].Pending == 0
+		return queued(st) == 0 && st.Peers[0].Pending == 0
 	})
 	if st := sender.Status(); st.Peers[0].Shipped != 10 {
 		t.Fatalf("status after trim = %+v, want shipped 10", st)
@@ -80,15 +80,15 @@ func TestLogHeldForDownPeer(t *testing.T) {
 		st := sender.Status()
 		return peer(st, "b").Shipped == 8 && peer(st, "c").LastError != ""
 	})
-	if st := sender.Status(); st.LogLen != 4 || peer(st, "c").Pending != 4 || peer(st, "b").Pending != 0 {
+	if st := sender.Status(); queued(st) != 4 || peer(st, "c").Pending != 4 || peer(st, "b").Pending != 0 {
 		t.Fatalf("queues with c down = %d in all, c %d, b %d; want c's own 4 and b empty",
-			st.LogLen, peer(st, "c").Pending, peer(st, "b").Pending)
+			queued(st), peer(st, "c").Pending, peer(st, "b").Pending)
 	}
 
 	g.open.Store(true)
 	waitFor(t, "c caught up and its queue emptied", func() bool {
 		st := sender.Status()
-		return peer(st, "c").Shipped == 4 && st.LogLen == 0
+		return peer(st, "c").Shipped == 4 && queued(st) == 0
 	})
 	if got := len(c.applied()); got != 4 {
 		t.Fatalf("c applied %d records, want its 4", got)

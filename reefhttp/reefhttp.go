@@ -29,7 +29,7 @@
 //	GET    /v1/admin/storage                   persistence backend state
 //	POST   /v1/admin/snapshot                  force a compacting snapshot
 //	POST   /v1/replication/records             ingest a peer's WAL batch
-//	POST   /v1/replication/snapshot            ingest a peer's state cut
+//	POST   /v1/replication/snapshot            ingest a peer's resync cut
 //	GET    /v1/admin/replication               replication stream status
 //
 // The admin storage/snapshot endpoints require the deployment to
@@ -358,9 +358,9 @@ func (h *Handler) dispatch(rw http.ResponseWriter, req *http.Request, seg []stri
 			})
 		}
 	case len(seg) == 2 && seg[0] == "replication" && seg[1] == "records":
-		h.route(rw, req, "POST", h.handleReplicationRecords)
+		h.route(rw, req, "POST", h.ingestReplication(false))
 	case len(seg) == 2 && seg[0] == "replication" && seg[1] == "snapshot":
-		h.route(rw, req, "POST", h.handleReplicationSnapshot)
+		h.route(rw, req, "POST", h.ingestReplication(true))
 	case len(seg) == 2 && seg[0] == "admin" && seg[1] == "replication":
 		h.route(rw, req, "GET", h.handleReplicationStatus)
 	case len(seg) == 2 && seg[0] == "admin" && seg[1] == "storage":

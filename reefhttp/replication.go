@@ -20,8 +20,9 @@ type Replicator interface {
 	// *replication.ConflictError return is answered 409 with this
 	// node's authoritative Ack.
 	IngestRecords(source string, epoch, prev, last int64, count int, frames []byte) (replication.Ack, error)
-	// IngestSnapshot absorbs a full state cut from a peer.
-	IngestSnapshot(source string, epoch, seq int64, state []byte) (replication.Ack, error)
+	// IngestSnapshot absorbs a peer's resync cut: framed records too,
+	// the run that rebuilds the peer's state.
+	IngestSnapshot(source string, epoch, seq int64, cut []byte) (replication.Ack, error)
 	// Status reports stream positions and health.
 	Status() replication.Status
 	// Samples reports the status as the node's replication series,
@@ -32,8 +33,8 @@ type Replicator interface {
 // WithReplication mounts the replication ingest routes and the admin
 // status endpoint over the given manager:
 //
-//	POST /v1/replication/records    ingest a WAL batch (octet-stream)
-//	POST /v1/replication/snapshot   ingest a snapshot cut (JSON state)
+//	POST /v1/replication/records    ingest a WAL batch (framed records)
+//	POST /v1/replication/snapshot   ingest a resync cut (framed records)
 //	GET  /v1/admin/replication      stream positions, lag, health
 //
 // The ingest routes speak the replication wire protocol — handshake in
@@ -75,63 +76,45 @@ func replHeader(req *http.Request, name string) (int64, error) {
 	return n, nil
 }
 
-// handleReplicationRecords ingests one streamed WAL batch from a peer.
-func (h *Handler) handleReplicationRecords(rw http.ResponseWriter, req *http.Request) {
-	r, ok := h.replicator(rw)
-	if !ok {
-		return
+// ingestReplication serves one of the two ingest routes, both framed
+// records from a peer: a streamed WAL batch, or (cut) a resync cut.
+func (h *Handler) ingestReplication(cut bool) func(http.ResponseWriter, *http.Request) {
+	names := []string{replication.HdrEpoch, replication.HdrPrev, replication.HdrLast, replication.HdrCount}
+	if cut {
+		names = []string{replication.HdrEpoch, replication.HdrSeq}
 	}
-	source := req.Header.Get(replication.HdrSource)
-	if source == "" {
-		h.writeError(rw, http.StatusBadRequest, CodeInvalidArgument, "missing "+replication.HdrSource+" header")
-		return
-	}
-	var hv [4]int64
-	for i, name := range []string{replication.HdrEpoch, replication.HdrPrev, replication.HdrLast, replication.HdrCount} {
-		v, err := replHeader(req, name)
-		if err != nil {
-			h.writeError(rw, http.StatusBadRequest, CodeInvalidArgument, err.Error())
+	return func(rw http.ResponseWriter, req *http.Request) {
+		r, ok := h.replicator(rw)
+		if !ok {
 			return
 		}
-		hv[i] = v
+		source := req.Header.Get(replication.HdrSource)
+		if source == "" {
+			h.writeError(rw, http.StatusBadRequest, CodeInvalidArgument, "missing "+replication.HdrSource+" header")
+			return
+		}
+		hv := make([]int64, len(names))
+		for i, name := range names {
+			v, err := replHeader(req, name)
+			if err != nil {
+				h.writeError(rw, http.StatusBadRequest, CodeInvalidArgument, err.Error())
+				return
+			}
+			hv[i] = v
+		}
+		frames, err := io.ReadAll(io.LimitReader(req.Body, maxBodyBytes))
+		if err != nil {
+			h.writeError(rw, http.StatusBadRequest, CodeInvalidArgument, "reading body: "+err.Error())
+			return
+		}
+		var ack replication.Ack
+		if cut {
+			ack, err = r.IngestSnapshot(source, hv[0], hv[1], frames)
+		} else {
+			ack, err = r.IngestRecords(source, hv[0], hv[1], hv[2], int(hv[3]), frames)
+		}
+		h.writeAck(rw, ack, err)
 	}
-	frames, err := io.ReadAll(io.LimitReader(req.Body, maxBodyBytes))
-	if err != nil {
-		h.writeError(rw, http.StatusBadRequest, CodeInvalidArgument, "reading body: "+err.Error())
-		return
-	}
-	ack, err := r.IngestRecords(source, hv[0], hv[1], hv[2], int(hv[3]), frames)
-	h.writeAck(rw, ack, err)
-}
-
-// handleReplicationSnapshot ingests a full state cut from a peer.
-func (h *Handler) handleReplicationSnapshot(rw http.ResponseWriter, req *http.Request) {
-	r, ok := h.replicator(rw)
-	if !ok {
-		return
-	}
-	source := req.Header.Get(replication.HdrSource)
-	if source == "" {
-		h.writeError(rw, http.StatusBadRequest, CodeInvalidArgument, "missing "+replication.HdrSource+" header")
-		return
-	}
-	epoch, err := replHeader(req, replication.HdrEpoch)
-	if err != nil {
-		h.writeError(rw, http.StatusBadRequest, CodeInvalidArgument, err.Error())
-		return
-	}
-	seq, err := replHeader(req, replication.HdrSeq)
-	if err != nil {
-		h.writeError(rw, http.StatusBadRequest, CodeInvalidArgument, err.Error())
-		return
-	}
-	state, err := io.ReadAll(io.LimitReader(req.Body, maxBodyBytes))
-	if err != nil {
-		h.writeError(rw, http.StatusBadRequest, CodeInvalidArgument, "reading body: "+err.Error())
-		return
-	}
-	ack, err := r.IngestSnapshot(source, epoch, seq, state)
-	h.writeAck(rw, ack, err)
 }
 
 // writeAck answers an ingest call in the wire protocol's envelope: 200

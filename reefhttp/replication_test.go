@@ -29,15 +29,16 @@ func (a *replTestApplier) ApplyReplicated(recs []durable.Record) error {
 	return nil
 }
 
-func (a *replTestApplier) ApplyReplicatedCut(*durable.State) error {
+func (a *replTestApplier) ApplyReplicatedCut([]durable.Record) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.cuts++
 	return nil
 }
 
-func (a *replTestApplier) CaptureReplicationState() (*durable.State, error) {
-	return &durable.State{Version: 1}, nil
+func (a *replTestApplier) CaptureReplicationState(pin func()) ([]byte, error) {
+	pin()
+	return nil, nil
 }
 
 func (a *replTestApplier) ReplicationPositions() []durable.ReplPosition { return nil }
@@ -112,7 +113,7 @@ func TestReplicationRoutes(t *testing.T) {
 	}
 
 	// A snapshot cut advances the position to its seq.
-	cut, _ := json.Marshal(durable.State{Version: 1})
+	cut := durable.FlagRecord("ads.test", 1).AppendEncoded(nil)
 	resp, ack = replPost(t, srv.URL+"/v1/replication/snapshot", map[string]string{
 		replication.HdrSource: "a",
 		replication.HdrEpoch:  "1",

@@ -1,12 +1,13 @@
 package reef
 
 // Replication glue: how a Centralized deployment feeds a replication
-// sender (the tap) and absorbs a peer's stream (ApplyReplicated /
-// ApplyReplicatedCut). The deployment stays transport-free — the
-// internal/replication manager owns connections and the handshake; this
-// file bridges durable records to the router's replay — the one recovery
-// and the layout import use — and journals the positions the manager
-// acks (OpReplPosition) beside the records they cover.
+// sender (the tap, and the resync cut) and absorbs a peer's stream
+// (ApplyReplicated / ApplyReplicatedCut). The deployment stays
+// transport-free — the internal/replication manager owns connections and
+// the handshake; this file bridges durable records to the router's
+// replay — the one recovery and the layout import use — and journals the
+// positions the manager acks (OpReplPosition) beside the records they
+// cover.
 //
 // The invariant both directions share: a replicated record is journaled
 // once, as received, in the node's one journal (via
@@ -96,39 +97,32 @@ func mergeReplPositions(tables []map[string]durable.ReplPosition) []durable.Repl
 
 // CaptureReplicationState cuts a consistent full state for a replica
 // that is too far behind to catch up from the record stream: every
-// shard's state, captured under the one journal lock. The cut carries no
+// shard's state, captured under the one journal lock, as the frames of
+// the run of records that rebuilds it — a snapshot file's body. pin runs
+// under the same lock (see durable.Journal.Capture). The cut carries no
 // replication positions: they say what this node applied, which is
-// nothing a peer should adopt.
-func (c *Centralized) CaptureReplicationState() (*durable.State, error) {
+// nothing a peer should adopt. A memory-only node cuts nothing.
+func (c *Centralized) CaptureReplicationState(pin func()) ([]byte, error) {
 	if err := c.checkOpen(context.Background()); err != nil {
 		return nil, err
 	}
-	st, err := c.journal.Capture()
-	if err != nil {
+	st, err := c.journal.Capture(pin)
+	if err != nil || st == nil {
 		return nil, err
-	}
-	if st == nil { // journal disabled: nothing durable to cut
-		return &durable.State{Version: 1}, nil
 	}
 	st.ReplPositions = nil
-	return st, nil
+	return durable.AppendRun(nil, durable.StateRecords(st)), nil
 }
 
-// ApplyReplicatedCut absorbs a peer's snapshot cut: the state goes
-// through the router's replay, as a recovered snapshot does, then one
-// snapshot makes the cut durable here before the record stream resumes.
-// The cut must land on a node that holds no conflicting state for the
-// cut's users — the replication manager only requests one on a fresh or
-// restarting replica.
-func (c *Centralized) ApplyReplicatedCut(st *durable.State) error {
-	if err := c.checkOpen(context.Background()); err != nil {
+// ApplyReplicatedCut absorbs a peer's resync cut, decoded into its run
+// of records: the run goes through ApplyReplicated, the one replay, and
+// is on stable storage before the call returns. The cut must land on a
+// node that holds no conflicting state for the cut's users — the
+// replication manager only requests one on a fresh or restarting
+// replica.
+func (c *Centralized) ApplyReplicatedCut(run []durable.Record) error {
+	if err := c.ApplyReplicated(run); err != nil {
 		return err
 	}
-	if st == nil {
-		return nil
-	}
-	if err := c.replayState(st, c.setReplPosition); err != nil {
-		return err
-	}
-	return c.journal.Snapshot()
+	return c.journal.Sync()
 }

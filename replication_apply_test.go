@@ -167,9 +167,10 @@ func TestReplicationPositionsRecover(t *testing.T) {
 }
 
 // TestReplicationSnapshotCut pins the catch-up path for a replica too
-// far behind to stream: a consistent cut captured on the primary and
-// absorbed through ApplyReplicatedCut reproduces the golden state, and
-// the cut is immediately durable on the replica (it survives a crash).
+// far behind to stream: a consistent cut captured on the primary, framed
+// records as a snapshot file's body is, and absorbed through
+// ApplyReplicatedCut reproduces the golden state, and the cut is
+// immediately durable on the replica (it survives a crash).
 func TestReplicationSnapshotCut(t *testing.T) {
 	ctx := context.Background()
 	web := testWeb(72)
@@ -188,7 +189,11 @@ func TestReplicationSnapshotCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cut, err := primary.CaptureReplicationState()
+	cut, err := primary.CaptureReplicationState(func() {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := durable.Replay(cut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +212,7 @@ func TestReplicationSnapshotCut(t *testing.T) {
 		return rep
 	}
 	replica := open()
-	if err := replica.ApplyReplicatedCut(cut); err != nil {
+	if err := replica.ApplyReplicatedCut(run); err != nil {
 		t.Fatal(err)
 	}
 	got, err := durabletest.Capture(ctx, replica, users, durabletest.DurableStatKeys)
@@ -218,7 +223,7 @@ func TestReplicationSnapshotCut(t *testing.T) {
 		t.Fatalf("cut state differs (%v):\n%s", err, diff)
 	}
 
-	// Crash and recover: the cut was snapshotted, so it survives.
+	// Crash and recover: the cut is in the replica's log, so it survives.
 	if err := durabletest.Crash(replica); err != nil {
 		t.Fatal(err)
 	}

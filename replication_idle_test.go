@@ -24,9 +24,9 @@ type cutCounter struct {
 	cuts atomic.Int64
 }
 
-func (c *cutCounter) ApplyReplicatedCut(st *durable.State) error {
+func (c *cutCounter) ApplyReplicatedCut(run []durable.Record) error {
 	c.cuts.Add(1)
-	return c.Centralized.ApplyReplicatedCut(st)
+	return c.Centralized.ApplyReplicatedCut(run)
 }
 
 // TestIdlePeerNeverResyncs pins that a peer's shipping state is its

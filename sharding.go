@@ -93,16 +93,16 @@ func openRouter(cfg config, newPolicy func(config, *durable.Journal) clickPolicy
 	return r, nil
 }
 
-// recover replays the journal's recovery state — the snapshot baseline,
+// recover replays the journal's recovery run — the snapshot's records,
 // then every intact WAL record in append order — then arms the journal.
 // The journal is still disarmed during replay, so replayed mutations are
 // not re-logged.
 func (r *router) recover() error {
-	st, tail, err := r.journal.Load()
+	run, err := r.journal.Load()
 	if err != nil {
 		return err
 	}
-	if err := r.replay(st, tail, r.setReplPosition); err != nil {
+	if err := r.replay(run, r.setReplPosition); err != nil {
 		return err
 	}
 	r.arm()
@@ -123,9 +123,9 @@ func (r *router) importShardLayout(oldDirs []string) error {
 	for i, dir := range oldDirs {
 		table := make(map[string]durable.ReplPosition)
 		tables[i] = table
-		st, tail, err := loadShardSource(dir)
+		run, err := loadShardSource(dir)
 		if err == nil {
-			err = r.replay(st, tail, func(p durable.ReplPosition) { table[p.Source] = p })
+			err = r.replay(run, func(p durable.ReplPosition) { table[p.Source] = p })
 		}
 		if err != nil {
 			return fmt.Errorf("importing %s: %w", dir, err)
@@ -183,61 +183,27 @@ func (r *router) positions() []durable.ReplPosition {
 
 // --- replay ---------------------------------------------------------------
 //
-// One replay serves recovery, the per-shard-layout import and replica
-// apply (ApplyReplicated, ApplyReplicatedCut): each operation is decoded
-// and handed straight to the shard its user hashes to at the count the
-// node opened with. Replay never journals. Recovery and the import run
-// on a disarmed journal, and replica apply runs inside Journal.Ingest,
-// where a nested Record or Ingest would self-deadlock on the journal
-// lock.
+// One replay serves recovery, the per-shard-layout import, replica
+// apply and resync (ApplyReplicated, ApplyReplicatedCut): a snapshot and
+// a resync cut are runs of the same records the WAL holds, so each
+// record is decoded and handed straight to the shard its user hashes to
+// at the count the node opened with. Replay never journals. Recovery and
+// the import run on a disarmed journal, and replica apply runs inside
+// Journal.Ingest, where a nested Record or Ingest would self-deadlock on
+// the journal lock.
 
-// replay restores a recovery source: the snapshot baseline, then the
-// WAL tail in append order. pos receives the replication positions.
-func (r *router) replay(st *durable.State, tail []durable.Record, pos func(durable.ReplPosition)) error {
-	if st != nil {
-		if err := r.replayState(st, pos); err != nil {
-			return fmt.Errorf("applying snapshot: %w", err)
-		}
-	}
-	for i, rec := range tail {
+// replay applies a recovery run — a snapshot's records, then the WAL
+// tail — in order. pos receives the replication positions.
+func (r *router) replay(run []durable.Record, pos func(durable.ReplPosition)) error {
+	for i, rec := range run {
 		if err := r.replayRecord(rec, pos); err != nil {
-			return fmt.Errorf("replaying WAL record %d (%v): %w", i, rec.Op, err)
+			return fmt.Errorf("replaying record %d (%v): %w", i, rec.Op, err)
 		}
 	}
 	return nil
 }
 
-// replayState restores a snapshot baseline, or a peer's snapshot cut.
-func (r *router) replayState(st *durable.State, pos func(durable.ReplPosition)) error {
-	if len(st.Clicks) > 0 || len(st.Flags) > 0 {
-		if err := r.replayClickStore(st.Clicks, st.Flags); err != nil {
-			return err
-		}
-	}
-	for _, sub := range st.Subscriptions {
-		if err := r.replaySub(sub, false); err != nil {
-			return err
-		}
-	}
-	for _, cu := range st.Cursors {
-		r.shard(cu.User).restoreCursor(cu.User, cu.ID, cu.Acked)
-	}
-	for _, p := range st.Pending {
-		if err := r.restorePending(p); err != nil {
-			return err
-		}
-	}
-	for _, e := range r.shards {
-		e.pending.setSeq(st.PendingSeq)
-	}
-	for _, p := range st.ReplPositions {
-		pos(p)
-	}
-	return nil
-}
-
-// replayRecord re-applies one WAL record, decoded by its op's typed
-// decoder.
+// replayRecord re-applies one record, decoded by its op's typed decoder.
 func (r *router) replayRecord(rec durable.Record, pos func(durable.ReplPosition)) error {
 	switch rec.Op {
 	case durable.OpClicks:
@@ -276,6 +242,14 @@ func (r *router) replayRecord(rec durable.Record, pos func(durable.ReplPosition)
 			return err
 		}
 		return r.restorePending(p)
+	case durable.OpPendingSeq:
+		seq, err := durable.DecodePendingSeq(rec)
+		if err != nil {
+			return err
+		}
+		for _, e := range r.shards {
+			e.pending.setSeq(seq)
+		}
 	case durable.OpPendingTake:
 		p, err := durable.DecodePendingTake(rec)
 		if err != nil {
@@ -751,9 +725,7 @@ func prepareDataDir(dataDir string) (oldDirs []string, legacy bool, err error) {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if e.Type().IsRegular() &&
-			(strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log") ||
-				strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".json")) {
+		if e.Type().IsRegular() && (strings.HasPrefix(name, "wal-") || strings.HasPrefix(name, "snap-")) {
 			if err := os.Remove(filepath.Join(dataDir, name)); err != nil {
 				return nil, false, fmt.Errorf("reef: clearing stale %s: %w", name, err)
 			}
@@ -793,19 +765,16 @@ func removeShardDirs(dataDir string) error {
 }
 
 // loadShardSource opens one old-layout journal directory just long
-// enough to read its recovery state (snapshot baseline plus intact WAL
-// tail, torn tail truncated exactly as normal recovery would).
-func loadShardSource(dir string) (*durable.State, []durable.Record, error) {
+// enough to read its recovery run (the snapshot's records plus the
+// intact WAL tail, torn tail truncated exactly as normal recovery would).
+func loadShardSource(dir string) ([]durable.Record, error) {
 	b, err := durable.OpenFile(dir, durable.FileOptions{Sync: durable.SyncNever})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	st, tail, err := b.Load()
+	run, err := b.Load()
 	if cerr := b.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return st, tail, nil
+	return run, err
 }
