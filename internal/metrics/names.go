@@ -118,8 +118,8 @@ var (
 var (
 	ReplicationReplicas       = Def{"replication_replicas", "reef_replication_replicas", KindGauge, "Configured replica count."}
 	ReplicationPeers          = Def{"replication_peers", "reef_replication_peers", KindGauge, "Outbound replication peers."}
-	ReplicationPending        = Def{"replication_pending", "reef_replication_pending", KindGauge, "Records queued and not yet acked, summed over the per-peer queues; a record bound for two peers counts twice."}
-	ReplicationResyncs        = Def{"replication_resyncs", "reef_replication_resyncs_total", KindCounter, "Snapshot resyncs of peers that fell off their own bounded queue."}
+	ReplicationPending        = Def{"replication_pending", "reef_replication_pending", KindGauge, "Records queued and not yet acked, a resync's refill included, summed over the per-peer queues; a record bound for two peers counts twice."}
+	ReplicationResyncs        = Def{"replication_resyncs", "reef_replication_resyncs_total", KindCounter, "Resyncs of peers that fell off their own bounded queue: each refills that peer's queue with its share of one state cut."}
 	ReplicationLagP99Micros   = Def{"replication_lag_p99_micros", "reef_replication_lag_p99_micros", KindGauge, "p99 replication shipping lag in microseconds."}
 	ReplicationAppliedRecords = Def{"replication_applied_records", "reef_replication_applied_records_total", KindCounter, "Replicated records applied from primaries."}
 )

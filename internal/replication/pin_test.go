@@ -45,14 +45,14 @@ func TestResyncPinsInsideTheCut(t *testing.T) {
 		o.Applier = app
 		o.HTTPClient = &http.Client{Transport: g, Timeout: 5 * time.Second}
 	})
-	for i := 1; i <= 20; i++ {
+	// Armed before the outage: the first capture is the racing one. It
+	// runs while the peer is still unreachable, since the sender refills
+	// the queue then and ships the refill once the gate opens. The last
+	// offer overflows Retain, so that capture comes after all of them.
+	app.race.Store(sender)
+	for i := 1; i <= overflow; i++ {
 		sender.Offer(cursorRec("u", int64(i)))
 	}
-	waitFor(t, "sender noticed the outage", func() bool {
-		st := sender.Status()
-		return len(st.Peers) == 1 && st.Peers[0].LastError != ""
-	})
-	app.race.Store(sender)
 	waitFor(t, "resync done and queue drained", func() bool {
 		st := sender.Status()
 		return st.Peers[0].Resyncs == 1 && st.Peers[0].Pending == 0

@@ -13,12 +13,13 @@
 //     payload to find the record's destination peers and appends its
 //     encoded frame to each one's own bounded queue, numbered in that
 //     peer's own sequence. Each peer's sender ships a prefix of its
-//     queue per batch, with a dense prev/last handshake, and drops the
-//     prefix once the peer acks it, retrying forever with the journal
-//     as source of truth. A peer nothing was offered to is never
-//     contacted. A peer whose queue overflows Retain (it was down or
-//     lagging that long) is resynced with a full state cut, then
-//     streamed again; no other peer's queue is touched.
+//     queue per batch, bounded in records and bytes, with a dense
+//     prev/last handshake, and drops the prefix once the peer acks it,
+//     retrying forever with the journal as source of truth. A peer
+//     nothing was offered to is never contacted. A peer whose queue
+//     overflows Retain (it was down or lagging that long) has it
+//     refilled with its share of a full state cut; no other peer's
+//     queue is touched.
 //
 //   - Receiver: IngestRecords applies a peer's batch through the
 //     deployment (which journals it WITHOUT re-feeding the tap, so
@@ -76,8 +77,8 @@ type Applier interface {
 	// OpReplPosition record, which the applier must journal after the
 	// records it covers and report back through ReplicationPositions.
 	ApplyReplicated([]durable.Record) error
-	// ApplyReplicatedCut applies a resync cut's run of records as
-	// ApplyReplicated does, and has it on stable storage before
+	// ApplyReplicatedCut applies a batch that carries resync cut records
+	// as ApplyReplicated does, and has it on stable storage before
 	// returning.
 	ApplyReplicatedCut([]durable.Record) error
 	// CaptureReplicationState cuts this node's full state for a peer
@@ -132,7 +133,7 @@ type Options struct {
 	// Retain caps each peer's queue (default 65536 entries). Entries the
 	// peer has acked are dropped at once, so the cap binds only while
 	// that peer is down or lagging; a peer that falls past it is
-	// resynced with a snapshot cut.
+	// resynced with its share of a state cut, which it does not count.
 	Retain int
 	// RetryInterval paces sender retries and idle re-checks
 	// (default 250ms).
@@ -142,7 +143,7 @@ type Options struct {
 	// Logger receives structured shipping events (resyncs, ship
 	// failures) with the node ID attached. Nil discards them.
 	Logger *slog.Logger
-	// Trace, when set, records one span per shipped batch/snapshot into
+	// Trace, when set, records one span per shipped batch into
 	// the node's span ring. Each ship mints a trace ID that also travels
 	// to the receiver in the X-Reef-Trace header, so a batch's send and
 	// its apply stitch together across the two nodes' rings.
@@ -263,29 +264,35 @@ func (m *Manager) Offer(rec durable.Record) {
 	if m == nil || m.opt.Replicas == 0 || len(m.opt.Nodes) <= 1 {
 		return
 	}
+	m.route(rec, m.enqueue)
+}
+
+// route is the one destination rule, for offered records and resync
+// cuts alike: it calls emit with each record and the peers it goes to.
+// A user's records go to the replica set; flags, which carry no user,
+// to this node's k ring successors (the flag store is an idempotent
+// OR-set); a cut's pending-ID counter to every peer.
+func (m *Manager) route(rec durable.Record, emit func(durable.Record, []*peer)) {
 	switch rec.Op {
 	case durable.OpFlag:
-		// Flags carry no user: they describe the shared web, and every
-		// shard of every replica set member wants them. Ship to this
-		// node's own k successors; the flag store is an idempotent
-		// OR-set, so overlap between nodes is harmless.
-		m.enqueue(rec, m.ringPeers())
+		emit(rec, m.ringPeers())
+	case durable.OpPendingSeq:
+		emit(rec, m.peers)
 	case durable.OpClicks:
-		m.offerClicks(rec)
+		m.routeClicks(rec, emit)
 	default:
 		user, err := durable.RecordUser(rec)
 		if err != nil || user == "" {
 			return
 		}
-		m.enqueue(rec, m.userPeers(user))
+		emit(rec, m.userPeers(user))
 	}
 }
 
-// offerClicks ships a click batch to its users' replica peers, reading
-// only the clicks' users. A peer every click goes to gets the original
-// frame; any other destination peer gets one batch of just its own
-// clicks, re-encoded.
-func (m *Manager) offerClicks(rec durable.Record) {
+// routeClicks routes a click batch by its users. A peer every click goes
+// to gets the original frame; any other destination peer one re-encoded
+// batch of just its own clicks.
+func (m *Manager) routeClicks(rec durable.Record, emit func(durable.Record, []*peer)) {
 	users, err := durable.ClickUsers(rec)
 	if err != nil {
 		return
@@ -314,7 +321,7 @@ func (m *Manager) offerClicks(rec durable.Record) {
 			part = append(part, p)
 		}
 	}
-	m.enqueue(rec, whole)
+	emit(rec, whole)
 	if len(part) == 0 {
 		return
 	}
@@ -329,7 +336,7 @@ func (m *Manager) offerClicks(rec durable.Record) {
 				own = append(own, cl)
 			}
 		}
-		m.enqueue(durable.ClicksRecord(own), []*peer{p})
+		emit(durable.ClicksRecord(own), []*peer{p})
 	}
 }
 
@@ -375,9 +382,10 @@ func (m *Manager) enqueue(rec durable.Record, to []*peer) {
 // IngestRecords is the receiver half of the batch protocol: decode the
 // frames, check the watermark handshake, and apply them with the new
 // position as the batch's last record, so it is journaled after the
-// records it covers. A *ConflictError return carries this node's
-// authoritative position for the sender to adopt.
-func (m *Manager) IngestRecords(source string, epoch, prev, last int64, count int, frames []byte) (Ack, error) {
+// records it covers, on stable storage before the Ack if it carries a
+// resync's records (cut), handed to the OS otherwise. A *ConflictError
+// return carries this node's authoritative position for the sender.
+func (m *Manager) IngestRecords(source string, epoch, prev, last int64, count int, cut bool, frames []byte) (Ack, error) {
 	recs, err := durable.Replay(frames)
 	if err != nil {
 		return Ack{}, fmt.Errorf("replication: decoding batch from %s: %w", source, err)
@@ -385,9 +393,8 @@ func (m *Manager) IngestRecords(source string, epoch, prev, last int64, count in
 	if len(recs) != count {
 		return Ack{}, fmt.Errorf("replication: batch from %s carries %d records, header says %d", source, len(recs), count)
 	}
-	// count==0 with last>prev is the watermark advance older senders,
-	// numbering one log over all peers, ship across records destined to
-	// other peers; it stays accepted so mixed versions interoperate.
+	// A count below last-prev supersedes a gap: a resync's first batch,
+	// or an older sender's empty one across records for other peers.
 	if last < prev {
 		return Ack{}, fmt.Errorf("replication: bad batch watermarks prev=%d last=%d count=%d", prev, last, count)
 	}
@@ -397,35 +404,16 @@ func (m *Manager) IngestRecords(source string, epoch, prev, last int64, count in
 	if prev != ss.Applied {
 		return Ack{}, &ConflictError{Ack: Ack{Acked: ss.Applied}}
 	}
-	recs = append(recs, positionRecord(source, epoch, last))
-	if err := m.opt.Applier.ApplyReplicated(recs); err != nil {
+	apply := m.opt.Applier.ApplyReplicated
+	if cut {
+		apply = m.opt.Applier.ApplyReplicatedCut
+	}
+	if err := apply(append(recs, positionRecord(source, epoch, last))); err != nil {
 		return Ack{}, err
 	}
 	ss.Applied = last
 	ss.LastIngest = time.Now()
 	return Ack{Acked: last}, nil
-}
-
-// IngestSnapshot absorbs a full cut from a source whose stream this
-// node fell off of: the cut, framed records as a batch is, replaces
-// catch-up through seq, and the position is applied as the cut's last
-// record, so it is journaled after what it covers and is on stable
-// storage with it before the Ack.
-func (m *Manager) IngestSnapshot(source string, epoch, seq int64, cut []byte) (Ack, error) {
-	recs, err := durable.Replay(cut)
-	if err != nil {
-		return Ack{}, fmt.Errorf("replication: decoding snapshot cut from %s: %w", source, err)
-	}
-	m.inMu.Lock()
-	defer m.inMu.Unlock()
-	ss := m.source(source, epoch)
-	applied := max(seq, ss.Applied)
-	if err := m.opt.Applier.ApplyReplicatedCut(append(recs, positionRecord(source, epoch, applied))); err != nil {
-		return Ack{}, err
-	}
-	ss.Applied = applied
-	ss.LastIngest = time.Now()
-	return Ack{Acked: applied}, nil
 }
 
 func positionRecord(source string, epoch, applied int64) durable.Record {
@@ -490,12 +478,11 @@ func (m *Manager) importLegacyPositions() error {
 // PeerStatus is one outbound stream's position and health.
 type PeerStatus struct {
 	Node string `json:"node"`
-	// Shipped is the number of records the peer has acked, counted in
-	// the peer's own sequence: a resync moves it to the sequence the
-	// cut was pinned at.
+	// Shipped is the peer's acked position in its own sequence; a
+	// resync's refill is numbered past every seq the peer was assigned.
 	Shipped int64 `json:"shipped"`
 	// Pending is the length of the peer's queue: records offered for it
-	// and not yet acked.
+	// and not yet acked, a resync's refill included.
 	Pending      int64     `json:"pending"`
 	LagP99Micros float64   `json:"lag_p99_micros"`
 	Resyncs      int64     `json:"resyncs"`

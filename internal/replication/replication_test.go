@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -71,8 +72,9 @@ func (f *fakeApplier) restarted() *fakeApplier {
 	return &fakeApplier{positions: maps.Clone(f.positions)}
 }
 
-// ApplyReplicatedCut keeps the cut apart from the streamed records and
-// applies the position record that closes it.
+// ApplyReplicatedCut keeps the records of a batch that carries a resync
+// cut apart from the streamed records and applies the position record
+// that closes it.
 func (f *fakeApplier) ApplyReplicatedCut(recs []durable.Record) error {
 	n := len(recs) - 1
 	f.mu.Lock()
@@ -109,8 +111,9 @@ func (f *fakeApplier) cutCount() int {
 }
 
 // serve exposes a receiving manager over HTTP exactly the way reefhttp
-// does: headers → Ingest*, ConflictError → 409 + Ack. The manager is
-// fetched per request so restart tests can swap it under a stable URL.
+// does: headers → IngestRecords, ConflictError → 409 + Ack. The manager
+// is fetched per request so restart tests can swap it under a stable
+// URL.
 func serve(t *testing.T, mgr func() *Manager) *httptest.Server {
 	t.Helper()
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -124,18 +127,13 @@ func serve(t *testing.T, mgr func() *Manager) *httptest.Server {
 			v, _ := strconv.ParseInt(r.Header.Get(h), 10, 64)
 			return v
 		}
-		source := r.Header.Get(HdrSource)
-		var ack Ack
-		switch r.URL.Path {
-		case RecordsPath:
-			count, _ := strconv.Atoi(r.Header.Get(HdrCount))
-			ack, err = m.IngestRecords(source, i64(HdrEpoch), i64(HdrPrev), i64(HdrLast), count, body)
-		case SnapshotPath:
-			ack, err = m.IngestSnapshot(source, i64(HdrEpoch), i64(HdrSeq), body)
-		default:
+		if r.URL.Path != RecordsPath {
 			http.NotFound(w, r)
 			return
 		}
+		count, _ := strconv.Atoi(r.Header.Get(HdrCount))
+		ack, err := m.IngestRecords(r.Header.Get(HdrSource), i64(HdrEpoch), i64(HdrPrev), i64(HdrLast), count,
+			r.Header.Get(HdrCut) == "true", body)
 		var conflict *ConflictError
 		if errors.As(err, &conflict) {
 			w.WriteHeader(http.StatusConflict)
@@ -160,10 +158,17 @@ type gate struct {
 	open atomic.Bool
 	// host, when set, limits the outage to calls to that host.
 	host string
+	// status, when set, is the peer's answer during the outage, in place
+	// of a transport error.
+	status int
 }
 
 func (g *gate) RoundTrip(req *http.Request) (*http.Response, error) {
 	if !g.open.Load() && (g.host == "" || req.URL.Host == g.host) {
+		if g.status != 0 {
+			return &http.Response{StatusCode: g.status, Status: http.StatusText(g.status),
+				Body: io.NopCloser(strings.NewReader("gate: peer down")), Request: req}, nil
+		}
 		return nil, errors.New("gate: peer unreachable")
 	}
 	return http.DefaultTransport.RoundTrip(req)
@@ -296,36 +301,41 @@ func TestResponseDropRedelivers(t *testing.T) {
 	})
 }
 
-// TestSnapshotResync pins the eviction path: a peer that falls off its
-// bounded queue gets a full cut, then streams normally again.
-func TestSnapshotResync(t *testing.T) {
+// TestResyncRefillsQueue pins the eviction path: a peer that falls off
+// its bounded queue is refilled with its share of a full cut, which
+// lands through ApplyReplicatedCut as ordinary batches, and then
+// streams normally again.
+func TestResyncRefillsQueue(t *testing.T) {
 	g := &gate{}
 	sender, recv, recvApp := pair(t, func(o *Options) {
 		o.Retain = 4
 		o.HTTPClient = &http.Client{Transport: g, Timeout: 5 * time.Second}
 	})
-	// Offer far past the retention cap while the peer is unreachable.
-	for i := 1; i <= 20; i++ {
+	// Offer past the retention cap while the peer is unreachable.
+	for i := 1; i <= overflow; i++ {
 		sender.Offer(cursorRec("u", int64(i)))
 	}
-	waitFor(t, "sender noticed the outage", func() bool {
+	// The refill does not wait for the peer: with it down, the queue
+	// holds the cut's one record in place of the newest 4 offered.
+	waitFor(t, "refill queued with the peer down", func() bool {
 		st := sender.Status()
-		return len(st.Peers) == 1 && st.Peers[0].LastError != ""
+		return len(st.Peers) == 1 && st.Peers[0].Resyncs == 1 && st.Peers[0].LastError != ""
 	})
-	if st := sender.Status(); queued(st) != 4 || st.Peers[0].Pending != 4 || st.Peers[0].Shipped != 0 {
-		t.Fatalf("queue with the peer down = len %d, pending %d, shipped %d; want the newest 4 and nothing acked",
+	if st := sender.Status(); queued(st) != 1 || st.Peers[0].Pending != 1 || st.Peers[0].Shipped != 0 {
+		t.Fatalf("queue with the peer down = len %d, pending %d, shipped %d; want the refill's 1 and nothing acked",
 			queued(st), st.Peers[0].Pending, st.Peers[0].Shipped)
 	}
 	g.open.Store(true)
-	waitFor(t, "snapshot resync", func() bool { return recvApp.cutCount() >= 1 })
+	waitFor(t, "refill applied", func() bool { return recvApp.cutCount() >= 1 })
 	waitFor(t, "post-cut stream drained", func() bool {
 		st := sender.Status()
 		return st.Peers[0].Pending == 0 && st.Peers[0].Resyncs >= 1
 	})
 	// The cut was pinned at the peer's last queued seq, so it covers
-	// every record offered before it and the queue drops them all.
-	if got := sender.Status().Peers[0].Shipped; got != 20 {
-		t.Fatalf("shipped after the resync = %d, want 20", got)
+	// every record offered before it, and its one record is numbered
+	// after them: acking it moves the peer past all 5.
+	if got := sender.Status().Peers[0].Shipped; got != overflow+1 {
+		t.Fatalf("shipped after the resync = %d, want %d", got, overflow+1)
 	}
 	// Records offered after the cut stream normally again.
 	sender.Offer(cursorRec("u", 21))
@@ -394,7 +404,7 @@ func TestReceiverRestartResume(t *testing.T) {
 			len(got), cursorSeq(t, got[0]))
 	}
 	if recvApp2.cutCount() != 0 {
-		t.Fatal("restart with journaled positions forced a snapshot resync")
+		t.Fatal("restart with journaled positions forced a resync")
 	}
 }
 
@@ -462,7 +472,7 @@ func TestLegacyPositionsImport(t *testing.T) {
 			len(got), cursorSeq(t, got[0]))
 	}
 	if recvApp2.cutCount() != 0 || sender.Status().Peers[0].Resyncs != 0 {
-		t.Fatal("upgrade from the legacy positions file forced a snapshot resync")
+		t.Fatal("upgrade from the legacy positions file forced a resync")
 	}
 }
 
@@ -481,7 +491,7 @@ func TestSenderEpochReset(t *testing.T) {
 	}
 	defer recv.Close()
 	// Seed the receiver with an old-epoch position deep in the stream.
-	if _, err := recv.IngestRecords("a", 111, 0, 5, 1, cursorRec("u", 1).AppendEncoded(nil)); err != nil {
+	if _, err := recv.IngestRecords("a", 111, 0, 5, 1, false, cursorRec("u", 1).AppendEncoded(nil)); err != nil {
 		t.Fatal(err)
 	}
 	srv := serve(t, func() *Manager { return recv })
@@ -518,23 +528,23 @@ func TestIngestValidation(t *testing.T) {
 	frames := cursorRec("u", 1).AppendEncoded(nil)
 	// Wrong prev → conflict carrying the authoritative position.
 	var conflict *ConflictError
-	if _, err := m.IngestRecords("a", 1, 5, 6, 1, frames); !errors.As(err, &conflict) || conflict.Ack.Acked != 0 {
+	if _, err := m.IngestRecords("a", 1, 5, 6, 1, false, frames); !errors.As(err, &conflict) || conflict.Ack.Acked != 0 {
 		t.Fatalf("prev mismatch = %v, want ConflictError{0}", err)
 	}
 	// Count mismatch.
-	if _, err := m.IngestRecords("a", 1, 0, 1, 2, frames); err == nil {
+	if _, err := m.IngestRecords("a", 1, 0, 1, 2, false, frames); err == nil {
 		t.Fatal("count mismatch accepted")
 	}
 	// Corrupt frames.
-	if _, err := m.IngestRecords("a", 1, 0, 1, 1, []byte("garbage-bytes")); err == nil {
+	if _, err := m.IngestRecords("a", 1, 0, 1, 1, false, []byte("garbage-bytes")); err == nil {
 		t.Fatal("corrupt frames accepted")
 	}
 	// Regressing watermark.
-	if _, err := m.IngestRecords("a", 1, 3, 2, 0, nil); err == nil {
+	if _, err := m.IngestRecords("a", 1, 3, 2, 0, false, nil); err == nil {
 		t.Fatal("regressing watermark accepted")
 	}
 	// count==0 with last>prev is a legitimate gap-only advance.
-	ack, err := m.IngestRecords("a", 1, 0, 4, 0, nil)
+	ack, err := m.IngestRecords("a", 1, 0, 4, 0, false, nil)
 	if err != nil || ack.Acked != 4 {
 		t.Fatalf("watermark advance = (%+v, %v), want acked 4", ack, err)
 	}

@@ -3,6 +3,7 @@ package replication
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"reef/internal/durable"
 	"reef/internal/trace"
 )
 
@@ -23,27 +25,29 @@ import (
 //	X-Reef-Replication-Prev    watermark before this batch
 //	X-Reef-Replication-Last    watermark after this batch
 //	X-Reef-Replication-Count   record count
+//	X-Reef-Replication-Cut     true if the batch carries resync records
 //
 // The receiver answers 200 with an Ack, or 409 with its authoritative
 // Ack when the watermarks disagree (the sender adopts it and re-ships
-// from there). A resync cut POSTs to /v1/replication/snapshot with the
-// same Source/Epoch headers plus X-Reef-Replication-Seq; its body is
-// framed records too, the run that rebuilds the sender's state.
+// from there). A resync's records ship as batches too, the first with
+// a count below last-prev, superseding the gap up to the cut; a Cut
+// batch is on the receiver's stable storage before its ack.
 const (
 	HdrSource = "X-Reef-Replication-Source"
 	HdrEpoch  = "X-Reef-Replication-Epoch"
 	HdrPrev   = "X-Reef-Replication-Prev"
 	HdrLast   = "X-Reef-Replication-Last"
 	HdrCount  = "X-Reef-Replication-Count"
-	HdrSeq    = "X-Reef-Replication-Seq"
+	HdrCut    = "X-Reef-Replication-Cut"
 )
 
-// RecordsPath and SnapshotPath are the ingest routes, shared with
-// reefhttp so sender and server cannot drift.
-const (
-	RecordsPath  = "/v1/replication/records"
-	SnapshotPath = "/v1/replication/snapshot"
-)
+// RecordsPath is the ingest route, shared with reefhttp so sender and
+// server cannot drift.
+const RecordsPath = "/v1/replication/records"
+
+// MaxBatchBytes bounds a batch's body, sender and receiver alike: the
+// largest frame durable writes, so every record ships, alone if it must.
+const MaxBatchBytes = durable.MaxRecordLen + durable.FrameHeaderLen
 
 // shipWindow caps records per shipped batch; lagWindow bounds the
 // per-peer lag sample ring for the p99 gauge.
@@ -61,15 +65,18 @@ type peer struct {
 	mu sync.Mutex
 	// queue holds the entries offered for this peer and not yet acked,
 	// in the peer's own sequence: seq next-len(queue)+1 through next.
-	// It starts right after acked unless it overflowed Retain, which is
-	// what a resync repairs.
-	queue     []entry
-	next      int64 // seq of the last entry ever queued
-	acked     int64 // the receiver's acked position
-	resyncs   int64
-	lastAck   time.Time
-	lastErr   string
-	lagMicros []float64 // ring buffer, newest appended
+	// It starts right after acked unless it overflowed Retain, the gap
+	// a resync repairs, or it starts with a refill not yet acked at all.
+	queue []entry
+	next  int64 // seq of the last entry ever queued
+	acked int64 // the receiver's acked position
+	// cutFirst..cutLast are the last resync's refill, exempt from Retain;
+	// while cutFirst heads the queue, a batch follows any acked position.
+	cutFirst, cutLast int64
+	resyncs           int64
+	lastAck           time.Time
+	lastErr           string
+	lagMicros         []float64 // ring buffer, newest appended
 }
 
 // wake nudges the sender loop; a full buffer means a wake is already
@@ -81,15 +88,34 @@ func (p *peer) wake() {
 	}
 }
 
-// push queues one entry, evicting the oldest past retain, and wakes
-// the sender.
+// push queues one entry and wakes the sender. Once more than retain
+// entries follow the refill, the oldest go, the refill with them.
 func (p *peer) push(e entry, retain int) {
 	p.mu.Lock()
 	p.next++
 	p.queue = append(p.queue, e)
-	p.dropThrough(p.next - int64(retain))
+	if p.next-int64(retain) > p.cutLast {
+		p.dropThrough(p.next - int64(retain))
+	}
 	p.mu.Unlock()
 	p.wake()
+}
+
+// refill replaces the queue with a resync's cut, numbered after every
+// seq the peer was ever assigned, and the entries queued after pin
+// behind it; false means Retain evicted some of those.
+func (p *peer) refill(cut []entry, pin int64) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	after := int(p.next - pin)
+	if after > len(p.queue) {
+		return false
+	}
+	p.queue = append(cut, p.queue[len(p.queue)-after:]...)
+	p.cutFirst, p.cutLast = p.next+1, p.next+int64(len(cut))
+	p.next = p.cutLast + int64(after)
+	p.resyncs++
+	return true
 }
 
 // dropThrough removes the queued entries with seq ≤ seq (caller holds
@@ -123,12 +149,14 @@ func (p *peer) adopt(acked int64) {
 	p.mu.Unlock()
 }
 
-func (p *peer) success(last int64, lags []float64) {
-	p.adopt(last)
+func (p *peer) success(b batch) {
+	p.adopt(b.last)
 	p.mu.Lock()
 	p.lastAck = time.Now()
 	p.lastErr = ""
-	p.lagMicros = append(p.lagMicros, lags...)
+	for _, at := range b.offeredAt {
+		p.lagMicros = append(p.lagMicros, float64(p.lastAck.Sub(at).Microseconds()))
+	}
 	if len(p.lagMicros) > lagWindow {
 		p.lagMicros = p.lagMicros[len(p.lagMicros)-lagWindow:]
 	}
@@ -162,28 +190,32 @@ func (p *peer) status() PeerStatus {
 
 // batch is one shipping unit: a prefix of the peer's queue.
 type batch struct {
-	prev, last int64 // count is last-prev
+	prev, last int64
 	frames     []byte
-	offeredAt  []time.Time
-	// resync is set instead when the queue no longer starts right
-	// after the acked position.
-	resync bool
+	offeredAt  []time.Time // one per record
+	// cut marks refill entries in the batch; resync is set instead of a
+	// batch when the queue no longer starts right after acked.
+	cut, resync bool
 }
 
-// nextBatch cuts the peer's next batch under its lock. An empty batch
-// (prev==last) means the peer is caught up.
+// nextBatch cuts the peer's next batch under its lock, at most
+// shipWindow records and MaxBatchBytes. No records means caught up.
 func (p *peer) nextBatch() batch {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.acked < p.next-int64(len(p.queue)) {
+	start := p.next - int64(len(p.queue)) + 1
+	if p.acked+1 < start && start != p.cutFirst {
 		return batch{resync: true}
 	}
-	n := min(len(p.queue), shipWindow)
-	b := batch{prev: p.acked, last: p.acked + int64(n), offeredAt: make([]time.Time, n)}
-	for i, e := range p.queue[:n] {
+	b := batch{prev: p.acked, cut: start <= p.cutLast}
+	for _, e := range p.queue[:min(len(p.queue), shipWindow)] {
+		if len(b.frames) > 0 && len(b.frames)+len(e.enc) > MaxBatchBytes {
+			break
+		}
 		b.frames = append(b.frames, e.enc...)
-		b.offeredAt[i] = e.at
+		b.offeredAt = append(b.offeredAt, e.at)
 	}
+	b.last = start - 1 + int64(len(b.offeredAt))
 	return b
 }
 
@@ -210,26 +242,22 @@ func (m *Manager) sendLoop(p *peer) {
 			if b.resync {
 				m.opt.Logger.Info("replication resync",
 					"node", m.opt.Self, "peer", p.node.ID)
-				if err := m.sendSnapshot(p); err != nil {
-					m.opt.Logger.Warn("replication snapshot ship failed",
+				if err := m.resync(p); err != nil {
+					m.opt.Logger.Warn("replication resync failed",
 						"node", m.opt.Self, "peer", p.node.ID, "err", err)
 					p.fail(err)
 					break // wait a tick, retry
 				}
 				continue
 			}
-			if b.last == b.prev {
+			if len(b.offeredAt) == 0 {
 				break // caught up
 			}
-			ack, conflict, err := m.post(p, RecordsPath, "repl.records", b.frames, http.Header{
-				HdrPrev:  {strconv.FormatInt(b.prev, 10)},
-				HdrLast:  {strconv.FormatInt(b.last, 10)},
-				HdrCount: {strconv.FormatInt(b.last-b.prev, 10)},
-			})
+			ack, conflict, err := m.post(p, b)
 			if err != nil {
 				m.opt.Logger.Warn("replication batch ship failed",
 					"node", m.opt.Self, "peer", p.node.ID,
-					"records", b.last-b.prev, "err", err)
+					"records", len(b.offeredAt), "err", err)
 				p.fail(err)
 				break
 			}
@@ -237,82 +265,80 @@ func (m *Manager) sendLoop(p *peer) {
 				p.adopt(ack.Acked)
 				continue
 			}
-			lags := make([]float64, len(b.offeredAt))
-			now := time.Now()
-			for i, at := range b.offeredAt {
-				lags[i] = float64(now.Sub(at).Microseconds())
-			}
-			p.success(b.last, lags)
+			p.success(b)
 		}
 	}
 }
 
-// post ships framed records to one of a peer's ingest routes, with the
-// source and epoch headers added to hdr; op names its trace span.
-// conflict=true carries the receiver's position from a 409.
-func (m *Manager) post(p *peer, path, op string, frames []byte, hdr http.Header) (Ack, bool, error) {
-	req, err := http.NewRequest(http.MethodPost, p.node.BaseURL+path, bytes.NewReader(frames))
+// post ships one batch to the peer's ingest route and decodes the Ack;
+// conflict=true carries the receiver's position from a 409. Each POST
+// mints its own trace ID: the header makes the receiver's span ring
+// record the apply under it, and the sender records the matching
+// repl.records span (when Options.Trace is set), so one ID stitches
+// both nodes.
+func (m *Manager) post(p *peer, b batch) (Ack, bool, error) {
+	req, err := http.NewRequest(http.MethodPost, p.node.BaseURL+RecordsPath, bytes.NewReader(b.frames))
 	if err != nil {
 		return Ack{}, false, err
 	}
-	req.Header = hdr
+	id := trace.NewID()
+	req.Header.Set(trace.Header, id.String())
 	req.Header.Set("Content-Type", "application/octet-stream")
 	req.Header.Set(HdrSource, m.opt.Self)
 	req.Header.Set(HdrEpoch, strconv.FormatInt(m.epoch, 10))
-	return m.doShip(req, op)
-}
-
-// sendSnapshot resyncs a peer that fell off its queue: capture a cut,
-// ship it, and adopt the cut's position, which drops the queue through
-// it. The position is pinned at the peer's last queued seq inside the
-// capture, under the journal lock the tap runs under (journal → peer,
-// Offer's own lock order), so every record is either in the cut or
-// queued after the pinned seq, never both.
-func (m *Manager) sendSnapshot(p *peer) error {
-	var seq int64
-	cut, err := m.opt.Applier.CaptureReplicationState(func() {
-		p.mu.Lock()
-		seq = p.next
-		p.mu.Unlock()
-	})
-	if err != nil {
-		return err
-	}
-	// A cut's answer is authoritative, a 409 included.
-	ack, _, err := m.post(p, SnapshotPath, "repl.snapshot", cut, http.Header{HdrSeq: {strconv.FormatInt(seq, 10)}})
-	if err != nil {
-		return err
-	}
-	p.adopt(ack.Acked)
-	p.mu.Lock()
-	p.resyncs++
-	p.mu.Unlock()
-	return nil
-}
-
-// doShip executes a replication POST and decodes the Ack envelope. Each
-// ship mints its own trace ID: the header makes the receiver's span ring
-// record the apply under it, and the sender records the matching ship
-// span (when Options.Trace is set), so one ID stitches both nodes.
-func (m *Manager) doShip(req *http.Request, op string) (Ack, bool, error) {
-	id := trace.NewID()
-	req.Header.Set(trace.Header, id.String())
+	req.Header.Set(HdrPrev, strconv.FormatInt(b.prev, 10))
+	req.Header.Set(HdrLast, strconv.FormatInt(b.last, 10))
+	req.Header.Set(HdrCount, strconv.Itoa(len(b.offeredAt)))
+	req.Header.Set(HdrCut, strconv.FormatBool(b.cut))
 	begin := time.Now()
-	ack, conflict, err := m.doShipRaw(req)
+	ack, conflict, err := m.roundTrip(req)
 	if m.opt.Trace != nil {
 		errStr := ""
 		if err != nil {
 			errStr = err.Error()
 		}
 		m.opt.Trace.Record(trace.Span{
-			Trace: id, Op: op, Node: m.opt.Self, Shard: -1,
+			Trace: id, Op: "repl.records", Node: m.opt.Self, Shard: -1,
 			Start: begin, Duration: time.Since(begin), Err: errStr,
 		})
 	}
 	return ack, conflict, err
 }
 
-func (m *Manager) doShipRaw(req *http.Request) (Ack, bool, error) {
+// resync refills a peer that fell off its queue with its share of a
+// full state cut. The peer's position is pinned at its last queued seq
+// inside the capture, under the journal lock the tap runs under
+// (journal → peer, Offer's own lock order), so every record is either
+// in the cut or queued after the pin, never both.
+func (m *Manager) resync(p *peer) error {
+	var pin int64
+	cut, err := m.opt.Applier.CaptureReplicationState(func() {
+		p.mu.Lock()
+		pin = p.next
+		p.mu.Unlock()
+	})
+	if err != nil {
+		return err
+	}
+	recs, err := durable.Replay(cut)
+	if err != nil {
+		return fmt.Errorf("replication: decoding the resync cut: %w", err)
+	}
+	var share []entry
+	for _, rec := range recs {
+		m.route(rec, func(rec durable.Record, to []*peer) {
+			if slices.Contains(to, p) {
+				share = append(share, entry{enc: rec.AppendEncoded(nil), at: time.Now()})
+			}
+		})
+	}
+	if !p.refill(share, pin) {
+		return errors.New("replication: more than Retain records queued during the resync capture")
+	}
+	return nil
+}
+
+func (m *Manager) roundTrip(req *http.Request) (Ack, bool, error) {
 	resp, err := m.opt.HTTPClient.Do(req)
 	if err != nil {
 		return Ack{}, false, err

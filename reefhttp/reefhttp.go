@@ -28,8 +28,7 @@
 //	GET    /v1/admin/trace                     span ring dump (?trace=HEX&limit=N)
 //	GET    /v1/admin/storage                   persistence backend state
 //	POST   /v1/admin/snapshot                  force a compacting snapshot
-//	POST   /v1/replication/records             ingest a peer's WAL batch
-//	POST   /v1/replication/snapshot            ingest a peer's resync cut
+//	POST   /v1/replication/records             ingest a peer's WAL batch or resync refill
 //	GET    /v1/admin/replication               replication stream status
 //
 // The admin storage/snapshot endpoints require the deployment to
@@ -68,7 +67,8 @@ import (
 	"reef/internal/trace"
 )
 
-// maxBodyBytes bounds request bodies (the click batch is the largest).
+// maxBodyBytes bounds JSON request bodies (the click batch is the
+// largest); readBody refuses a longer one with 413.
 const maxBodyBytes = 16 << 20
 
 // Error codes carried in the envelope; the client SDK maps them back to
@@ -358,9 +358,7 @@ func (h *Handler) dispatch(rw http.ResponseWriter, req *http.Request, seg []stri
 			})
 		}
 	case len(seg) == 2 && seg[0] == "replication" && seg[1] == "records":
-		h.route(rw, req, "POST", h.ingestReplication(false))
-	case len(seg) == 2 && seg[0] == "replication" && seg[1] == "snapshot":
-		h.route(rw, req, "POST", h.ingestReplication(true))
+		h.route(rw, req, "POST", h.ingestReplication)
 	case len(seg) == 2 && seg[0] == "admin" && seg[1] == "replication":
 		h.route(rw, req, "GET", h.handleReplicationStatus)
 	case len(seg) == 2 && seg[0] == "admin" && seg[1] == "storage":
@@ -830,12 +828,28 @@ func (h *Handler) handleSnapshot(rw http.ResponseWriter, req *http.Request) {
 	h.writeJSON(rw, http.StatusOK, StorageResponse{Storage: info})
 }
 
+// readBody reads a request body of at most limit bytes, writing the
+// error envelope and returning false on failure: 413 for a longer body,
+// which is refused whole rather than cut short.
+func (h *Handler) readBody(rw http.ResponseWriter, req *http.Request, limit int64) ([]byte, bool) {
+	body, err := io.ReadAll(io.LimitReader(req.Body, limit+1))
+	if err != nil {
+		h.writeError(rw, http.StatusBadRequest, CodeInvalidArgument, "reading body: "+err.Error())
+		return nil, false
+	}
+	if int64(len(body)) > limit {
+		h.writeError(rw, http.StatusRequestEntityTooLarge, CodeInvalidArgument,
+			fmt.Sprintf("request body exceeds %d bytes", limit))
+		return nil, false
+	}
+	return body, true
+}
+
 // readJSON decodes a bounded request body, writing the error envelope and
 // returning false on failure.
 func (h *Handler) readJSON(rw http.ResponseWriter, req *http.Request, into any) bool {
-	body, err := io.ReadAll(io.LimitReader(req.Body, maxBodyBytes))
-	if err != nil {
-		h.writeError(rw, http.StatusBadRequest, CodeInvalidArgument, "reading body: "+err.Error())
+	body, ok := h.readBody(rw, req, maxBodyBytes)
+	if !ok {
 		return false
 	}
 	if err := json.Unmarshal(body, into); err != nil {

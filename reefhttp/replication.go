@@ -3,7 +3,6 @@ package reefhttp
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 
@@ -12,17 +11,14 @@ import (
 	"reef/internal/replication"
 )
 
-// Replicator is the replication surface a server can mount: the two
-// ingest routes peers stream into, plus the status the admin endpoint
-// and /v1/stats expose. Implemented by *replication.Manager.
+// Replicator is the replication surface a server can mount: the ingest
+// route peers stream into, plus the status the admin endpoint and
+// /v1/stats expose. Implemented by *replication.Manager.
 type Replicator interface {
-	// IngestRecords applies one WAL batch from a peer. A
-	// *replication.ConflictError return is answered 409 with this
-	// node's authoritative Ack.
-	IngestRecords(source string, epoch, prev, last int64, count int, frames []byte) (replication.Ack, error)
-	// IngestSnapshot absorbs a peer's resync cut: framed records too,
-	// the run that rebuilds the peer's state.
-	IngestSnapshot(source string, epoch, seq int64, cut []byte) (replication.Ack, error)
+	// IngestRecords applies one WAL batch from a peer; cut marks a batch
+	// that carries resync records. A *replication.ConflictError return
+	// is answered 409 with this node's authoritative Ack.
+	IngestRecords(source string, epoch, prev, last int64, count int, cut bool, frames []byte) (replication.Ack, error)
 	// Status reports stream positions and health.
 	Status() replication.Status
 	// Samples reports the status as the node's replication series,
@@ -30,18 +26,17 @@ type Replicator interface {
 	Samples() []metrics.Sample
 }
 
-// WithReplication mounts the replication ingest routes and the admin
+// WithReplication mounts the replication ingest route and the admin
 // status endpoint over the given manager:
 //
 //	POST /v1/replication/records    ingest a WAL batch (framed records)
-//	POST /v1/replication/snapshot   ingest a resync cut (framed records)
 //	GET  /v1/admin/replication      stream positions, lag, health
 //
-// The ingest routes speak the replication wire protocol — handshake in
+// The ingest route speaks the replication wire protocol — handshake in
 // X-Reef-Replication-* headers, bare Ack JSON answers (409 on a
 // watermark conflict) — not the error envelope, because the peer's
-// sender is the only client. Without this option the three routes
-// answer 501.
+// sender is the only client. Without this option both routes answer
+// 501.
 func WithReplication(r Replicator) HandlerOption {
 	return func(h *Handler) { h.repl = r }
 }
@@ -76,45 +71,34 @@ func replHeader(req *http.Request, name string) (int64, error) {
 	return n, nil
 }
 
-// ingestReplication serves one of the two ingest routes, both framed
-// records from a peer: a streamed WAL batch, or (cut) a resync cut.
-func (h *Handler) ingestReplication(cut bool) func(http.ResponseWriter, *http.Request) {
-	names := []string{replication.HdrEpoch, replication.HdrPrev, replication.HdrLast, replication.HdrCount}
-	if cut {
-		names = []string{replication.HdrEpoch, replication.HdrSeq}
+// ingestReplication serves the ingest route: one batch of framed
+// records from a peer, read up to replication.MaxBatchBytes.
+func (h *Handler) ingestReplication(rw http.ResponseWriter, req *http.Request) {
+	r, ok := h.replicator(rw)
+	if !ok {
+		return
 	}
-	return func(rw http.ResponseWriter, req *http.Request) {
-		r, ok := h.replicator(rw)
-		if !ok {
-			return
-		}
-		source := req.Header.Get(replication.HdrSource)
-		if source == "" {
-			h.writeError(rw, http.StatusBadRequest, CodeInvalidArgument, "missing "+replication.HdrSource+" header")
-			return
-		}
-		hv := make([]int64, len(names))
-		for i, name := range names {
-			v, err := replHeader(req, name)
-			if err != nil {
-				h.writeError(rw, http.StatusBadRequest, CodeInvalidArgument, err.Error())
-				return
-			}
-			hv[i] = v
-		}
-		frames, err := io.ReadAll(io.LimitReader(req.Body, maxBodyBytes))
+	source := req.Header.Get(replication.HdrSource)
+	if source == "" {
+		h.writeError(rw, http.StatusBadRequest, CodeInvalidArgument, "missing "+replication.HdrSource+" header")
+		return
+	}
+	var hv [4]int64
+	for i, name := range []string{replication.HdrEpoch, replication.HdrPrev, replication.HdrLast, replication.HdrCount} {
+		v, err := replHeader(req, name)
 		if err != nil {
-			h.writeError(rw, http.StatusBadRequest, CodeInvalidArgument, "reading body: "+err.Error())
+			h.writeError(rw, http.StatusBadRequest, CodeInvalidArgument, err.Error())
 			return
 		}
-		var ack replication.Ack
-		if cut {
-			ack, err = r.IngestSnapshot(source, hv[0], hv[1], frames)
-		} else {
-			ack, err = r.IngestRecords(source, hv[0], hv[1], hv[2], int(hv[3]), frames)
-		}
-		h.writeAck(rw, ack, err)
+		hv[i] = v
 	}
+	frames, ok := h.readBody(rw, req, replication.MaxBatchBytes)
+	if !ok {
+		return
+	}
+	cut := req.Header.Get(replication.HdrCut) == "true"
+	ack, err := r.IngestRecords(source, hv[0], hv[1], hv[2], int(hv[3]), cut, frames)
+	h.writeAck(rw, ack, err)
 }
 
 // writeAck answers an ingest call in the wire protocol's envelope: 200

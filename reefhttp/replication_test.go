@@ -43,28 +43,35 @@ func (a *replTestApplier) CaptureReplicationState(pin func()) ([]byte, error) {
 
 func (a *replTestApplier) ReplicationPositions() []durable.ReplPosition { return nil }
 
+func (a *replTestApplier) cutCount() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.cuts
+}
+
 // newReplServer mounts the full handler with a replication manager over
 // a real (small) deployment.
-func newReplServer(t *testing.T) *httptest.Server {
+func newReplServer(t *testing.T) (*httptest.Server, *replTestApplier) {
 	t.Helper()
+	app := &replTestApplier{}
 	mgr, err := replication.New(replication.Options{
 		Self: "b",
 		Nodes: []replication.Node{
 			{ID: "a", BaseURL: "http://unused.test"},
 			{ID: "b", BaseURL: "http://unused.test"},
 		},
-		Applier: &replTestApplier{},
+		Applier: app,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(mgr.Close)
 	srv, _ := newTestServer(t, reefhttp.WithReplication(mgr))
-	return srv
+	return srv, app
 }
 
-// replPost issues an ingest POST with the wire headers.
-func replPost(t *testing.T, url string, hdr map[string]string, body []byte) (*http.Response, replication.Ack) {
+// mustRequest builds a POST with the given headers.
+func mustRequest(t *testing.T, url string, hdr map[string]string, body []byte) *http.Request {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
@@ -73,7 +80,13 @@ func replPost(t *testing.T, url string, hdr map[string]string, body []byte) (*ht
 	for k, v := range hdr {
 		req.Header.Set(k, v)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	return req
+}
+
+// replPost issues an ingest POST with the wire headers.
+func replPost(t *testing.T, url string, hdr map[string]string, body []byte) (*http.Response, replication.Ack) {
+	t.Helper()
+	resp, err := http.DefaultClient.Do(mustRequest(t, url, hdr, body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,10 +107,11 @@ func recordsHdr(epoch, prev, last int64, count int) map[string]string {
 }
 
 // TestReplicationRoutes pins the wire surface end to end: ingest with
-// acks, watermark conflict as 409 + Ack, snapshot ingest, the admin
-// status endpoint, and the merged stats gauges.
+// acks, watermark conflict as 409 + Ack, a resync batch superseding a
+// gap and reaching ApplyReplicatedCut, the admin status endpoint, and
+// the merged stats gauges.
 func TestReplicationRoutes(t *testing.T) {
-	srv := newReplServer(t)
+	srv, app := newReplServer(t)
 
 	// A valid batch answers 200 with the new watermark.
 	frames := durable.CursorAckRecord(durable.CursorAckPayload{User: "u", ID: "s", Seq: 1}).AppendEncoded(nil)
@@ -112,15 +126,13 @@ func TestReplicationRoutes(t *testing.T) {
 		t.Fatalf("conflict = %d ack %d, want 409 ack 1", resp.StatusCode, ack.Acked)
 	}
 
-	// A snapshot cut advances the position to its seq.
-	cut := durable.FlagRecord("ads.test", 1).AppendEncoded(nil)
-	resp, ack = replPost(t, srv.URL+"/v1/replication/snapshot", map[string]string{
-		replication.HdrSource: "a",
-		replication.HdrEpoch:  "1",
-		replication.HdrSeq:    "9",
-	}, cut)
-	if resp.StatusCode != http.StatusOK || ack.Acked != 9 {
-		t.Fatalf("snapshot = %d ack %d, want 200 ack 9", resp.StatusCode, ack.Acked)
+	// A resync batch supersedes the gap up to its last record and is
+	// applied as a cut, synced before the ack.
+	hdr := recordsHdr(1, 1, 9, 1)
+	hdr[replication.HdrCut] = "true"
+	resp, ack = replPost(t, srv.URL+"/v1/replication/records", hdr, durable.FlagRecord("ads.test", 1).AppendEncoded(nil))
+	if resp.StatusCode != http.StatusOK || ack.Acked != 9 || app.cutCount() != 1 {
+		t.Fatalf("resync batch = %d ack %d with %d cuts applied, want 200 ack 9 and 1", resp.StatusCode, ack.Acked, app.cutCount())
 	}
 
 	// The admin endpoint reports the inbound stream position.
@@ -151,10 +163,10 @@ func TestReplicationRoutes(t *testing.T) {
 }
 
 // TestReplicationRouteErrors pins the failure envelopes: missing
-// headers, bad header values, wrong methods, and the 501 answer when no
-// manager is mounted.
+// headers, bad header values, wrong methods, the retired snapshot route,
+// and the 501 answer when no manager is mounted.
 func TestReplicationRouteErrors(t *testing.T) {
-	srv := newReplServer(t)
+	srv, _ := newReplServer(t)
 
 	// Missing source header.
 	resp, _ := replPost(t, srv.URL+"/v1/replication/records", nil, nil)
@@ -174,11 +186,16 @@ func TestReplicationRouteErrors(t *testing.T) {
 		t.Fatalf("GET records = %d code %q, want 405 method_not_allowed", resp2.StatusCode, envelope.Error.Code)
 	}
 
+	// A resync rides the records route; the snapshot route is gone.
+	resp2, envelope, _ = do(t, "POST", srv.URL+"/v1/replication/snapshot", "x")
+	if resp2.StatusCode != http.StatusNotFound || envelope.Error.Code != reefhttp.CodeNotFound {
+		t.Fatalf("POST snapshot = %d code %q, want 404 not_found", resp2.StatusCode, envelope.Error.Code)
+	}
+
 	// Without WithReplication every replication route answers 501.
 	plain, _ := newTestServer(t)
 	for _, probe := range []struct{ method, path string }{
 		{"POST", "/v1/replication/records"},
-		{"POST", "/v1/replication/snapshot"},
 		{"GET", "/v1/admin/replication"},
 	} {
 		resp, envelope, _ := do(t, probe.method, plain.URL+probe.path, "")
@@ -190,10 +207,41 @@ func TestReplicationRouteErrors(t *testing.T) {
 }
 
 // guard against the route list drifting: the doc comment advertises the
-// replication paths the constants define.
+// replication path the constant defines.
 func TestReplicationPathConstants(t *testing.T) {
-	if !strings.HasPrefix(replication.RecordsPath, "/v1/replication/") ||
-		!strings.HasPrefix(replication.SnapshotPath, "/v1/replication/") {
-		t.Fatalf("replication paths moved: %s %s", replication.RecordsPath, replication.SnapshotPath)
+	if !strings.HasPrefix(replication.RecordsPath, "/v1/replication/") {
+		t.Fatalf("replication path moved: %s", replication.RecordsPath)
+	}
+}
+
+// TestBodyOverLimit pins that a body one byte past a route's limit is
+// refused whole with 413 and the error envelope, not cut short and
+// parsed: on a JSON route, and on the replication ingest route, whose
+// limit is the sender's batch bound.
+func TestBodyOverLimit(t *testing.T) {
+	const jsonLimit = 16 << 20 // the JSON routes' body limit
+	srv, app := newReplServer(t)
+	for _, probe := range []struct {
+		path string
+		size int
+		hdr  map[string]string
+	}{
+		{"/v1/clicks", jsonLimit + 1, map[string]string{"Content-Type": "application/json"}},
+		{replication.RecordsPath, replication.MaxBatchBytes + 1, recordsHdr(1, 0, 1, 1)},
+	} {
+		resp, err := http.DefaultClient.Do(mustRequest(t, srv.URL+probe.path, probe.hdr, bytes.Repeat([]byte{' '}, probe.size)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var envelope reefhttp.ErrorBody
+		_ = json.NewDecoder(resp.Body).Decode(&envelope)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || envelope.Error.Code != reefhttp.CodeInvalidArgument {
+			t.Fatalf("POST %s with %d bytes = %d code %q, want 413 invalid_argument",
+				probe.path, probe.size, resp.StatusCode, envelope.Error.Code)
+		}
+	}
+	if app.recs != 0 || app.cuts != 0 {
+		t.Fatalf("an oversized batch reached the applier (%d records, %d cuts)", app.recs, app.cuts)
 	}
 }

@@ -1,7 +1,7 @@
 package reef
 
 // Replication glue: how a Centralized deployment feeds a replication
-// sender (the tap, and the resync cut) and absorbs a peer's stream
+// sender (the tap, and the resync cut) and absorbs a peer's batches
 // (ApplyReplicated / ApplyReplicatedCut). The deployment stays
 // transport-free — the internal/replication manager owns connections and
 // the handshake; this file bridges durable records to the router's
@@ -114,12 +114,10 @@ func (c *Centralized) CaptureReplicationState(pin func()) ([]byte, error) {
 	return durable.AppendRun(nil, durable.StateRecords(st)), nil
 }
 
-// ApplyReplicatedCut absorbs a peer's resync cut, decoded into its run
-// of records: the run goes through ApplyReplicated, the one replay, and
-// is on stable storage before the call returns. The cut must land on a
-// node that holds no conflicting state for the cut's users — the
-// replication manager only requests one on a fresh or restarting
-// replica.
+// ApplyReplicatedCut applies a peer's batch that carries resync cut
+// records through ApplyReplicated, the one replay, and has it on stable
+// storage before the call returns: its ack moves the sender past the
+// gap the cut supersedes.
 func (c *Centralized) ApplyReplicatedCut(run []durable.Record) error {
 	if err := c.ApplyReplicated(run); err != nil {
 		return err

@@ -3,97 +3,29 @@ package reef_test
 import (
 	"context"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"reef"
-	"reef/internal/durable"
 	"reef/internal/replication"
 	"reef/internal/routing"
-	"reef/reefhttp"
 )
-
-// cutCounter is a node's replication applier that counts the snapshot
-// cuts it absorbs.
-type cutCounter struct {
-	*reef.Centralized
-	cuts atomic.Int64
-}
-
-func (c *cutCounter) ApplyReplicatedCut(run []durable.Record) error {
-	c.cuts.Add(1)
-	return c.Centralized.ApplyReplicatedCut(run)
-}
 
 // TestIdlePeerNeverResyncs pins that a peer's shipping state is its
 // own: on three file-backed nodes at k=1, node c's REST surface
 // refuses a while a journals more than a's Retain records, all of them
 // for users whose replica set is {a, b}. Nothing was meant for c, so
-// once c answers again it must not be resynced: a resync ships a's
-// whole state cut, which holds a's copy of c's own users' clicks (c
-// would count them twice) and subscriptions of users c does not
-// replicate.
+// once c answers again it must not be resynced: a resync ships c its
+// share of a's state, which holds a's copy of c's own users' clicks (c
+// would count them twice).
 func TestIdlePeerNeverResyncs(t *testing.T) {
 	ctx := context.Background()
 	web := testWeb(91)
 	feeds := feedURLs(web)
 	ids := []string{"a", "b", "c"}
 
-	var refuse atomic.Bool // c answers 503 to a while set
-	var nodes []replication.Node
-	var handlers []*atomic.Pointer[http.Handler]
-	for _, id := range ids {
-		h := new(atomic.Pointer[http.Handler])
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if id == "c" && refuse.Load() && r.Header.Get(replication.HdrSource) == "a" {
-				http.Error(w, "unavailable", http.StatusServiceUnavailable)
-				return
-			}
-			(*h.Load()).ServeHTTP(w, r)
-		}))
-		defer srv.Close()
-		nodes = append(nodes, replication.Node{ID: id, BaseURL: srv.URL})
-		handlers = append(handlers, h)
-	}
-	deps := make([]*cutCounter, len(ids))
-	mgrs := make([]*replication.Manager, len(ids))
-	for i, id := range ids {
-		dep, err := reef.NewCentralized(
-			reef.WithFetcher(web),
-			reef.WithDataDir(filepath.Join(t.TempDir(), id)),
-			reef.WithSyncPolicy(reef.SyncNever),
-			reef.WithSnapshotEvery(-1),
-			reef.WithPollInterval(time.Hour),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() { _ = dep.Close() }()
-		deps[i] = &cutCounter{Centralized: dep}
-		opt := replication.Options{
-			Self:          id,
-			Nodes:         nodes,
-			Replicas:      1,
-			Applier:       deps[i],
-			RetryInterval: 10 * time.Millisecond,
-		}
-		if id == "a" {
-			opt.Retain = 4
-		}
-		mgr, err := replication.New(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer mgr.Close()
-		mgrs[i] = mgr
-		dep.SetReplicationTap(mgr.Offer)
-		var h http.Handler = reefhttp.NewHandler(dep, nil, reefhttp.WithReplication(mgr))
-		handlers[i].Store(&h)
-	}
+	tc := startCluster(t, web, ids, 2, 4) // c answers 503 to a while tc.refuse is set
+	deps, mgrs, refuse := tc.deps, tc.mgrs, &tc.refuse
 	a, c := mgrs[0], deps[2]
 	drained := func(m *replication.Manager) {
 		t.Helper()
