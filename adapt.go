@@ -439,6 +439,7 @@ func toStorageInfo(info durable.Info) StorageInfo {
 		WALRecords:       info.WALRecords,
 		WALBytes:         info.WALBytes,
 		Snapshots:        info.Snapshots,
+		Syncs:            info.Syncs,
 		LastSnapshot:     info.LastSnapshot,
 		RecoveredRecords: info.RecoveredRecords,
 		TornTail:         info.TornTail,

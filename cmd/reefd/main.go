@@ -117,7 +117,7 @@
 //	GET    /v1/admin/trace                     span ring dump (?trace=HEX&limit=N)
 //	GET    /v1/admin/storage                   persistence backend state
 //	GET    /v1/admin/replication               replication stream positions + lag
-//	POST   /v1/replication/records             peer WAL batch ingest, resyncs included (internal)
+//	POST   /v1/replication/records             peer replication link, upgraded (internal)
 //	POST   /v1/admin/snapshot                  force a compacting snapshot
 //	GET    /v1/admin/deadletter                inspect dead-letter queues (?user=U)
 //	POST   /v1/admin/deadletter                drain dead-letter queues

@@ -80,6 +80,8 @@ type Info struct {
 	WALBytes int64 `json:"wal_bytes"`
 	// Snapshots counts snapshots taken since this backend was opened.
 	Snapshots int64 `json:"snapshots"`
+	// Syncs counts the WAL fsyncs since this backend was opened.
+	Syncs int64 `json:"syncs"`
 	// LastSnapshot is when the latest snapshot was written (zero if none).
 	LastSnapshot time.Time `json:"last_snapshot,omitempty"`
 	// RecoveredRecords is how many WAL records were replayed at open.

@@ -57,6 +57,7 @@ type FileBackend struct {
 	walRecords int64
 	walBytes   int64
 	snapshots  int64
+	syncs      int64
 	lastSnap   time.Time
 	recovered  int64
 	torn       bool
@@ -345,6 +346,7 @@ func (b *FileBackend) syncLocked() error {
 	if err := b.file.Sync(); err != nil {
 		return fmt.Errorf("durable: fsyncing WAL: %w", err)
 	}
+	b.syncs++
 	return nil
 }
 
@@ -469,6 +471,7 @@ func (b *FileBackend) Info() Info {
 		WALRecords:       b.walRecords,
 		WALBytes:         b.walBytes,
 		Snapshots:        b.snapshots,
+		Syncs:            b.syncs,
 		LastSnapshot:     b.lastSnap,
 		RecoveredRecords: b.recovered,
 		TornTail:         b.torn,

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"time"
 
 	"reef/internal/attention"
@@ -141,8 +142,20 @@ const (
 	// so a WAL holds one only as part of a cut a replica applied.
 	OpPendingSeq Op = 17
 
+	// The replication link: a sender's batches and a receiver's acks over
+	// one upgraded connection per peer (see repllink.go). Like 8–14 and
+	// 16 they exist only on the wire, never in a WAL file.
+
+	// OpReplBatch heads one replicated batch; the batch's WAL frames
+	// follow it on the link (binary payload: the watermarks, the record
+	// count, the cut flag, the frames' byte length and a trace ID).
+	OpReplBatch Op = 18
+	// OpReplAck answers one batch (binary payload: a kind, the position,
+	// and an error message).
+	OpReplAck Op = 19
+
 	// opMax is one past the last defined op.
-	opMax = 18
+	opMax = 20
 )
 
 // String names the op.
@@ -182,6 +195,10 @@ func (o Op) String() string {
 		return "stream-clicks"
 	case OpPendingSeq:
 		return "pending-seq"
+	case OpReplBatch:
+		return "repl-batch"
+	case OpReplAck:
+		return "repl-ack"
 	default:
 		return fmt.Sprintf("op(%d)", byte(o))
 	}
@@ -312,6 +329,40 @@ const FrameHeaderLen = frameHeaderLen
 // it; callers bound it against MaxRecordLen like DecodeFrame does.
 func FrameBodyLen(hdr []byte) int {
 	return int(binary.LittleEndian.Uint32(hdr[0:4]))
+}
+
+// ReadFrame reads exactly one frame from r into *buf (grown and reused
+// across calls) and decodes it zero-copy: the returned record's payload
+// aliases *buf and is only valid until the next call. It is the one
+// frame reader of the connections that speak this codec, the stream
+// plane and the replication link alike.
+func ReadFrame(r io.Reader, buf *[]byte) (Record, error) {
+	if cap(*buf) < frameHeaderLen {
+		*buf = make([]byte, frameHeaderLen, 4096)
+	}
+	hdr := (*buf)[:frameHeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return Record{}, err
+	}
+	bodyLen := FrameBodyLen(hdr)
+	if bodyLen > MaxRecordLen {
+		return Record{}, ErrTooLarge
+	}
+	total := frameHeaderLen + bodyLen
+	if cap(*buf) < total {
+		grown := make([]byte, total)
+		copy(grown, hdr)
+		*buf = grown
+	}
+	frame := (*buf)[:total]
+	if _, err := io.ReadFull(r, frame[frameHeaderLen:]); err != nil {
+		if errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF
+		}
+		return Record{}, err
+	}
+	rec, _, err := DecodeFrame(frame)
+	return rec, err
 }
 
 // DecodeRecord decodes one frame from the front of buf. It returns the

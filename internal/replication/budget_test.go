@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/url"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -43,27 +42,6 @@ func (b *batchApplier) batches() []int {
 	return slices.Clone(b.positions)
 }
 
-// postTap records the record count of every POST the sender makes, by
-// host.
-type postTap struct {
-	mu    sync.Mutex
-	posts map[string][]int
-}
-
-func (p *postTap) RoundTrip(req *http.Request) (*http.Response, error) {
-	n, _ := strconv.Atoi(req.Header.Get(HdrCount))
-	p.mu.Lock()
-	p.posts[req.URL.Host] = append(p.posts[req.URL.Host], n)
-	p.mu.Unlock()
-	return http.DefaultTransport.RoundTrip(req)
-}
-
-func (p *postTap) to(host string) []int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return slices.Clone(p.posts[host])
-}
-
 // recordKey names a record for comparison: a click batch by its users
 // (a re-encoded batch keeps their order), anything else by its frame.
 func recordKey(t *testing.T, rec durable.Record) string {
@@ -81,9 +59,9 @@ func recordKey(t *testing.T, rec durable.Record) string {
 // TestReplicationShipBudget is the "records shipped per journaled
 // record" row: on 3 nodes, every peer receives exactly the records
 // whose replica set holds it — one shipped record per destination, no
-// more — in POSTs that each carry at least one record and journal
+// more — in batches that each carry at least one record and journal
 // exactly one position on the receiver. At k=1, a peer nothing is
-// meant for receives no POST at all across 20 retry intervals.
+// meant for is not even dialed across 20 retry intervals.
 func TestReplicationShipBudget(t *testing.T) {
 	for _, k := range []int{1, 2} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) { testShipBudget(t, k) })
@@ -111,7 +89,7 @@ func testShipBudget(t *testing.T, k int) {
 		nodes = append(nodes, Node{ID: id, BaseURL: srv.URL})
 		apps[id], hosts[id] = app, u.Host
 	}
-	tap := &postTap{posts: map[string][]int{}}
+	tap := newLinkTap(http.DefaultTransport)
 	sender, err := New(Options{
 		Self: "a", Nodes: nodes, Replicas: k, Applier: &fakeApplier{},
 		RetryInterval: retry, HTTPClient: &http.Client{Transport: tap},
@@ -157,8 +135,8 @@ func testShipBudget(t *testing.T, k int) {
 	drained()
 	if k == 1 {
 		time.Sleep(20*retry + retry/2)
-		if n := len(tap.to(hosts["c"])); n != 0 {
-			t.Fatalf("idle peer c received %d POSTs across 20 retry intervals, want 0", n)
+		if n := tap.dials(hosts["c"]); n != 0 {
+			t.Fatalf("idle peer c was dialed %d times across 20 retry intervals, want 0", n)
 		}
 	}
 
@@ -194,13 +172,13 @@ func testShipBudget(t *testing.T, k int) {
 			t.Errorf("%s received %d records, want exactly its own %d", id, len(got), len(want[id]))
 		}
 		shipped += len(got)
-		posts := tap.to(hosts[id])
-		if slices.Contains(posts, 0) {
-			t.Errorf("%s received an empty batch among %d POSTs: %v", id, len(posts), posts)
+		posts, _ := tap.to(hosts[id])
+		if slices.ContainsFunc(posts, func(h durable.ReplBatch) bool { return h.Count == 0 }) {
+			t.Errorf("%s received an empty batch among %d batches: %v", id, len(posts), posts)
 		}
 		batches := apps[id].batches()
 		if len(batches) != len(posts) {
-			t.Errorf("%s journaled %d batches from %d POSTs", id, len(batches), len(posts))
+			t.Errorf("%s journaled %d batches from %d shipped", id, len(batches), len(posts))
 		}
 		for _, n := range batches {
 			if n != 1 {

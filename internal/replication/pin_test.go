@@ -11,12 +11,10 @@ import (
 // has a record tapped while it runs: the record is offered, then the
 // capture pins the peer's position and returns a cut that holds the
 // record. That is the order a tap running just before the journal lock
-// gives. The capture also opens the gate, so its cut is the one the peer
-// receives.
+// gives.
 type racingApplier struct {
 	fakeApplier
 	race atomic.Pointer[Manager]
-	gate *gate
 }
 
 // raceRec is the record tapped during the capture.
@@ -27,7 +25,6 @@ func (r *racingApplier) CaptureReplicationState(pin func()) ([]byte, error) {
 	if m := r.race.Swap(nil); m != nil {
 		m.Offer(raceRec)
 		cut = raceRec.AppendEncoded(nil)
-		r.gate.open.Store(true)
 	}
 	pin()
 	return cut, nil
@@ -39,20 +36,20 @@ func (r *racingApplier) CaptureReplicationState(pin func()) ([]byte, error) {
 // receiver applies it exactly once.
 func TestResyncPinsInsideTheCut(t *testing.T) {
 	g := &gate{}
-	app := &racingApplier{gate: g}
+	app := &racingApplier{}
 	sender, _, recvApp := pair(t, func(o *Options) {
 		o.Retain = 4
 		o.Applier = app
 		o.HTTPClient = &http.Client{Transport: g, Timeout: 5 * time.Second}
 	})
-	// Armed before the outage: the first capture is the racing one. It
-	// runs while the peer is still unreachable, since the sender refills
-	// the queue then and ships the refill once the gate opens. The last
-	// offer overflows Retain, so that capture comes after all of them.
+	// Armed before the outage: the first capture is the racing one. The
+	// last offer overflows Retain, and the sender captures once the peer
+	// answers again, so that capture comes after all of them.
 	app.race.Store(sender)
 	for i := 1; i <= overflow; i++ {
 		sender.Offer(cursorRec("u", int64(i)))
 	}
+	g.open.Store(true)
 	waitFor(t, "resync done and queue drained", func() bool {
 		st := sender.Status()
 		return st.Peers[0].Resyncs == 1 && st.Peers[0].Pending == 0

@@ -1,10 +1,10 @@
 package replication
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -104,30 +104,45 @@ func refillPair(t *testing.T, src *cutSource, rt http.RoundTripper) (*Manager, *
 }
 
 // refillPastRetain runs a resync whose refill, 600 records, is far past
-// Retain (4) and shipWindow: the peer is down while records 1..5 are
-// offered, so the sender refills its queue; 6..8 are offered behind the
-// refill before the peer answers, and 9..10 after the queue drained. rt
-// wraps the gate.
-func refillPastRetain(t *testing.T, rt func(*gate) http.RoundTripper) (*Manager, *cutSource, *callLog) {
+// Retain (4) and shipWindow: the peer refuses its link while records
+// 1..5 are offered, so the queue overflows; once the peer answers, the
+// sender captures the cut and refills the queue. 6..8 are offered while
+// the refill's first batch is held back, so they queue behind the
+// refill, and 9..10 after the queue drained. ack is the tap's ack hook.
+func refillPastRetain(t *testing.T, ack func(string, durable.ReplBatch, durable.ReplAck) bool) (*Manager, *cutSource, *callLog, *linkTap) {
 	t.Helper()
 	g := &gate{}
+	tap := newLinkTap(g)
+	tap.ack = ack
+	hold := make(chan struct{})
+	var held atomic.Bool
+	tap.batch = func(_ string, h durable.ReplBatch) bool {
+		if h.Cut && held.CompareAndSwap(false, true) {
+			<-hold
+		}
+		return true
+	}
 	src := &cutSource{cut: durable.AppendRun(nil, cutRecs(600))}
-	sender, recvApp := refillPair(t, src, rt(g))
+	sender, recvApp := refillPair(t, src, tap)
+	release := sync.OnceFunc(func() { close(hold) })
+	t.Cleanup(release)
 	for i := 1; i <= overflow; i++ {
 		sender.Offer(cursorRec("u", int64(i)))
 	}
-	waitFor(t, "refill queued with the peer down", func() bool { return sender.Status().Peers[0].Resyncs == 1 })
+	waitFor(t, "the sender to meet the outage", func() bool { return sender.Status().Peers[0].LastError != "" })
+	g.open.Store(true)
+	waitFor(t, "refill queued", func() bool { return sender.Status().Peers[0].Resyncs == 1 })
 	for i := 6; i <= 8; i++ {
 		sender.Offer(cursorRec("u", int64(i)))
 	}
-	g.open.Store(true)
+	release()
 	drained := func() bool { return sender.Status().Peers[0].Pending == 0 }
 	waitFor(t, "refill drained", drained)
 	for i := 9; i <= 10; i++ {
 		sender.Offer(cursorRec("u", int64(i)))
 	}
 	waitFor(t, "stream drained", drained)
-	return sender, src, recvApp
+	return sender, src, recvApp, tap
 }
 
 // checkApplied fails unless the receiver applied the 600 cut records and
@@ -161,13 +176,11 @@ func checkApplied(t *testing.T, recvApp *callLog) {
 	}
 }
 
-func direct(g *gate) http.RoundTripper { return g }
-
 // TestRefillPastRetain pins the Retain exemption: a refill of more than
 // Retain records, with records queued behind it, lands with exactly one
 // capture and one resync, and every record exactly once.
 func TestRefillPastRetain(t *testing.T) {
-	sender, src, recvApp := refillPastRetain(t, direct)
+	sender, src, recvApp, _ := refillPastRetain(t, nil)
 	if n := sender.Status().Peers[0].Resyncs; n != 1 {
 		t.Fatalf("resyncs = %d, want 1", n)
 	}
@@ -185,7 +198,7 @@ func TestRefillPastRetain(t *testing.T) {
 // refill records reaches the receiver's ApplyReplicatedCut, which has it
 // on stable storage before the ack, and no ordinary batch does.
 func TestRefillBatchesSync(t *testing.T) {
-	_, _, recvApp := refillPastRetain(t, direct)
+	_, _, recvApp, _ := refillPastRetain(t, nil)
 	var cuts, plain int
 	for _, c := range recvApp.logged() {
 		refill := 0
@@ -213,35 +226,19 @@ func TestRefillBatchesSync(t *testing.T) {
 	checkApplied(t, recvApp)
 }
 
-// lostAck forwards every call, but loses the reply to the second one
-// that carries refill records: the receiver applied that batch, and the
-// sender never saw its ack.
-type lostAck struct {
-	next http.RoundTripper
-	cuts atomic.Int64
-}
-
-func (l *lostAck) RoundTrip(req *http.Request) (*http.Response, error) {
-	resp, err := l.next.RoundTrip(req)
-	if err == nil && req.Header.Get(HdrCut) == "true" && l.cuts.Add(1) == 2 {
-		resp.Body.Close()
-		return nil, errors.New("lostAck: reply lost")
-	}
-	return resp, err
-}
-
-// TestRefillLostAck pins a lost ack mid-refill: the sender re-ships the
-// batch, adopts the receiver's position from its 409, and goes on with
-// the rest of the refill, so no cut record is dropped or applied twice
-// and nothing is captured again.
+// TestRefillLostAck pins a lost ack mid-refill: the receiver applies
+// the refill's second batch and the link dies before the sender reads
+// its ack. The sender redials, re-ships the batch, adopts the
+// receiver's position from its conflict ack, and goes on with the rest
+// of the refill, so no cut record is dropped or applied twice and
+// nothing is captured again.
 func TestRefillLostAck(t *testing.T) {
-	var tr *lostAck
-	sender, src, recvApp := refillPastRetain(t, func(g *gate) http.RoundTripper {
-		tr = &lostAck{next: g}
-		return tr
+	var cuts atomic.Int64
+	sender, src, recvApp, tap := refillPastRetain(t, func(_ string, h durable.ReplBatch, _ durable.ReplAck) bool {
+		return !h.Cut || cuts.Add(1) != 2
 	})
-	if tr.cuts.Load() < 3 {
-		t.Fatalf("%d refill POSTs reached the receiver, want the lost one re-shipped", tr.cuts.Load())
+	if n := len(slices.DeleteFunc(tap.sentAll(), func(h durable.ReplBatch) bool { return !h.Cut })); n < 3 {
+		t.Fatalf("%d refill batches reached the receiver, want the lost one re-shipped", n)
 	}
 	if n, c := sender.Status().Peers[0].Resyncs, src.captures.Load(); n != 1 || c != 1 {
 		t.Fatalf("resyncs = %d and captures = %d after a lost ack, want 1 and 1", n, c)
@@ -249,18 +246,30 @@ func TestRefillLostAck(t *testing.T) {
 	checkApplied(t, recvApp)
 }
 
-// TestResyncCapturesOnce pins that a refill waits in the queue: while
-// the peer answers 503 for 20 retry intervals the sender retries the
-// refill's first batch, and captures the cut once.
+// TestResyncCapturesOnce pins that a refill waits in the queue: the
+// link dies as the refill's first batch goes out, the peer answers 503
+// for 20 retry intervals while the sender retries that batch, and the
+// cut is captured once.
 func TestResyncCapturesOnce(t *testing.T) {
 	const retry = 10 * time.Millisecond
 	g := &gate{status: http.StatusServiceUnavailable}
+	tap := newLinkTap(g)
+	var killed atomic.Bool
+	tap.batch = func(_ string, h durable.ReplBatch) bool {
+		if h.Cut && killed.CompareAndSwap(false, true) {
+			g.open.Store(false)
+			return false
+		}
+		return true
+	}
 	src := &cutSource{cut: durable.AppendRun(nil, cutRecs(3))}
-	sender, recvApp := refillPair(t, src, g)
+	sender, recvApp := refillPair(t, src, tap)
 	for i := 1; i <= overflow; i++ {
 		sender.Offer(cursorRec("u", int64(i)))
 	}
-	waitFor(t, "first capture", func() bool { return src.captures.Load() >= 1 })
+	waitFor(t, "the sender to meet the outage", func() bool { return sender.Status().Peers[0].LastError != "" })
+	g.open.Store(true)
+	waitFor(t, "first capture, and the link killed", func() bool { return src.captures.Load() >= 1 && killed.Load() })
 	time.Sleep(20 * retry)
 	g.open.Store(true)
 	waitFor(t, "refill landed", func() bool { return recvApp.cutCount() >= 1 && sender.Status().Peers[0].Pending == 0 })
@@ -272,41 +281,17 @@ func TestResyncCapturesOnce(t *testing.T) {
 	}
 }
 
-// cutTap records, per host, the body size of every POST carrying refill
-// records that the receiver answered.
-type cutTap struct {
-	next  http.RoundTripper
-	mu    sync.Mutex
-	sizes map[string][]int64
-}
-
-func (c *cutTap) RoundTrip(req *http.Request) (*http.Response, error) {
-	resp, err := c.next.RoundTrip(req)
-	if err == nil && req.Header.Get(HdrCut) == "true" {
-		c.mu.Lock()
-		c.sizes[req.URL.Host] = append(c.sizes[req.URL.Host], req.ContentLength)
-		c.mu.Unlock()
-	}
-	return resp, err
-}
-
-func (c *cutTap) to(host string) []int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sizes[host]
-}
-
 // TestResyncBytes is the "bytes shipped per resync" row: on 3 nodes at
 // k=1, a resync of peer b ships b's share of the cut (the records whose
 // replica set holds b, a's flags, the pending-ID counter, b's own part
 // of a mixed click batch) and nothing else, in at most
-// ceil(bytes/MaxBatchBytes) POSTs of at most MaxBatchBytes each, nothing
-// shipped twice.
+// ceil(bytes/MaxBatchBytes) batches of at most MaxBatchBytes each,
+// nothing shipped twice.
 func TestResyncBytes(t *testing.T) {
 	ids := []string{"a", "b", "c"}
 	us := slotUsers(3, 0, 1, 2) // sets {a,b}, {b,c}, {c,a}
 	// 100 records of 200 KiB for b's users, 20 for c's only: b's share is
-	// past MaxBatchBytes, so it takes two POSTs.
+	// past MaxBatchBytes, so it takes two batches.
 	big := strings.Repeat("x", 200<<10)
 	var cut []durable.Record
 	for i := range 120 {
@@ -356,7 +341,7 @@ func TestResyncBytes(t *testing.T) {
 		hosts[id] = u.Host
 	}
 	g := &gate{host: hosts["b"]}
-	tap := &cutTap{next: g, sizes: map[string][]int64{}}
+	tap := newLinkTap(g)
 	src := &cutSource{cut: durable.AppendRun(nil, cut)}
 	sender, err := New(Options{
 		Self: "a", Nodes: nodes, Replicas: 1, Applier: src, Retain: 4,
@@ -369,26 +354,39 @@ func TestResyncBytes(t *testing.T) {
 	for i := 1; i <= overflow; i++ {
 		sender.Offer(cursorRec(us[0], int64(i)))
 	}
-	waitFor(t, "refill queued with b down", func() bool { return src.captures.Load() == 1 })
+	waitFor(t, "the sender to meet b's outage", func() bool {
+		for _, p := range sender.Status().Peers {
+			if p.Node == "b" && p.LastError != "" {
+				return true
+			}
+		}
+		return false
+	})
 	g.open.Store(true)
-	waitFor(t, "refill drained", func() bool { return queued(sender.Status()) == 0 })
+	waitFor(t, "refill drained", func() bool { return src.captures.Load() == 1 && queued(sender.Status()) == 0 })
 
-	posts := tap.to(hosts["b"])
+	var posts []int64 // the byte length of each refill batch b answered
+	_, answered := tap.to(hosts["b"])
+	for _, h := range answered {
+		if h.Cut {
+			posts = append(posts, int64(h.Bytes))
+		}
+	}
 	var shipped int64
 	for _, n := range posts {
 		shipped += n
 		if n > MaxBatchBytes {
-			t.Errorf("a refill POST carried %d bytes, over the %d bound", n, MaxBatchBytes)
+			t.Errorf("a refill batch carried %d bytes, over the %d bound", n, MaxBatchBytes)
 		}
 	}
 	if limit := (share + MaxBatchBytes - 1) / MaxBatchBytes; int64(len(posts)) > limit || len(posts) < 2 {
-		t.Errorf("b's share of %d bytes shipped in %d POSTs, want 2 to ceil(bytes/bound) = %d", share, len(posts), limit)
+		t.Errorf("b's share of %d bytes shipped in %d batches, want 2 to ceil(bytes/bound) = %d", share, len(posts), limit)
 	}
 	if shipped != share {
 		t.Errorf("shipped %d refill bytes to b, want its share of the cut, %d", shipped, share)
 	}
-	if n := len(tap.to(hosts["c"])); n != 0 {
-		t.Errorf("c received %d refill POSTs, want 0", n)
+	if sent, _ := tap.to(hosts["c"]); slices.ContainsFunc(sent, func(h durable.ReplBatch) bool { return h.Cut }) {
+		t.Errorf("c received refill batches, want none")
 	}
-	t.Logf("resync of b: %d bytes in %d POSTs (cut %d bytes)", shipped, len(posts), len(src.cut))
+	t.Logf("resync of b: %d bytes in %d batches (cut %d bytes)", shipped, len(posts), len(src.cut))
 }

@@ -4,7 +4,8 @@
 // replicas (routing.ReplicaSet — the primary is the unchanged FNV-1a
 // slot, replicas the next k slots), the primary keeps serving at local
 // speed, and each durable record it writes is forwarded — already in
-// its on-disk frame — to the user's replica nodes over HTTP.
+// its on-disk frame — to the user's replica nodes, over one upgraded
+// HTTP connection per peer (see link.go).
 //
 // One Manager runs per node and plays both roles at once:
 //
@@ -21,15 +22,15 @@
 //     refilled with its share of a full state cut; no other peer's
 //     queue is touched.
 //
-//   - Receiver: IngestRecords applies a peer's batch through the
-//     deployment (which journals it WITHOUT re-feeding the tap, so
-//     mutual replication cannot loop) with the source's new applied
-//     watermark as the batch's last record, and acks only after the
-//     deployment has handed the whole batch to the OS. A restarted
-//     replica reads its watermarks back from its own log
-//     (Applier.ReplicationPositions), so it resumes exactly where that
-//     log ends: never past records it lost, never re-applying ones it
-//     holds.
+//   - Receiver: AcceptLink serves a peer's link, and IngestRecords
+//     applies each batch on it through the deployment (which journals
+//     it WITHOUT re-feeding the tap, so mutual replication cannot
+//     loop) with the source's new applied watermark as the batch's
+//     last record, and acks only after the deployment has handed the
+//     whole batch to the OS. A restarted replica reads its watermarks
+//     back from its own log (Applier.ReplicationPositions), so it
+//     resumes exactly where that log ends: never past records it lost,
+//     never re-applying ones it holds.
 //
 // Consistency model: asynchronous. An acked client write is durable on
 // the primary only; replicas trail by the shipping lag (exported as a
@@ -44,6 +45,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"log/slog"
 	"maps"
@@ -96,7 +98,7 @@ type Applier interface {
 // has applied from that source. On a watermark conflict the sender
 // adopts Acked and re-ships from there.
 type Ack struct {
-	Acked int64 `json:"acked"`
+	Acked int64
 }
 
 // ConflictError reports a prev/applied watermark mismatch: the sender
@@ -138,15 +140,17 @@ type Options struct {
 	// RetryInterval paces sender retries and idle re-checks
 	// (default 250ms).
 	RetryInterval time.Duration
-	// HTTPClient ships batches (default: 10s timeout client).
+	// HTTPClient's Transport dials each peer's link (default: a client
+	// with http.DefaultTransport), and its Timeout bounds the dial and
+	// each batch (default 10s).
 	HTTPClient *http.Client
 	// Logger receives structured shipping events (resyncs, ship
 	// failures) with the node ID attached. Nil discards them.
 	Logger *slog.Logger
-	// Trace, when set, records one span per shipped batch into
-	// the node's span ring. Each ship mints a trace ID that also travels
-	// to the receiver in the X-Reef-Trace header, so a batch's send and
-	// its apply stitch together across the two nodes' rings.
+	// Trace, when set, records one span per shipped batch and one per
+	// applied batch into the node's span ring. Each ship mints a trace
+	// ID that travels to the receiver in the batch header, so a batch's
+	// send and its apply stitch together across the two nodes' rings.
 	Trace *trace.Recorder
 }
 
@@ -187,6 +191,11 @@ type Manager struct {
 	inMu    sync.Mutex
 	sources map[string]*sourcePos
 
+	// links are the live link connections, inbound and outbound, which
+	// Close closes; nil once closed.
+	linkMu sync.Mutex
+	links  map[io.Closer]struct{}
+
 	closeOnce sync.Once
 	stop      chan struct{}
 	wg        sync.WaitGroup
@@ -216,7 +225,7 @@ func New(opt Options) (*Manager, error) {
 		opt.RetryInterval = 250 * time.Millisecond
 	}
 	if opt.HTTPClient == nil {
-		opt.HTTPClient = &http.Client{Timeout: 10 * time.Second}
+		opt.HTTPClient = &http.Client{Timeout: defaultTimeout}
 	}
 	if opt.Logger == nil {
 		opt.Logger = slog.New(slog.DiscardHandler)
@@ -226,6 +235,7 @@ func New(opt Options) (*Manager, error) {
 		epoch:   time.Now().UnixNano(),
 		self:    self,
 		sources: make(map[string]*sourcePos),
+		links:   make(map[io.Closer]struct{}),
 		stop:    make(chan struct{}),
 	}
 	for _, p := range opt.Applier.ReplicationPositions() {
@@ -248,12 +258,22 @@ func New(opt Options) (*Manager, error) {
 	return m, nil
 }
 
-// Close stops the senders. In-flight batches finish or fail; nothing
-// new ships. The unshipped queues are the async-replication loss
-// window — it survives in the local WAL and is NOT replayed by a
-// future process (fresh epoch), by design.
+// Close stops the senders and closes every link, inbound and outbound,
+// and waits for their goroutines. An in-flight batch fails; nothing new
+// ships. An http.Server's Close leaves the inbound links it handed over
+// open, so the manager closes them here. The unshipped queues are the
+// async-replication loss window — it survives in the local WAL and is
+// NOT replayed by a future process (fresh epoch), by design.
 func (m *Manager) Close() {
-	m.closeOnce.Do(func() { close(m.stop) })
+	m.closeOnce.Do(func() {
+		close(m.stop)
+		m.linkMu.Lock()
+		for c := range m.links {
+			c.Close()
+		}
+		m.links = nil
+		m.linkMu.Unlock()
+	})
 	m.wg.Wait()
 }
 

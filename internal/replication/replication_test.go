@@ -1,7 +1,6 @@
 package replication
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -111,49 +110,45 @@ func (f *fakeApplier) cutCount() int {
 }
 
 // serve exposes a receiving manager over HTTP exactly the way reefhttp
-// does: headers → IngestRecords, ConflictError → 409 + Ack. The manager
-// is fetched per request so restart tests can swap it under a stable
-// URL.
+// does: a request to RecordsPath that asks for the link is answered 101
+// and its connection handed to AcceptLink. The manager is fetched per
+// link so restart tests can swap it under a stable URL.
 func serve(t *testing.T, mgr func() *Manager) *httptest.Server {
 	t.Helper()
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		m := mgr()
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		i64 := func(h string) int64 {
-			v, _ := strconv.ParseInt(r.Header.Get(h), 10, 64)
-			return v
-		}
-		if r.URL.Path != RecordsPath {
-			http.NotFound(w, r)
-			return
-		}
-		count, _ := strconv.Atoi(r.Header.Get(HdrCount))
-		ack, err := m.IngestRecords(r.Header.Get(HdrSource), i64(HdrEpoch), i64(HdrPrev), i64(HdrLast), count,
-			r.Header.Get(HdrCut) == "true", body)
-		var conflict *ConflictError
-		if errors.As(err, &conflict) {
-			w.WriteHeader(http.StatusConflict)
-			json.NewEncoder(w).Encode(conflict.Ack)
-			return
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		json.NewEncoder(w).Encode(ack)
-	})
-	srv := httptest.NewServer(h)
+	srv := httptest.NewServer(linkHandler(mgr))
 	t.Cleanup(srv.Close)
 	return srv
 }
 
+func linkHandler(mgr func() *Manager) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != RecordsPath {
+			http.NotFound(w, r)
+			return
+		}
+		if r.Header.Get("Upgrade") != LinkProtocol {
+			http.Error(w, "upgrade required", http.StatusUpgradeRequired)
+			return
+		}
+		epoch, _ := strconv.ParseInt(r.Header.Get(HdrEpoch), 10, 64)
+		conn, brw, err := http.NewResponseController(w).Hijack()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		brw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + LinkProtocol + "\r\n\r\n")
+		if brw.Flush() != nil {
+			conn.Close()
+			return
+		}
+		mgr().AcceptLink(conn, brw, r.Header.Get(HdrSource), epoch)
+	})
+}
+
 // gate is a transport that fails every call until opened — an outage
 // the test can heal (faulthttp covers count-scripted faults; healing is
-// time-scripted by the test body).
+// time-scripted by the test body). A call is a link upgrade, so the
+// gate refuses links; a link already up stays up.
 type gate struct {
 	open atomic.Bool
 	// host, when set, limits the outage to calls to that host.
@@ -203,14 +198,18 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // pair builds a 2-node sender/receiver pair with k=1 (every user's
 // replica set spans both nodes).
-func pair(t *testing.T, senderOpts func(*Options)) (*Manager, *Manager, *fakeApplier) {
+func pair(t *testing.T, senderOpts func(*Options), recvOpts ...func(*Options)) (*Manager, *Manager, *fakeApplier) {
 	t.Helper()
 	recvApp := &fakeApplier{}
-	recv, err := New(Options{
+	ropt := Options{
 		Self:    "b",
 		Nodes:   []Node{{ID: "a", BaseURL: "http://unused.test"}, {ID: "b", BaseURL: "http://unused.test"}},
 		Applier: recvApp,
-	})
+	}
+	for _, o := range recvOpts {
+		o(&ropt)
+	}
+	recv, err := New(ropt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +260,7 @@ func TestStreamDelivery(t *testing.T) {
 	}
 }
 
-// TestReconnectCatchUp pins retry: the first ship attempts fail at the
+// TestReconnectCatchUp pins retry: the first link upgrades fail at the
 // transport, and the stream still lands once the fault clears.
 func TestReconnectCatchUp(t *testing.T) {
 	ft := faulthttp.New(nil, &faulthttp.Fault{Match: RecordsPath, First: 3, Err: faulthttp.ErrInjected})
@@ -278,13 +277,15 @@ func TestReconnectCatchUp(t *testing.T) {
 }
 
 // TestResponseDropRedelivers pins the at-least-once edge: the replica
-// applies a batch whose ack is lost in transit; the sender re-ships and
-// the replica answers with a watermark conflict instead of
-// double-applying.
+// applies a batch, and the link dies before the sender reads its ack;
+// the sender redials and re-ships, and the replica answers with a
+// watermark conflict instead of double-applying.
 func TestResponseDropRedelivers(t *testing.T) {
-	ft := faulthttp.New(nil, &faulthttp.Fault{Match: RecordsPath, First: 1, Drop: true})
+	var lost atomic.Int64
+	tap := newLinkTap(http.DefaultTransport)
+	tap.ack = func(string, durable.ReplBatch, durable.ReplAck) bool { return lost.Add(1) > 1 }
 	sender, _, recvApp := pair(t, func(o *Options) {
-		o.HTTPClient = &http.Client{Transport: ft, Timeout: 5 * time.Second}
+		o.HTTPClient = &http.Client{Transport: tap, Timeout: 5 * time.Second}
 	})
 	for i := 1; i <= 4; i++ {
 		sender.Offer(cursorRec("u", int64(i)))
@@ -315,15 +316,15 @@ func TestResyncRefillsQueue(t *testing.T) {
 	for i := 1; i <= overflow; i++ {
 		sender.Offer(cursorRec("u", int64(i)))
 	}
-	// The refill does not wait for the peer: with it down, the queue
-	// holds the cut's one record in place of the newest 4 offered.
-	waitFor(t, "refill queued with the peer down", func() bool {
+	// The refill waits for a live link: with the peer down, the queue
+	// holds the newest 4 offered and nothing is captured.
+	waitFor(t, "the sender to meet the outage", func() bool {
 		st := sender.Status()
-		return len(st.Peers) == 1 && st.Peers[0].Resyncs == 1 && st.Peers[0].LastError != ""
+		return len(st.Peers) == 1 && st.Peers[0].LastError != ""
 	})
-	if st := sender.Status(); queued(st) != 1 || st.Peers[0].Pending != 1 || st.Peers[0].Shipped != 0 {
-		t.Fatalf("queue with the peer down = len %d, pending %d, shipped %d; want the refill's 1 and nothing acked",
-			queued(st), st.Peers[0].Pending, st.Peers[0].Shipped)
+	if st := sender.Status(); queued(st) != 4 || st.Peers[0].Pending != 4 || st.Peers[0].Shipped != 0 || st.Peers[0].Resyncs != 0 {
+		t.Fatalf("queue with the peer down = len %d, pending %d, shipped %d, resyncs %d; want the newest 4, nothing acked, no resync",
+			queued(st), st.Peers[0].Pending, st.Peers[0].Shipped, st.Peers[0].Resyncs)
 	}
 	g.open.Store(true)
 	waitFor(t, "refill applied", func() bool { return recvApp.cutCount() >= 1 })

@@ -1,14 +1,10 @@
 package replication
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"slices"
-	"strconv"
 	"sync"
 	"time"
 
@@ -16,29 +12,27 @@ import (
 	"reef/internal/trace"
 )
 
-// Wire protocol: a batch is POSTed to <peer>/v1/replication/records as
-// concatenated durable WAL frames (the on-disk codec IS the wire
-// format), with the stream handshake in headers:
+// Wire protocol: a sender ships to each peer over one long-lived link,
+// opened by an HTTP/1.1 Upgrade request (Upgrade: LinkProtocol) to
+// <peer>/v1/replication/records that carries the handshake fixed for
+// the link's life:
 //
 //	X-Reef-Replication-Source  sender node ID
 //	X-Reef-Replication-Epoch   sender process epoch (log numbering era)
-//	X-Reef-Replication-Prev    watermark before this batch
-//	X-Reef-Replication-Last    watermark after this batch
-//	X-Reef-Replication-Count   record count
-//	X-Reef-Replication-Cut     true if the batch carries resync records
 //
-// The receiver answers 200 with an Ack, or 409 with its authoritative
-// Ack when the watermarks disagree (the sender adopts it and re-ships
-// from there). A resync's records ship as batches too, the first with
-// a count below last-prev, superseding the gap up to the cut; a Cut
-// batch is on the receiver's stable storage before its ack.
+// After the 101, the link carries internal/durable frames: per batch,
+// one OpReplBatch record (prev and last watermarks, record count, cut
+// flag, frame byte length, trace ID) followed by the batch's WAL frames
+// (the on-disk codec IS the wire format), answered by one OpReplAck
+// record: ok with the acked position, conflict with the receiver's
+// authoritative position when the watermarks disagree (the sender
+// adopts it and re-ships from there), or an error, after which the
+// receiver closes the link. A resync's records ship as batches too, the
+// first with a count below last-prev, superseding the gap up to the
+// cut; a Cut batch is on the receiver's stable storage before its ack.
 const (
 	HdrSource = "X-Reef-Replication-Source"
 	HdrEpoch  = "X-Reef-Replication-Epoch"
-	HdrPrev   = "X-Reef-Replication-Prev"
-	HdrLast   = "X-Reef-Replication-Last"
-	HdrCount  = "X-Reef-Replication-Count"
-	HdrCut    = "X-Reef-Replication-Cut"
 )
 
 // RecordsPath is the ingest route, shared with reefhttp so sender and
@@ -50,10 +44,12 @@ const RecordsPath = "/v1/replication/records"
 const MaxBatchBytes = durable.MaxRecordLen + durable.FrameHeaderLen
 
 // shipWindow caps records per shipped batch; lagWindow bounds the
-// per-peer lag sample ring for the p99 gauge.
+// per-peer lag sample ring for the p99 gauge; defaultTimeout bounds a
+// link's dial and each batch unless Options.HTTPClient sets a Timeout.
 const (
-	shipWindow = 256
-	lagWindow  = 512
+	shipWindow     = 256
+	lagWindow      = 512
+	defaultTimeout = 10 * time.Second
 )
 
 // peer is one outbound stream: its queue, position, health and lag
@@ -199,15 +195,16 @@ type batch struct {
 }
 
 // nextBatch cuts the peer's next batch under its lock, at most
-// shipWindow records and MaxBatchBytes. No records means caught up.
-func (p *peer) nextBatch() batch {
+// shipWindow records and MaxBatchBytes, appending to frames and at (the
+// last batch's buffers, reused). No records means caught up.
+func (p *peer) nextBatch(frames []byte, at []time.Time) batch {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	start := p.next - int64(len(p.queue)) + 1
 	if p.acked+1 < start && start != p.cutFirst {
 		return batch{resync: true}
 	}
-	b := batch{prev: p.acked, cut: start <= p.cutLast}
+	b := batch{prev: p.acked, cut: start <= p.cutLast, frames: frames, offeredAt: at}
 	for _, e := range p.queue[:min(len(p.queue), shipWindow)] {
 		if len(b.frames) > 0 && len(b.frames)+len(e.enc) > MaxBatchBytes {
 			break
@@ -220,11 +217,22 @@ func (p *peer) nextBatch() batch {
 }
 
 // sendLoop streams one peer until Close: wait for work (or the retry
-// tick), then drain batches until caught up or the peer errors.
+// tick), then drain batches until caught up or the peer errors. The
+// loop owns the peer's link: dialed when there is something to ship,
+// dropped on any error, redialed on a later tick. A resync is captured
+// only over a live link, so a peer that is down never pins a refill.
 func (m *Manager) sendLoop(p *peer) {
 	defer m.wg.Done()
 	ticker := time.NewTicker(m.opt.RetryInterval)
 	defer ticker.Stop()
+	var l *Link
+	defer func() {
+		if l != nil {
+			m.untrack(l)
+		}
+	}()
+	var frames []byte // the last batch's buffers, kept while small
+	var at []time.Time
 	for {
 		select {
 		case <-m.stop:
@@ -238,7 +246,23 @@ func (m *Manager) sendLoop(p *peer) {
 				return
 			default:
 			}
-			b := p.nextBatch()
+			b := p.nextBatch(frames[:0], at[:0])
+			if !b.resync && len(b.offeredAt) == 0 {
+				break // caught up
+			}
+			frames, at = nil, nil
+			if cap(b.frames) <= linkBufSize {
+				frames, at = b.frames, b.offeredAt
+			}
+			if l == nil {
+				var err error
+				if l, err = m.dial(p); err != nil {
+					m.opt.Logger.Warn("replication link dial failed",
+						"node", m.opt.Self, "peer", p.node.ID, "err", err)
+					p.fail(err)
+					break // wait a tick, retry
+				}
+			}
 			if b.resync {
 				m.opt.Logger.Info("replication resync",
 					"node", m.opt.Self, "peer", p.node.ID)
@@ -246,22 +270,21 @@ func (m *Manager) sendLoop(p *peer) {
 					m.opt.Logger.Warn("replication resync failed",
 						"node", m.opt.Self, "peer", p.node.ID, "err", err)
 					p.fail(err)
-					break // wait a tick, retry
+					break
 				}
 				continue
 			}
-			if len(b.offeredAt) == 0 {
-				break // caught up
-			}
-			ack, conflict, err := m.post(p, b)
+			ack, err := m.ship(l, b)
 			if err != nil {
 				m.opt.Logger.Warn("replication batch ship failed",
 					"node", m.opt.Self, "peer", p.node.ID,
 					"records", len(b.offeredAt), "err", err)
+				m.untrack(l)
+				l = nil
 				p.fail(err)
 				break
 			}
-			if conflict {
+			if ack.Kind == durable.AckConflict {
 				p.adopt(ack.Acked)
 				continue
 			}
@@ -270,39 +293,47 @@ func (m *Manager) sendLoop(p *peer) {
 	}
 }
 
-// post ships one batch to the peer's ingest route and decodes the Ack;
-// conflict=true carries the receiver's position from a 409. Each POST
-// mints its own trace ID: the header makes the receiver's span ring
-// record the apply under it, and the sender records the matching
-// repl.records span (when Options.Trace is set), so one ID stitches
-// both nodes.
-func (m *Manager) post(p *peer, b batch) (Ack, bool, error) {
-	req, err := http.NewRequest(http.MethodPost, p.node.BaseURL+RecordsPath, bytes.NewReader(b.frames))
-	if err != nil {
-		return Ack{}, false, err
+// dial opens the peer's link through the configured transport, for
+// Close to close while it lives. Each batch's deadline is the client's
+// timeout.
+func (m *Manager) dial(p *peer) (*Link, error) {
+	rt := m.opt.HTTPClient.Transport
+	if rt == nil {
+		rt = http.DefaultTransport
 	}
-	id := trace.NewID()
-	req.Header.Set(trace.Header, id.String())
-	req.Header.Set("Content-Type", "application/octet-stream")
-	req.Header.Set(HdrSource, m.opt.Self)
-	req.Header.Set(HdrEpoch, strconv.FormatInt(m.epoch, 10))
-	req.Header.Set(HdrPrev, strconv.FormatInt(b.prev, 10))
-	req.Header.Set(HdrLast, strconv.FormatInt(b.last, 10))
-	req.Header.Set(HdrCount, strconv.Itoa(len(b.offeredAt)))
-	req.Header.Set(HdrCut, strconv.FormatBool(b.cut))
+	timeout := m.opt.HTTPClient.Timeout
+	if timeout <= 0 {
+		timeout = defaultTimeout
+	}
+	l, err := DialLink(rt, p.node.BaseURL, m.opt.Self, m.epoch, timeout)
+	if err != nil {
+		return nil, err
+	}
+	if !m.track(l) {
+		l.Close()
+		return nil, errors.New("replication: manager closed")
+	}
+	return l, nil
+}
+
+// ship sends one batch over the link. Each batch mints its own trace
+// ID: the header carries it, the receiver records its apply under it,
+// and the sender records the matching repl.records span (when
+// Options.Trace is set), so one ID stitches both nodes.
+func (m *Manager) ship(l *Link, b batch) (durable.ReplAck, error) {
+	h := durable.ReplBatch{
+		Prev: b.prev, Last: b.last, Count: len(b.offeredAt), Cut: b.cut,
+		Bytes: len(b.frames), Trace: trace.NewID(),
+	}
 	begin := time.Now()
-	ack, conflict, err := m.roundTrip(req)
+	ack, err := l.Ship(h, b.frames)
 	if m.opt.Trace != nil {
-		errStr := ""
-		if err != nil {
-			errStr = err.Error()
-		}
 		m.opt.Trace.Record(trace.Span{
-			Trace: id, Op: "repl.records", Node: m.opt.Self, Shard: -1,
-			Start: begin, Duration: time.Since(begin), Err: errStr,
+			Trace: h.Trace, Op: "repl.records", Node: m.opt.Self, Shard: -1,
+			Start: begin, Duration: time.Since(begin), Err: errString(err),
 		})
 	}
-	return ack, conflict, err
+	return ack, err
 }
 
 // resync refills a peer that fell off its queue with its share of a
@@ -336,33 +367,4 @@ func (m *Manager) resync(p *peer) error {
 		return errors.New("replication: more than Retain records queued during the resync capture")
 	}
 	return nil
-}
-
-func (m *Manager) roundTrip(req *http.Request) (Ack, bool, error) {
-	resp, err := m.opt.HTTPClient.Do(req)
-	if err != nil {
-		return Ack{}, false, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return Ack{}, false, err
-	}
-	switch resp.StatusCode {
-	case http.StatusOK, http.StatusConflict:
-		var ack Ack
-		if err := json.Unmarshal(data, &ack); err != nil {
-			return Ack{}, false, fmt.Errorf("replication: bad ack from %s: %w", req.Host, err)
-		}
-		return ack, resp.StatusCode == http.StatusConflict, nil
-	default:
-		return Ack{}, false, fmt.Errorf("replication: peer answered %s: %s", resp.Status, truncate(data, 200))
-	}
-}
-
-func truncate(b []byte, n int) string {
-	if len(b) <= n {
-		return string(b)
-	}
-	return string(b[:n]) + "..."
 }

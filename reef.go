@@ -146,6 +146,8 @@ type StorageInfo struct {
 	WALBytes   int64 `json:"wal_bytes"`
 	// Snapshots counts snapshots taken since the deployment opened.
 	Snapshots int64 `json:"snapshots"`
+	// Syncs counts the WAL fsyncs since the deployment opened.
+	Syncs int64 `json:"syncs"`
 	// LastSnapshot is when the latest snapshot was written (zero if none).
 	LastSnapshot time.Time `json:"last_snapshot,omitempty"`
 	// RecoveredRecords is how many WAL records replayed at open.

@@ -866,6 +866,7 @@ func (c *Cluster) StorageInfo(ctx context.Context) (reef.StorageInfo, error) {
 		agg.WALRecords += in.WALRecords
 		agg.WALBytes += in.WALBytes
 		agg.Snapshots += in.Snapshots
+		agg.Syncs += in.Syncs
 		agg.RecoveredRecords += in.RecoveredRecords
 		agg.ShardCount += in.ShardCount
 		if in.Generation > agg.Generation {

@@ -19,8 +19,8 @@ import (
 // /v1/admin/trace span-dump endpoints.
 
 // TraceHeader is the HTTP header carrying a hex trace ID across REST
-// and replication calls (re-exported so wire-level callers need not
-// import the internal package).
+// calls (re-exported so wire-level callers need not import the internal
+// package); a replication batch carries its trace ID in its header.
 const TraceHeader = trace.Header
 
 // WithMetrics substitutes a shared metrics registry, so a process
@@ -106,6 +106,10 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	}
 	return w.ResponseWriter.Write(p)
 }
+
+// Unwrap exposes the server's writer to http.ResponseController, which
+// the replication route hijacks the connection through.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // probeRoutes are scraped or polled continuously; the middleware never
 // mints trace IDs for them (an incoming X-Reef-Trace still propagates),

@@ -28,7 +28,7 @@
 //	GET    /v1/admin/trace                     span ring dump (?trace=HEX&limit=N)
 //	GET    /v1/admin/storage                   persistence backend state
 //	POST   /v1/admin/snapshot                  force a compacting snapshot
-//	POST   /v1/replication/records             ingest a peer's WAL batch or resync refill
+//	POST   /v1/replication/records             open a peer's replication link (Upgrade)
 //	GET    /v1/admin/replication               replication stream status
 //
 // The admin storage/snapshot endpoints require the deployment to

@@ -1,10 +1,13 @@
 package reefhttp
 
 import (
-	"errors"
+	"bufio"
 	"fmt"
+	"net"
 	"net/http"
 	"strconv"
+	"strings"
+	"time"
 
 	"reef"
 	"reef/internal/metrics"
@@ -12,13 +15,13 @@ import (
 )
 
 // Replicator is the replication surface a server can mount: the ingest
-// route peers stream into, plus the status the admin endpoint and
-// /v1/stats expose. Implemented by *replication.Manager.
+// route peers open their links on, plus the status the admin endpoint
+// and /v1/stats expose. Implemented by *replication.Manager.
 type Replicator interface {
-	// IngestRecords applies one WAL batch from a peer; cut marks a batch
-	// that carries resync records. A *replication.ConflictError return
-	// is answered 409 with this node's authoritative Ack.
-	IngestRecords(source string, epoch, prev, last int64, count int, cut bool, frames []byte) (replication.Ack, error)
+	// AcceptLink takes over a peer's upgraded link, whose handshake has
+	// been answered with 101, and serves it on its own goroutine: the
+	// replicator closes it when it closes. rw buffers conn.
+	AcceptLink(conn net.Conn, rw *bufio.ReadWriter, source string, epoch int64)
 	// Status reports stream positions and health.
 	Status() replication.Status
 	// Samples reports the status as the node's replication series,
@@ -29,14 +32,14 @@ type Replicator interface {
 // WithReplication mounts the replication ingest route and the admin
 // status endpoint over the given manager:
 //
-//	POST /v1/replication/records    ingest a WAL batch (framed records)
+//	POST /v1/replication/records    open a peer's replication link (Upgrade)
 //	GET  /v1/admin/replication      stream positions, lag, health
 //
-// The ingest route speaks the replication wire protocol — handshake in
-// X-Reef-Replication-* headers, bare Ack JSON answers (409 on a
-// watermark conflict) — not the error envelope, because the peer's
-// sender is the only client. Without this option both routes answer
-// 501.
+// The ingest route only upgrades: a request carrying Upgrade:
+// replication.LinkProtocol and the X-Reef-Replication-Source/Epoch
+// handshake is answered 101 and its connection handed to the manager,
+// which speaks the link protocol on it; anything else is answered 426.
+// Without this option both routes answer 501.
 func WithReplication(r Replicator) HandlerOption {
 	return func(h *Handler) { h.repl = r }
 }
@@ -56,26 +59,20 @@ func (h *Handler) replicator(rw http.ResponseWriter) (Replicator, bool) {
 	return h.repl, true
 }
 
-// replHeader reads one int64 replication header, failing closed: a
-// missing or malformed handshake header rejects the batch rather than
-// silently defaulting to position 0 (which could double-apply).
-func replHeader(req *http.Request, name string) (int64, error) {
-	v := req.Header.Get(name)
-	if v == "" {
-		return 0, fmt.Errorf("missing %s header", name)
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s header: %v", name, err)
-	}
-	return n, nil
-}
-
-// ingestReplication serves the ingest route: one batch of framed
-// records from a peer, read up to replication.MaxBatchBytes.
+// ingestReplication serves the ingest route: it upgrades a peer's
+// request to a replication link and hands the connection to the
+// replicator. The handler returns once the link is handed over, so the
+// route's metrics count the upgrade, not the link's life.
 func (h *Handler) ingestReplication(rw http.ResponseWriter, req *http.Request) {
 	r, ok := h.replicator(rw)
 	if !ok {
+		return
+	}
+	if !strings.EqualFold(req.Header.Get("Upgrade"), replication.LinkProtocol) {
+		rw.Header().Set("Upgrade", replication.LinkProtocol)
+		rw.Header().Set("Connection", "Upgrade")
+		h.writeError(rw, http.StatusUpgradeRequired, CodeInvalidArgument,
+			"replication ships over an upgraded link: send Upgrade: "+replication.LinkProtocol)
 		return
 	}
 	source := req.Header.Get(replication.HdrSource)
@@ -83,38 +80,28 @@ func (h *Handler) ingestReplication(rw http.ResponseWriter, req *http.Request) {
 		h.writeError(rw, http.StatusBadRequest, CodeInvalidArgument, "missing "+replication.HdrSource+" header")
 		return
 	}
-	var hv [4]int64
-	for i, name := range []string{replication.HdrEpoch, replication.HdrPrev, replication.HdrLast, replication.HdrCount} {
-		v, err := replHeader(req, name)
-		if err != nil {
-			h.writeError(rw, http.StatusBadRequest, CodeInvalidArgument, err.Error())
-			return
-		}
-		hv[i] = v
-	}
-	frames, ok := h.readBody(rw, req, replication.MaxBatchBytes)
-	if !ok {
-		return
-	}
-	cut := req.Header.Get(replication.HdrCut) == "true"
-	ack, err := r.IngestRecords(source, hv[0], hv[1], hv[2], int(hv[3]), cut, frames)
-	h.writeAck(rw, ack, err)
-}
-
-// writeAck answers an ingest call in the wire protocol's envelope: 200
-// with the Ack, 409 with the authoritative Ack on a watermark conflict,
-// or the plain error envelope otherwise.
-func (h *Handler) writeAck(rw http.ResponseWriter, ack replication.Ack, err error) {
-	var conflict *replication.ConflictError
-	if errors.As(err, &conflict) {
-		h.writeJSON(rw, http.StatusConflict, conflict.Ack)
-		return
-	}
+	epoch, err := strconv.ParseInt(req.Header.Get(replication.HdrEpoch), 10, 64)
 	if err != nil {
-		h.writeDeploymentError(rw, err)
+		h.writeError(rw, http.StatusBadRequest, CodeInvalidArgument, "bad "+replication.HdrEpoch+" header: "+err.Error())
 		return
 	}
-	h.writeJSON(rw, http.StatusOK, ack)
+	conn, brw, err := http.NewResponseController(rw).Hijack()
+	if err != nil {
+		h.writeError(rw, http.StatusInternalServerError, CodeInternal, "upgrading the replication link: "+err.Error())
+		return
+	}
+	if sw, ok := rw.(*statusWriter); ok {
+		sw.status = http.StatusSwitchingProtocols
+	}
+	// A server's read and write timeouts would outlive the request on
+	// the hijacked connection; the link's sender bounds each batch.
+	_ = conn.SetDeadline(time.Time{})
+	brw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + replication.LinkProtocol + "\r\n\r\n")
+	if err := brw.Flush(); err != nil {
+		conn.Close()
+		return
+	}
+	r.AcceptLink(conn, brw, source, epoch)
 }
 
 // handleReplicationStatus serves the admin view of both stream roles.

@@ -5,10 +5,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"reef/internal/durable"
 	"reef/internal/replication"
@@ -83,56 +83,70 @@ func mustRequest(t *testing.T, url string, hdr map[string]string, body []byte) *
 	return req
 }
 
-// replPost issues an ingest POST with the wire headers.
-func replPost(t *testing.T, url string, hdr map[string]string, body []byte) (*http.Response, replication.Ack) {
+// post issues a POST with the given headers and returns its status and
+// error envelope.
+func post(t *testing.T, url string, hdr map[string]string) (*http.Response, reefhttp.ErrorBody) {
 	t.Helper()
-	resp, err := http.DefaultClient.Do(mustRequest(t, url, hdr, body))
+	resp, err := http.DefaultClient.Do(mustRequest(t, url, hdr, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var ack replication.Ack
-	_ = json.NewDecoder(resp.Body).Decode(&ack)
-	return resp, ack
+	var envelope reefhttp.ErrorBody
+	_ = json.NewDecoder(resp.Body).Decode(&envelope)
+	return resp, envelope
 }
 
-func recordsHdr(epoch, prev, last int64, count int) map[string]string {
-	return map[string]string{
-		replication.HdrSource: "a",
-		replication.HdrEpoch:  strconv.FormatInt(epoch, 10),
-		replication.HdrPrev:   strconv.FormatInt(prev, 10),
-		replication.HdrLast:   strconv.FormatInt(last, 10),
-		replication.HdrCount:  strconv.Itoa(count),
+// dialLink opens a replication link from source "a" to the server.
+func dialLink(t *testing.T, url string) *replication.Link {
+	t.Helper()
+	l, err := replication.DialLink(http.DefaultTransport, url, "a", 1, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { l.Close() })
+	return l
 }
 
-// TestReplicationRoutes pins the wire surface end to end: ingest with
-// acks, watermark conflict as 409 + Ack, a resync batch superseding a
-// gap and reaching ApplyReplicatedCut, the admin status endpoint, and
-// the merged stats gauges.
+// ship sends one batch of frames over the link.
+func ship(t *testing.T, l *replication.Link, prev, last int64, cut bool, frames []byte) durable.ReplAck {
+	t.Helper()
+	recs, err := durable.Replay(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack, err := l.Ship(durable.ReplBatch{Prev: prev, Last: last, Count: len(recs), Cut: cut, Bytes: len(frames)}, frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ack
+}
+
+// TestReplicationRoutes pins the wire surface end to end: a link
+// upgraded on the ingest route carries batches with acks, a watermark
+// conflict answered with the authoritative position, and a resync batch
+// superseding a gap and reaching ApplyReplicatedCut; then the admin
+// status endpoint and the merged stats gauges.
 func TestReplicationRoutes(t *testing.T) {
 	srv, app := newReplServer(t)
+	l := dialLink(t, srv.URL)
 
-	// A valid batch answers 200 with the new watermark.
+	// A valid batch is acked with the new watermark.
 	frames := durable.CursorAckRecord(durable.CursorAckPayload{User: "u", ID: "s", Seq: 1}).AppendEncoded(nil)
-	resp, ack := replPost(t, srv.URL+"/v1/replication/records", recordsHdr(1, 0, 1, 1), frames)
-	if resp.StatusCode != http.StatusOK || ack.Acked != 1 {
-		t.Fatalf("ingest = %d ack %d, want 200 ack 1", resp.StatusCode, ack.Acked)
+	if ack := ship(t, l, 0, 1, false, frames); ack.Kind != durable.AckOK || ack.Acked != 1 {
+		t.Fatalf("ingest = %+v, want ok ack 1", ack)
 	}
 
-	// A mismatched prev answers 409 with the authoritative position.
-	resp, ack = replPost(t, srv.URL+"/v1/replication/records", recordsHdr(1, 7, 8, 1), frames)
-	if resp.StatusCode != http.StatusConflict || ack.Acked != 1 {
-		t.Fatalf("conflict = %d ack %d, want 409 ack 1", resp.StatusCode, ack.Acked)
+	// A mismatched prev is answered with the authoritative position.
+	if ack := ship(t, l, 7, 8, false, frames); ack.Kind != durable.AckConflict || ack.Acked != 1 {
+		t.Fatalf("conflict = %+v, want conflict ack 1", ack)
 	}
 
 	// A resync batch supersedes the gap up to its last record and is
 	// applied as a cut, synced before the ack.
-	hdr := recordsHdr(1, 1, 9, 1)
-	hdr[replication.HdrCut] = "true"
-	resp, ack = replPost(t, srv.URL+"/v1/replication/records", hdr, durable.FlagRecord("ads.test", 1).AppendEncoded(nil))
-	if resp.StatusCode != http.StatusOK || ack.Acked != 9 || app.cutCount() != 1 {
-		t.Fatalf("resync batch = %d ack %d with %d cuts applied, want 200 ack 9 and 1", resp.StatusCode, ack.Acked, app.cutCount())
+	ack := ship(t, l, 1, 9, true, durable.FlagRecord("ads.test", 1).AppendEncoded(nil))
+	if ack.Kind != durable.AckOK || ack.Acked != 9 || app.cutCount() != 1 {
+		t.Fatalf("resync batch = %+v with %d cuts applied, want ok ack 9 and 1", ack, app.cutCount())
 	}
 
 	// The admin endpoint reports the inbound stream position.
@@ -162,22 +176,35 @@ func TestReplicationRoutes(t *testing.T) {
 	}
 }
 
-// TestReplicationRouteErrors pins the failure envelopes: missing
-// headers, bad header values, wrong methods, the retired snapshot route,
-// and the 501 answer when no manager is mounted.
+// TestReplicationRouteErrors pins the failure envelopes: a request
+// without the upgrade, missing or bad handshake headers, wrong methods,
+// the retired snapshot route, and the 501 answer when no manager is
+// mounted.
 func TestReplicationRouteErrors(t *testing.T) {
 	srv, _ := newReplServer(t)
-
-	// Missing source header.
-	resp, _ := replPost(t, srv.URL+"/v1/replication/records", nil, nil)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("missing headers = %d, want 400", resp.StatusCode)
+	url := srv.URL + replication.RecordsPath
+	upgrade := func(hdr map[string]string) map[string]string {
+		hdr["Connection"] = "Upgrade"
+		hdr["Upgrade"] = replication.LinkProtocol
+		return hdr
 	}
-	// Malformed watermark header.
-	hdr := recordsHdr(1, 0, 1, 1)
-	hdr[replication.HdrPrev] = "not-a-number"
-	resp, _ = replPost(t, srv.URL+"/v1/replication/records", hdr, nil)
-	if resp.StatusCode != http.StatusBadRequest {
+
+	// An older sender's POST, without the upgrade.
+	resp, envelope := post(t, url, map[string]string{
+		replication.HdrSource: "a", replication.HdrEpoch: "1", "X-Reef-Replication-Prev": "0",
+	})
+	if resp.StatusCode != http.StatusUpgradeRequired || resp.Header.Get("Upgrade") != replication.LinkProtocol ||
+		envelope.Error.Code != reefhttp.CodeInvalidArgument {
+		t.Fatalf("POST without upgrade = %d (Upgrade %q, code %q), want 426 naming %s",
+			resp.StatusCode, resp.Header.Get("Upgrade"), envelope.Error.Code, replication.LinkProtocol)
+	}
+	// Missing source header.
+	if resp, _ := post(t, url, upgrade(map[string]string{replication.HdrEpoch: "1"})); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("missing source = %d, want 400", resp.StatusCode)
+	}
+	// Malformed epoch header.
+	hdr := upgrade(map[string]string{replication.HdrSource: "a", replication.HdrEpoch: "not-a-number"})
+	if resp, _ := post(t, url, hdr); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad header = %d, want 400", resp.StatusCode)
 	}
 	// Wrong method.
@@ -215,31 +242,33 @@ func TestReplicationPathConstants(t *testing.T) {
 }
 
 // TestBodyOverLimit pins that a body one byte past a route's limit is
-// refused whole with 413 and the error envelope, not cut short and
-// parsed: on a JSON route, and on the replication ingest route, whose
-// limit is the sender's batch bound.
+// refused whole, not cut short and parsed: on a JSON route with 413 and
+// the error envelope, and on a replication link, whose limit is the
+// sender's batch bound, with an error ack that closes the link.
 func TestBodyOverLimit(t *testing.T) {
 	const jsonLimit = 16 << 20 // the JSON routes' body limit
 	srv, app := newReplServer(t)
-	for _, probe := range []struct {
-		path string
-		size int
-		hdr  map[string]string
-	}{
-		{"/v1/clicks", jsonLimit + 1, map[string]string{"Content-Type": "application/json"}},
-		{replication.RecordsPath, replication.MaxBatchBytes + 1, recordsHdr(1, 0, 1, 1)},
-	} {
-		resp, err := http.DefaultClient.Do(mustRequest(t, srv.URL+probe.path, probe.hdr, bytes.Repeat([]byte{' '}, probe.size)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var envelope reefhttp.ErrorBody
-		_ = json.NewDecoder(resp.Body).Decode(&envelope)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusRequestEntityTooLarge || envelope.Error.Code != reefhttp.CodeInvalidArgument {
-			t.Fatalf("POST %s with %d bytes = %d code %q, want 413 invalid_argument",
-				probe.path, probe.size, resp.StatusCode, envelope.Error.Code)
-		}
+	resp, err := http.DefaultClient.Do(mustRequest(t, srv.URL+"/v1/clicks",
+		map[string]string{"Content-Type": "application/json"}, bytes.Repeat([]byte{' '}, jsonLimit+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var envelope reefhttp.ErrorBody
+	_ = json.NewDecoder(resp.Body).Decode(&envelope)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || envelope.Error.Code != reefhttp.CodeInvalidArgument {
+		t.Fatalf("POST /v1/clicks with %d bytes = %d code %q, want 413 invalid_argument",
+			jsonLimit+1, resp.StatusCode, envelope.Error.Code)
+	}
+
+	l := dialLink(t, srv.URL)
+	frames := durable.FlagRecord("ads.test", 1).AppendEncoded(nil)
+	ack, err := l.Ship(durable.ReplBatch{Prev: 0, Last: 1, Count: 1, Bytes: replication.MaxBatchBytes + 1}, frames)
+	if err == nil || ack.Kind != durable.AckError {
+		t.Fatalf("batch of %d bytes = (%+v, %v), want an error ack", replication.MaxBatchBytes+1, ack, err)
+	}
+	if _, err := l.Ship(durable.ReplBatch{Prev: 0, Last: 1, Count: 1, Bytes: len(frames)}, frames); err == nil {
+		t.Fatal("the link carried a batch after refusing an oversized one, want it closed")
 	}
 	if app.recs != 0 || app.cuts != 0 {
 		t.Fatalf("an oversized batch reached the applier (%d records, %d cuts)", app.recs, app.cuts)

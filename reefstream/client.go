@@ -348,7 +348,7 @@ func newStreamConn(conn net.Conn, expectNode string, hsTimeout, callTimeout time
 	}
 	br := bufio.NewReaderSize(conn, 256<<10)
 	var buf []byte
-	rec, err := readFrame(br, &buf)
+	rec, err := durable.ReadFrame(br, &buf)
 	if err != nil {
 		return nil, fmt.Errorf("reefstream: handshake: %w", err)
 	}
@@ -501,7 +501,7 @@ func (sc *streamConn) readLoop(br *bufio.Reader) {
 	var ds []delivery.Delivered
 	var pairs []eventalg.Attr
 	for {
-		rec, err := readFrame(br, &buf)
+		rec, err := durable.ReadFrame(br, &buf)
 		if err != nil {
 			sc.markDead(fmt.Errorf("reefstream: connection lost: %w", err))
 			return

@@ -117,7 +117,7 @@ func TestCorruptFrameBehindValidOne(t *testing.T) {
 	}
 	br := bufio.NewReader(conn)
 	var buf []byte
-	if rec, err := readFrame(br, &buf); err != nil || rec.Op != durable.OpStreamHello {
+	if rec, err := durable.ReadFrame(br, &buf); err != nil || rec.Op != durable.OpStreamHello {
 		t.Fatalf("hello reply = (%v, %v)", rec.Op, err)
 	}
 	ev := reef.Event{Attrs: map[string]string{"type": "feed-item", "feed": feed}}
@@ -126,14 +126,14 @@ func TestCorruptFrameBehindValidOne(t *testing.T) {
 	if _, err := conn.Write(frames); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := readFrame(br, &buf)
+	rec, err := durable.ReadFrame(br, &buf)
 	if err != nil || rec.Op != durable.OpStreamAck {
 		t.Fatalf("after the pair of frames: (%v, %v), want an ack", rec.Op, err)
 	}
 	if a, err := decodeAck(rec.Payload); err != nil || a.Seq != 1 || a.Delivered != 1 || a.Status != StatusOK {
 		t.Fatalf("ack = (%+v, %v), want seq 1 delivered 1 OK", a, err)
 	}
-	if rec, err := readFrame(br, &buf); err == nil {
+	if rec, err := durable.ReadFrame(br, &buf); err == nil {
 		t.Fatalf("connection outlived the malformed frame: read %v", rec.Op)
 	}
 

@@ -4,9 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -291,7 +289,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		// into one batch publish without adding latency to a lone one.
 		// Any other frame ends the pass (it is handled after the
 		// publishes it trailed, preserving frame order).
-		rec, err := s.readFrame(br, &readBuf)
+		rec, err := durable.ReadFrame(br, &readBuf)
 		for {
 			if err != nil {
 				break
@@ -312,7 +310,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			if br.Buffered() < durable.FrameHeaderLen || len(evs) >= maxCoalesceEvents {
 				break
 			}
-			rec, err = s.readFrame(br, &readBuf)
+			rec, err = durable.ReadFrame(br, &readBuf)
 		}
 		// Apply and ack everything that was fully read, even when the
 		// read that followed it failed (drain kick, peer gone, corrupt
@@ -484,7 +482,7 @@ func (s *Server) recordPublishSpan(sp frameSpan, begin time.Time, errStr string)
 
 func (s *Server) handshake(br *bufio.Reader, bw *bufio.Writer) error {
 	var readBuf []byte
-	rec, err := s.readFrame(br, &readBuf)
+	rec, err := durable.ReadFrame(br, &readBuf)
 	if err != nil {
 		return err
 	}
@@ -507,40 +505,4 @@ func (s *Server) handshake(br *bufio.Reader, bw *bufio.Writer) error {
 		return err
 	}
 	return bw.Flush()
-}
-
-// readFrame reads exactly one durable frame from br into *buf (grown
-// and reused across calls) and decodes it zero-copy: the returned
-// record's payload aliases *buf and is only valid until the next call.
-func (s *Server) readFrame(br *bufio.Reader, buf *[]byte) (durable.Record, error) {
-	return readFrame(br, buf)
-}
-
-func readFrame(br *bufio.Reader, buf *[]byte) (durable.Record, error) {
-	if cap(*buf) < durable.FrameHeaderLen {
-		*buf = make([]byte, durable.FrameHeaderLen, 4096)
-	}
-	hdr := (*buf)[:durable.FrameHeaderLen]
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return durable.Record{}, err
-	}
-	bodyLen := durable.FrameBodyLen(hdr)
-	if bodyLen > durable.MaxRecordLen {
-		return durable.Record{}, durable.ErrTooLarge
-	}
-	total := durable.FrameHeaderLen + bodyLen
-	if cap(*buf) < total {
-		grown := make([]byte, total)
-		copy(grown, hdr)
-		*buf = grown
-	}
-	frame := (*buf)[:total]
-	if _, err := io.ReadFull(br, frame[durable.FrameHeaderLen:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		return durable.Record{}, err
-	}
-	rec, _, err := durable.DecodeFrame(frame)
-	return rec, err
 }

@@ -23,16 +23,17 @@ import (
 )
 
 // recordLog is a node's replication applier that keeps every data
-// record it applies from a peer's batches, and counts the batches that
-// carry resync records.
+// record it applies from a peer's batches, and counts the batches and
+// those that carry resync records.
 type recordLog struct {
 	*reef.Centralized
-	cuts atomic.Int64
-	mu   sync.Mutex
-	recs []durable.Record
+	batches, cuts atomic.Int64
+	mu            sync.Mutex
+	recs          []durable.Record
 }
 
 func (r *recordLog) keep(recs []durable.Record) {
+	r.batches.Add(1)
 	r.mu.Lock()
 	r.recs = append(r.recs, recs[:len(recs)-1]...) // the last is the position
 	r.mu.Unlock()
@@ -54,10 +55,9 @@ func (r *recordLog) ApplyReplicatedCut(recs []durable.Record) error {
 type testCluster struct {
 	deps []*recordLog
 	mgrs []*replication.Manager
-	// refuse makes the refused node answer 503 to node 0's batches while
-	// set; posts counts node 0's batches it answered otherwise.
+	// refuse makes the refused node answer 503 to node 0's link upgrades
+	// while set; a link already up stays up.
 	refuse atomic.Bool
-	posts  atomic.Int64
 }
 
 // startCluster starts the nodes, node 0's sender with the given Retain
@@ -70,12 +70,9 @@ func startCluster(t *testing.T, web *websim.Web, ids []string, refused, retain i
 	for i := range ids {
 		h := new(atomic.Pointer[http.Handler])
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if i == refused && r.Header.Get(replication.HdrSource) == ids[0] {
-				if tc.refuse.Load() {
-					http.Error(w, "unavailable", http.StatusServiceUnavailable)
-					return
-				}
-				tc.posts.Add(1)
+			if i == refused && r.Header.Get(replication.HdrSource) == ids[0] && tc.refuse.Load() {
+				http.Error(w, "unavailable", http.StatusServiceUnavailable)
+				return
 			}
 			(*h.Load()).ServeHTTP(w, r)
 		}))
@@ -188,7 +185,7 @@ func TestReplicationShipsPastBodyLimit(t *testing.T) {
 			if tt.retain == 0 && resyncs != 0 {
 				t.Errorf("a resynced b %d times with its backlog in the queue, want 0", resyncs)
 			}
-			if n := tc.posts.Load(); n < 2 {
+			if n := tc.deps[1].batches.Load(); n < 2 {
 				t.Errorf("b took %d batches, want several", n)
 			}
 		})

@@ -235,7 +235,7 @@ func TestRefuseNewerWAL(t *testing.T) {
 		want    error
 	}{
 		{"version 9", 9, 0, durable.ErrVersion},
-		{"op 18", 0, 18, durable.ErrUnknownOp},
+		{"op 20", 0, 20, durable.ErrUnknownOp},
 		{"stream clicks op at version 2", durable.VersionBinary, byte(durable.OpStreamClicks), durable.ErrVersion},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
