@@ -10,8 +10,9 @@ import (
 // The binary codec shared by the WAL's version-2 payloads and the
 // reefstream wire: unsigned and zigzag varints, length-prefixed bytes,
 // and the fixed shapes payloads are built from. The Decode* functions
-// take the buffer and return the value plus the unread rest; they fail
-// only with ErrPayload, and they never allocate from a length they read.
+// take the buffer and return the value plus the unread rest, and Reader
+// reads a whole payload with them; both fail only with ErrPayload, and
+// they never allocate from a length they read.
 //
 // Decoding is canonical: a varint must use its shortest form, a bool
 // must be 0 or 1, and a time's fields must be in range. So every
@@ -70,7 +71,8 @@ func appendTime(dst []byte, t time.Time) []byte {
 	return binary.AppendVarint(dst, int64(offset))
 }
 
-func appendBool(dst []byte, b bool) []byte {
+// AppendBool appends b as one byte, 0 or 1.
+func AppendBool(dst []byte, b bool) []byte {
 	if b {
 		return append(dst, 1)
 	}
@@ -81,23 +83,28 @@ func appendFloat64(dst []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 }
 
-// reader decodes one version-2 payload front to back. The first failure
-// sticks: later reads return zero values, and finish reports it. Fields
-// of a struct literal decode in the order the literal lists them, since
-// Go evaluates the calls left to right.
-type reader struct {
+// Reader decodes one binary payload front to back: a WAL op's version-2
+// payload, a stream op's, or a link message's. The first failure
+// sticks: later reads return zero values, and Err and Finish report it,
+// always as ErrPayload. Fields of a struct literal decode in the order
+// the literal lists them, since Go evaluates the calls left to right.
+type Reader struct {
 	buf []byte
 	err error
 }
 
-func (r *reader) fail(format string, args ...any) {
+// NewReader returns a Reader over payload.
+func NewReader(payload []byte) Reader { return Reader{buf: payload} }
+
+func (r *Reader) fail(format string, args ...any) {
 	if r.err == nil {
 		r.err = fmt.Errorf("%w: %s", ErrPayload, fmt.Sprintf(format, args...))
 	}
 	r.buf = nil
 }
 
-func (r *reader) uvarint() uint64 {
+// Uvarint reads a shortest-form uvarint.
+func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
@@ -110,9 +117,9 @@ func (r *reader) uvarint() uint64 {
 	return v
 }
 
-// varint reads a zigzag varint, the encoding binary.AppendVarint writes.
-func (r *reader) varint() int64 {
-	u := r.uvarint()
+// Varint reads a zigzag varint, the encoding binary.AppendVarint writes.
+func (r *Reader) Varint() int64 {
+	u := r.Uvarint()
 	v := int64(u >> 1)
 	if u&1 != 0 {
 		v = ^v
@@ -120,9 +127,39 @@ func (r *reader) varint() int64 {
 	return v
 }
 
-func (r *reader) int() int { return int(r.varint()) }
+// Int reads a Varint as an int.
+func (r *Reader) Int() int { return int(r.Varint()) }
 
-func (r *reader) bytes() []byte {
+// Uint64 reads a fixed-width little-endian uint64.
+func (r *Reader) Uint64() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	if len(r.buf) < 8 {
+		r.fail("truncated uint64")
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(r.buf)
+	r.buf = r.buf[8:]
+	return v
+}
+
+// Byte reads one byte.
+func (r *Reader) Byte() byte {
+	if r.err != nil {
+		return 0
+	}
+	if len(r.buf) == 0 {
+		r.fail("truncated byte")
+		return 0
+	}
+	b := r.buf[0]
+	r.buf = r.buf[1:]
+	return b
+}
+
+// Bytes reads a length-prefixed byte string, which aliases the payload.
+func (r *Reader) Bytes() []byte {
 	if r.err != nil {
 		return nil
 	}
@@ -135,19 +172,21 @@ func (r *reader) bytes() []byte {
 	return b
 }
 
-func (r *reader) string() string { return string(r.bytes()) }
+// String reads a length-prefixed string.
+func (r *Reader) String() string { return string(r.Bytes()) }
 
 // stringLike reads a string, returning prev itself when the bytes are
 // equal: a batch's consecutive clicks by one user share one string.
-func (r *reader) stringLike(prev string) string {
-	b := r.bytes()
+func (r *Reader) stringLike(prev string) string {
+	b := r.Bytes()
 	if string(b) == prev {
 		return prev
 	}
 	return string(b)
 }
 
-func (r *reader) bool() bool {
+// Bool reads a byte that must be 0 or 1.
+func (r *Reader) Bool() bool {
 	if r.err != nil {
 		return false
 	}
@@ -160,25 +199,17 @@ func (r *reader) bool() bool {
 	return b
 }
 
-func (r *reader) float64() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf) < 8 {
-		r.fail("truncated float")
-		return 0
-	}
-	f := math.Float64frombits(binary.LittleEndian.Uint64(r.buf))
-	r.buf = r.buf[8:]
-	return f
+// Float64 reads a fixed-width little-endian float64.
+func (r *Reader) Float64() float64 {
+	return math.Float64frombits(r.Uint64())
 }
 
-// time reads what appendTime writes and resolves the zone as decoding
+// Time reads what appendTime writes and resolves the zone as decoding
 // the RFC 3339 text of the JSON payloads does: offset 0 is UTC, the
 // local zone's offset at that instant is time.Local, and any other
 // offset is an unnamed fixed zone.
-func (r *reader) time() time.Time {
-	sec, nsec, offset := r.varint(), r.uvarint(), r.varint()
+func (r *Reader) Time() time.Time {
+	sec, nsec, offset := r.Varint(), r.Uvarint(), r.Varint()
 	if r.err != nil {
 		return time.Time{}
 	}
@@ -196,10 +227,10 @@ func (r *reader) time() time.Time {
 	return t.In(time.FixedZone("", int(offset)))
 }
 
-// count reads a count prefix whose items take at least minLen bytes
+// Count reads a count prefix whose items take at least minLen bytes
 // each, refusing a count the remaining bytes cannot hold.
-func (r *reader) count(minLen int) int {
-	n := r.uvarint()
+func (r *Reader) Count(minLen int) int {
+	n := r.Uvarint()
 	if r.err == nil && n > uint64(len(r.buf)/minLen) {
 		r.fail("%d items in %d bytes", n, len(r.buf))
 		return 0
@@ -207,8 +238,15 @@ func (r *reader) count(minLen int) int {
 	return int(n)
 }
 
-// finish reports the first failure, or trailing bytes after the payload.
-func (r *reader) finish() error {
+// Rest returns the bytes not read yet, for a caller that decodes the
+// rest itself; nil after a failure.
+func (r *Reader) Rest() []byte { return r.buf }
+
+// Err reports the first failure.
+func (r *Reader) Err() error { return r.err }
+
+// Finish reports the first failure, or trailing bytes after the payload.
+func (r *Reader) Finish() error {
 	if r.err == nil && len(r.buf) != 0 {
 		r.fail("%d trailing bytes", len(r.buf))
 	}

@@ -10,10 +10,14 @@
 //
 // The design splits three concerns:
 //
-//   - Record framing (record.go, payload.go): a self-describing binary
-//     frame whose decoder returns typed errors and never panics, so
-//     recovery can stop cleanly at the first torn record of an
-//     uncleanly closed log, and the typed payload of every op.
+//   - Record framing (record.go, codec.go, payload.go): a
+//     self-describing binary frame whose decoder returns typed errors
+//     and never panics, so recovery can stop cleanly at the first torn
+//     record of an uncleanly closed log, and the typed payload of every
+//     op. It is the one codec of both planes: BeginFrame/EndFrame build
+//     every frame in place — a WAL record, a stream frame, a
+//     replication link message — and Reader reads every binary payload,
+//     the WAL's and package reefstream's alike.
 //   - Backend (file.go): where the log and snapshots live. The file
 //     backend keeps one WAL and one snapshot per generation and rotates
 //     atomically (write-tmp, fsync, rename); a journal without a backend

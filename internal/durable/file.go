@@ -53,7 +53,6 @@ type FileBackend struct {
 	gen        uint64
 	file       *os.File
 	buf        *bufio.Writer
-	scratch    []byte
 	walRecords int64
 	walBytes   int64
 	snapshots  int64
@@ -326,12 +325,12 @@ func (b *FileBackend) Append(r Record) error {
 	if b.closed {
 		return errors.New("durable: backend closed")
 	}
-	b.scratch = r.AppendEncoded(b.scratch[:0])
-	if _, err := b.buf.Write(b.scratch); err != nil {
+	frame := r.AppendEncoded(b.buf.AvailableBuffer())
+	if _, err := b.buf.Write(frame); err != nil {
 		return fmt.Errorf("durable: appending record: %w", err)
 	}
 	b.walRecords++
-	b.walBytes += int64(len(b.scratch))
+	b.walBytes += int64(len(frame))
 	if b.opt.Sync == SyncAlways {
 		return b.syncLocked()
 	}

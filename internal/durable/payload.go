@@ -64,7 +64,7 @@ func AppendClicks(dst []byte, batch []attention.Click) []byte {
 		dst = AppendString(dst, c.URL)
 		dst = appendTime(dst, c.At)
 		dst = AppendString(dst, c.Referrer)
-		dst = appendBool(dst, c.FromEvent)
+		dst = AppendBool(dst, c.FromEvent)
 	}
 	return dst
 }
@@ -89,7 +89,7 @@ func subscriptionRecord(op Op, s SubscriptionState) Record {
 	p = AppendString(p, s.Filter)
 	p = AppendString(p, s.Reason)
 	p = appendTime(p, s.At)
-	p = appendBool(p, s.Delivery != nil)
+	p = AppendBool(p, s.Delivery != nil)
 	if d := s.Delivery; d != nil {
 		p = AppendString(p, d.Guarantee)
 		p = binary.AppendVarint(p, d.AckTimeoutMS)
@@ -126,7 +126,7 @@ func PendingAddRecord(a PendingAddPayload) Record {
 func PendingTakeRecord(t PendingTakePayload) Record {
 	p := AppendString(make([]byte, 0, len(t.User)+len(t.ID)+fixedRoom), t.User)
 	p = AppendString(p, t.ID)
-	p = appendBool(p, t.Accepted)
+	p = AppendBool(p, t.Accepted)
 	return Record{Op: OpPendingTake, Version: VersionBinary, Payload: appendTime(p, t.At)}
 }
 
@@ -195,7 +195,7 @@ func PendingSeqRecord(seq int64) Record {
 // decodePayload decodes rec's payload into a T: version 1 as JSON,
 // version 2 with bin. rec.Op must be one of ops. Every failure is
 // ErrPayload, or ErrVersion for a version no frame decode returns.
-func decodePayload[T any](rec Record, bin func(*reader) T, ops ...Op) (T, error) {
+func decodePayload[T any](rec Record, bin func(*Reader) T, ops ...Op) (T, error) {
 	var zero T
 	if !slices.Contains(ops, rec.Op) {
 		return zero, fmt.Errorf("%w: %v record, want %v", ErrPayload, rec.Op, ops[0])
@@ -208,9 +208,9 @@ func decodePayload[T any](rec Record, bin func(*reader) T, ops ...Op) (T, error)
 		}
 		return p, nil
 	case VersionBinary:
-		r := reader{buf: rec.Payload}
+		r := NewReader(rec.Payload)
 		p := bin(&r)
-		if err := r.finish(); err != nil {
+		if err := r.Finish(); err != nil {
 			return zero, fmt.Errorf("%v payload: %w", rec.Op, err)
 		}
 		return p, nil
@@ -224,15 +224,15 @@ const minClickLen = 7
 
 // DecodeClicks decodes an OpClicks record.
 func DecodeClicks(rec Record) (ClicksPayload, error) {
-	return decodePayload(rec, func(r *reader) ClicksPayload {
+	return decodePayload(rec, func(r *Reader) ClicksPayload {
 		var p ClicksPayload
-		n := r.count(minClickLen)
+		n := r.Count(minClickLen)
 		if n > 0 {
 			p.Clicks = make([]attention.Click, 0, n)
 		}
 		prev := ""
 		for i := 0; i < n && r.err == nil; i++ {
-			c := attention.Click{User: r.stringLike(prev), URL: r.string(), At: r.time(), Referrer: r.string(), FromEvent: r.bool()}
+			c := attention.Click{User: r.stringLike(prev), URL: r.String(), At: r.Time(), Referrer: r.String(), FromEvent: r.Bool()}
 			p.Clicks = append(p.Clicks, c)
 			prev = c.User
 		}
@@ -253,16 +253,16 @@ func ClickUsers(rec Record) ([]string, error) {
 		}
 		return users, err
 	}
-	return decodePayload(rec, func(r *reader) []string {
+	return decodePayload(rec, func(r *Reader) []string {
 		var users []string
-		n := r.count(minClickLen)
+		n := r.Count(minClickLen)
 		prev := ""
 		for i := 0; i < n && r.err == nil; i++ {
 			prev = r.stringLike(prev)
-			r.bytes()
-			r.time()
-			r.bytes()
-			r.bool()
+			r.Bytes()
+			r.Time()
+			r.Bytes()
+			r.Bool()
 			users = append(users, prev)
 		}
 		return users
@@ -271,18 +271,18 @@ func ClickUsers(rec Record) ([]string, error) {
 
 // DecodeFlag decodes an OpFlag record.
 func DecodeFlag(rec Record) (FlagPayload, error) {
-	return decodePayload(rec, func(r *reader) FlagPayload {
-		return FlagPayload{Host: r.string(), Flag: r.int()}
+	return decodePayload(rec, func(r *Reader) FlagPayload {
+		return FlagPayload{Host: r.String(), Flag: r.Int()}
 	}, OpFlag)
 }
 
 // DecodeSubscription decodes an OpSubscribe or OpUnsubscribe record.
 // Delivery stays nil unless the record carries one.
 func DecodeSubscription(rec Record) (SubscriptionState, error) {
-	return decodePayload(rec, func(r *reader) SubscriptionState {
-		s := SubscriptionState{User: r.string(), Kind: r.string(), FeedURL: r.string(), Filter: r.string(), Reason: r.string(), At: r.time()}
-		if r.bool() {
-			s.Delivery = &DeliveryState{Guarantee: r.string(), AckTimeoutMS: r.varint(), MaxAttempts: r.int()}
+	return decodePayload(rec, func(r *Reader) SubscriptionState {
+		s := SubscriptionState{User: r.String(), Kind: r.String(), FeedURL: r.String(), Filter: r.String(), Reason: r.String(), At: r.Time()}
+		if r.Bool() {
+			s.Delivery = &DeliveryState{Guarantee: r.String(), AckTimeoutMS: r.Varint(), MaxAttempts: r.Int()}
 		}
 		return s
 	}, OpSubscribe, OpUnsubscribe)
@@ -290,12 +290,12 @@ func DecodeSubscription(rec Record) (SubscriptionState, error) {
 
 // DecodePendingAdd decodes an OpPendingAdd record.
 func DecodePendingAdd(rec Record) (PendingAddPayload, error) {
-	return decodePayload(rec, func(r *reader) PendingAddPayload {
-		p := PendingAddPayload{User: r.string(), ID: r.string(), Seq: r.varint()}
-		p.Rec = RecommendationState{Kind: r.string(), User: r.string(), FeedURL: r.string(), Filter: r.string(), Reason: r.string(), At: r.time()}
-		n := r.count(9) // an empty term and its score
+	return decodePayload(rec, func(r *Reader) PendingAddPayload {
+		p := PendingAddPayload{User: r.String(), ID: r.String(), Seq: r.Varint()}
+		p.Rec = RecommendationState{Kind: r.String(), User: r.String(), FeedURL: r.String(), Filter: r.String(), Reason: r.String(), At: r.Time()}
+		n := r.Count(9) // an empty term and its score
 		for i := 0; i < n && r.err == nil; i++ {
-			p.Rec.Terms = append(p.Rec.Terms, TermState{Term: r.string(), Score: r.float64()})
+			p.Rec.Terms = append(p.Rec.Terms, TermState{Term: r.String(), Score: r.Float64()})
 		}
 		return p
 	}, OpPendingAdd)
@@ -303,28 +303,28 @@ func DecodePendingAdd(rec Record) (PendingAddPayload, error) {
 
 // DecodePendingTake decodes an OpPendingTake record.
 func DecodePendingTake(rec Record) (PendingTakePayload, error) {
-	return decodePayload(rec, func(r *reader) PendingTakePayload {
-		return PendingTakePayload{User: r.string(), ID: r.string(), Accepted: r.bool(), At: r.time()}
+	return decodePayload(rec, func(r *Reader) PendingTakePayload {
+		return PendingTakePayload{User: r.String(), ID: r.String(), Accepted: r.Bool(), At: r.Time()}
 	}, OpPendingTake)
 }
 
 // DecodeCursorAck decodes an OpCursorAck record.
 func DecodeCursorAck(rec Record) (CursorAckPayload, error) {
-	return decodePayload(rec, func(r *reader) CursorAckPayload {
-		return CursorAckPayload{User: r.string(), ID: r.string(), Seq: r.varint(), At: r.time()}
+	return decodePayload(rec, func(r *Reader) CursorAckPayload {
+		return CursorAckPayload{User: r.String(), ID: r.String(), Seq: r.Varint(), At: r.Time()}
 	}, OpCursorAck)
 }
 
 // DecodeReplPosition decodes an OpReplPosition record.
 func DecodeReplPosition(rec Record) (ReplPosition, error) {
-	return decodePayload(rec, func(r *reader) ReplPosition {
-		return ReplPosition{Source: r.string(), Epoch: r.varint(), Applied: r.varint()}
+	return decodePayload(rec, func(r *Reader) ReplPosition {
+		return ReplPosition{Source: r.String(), Epoch: r.Varint(), Applied: r.Varint()}
 	}, OpReplPosition)
 }
 
 // DecodePendingSeq decodes an OpPendingSeq record.
 func DecodePendingSeq(rec Record) (int64, error) {
-	return decodePayload(rec, (*reader).varint, OpPendingSeq)
+	return decodePayload(rec, (*Reader).Varint, OpPendingSeq)
 }
 
 // RecordUser returns the user of a user-addressed record — a subscribe,
@@ -335,8 +335,8 @@ func RecordUser(rec Record) (string, error) {
 	type userOnly struct {
 		User string `json:"user"`
 	}
-	p, err := decodePayload(rec, func(r *reader) userOnly {
-		u := userOnly{User: r.string()}
+	p, err := decodePayload(rec, func(r *Reader) userOnly {
+		u := userOnly{User: r.String()}
 		r.buf = nil // the rest is the op's own business
 		return u
 	}, OpSubscribe, OpUnsubscribe, OpPendingAdd, OpPendingTake, OpCursorAck)

@@ -243,45 +243,34 @@ func (r Record) version() byte {
 func (r Record) EncodedLen() int { return frameHeaderLen + minBodyLen + len(r.Payload) }
 
 // AppendEncoded appends the record's frame to dst and returns the
-// extended slice.
+// extended slice. The frame keeps the record's own version, so a record
+// decoded from a log re-encodes to exactly its bytes.
 func (r Record) AppendEncoded(dst []byte) []byte {
-	return appendFrame(dst, r.version(), r.Op, r.Payload, nil, nil)
+	dst, start := beginFrame(dst, r.version(), r.Op)
+	return EndFrame(append(dst, r.Payload...), start)
 }
 
-// AppendFrameParts encodes one frame whose payload is the concatenation
-// of a and b (either may be nil), without materializing the joined
-// payload — stream transports use it to frame a header and a shared
-// body as one record with zero intermediate allocation. The fixed
-// two-part shape (rather than a variadic) keeps the arguments off the
-// heap.
-func AppendFrameParts(dst []byte, op Op, a, b []byte) []byte {
-	return appendFrame(dst, op.currentVersion(), op, a, b, nil)
+// BeginFrame appends the head of a frame of op, in the version this
+// binary writes op in; the caller appends the payload straight after it,
+// and EndFrame then fills in the length and CRC. It is the one frame
+// writer: the WAL, the stream plane and the replication link all build
+// their frames in place in dst this way, so encoding a frame allocates
+// nothing beyond dst's growth.
+func BeginFrame(dst []byte, op Op) ([]byte, int) {
+	return beginFrame(dst, op.currentVersion(), op)
 }
 
-// AppendFrameParts3 is AppendFrameParts with a third payload part, for
-// frames that append a fixed trailer (the stream publish trace field)
-// after a shared body that must not be copied or mutated. Like the
-// two-part shape, the fixed arity keeps the arguments off the heap.
-func AppendFrameParts3(dst []byte, op Op, a, b, c []byte) []byte {
-	return appendFrame(dst, op.currentVersion(), op, a, b, c)
+func beginFrame(dst []byte, version byte, op Op) ([]byte, int) {
+	return append(dst, 0, 0, 0, 0, 0, 0, 0, 0, version, byte(op)), len(dst)
 }
 
-// appendFrame frames the payload a+b+c under the given version.
-func appendFrame(dst []byte, version byte, op Op, a, b, c []byte) []byte {
-	bodyLen := minBodyLen + len(a) + len(b) + len(c)
-	var hdr [frameHeaderLen + minBodyLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(bodyLen))
-	hdr[8] = version
-	hdr[9] = byte(op)
-	crc := crc32.Update(0, castagnoli, hdr[8:10])
-	crc = crc32.Update(crc, castagnoli, a)
-	crc = crc32.Update(crc, castagnoli, b)
-	crc = crc32.Update(crc, castagnoli, c)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, a...)
-	dst = append(dst, b...)
-	return append(dst, c...)
+// EndFrame completes the frame BeginFrame started at start: everything
+// appended after its head is the payload.
+func EndFrame(dst []byte, start int) []byte {
+	body := dst[start+frameHeaderLen:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(body, castagnoli))
+	return dst
 }
 
 // DecodeFrame decodes one frame from the front of buf without copying:

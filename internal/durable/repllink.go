@@ -3,7 +3,6 @@ package durable
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 )
 
@@ -53,36 +52,20 @@ type ReplAck struct {
 
 // AppendReplBatch appends b's OpReplBatch frame to dst.
 func AppendReplBatch(dst []byte, b ReplBatch) []byte {
-	dst, start := beginFrame(dst, OpReplBatch)
+	dst, start := BeginFrame(dst, OpReplBatch)
 	dst = binary.AppendUvarint(dst, uint64(b.Prev))
 	dst = binary.AppendUvarint(dst, uint64(b.Last))
 	dst = binary.AppendUvarint(dst, uint64(b.Count))
-	dst = appendBool(dst, b.Cut)
+	dst = AppendBool(dst, b.Cut)
 	dst = binary.AppendUvarint(dst, uint64(b.Bytes))
-	return endFrame(append(dst, b.Trace[:]...), start)
+	return EndFrame(append(dst, b.Trace[:]...), start)
 }
 
 // AppendReplAck appends a's OpReplAck frame to dst.
 func AppendReplAck(dst []byte, a ReplAck) []byte {
-	dst, start := beginFrame(dst, OpReplAck)
+	dst, start := BeginFrame(dst, OpReplAck)
 	dst = binary.AppendUvarint(append(dst, byte(a.Kind)), uint64(a.Acked))
-	return endFrame(AppendString(dst, a.Err), start)
-}
-
-// beginFrame appends the head of a version-1 frame of op, whose payload
-// the caller appends next; endFrame then fills in its length and CRC.
-// The payload is built in dst itself: appendFrame's parts escape to the
-// heap through its CRC calls, which would cost these per-batch frames
-// two allocations each.
-func beginFrame(dst []byte, op Op) ([]byte, int) {
-	return append(dst, 0, 0, 0, 0, 0, 0, 0, 0, VersionJSON, byte(op)), len(dst)
-}
-
-func endFrame(dst []byte, start int) []byte {
-	body := dst[start+frameHeaderLen:]
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(body, castagnoli))
-	return dst
+	return EndFrame(AppendString(dst, a.Err), start)
 }
 
 // DecodeReplBatch decodes an OpReplBatch record.
@@ -91,13 +74,13 @@ func DecodeReplBatch(rec Record) (ReplBatch, error) {
 	if err != nil {
 		return ReplBatch{}, err
 	}
-	b := ReplBatch{Prev: r.position(), Last: r.position(), Count: r.size(), Cut: r.bool(), Bytes: r.size()}
+	b := ReplBatch{Prev: r.position(), Last: r.position(), Count: r.size(), Cut: r.Bool(), Bytes: r.size()}
 	if r.err == nil && len(r.buf) != len(b.Trace) {
 		r.fail("trace of %d bytes", len(r.buf))
 	}
 	copy(b.Trace[:], r.buf)
 	r.buf = nil
-	if err := r.finish(); err != nil {
+	if err := r.Finish(); err != nil {
 		return ReplBatch{}, fmt.Errorf("%v payload: %w", rec.Op, err)
 	}
 	return b, nil
@@ -109,18 +92,11 @@ func DecodeReplAck(rec Record) (ReplAck, error) {
 	if err != nil {
 		return ReplAck{}, err
 	}
-	var a ReplAck
-	if len(r.buf) > 0 {
-		a.Kind = ReplAckKind(r.buf[0])
-		r.buf = r.buf[1:]
-	} else {
-		r.fail("empty payload")
-	}
-	a.Acked, a.Err = r.position(), r.string()
+	a := ReplAck{Kind: ReplAckKind(r.Byte()), Acked: r.position(), Err: r.String()}
 	if r.err == nil && a.Kind >= ackKinds {
 		r.fail("ack kind %d", a.Kind)
 	}
-	if err := r.finish(); err != nil {
+	if err := r.Finish(); err != nil {
 		return ReplAck{}, fmt.Errorf("%v payload: %w", rec.Op, err)
 	}
 	return a, nil
@@ -128,19 +104,19 @@ func DecodeReplAck(rec Record) (ReplAck, error) {
 
 // linkReader checks a link record's op and version and returns a reader
 // over its payload.
-func linkReader(rec Record, op Op) (reader, error) {
+func linkReader(rec Record, op Op) (Reader, error) {
 	if rec.Op != op {
-		return reader{}, fmt.Errorf("%w: %v record, want %v", ErrPayload, rec.Op, op)
+		return Reader{}, fmt.Errorf("%w: %v record, want %v", ErrPayload, rec.Op, op)
 	}
 	if rec.version() != VersionJSON {
-		return reader{}, fmt.Errorf("%w: %d for %v", ErrVersion, rec.version(), op)
+		return Reader{}, fmt.Errorf("%w: %d for %v", ErrVersion, rec.version(), op)
 	}
-	return reader{buf: rec.Payload}, nil
+	return NewReader(rec.Payload), nil
 }
 
 // position reads a uvarint that must fit an int64 stream position.
-func (r *reader) position() int64 {
-	v := r.uvarint()
+func (r *Reader) position() int64 {
+	v := r.Uvarint()
 	if v > math.MaxInt64 {
 		r.fail("position %d out of range", v)
 		return 0
@@ -150,8 +126,8 @@ func (r *reader) position() int64 {
 
 // size reads a uvarint count or length, bounded by the largest frame:
 // no batch holds more records or bytes than that.
-func (r *reader) size() int {
-	v := r.uvarint()
+func (r *Reader) size() int {
+	v := r.Uvarint()
 	if v > MaxRecordLen+frameHeaderLen {
 		r.fail("size %d out of range", v)
 		return 0

@@ -54,7 +54,7 @@ func FuzzReplicationLink(f *testing.F) {
 			if re := durable.AppendReplBatch(nil, h); !bytes.Equal(re, head) {
 				t.Fatalf("header re-encodes differently:\n got %x\nwant %x", re, head)
 			}
-			_, _ = m.ingest("a", 1, h, got)
+			m.IngestRecords("a", 1, h, got)
 		}
 		r = bytes.NewReader(data)
 		if a, err := readAck(r, &buf); err == nil {

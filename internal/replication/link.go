@@ -165,41 +165,27 @@ func (m *Manager) serveLink(conn net.Conn, br *bufio.Reader, source string, epoc
 	var frames []byte
 	for {
 		h, err := readBatch(br, &buf, &frames)
-		ack := durable.ReplAck{Kind: durable.AckError}
-		if err == nil {
+		var ack durable.ReplAck
+		if err != nil {
+			ack = ackError(err)
+		} else {
 			begin := time.Now()
-			ack, err = m.ingest(source, epoch, h, frames)
+			ack = m.IngestRecords(source, epoch, h, frames)
 			if m.opt.Trace != nil {
 				m.opt.Trace.Record(trace.Span{
 					Trace: trace.ID(h.Trace), Op: "repl.apply", Node: m.opt.Self, Shard: -1,
-					Start: begin, Duration: time.Since(begin), Err: errString(err),
+					Start: begin, Duration: time.Since(begin), Err: ack.Err,
 				})
 			}
 		}
 		if cap(frames) > linkBufSize {
 			frames = nil // a large batch's buffer is not kept for the next
 		}
-		if err != nil {
-			ack.Err = err.Error()
-		}
 		out = durable.AppendReplAck(out[:0], ack)
-		if _, werr := conn.Write(out); werr != nil || err != nil {
+		if _, werr := conn.Write(out); werr != nil || ack.Kind == durable.AckError {
 			return
 		}
 	}
-}
-
-// ingest applies one batch through IngestRecords and phrases the
-// outcome as an ack: a watermark conflict is an answer, not an error.
-func (m *Manager) ingest(source string, epoch int64, h durable.ReplBatch, frames []byte) (durable.ReplAck, error) {
-	ack, err := m.IngestRecords(source, epoch, h.Prev, h.Last, h.Count, h.Cut, frames)
-	if err == nil {
-		return durable.ReplAck{Kind: durable.AckOK, Acked: ack.Acked}, nil
-	}
-	if conflict := (*ConflictError)(nil); errors.As(err, &conflict) {
-		return durable.ReplAck{Kind: durable.AckConflict, Acked: conflict.Ack.Acked}, nil
-	}
-	return durable.ReplAck{Kind: durable.AckError}, err
 }
 
 // track registers a link for Close to close, and counts it in wg until

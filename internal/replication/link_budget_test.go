@@ -37,8 +37,8 @@ func (c *countingConn) Read(p []byte) (int, error) {
 // linkAllocsPerBatch is the measured allocation count of one shipped
 // batch of one record, sender and receiver together (the offer's frame
 // and routing, the trace ID, the receiver's decode, position record and
-// apply), 12.1 on linux/amd64, plus 1.5 of slack.
-const linkAllocsPerBatch = 12.1 + 1.5
+// apply), 11.1 on linux/amd64, plus 1.5 of slack.
+const linkAllocsPerBatch = 11.1 + 1.5
 
 // TestReplicationLinkBudget is the "link cost per batch" row: 1 000
 // batches to one peer ride exactly one upgraded connection, a peer

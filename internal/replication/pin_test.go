@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"reef/internal/durable"
 )
 
 // racingApplier is a sender's applier whose next capture, once armed,
@@ -20,11 +22,11 @@ type racingApplier struct {
 // raceRec is the record tapped during the capture.
 var raceRec = cursorRec("race", 1000)
 
-func (r *racingApplier) CaptureReplicationState(pin func()) ([]byte, error) {
-	var cut []byte
+func (r *racingApplier) CaptureReplicationState(pin func()) ([]durable.Record, error) {
+	var cut []durable.Record
 	if m := r.race.Swap(nil); m != nil {
 		m.Offer(raceRec)
-		cut = raceRec.AppendEncoded(nil)
+		cut = []durable.Record{raceRec}
 	}
 	pin()
 	return cut, nil

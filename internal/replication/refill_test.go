@@ -16,17 +16,18 @@ import (
 	"reef/internal/routing"
 )
 
-// cutSource is a sender's applier whose every capture returns cut.
+// cutSource is a sender's applier whose every capture returns the run
+// whose frames are cut.
 type cutSource struct {
 	fakeApplier
 	cut      []byte
 	captures atomic.Int64
 }
 
-func (c *cutSource) CaptureReplicationState(pin func()) ([]byte, error) {
+func (c *cutSource) CaptureReplicationState(pin func()) ([]durable.Record, error) {
 	c.captures.Add(1)
 	pin()
-	return c.cut, nil
+	return durable.Replay(c.cut)
 }
 
 // applyCall is one apply call a receiver's applier saw: which method,

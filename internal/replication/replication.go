@@ -84,33 +84,14 @@ type Applier interface {
 	// returning.
 	ApplyReplicatedCut([]durable.Record) error
 	// CaptureReplicationState cuts this node's full state for a peer
-	// that can no longer catch up from the record stream, as the frames
-	// of the run of records that rebuilds it. It calls pin once while
-	// no record can reach the tap, so what pin reads of the queues
-	// matches the cut exactly.
-	CaptureReplicationState(pin func()) ([]byte, error)
+	// that can no longer catch up from the record stream, as the run of
+	// records that rebuilds it. It calls pin once while no record can
+	// reach the tap, so what pin reads of the queues matches the cut
+	// exactly.
+	CaptureReplicationState(pin func()) ([]durable.Record, error)
 	// ReplicationPositions reports the positions the applier's log holds,
 	// one per source; New resumes every inbound stream from them.
 	ReplicationPositions() []durable.ReplPosition
-}
-
-// Ack is the receiver's reply to a batch: the last stream position it
-// has applied from that source. On a watermark conflict the sender
-// adopts Acked and re-ships from there.
-type Ack struct {
-	Acked int64
-}
-
-// ConflictError reports a prev/applied watermark mismatch: the sender
-// and receiver disagree about the stream position (receiver restarted,
-// sender restarted with a new epoch, or a missed batch). It carries
-// the receiver's authoritative position.
-type ConflictError struct {
-	Ack Ack
-}
-
-func (e *ConflictError) Error() string {
-	return fmt.Sprintf("replication: stream position conflict, receiver applied through %d", e.Ack.Acked)
 }
 
 // Options configures a Manager.
@@ -400,40 +381,47 @@ func (m *Manager) enqueue(rec durable.Record, to []*peer) {
 }
 
 // IngestRecords is the receiver half of the batch protocol: decode the
-// frames, check the watermark handshake, and apply them with the new
-// position as the batch's last record, so it is journaled after the
-// records it covers, on stable storage before the Ack if it carries a
-// resync's records (cut), handed to the OS otherwise. A *ConflictError
-// return carries this node's authoritative position for the sender.
-func (m *Manager) IngestRecords(source string, epoch, prev, last int64, count int, cut bool, frames []byte) (Ack, error) {
+// frames h heads, check the watermark handshake, and apply them with the
+// new position as the batch's last record, so it is journaled after the
+// records it covers, on stable storage before the ack if it carries a
+// resync's records (h.Cut), handed to the OS otherwise. It answers with
+// the link's ack: AckOK through h.Last; AckConflict carrying this
+// node's position, which the sender adopts and re-ships from, when
+// h.Prev is not it (receiver restarted, sender restarted with a new
+// epoch, or a missed batch); AckError with the reason otherwise.
+func (m *Manager) IngestRecords(source string, epoch int64, h durable.ReplBatch, frames []byte) durable.ReplAck {
 	recs, err := durable.Replay(frames)
-	if err != nil {
-		return Ack{}, fmt.Errorf("replication: decoding batch from %s: %w", source, err)
-	}
-	if len(recs) != count {
-		return Ack{}, fmt.Errorf("replication: batch from %s carries %d records, header says %d", source, len(recs), count)
-	}
-	// A count below last-prev supersedes a gap: a resync's first batch,
-	// or an older sender's empty one across records for other peers.
-	if last < prev {
-		return Ack{}, fmt.Errorf("replication: bad batch watermarks prev=%d last=%d count=%d", prev, last, count)
+	switch {
+	case err != nil:
+		return ackError(fmt.Errorf("replication: decoding batch from %s: %w", source, err))
+	case len(recs) != h.Count:
+		return ackError(fmt.Errorf("replication: batch from %s carries %d records, header says %d", source, len(recs), h.Count))
+	case h.Last < h.Prev:
+		// A count below last-prev supersedes a gap: a resync's first
+		// batch, or an older sender's empty one across records for
+		// other peers. A last below prev is never valid.
+		return ackError(fmt.Errorf("replication: bad batch watermarks prev=%d last=%d count=%d", h.Prev, h.Last, h.Count))
 	}
 	m.inMu.Lock()
 	defer m.inMu.Unlock()
 	ss := m.source(source, epoch)
-	if prev != ss.Applied {
-		return Ack{}, &ConflictError{Ack: Ack{Acked: ss.Applied}}
+	if h.Prev != ss.Applied {
+		return durable.ReplAck{Kind: durable.AckConflict, Acked: ss.Applied}
 	}
 	apply := m.opt.Applier.ApplyReplicated
-	if cut {
+	if h.Cut {
 		apply = m.opt.Applier.ApplyReplicatedCut
 	}
-	if err := apply(append(recs, positionRecord(source, epoch, last))); err != nil {
-		return Ack{}, err
+	if err := apply(append(recs, positionRecord(source, epoch, h.Last))); err != nil {
+		return ackError(err)
 	}
-	ss.Applied = last
+	ss.Applied = h.Last
 	ss.LastIngest = time.Now()
-	return Ack{Acked: last}, nil
+	return durable.ReplAck{Kind: durable.AckOK, Acked: h.Last}
+}
+
+func ackError(err error) durable.ReplAck {
+	return durable.ReplAck{Kind: durable.AckError, Err: err.Error()}
 }
 
 func positionRecord(source string, epoch, applied int64) durable.Record {

@@ -82,9 +82,9 @@ func (f *fakeApplier) ApplyReplicatedCut(recs []durable.Record) error {
 	return f.ApplyReplicated(recs[n:])
 }
 
-func (f *fakeApplier) CaptureReplicationState(pin func()) ([]byte, error) {
+func (f *fakeApplier) CaptureReplicationState(pin func()) ([]durable.Record, error) {
 	pin()
-	return durable.PendingSeqRecord(7).AppendEncoded(nil), nil
+	return []durable.Record{durable.PendingSeqRecord(7)}, nil
 }
 
 func (f *fakeApplier) applied() []durable.Record {
@@ -492,8 +492,8 @@ func TestSenderEpochReset(t *testing.T) {
 	}
 	defer recv.Close()
 	// Seed the receiver with an old-epoch position deep in the stream.
-	if _, err := recv.IngestRecords("a", 111, 0, 5, 1, false, cursorRec("u", 1).AppendEncoded(nil)); err != nil {
-		t.Fatal(err)
+	if ack := recv.IngestRecords("a", 111, durable.ReplBatch{Last: 5, Count: 1}, cursorRec("u", 1).AppendEncoded(nil)); ack.Kind != durable.AckOK {
+		t.Fatal(ack)
 	}
 	srv := serve(t, func() *Manager { return recv })
 	sender, err := New(Options{
@@ -528,26 +528,24 @@ func TestIngestValidation(t *testing.T) {
 
 	frames := cursorRec("u", 1).AppendEncoded(nil)
 	// Wrong prev → conflict carrying the authoritative position.
-	var conflict *ConflictError
-	if _, err := m.IngestRecords("a", 1, 5, 6, 1, false, frames); !errors.As(err, &conflict) || conflict.Ack.Acked != 0 {
-		t.Fatalf("prev mismatch = %v, want ConflictError{0}", err)
+	if ack := m.IngestRecords("a", 1, durable.ReplBatch{Prev: 5, Last: 6, Count: 1}, frames); ack.Kind != durable.AckConflict || ack.Acked != 0 {
+		t.Fatalf("prev mismatch = %+v, want a conflict at 0", ack)
 	}
 	// Count mismatch.
-	if _, err := m.IngestRecords("a", 1, 0, 1, 2, false, frames); err == nil {
-		t.Fatal("count mismatch accepted")
+	if ack := m.IngestRecords("a", 1, durable.ReplBatch{Last: 1, Count: 2}, frames); ack.Kind != durable.AckError {
+		t.Fatalf("count mismatch = %+v, want an error", ack)
 	}
 	// Corrupt frames.
-	if _, err := m.IngestRecords("a", 1, 0, 1, 1, false, []byte("garbage-bytes")); err == nil {
-		t.Fatal("corrupt frames accepted")
+	if ack := m.IngestRecords("a", 1, durable.ReplBatch{Last: 1, Count: 1}, []byte("garbage-bytes")); ack.Kind != durable.AckError {
+		t.Fatalf("corrupt frames = %+v, want an error", ack)
 	}
 	// Regressing watermark.
-	if _, err := m.IngestRecords("a", 1, 3, 2, 0, false, nil); err == nil {
-		t.Fatal("regressing watermark accepted")
+	if ack := m.IngestRecords("a", 1, durable.ReplBatch{Prev: 3, Last: 2}, nil); ack.Kind != durable.AckError {
+		t.Fatalf("regressing watermark = %+v, want an error", ack)
 	}
 	// count==0 with last>prev is a legitimate gap-only advance.
-	ack, err := m.IngestRecords("a", 1, 0, 4, 0, false, nil)
-	if err != nil || ack.Acked != 4 {
-		t.Fatalf("watermark advance = (%+v, %v), want acked 4", ack, err)
+	if ack := m.IngestRecords("a", 1, durable.ReplBatch{Last: 4}, nil); ack.Kind != durable.AckOK || ack.Acked != 4 {
+		t.Fatalf("watermark advance = %+v, want acked 4", ack)
 	}
 }
 

@@ -2,7 +2,6 @@ package replication
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
 	"slices"
 	"sync"
@@ -351,12 +350,8 @@ func (m *Manager) resync(p *peer) error {
 	if err != nil {
 		return err
 	}
-	recs, err := durable.Replay(cut)
-	if err != nil {
-		return fmt.Errorf("replication: decoding the resync cut: %w", err)
-	}
 	var share []entry
-	for _, rec := range recs {
+	for _, rec := range cut {
 		m.route(rec, func(rec durable.Record, to []*peer) {
 			if slices.Contains(to, p) {
 				share = append(share, entry{enc: rec.AppendEncoded(nil), at: time.Now()})

@@ -541,7 +541,7 @@ func TestClientReplicationStatus(t *testing.T) {
 // noopApplier satisfies replication.Applier for status tests.
 type noopApplier struct{}
 
-func (noopApplier) ApplyReplicated([]durable.Record) error         { return nil }
-func (noopApplier) ApplyReplicatedCut([]durable.Record) error      { return nil }
-func (noopApplier) CaptureReplicationState(func()) ([]byte, error) { return nil, nil }
-func (noopApplier) ReplicationPositions() []durable.ReplPosition   { return nil }
+func (noopApplier) ApplyReplicated([]durable.Record) error                   { return nil }
+func (noopApplier) ApplyReplicatedCut([]durable.Record) error                { return nil }
+func (noopApplier) CaptureReplicationState(func()) ([]durable.Record, error) { return nil, nil }
+func (noopApplier) ReplicationPositions() []durable.ReplPosition             { return nil }

@@ -36,7 +36,7 @@ func (a *replTestApplier) ApplyReplicatedCut([]durable.Record) error {
 	return nil
 }
 
-func (a *replTestApplier) CaptureReplicationState(pin func()) ([]byte, error) {
+func (a *replTestApplier) CaptureReplicationState(pin func()) ([]durable.Record, error) {
 	pin()
 	return nil, nil
 }

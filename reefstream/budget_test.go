@@ -18,9 +18,9 @@ const (
 	// field.
 	clicksFrameBytesPerClick = 83.1 + 1
 	// clicksAllocsPerClick covers one Client.IngestClicks round trip,
-	// client encode and server decode: measured 2.06 (a URL and a
+	// client encode and server decode: measured 2.00 (a URL and a
 	// referrer string per click; the user string is shared), slack 0.5.
-	clicksAllocsPerClick = 2.06 + 0.5
+	clicksAllocsPerClick = 2.00 + 0.5
 )
 
 // clicksOnlyDep is a deployment that only takes clicks, so an

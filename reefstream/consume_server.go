@@ -206,8 +206,9 @@ func (cs *connState) runPusher(c *consumerState) {
 
 // push leases up to the consumer's credit in MaxFrameEvents chunks and
 // ships each chunk as one deliver frame, reusing the caller's lease and
-// frame buffers across fetches (the zero-alloc encode path). Unused
-// credit is refunded. Returns false when pushing must stop for good.
+// frame buffers across fetches: encoding a deliver frame allocates
+// nothing (TestFrameEncodeAllocs pins it). Unused credit is refunded.
+// Returns false when pushing must stop for good.
 func (cs *connState) push(c *consumerState, ds *[]delivery.Delivered, frame *[]byte) bool {
 	ctx := context.Background()
 	for {

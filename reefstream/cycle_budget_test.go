@@ -17,10 +17,10 @@ import (
 // Count budgets of one stream publish → push → ack cycle, per event.
 // Each bound is the value measured when it was set plus a stated slack.
 const (
-	// cycleAllocsPerEvent: measured 8.58 to 8.59, whole process and
+	// cycleAllocsPerEvent: measured 8.20 to 8.21, whole process and
 	// steady run to run (11.90 when the stream decoded into maps); slack
 	// 0.75 admits a stray allocation per frame, not one more per event.
-	cycleAllocsPerEvent = 8.59 + 0.75
+	cycleAllocsPerEvent = 8.21 + 0.75
 	// cycleBytesPerEvent: measured 2 984 to 3 039 B (6 800 B when every
 	// decode copied the whole frame into one shared string). Each event
 	// is allocated twice, by the server's decode and by the client's,

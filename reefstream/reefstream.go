@@ -12,10 +12,12 @@
 // Every message on the wire is one internal/durable record frame
 // ([4B body length][4B CRC32-C][1B version][1B op][payload]), so the
 // ingest wire format and the WAL/replication format are a single codec
-// with a single fuzzer; the varint and length-prefix primitives of the
-// payloads below are internal/durable's, which the WAL's version-2
-// payloads are built from too. Stream frames carry version 1. Eight ops
-// exist only on the wire and never in a WAL file:
+// with a single fuzzer. Each encoder below builds its frame in place
+// with durable.BeginFrame/EndFrame, the WAL's own frame writer, and
+// each decoder reads its payload with durable.Reader, the WAL's own
+// payload reader, so a stream frame costs no allocation to encode and
+// shares every bounds check with the log. Stream frames carry version
+// 1. Eight ops exist only on the wire and never in a WAL file:
 //
 //	OpStreamHello      (8)  JSON handshake, both directions
 //	OpStreamPublish    (9)  [8B LE seq][uvarint n][n × event][optional 16B trace ID]
@@ -347,18 +349,17 @@ func decodeEvent(buf []byte, ev *pubsub.Event, pairs *[]eventalg.Attr) ([]byte, 
 // untraced publishers send); any other tail length is malformed.
 func decodePublish(payload []byte, evs []pubsub.Event) (uint64, trace.ID, []pubsub.Event, error) {
 	var tr trace.ID
-	if len(payload) < 8 {
-		return 0, tr, nil, fmt.Errorf("%w: truncated publish header", ErrBadFrame)
-	}
-	seq := binary.LittleEndian.Uint64(payload[:8])
-	n, rest, err := durable.DecodeUvarint(payload[8:])
-	if err != nil {
+	r := durable.NewReader(payload)
+	seq, n := r.Uint64(), r.Count(1)
+	if err := r.Err(); err != nil {
 		return 0, tr, nil, badFrame(err)
 	}
-	if n > MaxFrameEvents || n > uint64(len(rest)) {
-		return 0, tr, nil, fmt.Errorf("%w: %d events in %d bytes", ErrBadFrame, n, len(rest))
+	if n > MaxFrameEvents {
+		return 0, tr, nil, fmt.Errorf("%w: %d events in one frame", ErrBadFrame, n)
 	}
-	for i := uint64(0); i < n; i++ {
+	rest := r.Rest()
+	var err error
+	for range n {
 		evs = append(evs, pubsub.Event{})
 		if rest, err = decodeEvent(rest, &evs[len(evs)-1], nil); err != nil {
 			return 0, tr, nil, err
@@ -376,37 +377,35 @@ func decodePublish(payload []byte, evs []pubsub.Event) (uint64, trace.ID, []pubs
 
 // appendPublishFrame frames seq + an EncodeEvents payload (+ the
 // optional trailing trace ID) as one OpStreamPublish record appended to
-// dst, without materializing the joined body. The payload slice is
-// never appended into — a cluster fan-out ships the same encoded body
-// to every node, so writing the trace into its spare capacity would
-// race across connections.
+// dst. The payload slice is copied, never appended into — a cluster
+// fan-out ships the same encoded body to every node, so writing the
+// trace into its spare capacity would race across connections.
 func appendPublishFrame(dst []byte, seq uint64, payload []byte, tr trace.ID) []byte {
-	var seqBuf [8]byte
-	binary.LittleEndian.PutUint64(seqBuf[:], seq)
-	if tr.IsZero() {
-		return durable.AppendFrameParts(dst, durable.OpStreamPublish, seqBuf[:], payload)
+	dst, start := durable.BeginFrame(dst, durable.OpStreamPublish)
+	dst = append(binary.LittleEndian.AppendUint64(dst, seq), payload...)
+	if !tr.IsZero() {
+		dst = append(dst, tr[:]...)
 	}
-	return durable.AppendFrameParts3(dst, durable.OpStreamPublish, seqBuf[:], payload, tr[:])
+	return durable.EndFrame(dst, start)
 }
 
 // appendClicksFrame frames seq + a durable.AppendClicks payload as one
 // OpStreamClicks record appended to dst.
 func appendClicksFrame(dst []byte, seq uint64, payload []byte) []byte {
-	var seqBuf [8]byte
-	binary.LittleEndian.PutUint64(seqBuf[:], seq)
-	return durable.AppendFrameParts(dst, durable.OpStreamClicks, seqBuf[:], payload)
+	dst, start := durable.BeginFrame(dst, durable.OpStreamClicks)
+	dst = append(binary.LittleEndian.AppendUint64(dst, seq), payload...)
+	return durable.EndFrame(dst, start)
 }
 
 // decodeClicksFrame decodes an OpStreamClicks payload into its sequence
 // number and clicks. The count is checked against MaxFrameEvents before
 // the durable decoder allocates for it.
 func decodeClicksFrame(payload []byte) (uint64, []reef.Click, error) {
-	if len(payload) < 8 {
-		return 0, nil, fmt.Errorf("%w: truncated clicks header", ErrBadFrame)
-	}
-	body := payload[8:]
-	n, _, err := durable.DecodeUvarint(body)
-	if err != nil {
+	r := durable.NewReader(payload)
+	seq := r.Uint64()
+	body := r.Rest()
+	n := r.Uvarint()
+	if err := r.Err(); err != nil {
 		return 0, nil, badFrame(err)
 	}
 	if n > MaxFrameEvents {
@@ -416,7 +415,7 @@ func decodeClicksFrame(payload []byte) (uint64, []reef.Click, error) {
 	if err != nil {
 		return 0, nil, badFrame(err)
 	}
-	return binary.LittleEndian.Uint64(payload[:8]), p.Clicks, nil
+	return seq, p.Clicks, nil
 }
 
 // ack is a decoded OpStreamAck. connDead is never on the wire: it is
@@ -431,31 +430,19 @@ type ack struct {
 }
 
 func appendAckFrame(dst []byte, a ack) []byte {
-	var fixed [17 + binary.MaxVarintLen64]byte
-	binary.LittleEndian.PutUint64(fixed[0:8], a.Seq)
-	binary.LittleEndian.PutUint64(fixed[8:16], a.Delivered)
-	fixed[16] = byte(a.Status)
-	n := 17 + binary.PutUvarint(fixed[17:], uint64(len(a.Message)))
-	return durable.AppendFrameParts(dst, durable.OpStreamAck, fixed[:n], []byte(a.Message))
+	dst, start := durable.BeginFrame(dst, durable.OpStreamAck)
+	dst = binary.LittleEndian.AppendUint64(dst, a.Seq)
+	dst = binary.LittleEndian.AppendUint64(dst, a.Delivered)
+	dst = durable.AppendString(append(dst, byte(a.Status)), a.Message)
+	return durable.EndFrame(dst, start)
 }
 
 func decodeAck(payload []byte) (ack, error) {
-	if len(payload) < 17 {
-		return ack{}, fmt.Errorf("%w: truncated ack", ErrBadFrame)
-	}
-	a := ack{
-		Seq:       binary.LittleEndian.Uint64(payload[0:8]),
-		Delivered: binary.LittleEndian.Uint64(payload[8:16]),
-		Status:    int(payload[16]),
-	}
-	msg, rest, err := durable.DecodeBytes(payload[17:])
-	if err != nil {
+	r := durable.NewReader(payload)
+	a := ack{Seq: r.Uint64(), Delivered: r.Uint64(), Status: int(r.Byte()), Message: r.String()}
+	if err := r.Finish(); err != nil {
 		return ack{}, badFrame(err)
 	}
-	if len(rest) != 0 {
-		return ack{}, fmt.Errorf("%w: %d trailing bytes after ack", ErrBadFrame, len(rest))
-	}
-	a.Message = string(msg)
 	return a, nil
 }
 
@@ -474,41 +461,20 @@ type subscribe struct {
 }
 
 func appendSubscribeFrame(dst []byte, s subscribe) []byte {
-	var fixed [16 + binary.MaxVarintLen64]byte
-	binary.LittleEndian.PutUint64(fixed[0:8], s.Seq)
-	binary.LittleEndian.PutUint64(fixed[8:16], s.CID)
-	n := 16 + binary.PutUvarint(fixed[16:], s.Credit)
-	body := make([]byte, 0, 2*binary.MaxVarintLen64+len(s.User)+len(s.SubID))
-	body = durable.AppendString(body, s.User)
-	body = durable.AppendString(body, s.SubID)
-	return durable.AppendFrameParts(dst, durable.OpStreamSubscribe, fixed[:n], body)
+	dst, start := durable.BeginFrame(dst, durable.OpStreamSubscribe)
+	dst = binary.LittleEndian.AppendUint64(dst, s.Seq)
+	dst = binary.LittleEndian.AppendUint64(dst, s.CID)
+	dst = binary.AppendUvarint(dst, s.Credit)
+	dst = durable.AppendString(dst, s.User)
+	return durable.EndFrame(durable.AppendString(dst, s.SubID), start)
 }
 
 func decodeSubscribe(payload []byte) (subscribe, error) {
-	if len(payload) < 16 {
-		return subscribe{}, fmt.Errorf("%w: truncated subscribe", ErrBadFrame)
-	}
-	s := subscribe{
-		Seq: binary.LittleEndian.Uint64(payload[0:8]),
-		CID: binary.LittleEndian.Uint64(payload[8:16]),
-	}
-	credit, rest, err := durable.DecodeUvarint(payload[16:])
-	if err != nil {
+	r := durable.NewReader(payload)
+	s := subscribe{Seq: r.Uint64(), CID: r.Uint64(), Credit: r.Uvarint(), User: r.String(), SubID: r.String()}
+	if err := r.Finish(); err != nil {
 		return subscribe{}, badFrame(err)
 	}
-	s.Credit = credit
-	user, rest, err := durable.DecodeBytes(rest)
-	if err != nil {
-		return subscribe{}, badFrame(err)
-	}
-	subID, rest, err := durable.DecodeBytes(rest)
-	if err != nil {
-		return subscribe{}, badFrame(err)
-	}
-	if len(rest) != 0 {
-		return subscribe{}, fmt.Errorf("%w: %d trailing bytes after subscribe", ErrBadFrame, len(rest))
-	}
-	s.User, s.SubID = string(user), string(subID)
 	return s, nil
 }
 
@@ -516,23 +482,17 @@ func decodeSubscribe(payload []byte) (subscribe, error) {
 // then each leased event as [8B LE seq][uvarint attempts][event]. The
 // events are encoded from the engine's own form; encode allocates
 // nothing beyond dst's growth.
-var deliverBodyPool = sync.Pool{New: func() any { return new([]byte) }}
-
 func appendDeliverFrame(dst []byte, cid uint64, ds []delivery.Delivered) []byte {
-	bp := deliverBodyPool.Get().(*[]byte)
-	buf := (*bp)[:0]
-	buf = binary.LittleEndian.AppendUint64(buf, cid)
-	buf = binary.AppendUvarint(buf, uint64(len(ds)))
+	dst, start := durable.BeginFrame(dst, durable.OpStreamDeliver)
+	dst = binary.LittleEndian.AppendUint64(dst, cid)
+	dst = binary.AppendUvarint(dst, uint64(len(ds)))
 	for i := range ds {
 		d := &ds[i]
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(d.Seq))
-		buf = binary.AppendUvarint(buf, uint64(d.Attempts))
-		buf = appendEvent(buf, d.Event.Source, d.Event.Attrs, d.Event.Payload, d.Event.Published)
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(d.Seq))
+		dst = binary.AppendUvarint(dst, uint64(d.Attempts))
+		dst = appendEvent(dst, d.Event.Source, d.Event.Attrs, d.Event.Payload, d.Event.Published)
 	}
-	dst = durable.AppendFrameParts(dst, durable.OpStreamDeliver, buf, nil)
-	*bp = buf
-	deliverBodyPool.Put(bp)
-	return dst
+	return durable.EndFrame(dst, start)
 }
 
 // decodeDeliver decodes an OpStreamDeliver payload into its consumer ID
@@ -541,33 +501,28 @@ func appendDeliverFrame(dst []byte, cid uint64, ds []delivery.Delivered) []byte 
 // decodeEvent's, so a caller that converts the events straight away can
 // reuse one pair buffer across frames.
 func decodeDeliver(payload []byte, ds []delivery.Delivered, pairs *[]eventalg.Attr) (uint64, []delivery.Delivered, error) {
-	if len(payload) < 8 {
-		return 0, nil, fmt.Errorf("%w: truncated deliver header", ErrBadFrame)
-	}
-	cid := binary.LittleEndian.Uint64(payload[:8])
-	n, rest, err := durable.DecodeUvarint(payload[8:])
-	if err != nil {
+	r := durable.NewReader(payload)
+	cid, n := r.Uint64(), r.Count(1)
+	if err := r.Err(); err != nil {
 		return 0, nil, badFrame(err)
 	}
-	if n > MaxFrameEvents || n > uint64(len(rest)) {
-		return 0, nil, fmt.Errorf("%w: %d deliveries in %d bytes", ErrBadFrame, n, len(rest))
+	if n > MaxFrameEvents {
+		return 0, nil, fmt.Errorf("%w: %d deliveries in one frame", ErrBadFrame, n)
 	}
-	for i := uint64(0); i < n; i++ {
-		if len(rest) < 8 {
-			return 0, nil, fmt.Errorf("%w: truncated delivery seq", ErrBadFrame)
-		}
-		seq := binary.LittleEndian.Uint64(rest[:8])
-		attempts, r2, err := durable.DecodeUvarint(rest[8:])
-		if err != nil {
+	for range n {
+		d := delivery.Delivered{Seq: int64(r.Uint64()), Attempts: int(r.Uvarint())}
+		if err := r.Err(); err != nil {
 			return 0, nil, badFrame(err)
 		}
-		ds = append(ds, delivery.Delivered{Seq: int64(seq), Attempts: int(attempts)})
-		if rest, err = decodeEvent(r2, &ds[len(ds)-1].Event, pairs); err != nil {
+		ds = append(ds, d)
+		rest, err := decodeEvent(r.Rest(), &ds[len(ds)-1].Event, pairs)
+		if err != nil {
 			return 0, nil, err
 		}
+		r = durable.NewReader(rest)
 	}
-	if len(rest) != 0 {
-		return 0, nil, fmt.Errorf("%w: %d trailing bytes after deliveries", ErrBadFrame, len(rest))
+	if err := r.Finish(); err != nil {
+		return 0, nil, badFrame(err)
 	}
 	return cid, ds, nil
 }
@@ -594,29 +549,20 @@ type consumeAck struct {
 }
 
 func appendConsumeAckFrame(dst []byte, a consumeAck) []byte {
-	var fixed [25]byte
-	binary.LittleEndian.PutUint64(fixed[0:8], a.Seq)
-	binary.LittleEndian.PutUint64(fixed[8:16], a.CID)
-	binary.LittleEndian.PutUint64(fixed[16:24], uint64(a.AckSeq))
-	if a.Nack {
-		fixed[24] = 1
-	}
-	return durable.AppendFrameParts(dst, durable.OpStreamConsumeAck, fixed[:], nil)
+	dst, start := durable.BeginFrame(dst, durable.OpStreamConsumeAck)
+	dst = binary.LittleEndian.AppendUint64(dst, a.Seq)
+	dst = binary.LittleEndian.AppendUint64(dst, a.CID)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(a.AckSeq))
+	return durable.EndFrame(durable.AppendBool(dst, a.Nack), start)
 }
 
 func decodeConsumeAck(payload []byte) (consumeAck, error) {
-	if len(payload) != 25 {
-		return consumeAck{}, fmt.Errorf("%w: consume-ack length %d, want 25", ErrBadFrame, len(payload))
+	r := durable.NewReader(payload)
+	a := consumeAck{Seq: r.Uint64(), CID: r.Uint64(), AckSeq: int64(r.Uint64()), Nack: r.Bool()}
+	if err := r.Finish(); err != nil {
+		return consumeAck{}, badFrame(err)
 	}
-	if payload[24] > 1 {
-		return consumeAck{}, fmt.Errorf("%w: consume-ack nack byte %d", ErrBadFrame, payload[24])
-	}
-	return consumeAck{
-		Seq:    binary.LittleEndian.Uint64(payload[0:8]),
-		CID:    binary.LittleEndian.Uint64(payload[8:16]),
-		AckSeq: int64(binary.LittleEndian.Uint64(payload[16:24])),
-		Nack:   payload[24] == 1,
-	}, nil
+	return a, nil
 }
 
 // credit is a decoded OpStreamCredit: a fire-and-forget flow-control
@@ -627,24 +573,16 @@ type credit struct {
 }
 
 func appendCreditFrame(dst []byte, c credit) []byte {
-	var fixed [8 + binary.MaxVarintLen64]byte
-	binary.LittleEndian.PutUint64(fixed[0:8], c.CID)
-	n := 8 + binary.PutUvarint(fixed[8:], c.N)
-	return durable.AppendFrameParts(dst, durable.OpStreamCredit, fixed[:n], nil)
+	dst, start := durable.BeginFrame(dst, durable.OpStreamCredit)
+	dst = binary.LittleEndian.AppendUint64(dst, c.CID)
+	return durable.EndFrame(binary.AppendUvarint(dst, c.N), start)
 }
 
 func decodeCredit(payload []byte) (credit, error) {
-	if len(payload) < 8 {
-		return credit{}, fmt.Errorf("%w: truncated credit", ErrBadFrame)
-	}
-	c := credit{CID: binary.LittleEndian.Uint64(payload[0:8])}
-	n, rest, err := durable.DecodeUvarint(payload[8:])
-	if err != nil {
+	r := durable.NewReader(payload)
+	c := credit{CID: r.Uint64(), N: r.Uvarint()}
+	if err := r.Finish(); err != nil {
 		return credit{}, badFrame(err)
 	}
-	if len(rest) != 0 {
-		return credit{}, fmt.Errorf("%w: %d trailing bytes after credit", ErrBadFrame, len(rest))
-	}
-	c.N = n
 	return c, nil
 }

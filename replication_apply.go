@@ -97,12 +97,12 @@ func mergeReplPositions(tables []map[string]durable.ReplPosition) []durable.Repl
 
 // CaptureReplicationState cuts a consistent full state for a replica
 // that is too far behind to catch up from the record stream: every
-// shard's state, captured under the one journal lock, as the frames of
-// the run of records that rebuilds it — a snapshot file's body. pin runs
-// under the same lock (see durable.Journal.Capture). The cut carries no
+// shard's state, captured under the one journal lock, as the run of
+// records that rebuilds it — what a snapshot file holds. pin runs under
+// the same lock (see durable.Journal.Capture). The cut carries no
 // replication positions: they say what this node applied, which is
 // nothing a peer should adopt. A memory-only node cuts nothing.
-func (c *Centralized) CaptureReplicationState(pin func()) ([]byte, error) {
+func (c *Centralized) CaptureReplicationState(pin func()) ([]durable.Record, error) {
 	if err := c.checkOpen(context.Background()); err != nil {
 		return nil, err
 	}
@@ -111,7 +111,7 @@ func (c *Centralized) CaptureReplicationState(pin func()) ([]byte, error) {
 		return nil, err
 	}
 	st.ReplPositions = nil
-	return durable.AppendRun(nil, durable.StateRecords(st)), nil
+	return durable.StateRecords(st), nil
 }
 
 // ApplyReplicatedCut applies a peer's batch that carries resync cut

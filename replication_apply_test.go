@@ -189,11 +189,7 @@ func TestReplicationSnapshotCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cut, err := primary.CaptureReplicationState(func() {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := durable.Replay(cut)
+	run, err := primary.CaptureReplicationState(func() {})
 	if err != nil {
 		t.Fatal(err)
 	}
