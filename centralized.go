@@ -100,8 +100,10 @@ func (sp *serverPolicy) ingest(_ context.Context, _ *engine, clicks []Click) (in
 }
 
 // newFrontend builds a user's frontend over a sidebar whose clicks and
-// expiries feed back to the server's recommender.
+// expiries feed back to the server's recommender, through the user's
+// feedback route rather than by user ID.
 func (sp *serverPolicy) newFrontend(user string, sub frontend.Subscriber, proxy frontend.FeedProxy) *frontend.Frontend {
+	fb := sp.server.Feedback(user)
 	bar := frontend.NewSidebar(frontend.Config{
 		Capacity: sp.cfg.sidebarCapacity,
 		TTL:      sp.cfg.sidebarTTL,
@@ -109,7 +111,7 @@ func (sp *serverPolicy) newFrontend(user string, sub frontend.Subscriber, proxy 
 			if feedURL == "" {
 				return
 			}
-			sp.server.ObserveEventFeedback(user, feedURL, d == frontend.DispositionClicked, at)
+			fb.Observe(feedURL, d == frontend.DispositionClicked, at)
 		},
 	})
 	return frontend.NewFrontend(user, sub, proxy, bar, sp.cfg.clock.Now)

@@ -129,20 +129,21 @@ func (pp *peerPolicy) offer(e *engine, user string, recs []recommend.Recommendat
 // newFrontend builds the user's frontend and registers the user's peer
 // beside it. The sidebar's clicks and expiries, capacity evictions
 // included, feed back to the peer's recommender, as they feed the
-// server's in the centralized deployment; the peer is looked up when a
-// disposition happens.
+// server's in the centralized deployment. The sidebar holds its peer: a
+// user's frontend and peer are made together, once.
 func (pp *peerPolicy) newFrontend(user string, sub frontend.Subscriber, proxy frontend.FeedProxy) *frontend.Frontend {
+	p := core.NewPeer(core.PeerConfig{User: user})
 	bar := frontend.NewSidebar(frontend.Config{
 		Capacity: pp.cfg.sidebarCapacity,
 		TTL:      pp.cfg.sidebarTTL,
 		Feedback: func(feedURL string, d frontend.Disposition, at time.Time) {
-			if p, ok := pp.lookup(user); ok && feedURL != "" {
+			if feedURL != "" {
 				p.ObserveEventFeedback(feedURL, d == frontend.DispositionClicked, at)
 			}
 		},
 	})
 	pp.mu.Lock()
-	pp.peers[user] = core.NewPeer(core.PeerConfig{User: user})
+	pp.peers[user] = p
 	pp.mu.Unlock()
 	return frontend.NewFrontend(user, sub, proxy, bar, pp.cfg.clock.Now)
 }

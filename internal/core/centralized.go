@@ -303,6 +303,32 @@ func (s *Server) ObserveEventFeedback(user, feedURL string, clicked bool, at tim
 	s.topicRec.ObserveFeedback(user, feedURL, clicked, at)
 }
 
+// UserFeedback is one user's route for sidebar feedback into the server's
+// topic recommender: ObserveEventFeedback without hashing the user ID on
+// every call. It finds the user's recommender state at the first call
+// after the user has one and holds it from then on; until then a call is
+// a no-op, as ObserveEventFeedback is for a user with no state.
+type UserFeedback struct {
+	s    *Server
+	user string
+	st   *recommend.UserState // guarded by s.mu; nil until the user has state
+}
+
+// Feedback returns the user's feedback route.
+func (s *Server) Feedback(user string) *UserFeedback {
+	return &UserFeedback{s: s, user: user}
+}
+
+// Observe is ObserveEventFeedback for the route's user.
+func (fb *UserFeedback) Observe(feedURL string, clicked bool, at time.Time) {
+	fb.s.mu.Lock()
+	defer fb.s.mu.Unlock()
+	if fb.st == nil {
+		fb.st = fb.s.topicRec.Lookup(fb.user)
+	}
+	fb.st.ObserveFeedback(feedURL, clicked, at)
+}
+
 // Recommendations drains the user's outbox (Figure 1, step 2: the server
 // recommends subscribe/unsubscribe actions to the user).
 func (s *Server) Recommendations(user string) []recommend.Recommendation {

@@ -186,3 +186,23 @@ func TestServerFeedbackLoop(t *testing.T) {
 		t.Fatalf("sweep = %+v", recs)
 	}
 }
+
+// TestServerFeedbackRoute: a user's feedback route does nothing, and makes
+// no recommender state, until the user has state; from then on it reaches
+// that state: a click earns the feed a grace period, so a sweep at 1.5x
+// the inactivity window keeps it.
+func TestServerFeedbackRoute(t *testing.T) {
+	rig := newRig(t, 7)
+	feedURL := "http://c0002.web.test/feeds/0.xml"
+	fb := rig.server.Feedback("u1")
+	fb.Observe(feedURL, true, ct0)
+	if n := rig.server.TopicRecommender().Users(); n != 0 {
+		t.Fatalf("feedback for an unseen user made state: %d users", n)
+	}
+	rig.server.QueueFeedRecommendation("u1", feedURL, ct0)
+	rig.server.Recommendations("u1")
+	fb.Observe(feedURL, true, ct0.Add(time.Hour))
+	if recs := rig.server.TopicRecommender().SweepInactive(ct0.Add(30 * 24 * time.Hour)); len(recs) != 0 {
+		t.Fatalf("clicked feed swept early: %+v", recs)
+	}
+}

@@ -33,6 +33,9 @@ type Peer struct {
 	topicRec   *recommend.TopicRecommender
 	contentRec *recommend.ContentRecommender
 	knownFeeds map[string]struct{}
+	// self is the peer's user's state in topicRec, found at the first
+	// feedback after the user has one, so feedback does not hash the user.
+	self *recommend.UserState
 }
 
 // NewPeer builds a distributed peer.
@@ -156,11 +159,23 @@ func (p *Peer) peerFeedRecommendations(feeds []string, now time.Time) []recommen
 }
 
 // ObserveEventFeedback routes sidebar dispositions into the local
-// recommender (closed loop).
+// recommender (closed loop). Before the peer has seen its user browse
+// there is nothing to score, and the call is a no-op.
 func (p *Peer) ObserveEventFeedback(feedURL string, clicked bool, at time.Time) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.topicRec.ObserveFeedback(p.cfg.User, feedURL, clicked, at)
+	if p.self == nil {
+		p.self = p.topicRec.Lookup(p.cfg.User)
+	}
+	p.self.ObserveFeedback(feedURL, clicked, at)
+}
+
+// RecommenderUsers reports how many users the peer's topic recommender
+// holds state for: 0 until the peer has seen its user browse.
+func (p *Peer) RecommenderUsers() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.topicRec.Users()
 }
 
 // ExchangeRecommendations clusters peers by profile similarity and

@@ -191,6 +191,26 @@ func TestPeerEventFeedback(t *testing.T) {
 	}
 }
 
+// TestPeerFeedbackBeforeBrowsing: feedback that reaches a peer before its
+// user has browsed is a no-op and makes no recommender state; once the
+// user has state, feedback reaches it.
+func TestPeerFeedbackBeforeBrowsing(t *testing.T) {
+	web := newPeerRig(t, 6)
+	peer := NewPeer(PeerConfig{User: "p1"})
+	pageURL, _ := feedHostPage(t, web)
+	peer.ObserveEventFeedback(pageURL, true, ct0)
+	if n := peer.RecommenderUsers(); n != 0 {
+		t.Fatalf("feedback before browsing made state: %d users", n)
+	}
+	browsePage(t, web, peer, pageURL, ct0)
+	for f := range peer.KnownFeeds() {
+		peer.ObserveEventFeedback(f, true, ct0.Add(time.Hour))
+	}
+	if recs := peer.SweepInactive(ct0.Add(30 * 24 * time.Hour)); len(recs) != 0 {
+		t.Errorf("clicked feeds swept early: %d", len(recs))
+	}
+}
+
 func TestPeerMalformedInput(t *testing.T) {
 	peer := NewPeer(PeerConfig{User: "p1"})
 	if recs := peer.ObservePageView(attention.Click{User: "p1", URL: "garbage"}, nil); recs != nil {

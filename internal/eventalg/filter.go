@@ -30,6 +30,10 @@ func (f Filter) Constraints() []Constraint {
 // Len returns the number of constraints.
 func (f Filter) Len() int { return len(f.constraints) }
 
+// At returns the i-th constraint in declaration order, without the copy
+// Constraints makes.
+func (f Filter) At(i int) Constraint { return f.constraints[i] }
+
 // IsEmpty reports whether the filter has no constraints (matches all).
 func (f Filter) IsEmpty() bool { return len(f.constraints) == 0 }
 

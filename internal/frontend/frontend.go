@@ -9,7 +9,9 @@
 // (pubsub.WithHandler), so a matched event is in the sidebar — and, for a
 // reliable subscription, in its queue — when Publish returns. There is no
 // goroutine and no queue per subscription; the sidebar, a ring that evicts
-// its oldest item, is the only buffer.
+// its oldest item, is the only buffer. A ring slot holds the item's ID,
+// when it was shown, its feed URL and the event's attributes — what the
+// sidebar shows or feeds back, not the event's payload.
 package frontend
 
 import (
@@ -37,8 +39,6 @@ type SidebarItem struct {
 	FeedURL string
 	// Shown is when the item appeared.
 	Shown time.Time
-	// Event is the underlying pub-sub event.
-	Event pubsub.Event
 }
 
 // Disposition records how an item left the sidebar.
@@ -70,28 +70,33 @@ type Config struct {
 	Feedback FeedbackFunc
 }
 
-// slot is one displayed event as the ring stores it; what a SidebarItem
-// adds is derived from the event's attributes when somebody asks.
+// slot is one displayed event as the ring stores it: what the sidebar
+// shows or feeds back, and nothing else of the event. The feed is read
+// from the event once, at Add, so an eviction reads only its slot; title
+// and link are derived from the attributes when somebody asks.
 type slot struct {
 	id    int64
 	shown time.Time
-	ev    pubsub.Event
+	feed  string
+	attrs eventalg.Attrs
 }
 
 func (sl *slot) item() SidebarItem {
 	return SidebarItem{
 		ID:      sl.id,
-		Title:   attrStr(sl.ev, "title"),
-		Link:    attrStr(sl.ev, "link"),
-		FeedURL: attrStr(sl.ev, "feed"),
+		Title:   attrStr(sl.attrs, "title"),
+		Link:    attrStr(sl.attrs, "link"),
+		FeedURL: sl.feed,
 		Shown:   sl.shown,
-		Event:   sl.ev,
 	}
 }
 
 // Sidebar is the event display panel. Safe for concurrent use. Add runs on
-// the publisher's goroutine, so the items live by value in a ring of
-// Capacity slots (allocated at the first Add) and adding allocates nothing.
+// the publisher's goroutine, so the items sit in a ring of Capacity slots
+// (allocated at the first Add) and adding allocates nothing. A slot holds
+// the item's ID, when it was shown, its feed URL and the event's
+// attributes; the event's payload, source, publish time and ID are not
+// kept, and an eviction reads only its slot.
 type Sidebar struct {
 	cfg Config
 
@@ -122,6 +127,7 @@ func (s *Sidebar) at(i int) *slot { return &s.ring[(s.head+i)%len(s.ring)] }
 // Add displays an event and returns the item's ID. A full sidebar expires
 // its oldest item to make room.
 func (s *Sidebar) Add(ev pubsub.Event, now time.Time) int64 {
+	feed := attrStr(ev.Attrs, "feed")
 	s.mu.Lock()
 	if s.ring == nil {
 		s.ring = make([]slot, s.cfg.Capacity)
@@ -129,14 +135,14 @@ func (s *Sidebar) Add(ev pubsub.Event, now time.Time) int64 {
 	full := s.n == len(s.ring)
 	var evictedFeed string
 	if full {
-		evictedFeed = attrStr(s.ring[s.head].ev, "feed")
+		evictedFeed = s.ring[s.head].feed
 		s.head = (s.head + 1) % len(s.ring)
 		s.n--
 		s.expired++
 	}
 	s.nextID++
 	id := s.nextID
-	*s.at(s.n) = slot{id: id, shown: now, ev: ev}
+	*s.at(s.n) = slot{id: id, shown: now, feed: feed, attrs: ev.Attrs}
 	s.n++
 	s.shown++
 	s.mu.Unlock()
@@ -146,8 +152,8 @@ func (s *Sidebar) Add(ev pubsub.Event, now time.Time) int64 {
 	return id
 }
 
-func attrStr(ev pubsub.Event, name string) string {
-	if v, ok := ev.Attrs.Get(name); ok && v.Kind() == eventalg.KindString {
+func attrStr(a eventalg.Attrs, name string) string {
+	if v, ok := a.Get(name); ok && v.Kind() == eventalg.KindString {
 		return v.Str()
 	}
 	return ""
@@ -182,7 +188,7 @@ func (s *Sidebar) removeIf(gone func(*slot) bool) []SidebarItem {
 		w++
 	}
 	for i := w; i < s.n; i++ {
-		*s.at(i) = slot{} // release the event
+		*s.at(i) = slot{} // release the attributes
 	}
 	s.n = w
 	return out

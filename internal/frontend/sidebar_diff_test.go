@@ -29,8 +29,7 @@ func (m *modelSidebar) leave(i int, d Disposition, counter int, now time.Time) S
 
 func (m *modelSidebar) add(title, feed string, now time.Time) int64 {
 	m.nextID++
-	ev := feedEvent(feed, title)
-	m.items = append(m.items, SidebarItem{ID: m.nextID, Title: title, Link: feed + "/item", FeedURL: feed, Shown: now, Event: ev})
+	m.items = append(m.items, SidebarItem{ID: m.nextID, Title: title, Link: feed + "/item", FeedURL: feed, Shown: now})
 	m.stats[0]++
 	if len(m.items) > m.capacity {
 		m.leave(0, DispositionExpired, 3, now)

@@ -133,9 +133,10 @@ type Broker struct {
 
 	// Counters and the gauge, resolved once at construction so neither a
 	// delivery nor a subscribe under the write lock pays the registry's
-	// locked map lookup. dropped counts events lost to a full queue;
-	// canceled counts deliveries skipped because the subscription was
-	// canceled after the match.
+	// locked map lookup. delivered is added once per publish call;
+	// dropped counts events lost to a full queue; canceled counts
+	// deliveries skipped because the subscription was canceled after the
+	// match.
 	published     *metrics.Counter
 	delivered     *metrics.Counter
 	dropped       *metrics.Counter
@@ -302,20 +303,22 @@ func (b *Broker) PublishBatchCounts(ctx context.Context, evs []Event, counts []i
 			}
 			if err := ctx.Err(); err != nil {
 				ps.release()
+				b.delivered.Add(int64(delivered))
 				return delivered, err
 			}
 		}
 	}
 	ps.release()
+	b.delivered.Add(int64(delivered))
 	return delivered, nil
 }
 
-// deliver hands one matched event to one subscription and counts what
-// became of it; it reports whether the event reached the queue or handler.
+// deliver hands one matched event to one subscription and reports whether
+// it reached the queue or handler; the caller counts that as delivered,
+// deliver counts the other outcomes.
 func (b *Broker) deliver(s *Subscription, ev Event) bool {
 	switch s.deliver(ev) {
 	case sent:
-		b.delivered.Inc()
 		return true
 	case overflowed:
 		b.dropped.Inc()

@@ -15,14 +15,22 @@ import (
 // the buckets the event names, not the size of the table. Filters with no
 // such equality wait on a per-attribute scan list.
 //
+// Filters with the same constraints that land in the same place share one
+// entry there, which holds every member's ID (Carzaniga & Wolf, SIGCOMM
+// 2003, merge identical predicates the same way): an event verifies each
+// distinct filter once and appends all its subscribers. Reef's table is
+// thousands of identical "type = feed-item and feed = X" filters, so a
+// feed's bucket holds one entry however many users follow it.
+//
 // Concurrency: Match, MatchAppend and MatchAttrs only read the index and
 // are safe to call from any number of goroutines at once. Add and Remove
 // mutate it and must be writer-exclusive — callers (Broker) hold a write
 // lock around them and a read lock around matching.
 type Index struct {
 	nextID int64
-	// entries maps entry ID to where the entry is filed.
-	entries map[int64]*indexEntry
+	// entries maps a filter ID to its entry and its place among the
+	// entry's members.
+	entries map[int64]member
 	// eq maps attribute -> value -> the bucket of that string/bool
 	// equality. A bucket lives as long as any filter asks for the equality,
 	// filed there or not.
@@ -31,8 +39,16 @@ type Index struct {
 	// under their first constraint's attribute (every operator needs the
 	// attribute present, so an event without it cannot match).
 	scan map[string][]*indexEntry
-	// matchAll holds the entries whose filter has no constraints.
+	// matchAll holds the entry of the filters with no constraints: one at
+	// most, since all of them are the same filter.
 	matchAll []*indexEntry
+}
+
+// member is where one filter ID sits: its entry, and its position in the
+// entry's ids, which makes Remove a swap-delete.
+type member struct {
+	e   *indexEntry
+	pos int
 }
 
 // eqBucket is one hashable equality: the entries filed under it, and how
@@ -44,14 +60,14 @@ type eqBucket struct {
 	wanted int
 }
 
-// indexEntry is one registered filter. cs is the entry's own copy of the
-// filter's constraints with the one it is filed under moved to cs[0]; a
-// hashed entry's cs[0] is implied by the bucket it sits in, so a hit only
-// verifies cs[1:]. pos is the entry's position in its bucket, which makes
-// Remove a swap-delete.
+// indexEntry is one distinct filter and the IDs of the filters that are
+// it. cs is the entry's own copy of the constraints with the one it is
+// filed under moved to cs[0]; a hashed entry's cs[0] is implied by the
+// bucket it sits in, so a hit only verifies cs[1:]. pos is the entry's
+// position in its bucket or list, which makes unfiling a swap-delete.
 type indexEntry struct {
-	id     int64
 	cs     []eventalg.Constraint
+	ids    []int64
 	hashed bool
 	pos    int
 }
@@ -59,7 +75,7 @@ type indexEntry struct {
 // NewIndex returns an empty matcher index.
 func NewIndex() *Index {
 	return &Index{
-		entries: make(map[int64]*indexEntry),
+		entries: make(map[int64]member),
 		eq:      make(map[string]map[eventalg.Value]*eqBucket),
 		scan:    make(map[string][]*indexEntry),
 	}
@@ -80,7 +96,7 @@ func hashedEq(c eventalg.Constraint) bool {
 	return c.Op == eventalg.OpEq && hashable(c.Val)
 }
 
-// Add registers a filter and returns its entry ID for later removal.
+// Add registers a filter and returns its ID for later removal.
 // Writer-exclusive.
 //
 // The access predicate is the filter's most selective hashable equality:
@@ -88,19 +104,34 @@ func hashedEq(c eventalg.Constraint) bool {
 // constraint. In a table of "type = feed-item and feed = X" filters that
 // is always the feed, from the first subscriber on, so the bucket every
 // event probes (type) stays empty and an event verifies its own feed's
-// subscribers and nothing else.
+// entry and nothing else. A filter whose constraints an entry of its home
+// bucket already holds joins that entry, which costs a comparison per
+// entry filed there and no allocation beyond the ID's slot.
 func (ix *Index) Add(f eventalg.Filter) int64 {
 	ix.nextID++
-	e := &indexEntry{id: ix.nextID, cs: f.Constraints()}
-	ix.entries[e.id] = e
-	if len(e.cs) == 0 {
-		e.pos = len(ix.matchAll)
-		ix.matchAll = append(ix.matchAll, e)
-		return e.id
+	id := ix.nextID
+	var e *indexEntry
+	switch home, access := ix.home(f); {
+	case f.Len() == 0:
+		e, ix.matchAll = file(ix.matchAll, f, 0, false)
+	case home == nil:
+		attr := f.At(0).Attr
+		e, ix.scan[attr] = file(ix.scan[attr], f, 0, false)
+	default:
+		e, home.filed = file(home.filed, f, access, true)
 	}
-	var home *eqBucket
-	access, fewest := 0, 0
-	for i, c := range e.cs {
+	ix.entries[id] = member{e: e, pos: len(e.ids)}
+	e.ids = append(e.ids, id)
+	return id
+}
+
+// home counts the filter in the bucket of each of its hashable equalities
+// and returns the most selective of them, with the index of its
+// constraint; nil when the filter has none.
+func (ix *Index) home(f eventalg.Filter) (home *eqBucket, access int) {
+	fewest := 0
+	for i := 0; i < f.Len(); i++ {
+		c := f.At(i)
 		if !hashedEq(c) {
 			continue
 		}
@@ -119,51 +150,102 @@ func (ix *Index) Add(f eventalg.Filter) int64 {
 		}
 		b.wanted++
 	}
-	if home == nil {
-		attr := e.cs[0].Attr
-		e.pos = len(ix.scan[attr])
-		ix.scan[attr] = append(ix.scan[attr], e)
-		return e.id
-	}
-	e.hashed = true
-	e.cs[0], e.cs[access] = e.cs[access], e.cs[0]
-	e.pos = len(home.filed)
-	home.filed = append(home.filed, e)
-	return e.id
+	return home, access
 }
 
-// Remove unregisters the entry in time proportional to its own
-// constraints, whatever the size of the table. Removing an unknown ID is a
-// no-op. Writer-exclusive.
+// file returns the entry of list that holds f's constraints, making one
+// filed under f.At(access) when none does, and the list with it.
+func file(list []*indexEntry, f eventalg.Filter, access int, hashed bool) (*indexEntry, []*indexEntry) {
+	for _, e := range list {
+		if sameConstraints(e.cs, f) {
+			return e, list
+		}
+	}
+	cs := f.Constraints()
+	if len(cs) > 0 {
+		cs[0], cs[access] = cs[access], cs[0]
+	}
+	e := &indexEntry{cs: cs, hashed: hashed, pos: len(list)}
+	return e, append(list, e)
+}
+
+// sameConstraints reports whether cs and f hold the same constraints the
+// same number of times, in any order. Equal multiplicity matters: Remove
+// uncounts a member's equalities from its entry's copy.
+func sameConstraints(cs []eventalg.Constraint, f eventalg.Filter) bool {
+	if len(cs) != f.Len() {
+		return false
+	}
+	for _, c := range cs {
+		n := 0
+		for j := range cs {
+			if cs[j] == c {
+				n++
+			}
+		}
+		for j := 0; j < f.Len(); j++ {
+			if f.At(j) == c {
+				n--
+			}
+		}
+		if n != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Remove unregisters the filter in time proportional to its own
+// constraints, whatever the size of the table or of its entry. Removing an
+// unknown ID is a no-op. Writer-exclusive.
 func (ix *Index) Remove(id int64) {
-	e, ok := ix.entries[id]
+	m, ok := ix.entries[id]
 	if !ok {
 		return
 	}
 	delete(ix.entries, id)
+	e := m.e
+	last := len(e.ids) - 1
+	if m.pos != last {
+		moved := e.ids[last]
+		e.ids[m.pos] = moved
+		ix.entries[moved] = member{e: e, pos: m.pos}
+	}
+	e.ids = e.ids[:last]
+	if last == 0 {
+		ix.unfile(e)
+	}
+	if !e.hashed {
+		return
+	}
+	for _, c := range e.cs {
+		if !hashedEq(c) {
+			continue
+		}
+		vals := ix.eq[c.Attr]
+		if b := vals[c.Val]; b.wanted > 1 {
+			b.wanted--
+		} else if len(vals) > 1 {
+			delete(vals, c.Val)
+		} else {
+			delete(ix.eq, c.Attr)
+		}
+	}
+}
+
+// unfile takes an entry whose last member has gone out of its bucket or
+// list.
+func (ix *Index) unfile(e *indexEntry) {
 	switch {
 	case len(e.cs) == 0:
 		ix.matchAll = swapDelete(ix.matchAll, e.pos)
 	case e.hashed:
 		home := ix.eq[e.cs[0].Attr][e.cs[0].Val]
 		home.filed = swapDelete(home.filed, e.pos)
-		for _, c := range e.cs {
-			if !hashedEq(c) {
-				continue
-			}
-			m := ix.eq[c.Attr]
-			if b := m[c.Val]; b.wanted > 1 {
-				b.wanted--
-			} else if len(m) > 1 {
-				delete(m, c.Val)
-			} else {
-				delete(ix.eq, c.Attr)
-			}
-		}
 	default:
 		attr := e.cs[0].Attr
-		if b := swapDelete(ix.scan[attr], e.pos); len(b) > 0 {
-			ix.scan[attr] = b
+		if l := swapDelete(ix.scan[attr], e.pos); len(l) > 0 {
+			ix.scan[attr] = l
 		} else {
 			delete(ix.scan, attr)
 		}
@@ -203,11 +285,12 @@ func (ix *Index) MatchAppend(t eventalg.Tuple, dst []int64) []int64 {
 
 // MatchAttrs appends the IDs of all filters the attribute set satisfies
 // to dst and returns the extended slice; with a reused buffer (dst[:0])
-// it does not allocate. Every entry is filed in one place, so no ID
-// appears twice. Safe for concurrent use with other matches.
+// it does not allocate. Every ID belongs to one entry and every entry is
+// filed in one place, so no ID appears twice. Safe for concurrent use with
+// other matches.
 func (ix *Index) MatchAttrs(a eventalg.Attrs, dst []int64) []int64 {
 	for _, e := range ix.matchAll {
-		dst = append(dst, e.id)
+		dst = append(dst, e.ids...)
 	}
 	for i := range a {
 		attr, v := a[i].Name, a[i].Val
@@ -221,8 +304,8 @@ func (ix *Index) MatchAttrs(a eventalg.Attrs, dst []int64) []int64 {
 	return dst
 }
 
-// appendVerified appends the IDs of the bucket's entries whose constraints
-// from cs[skip:] on all hold for the attribute set.
+// appendVerified appends the member IDs of the bucket's entries whose
+// constraints from cs[skip:] on all hold for the attribute set.
 func appendVerified(dst []int64, bucket []*indexEntry, skip int, a eventalg.Attrs) []int64 {
 next:
 	for _, e := range bucket {
@@ -231,7 +314,7 @@ next:
 				continue next
 			}
 		}
-		dst = append(dst, e.id)
+		dst = append(dst, e.ids...)
 	}
 	return dst
 }

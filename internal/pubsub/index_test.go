@@ -3,6 +3,8 @@ package pubsub
 import (
 	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -240,8 +242,9 @@ func (ix *Index) filed(attr, val string) int {
 // TestIndexSkewBoundsBuckets pins what the access predicate buys on the
 // table reef actually holds: 10 000 feed-item filters over Zipf-popular
 // feeds. The bucket every event probes (type = feed-item) takes none of
-// them, from the first subscriber on, so an event on any feed, hot or
-// cold, verifies exactly its own fan-out.
+// them, from the first subscriber on, and a feed's bucket holds one entry
+// however many filters ask for it, so an event on any feed, hot or cold,
+// verifies one filter and matches exactly its own fan-out.
 func TestIndexSkewBoundsBuckets(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	zipf := rand.NewZipf(r, 1.05, 50, 1999)
@@ -261,8 +264,8 @@ func TestIndexSkewBoundsBuckets(t *testing.T) {
 	hottest := 0
 	for f, n := range fanout {
 		hottest = max(hottest, n)
-		if own := ix.filed("feed", f); own != n {
-			t.Fatalf("bucket of %s holds %d entries, its fan-out is %d", f, own, n)
+		if own := ix.filed("feed", f); own != 1 {
+			t.Fatalf("bucket of %s holds %d entries for one distinct filter", f, own)
 		}
 		tu := eventalg.Tuple{"type": eventalg.String("feed-item"), "feed": eventalg.String(f), "title": eventalg.String("t")}
 		if got := len(ix.Match(tu)); got != n {
@@ -314,6 +317,174 @@ func TestIndexAddRemoveIsConstantTime(t *testing.T) {
 	}
 	if ix.Len() != 0 || len(ix.eq) != 0 {
 		t.Errorf("index not empty: Len %d, eq %v", ix.Len(), ix.eq)
+	}
+}
+
+// TestIndexGroupRemoveIsConstantTime closes 30 000 subscriptions to one
+// filter, in random order: every one is a member of the same entry, and
+// removing any of them must not cost the size of that entry.
+func TestIndexGroupRemoveIsConstantTime(t *testing.T) {
+	ix := NewIndex()
+	f := itemFilter("http://hot.test/feed.xml")
+	start := time.Now()
+	ids := make([]int64, 30000)
+	for i := range ids {
+		ids[i] = ix.Add(f)
+	}
+	if n := ix.filed("feed", "http://hot.test/feed.xml"); n != 1 {
+		t.Fatalf("30000 identical filters sit in %d entries, want 1", n)
+	}
+	rand.New(rand.NewSource(3)).Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	for _, id := range ids {
+		ix.Remove(id)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("30000 Add + 30000 Remove of one filter took %v, want < 1s", d)
+	}
+	if ix.Len() != 0 || len(ix.eq) != 0 {
+		t.Errorf("index not empty: Len %d, eq %v", ix.Len(), ix.eq)
+	}
+}
+
+// TestIndexGroupsAgainstBruteForce drives the index with a seeded history
+// in which most filters are copies of a few, some with their constraints
+// in another order, and removes random members of the groups they form.
+// After every step each matched ID must appear exactly as often as brute
+// force says (once or not at all), every ID must sit where its member
+// record says, and no bucket or list may hold two entries for the same
+// constraints.
+func TestIndexGroupsAgainstBruteForce(t *testing.T) {
+	r := rand.New(rand.NewSource(52))
+	str, num := eventalg.String, eventalg.Int
+	pool := []eventalg.Filter{
+		itemFilter("http://a.test/feed.xml"),
+		itemFilter("http://b.test/feed.xml"),
+		eventalg.NewFilter(eventalg.C("type", eventalg.OpEq, str("feed-item"))),
+		eventalg.NewFilter(eventalg.C("feed", eventalg.OpEq, str("http://a.test/feed.xml")), eventalg.C("n", eventalg.OpGt, num(2))),
+		eventalg.NewFilter(eventalg.C("n", eventalg.OpGt, num(2))),
+		eventalg.NewFilter(eventalg.C("n", eventalg.OpLt, num(4)), eventalg.C("n", eventalg.OpGt, num(1))),
+		eventalg.NewFilter(eventalg.C("n", eventalg.OpEq, num(3)), eventalg.C("n", eventalg.OpEq, num(3))),
+		eventalg.NewFilter(eventalg.C("hot", eventalg.OpEq, eventalg.Bool(true)), eventalg.C("hot", eventalg.OpEq, eventalg.Bool(true))),
+		eventalg.NewFilter(eventalg.C("hot", eventalg.OpEq, eventalg.Bool(true))),
+		// The same set, not the same multiset: one entry for both would
+		// uncount the wrong equalities when a member leaves.
+		eventalg.NewFilter(eventalg.C("hot", eventalg.OpEq, eventalg.Bool(true)), eventalg.C("hot", eventalg.OpEq, eventalg.Bool(true)), eventalg.C("type", eventalg.OpEq, str("feed-item"))),
+		eventalg.NewFilter(eventalg.C("hot", eventalg.OpEq, eventalg.Bool(true)), eventalg.C("type", eventalg.OpEq, str("feed-item")), eventalg.C("type", eventalg.OpEq, str("feed-item"))),
+		eventalg.NewFilter(eventalg.Exists("feed")),
+		eventalg.NewFilter(),
+	}
+	// shuffled is a copy of f with its constraints in a random order: the
+	// same filter, which may or may not land in the same place.
+	shuffled := func(f eventalg.Filter) eventalg.Filter {
+		cs := f.Constraints()
+		r.Shuffle(len(cs), func(i, j int) { cs[i], cs[j] = cs[j], cs[i] })
+		return eventalg.NewFilter(cs...)
+	}
+	feeds := []string{"http://a.test/feed.xml", "http://b.test/feed.xml", "http://c.test/feed.xml"}
+	tuple := func() eventalg.Tuple {
+		tu := eventalg.Tuple{}
+		if r.Intn(4) > 0 {
+			tu["type"] = str("feed-item")
+		}
+		if r.Intn(4) > 0 {
+			tu["feed"] = str(feeds[r.Intn(len(feeds))])
+		}
+		if r.Intn(2) == 0 {
+			tu["n"] = num(int64(r.Intn(6)))
+		}
+		if r.Intn(2) == 0 {
+			tu["hot"] = eventalg.Bool(r.Intn(2) == 0)
+		}
+		return tu
+	}
+	key := func(cs []eventalg.Constraint) string {
+		parts := make([]string, len(cs))
+		for i, c := range cs {
+			parts[i] = fmt.Sprintf("%#v", c)
+		}
+		sort.Strings(parts)
+		return strings.Join(parts, "|")
+	}
+	sameMultiset := func(a, b []eventalg.Constraint) bool { return key(a) == key(b) }
+	checkPlaces := func(step int, where string, list []*indexEntry) {
+		for i, e := range list {
+			if e.pos != i || len(e.ids) == 0 {
+				t.Fatalf("step %d: %s entry %d: pos %d, %d members", step, where, i, e.pos, len(e.ids))
+			}
+			for _, o := range list[:i] {
+				if sameMultiset(o.cs, e.cs) {
+					t.Fatalf("step %d: %s holds two entries for %v", step, where, e.cs)
+				}
+			}
+		}
+	}
+
+	ix := NewIndex()
+	filters := make(map[int64]eventalg.Filter)
+	var live []int64
+	for step := 0; step < 6000; step++ {
+		switch op := r.Intn(10); {
+		case op < 5:
+			f := pool[r.Intn(len(pool))]
+			if r.Intn(3) == 0 {
+				f = shuffled(f)
+			}
+			id := ix.Add(f)
+			filters[id] = f
+			live = append(live, id)
+		case op < 8 && len(live) > 0:
+			i := r.Intn(len(live))
+			ix.Remove(live[i])
+			delete(filters, live[i])
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+		default:
+			tu := tuple()
+			got := make(map[int64]int)
+			for _, id := range ix.Match(tu) {
+				got[id]++
+			}
+			for id, f := range filters {
+				want := 0
+				if f.Match(tu) {
+					want = 1
+				}
+				if got[id] != want {
+					t.Fatalf("step %d: filter %s, tuple %v: index reported it %d times, brute force says %d",
+						step, f, tu, got[id], want)
+				}
+			}
+			if len(got) > len(filters) {
+				t.Fatalf("step %d: index matched a removed ID: %v", step, got)
+			}
+		}
+		if ix.Len() != len(filters) {
+			t.Fatalf("step %d: Len = %d, want %d", step, ix.Len(), len(filters))
+		}
+		for id, m := range ix.entries {
+			if m.pos >= len(m.e.ids) || m.e.ids[m.pos] != id {
+				t.Fatalf("step %d: ID %d is not at position %d of its entry %v", step, id, m.pos, m.e.ids)
+			}
+		}
+		checkPlaces(step, "match-all", ix.matchAll)
+		for attr, list := range ix.scan {
+			checkPlaces(step, "scan "+attr, list)
+		}
+		for attr, m := range ix.eq {
+			for v, b := range m {
+				checkPlaces(step, fmt.Sprintf("bucket %s = %v", attr, v), b.filed)
+			}
+		}
+	}
+	if len(ix.eq["feed"]) == 0 {
+		t.Fatal("the history never left a feed bucket standing; it tests nothing")
+	}
+	for _, id := range live {
+		ix.Remove(id)
+	}
+	if len(ix.entries)+len(ix.eq)+len(ix.scan)+len(ix.matchAll) != 0 {
+		t.Fatalf("index not empty after removing everything: %d entries, eq %v, scan %v, %d match-all",
+			len(ix.entries), ix.eq, ix.scan, len(ix.matchAll))
 	}
 }
 

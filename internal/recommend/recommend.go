@@ -95,8 +95,12 @@ type hostVisits struct {
 	last time.Time
 }
 
-// userState is the topic recommender's per-user state.
-type userState struct {
+// UserState is the topic recommender's per-user state. It is made by the
+// user's first visit or discovered feed and lives as long as the
+// recommender, so a caller that feeds back many events for one user may
+// hold it (see Lookup) instead of naming the user each time. It is
+// guarded by whatever serializes the recommender.
+type UserState struct {
 	hosts map[string]hostVisits
 	feeds map[string]*userFeedState
 }
@@ -105,8 +109,9 @@ type userState struct {
 // history become zero-click subscription recommendations. It is not safe
 // for concurrent use; the Reef server serializes pipeline phases.
 type TopicRecommender struct {
-	cfg   TopicConfig
-	users map[string]*userState
+	cfg TopicConfig
+	// users is never deleted from: a held *UserState stays the user's.
+	users map[string]*UserState
 }
 
 // NewTopicRecommender builds a topic recommender.
@@ -117,13 +122,20 @@ func NewTopicRecommender(cfg TopicConfig) *TopicRecommender {
 	if cfg.InactiveAfter <= 0 {
 		cfg.InactiveAfter = 21 * 24 * time.Hour
 	}
-	return &TopicRecommender{cfg: cfg, users: make(map[string]*userState)}
+	return &TopicRecommender{cfg: cfg, users: make(map[string]*UserState)}
 }
 
-func (tr *TopicRecommender) user(id string) *userState {
+// Lookup returns the user's state without making one: nil for a user the
+// recommender has never seen.
+func (tr *TopicRecommender) Lookup(user string) *UserState { return tr.users[user] }
+
+// Users reports how many users the recommender holds state for.
+func (tr *TopicRecommender) Users() int { return len(tr.users) }
+
+func (tr *TopicRecommender) user(id string) *UserState {
 	u, ok := tr.users[id]
 	if !ok {
-		u = &userState{
+		u = &UserState{
 			hosts: make(map[string]hostVisits),
 			feeds: make(map[string]*userFeedState),
 		}
@@ -175,9 +187,19 @@ func (tr *TopicRecommender) ObserveFeed(user, feedURL, host string, at time.Time
 
 // ObserveFeedback applies closed-loop feedback for a delivered event from
 // a feed: a click is +1, an expiry (the user ignored the event until it
-// disappeared) is -0.25.
+// disappeared) is -0.25. Feedback for a user or a feed the recommender
+// does not track is a no-op, and makes no state.
 func (tr *TopicRecommender) ObserveFeedback(user, feedURL string, clicked bool, at time.Time) {
-	u := tr.user(user)
+	tr.Lookup(user).ObserveFeedback(feedURL, clicked, at)
+}
+
+// ObserveFeedback is TopicRecommender.ObserveFeedback for the state's
+// user. A nil state is a user the recommender has never seen: it tracks no
+// feed, so the call is a no-op.
+func (u *UserState) ObserveFeedback(feedURL string, clicked bool, at time.Time) {
+	if u == nil {
+		return
+	}
 	st, ok := u.feeds[feedURL]
 	if !ok {
 		return

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"reef/internal/metrics"
@@ -131,7 +132,8 @@ func (h *Handler) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 	seg := strings.Split(strings.Trim(rest, "/"), "/")
-	route := routeLabel(seg)
+	ri := routeOf(seg)
+	route := routeNames[ri]
 
 	id, traced := trace.Parse(req.Header.Get(trace.Header))
 	if !traced && !probeRoutes[route] {
@@ -143,28 +145,18 @@ func (h *Handler) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
 	}
 
 	sw := &statusWriter{ResponseWriter: rw}
-	var inFlight *metrics.Gauge
 	start := time.Now()
-	if h.metrics != nil {
-		inFlight = h.metrics.Gauge(metrics.HTTPInFlight.Name)
-		inFlight.Add(1)
-	}
+	h.inFlight.Add(1)
 
-	h.dispatch(sw, req, seg)
+	h.dispatch(sw, req, route, seg)
 
 	elapsed := time.Since(start)
 	status := sw.status
 	if status == 0 {
 		status = http.StatusOK
 	}
-	if h.metrics != nil {
-		inFlight.Add(-1)
-		routeLbl := metrics.Label{Key: "route", Value: route}
-		h.metrics.Histogram(metrics.LabeledName(metrics.HTTPRequestSeconds, routeLbl)).
-			Observe(elapsed.Seconds())
-		h.metrics.Counter(metrics.LabeledName(metrics.HTTPRequests, routeLbl,
-			metrics.Label{Key: "class", Value: strconv.Itoa(status/100) + "xx"})).Inc()
-	}
+	h.inFlight.Add(-1)
+	h.routes[ri].observe(h.metrics, route, status, elapsed)
 	if traced {
 		errStr := ""
 		if status >= 400 {
@@ -174,30 +166,74 @@ func (h *Handler) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
 			Trace: id, Op: "http." + route, Node: h.nodeID, Shard: -1,
 			Start: start, Duration: elapsed, Err: errStr,
 		})
-		if h.metrics != nil {
-			h.metrics.Counter(metrics.TraceSpans.Name).Inc()
-		}
+		h.metrics.Counter(metrics.TraceSpans.Name).Inc()
 	}
 }
 
-// routeLabel collapses a split request path into a bounded route label
-// (wildcard segments dropped), mirroring the dispatch switch so every
-// served route gets a stable, low-cardinality name.
-func routeLabel(seg []string) string {
-	switch {
-	case len(seg) == 1:
-		return seg[0]
-	case len(seg) == 2 && (seg[0] == "admin" || seg[0] == "replication"):
-		return seg[0] + "." + seg[1]
-	case len(seg) == 3 && seg[0] == "subscriptions":
-		return "subscriptions." + seg[2]
-	case len(seg) == 3 && seg[0] == "recommendations":
-		return "recommendations." + seg[2]
-	case len(seg) == 3 && seg[0] == "users":
-		return "users.subscriptions"
-	default:
-		return "unknown"
+// routeNames are the route labels: "unknown" for every path dispatch does
+// not serve, then one per route it serves, the path's fixed segments
+// joined by dots. A label never comes from a wildcard or an unserved
+// segment, so the route series stay as few as the routes.
+var routeNames = [...]string{
+	"unknown",
+	"clicks", "events", "events:batch", "stats", "metrics", "healthz", "readyz", "recommendations",
+	"admin.trace", "admin.deadletter", "admin.replication", "admin.storage", "admin.snapshot",
+	"replication.records",
+	"subscriptions.ack", "subscriptions.events",
+	"recommendations.accept", "recommendations.reject",
+	"users.subscriptions",
+}
+
+// routeIndex maps each label to its place in routeNames.
+var routeIndex = func() map[string]int {
+	m := make(map[string]int, len(routeNames))
+	for i, name := range routeNames {
+		m[name] = i
 	}
+	return m
+}()
+
+// routeOf returns the index in routeNames of the route a split request
+// path names, 0 ("unknown") when dispatch serves no such route. A
+// three-segment route's middle segment is its wildcard.
+func routeOf(seg []string) int {
+	var key string
+	switch len(seg) {
+	case 1:
+		key = seg[0]
+	case 2:
+		key = seg[0] + "." + seg[1]
+	case 3:
+		key = seg[0] + "." + seg[2]
+	}
+	return routeIndex[key]
+}
+
+// routeStats is one route's request histogram and status-class counters,
+// each resolved from the registry at its first use and held from then on,
+// so a request pays no label formatting or registry lookup.
+type routeStats struct {
+	seconds atomic.Pointer[metrics.Histogram]
+	classes [10]atomic.Pointer[metrics.Counter] // by status / 100; net/http refuses codes outside 100-999
+}
+
+// observe records one request's latency and status class.
+func (rs *routeStats) observe(reg *metrics.Registry, route string, status int, elapsed time.Duration) {
+	routeLbl := metrics.Label{Key: "route", Value: route}
+	hist := rs.seconds.Load()
+	if hist == nil {
+		hist = reg.Histogram(metrics.LabeledName(metrics.HTTPRequestSeconds, routeLbl))
+		rs.seconds.Store(hist)
+	}
+	hist.Observe(elapsed.Seconds())
+	cls := &rs.classes[status/100]
+	c := cls.Load()
+	if c == nil {
+		c = reg.Counter(metrics.LabeledName(metrics.HTTPRequests, routeLbl,
+			metrics.Label{Key: "class", Value: strconv.Itoa(status/100) + "xx"}))
+		cls.Store(c)
+	}
+	c.Inc()
 }
 
 // ContentTypeMetrics is the Content-Type of the /v1/metrics exposition.

@@ -2,6 +2,7 @@ package reefhttp_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -205,5 +206,49 @@ func TestStatusClassCounters(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("scrape missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestUnknownPathsMintNoSeries: the route label comes only from the
+// routes the handler serves, so requests for paths it does not serve,
+// however many distinct ones, share the "unknown" series and add no
+// series after the first. (A histogram's bucket lines come and go with
+// the latencies it saw, so series are counted without them.)
+func TestUnknownPathsMintNoSeries(t *testing.T) {
+	srv, _ := newTestServer(t)
+	get := func(path string) string {
+		t.Helper()
+		resp, _, body := do(t, "GET", srv.URL+path, "")
+		if path != "/v1/metrics" && resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s = %d, want 404", path, resp.StatusCode)
+		}
+		return body
+	}
+	series := func(body string) int {
+		n := 0
+		for _, line := range strings.Split(body, "\n") {
+			if !strings.Contains(line, "_bucket{") {
+				n++
+			}
+		}
+		return n
+	}
+	get("/v1/nosuch")
+	get("/v1/metrics")
+	before := series(get("/v1/metrics"))
+	for i := 0; i < 50; i++ {
+		get(fmt.Sprintf("/v1/nosuch%d", i))
+		get(fmt.Sprintf("/v1/subscriptions/s%d/nosuch%d", i, i))
+		get(fmt.Sprintf("/v1/admin/nosuch%d", i))
+	}
+	body := get("/v1/metrics")
+	if after := series(body); after != before {
+		t.Errorf("150 requests for unserved paths grew the exposition from %d to %d series lines", before, after)
+	}
+	if strings.Contains(body, "nosuch") {
+		t.Error("an unserved path segment became a route label")
+	}
+	if want := metrics.HTTPRequests.Name + `{class="4xx",route="unknown"} 151`; !strings.Contains(body, want) {
+		t.Errorf("exposition lacks %q", want)
 	}
 }

@@ -269,6 +269,10 @@ type Handler struct {
 	metrics    *metrics.Registry
 	tracer     *trace.Recorder
 	start      time.Time
+
+	// The middleware's instruments, resolved once (see routeStats).
+	inFlight *metrics.Gauge
+	routes   [len(routeNames)]routeStats
 }
 
 var _ http.Handler = (*Handler)(nil)
@@ -312,6 +316,7 @@ func NewHandler(dep reef.Deployment, logger *log.Logger, opts ...HandlerOption) 
 	if h.tracer == nil {
 		h.tracer = trace.NewRecorder(0)
 	}
+	h.inFlight = h.metrics.Gauge(metrics.HTTPInFlight.Name)
 	return h
 }
 
@@ -320,30 +325,31 @@ func NewHandler(dep reef.Deployment, logger *log.Logger, opts ...HandlerOption) 
 // Routing splits the escaped path, so identifiers containing %2F (e.g.
 // user IDs with slashes, sent path-escaped by reefclient) stay one
 // segment; wildcard segments are unescaped before use. ServeHTTP (in
-// observe.go) wraps this with the tracing and metrics middleware.
-func (h *Handler) dispatch(rw http.ResponseWriter, req *http.Request, seg []string) {
-	switch {
-	case len(seg) == 1 && seg[0] == "clicks":
+// observe.go) names the route (routeOf) and wraps this with the tracing
+// and metrics middleware.
+func (h *Handler) dispatch(rw http.ResponseWriter, req *http.Request, route string, seg []string) {
+	switch route {
+	case "clicks":
 		h.route(rw, req, "POST", h.handleClicks)
-	case len(seg) == 1 && seg[0] == "events":
+	case "events":
 		h.route(rw, req, "POST", h.handleEvents)
-	case len(seg) == 1 && seg[0] == "events:batch":
+	case "events:batch":
 		h.route(rw, req, "POST", h.handleEventsBatch)
-	case len(seg) == 1 && seg[0] == "stats":
+	case "stats":
 		h.route(rw, req, "GET", h.handleStats)
-	case len(seg) == 1 && seg[0] == "metrics":
+	case "metrics":
 		h.route(rw, req, "GET", h.handleMetrics)
-	case len(seg) == 2 && seg[0] == "admin" && seg[1] == "trace":
+	case "admin.trace":
 		h.route(rw, req, "GET", h.handleTrace)
-	case len(seg) == 1 && seg[0] == "healthz":
+	case "healthz":
 		h.route(rw, req, "GET", h.handleHealthz)
-	case len(seg) == 1 && seg[0] == "readyz":
+	case "readyz":
 		h.route(rw, req, "GET", h.handleReadyz)
-	case len(seg) == 1 && seg[0] == "recommendations":
+	case "recommendations":
 		h.route(rw, req, "GET", h.handleRecommendations)
-	case len(seg) == 2 && seg[0] == "admin" && seg[1] == "deadletter":
+	case "admin.deadletter":
 		h.route(rw, req, "GET POST", h.handleDeadLetter)
-	case len(seg) == 3 && seg[0] == "subscriptions" && (seg[2] == "ack" || seg[2] == "events"):
+	case "subscriptions.ack", "subscriptions.events":
 		id, ok := h.pathSegment(rw, seg[1])
 		if !ok {
 			return
@@ -357,15 +363,15 @@ func (h *Handler) dispatch(rw http.ResponseWriter, req *http.Request, seg []stri
 				h.handleFetchEvents(rw, req, id)
 			})
 		}
-	case len(seg) == 2 && seg[0] == "replication" && seg[1] == "records":
+	case "replication.records":
 		h.route(rw, req, "POST", h.ingestReplication)
-	case len(seg) == 2 && seg[0] == "admin" && seg[1] == "replication":
+	case "admin.replication":
 		h.route(rw, req, "GET", h.handleReplicationStatus)
-	case len(seg) == 2 && seg[0] == "admin" && seg[1] == "storage":
+	case "admin.storage":
 		h.route(rw, req, "GET", h.handleStorage)
-	case len(seg) == 2 && seg[0] == "admin" && seg[1] == "snapshot":
+	case "admin.snapshot":
 		h.route(rw, req, "POST", h.handleSnapshot)
-	case len(seg) == 3 && seg[0] == "recommendations" && (seg[2] == "accept" || seg[2] == "reject"):
+	case "recommendations.accept", "recommendations.reject":
 		id, ok := h.pathSegment(rw, seg[1])
 		if !ok {
 			return
@@ -373,7 +379,7 @@ func (h *Handler) dispatch(rw http.ResponseWriter, req *http.Request, seg []stri
 		h.route(rw, req, "POST", func(rw http.ResponseWriter, req *http.Request) {
 			h.handleDecision(rw, req, id, seg[2])
 		})
-	case len(seg) == 3 && seg[0] == "users" && seg[2] == "subscriptions":
+	case "users.subscriptions":
 		user, ok := h.pathSegment(rw, seg[1])
 		if !ok {
 			return
