@@ -196,8 +196,8 @@ func TestServerFeedbackRoute(t *testing.T) {
 	feedURL := "http://c0002.web.test/feeds/0.xml"
 	fb := rig.server.Feedback("u1")
 	fb.Observe(feedURL, true, ct0)
-	if n := rig.server.TopicRecommender().Users(); n != 0 {
-		t.Fatalf("feedback for an unseen user made state: %d users", n)
+	if rig.server.TopicRecommender().Lookup("u1") != nil {
+		t.Fatal("feedback for an unseen user made recommender state")
 	}
 	rig.server.QueueFeedRecommendation("u1", feedURL, ct0)
 	rig.server.Recommendations("u1")

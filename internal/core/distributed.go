@@ -170,14 +170,6 @@ func (p *Peer) ObserveEventFeedback(feedURL string, clicked bool, at time.Time) 
 	p.self.ObserveFeedback(feedURL, clicked, at)
 }
 
-// RecommenderUsers reports how many users the peer's topic recommender
-// holds state for: 0 until the peer has seen its user browse.
-func (p *Peer) RecommenderUsers() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.topicRec.Users()
-}
-
 // ExchangeRecommendations clusters peers by profile similarity and
 // returns the number of communities and, for each peer in order, the
 // subscribe recommendations it draws from its community's feeds — the

@@ -199,8 +199,8 @@ func TestPeerFeedbackBeforeBrowsing(t *testing.T) {
 	peer := NewPeer(PeerConfig{User: "p1"})
 	pageURL, _ := feedHostPage(t, web)
 	peer.ObserveEventFeedback(pageURL, true, ct0)
-	if n := peer.RecommenderUsers(); n != 0 {
-		t.Fatalf("feedback before browsing made state: %d users", n)
+	if peer.topicRec.Lookup("p1") != nil {
+		t.Fatal("feedback before browsing made recommender state")
 	}
 	browsePage(t, web, peer, pageURL, ct0)
 	for f := range peer.KnownFeeds() {

@@ -2,6 +2,7 @@ package eventalg
 
 import (
 	"fmt"
+	"hash/maphash"
 	"strings"
 )
 
@@ -94,6 +95,24 @@ func C(attr string, op Op, val Value) Constraint {
 // Exists constructs an existence constraint on attr.
 func Exists(attr string) Constraint {
 	return Constraint{Attr: attr, Op: OpExists}
+}
+
+// Hash returns a hash of the constraint under seed that equal constraints
+// (==) share, without allocating.
+func (c Constraint) Hash(seed maphash.Seed) uint64 {
+	h := mix64(maphash.String(seed, c.Attr) ^ uint64(c.Op)<<8 ^ uint64(c.Val.kind))
+	h = mix64(h ^ maphash.String(seed, c.Val.s))
+	return mix64(h ^ c.Val.n)
+}
+
+// mix64 is the SplitMix64 finalizer: every input bit moves about half the
+// output bits.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // String renders the constraint in parser syntax.

@@ -1,6 +1,7 @@
 package eventalg
 
 import (
+	"hash/maphash"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -165,5 +166,34 @@ func TestParseOp(t *testing.T) {
 	}
 	if _, err := ParseOp("~="); err == nil {
 		t.Error("ParseOp(~=) succeeded, want error")
+	}
+}
+
+// TestConstraintHash: equal constraints hash equal, and a change to any
+// field (attribute, operator, value kind or value) changes the hash.
+func TestConstraintHash(t *testing.T) {
+	seed := maphash.MakeSeed()
+	cs := []Constraint{
+		C("feed", OpEq, String("a")),
+		C("feed", OpEq, String("b")),
+		C("type", OpEq, String("a")),
+		C("feed", OpNe, String("a")),
+		C("n", OpGt, Int(3)),
+		C("n", OpGt, Int(4)),
+		C("n", OpGt, Float(3)),
+		C("n", OpEq, Bool(true)),
+		C("n", OpEq, Bool(false)),
+		Exists("n"),
+	}
+	seen := make(map[uint64]Constraint)
+	for _, c := range cs {
+		h := c.Hash(seed)
+		if o, dup := seen[h]; dup {
+			t.Errorf("%v and %v hash alike", o, c)
+		}
+		seen[h] = c
+		if same := C(c.Attr, c.Op, c.Val); same.Hash(seed) != h {
+			t.Errorf("two copies of %v hash differently", c)
+		}
 	}
 }

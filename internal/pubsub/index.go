@@ -1,6 +1,7 @@
 package pubsub
 
 import (
+	"hash/maphash"
 	"sync"
 
 	"reef/internal/eventalg"
@@ -15,12 +16,13 @@ import (
 // the buckets the event names, not the size of the table. Filters with no
 // such equality wait on a per-attribute scan list.
 //
-// Filters with the same constraints that land in the same place share one
-// entry there, which holds every member's ID (Carzaniga & Wolf, SIGCOMM
-// 2003, merge identical predicates the same way): an event verifies each
-// distinct filter once and appends all its subscribers. Reef's table is
-// thousands of identical "type = feed-item and feed = X" filters, so a
-// feed's bucket holds one entry however many users follow it.
+// Filters with the same constraints that land in the same hash bucket (or
+// in matchAll) share one entry there, which holds every member's ID
+// (Carzaniga & Wolf, SIGCOMM 2003, merge identical predicates the same
+// way): an event verifies each distinct filter once and appends all its
+// subscribers. Reef's table is thousands of identical "type = feed-item
+// and feed = X" filters, so a feed's bucket holds one entry however many
+// users follow it. A scan-list entry holds one filter.
 //
 // Concurrency: Match, MatchAppend and MatchAttrs only read the index and
 // are safe to call from any number of goroutines at once. Add and Remove
@@ -42,6 +44,30 @@ type Index struct {
 	// matchAll holds the entry of the filters with no constraints: one at
 	// most, since all of them are the same filter.
 	matchAll []*indexEntry
+	// groups finds the entry a hashed filter joins: it maps a bucket and a
+	// constraint-set fingerprint to the bucket's entries with that
+	// fingerprint, chained through next (almost always one).
+	groups map[groupKey]*indexEntry
+}
+
+// groupKey is a hash bucket and the fingerprint of a constraint set.
+type groupKey struct {
+	b  *eqBucket
+	fp uint64
+}
+
+// fingerprintSeed seeds the constraint hashes fingerprint sums.
+var fingerprintSeed = maphash.MakeSeed()
+
+// fingerprint hashes a filter's constraint multiset: the sum of its
+// constraints' hashes, so order does not count and multiplicity does.
+// A variable so a test can make every filter collide.
+var fingerprint = func(f eventalg.Filter) uint64 {
+	var fp uint64
+	for i := 0; i < f.Len(); i++ {
+		fp += f.At(i).Hash(fingerprintSeed)
+	}
+	return fp
 }
 
 // member is where one filter ID sits: its entry, and its position in the
@@ -61,15 +87,21 @@ type eqBucket struct {
 }
 
 // indexEntry is one distinct filter and the IDs of the filters that are
-// it. cs is the entry's own copy of the constraints with the one it is
-// filed under moved to cs[0]; a hashed entry's cs[0] is implied by the
-// bucket it sits in, so a hit only verifies cs[1:]. pos is the entry's
-// position in its bucket or list, which makes unfiling a swap-delete.
+// it (on a scan list, always one ID). cs is the entry's own copy of the
+// constraints with the one it is filed under moved to cs[0]; a hashed
+// entry's cs[0] is implied by the bucket it sits in, so a hit only
+// verifies cs[1:]. pos is the entry's position in its bucket or list,
+// which makes unfiling a swap-delete. one is the first member's slot, so
+// an entry with one member takes no second allocation. A hashed entry
+// also carries its fingerprint and its link in the groups chain.
 type indexEntry struct {
 	cs     []eventalg.Constraint
 	ids    []int64
 	hashed bool
 	pos    int
+	one    [1]int64
+	fp     uint64
+	next   *indexEntry
 }
 
 // NewIndex returns an empty matcher index.
@@ -78,6 +110,7 @@ func NewIndex() *Index {
 		entries: make(map[int64]member),
 		eq:      make(map[string]map[eventalg.Value]*eqBucket),
 		scan:    make(map[string][]*indexEntry),
+		groups:  make(map[groupKey]*indexEntry),
 	}
 }
 
@@ -105,20 +138,28 @@ func hashedEq(c eventalg.Constraint) bool {
 // is always the feed, from the first subscriber on, so the bucket every
 // event probes (type) stays empty and an event verifies its own feed's
 // entry and nothing else. A filter whose constraints an entry of its home
-// bucket already holds joins that entry, which costs a comparison per
-// entry filed there and no allocation beyond the ID's slot.
+// bucket already holds joins that entry: Add finds it by the fingerprint
+// of the constraint set and confirms it by comparing the sets, so joining
+// costs the same however many distinct filters the bucket holds, and
+// allocates nothing beyond the ID's slot. A filter on a scan list gets an
+// entry of its own: a scan list holds filters with no selective equality,
+// which are seldom copies of one another.
 func (ix *Index) Add(f eventalg.Filter) int64 {
 	ix.nextID++
 	id := ix.nextID
 	var e *indexEntry
 	switch home, access := ix.home(f); {
 	case f.Len() == 0:
-		e, ix.matchAll = file(ix.matchAll, f, 0, false)
+		if len(ix.matchAll) == 0 {
+			ix.matchAll = append(ix.matchAll, newEntry(f, 0, false, 0))
+		}
+		e = ix.matchAll[0]
 	case home == nil:
 		attr := f.At(0).Attr
-		e, ix.scan[attr] = file(ix.scan[attr], f, 0, false)
+		e = newEntry(f, 0, false, len(ix.scan[attr]))
+		ix.scan[attr] = append(ix.scan[attr], e)
 	default:
-		e, home.filed = file(home.filed, f, access, true)
+		e = ix.join(home, f, access)
 	}
 	ix.entries[id] = member{e: e, pos: len(e.ids)}
 	e.ids = append(e.ids, id)
@@ -153,20 +194,32 @@ func (ix *Index) home(f eventalg.Filter) (home *eqBucket, access int) {
 	return home, access
 }
 
-// file returns the entry of list that holds f's constraints, making one
-// filed under f.At(access) when none does, and the list with it.
-func file(list []*indexEntry, f eventalg.Filter, access int, hashed bool) (*indexEntry, []*indexEntry) {
-	for _, e := range list {
+// join returns the entry of the home bucket that holds f's constraints,
+// filing a new one under f.At(access) when none does.
+func (ix *Index) join(home *eqBucket, f eventalg.Filter, access int) *indexEntry {
+	k := groupKey{b: home, fp: fingerprint(f)}
+	for e := ix.groups[k]; e != nil; e = e.next {
 		if sameConstraints(e.cs, f) {
-			return e, list
+			return e
 		}
 	}
+	e := newEntry(f, access, true, len(home.filed))
+	e.fp, e.next = k.fp, ix.groups[k]
+	ix.groups[k] = e
+	home.filed = append(home.filed, e)
+	return e
+}
+
+// newEntry returns an entry, with no members yet, for f filed under
+// f.At(access) at position pos of its bucket or list.
+func newEntry(f eventalg.Filter, access int, hashed bool, pos int) *indexEntry {
 	cs := f.Constraints()
 	if len(cs) > 0 {
 		cs[0], cs[access] = cs[access], cs[0]
 	}
-	e := &indexEntry{cs: cs, hashed: hashed, pos: len(list)}
-	return e, append(list, e)
+	e := &indexEntry{cs: cs, hashed: hashed, pos: pos}
+	e.ids = e.one[:0]
+	return e
 }
 
 // sameConstraints reports whether cs and f hold the same constraints the
@@ -242,6 +295,17 @@ func (ix *Index) unfile(e *indexEntry) {
 	case e.hashed:
 		home := ix.eq[e.cs[0].Attr][e.cs[0].Val]
 		home.filed = swapDelete(home.filed, e.pos)
+		k := groupKey{b: home, fp: e.fp}
+		if p := ix.groups[k]; p != e {
+			for p.next != e {
+				p = p.next
+			}
+			p.next = e.next
+		} else if e.next != nil {
+			ix.groups[k] = e.next
+		} else {
+			delete(ix.groups, k)
+		}
 	default:
 		attr := e.cs[0].Attr
 		if l := swapDelete(ix.scan[attr], e.pos); len(l) > 0 {

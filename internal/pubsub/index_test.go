@@ -199,9 +199,9 @@ func TestIndexAgainstBruteForce(t *testing.T) {
 	for _, id := range live {
 		ix.Remove(id)
 	}
-	if len(ix.entries)+len(ix.eq)+len(ix.scan)+len(ix.matchAll) != 0 {
-		t.Fatalf("index not empty after removing everything: %d entries, eq %v, scan %v, %d match-all",
-			len(ix.entries), ix.eq, ix.scan, len(ix.matchAll))
+	if len(ix.entries)+len(ix.eq)+len(ix.scan)+len(ix.matchAll)+len(ix.groups) != 0 {
+		t.Fatalf("index not empty after removing everything: %d entries, eq %v, scan %v, %d match-all, %d groups",
+			len(ix.entries), ix.eq, ix.scan, len(ix.matchAll), len(ix.groups))
 	}
 }
 
@@ -346,14 +346,68 @@ func TestIndexGroupRemoveIsConstantTime(t *testing.T) {
 	}
 }
 
+// TestIndexDistinctAddIsConstantTime adds and removes 30 000 distinct
+// range filters, first all on one attribute's scan list, then all filed
+// in one hash bucket: Add must not compare a filter with every entry
+// already there, which would take seconds here.
+func TestIndexDistinctAddIsConstantTime(t *testing.T) {
+	gt := func(i int) eventalg.Constraint { return eventalg.C("n", eventalg.OpGt, eventalg.Int(int64(i))) }
+	typeX := eventalg.C("type", eventalg.OpEq, eventalg.String("x"))
+	for _, tc := range []struct {
+		name  string
+		f     func(i int) eventalg.Filter
+		where func(ix *Index) int
+	}{
+		{"scan list",
+			func(i int) eventalg.Filter { return eventalg.NewFilter(gt(i)) },
+			func(ix *Index) int { return len(ix.scan["n"]) }},
+		{"hash bucket",
+			func(i int) eventalg.Filter { return eventalg.NewFilter(typeX, gt(i)) },
+			func(ix *Index) int { return ix.filed("type", "x") }},
+	} {
+		ix := NewIndex()
+		start := time.Now()
+		ids := make([]int64, 30000)
+		for i := range ids {
+			ids[i] = ix.Add(tc.f(i))
+		}
+		if n := tc.where(ix); n != len(ids) {
+			t.Fatalf("%s: holds %d entries, want %d", tc.name, n, len(ids))
+		}
+		for _, id := range ids {
+			ix.Remove(id)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s: 30000 Add + 30000 Remove of distinct filters took %v, want < 1s", tc.name, d)
+		}
+		if ix.Len() != 0 || len(ix.scan)+len(ix.eq)+len(ix.groups) != 0 {
+			t.Errorf("%s: index not empty: Len %d, scan %d, eq %d, groups %d",
+				tc.name, ix.Len(), len(ix.scan), len(ix.eq), len(ix.groups))
+		}
+	}
+}
+
 // TestIndexGroupsAgainstBruteForce drives the index with a seeded history
 // in which most filters are copies of a few, some with their constraints
 // in another order, and removes random members of the groups they form.
 // After every step each matched ID must appear exactly as often as brute
 // force says (once or not at all), every ID must sit where its member
-// record says, and no bucket or list may hold two entries for the same
-// constraints.
+// record says, no hash bucket and not matchAll may hold two entries for
+// the same constraints, a scan-list entry holds exactly one filter, and
+// every hashed entry sits in the groups chain of its bucket and
+// fingerprint. The history runs twice: with real fingerprints, and with
+// every filter's fingerprint the same, so distinct filters share chains.
 func TestIndexGroupsAgainstBruteForce(t *testing.T) {
+	t.Run("fingerprints", checkGroupsAgainstBruteForce)
+	t.Run("colliding", func(t *testing.T) {
+		saved := fingerprint
+		fingerprint = func(eventalg.Filter) uint64 { return 7 }
+		defer func() { fingerprint = saved }()
+		checkGroupsAgainstBruteForce(t)
+	})
+}
+
+func checkGroupsAgainstBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(52))
 	str, num := eventalg.String, eventalg.Int
 	pool := []eventalg.Filter{
@@ -406,12 +460,15 @@ func TestIndexGroupsAgainstBruteForce(t *testing.T) {
 		return strings.Join(parts, "|")
 	}
 	sameMultiset := func(a, b []eventalg.Constraint) bool { return key(a) == key(b) }
-	checkPlaces := func(step int, where string, list []*indexEntry) {
+	checkPlaces := func(step int, where string, list []*indexEntry, grouped bool) {
 		for i, e := range list {
-			if e.pos != i || len(e.ids) == 0 {
+			if e.pos != i || len(e.ids) == 0 || !grouped && len(e.ids) != 1 {
 				t.Fatalf("step %d: %s entry %d: pos %d, %d members", step, where, i, e.pos, len(e.ids))
 			}
 			for _, o := range list[:i] {
+				if !grouped {
+					break
+				}
 				if sameMultiset(o.cs, e.cs) {
 					t.Fatalf("step %d: %s holds two entries for %v", step, where, e.cs)
 				}
@@ -466,14 +523,33 @@ func TestIndexGroupsAgainstBruteForce(t *testing.T) {
 				t.Fatalf("step %d: ID %d is not at position %d of its entry %v", step, id, m.pos, m.e.ids)
 			}
 		}
-		checkPlaces(step, "match-all", ix.matchAll)
+		checkPlaces(step, "match-all", ix.matchAll, true)
 		for attr, list := range ix.scan {
-			checkPlaces(step, "scan "+attr, list)
+			checkPlaces(step, "scan "+attr, list, false)
 		}
+		chained := 0
 		for attr, m := range ix.eq {
 			for v, b := range m {
-				checkPlaces(step, fmt.Sprintf("bucket %s = %v", attr, v), b.filed)
+				checkPlaces(step, fmt.Sprintf("bucket %s = %v", attr, v), b.filed, true)
+				for _, e := range b.filed {
+					in := false
+					for c := ix.groups[groupKey{b: b, fp: e.fp}]; c != nil; c = c.next {
+						in = in || c == e
+					}
+					if !in {
+						t.Fatalf("step %d: entry %v of bucket %s = %v is not in its groups chain", step, e.cs, attr, v)
+					}
+				}
+				chained += len(b.filed)
 			}
+		}
+		for _, c := range ix.groups {
+			for ; c != nil; c = c.next {
+				chained--
+			}
+		}
+		if chained != 0 {
+			t.Fatalf("step %d: the groups chains and the buckets hold different numbers of entries (%d)", step, chained)
 		}
 	}
 	if len(ix.eq["feed"]) == 0 {
@@ -482,9 +558,9 @@ func TestIndexGroupsAgainstBruteForce(t *testing.T) {
 	for _, id := range live {
 		ix.Remove(id)
 	}
-	if len(ix.entries)+len(ix.eq)+len(ix.scan)+len(ix.matchAll) != 0 {
-		t.Fatalf("index not empty after removing everything: %d entries, eq %v, scan %v, %d match-all",
-			len(ix.entries), ix.eq, ix.scan, len(ix.matchAll))
+	if len(ix.entries)+len(ix.eq)+len(ix.scan)+len(ix.matchAll)+len(ix.groups) != 0 {
+		t.Fatalf("index not empty after removing everything: %d entries, eq %v, scan %v, %d match-all, %d groups",
+			len(ix.entries), ix.eq, ix.scan, len(ix.matchAll), len(ix.groups))
 	}
 }
 

@@ -129,9 +129,6 @@ func NewTopicRecommender(cfg TopicConfig) *TopicRecommender {
 // recommender has never seen.
 func (tr *TopicRecommender) Lookup(user string) *UserState { return tr.users[user] }
 
-// Users reports how many users the recommender holds state for.
-func (tr *TopicRecommender) Users() int { return len(tr.users) }
-
 func (tr *TopicRecommender) user(id string) *UserState {
 	u, ok := tr.users[id]
 	if !ok {

@@ -115,8 +115,8 @@ func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 // probeRoutes are scraped or polled continuously; the middleware never
 // mints trace IDs for them (an incoming X-Reef-Trace still propagates),
 // keeping probe noise out of the span ring.
-var probeRoutes = map[string]bool{
-	"healthz": true, "readyz": true, "metrics": true, "admin.trace": true,
+var probeRoutes = [numRoutes]bool{
+	routeHealthz: true, routeReadyz: true, routeMetrics: true, routeAdminTrace: true,
 }
 
 // ServeHTTP implements http.Handler: the observability middleware
@@ -132,11 +132,11 @@ func (h *Handler) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 	seg := strings.Split(strings.Trim(rest, "/"), "/")
-	ri := routeOf(seg)
-	route := routeNames[ri]
+	r := routeOf(seg)
+	label := routeNames[r]
 
 	id, traced := trace.Parse(req.Header.Get(trace.Header))
-	if !traced && !probeRoutes[route] {
+	if !traced && !probeRoutes[r] {
 		id, traced = trace.NewID(), true
 	}
 	if traced {
@@ -148,7 +148,7 @@ func (h *Handler) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
 	start := time.Now()
 	h.inFlight.Add(1)
 
-	h.dispatch(sw, req, route, seg)
+	h.dispatch(sw, req, r, seg)
 
 	elapsed := time.Since(start)
 	status := sw.status
@@ -156,70 +156,128 @@ func (h *Handler) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
 		status = http.StatusOK
 	}
 	h.inFlight.Add(-1)
-	h.routes[ri].observe(h.metrics, route, status, elapsed)
+	h.routes[r].observe(h.metrics, label, status, elapsed)
 	if traced {
 		errStr := ""
 		if status >= 400 {
 			errStr = "HTTP " + strconv.Itoa(status)
 		}
 		h.tracer.Record(trace.Span{
-			Trace: id, Op: "http." + route, Node: h.nodeID, Shard: -1,
+			Trace: id, Op: "http." + label, Node: h.nodeID, Shard: -1,
 			Start: start, Duration: elapsed, Err: errStr,
 		})
 		h.metrics.Counter(metrics.TraceSpans.Name).Inc()
 	}
 }
 
+// route is one route dispatch serves, or routeUnknown for any path it
+// does not serve. It indexes routeNames and Handler.routes.
+type route int
+
+const (
+	routeUnknown route = iota
+	routeClicks
+	routeEvents
+	routeEventsBatch
+	routeStats
+	routeMetrics
+	routeHealthz
+	routeReadyz
+	routeRecommendations
+	routeAdminTrace
+	routeAdminDeadLetter
+	routeAdminReplication
+	routeAdminStorage
+	routeAdminSnapshot
+	routeReplicationRecords
+	routeSubscriptionAck
+	routeSubscriptionEvents
+	routeRecommendationAccept
+	routeRecommendationReject
+	routeUserSubscriptions
+	numRoutes
+)
+
 // routeNames are the route labels: "unknown" for every path dispatch does
 // not serve, then one per route it serves, the path's fixed segments
 // joined by dots. A label never comes from a wildcard or an unserved
 // segment, so the route series stay as few as the routes.
-var routeNames = [...]string{
-	"unknown",
-	"clicks", "events", "events:batch", "stats", "metrics", "healthz", "readyz", "recommendations",
-	"admin.trace", "admin.deadletter", "admin.replication", "admin.storage", "admin.snapshot",
-	"replication.records",
-	"subscriptions.ack", "subscriptions.events",
-	"recommendations.accept", "recommendations.reject",
-	"users.subscriptions",
+var routeNames = [numRoutes]string{
+	routeUnknown:              "unknown",
+	routeClicks:               "clicks",
+	routeEvents:               "events",
+	routeEventsBatch:          "events:batch",
+	routeStats:                "stats",
+	routeMetrics:              "metrics",
+	routeHealthz:              "healthz",
+	routeReadyz:               "readyz",
+	routeRecommendations:      "recommendations",
+	routeAdminTrace:           "admin.trace",
+	routeAdminDeadLetter:      "admin.deadletter",
+	routeAdminReplication:     "admin.replication",
+	routeAdminStorage:         "admin.storage",
+	routeAdminSnapshot:        "admin.snapshot",
+	routeReplicationRecords:   "replication.records",
+	routeSubscriptionAck:      "subscriptions.ack",
+	routeSubscriptionEvents:   "subscriptions.events",
+	routeRecommendationAccept: "recommendations.accept",
+	routeRecommendationReject: "recommendations.reject",
+	routeUserSubscriptions:    "users.subscriptions",
 }
 
-// routeIndex maps each label to its place in routeNames.
-var routeIndex = func() map[string]int {
-	m := make(map[string]int, len(routeNames))
-	for i, name := range routeNames {
-		m[name] = i
-	}
-	return m
-}()
+// routeShapes maps a path's shape to its route. A shape is the path's
+// segments joined by "/", with "*" standing for a three-segment route's
+// middle (wildcard) segment. Segments are split on "/", so none holds
+// one, and a shape's slash count is its segment count less one: a path
+// matches a shape only with exactly that many segments, each fixed one
+// equal.
+var routeShapes = map[string]route{
+	"clicks":                   routeClicks,
+	"events":                   routeEvents,
+	"events:batch":             routeEventsBatch,
+	"stats":                    routeStats,
+	"metrics":                  routeMetrics,
+	"healthz":                  routeHealthz,
+	"readyz":                   routeReadyz,
+	"recommendations":          routeRecommendations,
+	"admin/trace":              routeAdminTrace,
+	"admin/deadletter":         routeAdminDeadLetter,
+	"admin/replication":        routeAdminReplication,
+	"admin/storage":            routeAdminStorage,
+	"admin/snapshot":           routeAdminSnapshot,
+	"replication/records":      routeReplicationRecords,
+	"subscriptions/*/ack":      routeSubscriptionAck,
+	"subscriptions/*/events":   routeSubscriptionEvents,
+	"recommendations/*/accept": routeRecommendationAccept,
+	"recommendations/*/reject": routeRecommendationReject,
+	"users/*/subscriptions":    routeUserSubscriptions,
+}
 
-// routeOf returns the index in routeNames of the route a split request
-// path names, 0 ("unknown") when dispatch serves no such route. A
-// three-segment route's middle segment is its wildcard.
-func routeOf(seg []string) int {
-	var key string
+// routeOf returns the route a split request path names, routeUnknown
+// when dispatch serves no such route.
+func routeOf(seg []string) route {
 	switch len(seg) {
 	case 1:
-		key = seg[0]
+		return routeShapes[seg[0]]
 	case 2:
-		key = seg[0] + "." + seg[1]
+		return routeShapes[seg[0]+"/"+seg[1]]
 	case 3:
-		key = seg[0] + "." + seg[2]
+		return routeShapes[seg[0]+"/*/"+seg[2]]
 	}
-	return routeIndex[key]
+	return routeUnknown
 }
 
-// routeStats is one route's request histogram and status-class counters,
+// routeMeters is one route's request histogram and status-class counters,
 // each resolved from the registry at its first use and held from then on,
 // so a request pays no label formatting or registry lookup.
-type routeStats struct {
+type routeMeters struct {
 	seconds atomic.Pointer[metrics.Histogram]
 	classes [10]atomic.Pointer[metrics.Counter] // by status / 100; net/http refuses codes outside 100-999
 }
 
 // observe records one request's latency and status class.
-func (rs *routeStats) observe(reg *metrics.Registry, route string, status int, elapsed time.Duration) {
-	routeLbl := metrics.Label{Key: "route", Value: route}
+func (rs *routeMeters) observe(reg *metrics.Registry, label string, status int, elapsed time.Duration) {
+	routeLbl := metrics.Label{Key: "route", Value: label}
 	hist := rs.seconds.Load()
 	if hist == nil {
 		hist = reg.Histogram(metrics.LabeledName(metrics.HTTPRequestSeconds, routeLbl))

@@ -270,9 +270,9 @@ type Handler struct {
 	tracer     *trace.Recorder
 	start      time.Time
 
-	// The middleware's instruments, resolved once (see routeStats).
+	// The middleware's instruments, resolved once (see routeMeters).
 	inFlight *metrics.Gauge
-	routes   [len(routeNames)]routeStats
+	routes   [numRoutes]routeMeters
 }
 
 var _ http.Handler = (*Handler)(nil)
@@ -325,36 +325,37 @@ func NewHandler(dep reef.Deployment, logger *log.Logger, opts ...HandlerOption) 
 // Routing splits the escaped path, so identifiers containing %2F (e.g.
 // user IDs with slashes, sent path-escaped by reefclient) stay one
 // segment; wildcard segments are unescaped before use. ServeHTTP (in
-// observe.go) names the route (routeOf) and wraps this with the tracing
-// and metrics middleware.
-func (h *Handler) dispatch(rw http.ResponseWriter, req *http.Request, route string, seg []string) {
-	switch route {
-	case "clicks":
+// observe.go) resolves the route (routeOf), which matches the path's
+// whole shape, so a wildcard route's seg has its three segments; it
+// wraps this with the tracing and metrics middleware.
+func (h *Handler) dispatch(rw http.ResponseWriter, req *http.Request, r route, seg []string) {
+	switch r {
+	case routeClicks:
 		h.route(rw, req, "POST", h.handleClicks)
-	case "events":
+	case routeEvents:
 		h.route(rw, req, "POST", h.handleEvents)
-	case "events:batch":
+	case routeEventsBatch:
 		h.route(rw, req, "POST", h.handleEventsBatch)
-	case "stats":
+	case routeStats:
 		h.route(rw, req, "GET", h.handleStats)
-	case "metrics":
+	case routeMetrics:
 		h.route(rw, req, "GET", h.handleMetrics)
-	case "admin.trace":
+	case routeAdminTrace:
 		h.route(rw, req, "GET", h.handleTrace)
-	case "healthz":
+	case routeHealthz:
 		h.route(rw, req, "GET", h.handleHealthz)
-	case "readyz":
+	case routeReadyz:
 		h.route(rw, req, "GET", h.handleReadyz)
-	case "recommendations":
+	case routeRecommendations:
 		h.route(rw, req, "GET", h.handleRecommendations)
-	case "admin.deadletter":
+	case routeAdminDeadLetter:
 		h.route(rw, req, "GET POST", h.handleDeadLetter)
-	case "subscriptions.ack", "subscriptions.events":
+	case routeSubscriptionAck, routeSubscriptionEvents:
 		id, ok := h.pathSegment(rw, seg[1])
 		if !ok {
 			return
 		}
-		if seg[2] == "ack" {
+		if r == routeSubscriptionAck {
 			h.route(rw, req, "POST", func(rw http.ResponseWriter, req *http.Request) {
 				h.handleAck(rw, req, id)
 			})
@@ -363,15 +364,15 @@ func (h *Handler) dispatch(rw http.ResponseWriter, req *http.Request, route stri
 				h.handleFetchEvents(rw, req, id)
 			})
 		}
-	case "replication.records":
+	case routeReplicationRecords:
 		h.route(rw, req, "POST", h.ingestReplication)
-	case "admin.replication":
+	case routeAdminReplication:
 		h.route(rw, req, "GET", h.handleReplicationStatus)
-	case "admin.storage":
+	case routeAdminStorage:
 		h.route(rw, req, "GET", h.handleStorage)
-	case "admin.snapshot":
+	case routeAdminSnapshot:
 		h.route(rw, req, "POST", h.handleSnapshot)
-	case "recommendations.accept", "recommendations.reject":
+	case routeRecommendationAccept, routeRecommendationReject:
 		id, ok := h.pathSegment(rw, seg[1])
 		if !ok {
 			return
@@ -379,7 +380,7 @@ func (h *Handler) dispatch(rw http.ResponseWriter, req *http.Request, route stri
 		h.route(rw, req, "POST", func(rw http.ResponseWriter, req *http.Request) {
 			h.handleDecision(rw, req, id, seg[2])
 		})
-	case "users.subscriptions":
+	case routeUserSubscriptions:
 		user, ok := h.pathSegment(rw, seg[1])
 		if !ok {
 			return

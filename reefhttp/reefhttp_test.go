@@ -88,6 +88,21 @@ func TestHandlerErrorPaths(t *testing.T) {
 		{"unknown path", "GET", "/v1/nope", "", http.StatusNotFound, reefhttp.CodeNotFound, ""},
 		{"path outside v1", "GET", "/v2/stats", "", http.StatusNotFound, reefhttp.CodeNotFound, ""},
 		{"deep unknown path", "GET", "/v1/users/u/sidebars", "", http.StatusNotFound, reefhttp.CodeNotFound, ""},
+		// A path reaches a handler only with its route's exact shape: the
+		// same fixed words in one segment, in the wildcard's place or one
+		// segment short are unknown paths (one short once panicked).
+		{"route words in one segment", "POST", "/v1/admin.snapshot", "", http.StatusNotFound, reefhttp.CodeNotFound, ""},
+		{"decision words in one segment", "POST", "/v1/recommendations.accept", "", http.StatusNotFound, reefhttp.CodeNotFound, ""},
+		{"subscription words in one segment", "GET", "/v1/subscriptions.ack", "", http.StatusNotFound, reefhttp.CodeNotFound, ""},
+		{"user words in one segment", "GET", "/v1/users.subscriptions", "", http.StatusNotFound, reefhttp.CodeNotFound, ""},
+		{"admin route with a wildcard", "GET", "/v1/admin/x/trace", "", http.StatusNotFound, reefhttp.CodeNotFound, ""},
+		{"replication route with a wildcard", "POST", "/v1/replication/x/records", "", http.StatusNotFound, reefhttp.CodeNotFound, ""},
+		{"ack without its subscription", "POST", "/v1/subscriptions/ack", "", http.StatusNotFound, reefhttp.CodeNotFound, ""},
+		{"events without their subscription", "GET", "/v1/subscriptions/events", "", http.StatusNotFound, reefhttp.CodeNotFound, ""},
+		{"decision without its recommendation", "POST", "/v1/recommendations/accept", "", http.StatusNotFound, reefhttp.CodeNotFound, ""},
+		{"subscriptions without their user", "GET", "/v1/users/subscriptions", "", http.StatusNotFound, reefhttp.CodeNotFound, ""},
+		{"subscribe without a user", "PUT", "/v1/users/subscriptions", `{"feed_url":"http://f.test/a.xml"}`, http.StatusNotFound, reefhttp.CodeNotFound, ""},
+		{"subscriptions one segment long", "GET", "/v1/users/u/subscriptions/x", "", http.StatusNotFound, reefhttp.CodeNotFound, ""},
 
 		{"clicks wrong method", "GET", "/v1/clicks", "", http.StatusMethodNotAllowed, reefhttp.CodeMethodNotAllowed, "POST"},
 		{"events wrong method", "DELETE", "/v1/events", "", http.StatusMethodNotAllowed, reefhttp.CodeMethodNotAllowed, "POST"},
