@@ -27,9 +27,9 @@
 // only when the deployment is live — a restarting node is visible, just
 // not routable. On SIGINT/SIGTERM the order is the reverse: readyz
 // flips to 503 "draining" first, -drain-grace passes so probers notice,
-// then the HTTP listener drains in-flight requests, the pipeline ticker
-// stops, and the deployment closes so the final WAL segment is synced
-// instead of torn.
+// then the HTTP listener drains in-flight requests, the stream
+// connections drain, the pipeline ticker stops, and the deployment
+// closes so the final WAL segment is synced instead of torn.
 //
 // With -cluster-nodes, reefd instead runs as a cluster ROUTER: no local
 // deployment, no pipeline — the /v1 surface is served by a
@@ -42,26 +42,19 @@
 //
 // REST is the control plane; the hot paths — publish, the reliable
 // consume loop (server-pushed fetches with pipelined acks), and a
-// router's click forwards — can ride a persistent, length-prefixed
-// binary stream instead (package reefstream). -stream-addr (node mode) opens the stream listener next
-// to the REST surface and advertises it in /v1/healthz:
-//
-//	reefd -addr :7070 -node-id n1 -stream-addr :7071
-//
-// -cluster-streams (router mode) maps node IDs to their stream
-// addresses; listed nodes receive fan-out publishes over one long-lived
-// stream each, with frames encoded once and shared across nodes, and
-// serve their own users' consume traffic and click batches over the
-// same connection. A
-// node whose stream fails falls back to REST for that call without
-// being demoted:
-//
-//	reefd -addr :7000 -cluster-nodes n1=http://10.0.0.1:7070,n2=http://10.0.0.2:7070 \
-//	      -cluster-streams n1=10.0.0.1:7071,n2=10.0.0.2:7071
-//
-// On shutdown the stream drains readyz-first: the listener stops
-// accepting frames, every fully-read frame is applied and acked whole,
-// and only then does the deployment close — no event is half-applied.
+// router's click forwards — ride a persistent, length-prefixed binary
+// stream (package reefstream) that every reefd serves on -addr as an
+// HTTP/1.1 upgrade, as it serves the replication link: a node has one
+// address, and clients dial the stream from its base URL. A router
+// carries each node's hot paths over one stream to the node's http://
+// base URL (an https:// node stays on REST), with fan-out frames
+// encoded once and shared across nodes. A
+// node whose stream connection fails falls back to REST for that call
+// without being demoted; a node older than the stream route answers
+// every call with its unsupported verdict, so upgrade nodes before
+// routers. On shutdown the stream drains after the HTTP listener:
+// every fully-read frame is applied and acked before the deployment
+// closes — no event is half-applied.
 //
 // # Replication
 //
@@ -118,6 +111,7 @@
 //	GET    /v1/admin/storage                   persistence backend state
 //	GET    /v1/admin/replication               replication stream positions + lag
 //	POST   /v1/replication/records             peer replication link, upgraded (internal)
+//	POST   /v1/stream                          binary data plane, upgraded (reefstream)
 //	POST   /v1/admin/snapshot                  force a compacting snapshot
 //	GET    /v1/admin/deadletter                inspect dead-letter queues (?user=U)
 //	POST   /v1/admin/deadletter                drain dead-letter queues
@@ -137,7 +131,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -150,7 +143,6 @@ import (
 	"reef/internal/websim"
 	"reef/reefcluster"
 	"reef/reefhttp"
-	"reef/reefstream"
 )
 
 func main() {
@@ -166,9 +158,7 @@ func main() {
 	ackTimeout := flag.Duration("delivery-ack-timeout", 0, "default lease before an unacked reliable delivery is retried (0 = library default 30s)")
 	maxAttempts := flag.Int("delivery-max-attempts", 0, "default delivery attempts before an event dead-letters (0 = library default 5)")
 	nodeID := flag.String("node-id", "", "this node's cluster identity, stamped into /v1/healthz and /v1/readyz")
-	streamAddr := flag.String("stream-addr", "", "listen address for the binary data plane (reefstream publish + consume); empty disables it")
 	clusterNodes := flag.String("cluster-nodes", "", "run as a cluster router over these nodes (comma-separated id=url pairs) instead of a local deployment")
-	clusterStreams := flag.String("cluster-streams", "", "stream addresses for -cluster-nodes entries (comma-separated id=host:port pairs); listed nodes receive publishes, consume traffic and click batches over the binary stream instead of REST")
 	replicas := flag.Int("replicas", 0, "replicas per user: node mode ships the WAL to each user's k replica nodes (needs -data-dir, -node-id and -peers); router mode fails user calls over to the first up replica")
 	peers := flag.String("peers", "", "the cluster seed list this node replicates over (comma-separated id=url pairs, same order on every node; must include -node-id)")
 	drainGrace := flag.Duration("drain-grace", 500*time.Millisecond, "how long /v1/readyz advertises draining before the listener closes")
@@ -194,9 +184,9 @@ func main() {
 	}
 
 	if *clusterNodes != "" {
-		err = runRouter(logger, *addr, *clusterNodes, *clusterStreams, *nodeID, *streamAddr, *drainGrace, *dataDir, *shards, *replicas, *peers)
+		err = runRouter(logger, *addr, *clusterNodes, *nodeID, *drainGrace, *dataDir, *shards, *replicas, *peers)
 	} else {
-		err = run(logger, *addr, *seed, *scale, *pipelineEvery, *pollEvery, *dataDir, *syncMode, *snapshotEvery, *shards, *nodeID, *streamAddr, *clusterStreams, *drainGrace, *ackTimeout, *maxAttempts, *replicas, *peers)
+		err = run(logger, *addr, *seed, *scale, *pipelineEvery, *pollEvery, *dataDir, *syncMode, *snapshotEvery, *shards, *nodeID, *drainGrace, *ackTimeout, *maxAttempts, *replicas, *peers)
 	}
 	if err != nil {
 		logger.Error("reefd exiting", "err", err)
@@ -293,41 +283,6 @@ func parseClusterNodes(flagName, spec string) ([]reefcluster.Node, error) {
 	return nodes, nil
 }
 
-// applyClusterStreams parses -cluster-streams ("id=host:port,...") and
-// attaches each stream address to its -cluster-nodes entry. An id with
-// no matching node is an error: a typo here would silently leave a node
-// on the slow REST path, which is exactly the regression this flag
-// exists to prevent.
-func applyClusterStreams(nodes []reefcluster.Node, spec string) error {
-	seen := make(map[string]bool)
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		id, addr, ok := strings.Cut(part, "=")
-		if !ok || id == "" || addr == "" {
-			return fmt.Errorf("reefd: bad -cluster-streams entry %q (want id=host:port)", part)
-		}
-		if seen[id] {
-			return fmt.Errorf("reefd: duplicate node id %q in -cluster-streams", id)
-		}
-		seen[id] = true
-		found := false
-		for i := range nodes {
-			if nodes[i].ID == id {
-				nodes[i].StreamAddr = addr
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("reefd: -cluster-streams id %q has no -cluster-nodes entry", id)
-		}
-	}
-	return nil
-}
-
 // parsePeers parses -peers into the replication manager's node list,
 // checking that self appears in it.
 func parsePeers(spec, self string) ([]replication.Node, error) {
@@ -375,47 +330,51 @@ func startingHandler() http.Handler {
 // serveUntilSignal waits on an already-serving server until
 // SIGINT/SIGTERM, then drains in cluster-polite order: readyz
 // advertises draining, the grace passes so probers stop routing here,
-// the listener drains in-flight requests, and finally shutdown()
-// releases whatever the mode holds. The caller starts srv.Serve itself
-// (feeding serveErr) so the accept loop can predate recovery replay.
-func serveUntilSignal(logger *slog.Logger, srv *http.Server, serveErr <-chan error, ready *reefhttp.Readiness, drainGrace time.Duration, shutdown func() error) error {
+// the listener drains in-flight requests, the stream connections h took
+// over drain while the deployment is still open (no event is left
+// half-applied), and finally shutdown() releases whatever the mode
+// holds. The caller starts srv.Serve itself (feeding serveErr) so the
+// accept loop can predate recovery replay.
+func serveUntilSignal(logger *slog.Logger, srv *http.Server, serveErr <-chan error, ready *reefhttp.Readiness, drainGrace time.Duration, h *reefhttp.Handler, shutdown func() error) error {
 	ctx, cancel := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer cancel()
+	var serveFailed error
 	select {
 	case err := <-serveErr:
-		_ = shutdown()
-		return fmt.Errorf("reefd: %w", err)
+		serveFailed = fmt.Errorf("reefd: %w", err)
 	case <-ctx.Done():
+		logger.Info("signal received, draining (readyz -> 503)", "grace", drainGrace)
+		ready.SetDraining()
+		time.Sleep(drainGrace)
+		shutCtx, shutCancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer shutCancel()
+		if err := srv.Shutdown(shutCtx); err != nil {
+			logger.Warn("http shutdown", "err", err)
+		}
+		if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
+			logger.Warn("serve", "err", err)
+		}
 	}
-	logger.Info("signal received, draining (readyz -> 503)", "grace", drainGrace)
-	ready.SetDraining()
-	time.Sleep(drainGrace)
-	shutCtx, shutCancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer shutCancel()
-	if err := srv.Shutdown(shutCtx); err != nil {
-		logger.Warn("http shutdown", "err", err)
+	drainCtx, drainCancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer drainCancel()
+	if err := h.Shutdown(drainCtx); err != nil {
+		logger.Warn("stream drain", "err", err)
 	}
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		logger.Warn("serve", "err", err)
-	}
-	if err := shutdown(); err != nil {
-		return err
+	if err := shutdown(); serveFailed != nil || err != nil {
+		return errors.Join(serveFailed, err)
 	}
 	logger.Info("shut down cleanly")
 	return nil
 }
 
-func run(logger *slog.Logger, addr string, seed int64, scale float64, pipelineEvery, pollEvery time.Duration, dataDir, syncMode string, snapshotEvery, shards int, nodeID, streamAddr, clusterStreams string, drainGrace time.Duration, ackTimeout time.Duration, maxAttempts int, replicas int, peersSpec string) error {
+func run(logger *slog.Logger, addr string, seed int64, scale float64, pipelineEvery, pollEvery time.Duration, dataDir, syncMode string, snapshotEvery, shards int, nodeID string, drainGrace time.Duration, ackTimeout time.Duration, maxAttempts int, replicas int, peersSpec string) error {
 	// Uptime counts from here, so a recovered node's healthz includes the
 	// WAL replay, as its readyz (built before recovery) already does.
 	start := time.Now()
-	if clusterStreams != "" {
-		return errors.New("reefd: -cluster-streams is a router flag; a node's own stream listener is -stream-addr")
-	}
 	logger.Info("reefd starting",
 		"version", reefhttp.Version(), "addr", addr,
 		"data_dir", dataDir, "sync", syncMode, "shards", shards,
-		"stream_addr", streamAddr, "replicas", replicas,
+		"replicas", replicas,
 		"scale", scale, "pipeline_every", pipelineEvery)
 	// One registry and one span ring per node: the REST handler, the
 	// stream data plane and the replication sender all record into them,
@@ -545,27 +504,11 @@ func run(logger *slog.Logger, addr string, seed int64, scale float64, pipelineEv
 		handlerOpts = append(handlerOpts, reefhttp.WithReplication(mgr))
 		logger.Info("replication shipping", "peers", len(replNodes)-1, "replicas", replicas)
 	}
-	// The stream listener starts AFTER recovery (frames must land in a
-	// live deployment) and before readyz flips: a router that sees ready
-	// may open its stream immediately.
-	var streamSrv *reefstream.Server
-	if streamAddr != "" {
-		streamSrv, err = reefstream.Listen(streamAddr, dep,
-			reefstream.WithNode(nodeID),
-			reefstream.WithMetrics(reg),
-			reefstream.WithTraceRecorder(rec))
-		if err != nil {
-			_ = srv.Close()
-			if mgr != nil {
-				mgr.Close()
-			}
-			_ = dep.Close()
-			return fmt.Errorf("reefd: %w", err)
-		}
-		handlerOpts = append(handlerOpts, reefhttp.WithStreamAddr(streamSrv.Addr().String()))
-		logger.Info("stream data plane listening", "addr", streamSrv.Addr().String())
-	}
-	api.set(reefhttp.NewHandler(dep, slog.NewLogLogger(logger.Handler(), slog.LevelError), handlerOpts...))
+	// The handler, and with it the stream route, swaps in AFTER recovery
+	// (frames must land in a live deployment) and before readyz flips: a
+	// router that sees ready may open its stream immediately.
+	handler := reefhttp.NewHandler(dep, slog.NewLogLogger(logger.Handler(), slog.LevelError), handlerOpts...)
+	api.set(handler)
 	ready.SetReady()
 
 	stop := make(chan struct{})
@@ -592,47 +535,30 @@ func run(logger *slog.Logger, addr string, seed int64, scale float64, pipelineEv
 			}
 		}
 	}()
-	var stopOnce sync.Once
-	stopPipeline := func() { stopOnce.Do(func() { close(stop); <-done }) }
-
 	logger.Info("reefd ready",
 		"addr", addr, "scale", scale, "shards", dep.ShardCount(),
 		"pipeline_every", pipelineEvery)
-	var closeOnce sync.Once
 	shutdown := func() error {
-		var err error
-		closeOnce.Do(func() {
-			if streamSrv != nil {
-				// Drain the stream plane FIRST, while the deployment is
-				// still open: stop accepting frames, apply and ack every
-				// frame already read, then close the connections — no
-				// event is left half-applied.
-				drainCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				if serr := streamSrv.Shutdown(drainCtx); serr != nil {
-					logger.Warn("stream drain", "err", serr)
-				}
-				cancel()
-			}
-			stopPipeline()
-			if mgr != nil {
-				// Stop shipping before the journal closes under the
-				// senders; the unshipped tail stays in the local WAL.
-				mgr.Close()
-			}
-			if cerr := dep.Close(); cerr != nil {
-				err = fmt.Errorf("reefd: closing deployment: %w", cerr)
-			}
-		})
-		return err
+		close(stop)
+		<-done
+		if mgr != nil {
+			// Stop shipping before the journal closes under the
+			// senders; the unshipped tail stays in the local WAL.
+			mgr.Close()
+		}
+		if err := dep.Close(); err != nil {
+			return fmt.Errorf("reefd: closing deployment: %w", err)
+		}
+		return nil
 	}
-	return serveUntilSignal(logger, srv, serveErr, ready, drainGrace, shutdown)
+	return serveUntilSignal(logger, srv, serveErr, ready, drainGrace, handler, shutdown)
 }
 
 // runRouter serves the /v1 surface over a cluster of reefd nodes: user
 // calls forward to their owning node, publishes fan out to every live
 // node. The router holds no state of its own, so there is nothing to
 // recover — it is ready as soon as the first probe round finishes.
-func runRouter(logger *slog.Logger, addr, spec, streamSpec, nodeID, streamAddr string, drainGrace time.Duration, dataDir string, shards, replicas int, peersSpec string) error {
+func runRouter(logger *slog.Logger, addr, spec, nodeID string, drainGrace time.Duration, dataDir string, shards, replicas int, peersSpec string) error {
 	start := time.Now()
 	if dataDir != "" {
 		return errors.New("reefd: -data-dir is a node flag; a cluster router holds no state (drop it or drop -cluster-nodes)")
@@ -643,16 +569,16 @@ func runRouter(logger *slog.Logger, addr, spec, streamSpec, nodeID, streamAddr s
 	if peersSpec != "" {
 		return errors.New("reefd: -peers is a node flag; the router's node list is -cluster-nodes")
 	}
-	if streamAddr != "" {
-		return errors.New("reefd: -stream-addr is a node flag; the router's stream map is -cluster-streams")
-	}
 	nodes, err := parseClusterNodes("-cluster-nodes", spec)
 	if err != nil {
 		return err
 	}
-	if streamSpec != "" {
-		if err := applyClusterStreams(nodes, streamSpec); err != nil {
-			return err
+	// Every node serves its stream on its REST listener; the stream
+	// client upgrades plain HTTP/1.1 only, so an https:// node (behind a
+	// TLS proxy) stays on REST.
+	for i := range nodes {
+		if strings.HasPrefix(nodes[i].BaseURL, "http://") {
+			nodes[i].StreamAddr = nodes[i].BaseURL
 		}
 	}
 	logger.Info("reefd router starting",
@@ -680,11 +606,12 @@ func runRouter(logger *slog.Logger, addr, spec, streamSpec, nodeID, streamAddr s
 
 	ready := reefhttp.NewReadiness()
 	ready.SetReady()
-	mux := http.NewServeMux()
-	mux.Handle("/v1/", reefhttp.NewHandler(cl, slog.NewLogLogger(logger.Handler(), slog.LevelError),
+	handler := reefhttp.NewHandler(cl, slog.NewLogLogger(logger.Handler(), slog.LevelError),
 		reefhttp.WithReadiness(ready), reefhttp.WithNodeID(nodeID),
 		reefhttp.WithMetrics(reg), reefhttp.WithTrace(rec),
-		reefhttp.WithStartTime(start)))
+		reefhttp.WithStartTime(start))
+	mux := http.NewServeMux()
+	mux.Handle("/v1/", handler)
 	mux.Handle("/v1/readyz", reefhttp.ReadyzHandler(ready, nodeID))
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -695,10 +622,6 @@ func runRouter(logger *slog.Logger, addr, spec, streamSpec, nodeID, streamAddr s
 	srv := &http.Server{Handler: mux}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	var closeOnce sync.Once
-	shutdown := func() error {
-		closeOnce.Do(func() { _ = cl.Close() })
-		return nil
-	}
-	return serveUntilSignal(logger, srv, serveErr, ready, drainGrace, shutdown)
+	shutdown := func() error { _ = cl.Close(); return nil }
+	return serveUntilSignal(logger, srv, serveErr, ready, drainGrace, handler, shutdown)
 }

@@ -57,7 +57,7 @@ func TestParsePeers(t *testing.T) {
 func TestRunReplicationFlagValidation(t *testing.T) {
 	base := func(dataDir, nodeID string, replicas int, peers string) error {
 		return run(discard, ":0", 1, 0.01, time.Hour, time.Hour, dataDir, "async", 0, 1,
-			nodeID, "", "", 0, 0, 0, replicas, peers)
+			nodeID, 0, 0, 0, replicas, peers)
 	}
 	for _, tc := range []struct {
 		name    string
@@ -79,50 +79,16 @@ func TestRunReplicationFlagValidation(t *testing.T) {
 }
 
 func TestRunRouterFlagValidation(t *testing.T) {
-	if err := runRouter(discard, ":0", "a=http://x.test", "", "", "", 0, "", 1, 0, "a=http://x.test"); err == nil ||
+	if err := runRouter(discard, ":0", "a=http://x.test", "", 0, "", 1, 0, "a=http://x.test"); err == nil ||
 		!strings.Contains(err.Error(), "-peers is a node flag") {
 		t.Fatalf("router with -peers = %v, want node-flag error", err)
 	}
-	if err := runRouter(discard, ":0", "a=http://x.test", "", "", "", 0, "", 3, 0, ""); err == nil ||
+	if err := runRouter(discard, ":0", "a=http://x.test", "", 0, "", 3, 0, ""); err == nil ||
 		!strings.Contains(err.Error(), "-shards is a node flag") {
 		t.Fatalf("router with -shards 3 = %v, want node-flag error", err)
 	}
-	if err := runRouter(discard, ":0", "a=http://x.test", "", "", "", 0, "", 1, 1, ""); err == nil ||
+	if err := runRouter(discard, ":0", "a=http://x.test", "", 0, "", 1, 1, ""); err == nil ||
 		!strings.Contains(err.Error(), "replicas") {
 		t.Fatalf("router with replicas >= nodes = %v, want range error", err)
-	}
-	if err := runRouter(discard, ":0", "a=http://x.test", "", "", ":7071", 0, "", 1, 0, ""); err == nil ||
-		!strings.Contains(err.Error(), "-stream-addr is a node flag") {
-		t.Fatalf("router with -stream-addr = %v, want node-flag error", err)
-	}
-	if err := runRouter(discard, ":0", "a=http://x.test", "b=10.0.0.2:7071", "", "", 0, "", 1, 0, ""); err == nil ||
-		!strings.Contains(err.Error(), `"b" has no -cluster-nodes entry`) {
-		t.Fatalf("router with unknown stream id = %v, want unknown-id error", err)
-	}
-}
-
-func TestApplyClusterStreams(t *testing.T) {
-	nodes, err := parseClusterNodes("-cluster-nodes", "a=http://x.test,b=http://y.test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := applyClusterStreams(nodes, "b=10.0.0.2:7071"); err != nil {
-		t.Fatal(err)
-	}
-	if nodes[0].StreamAddr != "" || nodes[1].StreamAddr != "10.0.0.2:7071" {
-		t.Fatalf("stream addrs = (%q, %q), want only b mapped", nodes[0].StreamAddr, nodes[1].StreamAddr)
-	}
-	for _, tc := range []struct{ name, spec, wantErr string }{
-		{"malformed", "b", "bad -cluster-streams entry"},
-		{"missing addr", "b=", "bad -cluster-streams entry"},
-		{"duplicate id", "a=h:1,a=h:2", `duplicate node id "a"`},
-		{"unknown id", "c=h:1", `"c" has no -cluster-nodes entry`},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if err := applyClusterStreams(nodes, tc.spec); err == nil ||
-				!strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("applyClusterStreams(%q) = %v, want error containing %q", tc.spec, err, tc.wantErr)
-			}
-		})
 	}
 }

@@ -28,8 +28,8 @@
 // by the internal/durable codec, pipelined by callers, batch-coalesced
 // by the server; consumers attach a subscription and are pushed leased
 // events under a credit window the moment they are retained) that a
-// reefclient can adopt via WithTransport and reefd serves next to the
-// REST listener (-stream-addr).
+// reefclient can adopt via WithTransport and every reefd serves as an
+// HTTP/1.1 upgrade on its one REST listener.
 // The reefcluster subpackage scales out: a Cluster is a Deployment
 // routing over N reefd nodes — users placed by a stable hash,
 // publishes fanned out to every live node, membership tracked by a

@@ -3,6 +3,7 @@ package eventalg
 import (
 	"fmt"
 	"hash/maphash"
+	"strconv"
 	"strings"
 )
 
@@ -116,11 +117,19 @@ func mix64(x uint64) uint64 {
 }
 
 // String renders the constraint in parser syntax.
-func (c Constraint) String() string {
+func (c Constraint) String() string { return string(c.appendText(nil)) }
+
+// appendText appends the constraint's String form to dst.
+func (c Constraint) appendText(dst []byte) []byte {
+	dst = append(dst, c.Attr...)
 	if c.Op == OpExists {
-		return c.Attr + " exists"
+		return append(dst, " exists"...)
 	}
-	return fmt.Sprintf("%s %s %s", c.Attr, c.Op, c.Val)
+	dst = append(append(append(dst, ' '), c.Op.String()...), ' ')
+	if c.Val.kind == KindString {
+		return strconv.AppendQuote(dst, c.Val.s)
+	}
+	return append(dst, c.Val.String()...)
 }
 
 // Match reports whether the tuple satisfies the constraint. A constraint on

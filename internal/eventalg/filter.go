@@ -107,11 +107,14 @@ func (f Filter) String() string {
 	if len(f.constraints) == 0 {
 		return "<all>"
 	}
-	parts := make([]string, len(f.constraints))
+	buf := make([]byte, 0, 64)
 	for i, c := range f.constraints {
-		parts[i] = c.String()
+		if i > 0 {
+			buf = append(buf, " and "...)
+		}
+		buf = c.appendText(buf)
 	}
-	return strings.Join(parts, " and ")
+	return string(buf)
 }
 
 // Attrs returns the sorted set of attribute names the filter constrains.

@@ -2,7 +2,6 @@ package replication
 
 import (
 	"bufio"
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -14,6 +13,7 @@ import (
 
 	"reef/internal/durable"
 	"reef/internal/trace"
+	"reef/internal/upgrade"
 )
 
 // LinkProtocol is the Upgrade token of a replication link.
@@ -44,32 +44,25 @@ type Link struct {
 	hdr, buf []byte
 }
 
-// DialLink opens a link to the peer at baseURL through rt: an HTTP/1.1
-// Upgrade request to RecordsPath carrying the handshake fixed for the
-// link's life, the sender's ID and epoch. Any answer but 101 fails the
-// dial — an older receiver answers 400, since the request has no
-// per-batch watermark headers, so it applies nothing. timeout bounds
-// the dial and then each batch.
-func DialLink(rt http.RoundTripper, baseURL, source string, epoch int64, timeout time.Duration) (*Link, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+RecordsPath, nil)
+// DialLink opens a link to peer through rt: an HTTP/1.1 Upgrade
+// request to RecordsPath carrying the handshake fixed for the link's
+// life, the sender's ID and epoch. Any answer but 101 fails the dial —
+// an older receiver answers 400, since the request has no per-batch
+// watermark headers, so it applies nothing — and so does a 101 naming a
+// node other than peer.ID (when set); one naming none comes from a
+// receiver older than the name and is taken. timeout bounds the dial
+// and then each batch.
+func DialLink(rt http.RoundTripper, peer Node, source string, epoch int64, timeout time.Duration) (*Link, error) {
+	rwc, node, err := upgrade.Dial(rt, peer.BaseURL+RecordsPath, LinkProtocol, http.Header{
+		HdrSource: {source},
+		HdrEpoch:  {strconv.FormatInt(epoch, 10)},
+	}, timeout)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("replication: %w", err)
 	}
-	req.Header.Set("Connection", "Upgrade")
-	req.Header.Set("Upgrade", LinkProtocol)
-	req.Header.Set(HdrSource, source)
-	req.Header.Set(HdrEpoch, strconv.FormatInt(epoch, 10))
-	resp, err := rt.RoundTrip(req)
-	if err != nil {
-		return nil, err
-	}
-	rwc, ok := resp.Body.(io.ReadWriteCloser)
-	if resp.StatusCode != http.StatusSwitchingProtocols || !ok {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 200))
-		resp.Body.Close()
-		return nil, fmt.Errorf("replication: peer answered the link upgrade with %s: %s", resp.Status, data)
+	if node != "" && peer.ID != "" && node != peer.ID {
+		rwc.Close()
+		return nil, fmt.Errorf("replication: node identity mismatch at %s: dialed %q, reached %q", peer.BaseURL, peer.ID, node)
 	}
 	l := &Link{
 		rwc:      rwc,

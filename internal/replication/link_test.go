@@ -274,7 +274,7 @@ func TestLinkBatchBound(t *testing.T) {
 	}
 	t.Cleanup(recv.Close)
 	srv := serve(t, func() *Manager { return recv })
-	l, err := DialLink(http.DefaultTransport, srv.URL, "a", 1, 5*time.Second)
+	l, err := DialLink(http.DefaultTransport, Node{BaseURL: srv.URL}, "a", 1, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestLinkUpgradeRefused(t *testing.T) {
 		http.Error(w, "missing X-Reef-Replication-Prev header", http.StatusBadRequest)
 	}))
 	t.Cleanup(srv.Close)
-	_, err := DialLink(http.DefaultTransport, srv.URL, "a", 1, 5*time.Second)
+	_, err := DialLink(http.DefaultTransport, Node{BaseURL: srv.URL}, "a", 1, 5*time.Second)
 	if err == nil || !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "Prev") {
 		t.Fatalf("dial to an older receiver = %v, want its 400 and message", err)
 	}

@@ -304,7 +304,7 @@ func (m *Manager) dial(p *peer) (*Link, error) {
 	if timeout <= 0 {
 		timeout = defaultTimeout
 	}
-	l, err := DialLink(rt, p.node.BaseURL, m.opt.Self, m.epoch, timeout)
+	l, err := DialLink(rt, p.node, m.opt.Self, m.epoch, timeout)
 	if err != nil {
 		return nil, err
 	}

@@ -302,12 +302,12 @@ func (c *Client) doOnce(ctx context.Context, method, path string, data []byte, h
 //   - the caller's ctx is done, or the error wraps
 //     context.DeadlineExceeded (the transport's own call timeout): the
 //     answer; a router's forwardErr decides who is blamed;
-//   - reefstream.ErrNotSent or reef.ErrUnsupported (nothing left the
-//     client, or the server predates the verb): REST, for this call
-//     only;
 //   - a *reefstream.StatusError, or a wrapped reef.ErrInvalidArgument,
 //     ErrNotFound or ErrClosed: the answer — the node's own verdict,
-//     which REST would repeat;
+//     which REST would repeat; a node that does not serve the stream
+//     answers StatusUnsupported, as its REST surface would answer 501;
+//   - reefstream.ErrNotSent (nothing left the client): REST, for this
+//     call only;
 //   - anything else is connection-level: REST if the verb may be
 //     repeated after its frame was queued (publish, fetch, ack), the
 //     answer otherwise (clicks are not idempotent).
@@ -315,15 +315,12 @@ func restFallback(ctx context.Context, err error, mayRepeat bool) bool {
 	if err == nil || ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) {
 		return false
 	}
-	if errors.Is(err, reefstream.ErrNotSent) || errors.Is(err, reef.ErrUnsupported) {
-		return true
-	}
 	var se *reefstream.StatusError
 	if errors.As(err, &se) || errors.Is(err, reef.ErrInvalidArgument) ||
 		errors.Is(err, reef.ErrNotFound) || errors.Is(err, reef.ErrClosed) {
 		return false
 	}
-	return mayRepeat
+	return mayRepeat || errors.Is(err, reefstream.ErrNotSent)
 }
 
 // IngestClicks implements reef.Deployment over POST /v1/clicks, or over

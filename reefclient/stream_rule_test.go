@@ -110,7 +110,7 @@ func TestTransportRule(t *testing.T) {
 		{name: "caller ctx done", err: context.Canceled, cancel: true, wantIs: context.Canceled},
 		{name: "call timeout", err: fmt.Errorf("stream: %w", context.DeadlineExceeded), wantIs: context.DeadlineExceeded},
 		{name: "not sent", err: fmt.Errorf("%w: dial refused", reefstream.ErrNotSent), rest: true},
-		{name: "unsupported", err: &reefstream.StatusError{Status: reefstream.StatusUnsupported}, rest: true},
+		{name: "unsupported", err: &reefstream.StatusError{Status: reefstream.StatusUnsupported}, wantIs: reef.ErrUnsupported},
 		{name: "internal verdict", err: &reefstream.StatusError{Status: reefstream.StatusInternal, Message: "boom"}},
 		{name: "invalid argument", err: fmt.Errorf("stream: %w", reef.ErrInvalidArgument), wantIs: reef.ErrInvalidArgument},
 		{name: "not found", err: reef.ErrNotFound, wantIs: reef.ErrNotFound},

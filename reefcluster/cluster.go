@@ -14,9 +14,9 @@
 //   - Every forward goes through one reef client SDK per node. Nodes
 //     configured with a StreamAddr carry publishes, clicks, fetches and
 //     acks over a persistent binary stream (reefstream) plugged in as
-//     the client's transport; REST remains the control plane and the
-//     fallback, which the client decides the same way for the router
-//     and for any SDK user.
+//     the client's transport, usually dialed at the node's base URL;
+//     REST remains the control plane and the fallback, which the client
+//     decides the same way for the router and for any SDK user.
 //   - Stats and StorageInfo aggregate across nodes with per-node
 //     breakdowns.
 //
@@ -103,11 +103,11 @@ type Node struct {
 	ID      string
 	BaseURL string
 
-	// StreamAddr is the node's binary data plane listener (reefd
-	// -stream-addr), host:port. When set, the router carries this node's
-	// publishes, clicks, fetches and acks over one long-lived reefstream
-	// connection instead of REST; empty keeps them on REST. Control-plane
-	// calls always use BaseURL either way.
+	// StreamAddr is a base URL (usually BaseURL) or a reefstream Listen
+	// address. When set, the router carries this node's publishes,
+	// clicks, fetches and acks over one long-lived reefstream connection
+	// instead of REST; empty keeps that node on REST for library users.
+	// Control-plane calls always use BaseURL either way.
 	StreamAddr string
 }
 
@@ -471,8 +471,8 @@ func (c *Cluster) forwardErr(ctx context.Context, i int, err error) error {
 // is what actually landed, also alongside an error, so a caller
 // retrying a failed batch knows it may duplicate clicks on the
 // surviving groups; callers that need exactly-once should batch
-// per user. A group rides its node's stream when the node takes clicks
-// frames, and is never repeated once its frame was queued.
+// per user. A group rides its node's stream where it has one, and is
+// never repeated once its frame was queued.
 func (c *Cluster) IngestClicks(ctx context.Context, clicks []reef.Click) (int, error) {
 	if err := c.checkOpen(ctx); err != nil {
 		return 0, err

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -437,5 +438,66 @@ func TestClusterForwardFaultRetry(t *testing.T) {
 	}
 	if ft.Calls() < 2 {
 		t.Fatalf("transport saw %d calls, want the faulted attempt plus its retry", ft.Calls())
+	}
+}
+
+// TestReplicationLinkPinsReceiverIdentity pins the link's identity rule:
+// in a's seed list b's ID points at the URL of another node, c, whose
+// 101 names it "c". a refuses that link, ships c nothing, and reports
+// the mismatch in its status for b, while c's state stays as it was.
+func TestReplicationLinkPinsReceiverIdentity(t *testing.T) {
+	ctx := context.Background()
+	web := testWeb(74)
+	lnA, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lnC, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	urlA, urlC := "http://"+lnA.Addr().String(), "http://"+lnC.Addr().String()
+	a := &testNode{id: "a", dir: t.TempDir(), web: web, addr: lnA.Addr().String(), replicas: 1,
+		peers: []replication.Node{{ID: "a", BaseURL: urlA}, {ID: "b", BaseURL: urlC}}}
+	c := &testNode{id: "c", dir: t.TempDir(), web: web, addr: lnC.Addr().String(), replicas: 1,
+		peers: []replication.Node{{ID: "a", BaseURL: urlA}, {ID: "c", BaseURL: urlC}}}
+	c.boot(t, lnC)
+	t.Cleanup(c.shutdown)
+	a.boot(t, lnA)
+	t.Cleanup(a.shutdown)
+
+	users := []string{"u1", "u2"}
+	before, err := durabletest.Capture(ctx, c.dep, users, durabletest.DurableStatKeys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range users {
+		if _, err := a.dep.IngestClicks(ctx, []reef.Click{{User: u, URL: "http://site.test/a.html", At: t0}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.dep.Subscribe(ctx, u, feedURLs(web)[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var st replication.PeerStatus
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		st = a.mgr.Status().Peers[0]
+		if st.LastError != "" || st.Shipped > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("a's sender neither shipped to nor failed on b: %+v", st)
+		}
+	}
+	if st.Node != "b" || st.Shipped != 0 || !strings.Contains(st.LastError, `dialed "b", reached "c"`) {
+		t.Errorf("a's status for b = %+v, want nothing shipped and an identity mismatch naming c", st)
+	}
+	after, err := durabletest.Capture(ctx, c.dep, users, durabletest.DurableStatKeys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff, err := durabletest.Diff(before, after); err != nil || diff != "" {
+		t.Errorf("c applied records shipped for b: %s %v", diff, err)
 	}
 }

@@ -6,6 +6,9 @@ import (
 	"errors"
 	"io"
 	"net"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,7 +17,9 @@ import (
 	"reef"
 	"reef/internal/durable"
 	"reef/internal/metrics"
+	"reef/reefclient"
 	"reef/reefcluster"
+	"reef/reefhttp"
 	"reef/reefstream"
 )
 
@@ -270,10 +275,11 @@ func startFakeStreamNode(t *testing.T, reply string) (*reefcluster.Cluster, *tes
 	return cl, node, fake
 }
 
-// TestClusterStreamClicksMixedVersions pins the upgrade path: a node
-// whose stream hello lacks the clicks capability (built before the
-// verb) gets its clicks over REST, and is never sent a clicks frame,
-// which it would refuse by killing the connection.
+// TestClusterStreamClicksMixedVersions pins the mixed-version rule: a
+// node whose stream hello lacks the clicks capability (built before the
+// verb) is sent the clicks frame anyway, kills the connection on it, and
+// the router reports the failure instead of repeating the batch over
+// REST.
 func TestClusterStreamClicksMixedVersions(t *testing.T) {
 	ctx := context.Background()
 	cl, node, fake := startFakeStreamNode(t, `{"proto":1,"node":"a"}`)
@@ -281,18 +287,18 @@ func TestClusterStreamClicksMixedVersions(t *testing.T) {
 		{User: "u1", URL: "http://site.test/a.html", At: t0},
 		{User: "u2", URL: "http://site.test/b.html", At: t0},
 	}
-	if n, err := cl.IngestClicks(ctx, clicks); err != nil || n != len(clicks) {
-		t.Fatalf("IngestClicks = (%d, %v), want %d over REST", n, err, len(clicks))
+	if _, err := cl.IngestClicks(ctx, clicks); err == nil {
+		t.Fatal("IngestClicks succeeded though the old stream refused the clicks frame")
 	}
 	stats, err := node.dep.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats["clicks_stored"] != float64(len(clicks)) {
-		t.Errorf("clicks_stored = %v, want %d", stats["clicks_stored"], len(clicks))
+	if stats["clicks_stored"] != 0 {
+		t.Errorf("clicks_stored = %v, want 0: the batch was repeated over REST", stats["clicks_stored"])
 	}
-	if fake.hellos.Load() == 0 || fake.clicks.Load() != 0 {
-		t.Errorf("old stream saw %d hellos and %d clicks frames, want some and 0", fake.hellos.Load(), fake.clicks.Load())
+	if fake.hellos.Load() != 1 || fake.clicks.Load() != 1 {
+		t.Errorf("old stream saw %d hellos and %d clicks frames, want 1 and 1", fake.hellos.Load(), fake.clicks.Load())
 	}
 }
 
@@ -387,4 +393,130 @@ func waitForState(t *testing.T, cl *reefcluster.Cluster, id, want string) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("node %s never reached state %q", id, want)
+}
+
+// TestStreamUpgradeRefusedFailsClosed pins the mixed-version rule for a
+// node older than the stream route, which answers the upgrade with 404:
+// over a base-URL stream client, publish, clicks, fetch and ack each
+// fail with the node's StatusUnsupported verdict, none is repeated over
+// REST, and a router that publishes to the node keeps it up.
+func TestStreamUpgradeRefusedFailsClosed(t *testing.T) {
+	ctx := context.Background()
+	node := startTestNode(t, "a", 0, testWeb(75))
+	h := reefhttp.NewHandler(node.dep, nil, reefhttp.WithNodeID("a"))
+	var rest atomic.Int64
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case reefstream.UpgradePath:
+			http.NotFound(w, r)
+			return
+		case "/v1/healthz", "/v1/readyz":
+		default:
+			rest.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(old.Close)
+
+	unsupported := func(what string, err error) {
+		t.Helper()
+		var se *reefstream.StatusError
+		if !errors.As(err, &se) || se.Status != reefstream.StatusUnsupported || !strings.Contains(se.Message, `node "a"`) {
+			t.Errorf("%s = %v, want a StatusUnsupported verdict naming node a", what, err)
+		}
+	}
+	c := reefclient.New(old.URL, reefclient.WithTransport(reefstream.NewClient(old.URL, reefstream.WithExpectNode("a"))))
+	t.Cleanup(func() { c.Close() })
+	ev := reef.Event{Attrs: map[string]string{"type": "feed-item", "feed": "http://site.test/f.xml"}}
+	_, err := c.PublishEvent(ctx, ev)
+	unsupported("PublishEvent", err)
+	_, err = c.IngestClicks(ctx, []reef.Click{{User: "u1", URL: "http://site.test/a.html", At: t0}})
+	unsupported("IngestClicks", err)
+	_, err = c.FetchEvents(ctx, "u1", "s1", 8)
+	unsupported("FetchEvents", err)
+	unsupported("Ack", c.Ack(ctx, "u1", "s1", 1, false))
+	if n := rest.Load(); n != 0 {
+		t.Errorf("the old node's REST surface saw %d requests, want 0", n)
+	}
+
+	cl, err := reefcluster.New(reefcluster.Config{
+		Nodes:         []reefcluster.Node{{ID: "a", BaseURL: old.URL, StreamAddr: old.URL}},
+		ProbeInterval: time.Hour,
+		ProbeTimeout:  2 * time.Second,
+		CallTimeout:   5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cl.Close() })
+	_, err = cl.PublishEvent(ctx, ev)
+	unsupported("router PublishEvent", err)
+	if st := cl.Status()[0].State; st != "up" {
+		t.Errorf("node state after a refused upgrade = %q, want up", st)
+	}
+	if n := rest.Load(); n != 0 {
+		t.Errorf("the old node's REST surface saw %d requests, want 0", n)
+	}
+}
+
+// TestStreamUpgradeStartingDemotesNode pins that a node answering the
+// stream upgrade with 503 "starting", as reefd does while its WAL
+// replays, is a node fault and not the publish's answer: a router
+// publish lands on the survivor, bumps cluster_publish_partial, and
+// demotes the starting node.
+func TestStreamUpgradeStartingDemotesNode(t *testing.T) {
+	ctx := context.Background()
+	web := testWeb(76)
+	nodes := []*testNode{startTestNode(t, "a", 0, web), startTestNode(t, "b", 0, web)}
+	h := reefhttp.NewHandler(nodes[1].dep, nil, reefhttp.WithNodeID("b"))
+	starting := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != reefstream.UpgradePath {
+			h.ServeHTTP(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusServiceUnavailable)
+		io.WriteString(w, `{"error":{"code":"unavailable","message":"starting: recovery replay in progress"}}`+"\n")
+	}))
+	t.Cleanup(starting.Close)
+	cl, err := reefcluster.New(reefcluster.Config{
+		Nodes: []reefcluster.Node{
+			{ID: "a", BaseURL: nodes[0].url(), StreamAddr: nodes[0].url()},
+			{ID: "b", BaseURL: starting.URL, StreamAddr: starting.URL},
+		},
+		ProbeInterval: time.Hour,
+		ProbeTimeout:  2 * time.Second,
+		CallTimeout:   5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cl.Close() })
+	feed := feedURLs(web)[0]
+	for _, users := range usersPerNode(cl, nodes, 1) {
+		if _, err := cl.Subscribe(ctx, users[0], feed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, err := cl.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ev := reef.Event{Attrs: map[string]string{
+		"type": "feed-item", "feed": feed, "title": "t", "link": "http://x.test/item",
+	}}
+	if delivered, err := cl.PublishEvent(ctx, ev); err != nil || delivered != 1 {
+		t.Fatalf("publish with b starting = (%d, %v), want 1 delivery on a", delivered, err)
+	}
+	if st := cl.Status()[1].State; st != "down" {
+		t.Errorf("b's state after a 503 on the upgrade = %q, want down", st)
+	}
+	after, err := cl.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if partial := after["cluster_publish_partial"] - before["cluster_publish_partial"]; partial != 1 {
+		t.Errorf("cluster_publish_partial advanced by %v, want 1", partial)
+	}
 }

@@ -109,7 +109,7 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 }
 
 // Unwrap exposes the server's writer to http.ResponseController, which
-// the replication route hijacks the connection through.
+// the upgrade routes hijack the connection through.
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // probeRoutes are scraped or polled continuously; the middleware never
@@ -190,6 +190,7 @@ const (
 	routeAdminStorage
 	routeAdminSnapshot
 	routeReplicationRecords
+	routeStream
 	routeSubscriptionAck
 	routeSubscriptionEvents
 	routeRecommendationAccept
@@ -218,6 +219,7 @@ var routeNames = [numRoutes]string{
 	routeAdminStorage:         "admin.storage",
 	routeAdminSnapshot:        "admin.snapshot",
 	routeReplicationRecords:   "replication.records",
+	routeStream:               "stream",
 	routeSubscriptionAck:      "subscriptions.ack",
 	routeSubscriptionEvents:   "subscriptions.events",
 	routeRecommendationAccept: "recommendations.accept",
@@ -246,6 +248,7 @@ var routeShapes = map[string]route{
 	"admin/storage":            routeAdminStorage,
 	"admin/snapshot":           routeAdminSnapshot,
 	"replication/records":      routeReplicationRecords,
+	"stream":                   routeStream,
 	"subscriptions/*/ack":      routeSubscriptionAck,
 	"subscriptions/*/events":   routeSubscriptionEvents,
 	"recommendations/*/accept": routeRecommendationAccept,

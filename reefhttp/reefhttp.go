@@ -30,12 +30,17 @@
 //	POST   /v1/admin/snapshot                  force a compacting snapshot
 //	POST   /v1/replication/records             open a peer's replication link (Upgrade)
 //	GET    /v1/admin/replication               replication stream status
+//	POST   /v1/stream                          open a reefstream connection (Upgrade)
 //
 // The admin storage/snapshot endpoints require the deployment to
 // implement reef.Persister; the events/ack/deadletter endpoints require
 // reef.ReliableDeliverer; the replication endpoints require a manager
 // mounted via WithReplication. Against a deployment lacking the surface
 // they answer 501 with code "unsupported".
+//
+// Both upgrade routes answer 101 naming the node in X-Reef-Node;
+// /v1/stream hands the connection to a reefstream.Server over the
+// handler's deployment, node ID, registry and span ring.
 //
 // Liveness and readiness are distinct probes: /v1/healthz answers 200
 // whenever the process serves at all, while /v1/readyz answers 200 only
@@ -49,12 +54,14 @@
 package reefhttp
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -65,6 +72,8 @@ import (
 	"reef"
 	"reef/internal/metrics"
 	"reef/internal/trace"
+	"reef/internal/upgrade"
+	"reef/reefstream"
 )
 
 // maxBodyBytes bounds JSON request bodies (the click batch is the
@@ -180,9 +189,7 @@ type (
 	// deployment's shape — how many engine shards serve it and which
 	// storage backend persists it ("memory" when nothing does). Node is
 	// the server's cluster identity (reefd -node-id), empty standalone.
-	// StreamAddr advertises the node's binary ingest listener (reefd
-	// -stream-addr) when one is running, so operators and tooling can
-	// discover the publish data plane from the control plane.
+	// StreamAddr advertises a reefstream Listen server (WithStreamAddr).
 	HealthResponse struct {
 		Status     string `json:"status"`
 		Shards     int    `json:"shards"`
@@ -266,6 +273,8 @@ type Handler struct {
 	nodeID     string
 	streamAddr string
 	repl       Replicator
+	replSelf   string // the 101 of a replication link names it
+	stream     *reefstream.Server
 	metrics    *metrics.Registry
 	tracer     *trace.Recorder
 	start      time.Time
@@ -293,8 +302,8 @@ func WithNodeID(id string) HandlerOption {
 	return func(h *Handler) { h.nodeID = id }
 }
 
-// WithStreamAddr advertises the node's binary ingest listener address
-// in the healthz body.
+// WithStreamAddr advertises a separate reefstream Listen server's
+// address in the healthz body.
 func WithStreamAddr(addr string) HandlerOption {
 	return func(h *Handler) { h.streamAddr = addr }
 }
@@ -303,8 +312,7 @@ func WithStreamAddr(addr string) HandlerOption {
 // discards encode-failure diagnostics. Every handler carries a metrics
 // registry (per-route instrumentation, served at /v1/metrics) and a
 // trace span ring (served at /v1/admin/trace); WithMetrics/WithTrace
-// substitute shared instances so reefd's stream listener and REST
-// surface report into the same ring and registry.
+// substitute shared instances, which the handler's stream server shares.
 func NewHandler(dep reef.Deployment, logger *log.Logger, opts ...HandlerOption) *Handler {
 	h := &Handler{dep: dep, log: logger, start: time.Now()}
 	for _, o := range opts {
@@ -317,7 +325,58 @@ func NewHandler(dep reef.Deployment, logger *log.Logger, opts ...HandlerOption) 
 		h.tracer = trace.NewRecorder(0)
 	}
 	h.inFlight = h.metrics.Gauge(metrics.HTTPInFlight.Name)
+	h.stream = reefstream.NewServer(nil, dep, reefstream.WithNode(h.nodeID),
+		reefstream.WithMetrics(h.metrics), reefstream.WithTraceRecorder(h.tracer))
 	return h
+}
+
+// Shutdown drains the stream connections the handler took over (see
+// reefstream.Server.Shutdown), which http.Server.Shutdown does not see.
+func (h *Handler) Shutdown(ctx context.Context) error { return h.stream.Shutdown(ctx) }
+
+// upgrade answers an upgrade route (RFC 9110 §7.8): 426 naming protocol
+// to a request for another, 400 when check (if set) refuses its headers,
+// else 101 naming node on the hijacked connection, which the caller then
+// owns without server deadlines (each protocol bounds its own waits).
+func (h *Handler) upgrade(rw http.ResponseWriter, req *http.Request, protocol, node string, check func(http.Header) error) (conn net.Conn, brw *bufio.ReadWriter, ok bool) {
+	if !strings.EqualFold(req.Header.Get("Upgrade"), protocol) {
+		rw.Header().Set("Upgrade", protocol)
+		rw.Header().Set("Connection", "Upgrade")
+		h.writeError(rw, http.StatusUpgradeRequired, CodeInvalidArgument, "this route only upgrades: send Upgrade: "+protocol)
+		return nil, nil, false
+	}
+	if check != nil {
+		if err := check(req.Header); err != nil {
+			h.writeError(rw, http.StatusBadRequest, CodeInvalidArgument, err.Error())
+			return nil, nil, false
+		}
+	}
+	conn, brw, err := http.NewResponseController(rw).Hijack()
+	if err != nil {
+		h.writeError(rw, http.StatusInternalServerError, CodeInternal, "upgrading to "+protocol+": "+err.Error())
+		return nil, nil, false
+	}
+	if sw, ok := rw.(*statusWriter); ok {
+		sw.status = http.StatusSwitchingProtocols
+	}
+	_ = conn.SetDeadline(time.Time{})
+	brw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + protocol + "\r\n")
+	if node != "" {
+		brw.WriteString(upgrade.HdrNode + ": " + node + "\r\n")
+	}
+	brw.WriteString("\r\n")
+	if err := brw.Flush(); err != nil {
+		conn.Close()
+		return nil, nil, false
+	}
+	return conn, brw, true
+}
+
+// serveStream hands an upgraded connection to the stream server.
+func (h *Handler) serveStream(rw http.ResponseWriter, req *http.Request) {
+	if conn, brw, ok := h.upgrade(rw, req, reefstream.UpgradeProtocol, h.nodeID, nil); ok {
+		h.stream.ServeConn(conn, brw.Reader)
+	}
 }
 
 // dispatch routes one request with explicit matching so unknown paths
@@ -368,6 +427,8 @@ func (h *Handler) dispatch(rw http.ResponseWriter, req *http.Request, r route, s
 		h.route(rw, req, "POST", h.ingestReplication)
 	case routeAdminReplication:
 		h.route(rw, req, "GET", h.handleReplicationStatus)
+	case routeStream:
+		h.route(rw, req, "POST", h.serveStream)
 	case routeAdminStorage:
 		h.route(rw, req, "GET", h.handleStorage)
 	case routeAdminSnapshot:

@@ -2,12 +2,11 @@ package reefhttp
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
-	"time"
 
 	"reef"
 	"reef/internal/metrics"
@@ -35,13 +34,11 @@ type Replicator interface {
 //	POST /v1/replication/records    open a peer's replication link (Upgrade)
 //	GET  /v1/admin/replication      stream positions, lag, health
 //
-// The ingest route only upgrades: a request carrying Upgrade:
-// replication.LinkProtocol and the X-Reef-Replication-Source/Epoch
-// handshake is answered 101 and its connection handed to the manager,
-// which speaks the link protocol on it; anything else is answered 426.
-// Without this option both routes answer 501.
+// The ingest route only upgrades to replication.LinkProtocol, handing
+// the connection to the manager, whose Self the 101 names. Without this
+// option both answer 501.
 func WithReplication(r Replicator) HandlerOption {
-	return func(h *Handler) { h.repl = r }
+	return func(h *Handler) { h.repl, h.replSelf = r, r.Status().Self }
 }
 
 // ReplicationStatusResponse is the GET /v1/admin/replication body.
@@ -59,49 +56,27 @@ func (h *Handler) replicator(rw http.ResponseWriter) (Replicator, bool) {
 	return h.repl, true
 }
 
-// ingestReplication serves the ingest route: it upgrades a peer's
-// request to a replication link and hands the connection to the
-// replicator. The handler returns once the link is handed over, so the
-// route's metrics count the upgrade, not the link's life.
+// ingestReplication upgrades a peer's request, whose source and epoch
+// headers check out, to a link answered in the manager's own name.
 func (h *Handler) ingestReplication(rw http.ResponseWriter, req *http.Request) {
 	r, ok := h.replicator(rw)
 	if !ok {
 		return
 	}
-	if !strings.EqualFold(req.Header.Get("Upgrade"), replication.LinkProtocol) {
-		rw.Header().Set("Upgrade", replication.LinkProtocol)
-		rw.Header().Set("Connection", "Upgrade")
-		h.writeError(rw, http.StatusUpgradeRequired, CodeInvalidArgument,
-			"replication ships over an upgraded link: send Upgrade: "+replication.LinkProtocol)
-		return
+	var source string
+	var epoch int64
+	conn, brw, ok := h.upgrade(rw, req, replication.LinkProtocol, h.replSelf, func(hdr http.Header) (err error) {
+		if source = hdr.Get(replication.HdrSource); source == "" {
+			return errors.New("missing " + replication.HdrSource + " header")
+		}
+		if epoch, err = strconv.ParseInt(hdr.Get(replication.HdrEpoch), 10, 64); err != nil {
+			return fmt.Errorf("bad %s header: %w", replication.HdrEpoch, err)
+		}
+		return nil
+	})
+	if ok {
+		r.AcceptLink(conn, brw, source, epoch)
 	}
-	source := req.Header.Get(replication.HdrSource)
-	if source == "" {
-		h.writeError(rw, http.StatusBadRequest, CodeInvalidArgument, "missing "+replication.HdrSource+" header")
-		return
-	}
-	epoch, err := strconv.ParseInt(req.Header.Get(replication.HdrEpoch), 10, 64)
-	if err != nil {
-		h.writeError(rw, http.StatusBadRequest, CodeInvalidArgument, "bad "+replication.HdrEpoch+" header: "+err.Error())
-		return
-	}
-	conn, brw, err := http.NewResponseController(rw).Hijack()
-	if err != nil {
-		h.writeError(rw, http.StatusInternalServerError, CodeInternal, "upgrading the replication link: "+err.Error())
-		return
-	}
-	if sw, ok := rw.(*statusWriter); ok {
-		sw.status = http.StatusSwitchingProtocols
-	}
-	// A server's read and write timeouts would outlive the request on
-	// the hijacked connection; the link's sender bounds each batch.
-	_ = conn.SetDeadline(time.Time{})
-	brw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + replication.LinkProtocol + "\r\n\r\n")
-	if err := brw.Flush(); err != nil {
-		conn.Close()
-		return
-	}
-	r.AcceptLink(conn, brw, source, epoch)
 }
 
 // handleReplicationStatus serves the admin view of both stream roles.

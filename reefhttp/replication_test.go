@@ -100,7 +100,7 @@ func post(t *testing.T, url string, hdr map[string]string) (*http.Response, reef
 // dialLink opens a replication link from source "a" to the server.
 func dialLink(t *testing.T, url string) *replication.Link {
 	t.Helper()
-	l, err := replication.DialLink(http.DefaultTransport, url, "a", 1, 5*time.Second)
+	l, err := replication.DialLink(http.DefaultTransport, replication.Node{BaseURL: url}, "a", 1, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

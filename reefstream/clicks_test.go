@@ -160,18 +160,20 @@ func TestStreamClicksNeverResent(t *testing.T) {
 	}
 }
 
-// TestStreamClicksUnadvertised pins the mixed-version rule: a server
-// whose hello lacks the clicks capability is never sent a clicks frame,
-// and the refusal says nothing was sent.
+// TestStreamClicksUnadvertised pins the mixed-version rule: a client
+// no longer reads the hello's clicks capability, so a server whose hello
+// lacks it is sent the frame, kills the connection on it as an older
+// server does, and the call fails once, claiming nothing about whether
+// the frame was sent.
 func TestStreamClicksUnadvertised(t *testing.T) {
 	fake := startFakeStream(t, `{"proto":1}`)
 	cl := reefstream.NewClient(fake.ln.Addr().String())
 	defer cl.Close()
 	_, err := cl.IngestClicks(context.Background(), []reef.Click{{User: "u", URL: "http://h.test/"}})
-	if !errors.Is(err, reefstream.ErrNotSent) || !errors.Is(err, reef.ErrUnsupported) {
-		t.Fatalf("IngestClicks = %v, want ErrNotSent wrapping ErrUnsupported", err)
+	if err == nil || errors.Is(err, reefstream.ErrNotSent) {
+		t.Fatalf("IngestClicks = %v, want a failure after the frame was sent", err)
 	}
-	if fake.hellos.Load() != 1 || fake.clicks.Load() != 0 {
-		t.Errorf("server saw %d hellos and %d clicks frames, want 1 and 0", fake.hellos.Load(), fake.clicks.Load())
+	if fake.hellos.Load() != 1 || fake.clicks.Load() != 1 {
+		t.Errorf("server saw %d hellos and %d clicks frames, want 1 and 1", fake.hellos.Load(), fake.clicks.Load())
 	}
 }

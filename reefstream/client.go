@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,6 +20,7 @@ import (
 	"reef/internal/eventalg"
 	"reef/internal/metrics"
 	"reef/internal/trace"
+	"reef/internal/upgrade"
 )
 
 // Client publishes events over one long-lived stream connection. It is
@@ -65,11 +68,12 @@ func WithClientMetrics(r *metrics.Registry) ClientOption {
 	return func(c *Client) { c.metrics = r }
 }
 
-// NewClient creates a stream client for addr. No connection is made
-// until the first publish.
+// NewClient creates a stream client for addr: a node's base URL
+// (http://host:port) or a Listen server's host:port. No connection is
+// made until the first call.
 func NewClient(addr string, opts ...ClientOption) *Client {
 	c := &Client{
-		addr:        addr,
+		addr:        strings.TrimRight(addr, "/"),
 		callTimeout: 10 * time.Second,
 	}
 	c.cond = sync.NewCond(&c.mu)
@@ -86,7 +90,7 @@ func NewClient(addr string, opts ...ClientOption) *Client {
 // Metrics returns the client's instrumentation registry.
 func (c *Client) Metrics() *metrics.Registry { return c.metrics }
 
-// Addr reports the address the client dials.
+// Addr reports the base URL or address the client dials.
 func (c *Client) Addr() string { return c.addr }
 
 // payloadPool recycles publish and clicks payload encode buffers. Safe
@@ -179,9 +183,7 @@ func (c *Client) retryOnce(ctx context.Context, call func(*streamConn) error) er
 // clicks the server accepted. Clicks are not idempotent, so unlike a
 // publish it never re-sends a frame: once a frame is queued, a
 // dead connection is an error, and the count covers the frames acked
-// before it. An error wrapping ErrNotSent means nothing was sent; it
-// also wraps reef.ErrUnsupported when the server's hello did not
-// advertise the clicks verb.
+// before it. An error wrapping ErrNotSent means nothing was sent.
 func (c *Client) IngestClicks(ctx context.Context, clicks []reef.Click) (int, error) {
 	if len(clicks) == 0 {
 		return 0, nil
@@ -189,9 +191,6 @@ func (c *Client) IngestClicks(ctx context.Context, clicks []reef.Click) (int, er
 	sc, err := c.getConn(ctx)
 	if err != nil {
 		return 0, fmt.Errorf("%w: %w", ErrNotSent, err)
-	}
-	if !sc.clicks {
-		return 0, fmt.Errorf("%w: %w: %s does not take clicks frames", ErrNotSent, reef.ErrUnsupported, c.addr)
 	}
 	pp := payloadPool.Get().(*[]byte)
 	defer payloadPool.Put(pp)
@@ -286,13 +285,29 @@ func (c *Client) dropConn(sc *streamConn) {
 // dialTimeout bounds connection establishment and the handshake.
 const dialTimeout = 5 * time.Second
 
+// dial connects to a base URL by upgrade and to a host:port directly.
+// A node that answers the upgrade with 404 or 426 does not serve the
+// stream: its StatusUnsupported verdict. One that answers 5xx (503 while
+// it replays its WAL) is unavailable. Any other refusal is a dial error.
 func (c *Client) dial() (*streamConn, error) {
-	conn, err := net.DialTimeout("tcp", c.addr, dialTimeout)
+	var conn io.ReadWriteCloser
+	var err error
+	if strings.HasPrefix(c.addr, "http://") {
+		conn, _, err = upgrade.Dial(http.DefaultTransport, c.addr+UpgradePath, UpgradeProtocol, nil, dialTimeout)
+		if re := (*upgrade.RefusedError)(nil); errors.As(err, &re) {
+			msg := fmt.Sprintf("node %q at %s", c.expectNode, re.Msg)
+			switch {
+			case re.Code == http.StatusNotFound || re.Code == http.StatusUpgradeRequired:
+				return nil, &StatusError{Status: StatusUnsupported, Message: msg}
+			case re.Code >= 500:
+				return nil, &StatusError{Status: StatusUnavailable, Message: msg}
+			}
+		}
+	} else {
+		conn, err = net.DialTimeout("tcp", c.addr, dialTimeout)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("reefstream: dial %s: %w", c.addr, err)
-	}
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
 	}
 	sc, err := newStreamConn(conn, c.expectNode, dialTimeout, c.callTimeout)
 	if err != nil {
@@ -306,9 +321,8 @@ func (c *Client) dial() (*streamConn, error) {
 // queued frames and flushes them in batches, a reader goroutine
 // dispatches acks to per-sequence waiters. Death is sticky.
 type streamConn struct {
-	conn    net.Conn
+	conn    io.ReadWriteCloser
 	writeCh chan *[]byte
-	clicks  bool // the server's hello advertised the clicks verb
 
 	wmu     sync.Mutex
 	nextSeq uint64
@@ -332,45 +346,28 @@ type streamConn struct {
 	once    sync.Once
 }
 
-func newStreamConn(conn net.Conn, expectNode string, hsTimeout, callTimeout time.Duration) (*streamConn, error) {
-	conn.SetDeadline(time.Now().Add(hsTimeout))
+func newStreamConn(conn io.ReadWriteCloser, expectNode string, hsTimeout, callTimeout time.Duration) (*streamConn, error) {
+	hsDeadline := time.AfterFunc(hsTimeout, func() { conn.Close() })
+	defer hsDeadline.Stop()
 	bw := bufio.NewWriterSize(conn, 64<<10)
-	helloBytes, err := json.Marshal(hello{Proto: ProtoVersion})
-	if err != nil {
-		return nil, err
-	}
-	frame := durable.Record{Op: durable.OpStreamHello, Payload: helloBytes}.AppendEncoded(nil)
-	if _, err := bw.Write(frame); err != nil {
-		return nil, err
-	}
-	if err := bw.Flush(); err != nil {
+	if err := writeHello(bw, hello{Proto: ProtoVersion}); err != nil {
 		return nil, err
 	}
 	br := bufio.NewReaderSize(conn, 256<<10)
-	var buf []byte
-	rec, err := durable.ReadFrame(br, &buf)
+	h, err := readHello(br)
 	if err != nil {
 		return nil, fmt.Errorf("reefstream: handshake: %w", err)
-	}
-	if rec.Op != durable.OpStreamHello {
-		return nil, fmt.Errorf("%w: expected hello, got %v", ErrBadFrame, rec.Op)
-	}
-	var h hello
-	if err := json.Unmarshal(rec.Payload, &h); err != nil {
-		return nil, fmt.Errorf("%w: hello: %v", ErrBadFrame, err)
-	}
-	if h.Proto != ProtoVersion {
-		return nil, fmt.Errorf("reefstream: server speaks protocol %d, want %d", h.Proto, ProtoVersion)
 	}
 	if expectNode != "" && h.Node != expectNode {
 		return nil, fmt.Errorf("reefstream: node identity mismatch: dialed %q, got %q", expectNode, h.Node)
 	}
-	conn.SetDeadline(time.Time{})
+	if !hsDeadline.Stop() {
+		return nil, fmt.Errorf("reefstream: handshake timed out after %v", hsTimeout)
+	}
 
 	sc := &streamConn{
 		conn:      conn,
 		writeCh:   make(chan *[]byte, 256),
-		clicks:    h.Clicks,
 		waiters:   make(map[uint64]chan ack),
 		consumers: make(map[string]*clientConsumer),
 		byCID:     make(map[uint64]*clientConsumer),

@@ -34,17 +34,21 @@
 //
 // # Session
 //
-// The client opens a TCP connection and sends a hello; the server
-// answers with its own hello carrying its node ID, which the client may
-// verify against an expected identity (the same guard the cluster
-// prober applies to /healthz). After the handshake the client pipelines
-// publish frames without waiting for acks; the server reads frames,
-// coalesces whatever is already buffered into one PublishBatch call
-// against the deployment, and acks every frame with its exact delivered
-// count (via reef.BatchCountPublisher when the deployment offers it).
-// Acks may arrive out of order with respect to nothing — the server
-// acks in frame order — but the client matches them by sequence number
-// regardless.
+// A client dials a node's base URL with an HTTP/1.1 Upgrade to
+// UpgradePath, which every reefhttp handler serves (RFC 9110 §7.8); a
+// 404 or 426 fails every call with StatusUnsupported, a 5xx with
+// StatusUnavailable. A Listen server takes the same stream on a bare
+// TCP connection. The
+// client sends a hello; the server answers with its own hello carrying
+// its node ID, which the client may verify against an expected identity
+// (the same guard the cluster prober applies to /healthz). After the
+// handshake the client pipelines publish frames without waiting for
+// acks; the server reads frames, coalesces whatever is already buffered
+// into one PublishBatch call against the deployment, and acks every
+// frame with its exact delivered count (via reef.BatchCountPublisher
+// when the deployment offers it). Acks may arrive out of order with
+// respect to nothing — the server acks in frame order — but the client
+// matches them by sequence number regardless.
 //
 // A clicks frame carries exactly the bytes durable.ClicksRecord writes
 // into the WAL after its sequence number, and the server decodes them
@@ -52,10 +56,8 @@
 // The server applies a clicks frame inline, in frame order, and answers
 // with an ack whose delivered count is the clicks it accepted. Clicks
 // are not idempotent, so a clicks frame is never re-sent: once queued,
-// a dead connection is the caller's error. A server that takes clicks
-// frames says so in its hello ("clicks": true); a client never sends one
-// to a server whose hello lacks it, since an older server kills the
-// connection on an op it does not know.
+// a dead connection is the caller's error; a server older than the verb
+// kills the connection on the frame.
 //
 // # Consume
 //
@@ -81,7 +83,9 @@
 package reefstream
 
 import (
+	"bufio"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -99,6 +103,13 @@ import (
 // ProtoVersion is the handshake protocol version. A server rejects a
 // hello with a version it does not speak.
 const ProtoVersion = 1
+
+// UpgradePath is the REST route a node serves the stream on, and
+// UpgradeProtocol the Upgrade token that asks for it.
+const (
+	UpgradePath     = "/v1/stream"
+	UpgradeProtocol = "reef-stream/1"
+)
 
 // MaxFrameEvents bounds the events one publish frame, and the clicks one
 // clicks frame, may carry; larger batches are split by the client. It
@@ -123,10 +134,9 @@ const (
 var ErrBadFrame = errors.New("reefstream: malformed frame payload")
 
 // ErrNotSent marks a Client.IngestClicks failure that proves no clicks
-// frame left the client: the dial or handshake failed, or the server
-// did not advertise the clicks verb. Only such a failure may be retried
-// over another transport; any other error may follow a frame the
-// server already applied.
+// frame left the client: the dial or handshake failed. Only such a
+// failure may be retried over another transport; any other error may
+// follow a frame the server already applied.
 var ErrNotSent = errors.New("reefstream: clicks frame not sent")
 
 // StatusError is a non-OK ack surfaced to the publisher. It unwraps to
@@ -143,7 +153,8 @@ func (e *StatusError) Error() string {
 // Unwrap maps wire statuses onto the reef sentinels: invalid_argument
 // unwraps to reef.ErrInvalidArgument, unavailable (server draining or
 // closed) to reef.ErrClosed, unsupported (no reliable-delivery surface
-// behind the stream) to reef.ErrUnsupported, not_found (unknown
+// behind the stream, or a node that does not serve the stream at all)
+// to reef.ErrUnsupported, not_found (unknown
 // subscription) to reef.ErrNotFound.
 func (e *StatusError) Unwrap() error {
 	switch e.Status {
@@ -176,13 +187,38 @@ func statusFor(err error) int {
 }
 
 // hello is the JSON handshake payload. The client sends {Proto}; the
-// server answers {Proto, Node, Clicks}. Clicks advertises the clicks
-// verb without a protocol bump: older clients ignore the field, and a
-// server that predates the verb omits it.
+// server answers {Proto, Node, Clicks}. Clicks is for older clients,
+// which send clicks frames only to a server that sets it.
 type hello struct {
 	Proto  int    `json:"proto"`
 	Node   string `json:"node,omitempty"`
 	Clicks bool   `json:"clicks,omitempty"`
+}
+
+// writeHello sends h as one hello frame.
+func writeHello(bw *bufio.Writer, h hello) error {
+	payload, _ := json.Marshal(h) // a struct of an int, a string and a bool
+	if _, err := bw.Write(durable.Record{Op: durable.OpStreamHello, Payload: payload}.AppendEncoded(nil)); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// readHello reads the peer's hello frame and checks its version.
+func readHello(br *bufio.Reader) (h hello, err error) {
+	var buf []byte
+	rec, err := durable.ReadFrame(br, &buf)
+	switch {
+	case err != nil:
+		return h, err
+	case rec.Op != durable.OpStreamHello:
+		return h, fmt.Errorf("%w: expected hello, got %v", ErrBadFrame, rec.Op)
+	case json.Unmarshal(rec.Payload, &h) != nil:
+		return h, fmt.Errorf("%w: hello is not JSON", ErrBadFrame)
+	case h.Proto != ProtoVersion:
+		return h, fmt.Errorf("%w: protocol version %d, want %d", ErrBadFrame, h.Proto, ProtoVersion)
+	}
+	return h, nil
 }
 
 // AppendEvent appends one encoded event to dst. Attribute order is not

@@ -3,8 +3,8 @@ package reefstream
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -53,7 +53,7 @@ func WithTraceRecorder(r *trace.Recorder) ServerOption {
 	return func(s *Server) { s.tracer = r }
 }
 
-// Server accepts stream connections and feeds decoded publish and
+// Server serves stream connections and feeds decoded publish and
 // clicks frames into a deployment. One goroutine per connection reads
 // frames, coalesces whatever publishes are already buffered into a
 // single batch publish, and acks every frame with its exact count.
@@ -99,7 +99,8 @@ func Listen(addr string, dep reef.Deployment, opts ...ServerOption) (*Server, er
 }
 
 // NewServer serves stream connections from an existing listener. The
-// server owns the listener and closes it on Shutdown/Close.
+// server owns the listener and closes it on Shutdown/Close. A server
+// with a nil ln has no Addr and serves only what ServeConn hands it.
 func NewServer(ln net.Listener, dep reef.Deployment, opts ...ServerOption) *Server {
 	s := &Server{
 		dep:        dep,
@@ -155,32 +156,45 @@ func (s *Server) ConsumeStats() (attached, delivered int64) {
 // Metrics returns the server's instrumentation registry.
 func (s *Server) Metrics() *metrics.Registry { return s.metrics }
 
+// acceptLoop hands each connection the listener accepts to ServeConn.
 func (s *Server) acceptLoop() {
 	defer close(s.acceptDone)
-	for {
+	for s.ln != nil {
 		conn, err := s.ln.Accept()
 		if err != nil {
 			return // listener closed by Shutdown/Close
 		}
-		s.mu.Lock()
-		if s.draining {
-			s.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		s.conns[conn] = struct{}{}
-		s.handlers.Add(1)
-		s.mu.Unlock()
-		s.mConns.Add(1)
-		go func() {
-			defer s.handlers.Done()
-			s.serveConn(conn)
-			s.mu.Lock()
-			delete(s.conns, conn)
-			s.mu.Unlock()
-			s.mConns.Add(-1)
-		}()
+		s.ServeConn(conn, nil)
 	}
+}
+
+// ServeConn serves conn on its own goroutine: one the listener accepted
+// or one hijacked from an HTTP upgrade, whose bytes already read into
+// buffered (nil for none) come first. Shutdown and Close treat both
+// alike; a draining server closes conn unserved.
+func (s *Server) ServeConn(conn net.Conn, buffered *bufio.Reader) {
+	s.mu.Lock()
+	if s.draining {
+		s.mu.Unlock()
+		conn.Close()
+		return
+	}
+	s.conns[conn] = struct{}{}
+	s.handlers.Add(1)
+	s.mu.Unlock()
+	s.mConns.Add(1)
+	var r io.Reader = conn
+	if buffered != nil && buffered.Buffered() > 0 {
+		r = io.MultiReader(io.LimitReader(buffered, int64(buffered.Buffered())), conn)
+	}
+	go func() {
+		defer s.handlers.Done()
+		s.serveConn(conn, r)
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+		s.mConns.Add(-1)
+	}()
 }
 
 // Shutdown drains the server: stop accepting connections and frames,
@@ -192,7 +206,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	alreadyDraining := s.draining
 	s.draining = true
 	if !alreadyDraining {
-		s.ln.Close()
+		if s.ln != nil {
+			s.ln.Close()
+		}
 		// Kick handlers blocked in a read. Frames already buffered in
 		// a handler's reader still decode fine; only the blocking wait
 		// on the socket is interrupted.
@@ -231,7 +247,9 @@ func (s *Server) Close() error {
 	}
 	s.closed = true
 	s.draining = true
-	s.ln.Close()
+	if s.ln != nil {
+		s.ln.Close()
+	}
 	for conn := range s.conns {
 		conn.Close()
 	}
@@ -256,9 +274,10 @@ type frameSpan struct {
 	tr         trace.ID
 }
 
-func (s *Server) serveConn(conn net.Conn) {
+// serveConn serves conn, reading its frames from r.
+func (s *Server) serveConn(conn net.Conn, r io.Reader) {
 	defer conn.Close()
-	br := bufio.NewReaderSize(conn, 256<<10)
+	br := bufio.NewReaderSize(r, 256<<10)
 	bw := bufio.NewWriterSize(conn, 64<<10)
 
 	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
@@ -480,29 +499,10 @@ func (s *Server) recordPublishSpan(sp frameSpan, begin time.Time, errStr string)
 	s.metrics.Counter(metrics.TraceSpans.Name).Inc()
 }
 
+// handshake answers the client's hello with the server's own.
 func (s *Server) handshake(br *bufio.Reader, bw *bufio.Writer) error {
-	var readBuf []byte
-	rec, err := durable.ReadFrame(br, &readBuf)
-	if err != nil {
+	if _, err := readHello(br); err != nil {
 		return err
 	}
-	if rec.Op != durable.OpStreamHello {
-		return fmt.Errorf("%w: expected hello, got %v", ErrBadFrame, rec.Op)
-	}
-	var h hello
-	if err := json.Unmarshal(rec.Payload, &h); err != nil {
-		return fmt.Errorf("%w: hello: %v", ErrBadFrame, err)
-	}
-	if h.Proto != ProtoVersion {
-		return fmt.Errorf("%w: protocol version %d", ErrBadFrame, h.Proto)
-	}
-	reply, err := json.Marshal(hello{Proto: ProtoVersion, Node: s.node, Clicks: true})
-	if err != nil {
-		return err
-	}
-	frame := durable.Record{Op: durable.OpStreamHello, Payload: reply}.AppendEncoded(nil)
-	if _, err := bw.Write(frame); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return writeHello(bw, hello{Proto: ProtoVersion, Node: s.node, Clicks: true})
 }

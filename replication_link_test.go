@@ -41,7 +41,7 @@ func TestReplicationLinkCutSyncs(t *testing.T) {
 	t.Cleanup(mgr.Close)
 	srv := httptest.NewServer(reefhttp.NewHandler(dep, nil, reefhttp.WithReplication(mgr)))
 	t.Cleanup(srv.Close)
-	l, err := replication.DialLink(http.DefaultTransport, srv.URL, "p", 1, 5*time.Second)
+	l, err := replication.DialLink(http.DefaultTransport, replication.Node{BaseURL: srv.URL}, "p", 1, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
