@@ -44,8 +44,9 @@
 // consume loop (server-pushed fetches with pipelined acks), and a
 // router's click forwards — ride a persistent, length-prefixed binary
 // stream (package reefstream) that every reefd serves on -addr as an
-// HTTP/1.1 upgrade, as it serves the replication link: a node has one
-// address, and clients dial the stream from its base URL. A router
+// HTTP/1.1 upgrade, the same upgrade a peer's replication link opens
+// with a hello declaring that role: a node has one address, and clients
+// dial the stream from its base URL. A router
 // carries each node's hot paths over one stream to the node's http://
 // base URL (an https:// node stays on REST), with fan-out frames
 // encoded once and shared across nodes. A
@@ -110,8 +111,7 @@
 //	GET    /v1/admin/trace                     span ring dump (?trace=HEX&limit=N)
 //	GET    /v1/admin/storage                   persistence backend state
 //	GET    /v1/admin/replication               replication stream positions + lag
-//	POST   /v1/replication/records             peer replication link, upgraded (internal)
-//	POST   /v1/stream                          binary data plane, upgraded (reefstream)
+//	POST   /v1/stream                          binary data plane or a peer's replication link, upgraded
 //	POST   /v1/admin/snapshot                  force a compacting snapshot
 //	GET    /v1/admin/deadletter                inspect dead-letter queues (?user=U)
 //	POST   /v1/admin/deadletter                drain dead-letter queues

@@ -8,16 +8,12 @@ import (
 	"net"
 	"net/http"
 	"slices"
-	"strconv"
 	"time"
 
 	"reef/internal/durable"
 	"reef/internal/trace"
 	"reef/internal/upgrade"
 )
-
-// LinkProtocol is the Upgrade token of a replication link.
-const LinkProtocol = "reef-replication/1"
 
 // linkBufSize sizes a sender's write buffer, and bounds the frame
 // buffer a receiver keeps between batches; a batch larger than the write
@@ -30,7 +26,7 @@ const (
 )
 
 // Link is the sending end of one replication link: a connection to a
-// peer's RecordsPath, upgraded once, over which batches and their acks
+// peer's upgrade route, opened once, over which batches and their acks
 // take turns. It is not safe for concurrent use.
 type Link struct {
 	rwc io.ReadWriteCloser
@@ -44,25 +40,15 @@ type Link struct {
 	hdr, buf []byte
 }
 
-// DialLink opens a link to peer through rt: an HTTP/1.1 Upgrade
-// request to RecordsPath carrying the handshake fixed for the link's
-// life, the sender's ID and epoch. Any answer but 101 fails the dial —
-// an older receiver answers 400, since the request has no per-batch
-// watermark headers, so it applies nothing — and so does a 101 naming a
-// node other than peer.ID (when set); one naming none comes from a
-// receiver older than the name and is taken. timeout bounds the dial
-// and then each batch.
+// DialLink opens a link to peer through rt as a stream client opens its
+// stream, with a hello declaring the link and the sender's ID and epoch,
+// fixed for the link's life. Any answer but 101 fails the dial, and so
+// does a hello refusing the link or naming a node other than peer.ID
+// (when set). timeout bounds the dial and then each batch.
 func DialLink(rt http.RoundTripper, peer Node, source string, epoch int64, timeout time.Duration) (*Link, error) {
-	rwc, node, err := upgrade.Dial(rt, peer.BaseURL+RecordsPath, LinkProtocol, http.Header{
-		HdrSource: {source},
-		HdrEpoch:  {strconv.FormatInt(epoch, 10)},
-	}, timeout)
+	rwc, err := upgrade.Open(rt, peer.BaseURL, upgrade.Hello{Link: true, Source: source, Epoch: epoch}, peer.ID, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("replication: %w", err)
-	}
-	if node != "" && peer.ID != "" && node != peer.ID {
-		rwc.Close()
-		return nil, fmt.Errorf("replication: node identity mismatch at %s: dialed %q, reached %q", peer.BaseURL, peer.ID, node)
 	}
 	l := &Link{
 		rwc:      rwc,
@@ -137,7 +123,7 @@ func readBatch(r io.Reader, buf, frames *[]byte) (durable.ReplBatch, error) {
 }
 
 // AcceptLink takes over an upgraded inbound link from source, whose
-// handshake the caller has answered with 101, and serves it on its own
+// hellos the caller has exchanged, and serves it on its own
 // goroutine until the sender closes it, it fails, or the manager
 // closes. rw buffers conn; its reader may hold bytes already read, and
 // its writer must hold none.

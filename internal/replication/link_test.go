@@ -17,8 +17,9 @@ import (
 )
 
 // linkTap wraps a sender's transport and taps every link it upgrades,
-// decoding the batch headers the sender writes and the acks it reads.
-// It is the tests' counting and fault seam on the link.
+// decoding the batch headers the sender writes and the acks it reads,
+// past the hello each way. It is the tests' counting and fault seam on
+// the link.
 type linkTap struct {
 	next http.RoundTripper
 	// batch, when set, sees each batch header before any of the batch is
@@ -102,6 +103,10 @@ func (l *tappedLink) Write(p []byte) (int, error) {
 		if err != nil {
 			break // a partial header: the rest comes in a later write
 		}
+		if rec.Op == durable.OpStreamHello {
+			data, l.out = l.out[n:], nil
+			continue
+		}
 		h, err := durable.DecodeReplBatch(rec)
 		if err != nil {
 			return 0, err
@@ -122,9 +127,13 @@ func (l *tappedLink) Write(p []byte) (int, error) {
 func (l *tappedLink) Read(p []byte) (int, error) {
 	n, err := l.ReadWriteCloser.Read(p)
 	l.in = append(l.in, p[:n]...)
-	for len(l.pending) > 0 {
+	for {
 		rec, m, derr := durable.DecodeFrame(l.in)
-		if derr != nil {
+		if derr == nil && rec.Op == durable.OpStreamHello {
+			l.in = l.in[m:]
+			continue
+		}
+		if derr != nil || len(l.pending) == 0 {
 			break
 		}
 		a, derr := durable.DecodeReplAck(rec)
@@ -151,6 +160,24 @@ func linkGoroutines() int {
 	buf = buf[:runtime.Stack(buf, true)]
 	return strings.Count(string(buf), "replication.(*Manager).serveLink") +
 		strings.Count(string(buf), "replication.(*Manager).sendLoop")
+}
+
+// settleLinkGoroutines waits, for at most five seconds, until the link
+// goroutines beyond before number want: Close waits for a link's
+// goroutine to be done with the link, not to have returned.
+func settleLinkGoroutines(t *testing.T, before, want int, when string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n := linkGoroutines() - before
+		if n == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d link goroutines %s, want %d", n, when, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestLinkCloseLeavesNothing pins the link's life across a receiver
@@ -202,9 +229,7 @@ func TestLinkCloseLeavesNothing(t *testing.T) {
 	srv.Close()
 	recv.Close()
 	// The sender's loop is all that is left.
-	if n := linkGoroutines() - before; n != 1 {
-		t.Fatalf("%d link goroutines after the receiver closed, want the sender's 1", n)
-	}
+	settleLinkGoroutines(t, before, 1, "after the receiver closed (the sender's)")
 
 	recvApp2 := recvApp.restarted()
 	recv2, srv2 := start(recvApp2)
@@ -224,9 +249,7 @@ func TestLinkCloseLeavesNothing(t *testing.T) {
 	srv2.Close()
 	recv2.Close()
 	sender.Close()
-	if n := linkGoroutines() - before; n != 0 {
-		t.Fatalf("%d link goroutines left after both nodes closed", n)
-	}
+	settleLinkGoroutines(t, before, 0, "left after both nodes closed")
 }
 
 // TestResyncWaitsForLink pins that a resync is captured only over a
@@ -292,10 +315,10 @@ func TestLinkBatchBound(t *testing.T) {
 	}
 }
 
-// TestLinkUpgradeRefused pins the mixed-version dial: an older receiver
-// answers the upgrade request 400, since it carries no per-batch
-// watermark headers, and the dial fails with that status and message
-// after that one request, with nothing sent.
+// TestLinkUpgradeRefused pins a refused dial: a receiver that answers
+// the upgrade request with anything but 101 (here a 400) fails the dial
+// with that status and message after that one request, with nothing
+// sent.
 func TestLinkUpgradeRefused(t *testing.T) {
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

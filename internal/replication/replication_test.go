@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,6 +20,7 @@ import (
 	"reef/internal/durable"
 	"reef/internal/faulthttp"
 	"reef/internal/routing"
+	"reef/internal/upgrade"
 )
 
 // fakeApplier records what the manager applied, in order, keeping the
@@ -110,9 +110,10 @@ func (f *fakeApplier) cutCount() int {
 }
 
 // serve exposes a receiving manager over HTTP exactly the way reefhttp
-// does: a request to RecordsPath that asks for the link is answered 101
-// and its connection handed to AcceptLink. The manager is fetched per
-// link so restart tests can swap it under a stable URL.
+// does: an upgrade request to upgrade.Path is answered 101, the hellos
+// run in the manager's name, and a link's connection is handed to
+// AcceptLink. The manager is fetched per link so restart tests can swap
+// it under a stable URL.
 func serve(t *testing.T, mgr func() *Manager) *httptest.Server {
 	t.Helper()
 	srv := httptest.NewServer(linkHandler(mgr))
@@ -122,26 +123,31 @@ func serve(t *testing.T, mgr func() *Manager) *httptest.Server {
 
 func linkHandler(mgr func() *Manager) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != RecordsPath {
+		if r.URL.Path != upgrade.Path {
 			http.NotFound(w, r)
 			return
 		}
-		if r.Header.Get("Upgrade") != LinkProtocol {
+		if r.Header.Get("Upgrade") != upgrade.Protocol {
 			http.Error(w, "upgrade required", http.StatusUpgradeRequired)
 			return
 		}
-		epoch, _ := strconv.ParseInt(r.Header.Get(HdrEpoch), 10, 64)
 		conn, brw, err := http.NewResponseController(w).Hijack()
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		brw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + LinkProtocol + "\r\n\r\n")
+		brw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + upgrade.Protocol + "\r\n\r\n")
 		if brw.Flush() != nil {
 			conn.Close()
 			return
 		}
-		mgr().AcceptLink(conn, brw, r.Header.Get(HdrSource), epoch)
+		m := mgr()
+		hello, err := upgrade.Accept(conn, brw.Reader, m.opt.Self, true)
+		if err != nil || !hello.Link {
+			conn.Close()
+			return
+		}
+		m.AcceptLink(conn, brw, hello.Source, hello.Epoch)
 	})
 }
 
@@ -263,7 +269,7 @@ func TestStreamDelivery(t *testing.T) {
 // TestReconnectCatchUp pins retry: the first link upgrades fail at the
 // transport, and the stream still lands once the fault clears.
 func TestReconnectCatchUp(t *testing.T) {
-	ft := faulthttp.New(nil, &faulthttp.Fault{Match: RecordsPath, First: 3, Err: faulthttp.ErrInjected})
+	ft := faulthttp.New(nil, &faulthttp.Fault{Match: upgrade.Path, First: 3, Err: faulthttp.ErrInjected})
 	sender, _, recvApp := pair(t, func(o *Options) {
 		o.HTTPClient = &http.Client{Transport: ft, Timeout: 5 * time.Second}
 	})

@@ -12,14 +12,12 @@ import (
 )
 
 // Wire protocol: a sender ships to each peer over one long-lived link,
-// opened by an HTTP/1.1 Upgrade request (Upgrade: LinkProtocol) to
-// <peer>/v1/replication/records that carries the handshake fixed for
-// the link's life:
-//
-//	X-Reef-Replication-Source  sender node ID
-//	X-Reef-Replication-Epoch   sender process epoch (log numbering era)
-//
-// After the 101, the link carries internal/durable frames: per batch,
+// opened as a stream client opens its stream (internal/upgrade): an
+// HTTP/1.1 Upgrade to reef-stream/1 on <peer>/v1/stream, then hellos.
+// The sender's hello declares the link role with its node ID and process
+// epoch (log numbering era), fixed for the link's life; the peer's names
+// the peer, which must be the node the seed list names. After the hellos,
+// the link carries internal/durable frames: per batch,
 // one OpReplBatch record (prev and last watermarks, record count, cut
 // flag, frame byte length, trace ID) followed by the batch's WAL frames
 // (the on-disk codec IS the wire format), answered by one OpReplAck
@@ -29,14 +27,6 @@ import (
 // receiver closes the link. A resync's records ship as batches too, the
 // first with a count below last-prev, superseding the gap up to the
 // cut; a Cut batch is on the receiver's stable storage before its ack.
-const (
-	HdrSource = "X-Reef-Replication-Source"
-	HdrEpoch  = "X-Reef-Replication-Epoch"
-)
-
-// RecordsPath is the ingest route, shared with reefhttp so sender and
-// server cannot drift.
-const RecordsPath = "/v1/replication/records"
 
 // MaxBatchBytes bounds a batch's body, sender and receiver alike: the
 // largest frame durable writes, so every record ships, alone if it must.

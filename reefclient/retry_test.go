@@ -3,6 +3,7 @@ package reefclient
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -206,18 +207,18 @@ func TestRetryCancelDuringBackoffNoLeak(t *testing.T) {
 	defer srv.Close()
 
 	before := runtime.NumGoroutine()
-	cli := New(srv.URL, WithHTTPClient(srv.Client()), WithRetry(3, 10*time.Minute))
+	closed := make(chan struct{}, 1)
+	hc := &http.Client{Transport: bodyCloseSignal{next: srv.Client().Transport, closed: closed}}
+	cli := New(srv.URL, WithHTTPClient(hc), WithRetry(3, 10*time.Minute))
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
 		_, err := cli.Stats(ctx)
 		done <- err
 	}()
-	// Wait until the first attempt landed, so the cancel hits the backoff
-	// sleep rather than the request.
-	for calls.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	// Wait until the first attempt's response is read and closed, so the
+	// cancel hits the backoff sleep rather than the request.
+	<-closed
 	cancel()
 	select {
 	case err := <-done:
@@ -246,6 +247,36 @@ func TestRetryCancelDuringBackoffNoLeak(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("goroutines: %d before, %d after cancel; backoff sleeper leaked", before, runtime.NumGoroutine())
+}
+
+// bodyCloseSignal wraps a transport and signals on closed (without
+// blocking) each time a response body it returned is closed: the
+// attempt that read it is over.
+type bodyCloseSignal struct {
+	next   http.RoundTripper
+	closed chan struct{}
+}
+
+func (s bodyCloseSignal) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := s.next.RoundTrip(req)
+	if err == nil {
+		resp.Body = signalingBody{ReadCloser: resp.Body, closed: s.closed}
+	}
+	return resp, err
+}
+
+type signalingBody struct {
+	io.ReadCloser
+	closed chan struct{}
+}
+
+func (b signalingBody) Close() error {
+	err := b.ReadCloser.Close()
+	select {
+	case b.closed <- struct{}{}:
+	default:
+	}
+	return err
 }
 
 // TestPerRequestTimeout pins WithTimeout: a hanging server fails the

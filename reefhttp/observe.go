@@ -189,7 +189,6 @@ const (
 	routeAdminReplication
 	routeAdminStorage
 	routeAdminSnapshot
-	routeReplicationRecords
 	routeStream
 	routeSubscriptionAck
 	routeSubscriptionEvents
@@ -218,7 +217,6 @@ var routeNames = [numRoutes]string{
 	routeAdminReplication:     "admin.replication",
 	routeAdminStorage:         "admin.storage",
 	routeAdminSnapshot:        "admin.snapshot",
-	routeReplicationRecords:   "replication.records",
 	routeStream:               "stream",
 	routeSubscriptionAck:      "subscriptions.ack",
 	routeSubscriptionEvents:   "subscriptions.events",
@@ -247,7 +245,6 @@ var routeShapes = map[string]route{
 	"admin/replication":        routeAdminReplication,
 	"admin/storage":            routeAdminStorage,
 	"admin/snapshot":           routeAdminSnapshot,
-	"replication/records":      routeReplicationRecords,
 	"stream":                   routeStream,
 	"subscriptions/*/ack":      routeSubscriptionAck,
 	"subscriptions/*/events":   routeSubscriptionEvents,

@@ -28,9 +28,8 @@
 //	GET    /v1/admin/trace                     span ring dump (?trace=HEX&limit=N)
 //	GET    /v1/admin/storage                   persistence backend state
 //	POST   /v1/admin/snapshot                  force a compacting snapshot
-//	POST   /v1/replication/records             open a peer's replication link (Upgrade)
 //	GET    /v1/admin/replication               replication stream status
-//	POST   /v1/stream                          open a reefstream connection (Upgrade)
+//	POST   /v1/stream                          open a stream or replication link (Upgrade)
 //
 // The admin storage/snapshot endpoints require the deployment to
 // implement reef.Persister; the events/ack/deadletter endpoints require
@@ -38,9 +37,10 @@
 // mounted via WithReplication. Against a deployment lacking the surface
 // they answer 501 with code "unsupported".
 //
-// Both upgrade routes answer 101 naming the node in X-Reef-Node;
-// /v1/stream hands the connection to a reefstream.Server over the
-// handler's deployment, node ID, registry and span ring.
+// /v1/stream answers 101, then its hellos name the node, and the
+// client's picks the role: a stream client goes to a reefstream.Server
+// over the handler's deployment, node ID, registry and span ring, a
+// peer's replication link to the WithReplication manager.
 //
 // Liveness and readiness are distinct probes: /v1/healthz answers 200
 // whenever the process serves at all, while /v1/readyz answers 200 only
@@ -54,14 +54,12 @@
 package reefhttp
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -273,7 +271,6 @@ type Handler struct {
 	nodeID     string
 	streamAddr string
 	repl       Replicator
-	replSelf   string // the 101 of a replication link names it
 	stream     *reefstream.Server
 	metrics    *metrics.Registry
 	tracer     *trace.Recorder
@@ -324,6 +321,9 @@ func NewHandler(dep reef.Deployment, logger *log.Logger, opts ...HandlerOption) 
 	if h.tracer == nil {
 		h.tracer = trace.NewRecorder(0)
 	}
+	if h.nodeID == "" && h.repl != nil {
+		h.nodeID = h.repl.Status().Self
+	}
 	h.inFlight = h.metrics.Gauge(metrics.HTTPInFlight.Name)
 	h.stream = reefstream.NewServer(nil, dep, reefstream.WithNode(h.nodeID),
 		reefstream.WithMetrics(h.metrics), reefstream.WithTraceRecorder(h.tracer))
@@ -334,47 +334,40 @@ func NewHandler(dep reef.Deployment, logger *log.Logger, opts ...HandlerOption) 
 // reefstream.Server.Shutdown), which http.Server.Shutdown does not see.
 func (h *Handler) Shutdown(ctx context.Context) error { return h.stream.Shutdown(ctx) }
 
-// upgrade answers an upgrade route (RFC 9110 §7.8): 426 naming protocol
-// to a request for another, 400 when check (if set) refuses its headers,
-// else 101 naming node on the hijacked connection, which the caller then
-// owns without server deadlines (each protocol bounds its own waits).
-func (h *Handler) upgrade(rw http.ResponseWriter, req *http.Request, protocol, node string, check func(http.Header) error) (conn net.Conn, brw *bufio.ReadWriter, ok bool) {
-	if !strings.EqualFold(req.Header.Get("Upgrade"), protocol) {
-		rw.Header().Set("Upgrade", protocol)
+// serveStream answers the upgrade route (RFC 9110 §7.8): 426 naming
+// the protocol to a request for another, else 101 on the hijacked
+// connection, which then carries no server deadlines (each role bounds
+// its own waits). The client's hello picks the role: a stream client's
+// connection goes to the stream server, a replication link's to the
+// manager, a link refused when there is none.
+func (h *Handler) serveStream(rw http.ResponseWriter, req *http.Request) {
+	if !strings.EqualFold(req.Header.Get("Upgrade"), upgrade.Protocol) {
+		rw.Header().Set("Upgrade", upgrade.Protocol)
 		rw.Header().Set("Connection", "Upgrade")
-		h.writeError(rw, http.StatusUpgradeRequired, CodeInvalidArgument, "this route only upgrades: send Upgrade: "+protocol)
-		return nil, nil, false
-	}
-	if check != nil {
-		if err := check(req.Header); err != nil {
-			h.writeError(rw, http.StatusBadRequest, CodeInvalidArgument, err.Error())
-			return nil, nil, false
-		}
+		h.writeError(rw, http.StatusUpgradeRequired, CodeInvalidArgument, "this route only upgrades: send Upgrade: "+upgrade.Protocol)
+		return
 	}
 	conn, brw, err := http.NewResponseController(rw).Hijack()
 	if err != nil {
-		h.writeError(rw, http.StatusInternalServerError, CodeInternal, "upgrading to "+protocol+": "+err.Error())
-		return nil, nil, false
+		h.writeError(rw, http.StatusInternalServerError, CodeInternal, "upgrading to "+upgrade.Protocol+": "+err.Error())
+		return
 	}
 	if sw, ok := rw.(*statusWriter); ok {
 		sw.status = http.StatusSwitchingProtocols
 	}
 	_ = conn.SetDeadline(time.Time{})
-	brw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + protocol + "\r\n")
-	if node != "" {
-		brw.WriteString(upgrade.HdrNode + ": " + node + "\r\n")
-	}
-	brw.WriteString("\r\n")
+	brw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + upgrade.Protocol + "\r\n\r\n")
 	if err := brw.Flush(); err != nil {
 		conn.Close()
-		return nil, nil, false
+		return
 	}
-	return conn, brw, true
-}
-
-// serveStream hands an upgraded connection to the stream server.
-func (h *Handler) serveStream(rw http.ResponseWriter, req *http.Request) {
-	if conn, brw, ok := h.upgrade(rw, req, reefstream.UpgradeProtocol, h.nodeID, nil); ok {
+	hello, err := upgrade.Accept(conn, brw.Reader, h.nodeID, h.repl != nil)
+	switch {
+	case err != nil:
+		conn.Close()
+	case hello.Link:
+		h.repl.AcceptLink(conn, brw, hello.Source, hello.Epoch)
+	default:
 		h.stream.ServeConn(conn, brw.Reader)
 	}
 }
@@ -423,8 +416,6 @@ func (h *Handler) dispatch(rw http.ResponseWriter, req *http.Request, r route, s
 				h.handleFetchEvents(rw, req, id)
 			})
 		}
-	case routeReplicationRecords:
-		h.route(rw, req, "POST", h.ingestReplication)
 	case routeAdminReplication:
 		h.route(rw, req, "GET", h.handleReplicationStatus)
 	case routeStream:

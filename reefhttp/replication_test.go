@@ -2,6 +2,7 @@ package reefhttp_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -10,9 +11,13 @@ import (
 	"testing"
 	"time"
 
+	"reef"
 	"reef/internal/durable"
+	"reef/internal/metrics"
 	"reef/internal/replication"
+	"reef/internal/upgrade"
 	"reef/reefhttp"
+	"reef/reefstream"
 )
 
 // replTestApplier is the minimal Applier the route tests need.
@@ -176,68 +181,170 @@ func TestReplicationRoutes(t *testing.T) {
 	}
 }
 
-// TestReplicationRouteErrors pins the failure envelopes: a request
-// without the upgrade, missing or bad handshake headers, wrong methods,
-// the retired snapshot route, and the 501 answer when no manager is
-// mounted.
+// TestReplicationRouteErrors pins the failure envelopes: the previous
+// version's link request, an upgrade to its own protocol on the retired
+// records route, and the snapshot route retired before it answer 404;
+// without WithReplication the admin status endpoint answers 501.
 func TestReplicationRouteErrors(t *testing.T) {
-	srv, _ := newReplServer(t)
-	url := srv.URL + replication.RecordsPath
-	upgrade := func(hdr map[string]string) map[string]string {
-		hdr["Connection"] = "Upgrade"
-		hdr["Upgrade"] = replication.LinkProtocol
-		return hdr
-	}
-
-	// An older sender's POST, without the upgrade.
-	resp, envelope := post(t, url, map[string]string{
-		replication.HdrSource: "a", replication.HdrEpoch: "1", "X-Reef-Replication-Prev": "0",
+	srv, app := newReplServer(t)
+	resp, envelope := post(t, srv.URL+"/v1/replication/records", map[string]string{
+		"Connection": "Upgrade", "Upgrade": "reef-replication/1",
+		"X-Reef-Replication-Source": "a", "X-Reef-Replication-Epoch": "1",
 	})
-	if resp.StatusCode != http.StatusUpgradeRequired || resp.Header.Get("Upgrade") != replication.LinkProtocol ||
-		envelope.Error.Code != reefhttp.CodeInvalidArgument {
-		t.Fatalf("POST without upgrade = %d (Upgrade %q, code %q), want 426 naming %s",
-			resp.StatusCode, resp.Header.Get("Upgrade"), envelope.Error.Code, replication.LinkProtocol)
+	if resp.StatusCode != http.StatusNotFound || envelope.Error.Code != reefhttp.CodeNotFound {
+		t.Fatalf("the previous version's link request = %d code %q, want 404 not_found", resp.StatusCode, envelope.Error.Code)
 	}
-	// Missing source header.
-	if resp, _ := post(t, url, upgrade(map[string]string{replication.HdrEpoch: "1"})); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("missing source = %d, want 400", resp.StatusCode)
-	}
-	// Malformed epoch header.
-	hdr := upgrade(map[string]string{replication.HdrSource: "a", replication.HdrEpoch: "not-a-number"})
-	if resp, _ := post(t, url, hdr); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad header = %d, want 400", resp.StatusCode)
-	}
-	// Wrong method.
-	resp2, envelope, _ := do(t, "GET", srv.URL+"/v1/replication/records", "")
-	if resp2.StatusCode != http.StatusMethodNotAllowed || envelope.Error.Code != reefhttp.CodeMethodNotAllowed {
-		t.Fatalf("GET records = %d code %q, want 405 method_not_allowed", resp2.StatusCode, envelope.Error.Code)
+	if app.recs != 0 || app.cuts != 0 {
+		t.Fatalf("a refused link reached the applier (%d records, %d cuts)", app.recs, app.cuts)
 	}
 
-	// A resync rides the records route; the snapshot route is gone.
-	resp2, envelope, _ = do(t, "POST", srv.URL+"/v1/replication/snapshot", "x")
+	resp2, envelope, _ := do(t, "POST", srv.URL+"/v1/replication/snapshot", "x")
 	if resp2.StatusCode != http.StatusNotFound || envelope.Error.Code != reefhttp.CodeNotFound {
 		t.Fatalf("POST snapshot = %d code %q, want 404 not_found", resp2.StatusCode, envelope.Error.Code)
 	}
 
-	// Without WithReplication every replication route answers 501.
 	plain, _ := newTestServer(t)
-	for _, probe := range []struct{ method, path string }{
-		{"POST", "/v1/replication/records"},
-		{"GET", "/v1/admin/replication"},
-	} {
-		resp, envelope, _ := do(t, probe.method, plain.URL+probe.path, "")
-		if resp.StatusCode != http.StatusNotImplemented || envelope.Error.Code != reefhttp.CodeUnsupported {
-			t.Fatalf("%s %s without manager = %d code %q, want 501 unsupported",
-				probe.method, probe.path, resp.StatusCode, envelope.Error.Code)
-		}
+	resp2, envelope, _ = do(t, "GET", plain.URL+"/v1/admin/replication", "")
+	if resp2.StatusCode != http.StatusNotImplemented || envelope.Error.Code != reefhttp.CodeUnsupported {
+		t.Fatalf("GET /v1/admin/replication without manager = %d code %q, want 501 unsupported",
+			resp2.StatusCode, envelope.Error.Code)
 	}
 }
 
-// guard against the route list drifting: the doc comment advertises the
-// replication path the constant defines.
-func TestReplicationPathConstants(t *testing.T) {
-	if !strings.HasPrefix(replication.RecordsPath, "/v1/replication/") {
-		t.Fatalf("replication path moved: %s", replication.RecordsPath)
+// TestLinkHelloRefused pins the refusals a link meets at its hello: a
+// handler without WithReplication, and a link hello naming no source,
+// fail the dial with the reason the server's hello gives, and nothing
+// is applied.
+func TestLinkHelloRefused(t *testing.T) {
+	plain, _ := newTestServer(t)
+	_, err := replication.DialLink(http.DefaultTransport, replication.Node{BaseURL: plain.URL}, "a", 1, 5*time.Second)
+	if err == nil || !strings.Contains(err.Error(), "takes no replication links") {
+		t.Fatalf("link to a handler without replication = %v, want the refusal's reason", err)
+	}
+	srv, app := newReplServer(t)
+	_, err = replication.DialLink(http.DefaultTransport, replication.Node{BaseURL: srv.URL}, "", 1, 5*time.Second)
+	if err == nil || !strings.Contains(err.Error(), "must name its source") {
+		t.Fatalf("link hello without a source = %v, want the refusal's reason", err)
+	}
+	if app.recs != 0 || app.cuts != 0 {
+		t.Fatalf("a refused link reached the applier (%d records, %d cuts)", app.recs, app.cuts)
+	}
+}
+
+// TestLinkToStreamOnlyServer pins the mixed-version rule from the
+// sender's side: a link hello that reaches a server serving only stream
+// clients ships nothing, and the sender's status for the peer carries
+// the error. The previous version's /v1/stream read any hello as a
+// stream client's and killed the connection at the first batch, an op
+// it does not serve; a Listen server refuses the link at its hello.
+func TestLinkToStreamOnlyServer(t *testing.T) {
+	_, dep := newTestServer(t)
+	prevStream := reefstream.NewServer(nil, dep, reefstream.WithNode("b"))
+	t.Cleanup(func() { prevStream.Close() })
+	prev := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		conn, brw, err := http.NewResponseController(w).Hijack()
+		if err != nil {
+			return
+		}
+		brw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + reefstream.UpgradeProtocol + "\r\n\r\n")
+		if brw.Flush() != nil {
+			conn.Close()
+			return
+		}
+		// The previous version's answer, its hello whatever role the
+		// client's declares, then the stream whatever the frames.
+		if _, err := upgrade.Accept(conn, brw.Reader, "b", true); err != nil {
+			conn.Close()
+			return
+		}
+		prevStream.ServeConn(conn, brw.Reader)
+	}))
+	t.Cleanup(prev.Close)
+	listen, err := reefstream.Listen("127.0.0.1:0", dep, reefstream.WithNode("b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { listen.Close() })
+
+	for _, tc := range []struct {
+		name, addr string
+		stream     *reefstream.Server
+	}{
+		{"previous /v1/stream", prev.URL, prevStream},
+		{"Listen server", listen.Addr().String(), listen},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sender, err := replication.New(replication.Options{
+				Self:          "a",
+				Nodes:         []replication.Node{{ID: "a", BaseURL: "http://unused.test"}, {ID: "b", BaseURL: tc.addr}},
+				Replicas:      1,
+				Applier:       &replTestApplier{},
+				RetryInterval: 10 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sender.Close()
+			sender.Offer(durable.CursorAckRecord(durable.CursorAckPayload{User: "u", ID: "s", Seq: 1}))
+			var st replication.PeerStatus
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+				if st = sender.Status().Peers[0]; st.LastError != "" {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("the sender never failed on b: %+v", st)
+				}
+			}
+			t.Logf("b's last error: %s", st.LastError)
+			if st.Shipped != 0 || st.Pending != 1 {
+				t.Errorf("sender's status for b = %+v, want nothing shipped and the record pending", st)
+			}
+			if frames, events := tc.stream.Stats(); frames != 0 || events != 0 {
+				t.Errorf("the stream server applied %d frames, %d events of a link", frames, events)
+			}
+		})
+	}
+}
+
+// TestStreamConnsCountStreamClients pins that the upgrade route hands
+// the stream server stream clients only: with one live replication link
+// and one stream client on a node, reef_stream_conns reads 1, and the
+// manager still closes its inbound link when it closes. The handler has
+// no node ID, so both roles' hellos name the manager's Self.
+func TestStreamConnsCountStreamClients(t *testing.T) {
+	mgr, err := replication.New(replication.Options{
+		Self:    "b",
+		Nodes:   []replication.Node{{ID: "a", BaseURL: "http://unused.test"}, {ID: "b", BaseURL: "http://unused.test"}},
+		Applier: &replTestApplier{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(mgr.Close)
+	reg := metrics.NewRegistry()
+	srv, _ := newTestServer(t, reefhttp.WithReplication(mgr), reefhttp.WithMetrics(reg))
+
+	l, err := replication.DialLink(http.DefaultTransport, replication.Node{ID: "b", BaseURL: srv.URL}, "a", 1, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	frames := durable.CursorAckRecord(durable.CursorAckPayload{User: "u", ID: "s", Seq: 1}).AppendEncoded(nil)
+	if ack := ship(t, l, 0, 1, false, frames); ack.Kind != durable.AckOK {
+		t.Fatalf("batch over the link = %+v, want ok", ack)
+	}
+	c := reefstream.NewClient(srv.URL, reefstream.WithExpectNode("b"))
+	defer c.Close()
+	if _, err := c.PublishEvent(context.Background(), reef.Event{Source: "s", Attrs: map[string]string{"type": "t"}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Gauge(metrics.StreamConns.Name).Value(); got != 1 {
+		t.Fatalf("reef_stream_conns = %d with one link and one stream client, want 1", got)
+	}
+
+	mgr.Close()
+	if _, err := l.Ship(durable.ReplBatch{Prev: 1, Last: 2, Count: 1, Bytes: len(frames)}, frames); err == nil {
+		t.Fatal("the link carried a batch after its manager closed")
 	}
 }
 

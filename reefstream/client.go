@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -282,39 +281,29 @@ func (c *Client) dropConn(sc *streamConn) {
 	c.mu.Unlock()
 }
 
-// dialTimeout bounds connection establishment and the handshake.
+// dialTimeout bounds the dial, and then the hellos.
 const dialTimeout = 5 * time.Second
 
-// dial connects to a base URL by upgrade and to a host:port directly.
-// A node that answers the upgrade with 404 or 426 does not serve the
-// stream: its StatusUnsupported verdict. One that answers 5xx (503 while
-// it replays its WAL) is unavailable. Any other refusal is a dial error.
+// dial opens the stream: by upgrade from a base URL, by TCP to a
+// host:port, with the hellos either way. A node that answers the upgrade
+// with 404 or 426 does not serve the stream: its StatusUnsupported
+// verdict. One that answers 5xx (503 while it replays its WAL) is
+// unavailable. Any other refusal is a dial error.
 func (c *Client) dial() (*streamConn, error) {
-	var conn io.ReadWriteCloser
-	var err error
-	if strings.HasPrefix(c.addr, "http://") {
-		conn, _, err = upgrade.Dial(http.DefaultTransport, c.addr+UpgradePath, UpgradeProtocol, nil, dialTimeout)
-		if re := (*upgrade.RefusedError)(nil); errors.As(err, &re) {
-			msg := fmt.Sprintf("node %q at %s", c.expectNode, re.Msg)
-			switch {
-			case re.Code == http.StatusNotFound || re.Code == http.StatusUpgradeRequired:
-				return nil, &StatusError{Status: StatusUnsupported, Message: msg}
-			case re.Code >= 500:
-				return nil, &StatusError{Status: StatusUnavailable, Message: msg}
-			}
+	conn, err := upgrade.Open(http.DefaultTransport, c.addr, upgrade.Hello{}, c.expectNode, dialTimeout)
+	if re := (*upgrade.RefusedError)(nil); errors.As(err, &re) {
+		msg := fmt.Sprintf("node %q at %s", c.expectNode, re.Msg)
+		switch {
+		case re.Code == http.StatusNotFound || re.Code == http.StatusUpgradeRequired:
+			return nil, &StatusError{Status: StatusUnsupported, Message: msg}
+		case re.Code >= 500:
+			return nil, &StatusError{Status: StatusUnavailable, Message: msg}
 		}
-	} else {
-		conn, err = net.DialTimeout("tcp", c.addr, dialTimeout)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("reefstream: dial %s: %w", c.addr, err)
 	}
-	sc, err := newStreamConn(conn, c.expectNode, dialTimeout, c.callTimeout)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return sc, nil
+	return newStreamConn(conn, c.callTimeout), nil
 }
 
 // streamConn is one handshaken connection: a writer goroutine drains
@@ -346,25 +335,7 @@ type streamConn struct {
 	once    sync.Once
 }
 
-func newStreamConn(conn io.ReadWriteCloser, expectNode string, hsTimeout, callTimeout time.Duration) (*streamConn, error) {
-	hsDeadline := time.AfterFunc(hsTimeout, func() { conn.Close() })
-	defer hsDeadline.Stop()
-	bw := bufio.NewWriterSize(conn, 64<<10)
-	if err := writeHello(bw, hello{Proto: ProtoVersion}); err != nil {
-		return nil, err
-	}
-	br := bufio.NewReaderSize(conn, 256<<10)
-	h, err := readHello(br)
-	if err != nil {
-		return nil, fmt.Errorf("reefstream: handshake: %w", err)
-	}
-	if expectNode != "" && h.Node != expectNode {
-		return nil, fmt.Errorf("reefstream: node identity mismatch: dialed %q, got %q", expectNode, h.Node)
-	}
-	if !hsDeadline.Stop() {
-		return nil, fmt.Errorf("reefstream: handshake timed out after %v", hsTimeout)
-	}
-
+func newStreamConn(conn io.ReadWriteCloser, callTimeout time.Duration) *streamConn {
 	sc := &streamConn{
 		conn:      conn,
 		writeCh:   make(chan *[]byte, 256),
@@ -373,10 +344,10 @@ func newStreamConn(conn io.ReadWriteCloser, expectNode string, hsTimeout, callTi
 		byCID:     make(map[uint64]*clientConsumer),
 		dead:      make(chan struct{}),
 	}
-	go sc.writeLoop(bw)
-	go sc.readLoop(br)
+	go sc.writeLoop(bufio.NewWriterSize(conn, 64<<10))
+	go sc.readLoop(bufio.NewReaderSize(conn, 256<<10))
 	go sc.watchdog(callTimeout / 2)
-	return sc, nil
+	return sc
 }
 
 // watchdog enforces the call timeout per connection instead of per

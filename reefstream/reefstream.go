@@ -38,17 +38,19 @@
 // UpgradePath, which every reefhttp handler serves (RFC 9110 §7.8); a
 // 404 or 426 fails every call with StatusUnsupported, a 5xx with
 // StatusUnavailable. A Listen server takes the same stream on a bare
-// TCP connection. The
-// client sends a hello; the server answers with its own hello carrying
-// its node ID, which the client may verify against an expected identity
-// (the same guard the cluster prober applies to /healthz). After the
-// handshake the client pipelines publish frames without waiting for
-// acks; the server reads frames, coalesces whatever is already buffered
-// into one PublishBatch call against the deployment, and acks every
-// frame with its exact delivered count (via reef.BatchCountPublisher
-// when the deployment offers it). Acks may arrive out of order with
-// respect to nothing — the server acks in frame order — but the client
-// matches them by sequence number regardless.
+// TCP connection. The client sends a hello; the server answers with its
+// own hello carrying its node ID, which the client may verify against an
+// expected identity (the same guard the cluster prober applies to
+// /healthz). The hellos are internal/upgrade's, shared with the
+// replication link, whose hello declares that role; a Listen server
+// refuses it. After the handshake the client pipelines publish frames
+// without waiting for acks; the server reads frames, coalesces whatever
+// is already buffered into one PublishBatch call against the deployment,
+// and acks every frame with its exact delivered count (via
+// reef.BatchCountPublisher when the deployment offers it). Acks may
+// arrive out of order with respect to nothing — the server acks in
+// frame order — but the client matches them by sequence number
+// regardless.
 //
 // A clicks frame carries exactly the bytes durable.ClicksRecord writes
 // into the WAL after its sequence number, and the server decodes them
@@ -83,9 +85,7 @@
 package reefstream
 
 import (
-	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -98,17 +98,18 @@ import (
 	"reef/internal/eventalg"
 	"reef/internal/pubsub"
 	"reef/internal/trace"
+	"reef/internal/upgrade"
 )
 
 // ProtoVersion is the handshake protocol version. A server rejects a
 // hello with a version it does not speak.
-const ProtoVersion = 1
+const ProtoVersion = upgrade.Version
 
 // UpgradePath is the REST route a node serves the stream on, and
 // UpgradeProtocol the Upgrade token that asks for it.
 const (
-	UpgradePath     = "/v1/stream"
-	UpgradeProtocol = "reef-stream/1"
+	UpgradePath     = upgrade.Path
+	UpgradeProtocol = upgrade.Protocol
 )
 
 // MaxFrameEvents bounds the events one publish frame, and the clicks one
@@ -184,41 +185,6 @@ func statusFor(err error) int {
 	default:
 		return StatusInternal
 	}
-}
-
-// hello is the JSON handshake payload. The client sends {Proto}; the
-// server answers {Proto, Node, Clicks}. Clicks is for older clients,
-// which send clicks frames only to a server that sets it.
-type hello struct {
-	Proto  int    `json:"proto"`
-	Node   string `json:"node,omitempty"`
-	Clicks bool   `json:"clicks,omitempty"`
-}
-
-// writeHello sends h as one hello frame.
-func writeHello(bw *bufio.Writer, h hello) error {
-	payload, _ := json.Marshal(h) // a struct of an int, a string and a bool
-	if _, err := bw.Write(durable.Record{Op: durable.OpStreamHello, Payload: payload}.AppendEncoded(nil)); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// readHello reads the peer's hello frame and checks its version.
-func readHello(br *bufio.Reader) (h hello, err error) {
-	var buf []byte
-	rec, err := durable.ReadFrame(br, &buf)
-	switch {
-	case err != nil:
-		return h, err
-	case rec.Op != durable.OpStreamHello:
-		return h, fmt.Errorf("%w: expected hello, got %v", ErrBadFrame, rec.Op)
-	case json.Unmarshal(rec.Payload, &h) != nil:
-		return h, fmt.Errorf("%w: hello is not JSON", ErrBadFrame)
-	case h.Proto != ProtoVersion:
-		return h, fmt.Errorf("%w: protocol version %d, want %d", ErrBadFrame, h.Proto, ProtoVersion)
-	}
-	return h, nil
 }
 
 // AppendEvent appends one encoded event to dst. Attribute order is not

@@ -15,11 +15,8 @@ import (
 	"reef/internal/metrics"
 	"reef/internal/pubsub"
 	"reef/internal/trace"
+	"reef/internal/upgrade"
 )
-
-// handshakeTimeout bounds how long a fresh connection may sit between
-// accept and a completed hello before the server drops it.
-const handshakeTimeout = 10 * time.Second
 
 // maxCoalesceEvents bounds how many events one server-side coalescing
 // pass may gather across pipelined frames before applying them as a
@@ -156,7 +153,9 @@ func (s *Server) ConsumeStats() (attached, delivered int64) {
 // Metrics returns the server's instrumentation registry.
 func (s *Server) Metrics() *metrics.Registry { return s.metrics }
 
-// acceptLoop hands each connection the listener accepts to ServeConn.
+// acceptLoop runs the hellos on each connection the listener accepts, on
+// its own goroutine, refusing replication links, and hands a stream
+// client's to ServeConn.
 func (s *Server) acceptLoop() {
 	defer close(s.acceptDone)
 	for s.ln != nil {
@@ -164,14 +163,21 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed by Shutdown/Close
 		}
-		s.ServeConn(conn, nil)
+		go func() {
+			if _, err := upgrade.Accept(conn, conn, s.node, false); err != nil {
+				conn.Close()
+				return
+			}
+			s.ServeConn(conn, nil)
+		}()
 	}
 }
 
-// ServeConn serves conn on its own goroutine: one the listener accepted
-// or one hijacked from an HTTP upgrade, whose bytes already read into
-// buffered (nil for none) come first. Shutdown and Close treat both
-// alike; a draining server closes conn unserved.
+// ServeConn serves a stream client's conn, its hellos exchanged, on its
+// own goroutine: one the listener accepted or one hijacked from an HTTP
+// upgrade, whose bytes already read into buffered (nil for none) come
+// first. Shutdown and Close treat both alike; a draining server closes
+// conn unserved.
 func (s *Server) ServeConn(conn net.Conn, buffered *bufio.Reader) {
 	s.mu.Lock()
 	if s.draining {
@@ -279,12 +285,6 @@ func (s *Server) serveConn(conn net.Conn, r io.Reader) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(r, 256<<10)
 	bw := bufio.NewWriterSize(conn, 64<<10)
-
-	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	if err := s.handshake(br, bw); err != nil {
-		return
-	}
-	conn.SetReadDeadline(time.Time{})
 
 	// All further writes go through cs: consumer pushers share the
 	// socket with the ack path, so the bufio writer is mutex-serialized
@@ -497,12 +497,4 @@ func (s *Server) recordPublishSpan(sp frameSpan, begin time.Time, errStr string)
 		Start: begin, Duration: time.Since(begin), Err: errStr,
 	})
 	s.metrics.Counter(metrics.TraceSpans.Name).Inc()
-}
-
-// handshake answers the client's hello with the server's own.
-func (s *Server) handshake(br *bufio.Reader, bw *bufio.Writer) error {
-	if _, err := readHello(br); err != nil {
-		return err
-	}
-	return writeHello(bw, hello{Proto: ProtoVersion, Node: s.node, Clicks: true})
 }

@@ -3,6 +3,7 @@ package reef_test
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -60,6 +61,21 @@ type testCluster struct {
 	refuse atomic.Bool
 }
 
+// refusing is node 0's transport: while refuse is set, it answers a link
+// upgrade to host with the 503 the node would give, in its place.
+type refusing struct {
+	host   string
+	refuse *atomic.Bool
+}
+
+func (r refusing) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Host == r.host && r.refuse.Load() {
+		return &http.Response{StatusCode: http.StatusServiceUnavailable, Status: "503 Service Unavailable",
+			Body: io.NopCloser(strings.NewReader("unavailable")), Request: req}, nil
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
 // startCluster starts the nodes, node 0's sender with the given Retain
 // (0 for the default).
 func startCluster(t *testing.T, web *websim.Web, ids []string, refused, retain int) *testCluster {
@@ -70,10 +86,6 @@ func startCluster(t *testing.T, web *websim.Web, ids []string, refused, retain i
 	for i := range ids {
 		h := new(atomic.Pointer[http.Handler])
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if i == refused && r.Header.Get(replication.HdrSource) == ids[0] && tc.refuse.Load() {
-				http.Error(w, "unavailable", http.StatusServiceUnavailable)
-				return
-			}
 			(*h.Load()).ServeHTTP(w, r)
 		}))
 		t.Cleanup(srv.Close)
@@ -96,6 +108,7 @@ func startCluster(t *testing.T, web *websim.Web, ids []string, refused, retain i
 		opt := replication.Options{Self: id, Nodes: nodes, Replicas: 1, Applier: app, RetryInterval: 10 * time.Millisecond}
 		if i == 0 {
 			opt.Retain = retain
+			opt.HTTPClient = &http.Client{Transport: refusing{host: strings.TrimPrefix(nodes[refused].BaseURL, "http://"), refuse: &tc.refuse}}
 		}
 		mgr, err := replication.New(opt)
 		if err != nil {
