@@ -46,14 +46,14 @@
 // stream (package reefstream) that every reefd serves on -addr as an
 // HTTP/1.1 upgrade, the same upgrade a peer's replication link opens
 // with a hello declaring that role: a node has one address, and clients
-// dial the stream from its base URL. A router
-// carries each node's hot paths over one stream to the node's http://
-// base URL (an https:// node stays on REST), with fan-out frames
-// encoded once and shared across nodes. A
-// node whose stream connection fails falls back to REST for that call
-// without being demoted; a node older than the stream route answers
-// every call with its unsupported verdict, so upgrade nodes before
-// routers. On shutdown the stream drains after the HTTP listener:
+// dial the stream from its base URL. A router carries each node's hot
+// paths over one stream to the node's http:// base URL (an https://
+// node stays on REST), with fan-out frames encoded once and shared
+// across nodes. A node whose stream connection fails is demoted as a
+// node whose REST call fails is, and the call is not repeated over
+// REST: on one port the stream and REST live and die together. A node
+// older than the stream route answers every call with its unsupported
+// verdict, so upgrade nodes before routers. On shutdown the stream drains after the HTTP listener:
 // every fully-read frame is applied and acked before the deployment
 // closes — no event is half-applied.
 //

@@ -38,6 +38,7 @@ type Link struct {
 	deadline *time.Timer
 	timeout  time.Duration
 	hdr, buf []byte
+	peer     string // the peer's base URL, named in Ship's errors
 }
 
 // DialLink opens a link to peer through rt as a stream client opens its
@@ -57,6 +58,7 @@ func DialLink(rt http.RoundTripper, peer Node, source string, epoch int64, timeo
 		deadline: time.AfterFunc(timeout, func() { rwc.Close() }),
 		timeout:  timeout,
 		buf:      make([]byte, 0, ackBufSize),
+		peer:     peer.BaseURL,
 	}
 	l.deadline.Stop() // armed by each Ship: an idle link stays up
 	return l, nil
@@ -64,19 +66,24 @@ func DialLink(rt http.RoundTripper, peer Node, source string, epoch int64, timeo
 
 // Ship sends one batch — its header, then frames, which must be
 // h.Bytes long — and reads the peer's ack. An AckError ack returns an
-// error too; the peer closes the link after it.
+// error too; the peer closes the link after it. Every error names the
+// peer's base URL.
 func (l *Link) Ship(h durable.ReplBatch, frames []byte) (durable.ReplAck, error) {
 	l.deadline.Reset(l.timeout)
 	defer l.deadline.Stop()
 	l.hdr = durable.AppendReplBatch(l.hdr[:0], h)
 	l.bw.Write(l.hdr) // a write error sticks to bw, and Flush returns it
 	l.bw.Write(frames)
-	if err := l.bw.Flush(); err != nil {
-		return durable.ReplAck{}, err
+	var ack durable.ReplAck
+	err := l.bw.Flush()
+	if err == nil {
+		ack, err = readAck(l.br, &l.buf)
 	}
-	ack, err := readAck(l.br, &l.buf)
 	if err == nil && ack.Kind == durable.AckError {
-		err = fmt.Errorf("replication: peer refused the batch: %s", ack.Err)
+		err = fmt.Errorf("peer refused it: %s", ack.Err)
+	}
+	if err != nil {
+		err = fmt.Errorf("replication: batch to %s: %w", l.peer, err)
 	}
 	return ack, err
 }

@@ -25,7 +25,6 @@ import (
 
 	"reef"
 	"reef/reefhttp"
-	"reef/reefstream"
 )
 
 // APIError is a decoded error envelope from the server. It unwraps to
@@ -64,11 +63,10 @@ func (e *APIError) Unwrap() error {
 // Transport is a binary data plane the client carries its hot verbs
 // over instead of REST: publishes, click batches, and the reliable
 // consume path (server-pushed fetches and pipelined acks).
-// reefstream.Client satisfies it. REST stays the control plane for
-// every other verb and the one fallback under these five; restFallback
-// decides, per call, when a transport failure hands the call to REST.
-// Close releases the transport's connection; the Client's own Close
-// calls it.
+// reefstream.Client satisfies it. What the transport returns for these
+// five verbs, result and error, is the Client's answer: no call is
+// repeated over REST, which stays the plane of every other verb. Close
+// releases the transport's connection; the Client's own Close calls it.
 type Transport interface {
 	PublishEvent(ctx context.Context, ev reef.Event) (int, error)
 	PublishBatch(ctx context.Context, evs []reef.Event) (int, error)
@@ -87,9 +85,9 @@ func WithHTTPClient(hc *http.Client) Option {
 }
 
 // WithTransport routes PublishEvent, PublishBatch, IngestClicks,
-// FetchEvents and Ack over a streaming data plane, with REST as the
-// fallback restFallback allows, while every other call stays on REST.
-// The client owns the transport: Close closes it.
+// FetchEvents and Ack over a streaming data plane and returns its
+// answers as they are, while every other call stays on REST. The client
+// owns the transport: Close closes it.
 func WithTransport(t Transport) Option {
 	return func(c *Client) { c.transport = t }
 }
@@ -294,45 +292,11 @@ func (c *Client) doOnce(ctx context.Context, method, path string, data []byte, h
 		Message: envelope.Error.Message}
 }
 
-// restFallback is the one rule that decides whether a transport call's
-// error is the answer or a reason to repeat the call over REST, for the
-// SDK and the cluster router alike (the router forwards every node call
-// through a Client). In order:
-//
-//   - the caller's ctx is done, or the error wraps
-//     context.DeadlineExceeded (the transport's own call timeout): the
-//     answer; a router's forwardErr decides who is blamed;
-//   - a *reefstream.StatusError, or a wrapped reef.ErrInvalidArgument,
-//     ErrNotFound or ErrClosed: the answer — the node's own verdict,
-//     which REST would repeat; a node that does not serve the stream
-//     answers StatusUnsupported, as its REST surface would answer 501;
-//   - reefstream.ErrNotSent (nothing left the client): REST, for this
-//     call only;
-//   - anything else is connection-level: REST if the verb may be
-//     repeated after its frame was queued (publish, fetch, ack), the
-//     answer otherwise (clicks are not idempotent).
-func restFallback(ctx context.Context, err error, mayRepeat bool) bool {
-	if err == nil || ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	var se *reefstream.StatusError
-	if errors.As(err, &se) || errors.Is(err, reef.ErrInvalidArgument) ||
-		errors.Is(err, reef.ErrNotFound) || errors.Is(err, reef.ErrClosed) {
-		return false
-	}
-	return mayRepeat || errors.Is(err, reefstream.ErrNotSent)
-}
-
 // IngestClicks implements reef.Deployment over POST /v1/clicks, or over
-// the streaming data plane when WithTransport is set. A clicks frame is
-// never repeated once queued: only a failure that proves nothing was
-// sent falls back to REST.
+// the streaming data plane when WithTransport is set.
 func (c *Client) IngestClicks(ctx context.Context, clicks []reef.Click) (int, error) {
 	if c.transport != nil {
-		n, err := c.transport.IngestClicks(ctx, clicks)
-		if !restFallback(ctx, err, false) {
-			return n, err
-		}
+		return c.transport.IngestClicks(ctx, clicks)
 	}
 	var out reefhttp.ClicksResponse
 	err := c.do(ctx, http.MethodPost, "/v1/clicks", reefhttp.ClicksRequest{Clicks: clicks}, &out)
@@ -346,10 +310,7 @@ func (c *Client) IngestClicks(ctx context.Context, clicks []reef.Click) (int, er
 // the streaming data plane when WithTransport is set.
 func (c *Client) PublishEvent(ctx context.Context, ev reef.Event) (int, error) {
 	if c.transport != nil {
-		n, err := c.transport.PublishEvent(ctx, ev)
-		if !restFallback(ctx, err, true) {
-			return n, err
-		}
+		return c.transport.PublishEvent(ctx, ev)
 	}
 	var out reefhttp.EventResponse
 	if err := c.do(ctx, http.MethodPost, "/v1/events", ev, &out); err != nil {
@@ -363,10 +324,7 @@ func (c *Client) PublishEvent(ctx context.Context, ev reef.Event) (int, error) {
 // streaming data plane when WithTransport is set.
 func (c *Client) PublishBatch(ctx context.Context, evs []reef.Event) (int, error) {
 	if c.transport != nil {
-		n, err := c.transport.PublishBatch(ctx, evs)
-		if !restFallback(ctx, err, true) {
-			return n, err
-		}
+		return c.transport.PublishBatch(ctx, evs)
 	}
 	var out reefhttp.EventResponse
 	err := c.do(ctx, http.MethodPost, "/v1/events:batch", reefhttp.EventsBatchRequest{Events: evs}, &out)
@@ -413,10 +371,7 @@ func (c *Client) Subscribe(ctx context.Context, user, feedURL string, opts ...re
 // consume plane when WithTransport is set.
 func (c *Client) FetchEvents(ctx context.Context, user, subID string, max int) ([]reef.DeliveredEvent, error) {
 	if c.transport != nil {
-		evs, err := c.transport.FetchEvents(ctx, user, subID, max)
-		if !restFallback(ctx, err, true) {
-			return evs, err
-		}
+		return c.transport.FetchEvents(ctx, user, subID, max)
 	}
 	path := "/v1/subscriptions/" + url.PathEscape(subID) + "/events?user=" + url.QueryEscape(user)
 	if max > 0 {
@@ -431,14 +386,11 @@ func (c *Client) FetchEvents(ctx context.Context, user, subID string, max int) (
 
 // Ack implements reef.ReliableDeliverer over POST
 // /v1/subscriptions/{id}/ack, or over the stream when WithTransport is
-// set. Acks are cumulative and idempotent on the server, so WithRetry —
-// and the stream-to-REST fallback — may safely repeat one.
+// set. Acks are cumulative and idempotent on the server, so WithRetry
+// may safely repeat one.
 func (c *Client) Ack(ctx context.Context, user, subID string, seq int64, nack bool) error {
 	if c.transport != nil {
-		err := c.transport.Ack(ctx, user, subID, seq, nack)
-		if !restFallback(ctx, err, true) {
-			return err
-		}
+		return c.transport.Ack(ctx, user, subID, seq, nack)
 	}
 	return c.do(ctx, http.MethodPost, "/v1/subscriptions/"+url.PathEscape(subID)+"/ack",
 		reefhttp.AckRequest{User: user, Seq: seq, Nack: nack}, nil)

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -61,10 +62,10 @@ func (s *scriptedTransport) Ack(context.Context, string, string, int64, bool) er
 
 func (s *scriptedTransport) Close() error { return nil }
 
-// TestTransportRule pins the one stream-or-REST rule, row by row, on
-// every verb a transport carries: which errors are the answer, which
-// send the call to REST, and that a verb that may not be repeated
-// (clicks) answers a connection-level failure instead of re-sending.
+// TestTransportRule pins the one rule under every verb a transport
+// carries: the transport's result and error are the Client's answer,
+// and no call is repeated over REST — not a connection-level failure,
+// not a dial that sent nothing, not an unsupported verdict.
 func TestTransportRule(t *testing.T) {
 	var restCalls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -73,49 +74,45 @@ func TestTransportRule(t *testing.T) {
 	}))
 	defer ts.Close()
 
+	// Each call returns the size of its result: a count, or how many
+	// events a fetch returned; Ack has none and reports 1.
 	verbs := []struct {
-		name      string
-		mayRepeat bool
-		call      func(ctx context.Context, c *Client) error
+		name string
+		call func(ctx context.Context, c *Client) (int, error)
 	}{
-		{"PublishEvent", true, func(ctx context.Context, c *Client) error {
-			_, err := c.PublishEvent(ctx, reef.Event{Attrs: map[string]string{"k": "v"}})
-			return err
+		{"PublishEvent", func(ctx context.Context, c *Client) (int, error) {
+			return c.PublishEvent(ctx, reef.Event{Attrs: map[string]string{"k": "v"}})
 		}},
-		{"PublishBatch", true, func(ctx context.Context, c *Client) error {
-			_, err := c.PublishBatch(ctx, []reef.Event{{Attrs: map[string]string{"k": "v"}}})
-			return err
+		{"PublishBatch", func(ctx context.Context, c *Client) (int, error) {
+			return c.PublishBatch(ctx, []reef.Event{{Attrs: map[string]string{"k": "v"}}})
 		}},
-		{"IngestClicks", false, func(ctx context.Context, c *Client) error {
-			_, err := c.IngestClicks(ctx, []reef.Click{{User: "u", URL: "http://x.test/"}})
-			return err
+		{"IngestClicks", func(ctx context.Context, c *Client) (int, error) {
+			return c.IngestClicks(ctx, []reef.Click{{User: "u", URL: "http://x.test/"}})
 		}},
-		{"FetchEvents", true, func(ctx context.Context, c *Client) error {
-			_, err := c.FetchEvents(ctx, "u", "s", 8)
-			return err
+		{"FetchEvents", func(ctx context.Context, c *Client) (int, error) {
+			evs, err := c.FetchEvents(ctx, "u", "s", 8)
+			return len(evs), err
 		}},
-		{"Ack", true, func(ctx context.Context, c *Client) error {
-			return c.Ack(ctx, "u", "s", 1, false)
+		{"Ack", func(ctx context.Context, c *Client) (int, error) {
+			return 1, c.Ack(ctx, "u", "s", 1, false)
 		}},
 	}
-	connReset := errors.New("read tcp: connection reset by peer")
 	rows := []struct {
 		name   string
 		err    error
 		cancel bool // the caller's ctx is done before the call
-		rest   bool // the call lands on REST (for a verb that may repeat)
-		wantIs error
 	}{
 		{name: "ok"},
-		{name: "caller ctx done", err: context.Canceled, cancel: true, wantIs: context.Canceled},
-		{name: "call timeout", err: fmt.Errorf("stream: %w", context.DeadlineExceeded), wantIs: context.DeadlineExceeded},
-		{name: "not sent", err: fmt.Errorf("%w: dial refused", reefstream.ErrNotSent), rest: true},
-		{name: "unsupported", err: &reefstream.StatusError{Status: reefstream.StatusUnsupported}, wantIs: reef.ErrUnsupported},
+		{name: "caller ctx done", err: context.Canceled, cancel: true},
+		{name: "call timeout", err: fmt.Errorf("stream: %w", context.DeadlineExceeded)},
+		{name: "not sent", err: errors.New("dial tcp 127.0.0.1:7: connect: connection refused")},
+		{name: "unsupported", err: &reefstream.StatusError{Status: reefstream.StatusUnsupported}},
+		{name: "unsupported sentinel", err: reef.ErrUnsupported},
 		{name: "internal verdict", err: &reefstream.StatusError{Status: reefstream.StatusInternal, Message: "boom"}},
-		{name: "invalid argument", err: fmt.Errorf("stream: %w", reef.ErrInvalidArgument), wantIs: reef.ErrInvalidArgument},
-		{name: "not found", err: reef.ErrNotFound, wantIs: reef.ErrNotFound},
-		{name: "closed", err: reef.ErrClosed, wantIs: reef.ErrClosed},
-		{name: "connection", err: connReset, rest: true},
+		{name: "invalid argument", err: fmt.Errorf("stream: %w", reef.ErrInvalidArgument)},
+		{name: "not found", err: reef.ErrNotFound},
+		{name: "closed", err: reef.ErrClosed},
+		{name: "connection", err: errors.New("read tcp: connection reset by peer")},
 	}
 	for _, v := range verbs {
 		for _, row := range rows {
@@ -129,32 +126,15 @@ func TestTransportRule(t *testing.T) {
 				if row.cancel {
 					cancel()
 				}
-				err := v.call(ctx, c)
-
-				toREST := row.rest
-				if row.err == connReset && !v.mayRepeat {
-					toREST = false
+				n, err := v.call(ctx, c)
+				if tr.calls != 1 || restCalls.Load() != 0 {
+					t.Fatalf("(%d transport calls, %d REST calls), want (1, 0)", tr.calls, restCalls.Load())
 				}
-				wantREST := int64(0)
-				if toREST {
-					wantREST = 1
+				if err != row.err {
+					t.Fatalf("err = %v, want the transport's own %v", err, row.err)
 				}
-				if tr.calls != 1 || restCalls.Load() != wantREST {
-					t.Fatalf("(%d stream calls, %d REST calls), want (1, %d)", tr.calls, restCalls.Load(), wantREST)
-				}
-				switch {
-				case row.err == nil || toREST:
-					if err != nil {
-						t.Fatalf("err = %v, want the call served", err)
-					}
-				case row.wantIs != nil:
-					if !errors.Is(err, row.wantIs) {
-						t.Fatalf("err = %v, want %v", err, row.wantIs)
-					}
-				default:
-					if !errors.Is(err, row.err) {
-						t.Fatalf("err = %v, want the transport's %v", err, row.err)
-					}
+				if err == nil && n != 1 {
+					t.Fatalf("result of size %d, want the transport's 1", n)
 				}
 			})
 		}
@@ -222,10 +202,50 @@ func TestTransportClicksRideStream(t *testing.T) {
 // the clicks may have landed, and the call fails instead of sending the
 // batch again over the stream or over REST.
 func TestTransportClicksNeverResent(t *testing.T) {
-	var restCalls atomic.Int64
+	frames, restCalls, err := sendToDyingStream(t, func(c *Client) error {
+		_, err := c.IngestClicks(context.Background(), []reef.Click{{User: "u", URL: "http://x.test/", At: t0}})
+		return err
+	}, durable.OpStreamClicks)
+	if err == nil {
+		t.Fatal("IngestClicks succeeded though the stream died before the ack")
+	}
+	if frames != 1 || restCalls != 0 {
+		t.Errorf("(%d stream clicks frames, %d REST calls), want (1, 0): the batch was repeated", frames, restCalls)
+	}
+}
+
+// TestTransportPublishSendBound pins how often one SDK publish may go
+// out when its stream dies before every ack: twice, both over the
+// stream (the stream client's one re-send on a fresh connection), and
+// never a third time over REST. The call fails with the connection
+// loss; each send may have been applied.
+func TestTransportPublishSendBound(t *testing.T) {
+	ev := reef.Event{Source: "test", Attrs: map[string]string{"type": "feed-item", "feed": "http://x.test/f.xml", "title": "t", "link": "http://x.test/1"}}
+	var n int
+	frames, restCalls, err := sendToDyingStream(t, func(c *Client) error {
+		var err error
+		n, err = c.PublishBatch(context.Background(), []reef.Event{ev})
+		return err
+	}, durable.OpStreamPublish)
+	if frames != 2 || restCalls != 0 {
+		t.Errorf("(%d stream publish frames, %d REST calls), want (2, 0)", frames, restCalls)
+	}
+	if err == nil || !strings.Contains(err.Error(), "connection lost") {
+		t.Fatalf("PublishBatch = (%d, %v), want the connection loss", n, err)
+	}
+}
+
+// sendToDyingStream runs call on a Client whose transport dials a
+// scripted stream that answers each hello, reads one frame of op and
+// closes the connection unacked, and whose REST server answers any
+// call. It returns the frames of op the stream read, the REST calls,
+// and call's error.
+func sendToDyingStream(t *testing.T, call func(*Client) error, op durable.Op) (frames, restCalls int64, err error) {
+	t.Helper()
+	var rest atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		restCalls.Add(1)
-		w.Write([]byte(`{"accepted":1}`))
+		rest.Add(1)
+		w.Write([]byte(`{"delivered":1,"accepted":1}`))
 	}))
 	defer ts.Close()
 
@@ -233,7 +253,7 @@ func TestTransportClicksNeverResent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var frames atomic.Int64
+	var read atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -243,7 +263,7 @@ func TestTransportClicksNeverResent(t *testing.T) {
 			if err != nil {
 				return
 			}
-			serveClicksThenDie(conn, &frames)
+			serveFrameThenDie(conn, op, &read)
 		}
 	}()
 	defer func() {
@@ -253,20 +273,13 @@ func TestTransportClicksNeverResent(t *testing.T) {
 
 	c := New(ts.URL, WithTransport(reefstream.NewClient(ln.Addr().String())))
 	defer c.Close()
-	if _, err := c.IngestClicks(context.Background(), []reef.Click{{User: "u", URL: "http://x.test/", At: t0}}); err == nil {
-		t.Fatal("IngestClicks succeeded though the stream died before the ack")
-	}
-	if got := frames.Load(); got != 1 {
-		t.Errorf("stream read %d clicks frames, want exactly 1", got)
-	}
-	if restCalls.Load() != 0 {
-		t.Errorf("REST saw %d calls, want 0: the batch was repeated", restCalls.Load())
-	}
+	err = call(c)
+	return read.Load(), rest.Load(), err
 }
 
-// serveClicksThenDie answers a hello that advertises the clicks verb,
-// then counts one clicks frame and closes the connection unacked.
-func serveClicksThenDie(conn net.Conn, frames *atomic.Int64) {
+// serveFrameThenDie answers a hello that advertises the clicks verb,
+// then counts one frame of op and closes the connection unacked.
+func serveFrameThenDie(conn net.Conn, op durable.Op, frames *atomic.Int64) {
 	defer conn.Close()
 	br := bufio.NewReader(conn)
 	for {
@@ -288,36 +301,9 @@ func serveClicksThenDie(conn net.Conn, frames *atomic.Int64) {
 			if _, err := conn.Write(hello.AppendEncoded(nil)); err != nil {
 				return
 			}
-		case durable.OpStreamClicks:
+		case op:
 			frames.Add(1)
 			return
 		}
-	}
-}
-
-// TestTransportPublishFallsBackToREST pins that an SDK publish whose
-// stream listener is gone lands over REST, as the router's does.
-func TestTransportPublishFallsBackToREST(t *testing.T) {
-	ctx := context.Background()
-	var restPublishes atomic.Int64
-	dep, ts, srv := newStreamNode(t, "/v1/events:batch", &restPublishes)
-	addr := srv.Addr().String()
-	srv.Close() // stream plane down, node alive
-
-	c := New(ts.URL, WithTransport(reefstream.NewClient(addr)))
-	defer c.Close()
-	ev := reef.Event{Source: "test", Attrs: map[string]string{"type": "feed-item", "feed": "http://x.test/f.xml", "title": "t", "link": "http://x.test/1"}}
-	if _, err := c.PublishBatch(ctx, []reef.Event{ev, ev}); err != nil {
-		t.Fatalf("PublishBatch with the stream down: %v", err)
-	}
-	if restPublishes.Load() != 1 {
-		t.Errorf("/v1/events:batch was hit %d times, want 1", restPublishes.Load())
-	}
-	stats, err := dep.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := stats[metrics.BrokerPublished.Key]; got != 2 {
-		t.Errorf("%s = %v, want 2", metrics.BrokerPublished.Key, got)
 	}
 }

@@ -157,11 +157,11 @@ func (s *consumerTransportStub) Ack(ctx context.Context, user, subID string, seq
 	return s.ackErr
 }
 
-// TestConsumerTransportFallback pins the consume routing contract:
-// healthy calls ride the stream and never touch REST; a connection-level
-// failure falls back to REST for that call but keeps trying the stream,
-// and so does an unsupported verdict; server verdicts (unknown
-// subscription) surface without a REST retry.
+// TestConsumerTransportFallback pins the consume routing contract with
+// a transport: every call rides the stream and none falls back to REST.
+// A connection-level failure or an unsupported verdict is the call's
+// answer, and the stream is asked again on the next call rather than
+// being given up; server verdicts (unknown subscription) surface as-is.
 func TestConsumerTransportFallback(t *testing.T) {
 	var restFetches atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -186,39 +186,36 @@ func TestConsumerTransportFallback(t *testing.T) {
 	}
 	_ = c.Close()
 
-	// Connection-level failure: this call lands on REST, the next one
-	// tries the stream again.
-	tr = &consumerTransportStub{fetchErr: errors.New("conn reset")}
+	// Connection-level failure: the call returns it, REST is not
+	// tried, and the next call tries the stream again.
+	connErr := errors.New("conn reset")
+	tr = &consumerTransportStub{fetchErr: connErr}
 	c = New(ts.URL, WithTransport(tr))
-	if _, err := c.FetchEvents(ctx, "u", "s", 8); err != nil {
-		t.Fatalf("FetchEvents with broken stream: %v (REST must absorb it)", err)
+	for i := 0; i < 2; i++ {
+		if _, err := c.FetchEvents(ctx, "u", "s", 8); !errors.Is(err, connErr) {
+			t.Fatalf("FetchEvents with broken stream = %v, want the connection error", err)
+		}
 	}
-	if _, err := c.FetchEvents(ctx, "u", "s", 8); err != nil {
-		t.Fatal(err)
-	}
-	if tr.fetches != 2 || restFetches.Load() != 2 {
-		t.Fatalf("transient routing = (%d stream tries, %d REST calls), want (2, 2)", tr.fetches, restFetches.Load())
+	if tr.fetches != 2 || restFetches.Load() != 0 {
+		t.Fatalf("transient routing = (%d stream tries, %d REST calls), want (2, 0)", tr.fetches, restFetches.Load())
 	}
 	_ = c.Close()
 
-	// Unsupported server: each call falls back to REST, and the stream
+	// Unsupported server: each call returns the verdict, and the stream
 	// is asked again on the next one.
-	restFetches.Store(0)
 	tr = &consumerTransportStub{fetchErr: reef.ErrUnsupported}
 	c = New(ts.URL, WithTransport(tr))
 	for i := 0; i < 3; i++ {
-		if _, err := c.FetchEvents(ctx, "u", "s", 8); err != nil {
-			t.Fatal(err)
+		if _, err := c.FetchEvents(ctx, "u", "s", 8); !errors.Is(err, reef.ErrUnsupported) {
+			t.Fatalf("FetchEvents on unsupported server = %v, want ErrUnsupported", err)
 		}
 	}
-	if tr.fetches != 3 || restFetches.Load() != 3 {
-		t.Fatalf("unsupported routing = (%d stream tries, %d REST calls), want (3, 3)", tr.fetches, restFetches.Load())
+	if tr.fetches != 3 || restFetches.Load() != 0 {
+		t.Fatalf("unsupported routing = (%d stream tries, %d REST calls), want (3, 0)", tr.fetches, restFetches.Load())
 	}
 	_ = c.Close()
 
-	// A server verdict surfaces as-is: REST cannot do better than the
-	// deployment's own answer.
-	restFetches.Store(0)
+	// A server verdict surfaces as-is.
 	tr = &consumerTransportStub{fetchErr: reef.ErrNotFound, ackErr: reef.ErrInvalidArgument}
 	c = New(ts.URL, WithTransport(tr))
 	if _, err := c.FetchEvents(ctx, "u", "ghost", 8); !errors.Is(err, reef.ErrNotFound) {

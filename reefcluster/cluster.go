@@ -15,8 +15,9 @@
 //     configured with a StreamAddr carry publishes, clicks, fetches and
 //     acks over a persistent binary stream (reefstream) plugged in as
 //     the client's transport, usually dialed at the node's base URL;
-//     REST remains the control plane and the fallback, which the client
-//     decides the same way for the router and for any SDK user.
+//     REST remains the control plane. A stream call's answer is the
+//     call's answer, never repeated over REST, and forwardErr decides
+//     whether its failure demotes the node.
 //   - Stats and StorageInfo aggregate across nodes with per-node
 //     breakdowns.
 //
@@ -559,8 +560,7 @@ func (c *Cluster) FetchEvents(ctx context.Context, user, subID string, max int) 
 
 // Ack implements reef.ReliableDeliverer by forwarding to the owner,
 // over its stream when it has one. Acks are cumulative and idempotent,
-// so the forwarding retry policy — and the stream-to-REST fallback —
-// are safe here too.
+// so the forwarding retry policy is safe here too.
 func (c *Cluster) Ack(ctx context.Context, user, subID string, seq int64, nack bool) error {
 	i, err := c.userCall(ctx, user)
 	if err != nil {
@@ -682,8 +682,8 @@ func (c *Cluster) PublishBatch(ctx context.Context, evs []reef.Event) (int, erro
 }
 
 // fanOutPublish ships stamped events to every Up node through its
-// forwarding client: over the node's stream where it has one, with the
-// client's REST fallback, and over REST otherwise.
+// forwarding client: over the node's stream where it has one, and over
+// REST otherwise.
 func (c *Cluster) fanOutPublish(ctx context.Context, evs []reef.Event) (int, error) {
 	return c.fanOut(ctx, func(i int) (int, error) {
 		return c.clients[i].PublishBatch(ctx, evs)

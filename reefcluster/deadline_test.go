@@ -291,7 +291,7 @@ func TestClusterCallerDeadlineDoesNotDemote(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Open the stream connections: a dial into the stalled listener
-		// would fail its handshake and hand the call to REST.
+		// would fail its handshake, not the round trip this test stalls.
 		if _, err := cl.PublishEvent(ctx, item); err != nil {
 			t.Fatal(err)
 		}

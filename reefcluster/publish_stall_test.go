@@ -22,7 +22,7 @@ func TestClusterStreamPublishStallDemotes(t *testing.T) {
 		"type": "feed-item", "feed": feedURLs(testWeb(73))[0], "title": "t", "link": "http://x.test/item",
 	}}
 	// Open the stream connections: a dial into the stalled listener
-	// would fail its handshake and hand the call to REST.
+	// would fail its handshake, not the round trip this test stalls.
 	if _, err := cl.PublishEvent(ctx, ev); err != nil {
 		t.Fatal(err)
 	}

@@ -115,38 +115,76 @@ func TestClusterStreamFanOut(t *testing.T) {
 	}
 }
 
-// TestClusterStreamFallsBackToREST pins the resilience contract: a node
-// whose stream listener is gone (but whose REST surface is alive) still
-// receives publishes over REST, without being demoted.
-func TestClusterStreamFallsBackToREST(t *testing.T) {
+// TestClusterStreamGoneDemotes pins the router's one rule for a node
+// whose stream is gone while its REST surface lives: the stream's
+// failure is the call's answer, so the publish lands on the survivors,
+// forwardErr demotes the node and counts the publish partial, and the
+// node's REST surface never sees the publish.
+func TestClusterStreamGoneDemotes(t *testing.T) {
 	ctx := context.Background()
-	cl, nodes, streams := startStreamCluster(t, 2, nil)
-	byNode := usersPerNode(cl, nodes, 1)
-
-	feed := feedURLs(testWeb(71))[0]
-	for _, users := range byNode {
+	web := testWeb(71)
+	nodes := make([]*testNode, 2)
+	streams := make([]*reefstream.Server, 2)
+	cfgNodes := make([]reefcluster.Node, 2)
+	for i := range nodes {
+		id := string(rune('a' + i))
+		nodes[i] = startTestNode(t, id, 0, web)
+		srv, err := reefstream.Listen("127.0.0.1:0", nodes[i].dep, reefstream.WithNode(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		streams[i] = srv
+		cfgNodes[i] = reefcluster.Node{ID: id, BaseURL: nodes[i].url(), StreamAddr: srv.Addr().String()}
+	}
+	// The prober sleeps, so the demotion stays in view: it would
+	// re-admit the node, whose REST surface answers its probes.
+	cl, err := reefcluster.New(reefcluster.Config{
+		Nodes:         cfgNodes,
+		ProbeInterval: time.Hour,
+		ProbeTimeout:  2 * time.Second,
+		CallTimeout:   5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cl.Close() })
+	feed := feedURLs(web)[0]
+	for _, users := range usersPerNode(cl, nodes, 1) {
 		if _, err := cl.Subscribe(ctx, users[0], feed); err != nil {
 			t.Fatal(err)
 		}
+	}
+	before, err := cl.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
 	}
 	streams[0].Close() // stream plane down, node alive
 
 	ev := reef.Event{Attrs: map[string]string{
 		"type": "feed-item", "feed": feed, "title": "t", "link": "http://x.test/item",
 	}}
-	delivered, err := cl.PublishEvent(ctx, ev)
-	if err != nil {
-		t.Fatalf("PublishEvent with one stream down: %v", err)
+	if delivered, err := cl.PublishEvent(ctx, ev); err != nil || delivered != 1 {
+		t.Fatalf("publish with a's stream gone = (%d, %v), want 1 delivery on b", delivered, err)
 	}
-	if delivered != 2 {
-		t.Fatalf("delivered %d, want 2 — the streamless node must land via REST", delivered)
+	if st := cl.Status()[0].State; st != "down" {
+		t.Errorf("a's state after its stream went = %q, want down", st)
 	}
-	stats, err := cl.Stats(ctx)
+	after, err := cl.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats["nodes_up"] != 2 {
-		t.Errorf("nodes_up = %v, want 2 (a dead stream listener is not a dead node)", stats["nodes_up"])
+	if partial := after["cluster_publish_partial"] - before["cluster_publish_partial"]; partial != 1 {
+		t.Errorf("cluster_publish_partial advanced by %v, want 1", partial)
+	}
+	body, err := reefclient.New(nodes[0].url()).Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, route := range []string{`route="events"`, `route="events:batch"`} {
+		if strings.Contains(body, route) {
+			t.Errorf("a's REST surface served a publish (%s): the stream's failure was repeated over REST", route)
+		}
 	}
 }
 

@@ -234,7 +234,7 @@ func TestLinkHelloRefused(t *testing.T) {
 // TestLinkToStreamOnlyServer pins the mixed-version rule from the
 // sender's side: a link hello that reaches a server serving only stream
 // clients ships nothing, and the sender's status for the peer carries
-// the error. The previous version's /v1/stream read any hello as a
+// the error, naming the peer and the batch when the batch failed. The previous version's /v1/stream read any hello as a
 // stream client's and killed the connection at the first batch, an op
 // it does not serve; a Listen server refuses the link at its hello.
 func TestLinkToStreamOnlyServer(t *testing.T) {
@@ -269,9 +269,10 @@ func TestLinkToStreamOnlyServer(t *testing.T) {
 	for _, tc := range []struct {
 		name, addr string
 		stream     *reefstream.Server
+		wantErr    string // LastError contains it
 	}{
-		{"previous /v1/stream", prev.URL, prevStream},
-		{"Listen server", listen.Addr().String(), listen},
+		{"previous /v1/stream", prev.URL, prevStream, "replication: batch to " + prev.URL + ": "},
+		{"Listen server", listen.Addr().String(), listen, "hello refused: this node takes no replication links"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sender, err := replication.New(replication.Options{
@@ -295,7 +296,9 @@ func TestLinkToStreamOnlyServer(t *testing.T) {
 					t.Fatalf("the sender never failed on b: %+v", st)
 				}
 			}
-			t.Logf("b's last error: %s", st.LastError)
+			if !strings.Contains(st.LastError, tc.wantErr) {
+				t.Errorf("b's last error = %q, want it to contain %q", st.LastError, tc.wantErr)
+			}
 			if st.Shipped != 0 || st.Pending != 1 {
 				t.Errorf("sender's status for b = %+v, want nothing shipped and the record pending", st)
 			}

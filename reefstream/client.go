@@ -182,14 +182,14 @@ func (c *Client) retryOnce(ctx context.Context, call func(*streamConn) error) er
 // clicks the server accepted. Clicks are not idempotent, so unlike a
 // publish it never re-sends a frame: once a frame is queued, a
 // dead connection is an error, and the count covers the frames acked
-// before it. An error wrapping ErrNotSent means nothing was sent.
+// before it.
 func (c *Client) IngestClicks(ctx context.Context, clicks []reef.Click) (int, error) {
 	if len(clicks) == 0 {
 		return 0, nil
 	}
 	sc, err := c.getConn(ctx)
 	if err != nil {
-		return 0, fmt.Errorf("%w: %w", ErrNotSent, err)
+		return 0, err
 	}
 	pp := payloadPool.Get().(*[]byte)
 	defer payloadPool.Put(pp)

@@ -134,12 +134,6 @@ const (
 // typed, terminal decode verdict — never a panic.
 var ErrBadFrame = errors.New("reefstream: malformed frame payload")
 
-// ErrNotSent marks a Client.IngestClicks failure that proves no clicks
-// frame left the client: the dial or handshake failed. Only such a
-// failure may be retried over another transport; any other error may
-// follow a frame the server already applied.
-var ErrNotSent = errors.New("reefstream: clicks frame not sent")
-
 // StatusError is a non-OK ack surfaced to the publisher. It unwraps to
 // the matching reef sentinel so callers keep their errors.Is checks.
 type StatusError struct {
