@@ -56,8 +56,13 @@ func FuzzReplicationLink(f *testing.F) {
 			}
 			m.IngestRecords("a", 1, h, got)
 		}
+		// The sender reads an ack as its link's reader reads any frame.
 		r = bytes.NewReader(data)
-		if a, err := readAck(r, &buf); err == nil {
+		rec, err := durable.ReadFrame(r, &buf)
+		if err != nil {
+			return
+		}
+		if a, err := durable.DecodeReplAck(rec); err == nil {
 			if re := durable.AppendReplAck(nil, a); !bytes.Equal(re, data[:len(data)-r.Len()]) {
 				t.Fatalf("ack re-encodes differently:\n got %x\nwant %x", re, data[:len(data)-r.Len()])
 			}

@@ -2,12 +2,14 @@ package replication
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"reef/internal/durable"
@@ -29,79 +31,89 @@ const (
 // peer's upgrade route, opened once, over which batches and their acks
 // take turns. It is not safe for concurrent use.
 type Link struct {
-	rwc io.ReadWriteCloser
-	br  *bufio.Reader
-	bw  *bufio.Writer
-	// deadline bounds each batch: it closes the connection when a batch
-	// is not acked within timeout, so a stalled peer fails the batch
-	// instead of blocking its sender.
-	deadline *time.Timer
-	timeout  time.Duration
-	hdr, buf []byte
-	peer     string // the peer's base URL, named in Ship's errors
+	conn        *upgrade.Conn
+	hdr, frames []byte               // the batch in flight, the writer's until its ack
+	acks        chan durable.ReplAck // read and not yet taken, oldest first
+	inFlight    atomic.Int32         // batches sent and not yet acked
+	peer        string               // the peer's base URL, named in Ship's errors
 }
 
 // DialLink opens a link to peer through rt as a stream client opens its
 // stream, with a hello declaring the link and the sender's ID and epoch,
 // fixed for the link's life. Any answer but 101 fails the dial, and so
 // does a hello refusing the link or naming a node other than peer.ID
-// (when set). timeout bounds the dial and then each batch.
+// (when set). timeout bounds the dial, and then how long an ack may be
+// owed with nothing read (see upgrade.Role).
 func DialLink(rt http.RoundTripper, peer Node, source string, epoch int64, timeout time.Duration) (*Link, error) {
-	rwc, err := upgrade.Open(rt, peer.BaseURL, upgrade.Hello{Link: true, Source: source, Epoch: epoch}, peer.ID, timeout)
+	rwc, err := upgrade.Open(context.Background(), rt, peer.BaseURL, upgrade.Hello{Link: true, Source: source, Epoch: epoch}, peer.ID, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("replication: %w", err)
 	}
-	l := &Link{
-		rwc:      rwc,
-		br:       bufio.NewReaderSize(rwc, ackBufSize),
-		bw:       bufio.NewWriterSize(rwc, linkBufSize),
-		deadline: time.AfterFunc(timeout, func() { rwc.Close() }),
-		timeout:  timeout,
-		buf:      make([]byte, 0, ackBufSize),
-		peer:     peer.BaseURL,
-	}
-	l.deadline.Stop() // armed by each Ship: an idle link stays up
+	l := &Link{acks: make(chan durable.ReplAck, 1), peer: peer.BaseURL}
+	l.conn = upgrade.Start(rwc, upgrade.Role{
+		Dispatch: l.dispatch, Owed: func() bool { return l.inFlight.Load() > 0 },
+		ReadBuf: ackBufSize, WriteBuf: linkBufSize, Timeout: timeout,
+	})
 	return l, nil
 }
 
 // Ship sends one batch — its header, then frames, which must be
-// h.Bytes long — and reads the peer's ack. An AckError ack returns an
-// error too; the peer closes the link after it. Every error names the
+// h.Bytes long — and waits for the peer's ack. An AckError ack returns
+// an error too; the peer closes the link after it. Every error names the
 // peer's base URL.
 func (l *Link) Ship(h durable.ReplBatch, frames []byte) (durable.ReplAck, error) {
-	l.deadline.Reset(l.timeout)
-	defer l.deadline.Stop()
-	l.hdr = durable.AppendReplBatch(l.hdr[:0], h)
-	l.bw.Write(l.hdr) // a write error sticks to bw, and Flush returns it
-	l.bw.Write(frames)
+	// The writer is done with the last batch: its ack came back, or its
+	// connection closed and Ship waited for the writer to exit.
+	l.hdr, l.frames = durable.AppendReplBatch(l.hdr[:0], h), frames
+	l.inFlight.Add(1)
 	var ack durable.ReplAck
-	err := l.bw.Flush()
+	// Send fails on a closed link, whose late ack answers no new batch.
+	err := l.conn.Send(context.Background(), &l.hdr)
 	if err == nil {
-		ack, err = readAck(l.br, &l.buf)
+		err = l.conn.Send(context.Background(), &l.frames)
+	}
+	if err == nil {
+		select {
+		case ack = <-l.acks:
+		case <-l.conn.Done():
+			select { // an ack read before the connection closed still answers
+			case ack = <-l.acks:
+			default:
+				err = l.conn.Err()
+			}
+		}
 	}
 	if err == nil && ack.Kind == durable.AckError {
 		err = fmt.Errorf("peer refused it: %s", ack.Err)
 	}
 	if err != nil {
+		l.conn.CloseWithError(err) // a refused batch ends the link too
+		<-l.conn.Done()            // and then the writer holds frames no longer
 		err = fmt.Errorf("replication: batch to %s: %w", l.peer, err)
 	}
+	l.frames = nil
 	return ack, err
 }
 
 // Close closes the link's connection. It may run while Ship does, which
 // then fails.
 func (l *Link) Close() error {
-	l.deadline.Stop()
-	return l.rwc.Close()
+	l.conn.CloseWithError(upgrade.ErrClosed)
+	return nil
 }
 
-// readAck reads one ack record, the sender's half of the link's decoding.
-func readAck(r io.Reader, buf *[]byte) (durable.ReplAck, error) {
-	rec, err := durable.ReadFrame(r, buf)
+// dispatch takes an ack for the oldest batch in flight, the sender's
+// half of the link's decoding.
+func (l *Link) dispatch(rec durable.Record) error {
+	ack, err := durable.DecodeReplAck(rec)
 	if err != nil {
-		return durable.ReplAck{}, err
+		return err
 	}
-	return durable.DecodeReplAck(rec)
+	if l.inFlight.Add(-1) < 0 {
+		return errors.New("replication: an ack with no batch in flight")
+	}
+	l.acks <- ack
+	return nil
 }
 
 // readBatch reads one batch header and the frames behind it into
@@ -129,24 +141,23 @@ func readBatch(r io.Reader, buf, frames *[]byte) (durable.ReplBatch, error) {
 	return h, nil
 }
 
-// AcceptLink takes over an upgraded inbound link from source, whose
-// hellos the caller has exchanged, and serves it on its own
-// goroutine until the sender closes it, it fails, or the manager
-// closes. rw buffers conn; its reader may hold bytes already read, and
-// its writer must hold none.
+// AcceptLink serves an upgraded inbound link from source, whose hellos
+// the caller has exchanged, until the sender closes it, it fails, or the
+// manager closes, and then closes conn. rw buffers conn; its reader may
+// hold bytes already read, and its writer must hold none.
 func (m *Manager) AcceptLink(conn net.Conn, rw *bufio.ReadWriter, source string, epoch int64) {
-	if !m.track(conn) {
+	if m.links.Add(conn) != nil {
 		conn.Close()
 		return
 	}
-	go m.serveLink(conn, rw.Reader, source, epoch)
+	defer m.links.Remove(conn)
+	m.serveLink(conn, rw.Reader, source, epoch)
 }
 
 // serveLink applies the batches of one inbound link in order, answering
 // each with its ack, one write each. A refused batch is answered with an
 // error ack and ends the link, so no frame of it is read as a header.
 func (m *Manager) serveLink(conn net.Conn, br *bufio.Reader, source string, epoch int64) {
-	defer m.untrack(conn)
 	buf, out := make([]byte, 0, ackBufSize), make([]byte, 0, ackBufSize)
 	var frames []byte
 	for {
@@ -172,28 +183,6 @@ func (m *Manager) serveLink(conn net.Conn, br *bufio.Reader, source string, epoc
 			return
 		}
 	}
-}
-
-// track registers a link for Close to close, and counts it in wg until
-// untrack; false means the manager is closed.
-func (m *Manager) track(c io.Closer) bool {
-	m.linkMu.Lock()
-	defer m.linkMu.Unlock()
-	if m.links == nil {
-		return false
-	}
-	m.links[c] = struct{}{}
-	m.wg.Add(1)
-	return true
-}
-
-// untrack closes a tracked link and forgets it.
-func (m *Manager) untrack(c io.Closer) {
-	m.linkMu.Lock()
-	delete(m.links, c)
-	m.linkMu.Unlock()
-	c.Close()
-	m.wg.Done()
 }
 
 func errString(err error) string {

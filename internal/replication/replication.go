@@ -45,7 +45,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"log/slog"
 	"maps"
@@ -61,6 +60,7 @@ import (
 	"reef/internal/metrics"
 	"reef/internal/routing"
 	"reef/internal/trace"
+	"reef/internal/upgrade"
 )
 
 // Node is one cluster member, mirroring the seed list the cluster
@@ -172,10 +172,7 @@ type Manager struct {
 	inMu    sync.Mutex
 	sources map[string]*sourcePos
 
-	// links are the live link connections, inbound and outbound, which
-	// Close closes; nil once closed.
-	linkMu sync.Mutex
-	links  map[io.Closer]struct{}
+	links upgrade.Set // the live links, inbound and outbound, which Close closes
 
 	closeOnce sync.Once
 	stop      chan struct{}
@@ -216,7 +213,6 @@ func New(opt Options) (*Manager, error) {
 		epoch:   time.Now().UnixNano(),
 		self:    self,
 		sources: make(map[string]*sourcePos),
-		links:   make(map[io.Closer]struct{}),
 		stop:    make(chan struct{}),
 	}
 	for _, p := range opt.Applier.ReplicationPositions() {
@@ -246,15 +242,8 @@ func New(opt Options) (*Manager, error) {
 // async-replication loss window — it survives in the local WAL and is
 // NOT replayed by a future process (fresh epoch), by design.
 func (m *Manager) Close() {
-	m.closeOnce.Do(func() {
-		close(m.stop)
-		m.linkMu.Lock()
-		for c := range m.links {
-			c.Close()
-		}
-		m.links = nil
-		m.linkMu.Unlock()
-	})
+	m.closeOnce.Do(func() { close(m.stop) })
+	m.links.Close()
 	m.wg.Wait()
 }
 

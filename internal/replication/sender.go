@@ -217,7 +217,7 @@ func (m *Manager) sendLoop(p *peer) {
 	var l *Link
 	defer func() {
 		if l != nil {
-			m.untrack(l)
+			m.links.Remove(l)
 		}
 	}()
 	var frames []byte // the last batch's buffers, kept while small
@@ -268,7 +268,7 @@ func (m *Manager) sendLoop(p *peer) {
 				m.opt.Logger.Warn("replication batch ship failed",
 					"node", m.opt.Self, "peer", p.node.ID,
 					"records", len(b.offeredAt), "err", err)
-				m.untrack(l)
+				m.links.Remove(l)
 				l = nil
 				p.fail(err)
 				break
@@ -298,7 +298,7 @@ func (m *Manager) dial(p *peer) (*Link, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !m.track(l) {
+	if m.links.Add(l) != nil {
 		l.Close()
 		return nil, errors.New("replication: manager closed")
 	}

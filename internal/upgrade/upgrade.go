@@ -3,7 +3,9 @@
 // then one hello frame each way. The client's hello declares its role,
 // a stream client or a peer's replication link; the server's names the
 // node, which the client checks against the node it dialed. A Listen
-// server takes the same hellos on a bare TCP connection.
+// server takes the same hellos on a bare TCP connection. Past the
+// hellos, a Conn carries either role on the dialing end, and a Set
+// holds a server's connections for its drain.
 package upgrade
 
 import (
@@ -60,33 +62,29 @@ func (e *RefusedError) Error() string { return e.Msg }
 // Open dials addr and exchanges hellos: a node's base URL by an upgrade
 // through rt, a Listen server's host:port by TCP. It sends h and returns
 // the connection once the server's hello takes it and, when expect is
-// set, names expect. timeout bounds the dial and then the hellos.
-func Open(rt http.RoundTripper, addr string, h Hello, expect string, timeout time.Duration) (io.ReadWriteCloser, error) {
-	var conn io.ReadWriteCloser
-	var err error
-	if strings.Contains(addr, "://") {
-		conn, err = dial(rt, addr+Path, timeout)
-	} else {
-		conn, err = net.DialTimeout("tcp", addr, timeout)
-	}
+// set, names expect. timeout bounds the dial and the hellos together,
+// and ctx ending aborts them.
+func Open(ctx context.Context, rt http.RoundTripper, addr string, h Hello, expect string, timeout time.Duration) (io.ReadWriteCloser, error) {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	conn, err := dial(ctx, rt, addr)
 	if err != nil {
 		return nil, err
 	}
-	deadline := time.AfterFunc(timeout, func() { conn.Close() })
+	unwatch := context.AfterFunc(ctx, func() { conn.Close() })
 	h.Proto = Version
 	if err = writeHello(conn, h); err == nil {
 		h, err = readHello(conn)
 	}
 	switch {
+	case !unwatch():
+		err = fmt.Errorf("hellos: %w", ctx.Err())
 	case err != nil:
 		err = fmt.Errorf("hello: %w", err)
 	case h.Refused != "":
 		err = fmt.Errorf("hello refused: %s", h.Refused)
 	case expect != "" && h.Node != expect:
 		err = fmt.Errorf("node identity mismatch: dialed %q, reached %q", expect, h.Node)
-	}
-	if !deadline.Stop() && err == nil {
-		err = fmt.Errorf("hellos timed out after %v", timeout)
 	}
 	if err != nil {
 		conn.Close()
@@ -95,12 +93,14 @@ func Open(rt http.RoundTripper, addr string, h Hello, expect string, timeout tim
 	return conn, nil
 }
 
-// dial POSTs a plain HTTP/1.1 request to url through rt asking to
-// upgrade to Protocol and returns the switched connection; timeout
-// bounds the exchange.
-func dial(rt http.RoundTripper, url string, timeout time.Duration) (io.ReadWriteCloser, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
+// dial connects to a host:port by TCP, or to a base URL by POSTing a
+// plain HTTP/1.1 request to its Path through rt asking to upgrade to
+// Protocol, and returns the connection; ctx bounds the exchange.
+func dial(ctx context.Context, rt http.RoundTripper, addr string) (io.ReadWriteCloser, error) {
+	if !strings.Contains(addr, "://") {
+		return new(net.Dialer).DialContext(ctx, "tcp", addr)
+	}
+	url := addr + Path
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, nil)
 	if err != nil {
 		return nil, err
@@ -124,28 +124,27 @@ func dial(rt http.RoundTripper, url string, timeout time.Duration) (io.ReadWrite
 // (conn itself, or a reader holding bytes already read from it). It
 // answers the client's hello in node's name and returns it, refusing a
 // link hello, with its reason, when links is false or it names no
-// source. On an error the caller closes conn.
+// source. The hellos get helloTimeout, after which conn is closed. On an
+// error the caller closes conn.
 func Accept(conn net.Conn, r io.Reader, node string, links bool) (Hello, error) {
-	conn.SetDeadline(time.Now().Add(helloTimeout))
-	defer conn.SetDeadline(time.Time{})
+	expired := afterFunc(helloTimeout, func() { conn.Close() })
 	h, err := readHello(r)
-	if err != nil {
-		return h, err
+	if err == nil {
+		answer := Hello{Proto: Version, Node: node, Clicks: true}
+		switch {
+		case h.Link && !links:
+			answer.Refused = "this node takes no replication links"
+		case h.Link && h.Source == "":
+			answer.Refused = "a link hello must name its source"
+		}
+		if err = writeHello(conn, answer); err == nil && answer.Refused != "" {
+			err = errors.New(answer.Refused)
+		}
 	}
-	answer := Hello{Proto: Version, Node: node, Clicks: true}
-	switch {
-	case h.Link && !links:
-		answer.Refused = "this node takes no replication links"
-	case h.Link && h.Source == "":
-		answer.Refused = "a link hello must name its source"
+	if !expired() {
+		err = fmt.Errorf("hellos timed out after %v", helloTimeout)
 	}
-	if err := writeHello(conn, answer); err != nil {
-		return h, err
-	}
-	if answer.Refused != "" {
-		return h, errors.New(answer.Refused)
-	}
-	return h, nil
+	return h, err
 }
 
 // writeHello sends h as one hello frame, in one write.

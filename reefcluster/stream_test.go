@@ -17,6 +17,7 @@ import (
 	"reef"
 	"reef/internal/durable"
 	"reef/internal/metrics"
+	"reef/internal/upgrade"
 	"reef/reefclient"
 	"reef/reefcluster"
 	"reef/reefhttp"
@@ -445,7 +446,7 @@ func TestStreamUpgradeRefusedFailsClosed(t *testing.T) {
 	var rest atomic.Int64
 	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
-		case reefstream.UpgradePath:
+		case upgrade.Path:
 			http.NotFound(w, r)
 			return
 		case "/v1/healthz", "/v1/readyz":
@@ -508,7 +509,7 @@ func TestStreamUpgradeStartingDemotesNode(t *testing.T) {
 	nodes := []*testNode{startTestNode(t, "a", 0, web), startTestNode(t, "b", 0, web)}
 	h := reefhttp.NewHandler(nodes[1].dep, nil, reefhttp.WithNodeID("b"))
 	starting := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != reefstream.UpgradePath {
+		if r.URL.Path != upgrade.Path {
 			h.ServeHTTP(w, r)
 			return
 		}

@@ -40,7 +40,8 @@
 // /v1/stream answers 101, then its hellos name the node, and the
 // client's picks the role: a stream client goes to a reefstream.Server
 // over the handler's deployment, node ID, registry and span ring, a
-// peer's replication link to the WithReplication manager.
+// peer's replication link to the WithReplication manager. Once
+// Handler.Shutdown began, it answers 503 instead.
 //
 // Liveness and readiness are distinct probes: /v1/healthz answers 200
 // whenever the process serves at all, while /v1/readyz answers 200 only
@@ -272,6 +273,7 @@ type Handler struct {
 	streamAddr string
 	repl       Replicator
 	stream     *reefstream.Server
+	conns      upgrade.Set // the upgrade route's connections, from the hijack
 	metrics    *metrics.Registry
 	tracer     *trace.Recorder
 	start      time.Time
@@ -330,21 +332,26 @@ func NewHandler(dep reef.Deployment, logger *log.Logger, opts ...HandlerOption) 
 	return h
 }
 
-// Shutdown drains the stream connections the handler took over (see
-// reefstream.Server.Shutdown), which http.Server.Shutdown does not see.
-func (h *Handler) Shutdown(ctx context.Context) error { return h.stream.Shutdown(ctx) }
+// Shutdown drains the connections the upgrade route took, which
+// http.Server.Shutdown does not see: stream clients, replication links
+// and those still in their hellos (see upgrade.Set.Shutdown).
+func (h *Handler) Shutdown(ctx context.Context) error { return h.conns.Shutdown(ctx) }
 
 // serveStream answers the upgrade route (RFC 9110 §7.8): 426 naming
-// the protocol to a request for another, else 101 on the hijacked
-// connection, which then carries no server deadlines (each role bounds
-// its own waits). The client's hello picks the role: a stream client's
-// connection goes to the stream server, a replication link's to the
-// manager, a link refused when there is none.
+// the protocol to a request for another, 503 once a drain began, else
+// 101 on the hijacked connection, which then carries no server
+// deadlines (each role bounds its own waits). The client's hello picks
+// the role: a stream client's connection goes to the stream server, a
+// replication link's to the manager, a link refused when there is none.
 func (h *Handler) serveStream(rw http.ResponseWriter, req *http.Request) {
 	if !strings.EqualFold(req.Header.Get("Upgrade"), upgrade.Protocol) {
 		rw.Header().Set("Upgrade", upgrade.Protocol)
 		rw.Header().Set("Connection", "Upgrade")
 		h.writeError(rw, http.StatusUpgradeRequired, CodeInvalidArgument, "this route only upgrades: send Upgrade: "+upgrade.Protocol)
+		return
+	}
+	if h.conns.Draining() {
+		h.writeError(rw, http.StatusServiceUnavailable, CodeUnavailable, "draining: this node takes no new stream or link")
 		return
 	}
 	conn, brw, err := http.NewResponseController(rw).Hijack()
@@ -355,16 +362,19 @@ func (h *Handler) serveStream(rw http.ResponseWriter, req *http.Request) {
 	if sw, ok := rw.(*statusWriter); ok {
 		sw.status = http.StatusSwitchingProtocols
 	}
-	_ = conn.SetDeadline(time.Time{})
+	_ = conn.SetDeadline(time.Time{}) // before Add: it would undo a drain's interrupt
+	if h.conns.Add(conn) != nil {
+		conn.Close() // a drain began since the check
+		return
+	}
+	defer h.conns.Remove(conn)
 	brw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + upgrade.Protocol + "\r\n\r\n")
-	if err := brw.Flush(); err != nil {
-		conn.Close()
+	if brw.Flush() != nil {
 		return
 	}
 	hello, err := upgrade.Accept(conn, brw.Reader, h.nodeID, h.repl != nil)
 	switch {
-	case err != nil:
-		conn.Close()
+	case err != nil: // Remove closes conn
 	case hello.Link:
 		h.repl.AcceptLink(conn, brw, hello.Source, hello.Epoch)
 	default:

@@ -15,9 +15,9 @@ import (
 // peers open on the upgrade route, plus the status the admin endpoint
 // and /v1/stats expose. Implemented by *replication.Manager.
 type Replicator interface {
-	// AcceptLink takes over a peer's upgraded link, whose hellos have
-	// been exchanged, and serves it on its own goroutine: the replicator
-	// closes it when it closes. rw buffers conn.
+	// AcceptLink serves a peer's upgraded link, whose hellos have been
+	// exchanged, until it ends or the replicator closes, and then closes
+	// it. rw buffers conn.
 	AcceptLink(conn net.Conn, rw *bufio.ReadWriter, source string, epoch int64)
 	// Status reports stream positions and health.
 	Status() replication.Status

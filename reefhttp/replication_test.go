@@ -246,7 +246,7 @@ func TestLinkToStreamOnlyServer(t *testing.T) {
 		if err != nil {
 			return
 		}
-		brw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + reefstream.UpgradeProtocol + "\r\n\r\n")
+		brw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + upgrade.Protocol + "\r\n\r\n")
 		if brw.Flush() != nil {
 			conn.Close()
 			return

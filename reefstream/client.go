@@ -1,16 +1,13 @@
 package reefstream
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"reef"
@@ -36,11 +33,11 @@ type Client struct {
 	metrics *metrics.Registry
 	mAckRTT *metrics.Histogram
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	conn    *streamConn
-	dialing bool
-	closed  bool
+	mu   sync.Mutex // held across a dial, which single-flights it
+	conn *streamConn
+	// ctx ends when the client closes, aborting a dial under way.
+	ctx    context.Context
+	cancel context.CancelFunc
 }
 
 // ClientOption configures a stream client.
@@ -75,7 +72,7 @@ func NewClient(addr string, opts ...ClientOption) *Client {
 		addr:        strings.TrimRight(addr, "/"),
 		callTimeout: 10 * time.Second,
 	}
-	c.cond = sync.NewCond(&c.mu)
+	c.ctx, c.cancel = context.WithCancel(context.Background())
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -93,8 +90,8 @@ func (c *Client) Metrics() *metrics.Registry { return c.metrics }
 func (c *Client) Addr() string { return c.addr }
 
 // payloadPool recycles publish and clicks payload encode buffers. Safe
-// because roundTrip copies the payload into its own frame buffer before
-// queueing it, so the payload is unreferenced once roundTrip returns.
+// because call copies the payload into its own frame buffer before
+// queueing it, so the payload is unreferenced once call returns.
 var payloadPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // PublishEvent publishes one event and returns its delivered count.
@@ -132,19 +129,19 @@ func (c *Client) PublishBatch(ctx context.Context, evs []reef.Event) (int, error
 	return total, nil
 }
 
-// errCallTimeout reports a stream that stopped acking for a full call
-// timeout; it unwraps to context.DeadlineExceeded like the per-call
-// deadline it replaces. The connection's watchdog raises it (see
-// streamConn.watchdog) so the ingest hot path pays no per-call timer.
-var errCallTimeout = fmt.Errorf("reefstream: publish round trip timed out: %w", context.DeadlineExceeded)
-
 // publishPayload ships an EncodeEvents payload as one publish frame
 // and waits for its ack, through retryOnce.
 func (c *Client) publishPayload(ctx context.Context, payload []byte) (int, error) {
 	var delivered int
-	err := c.retryOnce(ctx, func(sc *streamConn) (err error) {
+	err := c.retryOnce(ctx, func(sc *streamConn) error {
 		begin := time.Now()
-		if delivered, err = sc.roundTrip(ctx, durable.OpStreamPublish, payload); err == nil {
+		// A trace ID carried by ctx rides the frame's optional trailing
+		// field, stitching the publish into the server's span ring.
+		a, err := sc.call(ctx, func(dst []byte, seq uint64) []byte {
+			tr, _ := trace.FromContext(ctx)
+			return appendPublishFrame(dst, seq, payload, tr)
+		})
+		if delivered = int(a.Delivered); err == nil {
 			c.mAckRTT.Observe(time.Since(begin).Seconds())
 		}
 		return err
@@ -153,9 +150,9 @@ func (c *Client) publishPayload(ctx context.Context, payload []byte) (int, error
 }
 
 // retryOnce runs call on the live connection. A connection-level
-// failure drops the connection and runs call once more on a fresh one;
-// a server verdict (StatusError), a timeout or the caller's ctx ending
-// is returned as is.
+// failure, which closed the connection, runs call once more on a fresh
+// one; a server verdict (StatusError), a timeout or the caller's ctx
+// ending is returned as is.
 func (c *Client) retryOnce(ctx context.Context, call func(*streamConn) error) error {
 	var err error
 	for attempt := 0; attempt < 2; attempt++ {
@@ -170,9 +167,6 @@ func (c *Client) retryOnce(ctx context.Context, call func(*streamConn) error) er
 		if errors.As(err, &se) || ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) {
 			return err
 		}
-		// Connection-level failure: drop the conn so the next attempt
-		// (ours or a concurrent caller's) redials.
-		c.dropConn(sc)
 	}
 	return fmt.Errorf("reefstream: %s: %w", c.addr, err)
 }
@@ -203,8 +197,8 @@ func (c *Client) IngestClicks(ctx context.Context, clicks []reef.Click) (int, er
 		if 2+8+len(buf) > durable.MaxRecordLen { // version + op + seq + payload
 			return total, fmt.Errorf("%w: %d clicks encode to %d bytes, over the frame limit", reef.ErrInvalidArgument, n, len(buf))
 		}
-		accepted, err := sc.roundTrip(ctx, durable.OpStreamClicks, buf)
-		total += accepted
+		a, err := sc.call(ctx, func(dst []byte, seq uint64) []byte { return appendClicksFrame(dst, seq, buf) })
+		total += int(a.Delivered)
 		if err != nil {
 			return total, err
 		}
@@ -216,72 +210,43 @@ func (c *Client) IngestClicks(ctx context.Context, clicks []reef.Click) (int, er
 // Close closes the client and its connection. Further publishes return
 // reef.ErrClosed.
 func (c *Client) Close() error {
+	c.cancel() // first: a dial under way holds mu
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	sc := c.conn
-	c.conn = nil
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	if sc != nil {
-		sc.markDead(reef.ErrClosed)
+	defer c.mu.Unlock()
+	if c.conn != nil {
+		c.conn.conn.CloseWithError(reef.ErrClosed)
 	}
 	return nil
 }
 
-// getConn returns the live connection, dialing one (single-flight) if
-// needed. Concurrent callers wait for the dialer rather than piling on.
+// getConn returns the live connection, dialing one if needed. Concurrent
+// callers wait for the dialer rather than piling on.
 func (c *Client) getConn(ctx context.Context) (*streamConn, error) {
 	c.mu.Lock()
-	for {
-		if c.closed {
-			c.mu.Unlock()
-			return nil, reef.ErrClosed
-		}
-		if err := ctx.Err(); err != nil {
-			c.mu.Unlock()
-			return nil, err
-		}
-		if c.conn != nil && !c.conn.isDead() {
-			sc := c.conn
-			c.mu.Unlock()
-			return sc, nil
-		}
-		if !c.dialing {
-			c.dialing = true
-			c.mu.Unlock()
-			sc, err := c.dial()
-			c.mu.Lock()
-			c.dialing = false
-			if err == nil {
-				c.conn = sc
-			}
-			c.cond.Broadcast()
-			if err != nil {
-				c.mu.Unlock()
-				return nil, err
-			}
-			continue
-		}
-		c.cond.Wait()
+	defer c.mu.Unlock()
+	switch {
+	case c.ctx.Err() != nil:
+		return nil, reef.ErrClosed
+	case ctx.Err() != nil:
+		return nil, ctx.Err()
+	case c.conn != nil && c.conn.conn.Err() == nil:
+		return c.conn, nil
 	}
+	sc, err := c.dial()
+	switch {
+	case c.ctx.Err() != nil: // closed during the dial
+		if sc != nil {
+			sc.conn.CloseWithError(reef.ErrClosed)
+		}
+		return nil, reef.ErrClosed
+	case err != nil:
+		return nil, err
+	}
+	c.conn = sc
+	return sc, nil
 }
 
-// dropConn forgets sc if it is still the current connection, so the
-// next getConn redials. The conn itself is torn down by markDead.
-func (c *Client) dropConn(sc *streamConn) {
-	sc.markDead(errors.New("reefstream: connection dropped"))
-	c.mu.Lock()
-	if c.conn == sc {
-		c.conn = nil
-	}
-	c.mu.Unlock()
-}
-
-// dialTimeout bounds the dial, and then the hellos.
+// dialTimeout bounds the dial and the hellos together.
 const dialTimeout = 5 * time.Second
 
 // dial opens the stream: by upgrade from a base URL, by TCP to a
@@ -290,7 +255,7 @@ const dialTimeout = 5 * time.Second
 // verdict. One that answers 5xx (503 while it replays its WAL) is
 // unavailable. Any other refusal is a dial error.
 func (c *Client) dial() (*streamConn, error) {
-	conn, err := upgrade.Open(http.DefaultTransport, c.addr, upgrade.Hello{}, c.expectNode, dialTimeout)
+	conn, err := upgrade.Open(c.ctx, http.DefaultTransport, c.addr, upgrade.Hello{}, c.expectNode, dialTimeout)
 	if re := (*upgrade.RefusedError)(nil); errors.As(err, &re) {
 		msg := fmt.Sprintf("node %q at %s", c.expectNode, re.Msg)
 		switch {
@@ -303,23 +268,30 @@ func (c *Client) dial() (*streamConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("reefstream: dial %s: %w", c.addr, err)
 	}
-	return newStreamConn(conn, c.callTimeout), nil
+	sc := &streamConn{
+		waiters:   make(map[uint64]chan ack),
+		consumers: make(map[string]*clientConsumer),
+		byCID:     make(map[uint64]*clientConsumer),
+	}
+	sc.conn = upgrade.Start(conn, upgrade.Role{
+		Dispatch: sc.dispatch, Owed: sc.owed, Closed: sc.closed, Pool: &framePool,
+		ReadBuf: 256 << 10, WriteBuf: 64 << 10, Timeout: c.callTimeout,
+	})
+	return sc, nil
 }
 
-// streamConn is one handshaken connection: a writer goroutine drains
-// queued frames and flushes them in batches, a reader goroutine
-// dispatches acks to per-sequence waiters. Death is sticky.
+// streamConn is one handshaken connection in the stream client's role:
+// per-sequence ack waiters and consumer sessions over an upgrade.Conn.
 type streamConn struct {
-	conn    io.ReadWriteCloser
-	writeCh chan *[]byte
+	conn *upgrade.Conn
 
 	wmu     sync.Mutex
 	nextSeq uint64
-	waiters map[uint64]chan ack
+	waiters map[uint64]chan ack // nil once the connection closed
 
 	// Consumer sessions (the read side of the data plane). attachMu
 	// single-flights session creation per (user, subID); cmu guards the
-	// maps shared with the read loop's deliver dispatch. Sessions die
+	// maps shared with the reader's deliver dispatch. Sessions die
 	// with the connection and re-attach lazily after a redial — the
 	// delivery queue's leases make the re-sent window safe.
 	attachMu  sync.Mutex
@@ -328,93 +300,36 @@ type streamConn struct {
 	consumers map[string]*clientConsumer // keyed user + "\x00" + subID
 	byCID     map[uint64]*clientConsumer
 
-	acks atomic.Uint64 // total acks received; the watchdog's progress signal
-
-	dead    chan struct{}
-	deadErr error
-	once    sync.Once
+	// The reader's scratch for deliver frames.
+	ds    []delivery.Delivered
+	pairs []eventalg.Attr
 }
 
-func newStreamConn(conn io.ReadWriteCloser, callTimeout time.Duration) *streamConn {
-	sc := &streamConn{
-		conn:      conn,
-		writeCh:   make(chan *[]byte, 256),
-		waiters:   make(map[uint64]chan ack),
-		consumers: make(map[string]*clientConsumer),
-		byCID:     make(map[uint64]*clientConsumer),
-		dead:      make(chan struct{}),
-	}
-	go sc.writeLoop(bufio.NewWriterSize(conn, 64<<10))
-	go sc.readLoop(bufio.NewReaderSize(conn, 256<<10))
-	go sc.watchdog(callTimeout / 2)
-	return sc
+// owed reports whether a call awaits its ack: the stream is FIFO, so a
+// connection that owes one and reads nothing for a call timeout is stuck.
+func (sc *streamConn) owed() bool {
+	sc.wmu.Lock()
+	defer sc.wmu.Unlock()
+	return len(sc.waiters) > 0
 }
 
-// watchdog enforces the call timeout per connection instead of per
-// call: the stream is FIFO, so if any ack is outstanding across a full
-// interval in which zero acks arrived, the connection is stuck — kill
-// it, failing every waiter with the timeout error. This keeps a timer
-// and an extra select case off the publish hot path.
-func (sc *streamConn) watchdog(interval time.Duration) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	var lastAcks uint64
-	stalled := false // a waiter was already pending at the previous tick
-	for {
-		select {
-		case <-sc.dead:
-			return
-		case <-t.C:
-			acks := sc.acks.Load()
-			sc.wmu.Lock()
-			pending := len(sc.waiters)
-			sc.wmu.Unlock()
-			if pending > 0 && stalled && acks == lastAcks {
-				sc.markDead(errCallTimeout)
-				return
-			}
-			stalled = pending > 0
-			lastAcks = acks
-		}
+// closed fails every waiter, so no caller hangs on an ack that will
+// never come. Waiters are failed with a connDead ack rather than a close
+// so their channels stay poolable.
+func (sc *streamConn) closed(error) {
+	sc.wmu.Lock()
+	waiters := sc.waiters
+	sc.waiters = nil
+	sc.wmu.Unlock()
+	for _, ch := range waiters {
+		// Guaranteed room: a channel still registered has no pending
+		// send (dispatch deletes before sending).
+		ch <- ack{connDead: true}
 	}
 }
 
-func (sc *streamConn) isDead() bool {
-	select {
-	case <-sc.dead:
-		return true
-	default:
-		return false
-	}
-}
-
-// markDead tears the connection down exactly once: the error becomes
-// sticky, the socket closes (kicking both loops), and every waiter is
-// failed so no caller hangs on an ack that will never come. Waiters are
-// failed with a connDead ack rather than a close so their channels stay
-// poolable.
-func (sc *streamConn) markDead(err error) {
-	sc.once.Do(func() {
-		sc.deadErr = err
-		close(sc.dead)
-		sc.conn.Close()
-		sc.wmu.Lock()
-		waiters := sc.waiters
-		sc.waiters = nil
-		sc.wmu.Unlock()
-		for _, ch := range waiters {
-			// Guaranteed room: a channel still registered has no
-			// pending send (readLoop deletes before sending).
-			ch <- ack{connDead: true}
-		}
-	})
-}
-
-// framePool recycles publish frame buffers: roundTrip fills one, the
-// write loop hands it back once the bytes are on the wire.
+// framePool recycles frame buffers: call fills one, the connection's
+// writer hands it back once the bytes are on the wire.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // waiterPool recycles ack waiter channels. A channel is pooled only
@@ -423,84 +338,30 @@ var framePool = sync.Pool{New: func() any { return new([]byte) }}
 // garbage collector.
 var waiterPool = sync.Pool{New: func() any { return make(chan ack, 1) }}
 
-// writeLoop drains queued frames, opportunistically batching every
-// frame already queued into one flush — concurrent publishers share
-// flushes instead of paying one syscall each.
-func (sc *streamConn) writeLoop(bw *bufio.Writer) {
-	for {
-		select {
-		case <-sc.dead:
-			return
-		case frame := <-sc.writeCh:
-			if !sc.writeFrame(bw, frame) {
-				return
-			}
-		batch:
-			for {
-				select {
-				case frame := <-sc.writeCh:
-					if !sc.writeFrame(bw, frame) {
-						return
-					}
-				default:
-					break batch
-				}
-			}
-			if err := bw.Flush(); err != nil {
-				sc.markDead(err)
-				return
-			}
-		}
-	}
-}
-
-func (sc *streamConn) writeFrame(bw *bufio.Writer, frame *[]byte) bool {
-	_, err := bw.Write(*frame)
-	framePool.Put(frame)
-	if err != nil {
-		sc.markDead(err)
-		return false
-	}
-	return true
-}
-
-func (sc *streamConn) readLoop(br *bufio.Reader) {
-	var buf []byte
-	var ds []delivery.Delivered
-	var pairs []eventalg.Attr
-	for {
-		rec, err := durable.ReadFrame(br, &buf)
+// dispatch handles one frame from the server: an ack goes to its
+// waiter, a pushed delivery to its consumer session.
+func (sc *streamConn) dispatch(rec durable.Record) error {
+	switch rec.Op {
+	case durable.OpStreamDeliver:
+		// Buffer it on its consumer session in the public form. The
+		// events' text and payloads are their own — they outlive the read
+		// buffer, handed to the application by FetchEvents — while their
+		// pairs are done with once converted, so one pair buffer serves
+		// every frame.
+		cid, batch, err := decodeDeliver(rec.Payload, sc.ds[:0], &sc.pairs)
 		if err != nil {
-			sc.markDead(fmt.Errorf("reefstream: connection lost: %w", err))
-			return
+			return err
 		}
-		if rec.Op == durable.OpStreamDeliver {
-			// Pushed delivery: buffer it on its consumer session in the
-			// public form. The events' text and payloads are their own —
-			// they outlive the read buffer, handed to the application by
-			// FetchEvents — while their pairs are done with once
-			// converted, so one pair buffer serves every frame.
-			cid, batch, derr := decodeDeliver(rec.Payload, ds[:0], &pairs)
-			if derr != nil {
-				sc.markDead(derr)
-				return
-			}
-			sc.dispatchDeliver(cid, batch)
-			clear(batch)
-			clear(pairs)
-			ds, pairs = batch[:0], pairs[:0]
-			continue
-		}
-		if rec.Op != durable.OpStreamAck {
-			sc.markDead(fmt.Errorf("%w: unexpected op %v from server", ErrBadFrame, rec.Op))
-			return
-		}
+		sc.dispatchDeliver(cid, batch)
+		clear(batch)
+		clear(sc.pairs)
+		sc.ds, sc.pairs = batch[:0], sc.pairs[:0]
+		return nil
+	case durable.OpStreamAck:
 		a, err := decodeAck(rec.Payload)
 		if err != nil {
-			sc.markDead(err)
-			return
+			return err
 		}
-		sc.acks.Add(1)
 		sc.wmu.Lock()
 		ch := sc.waiters[a.Seq]
 		delete(sc.waiters, a.Seq)
@@ -508,50 +369,37 @@ func (sc *streamConn) readLoop(br *bufio.Reader) {
 		if ch != nil {
 			ch <- a
 		}
+		return nil
 	}
+	return fmt.Errorf("%w: unexpected op %v from server", ErrBadFrame, rec.Op)
 }
 
-// beginCall registers an ack waiter under the next sequence number.
-// Every acked verb (publish, subscribe, consume-ack) claims its slot
-// here before framing, so the sequence space stays shared and FIFO.
-func (sc *streamConn) beginCall() (uint64, chan ack, error) {
+// call frames one acked verb under the next sequence number and waits
+// for its ack, which it returns; a non-OK one is a StatusError too.
+// Every acked verb (publish, clicks, subscribe, consume-ack) goes
+// through here, so the sequence space stays shared and FIFO. The
+// connection's watchdog bounds the wait when the caller's context
+// cannot (closed fails every waiter), so the no-deadline hot path is a
+// plain channel receive, not a select.
+func (sc *streamConn) call(ctx context.Context, frame func(dst []byte, seq uint64) []byte) (ack, error) {
 	sc.wmu.Lock()
 	if sc.waiters == nil {
 		sc.wmu.Unlock()
-		return 0, nil, sc.deadErr
+		return ack{}, sc.conn.Err()
 	}
 	sc.nextSeq++
 	seq := sc.nextSeq
 	waiter := waiterPool.Get().(chan ack)
 	sc.waiters[seq] = waiter
 	sc.wmu.Unlock()
-	return seq, waiter, nil
-}
-
-// finishCall queues the framed call and waits for its ack. The
-// connection's watchdog bounds the wait when the caller's context
-// cannot (markDead fails every waiter), so the no-deadline hot path is
-// a plain channel receive, not a select.
-func (sc *streamConn) finishCall(ctx context.Context, seq uint64, waiter chan ack, fp *[]byte) (ack, error) {
-	done := ctx.Done()
-	// Fast path: the write queue almost always has room, and the
-	// non-blocking send is far cheaper than a three-way select.
-	select {
-	case sc.writeCh <- fp:
-	default:
-		select {
-		case sc.writeCh <- fp:
-		case <-sc.dead:
-			sc.forget(seq)
-			return ack{}, sc.deadErr
-		case <-done:
-			sc.forget(seq)
-			return ack{}, ctx.Err()
-		}
+	fp := framePool.Get().(*[]byte)
+	*fp = frame((*fp)[:0], seq)
+	if err := sc.conn.Send(ctx, fp); err != nil {
+		sc.forget(seq)
+		return ack{}, err
 	}
-
 	var a ack
-	if done == nil {
+	if done := ctx.Done(); done == nil {
 		a = <-waiter
 	} else {
 		select {
@@ -564,43 +412,19 @@ func (sc *streamConn) finishCall(ctx context.Context, seq uint64, waiter chan ac
 		}
 	}
 	waiterPool.Put(waiter)
-	if a.connDead {
-		return ack{}, sc.deadErr
+	switch {
+	case a.connDead:
+		return ack{}, sc.conn.Err()
+	case a.Status != StatusOK:
+		return a, &StatusError{Status: a.Status, Message: a.Message}
 	}
 	return a, nil
-}
-
-// roundTrip queues one publish or clicks frame and waits for its ack.
-// A trace ID carried by ctx rides a publish frame's optional trailing
-// field, stitching the publish into the server's span ring.
-func (sc *streamConn) roundTrip(ctx context.Context, op durable.Op, payload []byte) (int, error) {
-	seq, waiter, err := sc.beginCall()
-	if err != nil {
-		return 0, err
-	}
-	fp := framePool.Get().(*[]byte)
-	if op == durable.OpStreamClicks {
-		*fp = appendClicksFrame((*fp)[:0], seq, payload)
-	} else {
-		tr, _ := trace.FromContext(ctx)
-		*fp = appendPublishFrame((*fp)[:0], seq, payload, tr)
-	}
-	a, err := sc.finishCall(ctx, seq, waiter, fp)
-	if err != nil {
-		return 0, err
-	}
-	if a.Status != StatusOK {
-		return int(a.Delivered), &StatusError{Status: a.Status, Message: a.Message}
-	}
-	return int(a.Delivered), nil
 }
 
 // forget abandons a waiter (timeout, cancellation, queue failure) so a
 // late ack does not leak the channel entry.
 func (sc *streamConn) forget(seq uint64) {
 	sc.wmu.Lock()
-	if sc.waiters != nil {
-		delete(sc.waiters, seq)
-	}
+	delete(sc.waiters, seq) // a no-op once closed set the map nil
 	sc.wmu.Unlock()
 }

@@ -99,17 +99,9 @@ func (sc *streamConn) consumer(ctx context.Context, user, subID string) (*client
 	sc.byCID[cid] = cc
 	sc.cmu.Unlock()
 
-	seq, waiter, err := sc.beginCall()
-	if err == nil {
-		fp := framePool.Get().(*[]byte)
-		*fp = appendSubscribeFrame((*fp)[:0], subscribe{
-			Seq: seq, CID: cid, Credit: DefaultCreditWindow, User: user, SubID: subID,
-		})
-		var a ack
-		if a, err = sc.finishCall(ctx, seq, waiter, fp); err == nil && a.Status != StatusOK {
-			err = &StatusError{Status: a.Status, Message: a.Message}
-		}
-	}
+	_, err := sc.call(ctx, func(dst []byte, seq uint64) []byte {
+		return appendSubscribeFrame(dst, subscribe{Seq: seq, CID: cid, Credit: DefaultCreditWindow, User: user, SubID: subID})
+	})
 	if err != nil {
 		sc.cmu.Lock()
 		delete(sc.consumers, key)
@@ -118,24 +110,6 @@ func (sc *streamConn) consumer(ctx context.Context, user, subID string) (*client
 		return nil, err
 	}
 	return cc, nil
-}
-
-// sendCredit queues a fire-and-forget credit grant.
-func (sc *streamConn) sendCredit(cid uint64, n int) {
-	if n <= 0 {
-		return
-	}
-	fp := framePool.Get().(*[]byte)
-	*fp = appendCreditFrame((*fp)[:0], credit{CID: cid, N: uint64(n)})
-	select {
-	case sc.writeCh <- fp:
-	default:
-		select {
-		case sc.writeCh <- fp:
-		case <-sc.dead:
-			framePool.Put(fp)
-		}
-	}
 }
 
 // FetchEvents leases up to max retained events of one reliable
@@ -152,39 +126,40 @@ func (sc *streamConn) sendCredit(cid uint64, n int) {
 // window redelivers under its lease.
 func (c *Client) FetchEvents(ctx context.Context, user, subID string, max int) ([]reef.DeliveredEvent, error) {
 	var evs []reef.DeliveredEvent
-	err := c.retryOnce(ctx, func(sc *streamConn) (err error) {
-		evs, err = sc.fetchEvents(ctx, c.callTimeout, user, subID, max)
-		return err
+	err := c.retryOnce(ctx, func(sc *streamConn) error {
+		cc, err := sc.consumer(ctx, user, subID)
+		if err != nil {
+			return err
+		}
+		var bound <-chan time.Time
+		if ctx.Done() == nil && c.callTimeout > 0 {
+			t := time.NewTimer(c.callTimeout)
+			defer t.Stop()
+			bound = t.C
+		}
+		for {
+			if evs = cc.pop(max); len(evs) > 0 {
+				// Grant back the credit handed to the application, fire
+				// and forget.
+				fp := framePool.Get().(*[]byte)
+				*fp = appendCreditFrame((*fp)[:0], credit{CID: cc.cid, N: uint64(len(evs))})
+				if sc.conn.Send(context.Background(), fp) != nil {
+					framePool.Put(fp)
+				}
+				return nil
+			}
+			select {
+			case <-cc.ready:
+			case <-sc.conn.Done():
+				return sc.conn.Err()
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-bound:
+				return nil
+			}
+		}
 	})
 	return evs, err
-}
-
-func (sc *streamConn) fetchEvents(ctx context.Context, callTimeout time.Duration, user, subID string, max int) ([]reef.DeliveredEvent, error) {
-	cc, err := sc.consumer(ctx, user, subID)
-	if err != nil {
-		return nil, err
-	}
-	var bound <-chan time.Time
-	if ctx.Done() == nil && callTimeout > 0 {
-		t := time.NewTimer(callTimeout)
-		defer t.Stop()
-		bound = t.C
-	}
-	for {
-		if evs := cc.pop(max); len(evs) > 0 {
-			sc.sendCredit(cc.cid, len(evs))
-			return evs, nil
-		}
-		select {
-		case <-cc.ready:
-		case <-sc.dead:
-			return nil, sc.deadErr
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-bound:
-			return nil, nil
-		}
-	}
 }
 
 // Ack advances the subscription's durable cumulative cursor (or, with
@@ -194,29 +169,12 @@ func (sc *streamConn) fetchEvents(ctx context.Context, callTimeout time.Duration
 // connection failure once; acks are cumulative and idempotent.
 func (c *Client) Ack(ctx context.Context, user, subID string, seq int64, nack bool) error {
 	return c.retryOnce(ctx, func(sc *streamConn) error {
-		return sc.consumeAck(ctx, user, subID, seq, nack)
+		cc, err := sc.consumer(ctx, user, subID)
+		if err == nil {
+			_, err = sc.call(ctx, func(dst []byte, callSeq uint64) []byte {
+				return appendConsumeAckFrame(dst, consumeAck{Seq: callSeq, CID: cc.cid, AckSeq: seq, Nack: nack})
+			})
+		}
+		return err
 	})
-}
-
-func (sc *streamConn) consumeAck(ctx context.Context, user, subID string, seq int64, nack bool) error {
-	cc, err := sc.consumer(ctx, user, subID)
-	if err != nil {
-		return err
-	}
-	callSeq, waiter, err := sc.beginCall()
-	if err != nil {
-		return err
-	}
-	fp := framePool.Get().(*[]byte)
-	*fp = appendConsumeAckFrame((*fp)[:0], consumeAck{
-		Seq: callSeq, CID: cc.cid, AckSeq: seq, Nack: nack,
-	})
-	a, err := sc.finishCall(ctx, callSeq, waiter, fp)
-	if err != nil {
-		return err
-	}
-	if a.Status != StatusOK {
-		return &StatusError{Status: a.Status, Message: a.Message}
-	}
-	return nil
 }

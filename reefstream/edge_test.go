@@ -12,6 +12,7 @@ import (
 	"reef"
 	"reef/internal/durable"
 	"reef/internal/trace"
+	"reef/internal/upgrade"
 	"reef/internal/websim"
 )
 
@@ -48,7 +49,7 @@ func TestCorruptFrameBehindValidOne(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	hi, _ := json.Marshal(hello{Proto: ProtoVersion})
+	hi, _ := json.Marshal(hello{Proto: upgrade.Version})
 	if _, err := conn.Write(durable.Record{Op: durable.OpStreamHello, Payload: hi}.AppendEncoded(nil)); err != nil {
 		t.Fatal(err)
 	}

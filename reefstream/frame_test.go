@@ -10,6 +10,7 @@ import (
 	"reef/internal/durable"
 	"reef/internal/pubsub"
 	"reef/internal/trace"
+	"reef/internal/upgrade"
 )
 
 // frameCase is one stream frame built by its encoder from fixed inputs.
@@ -24,7 +25,7 @@ type frameCase struct {
 // engine's form, whose attributes are in name order, so every encoding
 // is deterministic.
 func streamFrameCases() []frameCase {
-	hello, err := json.Marshal(hello{Proto: ProtoVersion, Node: "n1", Clicks: true})
+	hello, err := json.Marshal(hello{Proto: upgrade.Version, Node: "n1", Clicks: true})
 	if err != nil {
 		panic(err)
 	}

@@ -35,7 +35,7 @@
 // # Session
 //
 // A client dials a node's base URL with an HTTP/1.1 Upgrade to
-// UpgradePath, which every reefhttp handler serves (RFC 9110 §7.8); a
+// upgrade.Path, which every reefhttp handler serves (RFC 9110 §7.8); a
 // 404 or 426 fails every call with StatusUnsupported, a 5xx with
 // StatusUnavailable. A Listen server takes the same stream on a bare
 // TCP connection. The client sends a hello; the server answers with its
@@ -76,10 +76,11 @@
 //
 // # Drain
 //
-// Server.Shutdown stops accepting new connections and new frames, then
-// applies and acks every frame already read before closing each
-// connection. The invariant: a frame the server read is fully applied
-// and acked; bytes still in flight are never partially applied. Pushed
+// Server.Shutdown, and reefhttp's Handler.Shutdown for the connections
+// its route took, stop taking connections and interrupt each one's
+// read: ServeConn applies and acks every frame already read, then
+// closes. The invariant: a frame the server read is fully applied and
+// acked; bytes still in flight are never partially applied. Pushed
 // deliveries need no drain step: an unacked delivery is redelivered
 // after its lease, on this node or on a promoted replica.
 package reefstream
@@ -98,18 +99,6 @@ import (
 	"reef/internal/eventalg"
 	"reef/internal/pubsub"
 	"reef/internal/trace"
-	"reef/internal/upgrade"
-)
-
-// ProtoVersion is the handshake protocol version. A server rejects a
-// hello with a version it does not speak.
-const ProtoVersion = upgrade.Version
-
-// UpgradePath is the REST route a node serves the stream on, and
-// UpgradeProtocol the Upgrade token that asks for it.
-const (
-	UpgradePath     = upgrade.Path
-	UpgradeProtocol = upgrade.Protocol
 )
 
 // MaxFrameEvents bounds the events one publish frame, and the clicks one
@@ -415,8 +404,8 @@ func decodeClicksFrame(payload []byte) (uint64, []reef.Click, error) {
 }
 
 // ack is a decoded OpStreamAck. connDead is never on the wire: it is
-// the in-process verdict markDead delivers to pending waiters so their
-// channels can be pooled instead of closed.
+// the in-process verdict a closed connection delivers to pending
+// waiters so their channels can be pooled instead of closed.
 type ack struct {
 	Seq       uint64
 	Delivered uint64

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -407,5 +408,47 @@ func TestStreamServerDrainRefusesNewConns(t *testing.T) {
 	defer cl.Close()
 	if _, err := cl.PublishEvent(ctx, feedEvent("http://h.test/f")); err == nil {
 		t.Fatal("publish to a drained server succeeded")
+	}
+}
+
+// TestClientCloseDuringDial pins that Close reaches a dial under way: a
+// publish waiting on a server that took the client's hello and never
+// answers returns reef.ErrClosed at once, not at the dial bound, and
+// the half-open connection is closed.
+func TestClientCloseDuringDial(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	held := make(chan net.Conn, 1)
+	go func() {
+		if conn, err := ln.Accept(); err == nil {
+			held <- conn
+		}
+	}()
+	cl := reefstream.NewClient(ln.Addr().String())
+	published := make(chan error, 1)
+	go func() {
+		_, err := cl.PublishEvent(context.Background(), feedEvent("http://h.test/f"))
+		published <- err
+	}()
+	conn := <-held
+	defer conn.Close()
+	if _, err := conn.Read(make([]byte, 1)); err != nil { // the client's hello
+		t.Fatal(err)
+	}
+	cl.Close()
+	select {
+	case err := <-published:
+		if !errors.Is(err, reef.ErrClosed) {
+			t.Fatalf("publish closed during its dial = %v, want reef.ErrClosed", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("publish still waits on its dial a second after Close")
+	}
+	conn.SetReadDeadline(time.Now().Add(time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("the dial's connection read %v after Close, want EOF", err)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"time"
 
 	"reef"
@@ -76,13 +75,8 @@ type Server struct {
 	mConsumers *metrics.Gauge
 	mDelivered *metrics.Counter
 
-	mu       sync.Mutex
-	conns    map[net.Conn]struct{}
-	draining bool
-	closed   bool
-
+	conns      upgrade.Set // the listener's connections
 	acceptDone chan struct{}
-	handlers   sync.WaitGroup
 }
 
 // Listen starts a stream server on addr (e.g. "127.0.0.1:0") serving
@@ -99,12 +93,7 @@ func Listen(addr string, dep reef.Deployment, opts ...ServerOption) (*Server, er
 // server owns the listener and closes it on Shutdown/Close. A server
 // with a nil ln has no Addr and serves only what ServeConn hands it.
 func NewServer(ln net.Listener, dep reef.Deployment, opts ...ServerOption) *Server {
-	s := &Server{
-		dep:        dep,
-		ln:         ln,
-		conns:      make(map[net.Conn]struct{}),
-		acceptDone: make(chan struct{}),
-	}
+	s := &Server{dep: dep, ln: ln, acceptDone: make(chan struct{})}
 	s.entry, _ = builtin.Of(dep)
 	if bc, ok := dep.(reef.BatchCountPublisher); ok {
 		s.counts = bc
@@ -153,9 +142,9 @@ func (s *Server) ConsumeStats() (attached, delivered int64) {
 // Metrics returns the server's instrumentation registry.
 func (s *Server) Metrics() *metrics.Registry { return s.metrics }
 
-// acceptLoop runs the hellos on each connection the listener accepts, on
-// its own goroutine, refusing replication links, and hands a stream
-// client's to ServeConn.
+// acceptLoop holds each connection the listener accepts in conns, and
+// runs its hellos, which refuse replication links, and its stream on its
+// own goroutine.
 func (s *Server) acceptLoop() {
 	defer close(s.acceptDone)
 	for s.ln != nil {
@@ -163,126 +152,32 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed by Shutdown/Close
 		}
+		if s.conns.Add(conn) != nil {
+			conn.Close()
+			continue
+		}
 		go func() {
-			if _, err := upgrade.Accept(conn, conn, s.node, false); err != nil {
-				conn.Close()
-				return
+			defer s.conns.Remove(conn)
+			if _, err := upgrade.Accept(conn, conn, s.node, false); err == nil {
+				s.ServeConn(conn, nil)
 			}
-			s.ServeConn(conn, nil)
 		}()
 	}
 }
 
-// ServeConn serves a stream client's conn, its hellos exchanged, on its
-// own goroutine: one the listener accepted or one hijacked from an HTTP
+// ServeConn serves a stream client's conn, its hellos exchanged, and
+// closes it: one the listener accepted or one hijacked from an HTTP
 // upgrade, whose bytes already read into buffered (nil for none) come
-// first. Shutdown and Close treat both alike; a draining server closes
-// conn unserved.
+// first. An interrupted read, a drain's, ends it once every frame
+// already read is applied and acked.
 func (s *Server) ServeConn(conn net.Conn, buffered *bufio.Reader) {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		conn.Close()
-		return
-	}
-	s.conns[conn] = struct{}{}
-	s.handlers.Add(1)
-	s.mu.Unlock()
 	s.mConns.Add(1)
+	defer s.mConns.Add(-1)
+	defer conn.Close()
 	var r io.Reader = conn
 	if buffered != nil && buffered.Buffered() > 0 {
 		r = io.MultiReader(io.LimitReader(buffered, int64(buffered.Buffered())), conn)
 	}
-	go func() {
-		defer s.handlers.Done()
-		s.serveConn(conn, r)
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		s.mConns.Add(-1)
-	}()
-}
-
-// Shutdown drains the server: stop accepting connections and frames,
-// apply and ack every frame already read, flush, then close. It blocks
-// until all connection handlers have finished or ctx expires; on expiry
-// remaining connections are force-closed.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	alreadyDraining := s.draining
-	s.draining = true
-	if !alreadyDraining {
-		if s.ln != nil {
-			s.ln.Close()
-		}
-		// Kick handlers blocked in a read. Frames already buffered in
-		// a handler's reader still decode fine; only the blocking wait
-		// on the socket is interrupted.
-		for conn := range s.conns {
-			conn.SetReadDeadline(time.Now())
-		}
-	}
-	s.mu.Unlock()
-	<-s.acceptDone
-
-	done := make(chan struct{})
-	go func() {
-		s.handlers.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		s.mu.Lock()
-		for conn := range s.conns {
-			conn.Close()
-		}
-		s.mu.Unlock()
-		<-done
-		return ctx.Err()
-	}
-}
-
-// Close force-closes the server without waiting for in-flight frames.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.draining = true
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	for conn := range s.conns {
-		conn.Close()
-	}
-	s.mu.Unlock()
-	<-s.acceptDone
-	s.handlers.Wait()
-	return nil
-}
-
-func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
-// frameSpan marks one publish frame's slice of the coalesced event
-// batch, so its ack can report exactly its own deliveries; tr is the
-// frame's trace ID (zero when untraced).
-type frameSpan struct {
-	seq        uint64
-	start, end int
-	tr         trace.ID
-}
-
-// serveConn serves conn, reading its frames from r.
-func (s *Server) serveConn(conn net.Conn, r io.Reader) {
-	defer conn.Close()
 	br := bufio.NewReaderSize(r, 256<<10)
 	bw := bufio.NewWriterSize(conn, 64<<10)
 
@@ -354,10 +249,40 @@ func (s *Server) serveConn(conn net.Conn, r io.Reader) {
 		if err != nil {
 			return
 		}
-		if s.isDraining() && br.Buffered() < durable.FrameHeaderLen {
-			return
-		}
 	}
+}
+
+// Shutdown drains the server: stop accepting connections and frames,
+// apply and ack every frame already read, flush, then close. It blocks
+// until all connection handlers have finished or ctx expires; on expiry
+// remaining connections are force-closed.
+func (s *Server) Shutdown(ctx context.Context) error {
+	s.closeListener()
+	return s.conns.Shutdown(ctx)
+}
+
+// Close force-closes the server without waiting for in-flight frames.
+func (s *Server) Close() error {
+	s.closeListener()
+	s.conns.Close()
+	return nil
+}
+
+// closeListener stops the accept loop and waits for it.
+func (s *Server) closeListener() {
+	if s.ln != nil {
+		s.ln.Close()
+	}
+	<-s.acceptDone
+}
+
+// frameSpan marks one publish frame's slice of the coalesced event
+// batch, so its ack can report exactly its own deliveries; tr is the
+// frame's trace ID (zero when untraced).
+type frameSpan struct {
+	seq        uint64
+	start, end int
+	tr         trace.ID
 }
 
 // handleControl dispatches one frame other than a publish: subscribe,
